@@ -14,8 +14,7 @@ import hashlib
 import json
 import logging
 import os
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -29,7 +28,7 @@ from .catalog import (
 )
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .selector import SelectionConstraints, SelectionPlan, build_problem, solve_window
+from .selector import SelectionPlan
 from .trace import Trace, WindowTarget
 
 log = logging.getLogger(__name__)
@@ -191,6 +190,10 @@ class HttpProvider:
         self.timeout_s = timeout_ms / 1000.0
 
     def complete(self, prompt: str) -> str:
+        # imported here: urllib.request pulls in ssl and http.client, which
+        # only this provider needs
+        import urllib.request
+
         payload = json.dumps({"prompt": prompt}).encode()
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}

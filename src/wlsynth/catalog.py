@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np

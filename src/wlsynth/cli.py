@@ -236,10 +236,14 @@ def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
     paths.ensure(paths.augment, paths.plans)
     save_catalog(augmented, paths.augment / "catalog.csv")
     write_attempt_log(reports, paths.augment / "attempts.jsonl")
+    accepted = sum(1 for r in reports if r.accepted)
+    if accepted == 0:
+        # same catalog as the plans were solved with: a re-solve writes the same bytes
+        log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
+        return
     plans = _solve_windows(windows, augmented, _constraints(cfg), args.jobs)
     write_plans(plans, paths.plans / "plan.csv")
     write_plan_summary(plans, windows, cfg.schema(), paths.plans / "summary.csv")
-    accepted = sum(1 for r in reports if r.accepted)
     log.info("augmentation: %d/%d targets accepted, plans re-solved",
              accepted, len(reports))
 

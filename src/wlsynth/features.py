@@ -1,7 +1,7 @@
 """Feature vectors: named performance metrics plus named operator statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

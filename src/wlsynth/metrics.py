@@ -7,7 +7,7 @@ badly-matched series neither overflow nor underflow.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

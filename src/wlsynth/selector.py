@@ -4,19 +4,20 @@ Chooses an integer multiplicity for every catalog component so that the
 combined feature vector minimizes the summed relative error against the
 window target, subject to a per-component repetition cap, a total-count cap
 and a duration budget.  Absolute values are linearized with one nonnegative
-slack per feature dimension and the integer program is solved by branch and
-bound with LP-relaxation bounding (scipy HiGHS for the relaxations).
+slack per feature dimension.  The integer program goes to HiGHS through
+`scipy.optimize.milp`: its LP relaxation first, and the MIP solver (branch and
+bound over LP relaxations) only when that root is fractional.  Identical
+inputs give identical counts; repetitions of components with identical
+feature and duration columns sit on the later component id.
 """
 from __future__ import annotations
 
 import csv
-import heapq
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .catalog import Catalog
 from .errors import SchemaError, SolverError, ValidationError
@@ -40,7 +41,7 @@ class SelectionConstraints:
     max_concurrency: int = 8           # cores; duration budget l = window_len * cores
     denom_floor: float = 1.0           # epsilon for zero-valued targets
     weights: np.ndarray | None = None  # per-dimension, defaults to all ones
-    node_limit: int = 20000
+    node_limit: int = 20000            # HiGHS MIP nodes per window
     time_limit_s: float | None = None
 
 
@@ -101,18 +102,17 @@ class SelectionPlan:
         return sum(self.counts.values())
 
 
-def _solve_relaxation(problem: SelectionProblem, lo: np.ndarray, hi: np.ndarray):
-    """LP relaxation over box [lo, hi] with slack linearization. Returns (bound, x) or None."""
+def _milp_model(problem: SelectionProblem):
+    """Slack linearization: variables are the counts x then one slack per dimension.
+
+    |A x - t| / denom <= s is scaled by denom to keep coefficients bounded:
+    A x - denom * s <= t  and  -A x - denom * s <= -t.  Two more rows cap the
+    total count at z and the summed duration at the budget.
+    """
     v = problem.features.shape[0]
     ndim = problem.target.shape[0]
-    denom = problem.denominators
-    w = problem.weight_vector
     A = problem.features.T  # (ndim, v)
-
-    c = np.concatenate([np.zeros(v), w])
-    # |A x - t| / denom <= s, scaled by denom to keep coefficients bounded:
-    #   A x - denom * s <= t   and   -A x - denom * s <= -t
-    slack_block = -np.diag(denom)
+    slack_block = -np.diag(problem.denominators)
     a_ub = np.vstack(
         [
             np.hstack([A, slack_block]),
@@ -124,19 +124,21 @@ def _solve_relaxation(problem: SelectionProblem, lo: np.ndarray, hi: np.ndarray)
     b_ub = np.concatenate(
         [problem.target, -problem.target, [problem.z], [problem.duration_budget_ms]]
     )
-    bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [(0, None)] * ndim
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return float(res.fun), res.x[:v]
+    c = np.concatenate([np.zeros(v), problem.weight_vector])
+    constraints = LinearConstraint(a_ub, -np.inf, b_ub)
+    bounds = Bounds(
+        np.zeros(v + ndim), np.concatenate([np.full(v, float(problem.y)), np.full(ndim, np.inf)])
+    )
+    return c, constraints, bounds
 
 
 def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.ndarray:
     """Shift counts between components with identical feature/duration columns.
 
-    Moving repetitions from an earlier id to a later duplicate keeps the
-    objective and all constraints intact while producing the
-    lexicographically smallest count vector under component_id order.
+    Moving repetitions from an earlier id to a later duplicate (up to the cap
+    y) keeps the objective and all constraints intact, so which of several
+    interchangeable components the solver happened to pick does not show in
+    the plan.
     """
     order = np.argsort(np.array(problem.component_ids))
     cols = [
@@ -153,73 +155,44 @@ def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.nd
     return counts
 
 
-def _lex_key(problem: SelectionProblem, counts: np.ndarray) -> tuple:
-    order = np.argsort(np.array(problem.component_ids))
-    return tuple(int(counts[j]) for j in order)
-
-
 def solve_window(problem: SelectionProblem) -> SelectionPlan:
-    """Branch-and-bound solve of one window's selection problem.
+    """Exact solve of one window's selection problem with HiGHS.
 
-    Returns the optimal plan unless the node or time budget is exhausted, in
-    which case the best incumbent is returned with `approximate=True`.
-    The all-zeros vector is always feasible, so an incumbent always exists.
+    The LP relaxation is solved first; when its counts are already integral
+    they are optimal and no MIP is needed.  Otherwise one HiGHS MIP solve
+    (branch and bound over LP relaxations, relative gap 0) runs under
+    `node_limit` MIP nodes and `time_limit_s` seconds.  If either budget is
+    exhausted the best incumbent is returned with `approximate=True`; the
+    all-zeros vector is always feasible and is the (approximate) fallback
+    when HiGHS returns no integral, feasible incumbent.  Ties: identical inputs give identical counts, and repetitions of
+    components with identical feature and duration columns are shifted to
+    the later component id.
     """
-    v = problem.features.shape[0]
-    deadline = None
     if problem.weights is not None and np.any(np.asarray(problem.weights) < 0):
         raise ValidationError("weights must be nonnegative")
-
+    v = problem.features.shape[0]
     best_counts = np.zeros(v, dtype=int)
-    best_obj = problem.objective(best_counts)
+    zero_obj = problem.objective(best_counts)
     approximate = False
 
-    if v > 0 and best_obj > 0:
-        lo0 = np.zeros(v)
-        hi0 = np.full(v, float(problem.y))
-        if problem.time_limit_s is not None:
-            deadline = time.monotonic() + problem.time_limit_s
-        counter = itertools.count()
-        heap: list = []
-        root = _solve_relaxation(problem, lo0, hi0)
-        if root is not None:
-            heapq.heappush(heap, (root[0], next(counter), lo0, hi0, root[1]))
-        nodes = 0
-        while heap:
-            bound, _, lo, hi, x_rel = heapq.heappop(heap)
-            if bound >= best_obj - _TIE_EPS:
-                continue
-            nodes += 1
-            if nodes > problem.node_limit or (
-                deadline is not None and time.monotonic() > deadline
-            ):
-                approximate = True
-                break
-
-            frac = np.abs(x_rel - np.round(x_rel))
-            if np.all(frac <= _INT_EPS):
-                counts = np.round(x_rel).astype(int)
-                counts = np.clip(counts, lo.astype(int), hi.astype(int))
-                if _feasible(problem, counts):
-                    obj = problem.objective(counts)
-                    if obj < best_obj - _TIE_EPS or (
-                        abs(obj - best_obj) <= _TIE_EPS
-                        and _lex_key(problem, counts) < _lex_key(problem, best_counts)
-                    ):
-                        best_obj, best_counts = obj, counts
-                continue
-            j = int(np.argmax(frac))
-            xj = x_rel[j]
-            for child_lo, child_hi in (
-                (lo.copy(), _with(hi, j, np.floor(xj))),
-                (_with(lo, j, np.ceil(xj)), hi.copy()),
-            ):
-                if child_lo[j] > child_hi[j]:
-                    continue
-                sol = _solve_relaxation(problem, child_lo, child_hi)
-                if sol is None or sol[0] >= best_obj - _TIE_EPS:
-                    continue
-                heapq.heappush(heap, (sol[0], next(counter), child_lo, child_hi, sol[1]))
+    if v > 0 and zero_obj > 0:
+        c, constraints, bounds = _milp_model(problem)
+        integrality = np.zeros(c.shape[0])
+        res = milp(c, constraints=constraints, bounds=bounds, integrality=integrality)
+        counts = _rounded_counts(problem, res.x)
+        if counts is None:
+            integrality[:v] = 1
+            options = {
+                "mip_rel_gap": 0,
+                "node_limit": problem.node_limit,
+                "time_limit": problem.time_limit_s,
+            }
+            res = milp(c, constraints=constraints, bounds=bounds,
+                       integrality=integrality, options=options)
+            counts = _rounded_counts(problem, res.x)
+            approximate = res.status != 0 or counts is None
+        if counts is not None and problem.objective(counts) < zero_obj - _TIE_EPS:
+            best_counts = counts
 
     best_counts = _lex_duplicate_shift(problem, best_counts)
     achieved = problem.features.T @ best_counts
@@ -235,10 +208,15 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
     )
 
 
-def _with(arr: np.ndarray, j: int, value: float) -> np.ndarray:
-    out = arr.copy()
-    out[j] = value
-    return out
+def _rounded_counts(problem: SelectionProblem, x: np.ndarray | None) -> np.ndarray | None:
+    """Integer counts of a solver point, or None unless they are integral and feasible."""
+    if x is None:
+        return None
+    x = x[: problem.features.shape[0]]
+    counts = np.round(x).astype(int)
+    if np.any(np.abs(x - counts) > _INT_EPS) or not _feasible(problem, counts):
+        return None
+    return counts
 
 
 def _feasible(problem: SelectionProblem, counts: np.ndarray) -> bool:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wlsynth import cli
 from wlsynth.cli import echo_policy, main, stage_seed
 
 EXPECTED_ARTIFACTS = [
@@ -83,6 +84,26 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run_pipeline(demo_dir, out, ["--skip-augment"]) == 0
         assert not (out / "augment").exists()
+
+    def test_augment_without_accepted_components_keeps_plans(
+        self, demo_dir, tmp_path, monkeypatch
+    ):
+        config = (demo_dir / "demo_config.txt").read_text().replace(
+            "augment.bad_window_threshold = 0.2", "augment.bad_window_threshold = 1e9"
+        )
+        (tmp_path / "config.txt").write_text(config)
+        out = tmp_path / "out"
+        base = ["--config", str(tmp_path / "config.txt"), "--out", str(out)]
+        catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]
+        assert main(["ingest", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        assert main(["targets"] + base) == 0
+        assert main(["select"] + base + catalog) == 0
+        plan = (out / "plans/plan.csv").read_bytes()
+        solves = []
+        monkeypatch.setattr(cli, "_solve_windows", lambda *a: solves.append(a))
+        assert main(["augment"] + base + catalog) == 0
+        assert solves == []
+        assert (out / "plans/plan.csv").read_bytes() == plan
 
     def test_skip_ta_writes_empty_energy_trace(self, demo_dir, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import milp
 
 from conftest import make_catalog, random_catalog
+from wlsynth import selector
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import (
@@ -50,16 +52,30 @@ class TestSolveWindow:
         assert plan.counts == {"a": 2}
         np.testing.assert_allclose(plan.achieved, [10.0, 6.0])
 
-    def test_matches_enumeration(self):
+    def test_matches_enumeration(self, monkeypatch):
+        is_mip = []  # one entry per milp call: MIP (True) or LP relaxation (False)
+
+        def counting_milp(*args, **kwargs):
+            is_mip.append(bool(kwargs["integrality"].any()))
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(selector, "milp", counting_milp)
         rng = np.random.default_rng(11)
-        for _ in range(30):
-            problem = random_problem(rng)
-            plan = solve_window(problem)
-            best, _ = enumerate_optimum(problem)
-            assert plan.objective_value == pytest.approx(best, abs=1e-9)
-            # reported achieved/objective must be self-consistent
-            counts = plan.count_vector(problem.component_ids)
-            assert problem.objective(counts) == pytest.approx(plan.objective_value)
+        solves = 0
+        for n_components, y, z, n_problems in [(4, 3, 8, 30), (6, 2, 8, 6),
+                                               (7, 2, 10, 6), (8, 2, 12, 6)]:
+            for _ in range(n_problems):
+                problem = random_problem(rng, n_components=n_components, y=y, z=z)
+                plan = solve_window(problem)
+                solves += 1
+                best, _ = enumerate_optimum(problem)
+                assert not plan.approximate
+                assert plan.objective_value == pytest.approx(best, abs=1e-9)
+                # reported achieved/objective must be self-consistent
+                counts = plan.count_vector(problem.component_ids)
+                assert problem.objective(counts) == pytest.approx(plan.objective_value)
+        # both the integral-LP-root shortcut and the MIP solve were exercised
+        assert 0 < is_mip.count(True) < solves
 
     def test_repetition_cap(self):
         problem = SelectionProblem(
@@ -107,15 +123,45 @@ class TestSolveWindow:
         plan = solve_window(problem)
         assert plan.counts == {"b": 2}
 
+    @staticmethod
+    def branching_problem():
+        # seed chosen so that HiGHS cannot close this instance at its root node
+        rng = np.random.default_rng(172)
+        problem = random_problem(rng, n_components=6, n_dims=5, y=3, z=20)
+        problem.duration_budget_ms = float(problem.durations.sum())
+        return problem
+
     def test_node_budget_marks_approximate(self):
-        rng = np.random.default_rng(0)
-        problem = random_problem(rng, n_components=8, n_dims=4, y=5, z=20)
+        problem = self.branching_problem()
         problem.node_limit = 1
         plan = solve_window(problem)
         assert plan.approximate
         # the incumbent is still feasible
         counts = plan.count_vector(problem.component_ids)
+        assert counts.max() <= problem.y
         assert counts.sum() <= problem.z
+        assert problem.durations @ counts <= problem.duration_budget_ms
+
+    def test_default_budget_solves_branching_problem_exactly(self):
+        problem = self.branching_problem()
+        plan = solve_window(problem)
+        best, _ = enumerate_optimum(problem)
+        assert not plan.approximate
+        assert plan.objective_value == pytest.approx(best, abs=1e-9)
+
+    def test_repeated_solves_identical(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            problem = random_problem(rng, n_components=8, n_dims=4, y=5, z=20)
+            first, second = solve_window(problem), solve_window(problem)
+            assert first.counts == second.counts
+            assert first.objective_value == second.objective_value
+
+    def test_negative_weights_rejected(self):
+        problem = random_problem(np.random.default_rng(3))
+        problem.weights = np.array([1.0, -0.5, 1.0])
+        with pytest.raises(ValidationError):
+            solve_window(problem)
 
     def test_zero_target_uses_floor(self):
         problem = SelectionProblem(
