@@ -9,7 +9,7 @@ from wlsynth.catalog import (
     profile_component,
     save_catalog,
 )
-from wlsynth.errors import ProfilingError, SchemaError, ValidationError
+from wlsynth.errors import ProfilingError, SchemaError, TraceParseError, ValidationError
 from wlsynth.features import PerformanceFeature
 
 
@@ -56,6 +56,14 @@ class TestCatalog:
             catalog.feature_matrix(),
             [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]],
         )
+
+    def test_short_row_is_typed_error(self, schema, tmp_path):
+        path = tmp_path / "cat.csv"
+        save_catalog(make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])]), path)
+        header, row = path.read_text().splitlines()
+        path.write_text(header + "\n" + ",".join(row.split(",")[:4]) + "\n")
+        with pytest.raises(TraceParseError, match="row 2, column 'cpu_time_ms': missing value"):
+            load_catalog(path, schema)
 
     def test_descriptor_validation(self):
         with pytest.raises(ValidationError):

@@ -161,3 +161,13 @@ class TestErrors:
         code = main(["ingest", "--trace", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    def test_short_trace_row_fails_ingest(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("query_id,arrival_ts,duration_ms,cpu_time_ms,scanned_bytes,"
+                       "filter_num,aggregate_num,join_num,sort_num\nq1,0,100,1,1\n")
+        code = main(["ingest", "--trace", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceParseError"
+        assert err["message"] == "row 2, column 'filter_num': missing value"

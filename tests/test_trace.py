@@ -1,10 +1,15 @@
+import csv
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wlsynth import trace as trace_module
 from wlsynth.errors import ConfigError, SchemaError, TraceParseError, ValidationError
-from wlsynth.features import MODE_TIME_SHARES, PerformanceFeature
+from wlsynth.features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema
 from wlsynth.trace import (
     QueryRecord,
     Trace,
@@ -65,6 +70,58 @@ class TestIngest:
         header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions)
         path.write_text(header + "\nq1,0,100,-1,1,0,0,0,0\n")
         with pytest.raises(ValidationError):
+            ingest_trace(path, schema)
+
+    @pytest.mark.parametrize("rows, error, message", [
+        # the first offending row is named, even when a later row fails to parse
+        (["q1,0,100,1,1,0,0,0,0", "q2,0,100,nan,1,0,0,0,0", "q3,0,oops,1,1,0,0,0,0"],
+         TraceParseError, "row 3, column 'cpu_time_ms': non-finite value 'nan'"),
+        (["q1,0,100,1,1,0,0,0,0", "q2,0,100,1,1,0,-1,0,0", "q3,0,100,1,1,0,0,0,x"],
+         ValidationError, "row 3: negative metric or operator value"),
+        (["q1,Infinity,100,1,1,0,0,0,0"],
+         TraceParseError, "row 2, column 'arrival_ts': non-finite value 'Infinity'"),
+        (["q1,0,100,1,1,0,0,0,0", "q2,0,oops,-1,1,0,0,0,0"],
+         TraceParseError, "row 3, column 'duration_ms': cannot parse 'oops'"),
+        # within a row: duration before metrics, as the columns are checked in order
+        (["q1,0,-5,x,1,0,0,0,0"], ValidationError, "row 2: negative duration_ms -5.0"),
+        # blank lines are skipped and not counted
+        (["q1,0,100,1,1,0,0,0,0", "", "q2,0,100,1,1,0,0,0,-2"],
+         ValidationError, "row 3: negative metric or operator value"),
+        (["q1,0,100,1,1"], TraceParseError, "row 2, column 'filter_num': missing value"),
+    ])
+    def test_first_offending_row_is_named(self, schema, tmp_path, rows, error, message):
+        path = tmp_path / "bad.csv"
+        header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions)
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(error) as info:
+            ingest_trace(path, schema)
+        assert str(info.value) == message
+
+    def test_missing_query_id_cell(self, schema, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "arrival_ts,duration_ms," + ",".join(schema.dimensions) + ",query_id"
+        path.write_text(header + "\n0,100,1,1,0,0,0,0\n")
+        with pytest.raises(TraceParseError, match="row 2, column 'query_id': missing value"):
+            ingest_trace(path, schema)
+
+    def test_duplicate_query_id_rejected(self, schema, tmp_path):
+        path = tmp_path / "dup.csv"
+        header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions)
+        rows = ["q1,0,100,1,1,0,0,0,0", "q2,0,100,1,1,0,0,0,0", "q1,5,100,1,1,0,0,0,0"]
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValidationError, match=r"row 4: duplicate query_id 'q1' \(first at row 2\)"):
+            ingest_trace(path, schema)
+
+    @pytest.mark.parametrize("arrival, duration, column", [
+        ("1000.5", "100", "arrival_ts"),
+        ("1000", "99.25", "duration_ms"),
+    ])
+    def test_non_integral_time_rejected(self, schema, tmp_path, arrival, duration, column):
+        path = tmp_path / "frac.csv"
+        header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions)
+        rows = ["q1,1e3,100.0,1,1,0,0,0,0", f"q2,{arrival},{duration},1,1,0,0,0,0"]
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValidationError, match=f"row 3, column '{column}': non-integral"):
             ingest_trace(path, schema)
 
 
@@ -152,6 +209,15 @@ class TestBuildTargets:
         for a, b in zip(intervals, ri):
             np.testing.assert_array_equal(a.metrics, b.metrics)
 
+    def test_short_targets_row_is_typed_error(self, schema, tmp_path):
+        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        windows, intervals = build_targets(trace, 300000, 30000)
+        write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
+        header, row = (tmp_path / "w.csv").read_text().splitlines()
+        (tmp_path / "w.csv").write_text(header + "\n" + ",".join(row.split(",")[:5]) + "\n")
+        with pytest.raises(TraceParseError, match="row 2, column 'scanned_bytes': missing value"):
+            read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
@@ -177,3 +243,182 @@ def test_mass_conserved_inside_span(rows):
     _, intervals = build_targets(trace, 300000, 30000, span=(0, n_windows * 300000))
     total = sum(t.metrics[0] for t in intervals)
     assert total == pytest.approx(sum(m for _, _, m in rows), rel=1e-9, abs=1e-9)
+
+
+def _reference_bins(trace, window_len_ms, interval_len_ms, span=None):
+    """The per-record loop that build_targets replaced, kept as its oracle.
+
+    Returns the grid start, interval metrics, window operators and query counts.
+    """
+    records = trace.records
+    if span is None:
+        start = min(r.arrival_ts for r in records)
+        end = max(max(r.end_ts, r.arrival_ts + 1) for r in records)
+    else:
+        start, end = span
+    n_windows = max(1, math.ceil((end - start) / window_len_ms))
+    n_intervals = n_windows * (window_len_ms // interval_len_ms)
+    grid_end = start + n_windows * window_len_ms
+    interval_metrics = np.zeros((n_intervals, trace.schema.n_metrics))
+    window_ops = np.zeros((n_windows, trace.schema.n_operators))
+    window_op_weight = np.zeros(n_windows)
+    query_counts = np.zeros(n_windows, dtype=int)
+    for rec in records:
+        a, d = rec.arrival_ts, rec.duration_ms
+        if d == 0:
+            k = int((a - start) // interval_len_ms)
+            if 0 <= k < n_intervals:
+                interval_metrics[k] += rec.metrics
+        else:
+            lo, hi = max(a, start), min(a + d, grid_end)
+            if hi > lo:
+                first = int((lo - start) // interval_len_ms)
+                last = int((hi - 1 - start) // interval_len_ms)
+                for k in range(first, last + 1):
+                    bin_a = start + k * interval_len_ms
+                    overlap = min(hi, bin_a + interval_len_ms) - max(lo, bin_a)
+                    if overlap > 0:
+                        interval_metrics[k] += rec.metrics * (overlap / d)
+        w = int((a - start) // window_len_ms)
+        if 0 <= w < n_windows:
+            query_counts[w] += 1
+            if trace.mode == MODE_COUNTS:
+                window_ops[w] += rec.operators
+            else:
+                weight = max(d, 1)
+                window_ops[w] += rec.operators * weight
+                window_op_weight[w] += weight
+    if trace.mode == MODE_TIME_SHARES:
+        nonzero = window_op_weight > 0
+        window_ops[nonzero] /= window_op_weight[nonzero, None]
+    return start, interval_metrics, window_ops, query_counts
+
+
+@st.composite
+def binning_cases(draw):
+    n_metrics = draw(st.integers(1, 3))
+    n_operators = draw(st.integers(0, 3))
+    schema = FeatureSchema(metrics=tuple(f"m{i}" for i in range(n_metrics)),
+                           operators=tuple(f"o{i}" for i in range(n_operators)))
+    interval = draw(st.sampled_from([1000, 7000, 30000]))
+    window = interval * draw(st.integers(1, 4))
+    values = st.floats(min_value=0, max_value=1e12, allow_nan=False, allow_infinity=False)
+    records = [
+        QueryRecord(
+            f"q{i}",
+            draw(st.integers(-50000, 400000)),
+            draw(st.one_of(st.just(0), st.integers(1, 200000))),
+            np.array(draw(st.lists(values, min_size=n_metrics, max_size=n_metrics))),
+            np.array(draw(st.lists(values, min_size=n_operators, max_size=n_operators)),
+                     dtype=float),
+        )
+        for i in range(draw(st.integers(1, 40)))
+    ]
+    # an explicit span may cut queries that start before it or end after it
+    span = draw(st.one_of(
+        st.none(),
+        st.tuples(st.integers(-20000, 300000), st.integers(0, 300000))
+        .map(lambda t: (t[0], t[0] + t[1])),
+    ))
+    trace = Trace(records, schema, mode=draw(st.sampled_from(MODES)))
+    return trace, window, interval, span, draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(binning_cases())
+def test_binning_matches_per_record_loop(case):
+    """build_targets equals the per-record loop bit for bit, whatever the block size."""
+    trace, window_len_ms, interval_len_ms, span, block = case
+    with mock.patch.object(trace_module, "_BLOCK", block):
+        windows, intervals = build_targets(trace, window_len_ms, interval_len_ms, span)
+    start, interval_metrics, window_ops, query_counts = _reference_bins(
+        trace, window_len_ms, interval_len_ms, span)
+    per_window = window_len_ms // interval_len_ms
+    assert len(windows) == len(query_counts)
+    assert len(intervals) == len(interval_metrics)
+    np.testing.assert_array_equal(np.array([t.metrics for t in intervals]), interval_metrics)
+    for w, target in enumerate(windows):
+        assert target.window_start_ts == start + w * window_len_ms
+        assert target.query_count == query_counts[w]
+        np.testing.assert_array_equal(
+            target.feature.metrics,
+            interval_metrics[w * per_window:(w + 1) * per_window].sum(axis=0))
+        np.testing.assert_array_equal(target.feature.operators, window_ops[w])
+    for j, target in enumerate(intervals):
+        assert target.interval_start_ts == start + j * interval_len_ms
+
+
+def _reference_format(value):
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def _reference_export(trace, path):
+    """The per-row exporter that export_trace replaced, kept as its oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["query_id", "arrival_ts", "duration_ms"] + list(trace.schema.dimensions))
+        for rec in trace.records:
+            writer.writerow(
+                [rec.query_id, rec.arrival_ts, rec.duration_ms]
+                + [_reference_format(v) for v in rec.metrics]
+                + [_reference_format(v) for v in rec.operators]
+            )
+
+
+_EXPORT_SCHEMA = FeatureSchema(metrics=("m0", "m1"), operators=("o0",))
+_cell = st.one_of(
+    st.sampled_from([0.0, 0.1, 5.0, 1e20, 2.0 ** 53, 2.0 ** 53 + 2, 1e-300, 5e-324]),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=6),
+            st.integers(-10 ** 12, 10 ** 12),
+            st.integers(0, 10 ** 9),
+            st.lists(_cell, min_size=3, max_size=3),
+        ),
+        max_size=25,
+        unique_by=lambda row: row[0],
+    ),
+    block=st.integers(1, 6),
+)
+@example(rows=[("q", 0, 5, [0.1, 5.0, 1e20]), ("r", 2 ** 53, 0, [2.0 ** 53, 0.0, 1.5])],
+         block=1)
+def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
+    """export_trace writes the old exporter's bytes, and ingest_trace reads them back."""
+    records = [
+        QueryRecord(qid, arrival, duration, np.array(cells[:2]), np.array(cells[2:]))
+        for qid, arrival, duration, cells in rows
+    ]
+    trace = Trace(records, _EXPORT_SCHEMA)
+    out = tmp_path_factory.getbasetemp()
+    with mock.patch.object(trace_module, "_BLOCK", block):
+        export_trace(trace, out / "new.csv")
+    _reference_export(trace, out / "old.csv")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    back = ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
+    assert [r.query_id for r in back.records] == [r.query_id for r in records]
+    for a, b in zip(records, back.records):
+        assert (type(b.arrival_ts), type(b.duration_ms)) == (int, int)
+        assert (a.arrival_ts, a.duration_ms) == (b.arrival_ts, b.duration_ms)
+        np.testing.assert_array_equal(a.metrics, b.metrics)
+        np.testing.assert_array_equal(a.operators, b.operators)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"), (5.0, "5"), (1e20, "100000000000000000000"),
+    (2.0 ** 53, "9007199254740992"), (1.5e-7, "1.5e-07"),
+])
+def test_export_number_format(tmp_path, value, text):
+    trace = Trace([QueryRecord("q", 0, 1, np.array([value, 0.0]), np.array([1.0]))],
+                  _EXPORT_SCHEMA)
+    export_trace(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[1] == f"q,0,1,{text},0,1"
