@@ -2,8 +2,10 @@
 
 Each stage is a subcommand reading and writing the CSV contracts of the
 library modules, so any prefix of the pipeline can be resumed from its
-artifacts.  All randomness flows from one --seed; each stage derives its own
-generator by hashing the stage name.
+artifacts.  `pipeline` runs the same stage functions in order and hands each
+one's outputs to the next in memory; it writes the same artifacts.  All
+randomness flows from one --seed; each stage derives its own generator by
+hashing the stage name.
 """
 from __future__ import annotations
 
@@ -11,21 +13,25 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 from .augmenter import AugmentConfig, HttpProvider, MockProvider, augment_catalog, write_attempt_log
-from .catalog import SimulatedExecutor, load_catalog, save_catalog
+from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
 from .config import Config, load_config
 from .errors import ConfigError, WlsynthError
 from .features import PerformanceFeature
-from .metrics import report, write_report
+from .metrics import FidelityReport, report, write_report
 from .scheduler import (
+    IntervalGrid,
     SAConfig,
+    Schedule,
     assign_timestamps,
     random_schedule,
     read_schedule,
@@ -35,6 +41,7 @@ from .selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
     SelectionConstraints,
+    SelectionPlan,
     build_problem,
     match_query,
     read_plans,
@@ -43,7 +50,7 @@ from .selector import (
     write_plans,
 )
 from .simulator import replay
-from .trace import build_targets, export_trace, ingest_trace, read_targets, write_targets
+from .trace import Trace, build_targets, export_trace, ingest_trace, read_targets, write_targets
 
 log = logging.getLogger(__name__)
 
@@ -115,6 +122,10 @@ def _read_targets(cfg: Config, paths: _Paths):
     return read_targets(windows_path, intervals_path, cfg.schema())
 
 
+def _read_plans(cfg: Config, paths: _Paths, windows, catalog: Catalog) -> list[SelectionPlan]:
+    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg.get_float("denom_floor"))
+
+
 def _constraints(cfg: Config) -> SelectionConstraints:
     return SelectionConstraints(
         max_repetitions=cfg.get_int("y"),
@@ -127,12 +138,32 @@ def _constraints(cfg: Config) -> SelectionConstraints:
     )
 
 
-def _solve_windows(targets, catalog, constraints, jobs: int):
+@contextmanager
+def _solver_output_to_stderr():
+    """Point file descriptor 1 at stderr while HiGHS solves.
+
+    HiGHS's MIP solver can print diagnostics straight to fd 1, past
+    sys.stdout and into the CLI's own output.  Swap the descriptor once, in
+    the calling thread, around all of a stage's solves: swaps made per solve
+    from pool threads race and can leave stdout pointing at stderr.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def _solve_windows(targets, catalog, constraints, jobs: int) -> list[SelectionPlan]:
     problems = [build_problem(t, catalog, constraints) for t in targets]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve_window, problems))
-    return [solve_window(p) for p in problems]
+    with _solver_output_to_stderr():
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(solve_window, problems))
+        return [solve_window(p) for p in problems]
 
 
 _TARGET_LINE_RE = re.compile(r"TARGET FEATURE:\n  (?P<body>[^\n]*)")
@@ -169,17 +200,22 @@ def _sa_config(cfg: Config) -> SAConfig:
     )
 
 
-def cmd_ingest(cfg: Config, paths: _Paths, args) -> None:
-    if args.trace is None:
+# Each run_<stage> takes the stage's inputs as objects, writes the stage's
+# artifacts and returns its outputs.  cmd_<stage> loads those inputs from the
+# artifacts of earlier stages; cmd_pipeline passes each stage's return value
+# on, so a run reads back nothing it wrote.
+
+def run_ingest(cfg: Config, paths: _Paths, trace_path) -> Trace:
+    if trace_path is None:
         raise ConfigError("ingest requires --trace")
-    trace = ingest_trace(args.trace, cfg.schema(), cfg.mode())
+    trace = ingest_trace(trace_path, cfg.schema(), cfg.mode())
     paths.ensure()
     export_trace(trace, paths.trace)
     log.info("ingested %d records -> %s", len(trace.records), paths.trace)
+    return trace
 
 
-def cmd_targets(cfg: Config, paths: _Paths, args) -> None:
-    trace = _read_trace(cfg, paths, args)
+def run_targets(cfg: Config, paths: _Paths, trace: Trace):
     windows, intervals = build_targets(
         trace, cfg.get_int("window_ms"), cfg.get_int("interval_ms")
     )
@@ -187,15 +223,21 @@ def cmd_targets(cfg: Config, paths: _Paths, args) -> None:
     write_targets(windows, intervals, paths.targets / "windows.csv",
                   paths.targets / "intervals.csv", cfg.schema())
     log.info("wrote %d windows, %d intervals", len(windows), len(intervals))
+    return windows, intervals
 
 
-def cmd_select(cfg: Config, paths: _Paths, args) -> None:
-    windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(args.catalog, cfg.schema())
+def _write_plans(cfg: Config, paths: _Paths, plans: list[SelectionPlan], windows) -> None:
+    write_plans(plans, paths.plans / "plan.csv")
+    write_plan_summary(plans, windows, cfg.schema(), paths.plans / "summary.csv")
+
+
+def run_select(cfg: Config, paths: _Paths, args, windows, catalog: Catalog,
+               trace: Trace | None) -> list[SelectionPlan]:
+    """`trace` is used only by --query-level matching."""
     paths.ensure(paths.plans)
     if args.query_level != WINDOW_LEVEL:
-        trace = _read_trace(cfg, paths, args)
-        with open(paths.plans / "query_matches.csv", "w", encoding="utf-8") as fh:
+        matches = paths.plans / "query_matches.csv"
+        with _solver_output_to_stderr(), open(matches, "w", encoding="utf-8") as fh:
             fh.write("query_id,component_id,count,objective\n")
             for rec in trace.records:
                 plan = match_query(
@@ -207,17 +249,15 @@ def cmd_select(cfg: Config, paths: _Paths, args) -> None:
                              f"{plan.objective_value!r}\n")
         log.info("matched %d queries (%s)", len(trace.records), args.query_level)
     plans = _solve_windows(windows, catalog, _constraints(cfg), args.jobs)
-    write_plans(plans, paths.plans / "plan.csv")
-    write_plan_summary(plans, windows, cfg.schema(), paths.plans / "summary.csv")
+    _write_plans(cfg, paths, plans, windows)
     log.info("solved %d windows", len(plans))
+    return plans
 
 
-def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
-    trace = _read_trace(cfg, paths, args)
-    windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(args.catalog, cfg.schema())
-    plans = read_plans(paths.plans / "plan.csv", windows, catalog,
-                       cfg.get_float("denom_floor"))
+def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
+                catalog: Catalog, plans: list[SelectionPlan]
+                ) -> tuple[Catalog, list[SelectionPlan]]:
+    """Returns the augmented catalog and the plans the later stages use."""
     augment_cfg = AugmentConfig(
         k=cfg.get_int("augment.k"),
         examples_per_side=cfg.get_int("augment.examples_per_side"),
@@ -240,19 +280,16 @@ def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
     if accepted == 0:
         # same catalog as the plans were solved with: a re-solve writes the same bytes
         log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
-        return
+        return augmented, plans
     plans = _solve_windows(windows, augmented, _constraints(cfg), args.jobs)
-    write_plans(plans, paths.plans / "plan.csv")
-    write_plan_summary(plans, windows, cfg.schema(), paths.plans / "summary.csv")
+    _write_plans(cfg, paths, plans, windows)
     log.info("augmentation: %d/%d targets accepted, plans re-solved",
              accepted, len(reports))
+    return augmented, plans
 
 
-def cmd_schedule(cfg: Config, paths: _Paths, args) -> None:
-    windows, intervals = _read_targets(cfg, paths)
-    catalog = load_catalog(paths.effective_catalog(args.catalog), cfg.schema())
-    plans = read_plans(paths.plans / "plan.csv", windows, catalog,
-                       cfg.get_float("denom_floor"))
+def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
+                 intervals, catalog: Catalog) -> Schedule:
     paths.ensure(paths.schedule)
     seed = stage_seed(cfg.get_int("seed"), "schedule")
     if args.skip_ta:
@@ -274,15 +311,64 @@ def cmd_schedule(cfg: Config, paths: _Paths, args) -> None:
         fh.write("step,best_energy\n")
         for step, value in trace_rows:
             fh.write(f"{step},{value!r}\n")
+    return schedule
+
+
+def run_replay(cfg: Config, paths: _Paths, schedule: Schedule, catalog: Catalog,
+               intervals) -> Trace:
+    replayed = replay(schedule, catalog, cfg.get_int("cores"), cfg.mode(),
+                      IntervalGrid.from_targets(intervals))
+    paths.ensure(paths.replay)
+    export_trace(replayed, paths.replay / "trace.csv")
+    log.info("replayed %d instances", len(replayed.records))
+    return replayed
+
+
+def run_evaluate(cfg: Config, paths: _Paths, windows, intervals,
+                 replayed: Trace) -> FidelityReport:
+    rep = report(windows, intervals, replayed, cfg.get_float("metrics_eps"))
+    paths.ensure(paths.report)
+    write_report(rep, paths.report / "scores.csv", paths.report / "plot_data.csv")
+    for level, dim, name, value, _ in rep.rows():
+        print(f"{level:8s} {dim:20s} {name:6s} {value:.6g}")
+    return rep
+
+
+def cmd_ingest(cfg: Config, paths: _Paths, args) -> None:
+    run_ingest(cfg, paths, args.trace)
+
+
+def cmd_targets(cfg: Config, paths: _Paths, args) -> None:
+    run_targets(cfg, paths, _read_trace(cfg, paths, args))
+
+
+def cmd_select(cfg: Config, paths: _Paths, args) -> None:
+    windows, _ = _read_targets(cfg, paths)
+    catalog = load_catalog(args.catalog, cfg.schema())
+    trace = None if args.query_level == WINDOW_LEVEL else _read_trace(cfg, paths, args)
+    run_select(cfg, paths, args, windows, catalog, trace)
+
+
+def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
+    trace = _read_trace(cfg, paths, args)
+    windows, _ = _read_targets(cfg, paths)
+    catalog = load_catalog(args.catalog, cfg.schema())
+    plans = _read_plans(cfg, paths, windows, catalog)
+    run_augment(cfg, paths, args, trace, windows, catalog, plans)
+
+
+def cmd_schedule(cfg: Config, paths: _Paths, args) -> None:
+    windows, intervals = _read_targets(cfg, paths)
+    catalog = load_catalog(paths.effective_catalog(args.catalog), cfg.schema())
+    plans = _read_plans(cfg, paths, windows, catalog)
+    run_schedule(cfg, paths, args, plans, intervals, catalog)
 
 
 def cmd_replay(cfg: Config, paths: _Paths, args) -> None:
     catalog = load_catalog(paths.effective_catalog(args.catalog), cfg.schema())
+    _, intervals = _read_targets(cfg, paths)
     schedule = read_schedule(paths.schedule / "schedule.csv")
-    replayed = replay(schedule, catalog, cfg.get_int("cores"), cfg.mode())
-    paths.ensure(paths.replay)
-    export_trace(replayed, paths.replay / "trace.csv")
-    log.info("replayed %d instances", len(replayed.records))
+    run_replay(cfg, paths, schedule, catalog, intervals)
 
 
 def cmd_evaluate(cfg: Config, paths: _Paths, args) -> None:
@@ -291,22 +377,23 @@ def cmd_evaluate(cfg: Config, paths: _Paths, args) -> None:
     if not replayed_path.exists():
         raise ConfigError(f"no replayed trace at {replayed_path}; run 'replay' first")
     replayed = ingest_trace(replayed_path, cfg.schema(), cfg.mode())
-    rep = report(windows, intervals, replayed, cfg.get_float("metrics_eps"))
-    paths.ensure(paths.report)
-    write_report(rep, paths.report / "scores.csv", paths.report / "plot_data.csv")
-    for level, dim, name, value, _ in rep.rows():
-        print(f"{level:8s} {dim:20s} {name:6s} {value:.6g}")
+    run_evaluate(cfg, paths, windows, intervals, replayed)
 
 
 def cmd_pipeline(cfg: Config, paths: _Paths, args) -> None:
-    cmd_ingest(cfg, paths, args)
-    cmd_targets(cfg, paths, args)
-    cmd_select(cfg, paths, args)
+    trace = run_ingest(cfg, paths, args.trace)
+    windows, intervals = run_targets(cfg, paths, trace)
+    catalog = load_catalog(args.catalog, cfg.schema())
+    plans = run_select(cfg, paths, args, windows, catalog, trace)
     if not args.skip_augment:
-        cmd_augment(cfg, paths, args)
-    cmd_schedule(cfg, paths, args)
-    cmd_replay(cfg, paths, args)
-    cmd_evaluate(cfg, paths, args)
+        catalog, plans = run_augment(cfg, paths, args, trace, windows, catalog, plans)
+    # the input trace's last consumer is done, and the schedule's after the
+    # replay: dropping each there keeps it out of the later stages' peak memory
+    del trace
+    schedule = run_schedule(cfg, paths, args, plans, intervals, catalog)
+    replayed = run_replay(cfg, paths, schedule, catalog, intervals)
+    del schedule
+    run_evaluate(cfg, paths, windows, intervals, replayed)
 
 
 def cmd_demo(cfg: Config, paths: _Paths, args) -> None:

@@ -11,6 +11,7 @@ relative error.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .catalog import Catalog
 from .errors import ValidationError
 from .trace import IntervalTarget
 from .selector import SelectionPlan
+
+log = logging.getLogger(__name__)
 
 _EPS_DEFAULT = 1.0
 
@@ -88,6 +91,20 @@ class IntervalGrid:
         else:
             length = 1
         return cls(start_ts=starts[0], interval_len_ms=int(length), n_intervals=len(starts))
+
+
+def warn_if_overloaded(works: np.ndarray, grid: IntervalGrid, cores: int) -> None:
+    """Log a warning when the offered load exceeds `cores`.
+
+    The offered load is the summed profiled duration over the grid's span:
+    the cores the instances keep busy on average.  Above `cores` the
+    processor-sharing backlog grows across the horizon, completions stretch
+    past it, and every simulation of the schedule slows down.
+    """
+    load = float(np.sum(works)) / (grid.end_ts - grid.start_ts)
+    if load > cores:
+        log.warning("offered load %.6g exceeds cores = %d: the processor-sharing "
+                    "backlog grows across the horizon", load, cores)
 
 
 def write_schedule(schedule: Schedule, path) -> None:
@@ -371,6 +388,7 @@ def assign_timestamps(
             )
         )
     schedule = Schedule(entries0)
+    warn_if_overloaded(_expand(schedule, catalog)[1], grid, cores)
 
     def energy_fn(s: Schedule) -> float:
         return energy(s, interval_targets, catalog, cores, config.denom_floor)

@@ -83,8 +83,18 @@ class SelectionProblem:
 
     def objective(self, counts: np.ndarray) -> float:
         """Exact relative-error objective of an integer count vector."""
-        residual = self.features.T @ counts - self.target
-        return float(self.weight_vector @ (np.abs(residual) / self.denominators))
+        return relative_error(self.features.T @ counts, self.target, self.denominators,
+                              self.weight_vector)
+
+
+def relative_error(achieved: np.ndarray, target: np.ndarray, denominators: np.ndarray,
+                   weights: np.ndarray) -> float:
+    """The selection objective: weighted sum of |achieved - target| / denominators.
+
+    Every plan's `objective_value` comes from here, so a plan read back from
+    its CSV carries the same value, bit for bit, as the one the solver made.
+    """
+    return float(weights @ (np.abs(achieved - target) / denominators))
 
 
 @dataclass
@@ -321,7 +331,8 @@ def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
                 window_index=w,
                 counts={cid: n for cid, n in counts[w].items() if n > 0},
                 achieved=achieved,
-                objective_value=float(np.sum(np.abs(achieved - target) / denom)),
+                objective_value=relative_error(achieved, target, denom,
+                                               np.ones_like(target)),
             )
         )
     return plans

@@ -11,18 +11,28 @@ import math
 
 from .catalog import Catalog
 from .features import MODE_COUNTS
-from .scheduler import Schedule, simulate_processor_sharing, _expand
+from .scheduler import (
+    IntervalGrid,
+    Schedule,
+    simulate_processor_sharing,
+    warn_if_overloaded,
+    _expand,
+)
 from .trace import QueryRecord, Trace
 
 
-def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str = MODE_COUNTS) -> Trace:
+def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str = MODE_COUNTS,
+           grid: IntervalGrid | None = None) -> Trace:
     """Run the schedule once and return the resulting trace.
 
     Each schedule entry becomes one record: arrival is the scheduled start,
     duration the simulated completion minus the start (never below the
     profiled duration), metrics and operators the component's feature.
+    Given the target interval grid, an offered load above `cores` is logged.
     """
     starts, works, _ = _expand(schedule, catalog)
+    if grid is not None:
+        warn_if_overloaded(works, grid, cores)
     completions, _ = simulate_processor_sharing(starts, works, cores)
     records = []
     for entry, start, completion in zip(schedule.entries, starts, completions):

@@ -1,11 +1,18 @@
+import csv
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import make_catalog
+from test_selector import random_problem
 from wlsynth import cli
 from wlsynth.cli import echo_policy, main, stage_seed
+from wlsynth.features import FeatureSchema, PerformanceFeature
+from wlsynth.selector import SelectionConstraints
+from wlsynth.trace import WindowTarget
 
 EXPECTED_ARTIFACTS = [
     "trace.csv",
@@ -28,15 +35,38 @@ def demo_dir(tmp_path_factory):
     return out
 
 
-def run_pipeline(demo_dir, out, extra=()):
+# Planted gap, as in acceptance criterion 7: the catalog offers only small
+# components and the first window's two queries want a large one, so augment
+# accepts a component and re-solves.
+PLANTED_TRACE = """\
+query_id,arrival_ts,duration_ms,cpu_time_ms,scanned_bytes,filter_num,aggregate_num,join_num,sort_num
+q1,10000,60000,200,200,2,1,1,0
+q2,50000,60000,200,200,2,1,1,0
+q3,310000,8000,10,10,1,0,0,0
+q4,420000,9000,15,5,0,1,0,0
+"""
+PLANTED_CATALOG = """\
+component_id,benchmark,scale_factor,skewness,duration_ms,cpu_time_ms,scanned_bytes,filter_num,aggregate_num,join_num,sort_num
+s1,tpch,1,0,8000,10,10,1,0,0,0
+s2,tpch,1,0,9000,15,5,0,1,0,0
+s3,tpch,1,0,7000,5,15,1,1,0,0
+s4,tpch,1,0,8000,12,12,0,0,1,0
+"""
+
+
+def run_pipeline(demo_dir, out, extra=(), catalog=None):
     args = [
         "pipeline",
         "--config", str(demo_dir / "demo_config.txt"),
         "--trace", str(demo_dir / "demo_trace.csv"),
-        "--catalog", str(demo_dir / "demo_catalog.csv"),
+        "--catalog", str(catalog or demo_dir / "demo_catalog.csv"),
         "--out", str(out),
     ] + list(extra)
     return main(args)
+
+
+def output_files(out):
+    return sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
 
 
 class TestStageSeed:
@@ -131,6 +161,46 @@ class TestPipeline:
         for rel in EXPECTED_ARTIFACTS:
             assert (resumed / rel).read_bytes() == (full / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("skip_ta", [False, True])
+    def test_pipeline_matches_stage_by_stage_with_augment(self, demo_dir, tmp_path, skip_ta):
+        (tmp_path / "trace.csv").write_text(PLANTED_TRACE)
+        (tmp_path / "catalog.csv").write_text(PLANTED_CATALOG)
+        config = ["--config", str(demo_dir / "demo_config.txt")]
+        trace = ["--trace", str(tmp_path / "trace.csv")]
+        catalog = ["--catalog", str(tmp_path / "catalog.csv")]
+        ta = ["--skip-ta"] if skip_ta else []
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        assert main(["pipeline", "--out", str(full)] + config + trace + catalog + ta) == 0
+        for argv in (["ingest"] + trace, ["targets"], ["select"] + catalog,
+                     ["augment"] + trace + catalog, ["schedule"] + catalog + ta,
+                     ["replay"] + catalog, ["evaluate"]):
+            assert main(argv + ["--out", str(staged)] + config) == 0, argv[0]
+        attempts = (full / "augment/attempts.jsonl").read_text().splitlines()
+        assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
+        files = output_files(full)
+        assert files == output_files(staged)
+        for rel in files:
+            assert (staged / rel).read_bytes() == (full / rel).read_bytes(), rel
+
+    def test_pipeline_ignores_stale_augmented_catalog(self, demo_dir, tmp_path):
+        doubled = tmp_path / "doubled.csv"
+        with open(demo_dir / "demo_catalog.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            for column in ("cpu_time_ms", "duration_ms"):
+                row[column] = str(2 * int(row[column]))
+        with open(doubled, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_pipeline(demo_dir, reused) == 0
+        assert (reused / "augment/catalog.csv").exists()
+        for out in (reused, fresh):
+            assert run_pipeline(demo_dir, out, ["--skip-augment"], catalog=doubled) == 0
+        for rel in ("schedule/schedule.csv", "replay/trace.csv", "report/scores.csv"):
+            assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
     def test_query_level_matching_artifact(self, demo_dir, tmp_path):
         out = tmp_path / "out"
         base = [
@@ -145,6 +215,27 @@ class TestPipeline:
         lines = (out / "plans/query_matches.csv").read_text().splitlines()
         assert lines[0] == "query_id,component_id,count,objective"
         assert len(lines) > 1
+
+
+class TestSolverOutput:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_highs_output_goes_to_stderr(self, capfd, jobs):
+        # a node-limited solve on which HiGHS prints a diagnostic straight to fd 1
+        problem = random_problem(np.random.default_rng(55), n_components=10, n_dims=5,
+                                 y=6, z=30)
+        schema = FeatureSchema(metrics=("m0", "m1"), operators=("o0", "o1", "o2"))
+        catalog = make_catalog(schema, list(zip(problem.component_ids, problem.durations,
+                                                problem.features)))
+        window = WindowTarget(0, 0, int(problem.duration_budget_ms),
+                              PerformanceFeature(problem.target[:2], problem.target[2:]), 1)
+        constraints = SelectionConstraints(max_repetitions=6, max_total=30,
+                                           max_concurrency=1, node_limit=1)
+        cli._solve_windows([window], catalog, constraints, jobs)
+        print("stdout still works")
+        out, err = capfd.readouterr()
+        assert "HighsMipSolverData" in err
+        assert "HighsMipSolverData" not in out
+        assert out == "stdout still works\n"
 
 
 class TestErrors:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,29 @@ class TestAnnealing:
         catalog, targets, _ = planted_setup(schema)
         result = assign_timestamps([], targets, catalog, rng_seed=0, cores=8)
         assert len(result.schedule) == 0
+
+
+class TestOfferedLoad:
+    # 10 x 30 s + 10 x 20 s of work over the 300 s grid: an offered load of 5/3
+    PLANS = [SelectionPlan(0, {"c1": 10, "c2": 10}, np.zeros(6), 0.0)]
+
+    def anneal(self, schema, cores):
+        catalog, targets, _ = planted_setup(schema)
+        return assign_timestamps(self.PLANS, targets, catalog, SAConfig(max_steps=30),
+                                 rng_seed=3, cores=cores)
+
+    def test_one_warning_names_load_and_cores(self, schema, caplog):
+        with caplog.at_level(logging.WARNING, logger="wlsynth"):
+            self.anneal(schema, cores=1)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "offered load 1.66667" in warnings[0]
+        assert "cores = 1" in warnings[0]
+
+    def test_no_warning_within_cores(self, schema, caplog):
+        with caplog.at_level(logging.WARNING, logger="wlsynth"):
+            self.anneal(schema, cores=2)
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
 def test_schedule_file_round_trip(tmp_path):

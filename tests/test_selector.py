@@ -5,7 +5,7 @@ from scipy.optimize import milp
 from conftest import make_catalog, random_catalog
 from wlsynth import selector
 from wlsynth.errors import ValidationError
-from wlsynth.features import PerformanceFeature
+from wlsynth.features import FeatureSchema, PerformanceFeature
 from wlsynth.selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
@@ -205,6 +205,24 @@ class TestWindowsAndIO:
             assert a.counts == b.counts
             assert a.objective_value == pytest.approx(b.objective_value)
             np.testing.assert_allclose(a.achieved, b.achieved)
+
+    def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
+        # eight dimensions: enough that a plain sum and the objective's dot
+        # product can round differently
+        schema = FeatureSchema(metrics=("m0", "m1", "m2"),
+                               operators=("o0", "o1", "o2", "o3", "o4"))
+        rng = np.random.default_rng(2024)
+        catalog = random_catalog(schema, 6, rng)
+        targets = [
+            WindowTarget(w, w * 300000, 300000,
+                         PerformanceFeature(rng.uniform(0, 60, 3), rng.uniform(0, 9, 5)), 3)
+            for w in range(40)
+        ]
+        plans = solve_all_windows(targets, catalog, SelectionConstraints())
+        path = tmp_path / "plan.csv"
+        write_plans(plans, path)
+        back = read_plans(path, targets, catalog)
+        assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_build_problem_derives_total_cap(self, schema):
         catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])

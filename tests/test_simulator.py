@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from conftest import make_catalog
-from wlsynth.scheduler import Schedule, ScheduleEntry
+from wlsynth.scheduler import IntervalGrid, Schedule, ScheduleEntry
 from wlsynth.simulator import replay
 from wlsynth.trace import build_targets
 
@@ -16,6 +18,23 @@ def catalog(schema):
 
 
 class TestReplay:
+    def test_offered_load_above_cores_warns_once(self, schema, catalog, caplog):
+        # 4 x 30 s of work over a 60 s grid: an offered load of 2
+        schedule = Schedule([ScheduleEntry(0, "c1", k, 0) for k in range(4)])
+        grid = IntervalGrid(start_ts=0, interval_len_ms=30000, n_intervals=2)
+        with caplog.at_level(logging.WARNING, logger="wlsynth"):
+            quiet = replay(schedule, catalog, cores=1)
+            assert not caplog.records
+            replay(schedule, catalog, cores=2, grid=grid)
+            assert not caplog.records
+            warned = replay(schedule, catalog, cores=1, grid=grid)
+        assert [r.getMessage() for r in caplog.records] == [
+            "offered load 2 exceeds cores = 1: the processor-sharing backlog grows "
+            "across the horizon"
+        ]
+        assert [(r.arrival_ts, r.duration_ms) for r in warned.records] == \
+            [(r.arrival_ts, r.duration_ms) for r in quiet.records]
+
     def test_uncontended_durations_match_profile(self, schema, catalog):
         schedule = Schedule([
             ScheduleEntry(0, "c1", 0, 0),
