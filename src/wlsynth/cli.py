@@ -17,7 +17,6 @@ import os
 import re
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -42,10 +41,10 @@ from .selector import (
     ONE_TO_ONE,
     SelectionConstraints,
     SelectionPlan,
-    build_problem,
     match_query,
     read_plans,
-    solve_window,
+    solve_all_windows,
+    solve_window,  # not called here; bench/child.py traces it under this name
     write_plan_summary,
     write_plans,
 )
@@ -158,12 +157,14 @@ def _solver_output_to_stderr():
 
 
 def _solve_windows(targets, catalog, constraints, jobs: int) -> list[SelectionPlan]:
-    problems = [build_problem(t, catalog, constraints) for t in targets]
     with _solver_output_to_stderr():
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(solve_window, problems))
-        return [solve_window(p) for p in problems]
+        return solve_all_windows(targets, catalog, constraints, jobs)
+
+
+def _catalog_arg(args) -> str:
+    if args.catalog is None:
+        raise ConfigError(f"{args.command} requires --catalog")
+    return args.catalog
 
 
 _TARGET_LINE_RE = re.compile(r"TARGET FEATURE:\n  (?P<body>[^\n]*)")
@@ -344,7 +345,7 @@ def cmd_targets(cfg: Config, paths: _Paths, args) -> None:
 
 def cmd_select(cfg: Config, paths: _Paths, args) -> None:
     windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(args.catalog, cfg.schema())
+    catalog = load_catalog(_catalog_arg(args), cfg.schema())
     trace = None if args.query_level == WINDOW_LEVEL else _read_trace(cfg, paths, args)
     run_select(cfg, paths, args, windows, catalog, trace)
 
@@ -352,7 +353,7 @@ def cmd_select(cfg: Config, paths: _Paths, args) -> None:
 def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
     trace = _read_trace(cfg, paths, args)
     windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(args.catalog, cfg.schema())
+    catalog = load_catalog(_catalog_arg(args), cfg.schema())
     plans = _read_plans(cfg, paths, windows, catalog)
     run_augment(cfg, paths, args, trace, windows, catalog, plans)
 
@@ -381,9 +382,10 @@ def cmd_evaluate(cfg: Config, paths: _Paths, args) -> None:
 
 
 def cmd_pipeline(cfg: Config, paths: _Paths, args) -> None:
+    catalog_path = _catalog_arg(args)  # before any stage writes
     trace = run_ingest(cfg, paths, args.trace)
     windows, intervals = run_targets(cfg, paths, trace)
-    catalog = load_catalog(args.catalog, cfg.schema())
+    catalog = load_catalog(catalog_path, cfg.schema())
     plans = run_select(cfg, paths, args, windows, catalog, trace)
     if not args.skip_augment:
         catalog, plans = run_augment(cfg, paths, args, trace, windows, catalog, plans)

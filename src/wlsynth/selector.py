@@ -6,14 +6,20 @@ window target, subject to a per-component repetition cap, a total-count cap
 and a duration budget.  Absolute values are linearized with one nonnegative
 slack per feature dimension.  The integer program goes to HiGHS through
 `scipy.optimize.milp`: its LP relaxation first, and the MIP solver (branch and
-bound over LP relaxations) only when that root is fractional.  Identical
-inputs give identical counts; repetitions of components with identical
-feature and duration columns sit on the later component id.
+bound over LP relaxations, relative gap 0) only when that root is fractional.
+The MIP runs without HiGHS's sub-MIP primal heuristics (RINS, RENS and root
+reduced-cost fixing): on window-sized problems they cost more LP iterations
+than they save, and the search stays exact without them.  Windows are
+independent; `solve_all_windows` solves them in order or from a thread pool.
+Identical inputs give identical counts; repetitions of components with
+identical feature and duration columns sit on the later component id.
 """
 from __future__ import annotations
 
 import csv
 import itertools
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,19 @@ ONE_TO_MANY = "one_to_many"
 
 _TIE_EPS = 1e-9
 _INT_EPS = 1e-6
+
+# Sub-MIP heuristics cost window-sized MIPs more LP iterations than they save.
+_MIP_OPTIONS = {
+    "mip_heuristic_run_rins": False,
+    "mip_heuristic_run_rens": False,
+    "mip_heuristic_run_root_reduced_cost": False,
+}
+# milp passes these names to HiGHS verbatim and says so on every call; a name
+# HiGHS does not know still raises OptimizeWarning, which stays audible.
+warnings.filterwarnings(
+    "ignore", message=r"Unrecognized options detected: .*mip_heuristic_run_",
+    category=RuntimeWarning, module=r"wlsynth\.selector",
+)
 
 
 @dataclass
@@ -170,13 +189,14 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
 
     The LP relaxation is solved first; when its counts are already integral
     they are optimal and no MIP is needed.  Otherwise one HiGHS MIP solve
-    (branch and bound over LP relaxations, relative gap 0) runs under
-    `node_limit` MIP nodes and `time_limit_s` seconds.  If either budget is
-    exhausted the best incumbent is returned with `approximate=True`; the
-    all-zeros vector is always feasible and is the (approximate) fallback
-    when HiGHS returns no integral, feasible incumbent.  Ties: identical inputs give identical counts, and repetitions of
-    components with identical feature and duration columns are shifted to
-    the later component id.
+    (branch and bound over LP relaxations, relative gap 0, sub-MIP primal
+    heuristics off as set in `_MIP_OPTIONS`) runs under `node_limit` MIP
+    nodes and `time_limit_s` seconds.  If either budget is exhausted the best
+    incumbent is returned with `approximate=True`; the all-zeros vector is
+    always feasible and is the (approximate) fallback when HiGHS returns no
+    integral, feasible incumbent.  Ties: identical inputs give identical
+    counts, and repetitions of components with identical feature and
+    duration columns are shifted to the later component id.
     """
     if problem.weights is not None and np.any(np.asarray(problem.weights) < 0):
         raise ValidationError("weights must be nonnegative")
@@ -196,6 +216,7 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
                 "mip_rel_gap": 0,
                 "node_limit": problem.node_limit,
                 "time_limit": problem.time_limit_s,
+                **_MIP_OPTIONS,
             }
             res = milp(c, constraints=constraints, bounds=bounds,
                        integrality=integrality, options=options)
@@ -286,15 +307,24 @@ def solve_all_windows(
     targets: list[WindowTarget],
     catalog: Catalog,
     constraints: SelectionConstraints,
+    jobs: int = 1,
 ) -> list[SelectionPlan]:
-    """Solve every window independently (the objective is separable over windows)."""
-    plans = []
-    for target in targets:
+    """Solve every window independently (the objective is separable over windows).
+
+    With `jobs > 1` the windows are solved from a pool of that many threads.
+    Plans come back in target order either way, and a `SolverError` names
+    the window it came from.
+    """
+    def solve(target: WindowTarget) -> SelectionPlan:
         try:
-            plans.append(solve_window(build_problem(target, catalog, constraints)))
+            return solve_window(build_problem(target, catalog, constraints))
         except SolverError as exc:
             raise SolverError(f"window {target.window_index}: {exc}") from exc
-    return plans
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(solve, targets))
+    return [solve(target) for target in targets]
 
 
 def write_plans(plans: list[SelectionPlan], path) -> None:

@@ -221,7 +221,7 @@ class TestSolverOutput:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_highs_output_goes_to_stderr(self, capfd, jobs):
         # a node-limited solve on which HiGHS prints a diagnostic straight to fd 1
-        problem = random_problem(np.random.default_rng(55), n_components=10, n_dims=5,
+        problem = random_problem(np.random.default_rng(146), n_components=10, n_dims=5,
                                  y=6, z=30)
         schema = FeatureSchema(metrics=("m0", "m1"), operators=("o0", "o1", "o2"))
         catalog = make_catalog(schema, list(zip(problem.component_ids, problem.durations,
@@ -245,6 +245,28 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "targets"
         assert err["error"] == "ConfigError"
+
+    def test_pipeline_without_catalog_writes_nothing(self, demo_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(demo_dir / "demo_config.txt"),
+                     "--trace", str(demo_dir / "demo_trace.csv"), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": "pipeline", "error": "ConfigError",
+                       "message": "pipeline requires --catalog"}
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["select", "augment"])
+    def test_stage_without_catalog_is_machine_readable(self, demo_dir, tmp_path, capsys,
+                                                       stage):
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
+        assert main(["ingest", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        assert main(["targets"] + base) == 0
+        capsys.readouterr()
+        assert main([stage] + base) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"{stage} requires --catalog"
 
     def test_bad_trace_file_fails_ingest(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import milp
 
 from conftest import make_catalog, random_catalog
 from wlsynth import selector
-from wlsynth.errors import ValidationError
+from wlsynth.errors import SolverError, ValidationError
 from wlsynth.features import FeatureSchema, PerformanceFeature
 from wlsynth.selector import (
     ONE_TO_MANY,
@@ -36,6 +38,20 @@ def random_problem(rng, n_components=4, n_dims=3, y=3, z=8):
         z=z,
         duration_budget_ms=float(durations.sum() * z),
     )
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """(is_mip, options) of every milp call selector makes during the test."""
+    calls = []
+
+    def recording_milp(*args, **kwargs):
+        # integrality is read now: solve_window reuses the array for its MIP call
+        calls.append((bool(kwargs["integrality"].any()), kwargs.get("options")))
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(selector, "milp", recording_milp)
+    return calls
 
 
 class TestSolveWindow:
@@ -149,6 +165,33 @@ class TestSolveWindow:
         assert not plan.approximate
         assert plan.objective_value == pytest.approx(best, abs=1e-9)
 
+    def test_heuristics_off_keeps_highs_default_optimum(self, monkeypatch, milp_calls):
+        """The MIP options change how fast HiGHS closes the gap, never the plan."""
+        rng = np.random.default_rng(2025)
+        problems = []
+        for i in range(24):
+            problem = random_problem(rng, n_components=int(rng.integers(10, 16)), n_dims=5,
+                                     y=int(rng.integers(3, 11)), z=int(rng.integers(16, 60)))
+            if i % 2:  # a tight duration budget
+                problem.duration_budget_ms = float(problem.durations.sum()) / 2
+            problems.append(problem)
+        tuned = [solve_window(p) for p in problems]
+        assert sum(is_mip for is_mip, _ in milp_calls) >= len(problems) // 2
+        monkeypatch.setattr(selector, "_MIP_OPTIONS", {})
+        default = [solve_window(p) for p in problems]
+        for a, b in zip(tuned, default):
+            assert a.counts == b.counts
+            assert a.objective_value == b.objective_value
+            assert a.approximate == b.approximate
+
+    @pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
+    def test_highs_accepts_every_mip_option(self, milp_calls):
+        # milp reports an option name HiGHS rejects with OptimizeWarning, an error here
+        solve_window(self.branching_problem())
+        mip_options = [options for is_mip, options in milp_calls if is_mip]
+        assert len(mip_options) == 1
+        assert selector._MIP_OPTIONS.items() <= mip_options[0].items()
+
     def test_repeated_solves_identical(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -206,6 +249,22 @@ class TestWindowsAndIO:
             assert a.objective_value == pytest.approx(b.objective_value)
             np.testing.assert_allclose(a.achieved, b.achieved)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solve_all_windows_names_failing_window(self, schema, monkeypatch, jobs):
+        catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])
+        targets = self.make_targets(schema)
+        plans = solve_all_windows(targets, catalog, SelectionConstraints(), jobs)
+        assert [p.window_index for p in plans] == [0, 1]
+
+        def failing(problem):
+            if problem.window_index == 1:
+                raise SolverError("infeasible")
+            return solve_window(problem)
+
+        monkeypatch.setattr(selector, "solve_window", failing)
+        with pytest.raises(SolverError, match="^window 1: infeasible$"):
+            solve_all_windows(targets, catalog, SelectionConstraints(), jobs)
+
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
         # eight dimensions: enough that a plain sum and the objective's dot
         # product can round differently
@@ -238,6 +297,65 @@ class TestWindowsAndIO:
         path.write_text("window_index,component_id,count\n7,c1,1\n")
         with pytest.raises(ValidationError):
             read_plans(path, targets, catalog)
+
+
+@st.composite
+def plan_cases(draw):
+    """Random windows, a random catalog and random plans over both."""
+    n_metrics, n_operators = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    schema = FeatureSchema(metrics=tuple(f"m{i}" for i in range(n_metrics)),
+                           operators=tuple(f"o{i}" for i in range(n_operators)))
+    values = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+    def vector(size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    ids = draw(st.lists(st.text("abcxyz0123456789_-", min_size=1, max_size=6),
+                        min_size=1, max_size=6, unique=True))
+    catalog = make_catalog(schema, [
+        (cid, draw(st.integers(1, 100000)), vector(n_metrics + n_operators)) for cid in ids
+    ])
+    window_indexes = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    targets = [
+        WindowTarget(w, w * 300000, 300000,
+                     PerformanceFeature(vector(n_metrics), vector(n_operators)),
+                     draw(st.integers(0, 20)))
+        for w in window_indexes
+    ]
+    denom_floor = draw(st.sampled_from([1e-3, 1.0, 7.5]))
+    plans = []
+    for target in targets:
+        counts = np.array(draw(st.lists(st.integers(0, 12), min_size=len(ids),
+                                        max_size=len(ids))))
+        problem = build_problem(target, catalog, SelectionConstraints(denom_floor=denom_floor))
+        plans.append(SelectionPlan(
+            window_index=target.window_index,
+            counts={cid: int(n) for cid, n in zip(ids, counts) if n > 0},
+            achieved=problem.features.T @ counts,
+            objective_value=problem.objective(counts),
+        ))
+    unknown = draw(st.integers(0, 60).filter(lambda w: w not in window_indexes))
+    return catalog, targets, plans, denom_floor, unknown
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_cases())
+def test_plan_csv_round_trip(tmp_path_factory, case):
+    """write_plans -> read_plans keeps the counts and the objective bit for bit;
+    a row naming a window outside the targets is rejected."""
+    catalog, targets, plans, denom_floor, unknown = case
+    path = tmp_path_factory.mktemp("plans") / "plan.csv"
+    write_plans(plans, path)
+    back = read_plans(path, targets, catalog, denom_floor)
+    by_window = {p.window_index: p for p in plans}
+    assert [p.window_index for p in back] == sorted(by_window)
+    for plan in back:
+        assert plan.counts == by_window[plan.window_index].counts
+        assert plan.objective_value == by_window[plan.window_index].objective_value
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{unknown},{catalog.components[0].component_id},1\n")
+    with pytest.raises(ValidationError, match=f"unknown window {unknown}"):
+        read_plans(path, targets, catalog, denom_floor)
 
 
 class TestMatchQuery:
