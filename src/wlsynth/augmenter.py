@@ -25,10 +25,11 @@ from .catalog import (
     DatabaseDescriptor,
     Executor,
     WorkloadComponent,
+    profile_component,
 )
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .selector import SelectionPlan
+from .selector import SelectionPlan, znorm_stats
 from .trace import Trace, WindowTarget
 
 log = logging.getLogger(__name__)
@@ -211,13 +212,6 @@ class HttpProvider:
         return str(body["completion"])
 
 
-def _znorm(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (matrix - mean) / std, mean, std
-
-
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             tol: float = 1e-6, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization followed by Lloyd iterations."""
@@ -266,16 +260,21 @@ def find_generation_targets(
         raise ValidationError("k must be >= 1")
     if not queries:
         return []
-    matrix = np.array([f.as_vector() for f, _ in queries])
-    windows = [w for _, w in queries]
-    n_metrics = queries[0][0].metrics.shape[0]
+    return _cluster_targets(np.array([f.as_vector() for f, _ in queries]),
+                            [w for _, w in queries], queries[0][0].metrics.shape[0], k, seed)
+
+
+def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: int,
+                     seed: int) -> list[GenerationTarget]:
+    """find_generation_targets on a (queries x dimensions) feature table."""
     distinct = np.unique(matrix, axis=0)
     if len(distinct) < k:
         log.warning(
             "only %d distinct feature points for k=%d clusters", len(distinct), k
         )
         k = len(distinct)
-    normed, mean, std = _znorm(matrix)
+    mean, std = znorm_stats(matrix)
+    normed = (matrix - mean) / std
     rng = np.random.default_rng(seed)
     centroids, assignment = _kmeans(normed, k, rng)
     targets = []
@@ -305,7 +304,8 @@ def retrieve_examples(
     if len(catalog) == 0:
         raise ValidationError("cannot retrieve examples from an empty catalog")
     matrix = catalog.feature_matrix()
-    normed, mean, std = _znorm(matrix)
+    mean, std = znorm_stats(matrix)
+    normed = (matrix - mean) / std
     point = (target.feature.as_vector() - mean) / std
     distances = np.linalg.norm(normed - point, axis=1)
     components = list(catalog)
@@ -395,7 +395,6 @@ def _relative_deltas(
     target: PerformanceFeature,
     profiled: PerformanceFeature,
     schema: FeatureSchema,
-    config: AugmentConfig,
     eps: float = 1e-9,
 ) -> dict[str, float]:
     deltas = {}
@@ -422,7 +421,7 @@ def classify_gap(
     for dim in (config.cpu_dimension, config.sb_dimension):
         if dim not in schema.dimensions:
             raise ValidationError(f"schema lacks required dimension {dim!r}")
-    deltas = _relative_deltas(target, profiled, schema, config)
+    deltas = _relative_deltas(target, profiled, schema)
     d_cpu = deltas[config.cpu_dimension]
     d_sb = deltas[config.sb_dimension]
 
@@ -518,9 +517,10 @@ def generate_component(
             except ProviderError as exc:
                 raise ProviderError(str(exc), attempt_index=attempt_index) from exc
             try:
-                mean_duration, mean_feature = _profile_response(
-                    response, database, executor, config.profile_repetitions
-                )
+                profiled = profile_component(
+                    WorkloadComponent(target.target_id, response, database, 1.0,
+                                      PerformanceFeature.zeros(schema)),
+                    executor, max(1, config.profile_repetitions))
             except Exception as exc:
                 log.warning("profiling attempt %d failed: %s", attempt_index, exc)
                 attempts.append(
@@ -528,7 +528,8 @@ def generate_component(
                                       None, VERDICT_RETRY)
                 )
                 continue
-            deltas = _relative_deltas(target.feature, mean_feature, schema, config)
+            mean_feature = profiled.feature
+            deltas = _relative_deltas(target.feature, mean_feature, schema)
             scenario = classify_gap(target.feature, mean_feature, schema, config)
             if scenario is None and _metric_gaps_ok(deltas, schema, config):
                 attempts.append(
@@ -539,7 +540,7 @@ def generate_component(
                     component_id=component_id or f"aug-{target.target_id}",
                     query_ref=response,
                     database_ref=database,
-                    duration_ms=mean_duration,
+                    duration_ms=profiled.duration_ms,
                     feature=mean_feature,
                     origin=ORIGIN_AUGMENTED,
                 )
@@ -587,26 +588,6 @@ def _metric_gaps_ok(deltas: dict[str, float], schema: FeatureSchema,
     return all(abs(deltas[m]) <= config.accept_threshold for m in schema.metrics)
 
 
-def _profile_response(
-    response: str,
-    database: DatabaseDescriptor,
-    executor: Executor,
-    repetitions: int,
-) -> tuple[float, PerformanceFeature]:
-    durations = []
-    metric_rows = []
-    operator_rows = []
-    for _ in range(max(1, repetitions)):
-        duration, feature = executor.run(response, database)
-        durations.append(duration)
-        metric_rows.append(feature.metrics)
-        operator_rows.append(feature.operators)
-    return (
-        float(np.mean(durations)),
-        PerformanceFeature(np.mean(metric_rows, axis=0), np.mean(operator_rows, axis=0)),
-    )
-
-
 def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:
     return sorted(p.window_index for p in plans if p.objective_value > threshold)
 
@@ -631,21 +612,17 @@ def augment_catalog(
     bad = set(bad_windows(plans, config.bad_window_threshold))
     if not bad:
         return catalog, []
-    geometry = {
-        w.window_index: (w.window_start_ts, w.window_len_ms) for w in window_targets
-    }
-    queries: list[tuple[PerformanceFeature, int]] = []
-    for record in trace.records:
-        for window_index in bad:
-            start, length = geometry[window_index]
-            if start <= record.arrival_ts < start + length:
-                queries.append(
-                    (PerformanceFeature(record.metrics, record.operators), window_index)
-                )
-                break
-    if not queries:
+    # the queries that arrive inside a bad window, in trace order; windows are disjoint
+    windows = sorted((w.window_start_ts, w.window_len_ms, w.window_index)
+                     for w in window_targets if w.window_index in bad)
+    start, length, index = (np.array(col) for col in zip(*windows))
+    at = np.maximum(np.searchsorted(start, trace.arrival_ts, side="right") - 1, 0)
+    offset = trace.arrival_ts - start[at]
+    hit = np.flatnonzero((offset >= 0) & (offset < length[at]))
+    if not hit.size:
         return catalog, []
-    targets = find_generation_targets(queries, config.k, seed)
+    targets = _cluster_targets(trace.features[hit], index[at[hit]].tolist(),
+                               trace.schema.n_metrics, config.k, seed)
     augmented = catalog.copy()
     reports = []
     serial = sum(1 for c in catalog if c.origin == ORIGIN_AUGMENTED)

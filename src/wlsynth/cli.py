@@ -212,7 +212,7 @@ def run_ingest(cfg: Config, paths: _Paths, trace_path) -> Trace:
     trace = ingest_trace(trace_path, cfg.schema(), cfg.mode())
     paths.ensure()
     export_trace(trace, paths.trace)
-    log.info("ingested %d records -> %s", len(trace.records), paths.trace)
+    log.info("ingested %d records -> %s", len(trace), paths.trace)
     return trace
 
 
@@ -240,15 +240,15 @@ def run_select(cfg: Config, paths: _Paths, args, windows, catalog: Catalog,
         matches = paths.plans / "query_matches.csv"
         with _solver_output_to_stderr(), open(matches, "w", encoding="utf-8") as fh:
             fh.write("query_id,component_id,count,objective\n")
-            for rec in trace.records:
+            for query_id, feature in zip(trace.query_id, trace.features):
                 plan = match_query(
-                    PerformanceFeature(rec.metrics, rec.operators), catalog,
+                    PerformanceFeature.from_vector(feature, trace.schema), catalog,
                     mode=args.query_level, denom_floor=cfg.get_float("denom_floor"),
                 )
                 for cid in sorted(plan.counts):
-                    fh.write(f"{rec.query_id},{cid},{plan.counts[cid]},"
+                    fh.write(f"{query_id},{cid},{plan.counts[cid]},"
                              f"{plan.objective_value!r}\n")
-        log.info("matched %d queries (%s)", len(trace.records), args.query_level)
+        log.info("matched %d queries (%s)", len(trace), args.query_level)
     plans = _solve_windows(windows, catalog, _constraints(cfg), args.jobs)
     _write_plans(cfg, paths, plans, windows)
     log.info("solved %d windows", len(plans))
@@ -321,7 +321,7 @@ def run_replay(cfg: Config, paths: _Paths, schedule: Schedule, catalog: Catalog,
                       IntervalGrid.from_targets(intervals))
     paths.ensure(paths.replay)
     export_trace(replayed, paths.replay / "trace.csv")
-    log.info("replayed %d instances", len(replayed.records))
+    log.info("replayed %d instances", len(replayed))
     return replayed
 
 

@@ -103,34 +103,25 @@ def report(
     if len(rep_windows) != len(window_targets) or len(rep_intervals) != len(interval_targets):
         raise ValidationError("replayed trace grid does not match the target grid")
 
+    # build_targets emits windows and intervals in time order
     schema = replayed.schema
-    tgt_w = np.array([w.feature.as_vector() for w in sorted(window_targets,
-                                                            key=lambda w: w.window_index)])
+    windows = sorted(window_targets, key=lambda w: w.window_index)
+    intervals = sorted(interval_targets, key=lambda t: t.interval_start_ts)
+    tgt_w = np.array([w.feature.as_vector() for w in windows])
     rep_w = np.array([w.feature.as_vector() for w in rep_windows])
+    tgt_i = np.array([t.metrics for t in intervals])
+    rep_i = np.array([t.metrics for t in rep_intervals])
     window_level = {
-        dim: _scores(tgt_w[:, d], rep_w[:, d], eps)
-        for d, dim in enumerate(schema.dimensions)
+        dim: _scores(tgt_w[:, d], rep_w[:, d], eps) for d, dim in enumerate(schema.dimensions)
     }
-
-    def key(t):
-        return t.interval_start_ts
-
-    tgt_i = np.array([t.metrics for t in sorted(interval_targets, key=key)])
-    rep_i = np.array([t.metrics for t in sorted(rep_intervals, key=key)])
     interval_level = {
         m: _scores(tgt_i[:, d], rep_i[:, d], eps) for d, m in enumerate(schema.metrics)
     }
-
-    plot_data: list[tuple[int, str, float, float]] = []
-    interval_ts = [t.interval_start_ts for t in sorted(interval_targets, key=key)]
-    for d, m in enumerate(schema.metrics):
-        for row, ts in enumerate(interval_ts):
-            plot_data.append((ts, m, float(tgt_i[row, d]), float(rep_i[row, d])))
-    window_ts = [w.window_start_ts for w in sorted(window_targets, key=lambda w: w.window_index)]
-    for d, op in enumerate(schema.operators):
-        col = schema.n_metrics + d
-        for row, ts in enumerate(window_ts):
-            plot_data.append((ts, op, float(tgt_w[row, col]), float(rep_w[row, col])))
+    plot_data = [(t.interval_start_ts, m, float(tgt_i[row, d]), float(rep_i[row, d]))
+                 for d, m in enumerate(schema.metrics) for row, t in enumerate(intervals)]
+    plot_data += [(w.window_start_ts, op, float(tgt_w[row, d]), float(rep_w[row, d]))
+                  for d, op in enumerate(schema.operators, schema.n_metrics)
+                  for row, w in enumerate(windows)]
 
     return FidelityReport(window_level, interval_level, plot_data)
 

@@ -7,6 +7,9 @@ deterministic processor-sharing simulation: when P instances are running on
 deposits its metric mass uniformly per unit of its own progress.  Simulated
 annealing then refines the start times to minimize the summed interval
 relative error.
+
+A Schedule holds one column per field; the stages and the annealer work on
+the columns and build no per-instance objects.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
-from .errors import ValidationError
-from .trace import IntervalTarget
+from .errors import SchemaError, TraceParseError, ValidationError
+from .trace import IntervalTarget, _parse_int
 from .selector import SelectionPlan
 
 log = logging.getLogger(__name__)
@@ -35,12 +38,39 @@ class ScheduleEntry:
     start_ts: int
 
 
-@dataclass
+SCHEDULE_COLUMNS = ("window_index", "component_id", "instance_index", "start_ts")
+
+
 class Schedule:
-    entries: list[ScheduleEntry]
+    """Instances and their start times, one column per ScheduleEntry field.
+
+    `component_id` is a string array, the other columns are int64 arrays.
+    The constructor converts a list of entries once; `from_columns` takes
+    the columns as they are.
+    """
+
+    def __init__(self, entries: list[ScheduleEntry] = ()):
+        self._set(*([getattr(e, name) for e in entries] for name in SCHEDULE_COLUMNS))
+
+    @classmethod
+    def from_columns(cls, window_index, component_id, instance_index, start_ts) -> "Schedule":
+        schedule = cls.__new__(cls)
+        schedule._set(window_index, component_id, instance_index, start_ts)
+        return schedule
+
+    def _set(self, window_index, component_id, instance_index, start_ts) -> None:
+        self.window_index = np.asarray(window_index, dtype=np.int64)
+        self.component_id = np.asarray(component_id, dtype=str)
+        self.instance_index = np.asarray(instance_index, dtype=np.int64)
+        self.start_ts = np.asarray(start_ts, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.start_ts)
+
+    @property
+    def entries(self) -> list[ScheduleEntry]:
+        return list(map(ScheduleEntry, *(getattr(self, name).tolist()
+                                         for name in SCHEDULE_COLUMNS)))
 
 
 @dataclass
@@ -110,24 +140,36 @@ def warn_if_overloaded(works: np.ndarray, grid: IntervalGrid, cores: int) -> Non
 def write_schedule(schedule: Schedule, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_index", "component_id", "instance_index", "start_ts"])
-        for e in schedule.entries:
-            writer.writerow([e.window_index, e.component_id, e.instance_index, e.start_ts])
+        writer.writerow(SCHEDULE_COLUMNS)
+        writer.writerows(zip(*(getattr(schedule, name).tolist() for name in SCHEDULE_COLUMNS)))
 
 
 def read_schedule(path) -> Schedule:
-    entries = []
+    """Read a schedule CSV column by column.
+
+    A missing column is a SchemaError.  A missing or unparseable cell is a
+    TraceParseError and a non-integral index or time a ValidationError,
+    each naming the row (blank lines not counted) and the column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(
-                ScheduleEntry(
-                    window_index=int(row["window_index"]),
-                    component_id=row["component_id"],
-                    instance_index=int(row["instance_index"]),
-                    start_ts=int(row["start_ts"]),
-                )
-            )
-    return Schedule(entries)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for col in SCHEDULE_COLUMNS:
+            if col not in header:
+                raise SchemaError(f"schedule file {path} is missing column {col!r}")
+        # a repeated column name reads as its last occurrence, as with DictReader
+        position = {name: i for i, name in enumerate(header)}
+        rows = list(filter(None, reader))
+    columns = []
+    for name in SCHEDULE_COLUMNS:
+        i = position[name]
+        cells = [row[i] if i < len(row) else None for row in rows]
+        if name != "component_id":
+            cells = [_parse_int(c, rownum, name) for rownum, c in enumerate(cells, 2)]
+        elif None in cells:
+            raise TraceParseError(f"row {cells.index(None) + 2}, column {name!r}: missing value")
+        columns.append(cells)
+    return Schedule.from_columns(*columns)
 
 
 def simulate_processor_sharing(
@@ -208,12 +250,15 @@ def _deposit(bins: np.ndarray, grid: IntervalGrid, a: float, b: float,
             bins[k] += rate_per_ms * overlap
 
 
-def _expand(schedule: Schedule, catalog: Catalog):
-    starts = np.array([e.start_ts for e in schedule.entries], dtype=float)
-    comps = [catalog.get(e.component_id) for e in schedule.entries]
-    works = np.array([c.duration_ms for c in comps])
-    metrics = np.array([c.feature.metrics for c in comps]) if comps else np.zeros((0, 0))
-    return starts, works, metrics
+def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float start times, profiled durations and feature rows (metrics then
+    operators) of a schedule's instances, gathered from the catalog."""
+    names, component = np.unique(schedule.component_id, return_inverse=True)
+    comps = [catalog.get(name) for name in names.tolist()]
+    works = np.array([c.duration_ms for c in comps], dtype=float)
+    features = np.array([c.feature.as_vector() for c in comps]).reshape(
+        len(comps), len(catalog.schema.dimensions))
+    return schedule.start_ts.astype(float), works[component], features[component]
 
 
 def estimate_interval_features(
@@ -226,27 +271,28 @@ def estimate_interval_features(
     """Simulated per-interval metric sums for a schedule (metrics only)."""
     if interval_len_ms != grid.interval_len_ms:
         raise ValidationError("interval_len_ms does not match the grid")
-    starts, works, metrics = _expand(schedule, catalog)
-    if len(schedule.entries) == 0:
-        bins = np.zeros((grid.n_intervals, catalog.schema.n_metrics))
-    else:
-        _, bins = simulate_processor_sharing(starts, works, cores, metrics, grid)
-    out = []
-    for k in range(grid.n_intervals):
-        out.append(
-            IntervalTarget(
-                window_index=-1,
-                interval_index=k,
-                interval_start_ts=grid.start_ts + k * grid.interval_len_ms,
-                metrics=bins[k].copy(),
-            )
-        )
-    return out
+    starts, works, features = expand(schedule, catalog)
+    _, bins = simulate_processor_sharing(starts, works, cores,
+                                         features[:, :catalog.schema.n_metrics], grid)
+    return [IntervalTarget(-1, k, grid.start_ts + k * grid.interval_len_ms, bins[k].copy())
+            for k in range(grid.n_intervals)]
 
 
-def _target_matrix(targets: list[IntervalTarget], grid: IntervalGrid) -> np.ndarray:
-    ordered = sorted(targets, key=lambda t: t.interval_start_ts)
-    return np.array([t.metrics for t in ordered])
+def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: np.ndarray,
+            cores: int, grid: IntervalGrid, denom_floor: float) -> float:
+    _, achieved = simulate_processor_sharing(starts, works, cores, metrics, grid)
+    return float(np.sum(np.abs(achieved - target) / np.maximum(target, denom_floor)))
+
+
+def _check_targets(interval_targets: list[IntervalTarget], catalog: Catalog
+                   ) -> tuple[IntervalGrid, np.ndarray]:
+    """The grid and the (intervals x metrics) target matrix in time order."""
+    grid = IntervalGrid.from_targets(interval_targets)
+    ordered = sorted(interval_targets, key=lambda t: t.interval_start_ts)
+    target = np.array([t.metrics for t in ordered])
+    if target.shape[1] != catalog.schema.n_metrics:
+        raise ValidationError("interval target metric dimensions do not match the catalog")
+    return grid, target
 
 
 def energy(
@@ -257,53 +303,47 @@ def energy(
     denom_floor: float = _EPS_DEFAULT,
 ) -> float:
     """Sum over intervals and metric dimensions of |achieved - target| / max(target, eps)."""
-    grid = IntervalGrid.from_targets(interval_targets)
-    target = _target_matrix(interval_targets, grid)
-    if target.shape[1] != catalog.schema.n_metrics:
-        raise ValidationError("interval target metric dimensions do not match the catalog")
-    starts, works, metrics = _expand(schedule, catalog)
-    if len(schedule.entries) == 0:
-        achieved = np.zeros_like(target)
-    else:
-        _, achieved = simulate_processor_sharing(starts, works, cores, metrics, grid)
-    denom = np.maximum(target, denom_floor)
-    return float(np.sum(np.abs(achieved - target) / denom))
+    grid, target = _check_targets(interval_targets, catalog)
+    starts, works, features = expand(schedule, catalog)
+    return _energy(starts, works, features[:, :catalog.schema.n_metrics], target, cores,
+                   grid, denom_floor)
 
 
-@dataclass(frozen=True)
-class _Instance:
-    window_index: int
-    component_id: str
-    instance_index: int
-    window_start_ts: int
-    window_len_ms: int
-
-
-def _instances_from_plans(
-    plans: list[SelectionPlan], grid: IntervalGrid, interval_targets: list[IntervalTarget]
-) -> list[_Instance]:
-    # window geometry is recovered from the interval grid
+def _planned_instances(plans: list[SelectionPlan], grid: IntervalGrid,
+                       interval_targets: list[IntervalTarget]
+                       ) -> tuple[Schedule, np.ndarray, np.ndarray]:
+    """Every planned instance, window by window in plan order and components
+    in id order, with start_ts at its window's start; also each instance's
+    window start and length, recovered from the interval grid."""
     windows: dict[int, list[int]] = {}
     for t in interval_targets:
         windows.setdefault(t.window_index, []).append(t.interval_start_ts)
-    instances = []
+    rows = []
     for plan in plans:
         if plan.window_index not in windows:
             raise ValidationError(f"plan references unknown window {plan.window_index}")
         starts = windows[plan.window_index]
-        w_start = min(starts)
-        w_len = grid.interval_len_ms * len(starts)
-        for component_id in sorted(plan.counts):
-            for k in range(plan.counts[component_id]):
-                instances.append(
-                    _Instance(plan.window_index, component_id, k, w_start, w_len)
-                )
-    return instances
+        rows += [(plan.window_index, cid, plan.counts[cid], min(starts),
+                  grid.interval_len_ms * len(starts)) for cid in sorted(plan.counts)]
+    window, cid, count, w_start, w_len = (
+        np.array(col, dtype=dtype) for col, dtype in
+        zip(list(zip(*rows)) or [()] * 5, (np.int64, str, np.int64, np.int64, np.int64)))
+    row = np.repeat(np.arange(count.size), count)
+    instance = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    schedule = Schedule.from_columns(window[row], cid[row], instance, w_start[row])
+    return schedule, schedule.start_ts, w_len[row]
 
 
-def _random_offset(rng: np.random.Generator, window_len_ms: int, granularity_ms: int) -> int:
-    slots = max(1, window_len_ms // granularity_ms)
-    return int(rng.integers(0, slots)) * granularity_ms
+def _draw_starts(rng: np.random.Generator, window_start, window_len, granularity_ms: int):
+    """Uniform random start times at `granularity_ms` steps inside windows.
+
+    One `rng.integers` call draws for a whole array of windows or for one
+    scalar window.  On the numpy this package supports the array call yields
+    the values and generator state of one scalar call per window, in order;
+    tests/test_scheduler.py pins that.
+    """
+    slots = np.maximum(1, window_len // granularity_ms)
+    return window_start + rng.integers(0, slots) * granularity_ms
 
 
 def random_schedule(
@@ -315,22 +355,16 @@ def random_schedule(
     """Uniform random in-window start times; the annealer's initial state and
     the baseline used by the timestamp-assignment ablation."""
     grid = IntervalGrid.from_targets(interval_targets)
-    rng = np.random.default_rng(rng_seed)
-    entries = []
-    for inst in _instances_from_plans(plans, grid, interval_targets):
-        offset = _random_offset(rng, inst.window_len_ms, granularity_ms)
-        entries.append(
-            ScheduleEntry(
-                inst.window_index, inst.component_id, inst.instance_index,
-                inst.window_start_ts + offset,
-            )
-        )
-    return Schedule(entries)
+    schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
+    schedule.start_ts = _draw_starts(np.random.default_rng(rng_seed), w_start, w_len,
+                                     granularity_ms)
+    return schedule
 
 
 def _tune_temperatures(
-    schedule: Schedule,
-    instances: list[_Instance],
+    starts: np.ndarray,
+    w_start: np.ndarray,
+    w_len: np.ndarray,
     current_energy: float,
     energy_fn,
     rng: np.random.Generator,
@@ -339,18 +373,12 @@ def _tune_temperatures(
     """Sample random moves from the initial state to pick V_max and V_min so the
     median uphill step is accepted with the configured probabilities."""
     uphill = []
-    entries = schedule.entries
     for _ in range(100):
-        j = int(rng.integers(0, len(entries)))
-        inst = instances[j]
-        offset = _random_offset(rng, inst.window_len_ms, config.move_granularity_ms)
-        old = entries[j]
-        entries[j] = ScheduleEntry(
-            old.window_index, old.component_id, old.instance_index,
-            inst.window_start_ts + offset,
-        )
-        delta = energy_fn(schedule) - current_energy
-        entries[j] = old
+        j = int(rng.integers(0, len(starts)))
+        old = starts[j]
+        starts[j] = _draw_starts(rng, w_start[j], w_len[j], config.move_granularity_ms)
+        delta = energy_fn() - current_energy
+        starts[j] = old
         if delta > 0:
             uphill.append(delta)
     median = float(np.median(uphill)) if uphill else 1.0
@@ -375,34 +403,28 @@ def assign_timestamps(
     consecutive steps without improving the best energy, or at the step cap.
     """
     config = sa_config or SAConfig()
-    grid = IntervalGrid.from_targets(interval_targets)
-    instances = _instances_from_plans(plans, grid, interval_targets)
+    grid, target = _check_targets(interval_targets, catalog)
+    schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
     rng = np.random.default_rng(rng_seed)
-    entries0 = []
-    for inst in instances:
-        offset = _random_offset(rng, inst.window_len_ms, config.move_granularity_ms)
-        entries0.append(
-            ScheduleEntry(
-                inst.window_index, inst.component_id, inst.instance_index,
-                inst.window_start_ts + offset,
-            )
-        )
-    schedule = Schedule(entries0)
-    warn_if_overloaded(_expand(schedule, catalog)[1], grid, cores)
+    starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, config.move_granularity_ms)
+    _, works, features = expand(schedule, catalog)
+    warn_if_overloaded(works, grid, cores)
+    metrics = features[:, :catalog.schema.n_metrics]
 
-    def energy_fn(s: Schedule) -> float:
-        return energy(s, interval_targets, catalog, cores, config.denom_floor)
+    def energy_fn() -> float:
+        return _energy(starts.astype(float), works, metrics, target, cores, grid,
+                       config.denom_floor)
 
-    current = energy_fn(schedule)
-    best_entries = list(schedule.entries)
+    current = energy_fn()
+    best_starts = starts.copy()
     best = current
     trace = [best]
-    if not instances:
-        return AnnealResult(Schedule([]), 0.0, 0.0, [0.0], 0)
+    if not len(schedule):
+        return AnnealResult(schedule, 0.0, 0.0, [0.0], 0)
 
     v_max, v_min = config.v_max, config.v_min
     if v_max is None or v_min is None:
-        tuned = _tune_temperatures(schedule, instances, current, energy_fn, rng, config)
+        tuned = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng, config)
         v_max = v_max if v_max is not None else tuned[0]
         v_min = v_min if v_min is not None else tuned[1]
     v_min = min(v_min, v_max)
@@ -411,18 +433,12 @@ def assign_timestamps(
     temperature = v_max
     no_improve = 0
     steps = 0
-    entries = schedule.entries
     while steps < config.max_steps and no_improve < config.no_improve_limit:
         steps += 1
-        j = int(rng.integers(0, len(entries)))
-        inst = instances[j]
-        offset = _random_offset(rng, inst.window_len_ms, config.move_granularity_ms)
-        old = entries[j]
-        entries[j] = ScheduleEntry(
-            old.window_index, old.component_id, old.instance_index,
-            inst.window_start_ts + offset,
-        )
-        candidate = energy_fn(schedule)
+        j = int(rng.integers(0, len(starts)))
+        old = starts[j]
+        starts[j] = _draw_starts(rng, w_start[j], w_len[j], config.move_granularity_ms)
+        candidate = energy_fn()
         delta = candidate - current
         accept = delta <= 0 or (
             temperature > 0 and rng.random() < math.exp(-delta / temperature)
@@ -430,18 +446,19 @@ def assign_timestamps(
         if accept:
             current = candidate
         else:
-            entries[j] = old
+            starts[j] = old
         if current < best - 1e-12:
             best = current
-            best_entries = list(entries)
+            best_starts = starts.copy()
             no_improve = 0
         else:
             no_improve += 1
         trace.append(best)
         temperature = max(temperature * alpha, v_min)
 
+    schedule.start_ts = best_starts
     return AnnealResult(
-        schedule=Schedule(best_entries),
+        schedule=schedule,
         best_energy=best,
         initial_energy=trace[0],
         best_energy_trace=trace,

@@ -395,7 +395,8 @@ def write_plan_summary(
                 )
 
 
-def _znorm_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def znorm_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations, a zero deviation read as 1."""
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -438,7 +439,7 @@ def match_query(
         return solve_window(problem)
     if mode != ONE_TO_ONE:
         raise ValidationError(f"unknown match mode {mode!r}")
-    mean, std = _znorm_stats(features)
+    mean, std = znorm_stats(features)
     distances = np.linalg.norm((features - mean) / std - (target - mean) / std, axis=1)
     ranked = sorted(range(len(ids)), key=lambda j: (distances[j], ids[j]))
     j = ranked[0]

@@ -5,12 +5,13 @@ duration, performance metrics and operator statistics.  Aggregation spreads
 each query's metric mass uniformly over its execution span and sums it per
 time interval; operator statistics are aggregated at window granularity only.
 
-The row loops run as bulk numpy code.  Ingest parses every row's numeric
-cells into one table and checks it column-wise.  Aggregation expands each
-query into (record, interval, share) triples a block of records at a time
-and applies them with `np.add.at`, which keeps the per-record summation
-order, so targets do not depend on the block size.  Export formats a block
-of rows at a time and writes them with one `writerows`.
+A Trace holds its rows as columns, and every stage works on the columns
+as bulk numpy code.  Ingest parses every row's numeric cells into one table
+and checks it column-wise.  Aggregation expands each query into (row,
+interval, share) triples a block of rows at a time and applies them with
+`np.add.at`, which keeps the per-row summation order, so targets do not
+depend on the block size.  Export formats a block of rows at a time and
+writes them with one `writerows`.
 """
 from __future__ import annotations
 
@@ -31,14 +32,14 @@ log = logging.getLogger(__name__)
 
 MANDATORY_COLUMNS = ("query_id", "arrival_ts", "duration_ms")
 
-# Records per block in ingest_trace, build_targets and export_trace; bounds the size
-# of temporaries, whose heap churn otherwise shows in peak RSS.
+# Rows per block in build_targets and export_trace; bounds the size of
+# temporaries, whose heap churn otherwise shows in peak RSS.
 _BLOCK = 256
 
 
 @dataclass
 class QueryRecord:
-    """One trace row."""
+    """One trace row, as `Trace.records` presents it."""
 
     query_id: str
     arrival_ts: int
@@ -51,17 +52,55 @@ class QueryRecord:
         return self.arrival_ts + self.duration_ms
 
 
-@dataclass
 class Trace:
-    """A list of query records plus the schema and operator mode they share."""
+    """Query rows held as columns, plus the schema and operator mode they share.
 
-    records: list[QueryRecord]
-    schema: FeatureSchema
-    mode: str = MODE_COUNTS
+    `query_id` is a list of strings, `arrival_ts` and `duration_ms` are int64
+    arrays, and `features` is one (rows x dimensions) float64 table, metrics
+    then operators in schema order.  The constructor converts a list of
+    records once; `from_columns` takes the columns as they are.
+    """
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown operator mode {self.mode!r}, expected one of {MODES}")
+    def __init__(self, records: list[QueryRecord], schema: FeatureSchema,
+                 mode: str = MODE_COUNTS):
+        features = np.array([np.concatenate((r.metrics, r.operators)) for r in records],
+                            dtype=float).reshape(len(records), len(schema.dimensions))
+        self._set([r.query_id for r in records], [r.arrival_ts for r in records],
+                  [r.duration_ms for r in records], features, schema, mode)
+
+    @classmethod
+    def from_columns(cls, query_id: list[str], arrival_ts, duration_ms, features: np.ndarray,
+                     schema: FeatureSchema, mode: str = MODE_COUNTS) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._set(query_id, arrival_ts, duration_ms, features, schema, mode)
+        return trace
+
+    def _set(self, query_id, arrival_ts, duration_ms, features, schema, mode) -> None:
+        if mode not in MODES:
+            raise ConfigError(f"unknown operator mode {mode!r}, expected one of {MODES}")
+        self.query_id = list(query_id)
+        self.arrival_ts = np.asarray(arrival_ts, dtype=np.int64)
+        self.duration_ms = np.asarray(duration_ms, dtype=np.int64)
+        self.features = features
+        self.schema = schema
+        self.mode = mode
+
+    def __len__(self) -> int:
+        return len(self.query_id)
+
+    @property
+    def metrics(self) -> np.ndarray:
+        return self.features[:, :self.schema.n_metrics]
+
+    @property
+    def operators(self) -> np.ndarray:
+        return self.features[:, self.schema.n_metrics:]
+
+    @property
+    def records(self) -> list[QueryRecord]:
+        """The rows as records whose vectors are views of the feature table."""
+        return list(map(QueryRecord, self.query_id, self.arrival_ts.tolist(),
+                        self.duration_ms.tolist(), self.metrics, self.operators))
 
 
 @dataclass
@@ -97,6 +136,20 @@ def _parse_number(raw: str | None, row: int, column: str) -> float:
     return value
 
 
+def _parse_int(raw: str | None, row: int, column: str) -> int:
+    """An int64 cell; a fractional or out-of-range number is a ValidationError."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        number = _parse_number(raw, row, column)
+        if not number.is_integer():
+            raise ValidationError(f"row {row}, column {column!r}: non-integral value {number!r}")
+        value = int(number)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValidationError(f"row {row}, column {column!r}: {raw!r} is out of range")
+    return value
+
+
 def _check_row(row: dict, rownum: int, schema: FeatureSchema) -> None:
     """Raise the error for the first contract breach in one trace row, read as by DictReader."""
     arrival = _parse_number(row.get("arrival_ts"), rownum, "arrival_ts")
@@ -109,6 +162,8 @@ def _check_row(row: dict, rownum: int, schema: FeatureSchema) -> None:
     for column, value in (("arrival_ts", arrival), ("duration_ms", duration)):
         if not value.is_integer():
             raise ValidationError(f"row {rownum}, column {column!r}: non-integral value {value!r}")
+        if abs(value) >= 2.0 ** 63:
+            raise ValidationError(f"row {rownum}, column {column!r}: {value!r} is out of range")
     if row.get("query_id") is None:
         raise TraceParseError(f"row {rownum}, column 'query_id': missing value")
 
@@ -141,8 +196,8 @@ def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
     checked as a whole: values must be finite, durations, metrics and
     operators nonnegative, and arrival_ts and duration_ms integral.  The
     first offending row is read again and checked cell by cell to name the
-    error.  A repeated query_id is rejected.  Records hold row views of the
-    table.
+    error.  Times must fit int64, and a repeated query_id is rejected.  The
+    trace's feature table is a view of the parsed table.
     """
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
     with open(path, newline="", encoding="utf-8") as fh:
@@ -172,57 +227,43 @@ def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
         ~np.isfinite(table).all(axis=1)
         | (table[:, 1:] < 0).any(axis=1)
         | (np.floor(times) != times).any(axis=1)
+        | (np.abs(times) >= 2.0 ** 63).any(axis=1)
     )
     if bad.size or failed is not None:
         index = int(bad[0]) if bad.size else failed
         _check_row(dict(zip(header, _read_row(path, index))), index + 2, schema)
     _check_unique(ids)
 
-    m = 2 + schema.n_metrics
-    records: list[QueryRecord] = []
-    for b in range(0, len(ids), _BLOCK):
-        rows = table[b:b + _BLOCK]
-        records += map(
-            QueryRecord,
-            ids[b:b + _BLOCK],
-            map(int, rows[:, 0].tolist()),
-            map(int, rows[:, 1].tolist()),
-            rows[:, 2:m],
-            rows[:, m:],
-        )
-    return Trace(records=records, schema=schema, mode=mode)
-
-
-def _format_float(value: float) -> str:
-    return str(int(value)) if value.is_integer() else repr(value)
+    return Trace.from_columns(ids, times[:, 0], times[:, 1], table[:, 2:], schema, mode)
 
 
 def _format_number(value: float) -> str:
-    return _format_float(float(value))
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _table(rows: list, width: int) -> np.ndarray:
-    """Stack equal-length vectors into an (n, width) float array."""
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+def _cells(values: np.ndarray) -> np.ndarray:
+    """`values` as objects that csv writes under the `_format_number` rule:
+    ints for integral values, floats (written by repr) for the rest."""
+    cells = values.astype(object)
+    whole = np.floor(values) == values
+    small = whole & (np.abs(values) < 2.0 ** 53)
+    cells[small] = values[small].astype(np.int64)
+    for i, j in zip(*np.nonzero(whole & ~small & np.isfinite(values))):
+        cells[i, j] = int(values[i, j])
+    return cells
 
 
 def export_trace(trace: Trace, path) -> None:
     """Write a trace back out under the same CSV contract as ingest_trace."""
-    schema = trace.schema
-    records = trace.records
-
-    def rows():
-        for b in range(0, len(records), _BLOCK):
-            block = records[b:b + _BLOCK]
-            values = np.hstack((_table([r.metrics for r in block], schema.n_metrics),
-                                _table([r.operators for r in block], schema.n_operators)))
-            for rec, cells in zip(block, values.tolist()):
-                yield (rec.query_id, rec.arrival_ts, rec.duration_ms, *map(_format_float, cells))
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(MANDATORY_COLUMNS) + list(schema.dimensions))
-        writer.writerows(rows())
+        writer.writerow(list(MANDATORY_COLUMNS) + list(trace.schema.dimensions))
+        for b in range(0, len(trace), _BLOCK):
+            rows = slice(b, b + _BLOCK)
+            writer.writerows(zip(trace.query_id[rows], trace.arrival_ts[rows].tolist(),
+                                 trace.duration_ms[rows].tolist(),
+                                 *_cells(trace.features[rows]).T.tolist()))
 
 
 def write_targets(
@@ -234,59 +275,40 @@ def write_targets(
 ) -> None:
     with open(windows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["window_index", "window_start_ts", "window_len_ms", "query_count"]
-            + list(schema.dimensions)
-        )
-        for w in windows:
-            writer.writerow(
-                [w.window_index, w.window_start_ts, w.window_len_ms, w.query_count]
-                + [_format_number(v) for v in w.feature.as_vector()]
-            )
+        writer.writerow(["window_index", "window_start_ts", "window_len_ms", "query_count",
+                         *schema.dimensions])
+        writer.writerows([w.window_index, w.window_start_ts, w.window_len_ms, w.query_count,
+                          *map(_format_number, w.feature.as_vector())] for w in windows)
     with open(intervals_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["window_index", "interval_index", "interval_start_ts"] + list(schema.metrics)
-        )
-        for t in intervals:
-            writer.writerow(
-                [t.window_index, t.interval_index, t.interval_start_ts]
-                + [_format_number(v) for v in t.metrics]
-            )
+        writer.writerow(["window_index", "interval_index", "interval_start_ts", *schema.metrics])
+        writer.writerows([t.window_index, t.interval_index, t.interval_start_ts,
+                          *map(_format_number, t.metrics)] for t in intervals)
 
 
 def read_targets(
     windows_path, intervals_path, schema: FeatureSchema
 ) -> tuple[list[WindowTarget], list[IntervalTarget]]:
-    windows = []
-    with open(windows_path, newline="", encoding="utf-8") as fh:
-        for rownum, row in enumerate(csv.DictReader(fh), start=2):
-            feature = PerformanceFeature(
-                np.array([_parse_number(row[m], rownum, m) for m in schema.metrics]),
-                np.array([_parse_number(row[o], rownum, o) for o in schema.operators]),
-            )
-            windows.append(
-                WindowTarget(
-                    window_index=int(row["window_index"]),
-                    window_start_ts=int(row["window_start_ts"]),
-                    window_len_ms=int(row["window_len_ms"]),
-                    feature=feature,
-                    query_count=int(row["query_count"]),
-                )
-            )
-    intervals = []
-    with open(intervals_path, newline="", encoding="utf-8") as fh:
-        for rownum, row in enumerate(csv.DictReader(fh), start=2):
-            intervals.append(
-                IntervalTarget(
-                    window_index=int(row["window_index"]),
-                    interval_index=int(row["interval_index"]),
-                    interval_start_ts=int(row["interval_start_ts"]),
-                    metrics=np.array(
-                        [_parse_number(row[m], rownum, m) for m in schema.metrics]
-                    ),
-                )
-            )
+    """Read the files write_targets wrote.  A missing or malformed cell is a
+    TraceParseError, a non-integral index or time a ValidationError."""
+    def rows(path, int_columns, float_columns):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for rownum, row in enumerate(csv.DictReader(fh), start=2):
+                yield ([_parse_int(row.get(c), rownum, c) for c in int_columns],
+                       np.array([_parse_number(row.get(c), rownum, c) for c in float_columns]))
+
+    windows = [
+        WindowTarget(index, start, length, PerformanceFeature.from_vector(vector, schema), count)
+        for (index, start, length, count), vector in rows(
+            windows_path, ("window_index", "window_start_ts", "window_len_ms", "query_count"),
+            schema.dimensions)
+    ]
+    intervals = [
+        IntervalTarget(window, index, start, vector)
+        for (window, index, start), vector in rows(
+            intervals_path, ("window_index", "interval_index", "interval_start_ts"),
+            schema.metrics)
+    ]
     return windows, intervals
 
 
@@ -306,11 +328,11 @@ def build_targets(
     means in time_shares mode.  Mass outside the span, by default the
     smallest one covering every execution, is clipped and logged.
 
-    The work runs on arrays, a block of records at a time.  Each query
-    expands into one (record, interval, overlap / duration) triple per
+    The work runs on the trace's columns, a block of rows at a time.  Each
+    query expands into one (row, interval, overlap / duration) triple per
     interval it overlaps, one triple with share 1 for a zero-duration query.
     `np.add.at` applies repeated indices one after another in the order
-    given, and the triples come in record order, so every interval and
+    given, and the triples come in row order, so every interval and
     window receives its terms in trace order: the sums are bit-identical to
     a per-record loop and do not depend on the block size.
     """
@@ -321,14 +343,12 @@ def build_targets(
             f"window_len_ms ({window_len_ms}) must be a multiple of "
             f"interval_len_ms ({interval_len_ms})"
         )
-    records = trace.records
-    if not records:
+    n = len(trace)
+    if not n:
         raise ValidationError("cannot build targets from an empty trace")
 
     schema = trace.schema
-    n = len(records)
-    arrival = np.fromiter((r.arrival_ts for r in records), dtype=np.int64, count=n)
-    duration = np.fromiter((r.duration_ms for r in records), dtype=np.int64, count=n)
+    arrival, duration = trace.arrival_ts, trace.duration_ms
     if span is None:
         ends = np.maximum(duration, 1)
         ends += arrival
@@ -363,8 +383,7 @@ def build_targets(
         bin_a = start + k * interval_len_ms
         overlap = np.minimum(hi[rec], bin_a + interval_len_ms) - np.maximum(lo[rec], bin_a)
         share = np.where(point[rec], 1.0, overlap / np.maximum(d[rec], 1))
-        block = records[b:b + _BLOCK]
-        block_metrics = _table([r.metrics for r in block], schema.n_metrics)
+        block_metrics = trace.metrics[b:b + _BLOCK]
         np.add.at(interval_metrics, k, block_metrics[rec] * share[:, None])
         kept = np.where(point, inside, np.maximum(hi - lo, 0) / np.maximum(d, 1))
         clipped_mass += float(np.sum(block_metrics.sum(axis=1) * (1.0 - kept)))
@@ -373,7 +392,7 @@ def build_targets(
         ok = (w >= 0) & (w < n_windows)
         w = w[ok]
         query_counts += np.bincount(w, minlength=n_windows)
-        ops = _table([r.operators for r in block], schema.n_operators)[ok]
+        ops = trace.operators[b:b + _BLOCK][ok]
         if trace.mode == MODE_COUNTS:
             np.add.at(window_ops, w, ops)
         else:

@@ -9,7 +9,10 @@ import pytest
 from conftest import make_catalog
 from test_selector import random_problem
 from wlsynth import cli
+from wlsynth import scheduler as scheduler_module
+from wlsynth import trace as trace_module
 from wlsynth.cli import echo_policy, main, stage_seed
+from wlsynth.config import load_config
 from wlsynth.features import FeatureSchema, PerformanceFeature
 from wlsynth.selector import SelectionConstraints
 from wlsynth.trace import WindowTarget
@@ -181,6 +184,34 @@ class TestPipeline:
         assert files == output_files(staged)
         for rel in files:
             assert (staged / rel).read_bytes() == (full / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("query_level", ["window", "one_to_one"])
+    @pytest.mark.parametrize("skip_ta", [False, True])
+    def test_pipeline_builds_no_per_row_objects(self, demo_dir, tmp_path, monkeypatch,
+                                                skip_ta, query_level):
+        """Every stage works on the trace and schedule columns: with the row
+        classes replaced by stubs that raise, pipeline still succeeds."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-row object built")
+
+        monkeypatch.setattr(trace_module, "QueryRecord", forbidden)
+        monkeypatch.setattr(scheduler_module, "ScheduleEntry", forbidden)
+        (tmp_path / "trace.csv").write_text(PLANTED_TRACE)
+        (tmp_path / "catalog.csv").write_text(PLANTED_CATALOG)
+        out = tmp_path / "out"
+        argv = ["pipeline", "--config", str(demo_dir / "demo_config.txt"),
+                "--trace", str(tmp_path / "trace.csv"), "--catalog", str(tmp_path / "catalog.csv"),
+                "--out", str(out), "--query-level", query_level]
+        assert main(argv + (["--skip-ta"] if skip_ta else [])) == 0
+        attempts = (out / "augment/attempts.jsonl").read_text().splitlines()
+        assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
+        assert (out / "plans/query_matches.csv").exists() == (query_level == "one_to_one")
+        # the stubs are live: the row views would have raised
+        schema = load_config(demo_dir / "demo_config.txt").schema()
+        with pytest.raises(AssertionError, match="per-row object"):
+            trace_module.ingest_trace(out / "replay/trace.csv", schema).records
+        with pytest.raises(AssertionError, match="per-row object"):
+            scheduler_module.read_schedule(out / "schedule/schedule.csv").entries
 
     def test_pipeline_ignores_stale_augmented_catalog(self, demo_dir, tmp_path):
         doubled = tmp_path / "doubled.csv"

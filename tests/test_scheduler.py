@@ -2,11 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog
-from wlsynth.errors import ValidationError
+from wlsynth.cli import main
+from wlsynth.errors import SchemaError, TraceParseError, ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.scheduler import (
+    SCHEDULE_COLUMNS,
     IntervalGrid,
     SAConfig,
     Schedule,
@@ -19,6 +23,7 @@ from wlsynth.scheduler import (
     simulate_processor_sharing,
     write_schedule,
 )
+from wlsynth import scheduler as scheduler_module
 from wlsynth.selector import SelectionPlan
 from wlsynth.trace import IntervalTarget
 
@@ -264,3 +269,131 @@ def test_schedule_file_round_trip(tmp_path):
     path = tmp_path / "s.csv"
     write_schedule(schedule, path)
     assert read_schedule(path).entries == schedule.entries
+
+
+def _scalar_random_schedule(plans, targets, rng_seed, granularity_ms):
+    """The per-instance loop random_schedule replaced, kept as its oracle:
+    one scalar rng.integers draw per instance, in plan order."""
+    rng = np.random.default_rng(rng_seed)
+    interval_len_ms = IntervalGrid.from_targets(targets).interval_len_ms
+    windows = {}
+    for t in targets:
+        windows.setdefault(t.window_index, []).append(t.interval_start_ts)
+    entries = []
+    for plan in plans:
+        starts = windows[plan.window_index]
+        window_len = interval_len_ms * len(starts)
+        for component_id in sorted(plan.counts):
+            for k in range(plan.counts[component_id]):
+                slots = max(1, window_len // granularity_ms)
+                offset = int(rng.integers(0, slots)) * granularity_ms
+                entries.append(ScheduleEntry(plan.window_index, component_id, k,
+                                             min(starts) + offset))
+    return entries, rng
+
+
+@st.composite
+def plan_cases(draw):
+    # windows of 1-4 intervals each; a 300 ms interval makes a window shorter
+    # than the move granularity (one slot)
+    interval = draw(st.sampled_from([300, 1000, 7000, 30000]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_windows = len(sizes)
+    targets = [IntervalTarget(w, j, k * interval, np.zeros(1)) for k, (w, j) in enumerate(
+        (w, j) for w, size in enumerate(sizes) for j in range(size))]
+    plans = [
+        SelectionPlan(w, draw(st.dictionaries(st.sampled_from(["a", "b", "c10", "c2"]),
+                                              st.integers(0, 6), max_size=4)),
+                      np.zeros(1), 0.0)
+        for w in draw(st.permutations(range(n_windows)))
+    ]
+    return plans, targets, draw(st.integers(0, 2 ** 32)), draw(st.sampled_from([1, 500, 1000,
+                                                                                 4000]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_cases())
+def test_array_draw_matches_scalar_draws(case):
+    """random_schedule's one array draw yields the scalar loop's starts and
+    leaves the generator where the loop left it."""
+    plans, targets, seed, granularity = case
+    expected, scalar_rng = _scalar_random_schedule(plans, targets, seed, granularity)
+    assert random_schedule(plans, targets, seed, granularity).entries == expected
+
+    grid = IntervalGrid.from_targets(targets)
+    schedule, w_start, w_len = scheduler_module._planned_instances(plans, grid, targets)
+    rng = np.random.default_rng(seed)
+    starts = scheduler_module._draw_starts(rng, w_start, w_len, granularity)
+    assert starts.tolist() == [e.start_ts for e in expected]
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_annealer_initial_state_is_random_schedule(schema):
+    """With no steps the annealer returns its initial state, the random schedule."""
+    catalog, targets, plans = planted_setup(schema)
+    config = SAConfig(max_steps=0, v_max=1.0, v_min=1.0, move_granularity_ms=7000)
+    result = assign_timestamps(plans, targets, catalog, config, rng_seed=9)
+    assert result.schedule.entries == random_schedule(plans, targets, 9, 7000).entries
+
+
+_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+               max_size=5)
+_ints = st.integers(-2 ** 62, 2 ** 62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_ints, _ids, _ints, _ints), max_size=20))
+def test_schedule_csv_round_trip(tmp_path_factory, rows):
+    """write_schedule then read_schedule gives back the same columns."""
+    schedule = Schedule([ScheduleEntry(*row) for row in rows])
+    path = tmp_path_factory.getbasetemp() / "schedule.csv"
+    write_schedule(schedule, path)
+    back = read_schedule(path)
+    for name in SCHEDULE_COLUMNS:
+        np.testing.assert_array_equal(getattr(back, name), getattr(schedule, name))
+        assert getattr(back, name).dtype == getattr(schedule, name).dtype
+    assert back.entries == schedule.entries
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("0,c1,0,1000\n0,c1,1,12.5\n", ValidationError,
+     "row 3, column 'start_ts': non-integral value 12.5"),
+    ("0,c1,0\n", TraceParseError, "row 2, column 'start_ts': missing value"),
+    ("0,c1,x,1000\n", TraceParseError, "row 2, column 'instance_index': cannot parse 'x'"),
+    ("0\n", TraceParseError, "row 2, column 'component_id': missing value"),
+    ("inf,c1,0,1000\n", TraceParseError, "row 2, column 'window_index': non-finite"),
+    ("0,c1,0,1000\n0,c1,1,9223372036854775808\n", ValidationError,
+     "row 3, column 'start_ts': '9223372036854775808' is out of range"),
+])
+def test_malformed_schedule_rows_are_typed(tmp_path, body, error, message):
+    path = tmp_path / "schedule.csv"
+    path.write_text("window_index,component_id,instance_index,start_ts\n" + body)
+    with pytest.raises(error, match=message):
+        read_schedule(path)
+
+
+def test_schedule_missing_column_is_typed(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("window_index,component_id,start_ts\n0,c1,1000\n")
+    with pytest.raises(SchemaError, match="'instance_index'"):
+        read_schedule(path)
+
+
+def test_standalone_replay_rejects_fractional_start(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    base = ["--config", str(tmp_path / "demo_config.txt"), "--out", str(out)]
+    catalog = ["--catalog", str(tmp_path / "demo_catalog.csv")]
+    assert main(["ingest", "--trace", str(tmp_path / "demo_trace.csv")] + base) == 0
+    assert main(["targets"] + base) == 0
+    assert main(["select"] + base + catalog) == 0
+    assert main(["schedule", "--skip-ta"] + base + catalog) == 0
+    path = out / "schedule/schedule.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",12.5"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay"] + base + catalog) == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error == ('{"stage": "replay", "error": "ValidationError", "message": '
+                     '"row 3, column \'start_ts\': non-integral value 12.5"}')

@@ -1,12 +1,17 @@
+import csv
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog
-from wlsynth.scheduler import IntervalGrid, Schedule, ScheduleEntry
+from wlsynth.features import FeatureSchema
+from wlsynth.scheduler import IntervalGrid, Schedule, ScheduleEntry, simulate_processor_sharing
 from wlsynth.simulator import replay
-from wlsynth.trace import build_targets
+from wlsynth.trace import build_targets, export_trace
 
 
 @pytest.fixture
@@ -99,3 +104,65 @@ class TestReplay:
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
         np.testing.assert_array_equal(windows[0].feature.operators, [1, 1, 1, 0])
         np.testing.assert_array_equal(windows[1].feature.operators, [0, 2, 2, 0])
+
+
+def _reference_replay(schedule, catalog, cores):
+    """The per-instance loop replay replaced, kept as its oracle: the rows of
+    the replayed trace.csv."""
+    entries = schedule.entries
+    comps = [catalog.get(e.component_id) for e in entries]
+    starts = np.array([e.start_ts for e in entries], dtype=float)
+    works = np.array([c.duration_ms for c in comps])
+    completions, _ = simulate_processor_sharing(starts, works, cores)
+
+    def cell(value):
+        return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+    return [
+        [f"{e.component_id}.w{e.window_index}.k{e.instance_index}", int(start),
+         max(math.ceil(completion - start), math.ceil(comp.duration_ms)),
+         *map(cell, comp.feature.as_vector())]
+        for e, comp, start, completion in zip(entries, comps, starts, completions)
+    ]
+
+
+_REPLAY_SCHEMA = FeatureSchema(metrics=("m0", "m1"), operators=("o0",))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # profiled durations are means of executor runs, so rarely integral
+    durations=st.lists(st.floats(0.25, 90000), min_size=1, max_size=4),
+    zero_work=st.booleans(),
+    features=st.lists(st.one_of(st.integers(0, 50).map(float), st.floats(0, 1e6)),
+                      min_size=12, max_size=12),
+    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 200000)),
+                  max_size=25),
+    cores=st.sampled_from([1, 2, 8]),
+)
+@example(durations=[1000.5], zero_work=False, features=[1.5] * 12, rows=[], cores=1)
+def test_replay_matches_per_instance_loop(tmp_path_factory, durations, zero_work, features,
+                                          rows, cores):
+    """replay's vectorised durations and its trace.csv bytes equal the old loop's."""
+    catalog = make_catalog(_REPLAY_SCHEMA, [
+        (f"c{j}", duration, features[3 * j:3 * j + 3]) for j, duration in enumerate(durations)
+    ])
+    if zero_work:
+        catalog.get("c0").duration_ms = 0.0
+    entries = [ScheduleEntry(w, f"c{c % len(durations)}", k, start)
+               for k, (c, w, start) in enumerate(rows)]
+    schedule = Schedule(entries)
+    expected = _reference_replay(schedule, catalog, cores)
+
+    trace = replay(schedule, catalog, cores)
+    assert trace.duration_ms.tolist() == [row[2] for row in expected]
+    assert trace.arrival_ts.tolist() == [row[1] for row in expected]
+    assert trace.query_id == [row[0] for row in expected]
+
+    out = tmp_path_factory.getbasetemp()
+    export_trace(trace, out / "new.csv")
+    with open(out / "old.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["query_id", "arrival_ts", "duration_ms", "m0", "m1", "o0"])
+        writer.writerows(expected)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

@@ -218,6 +218,33 @@ class TestBuildTargets:
         with pytest.raises(TraceParseError, match="row 2, column 'scanned_bytes': missing value"):
             read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
 
+    @pytest.mark.parametrize("name, row, column, cell, error, message", [
+        ("w.csv", 0, "window_start_ts", "0.5", ValidationError,
+         "row 2, column 'window_start_ts': non-integral value 0.5"),
+        ("w.csv", 0, "query_count", None, TraceParseError,
+         "row 2, column 'query_count': missing value"),
+        ("i.csv", 1, "interval_index", "", TraceParseError,
+         "row 3, column 'interval_index': cannot parse ''"),
+        ("i.csv", 2, "window_index", "1e400", TraceParseError,
+         "row 4, column 'window_index': non-finite value '1e400'"),
+    ])
+    def test_malformed_targets_cell_is_typed_error(self, schema, tmp_path, name, row, column,
+                                                   cell, error, message):
+        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        windows, intervals = build_targets(trace, 300000, 30000)
+        write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        at = header.index(column)
+        if cell is None:
+            del rows[row][at:]  # a short row
+        else:
+            rows[row][at] = cell
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        with pytest.raises(error, match=message):
+            read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
