@@ -455,10 +455,6 @@ def classify_gap(
     return HintScenario.by_id(SCENARIO_LOW_CPU_HIGH_SB)
 
 
-def _within_threshold(deltas: dict[str, float], tau: float) -> bool:
-    return all(abs(v) <= tau for v in deltas.values())
-
-
 def switch_database(
     database: DatabaseDescriptor, scenario: HintScenario, deltas_low: bool
 ) -> DatabaseDescriptor:

@@ -142,11 +142,9 @@ def load_catalog(path, schema: FeatureSchema) -> Catalog:
     return Catalog(components, schema)
 
 
-def save_catalog(catalog: Catalog, path, include_origin: bool = True) -> None:
+def save_catalog(catalog: Catalog, path) -> None:
     schema = catalog.schema
-    header = list(CATALOG_FIXED_COLUMNS) + list(schema.dimensions) + ["query_ref"]
-    if include_origin:
-        header.append("origin")
+    header = list(CATALOG_FIXED_COLUMNS) + list(schema.dimensions) + ["query_ref", "origin"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -159,9 +157,7 @@ def save_catalog(catalog: Catalog, path, include_origin: bool = True) -> None:
                 _format_number(comp.duration_ms),
             ]
             row += [_format_number(v) for v in comp.feature.as_vector()]
-            row.append(comp.query_ref)
-            if include_origin:
-                row.append(comp.origin)
+            row += [comp.query_ref, comp.origin]
             writer.writerow(row)
 
 

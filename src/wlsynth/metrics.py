@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trace import IntervalTarget, Trace, WindowTarget, build_targets
+from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, build_targets
 
 EPS_DEFAULT = 1e-9
 
@@ -91,14 +91,10 @@ def report(
     """Compare the replayed trace against the original targets on their grid."""
     if not window_targets:
         raise ValidationError("no window targets")
-    window_len_ms = window_targets[0].window_len_ms
-    starts = sorted(t.interval_start_ts for t in interval_targets)
-    interval_len_ms = starts[1] - starts[0] if len(starts) > 1 else window_len_ms
-    span_start = min(w.window_start_ts for w in window_targets)
-    span_end = max(w.window_start_ts + w.window_len_ms for w in window_targets)
-
+    grid = IntervalGrid.from_targets(interval_targets)
     rep_windows, rep_intervals = build_targets(
-        replayed, window_len_ms, interval_len_ms, span=(span_start, span_end)
+        replayed, window_targets[0].window_len_ms, grid.interval_len_ms,
+        span=(grid.start_ts, grid.end_ts)
     )
     if len(rep_windows) != len(window_targets) or len(rep_intervals) != len(interval_targets):
         raise ValidationError("replayed trace grid does not match the target grid")

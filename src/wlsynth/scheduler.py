@@ -22,12 +22,16 @@ import numpy as np
 
 from .catalog import Catalog
 from .errors import SchemaError, TraceParseError, ValidationError
-from .trace import IntervalTarget, _parse_int
+from .trace import IntervalGrid, IntervalTarget, _parse_int
 from .selector import SelectionPlan
 
 log = logging.getLogger(__name__)
 
 _EPS_DEFAULT = 1.0
+
+# (stretch, instance) pairs the processor-sharing simulation records before it
+# deposits them; unbounded, they grow with the square of a backlog.
+_DEPOSIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,33 +100,6 @@ class AnnealResult:
     steps: int
 
 
-@dataclass(frozen=True)
-class IntervalGrid:
-    """Uniform contiguous interval grid covering the synthesis horizon."""
-
-    start_ts: int
-    interval_len_ms: int
-    n_intervals: int
-
-    @property
-    def end_ts(self) -> int:
-        return self.start_ts + self.interval_len_ms * self.n_intervals
-
-    @classmethod
-    def from_targets(cls, targets: list[IntervalTarget]) -> "IntervalGrid":
-        if not targets:
-            raise ValidationError("empty interval target list")
-        starts = sorted(t.interval_start_ts for t in targets)
-        if len(starts) > 1:
-            steps = {b - a for a, b in zip(starts, starts[1:])}
-            if len(steps) != 1:
-                raise ValidationError("interval targets do not form a uniform grid")
-            length = steps.pop()
-        else:
-            length = 1
-        return cls(start_ts=starts[0], interval_len_ms=int(length), n_intervals=len(starts))
-
-
 def warn_if_overloaded(works: np.ndarray, grid: IntervalGrid, cores: int) -> None:
     """Log a warning when the offered load exceeds `cores`.
 
@@ -184,6 +161,13 @@ def simulate_processor_sharing(
     Returns per-instance completion times and, when `metrics` (one row per
     instance) and a grid are given, the per-interval metric sums deposited
     while instances progress.  Deposits outside the grid are dropped.
+
+    The event loop only records each running stretch and the instances
+    active in it.  Once per `_DEPOSIT_BLOCK` recorded pairs and after the
+    loop, one `IntervalGrid.overlaps` call splits the stretches into
+    intervals, and one `np.add.at` deposits metrics * (rate / work) *
+    overlap per (stretch, instance, interval), stretches in time order and
+    instances in admission order within each.
     """
     if cores < 1:
         raise ValidationError("cores must be >= 1")
@@ -199,6 +183,16 @@ def simulate_processor_sharing(
 
     order = sorted(range(n), key=lambda j: (starts[j], j))
     remaining = {}
+    # each running stretch (t, t_new, rate), how many ran and which, in admission order
+    stretches, n_active, active = [], [], []
+
+    def flush() -> None:
+        lo, hi, rate = np.repeat(np.array(stretches), n_active, axis=0).T
+        segment, k, overlap = grid.overlaps(lo, hi)
+        j = np.array(active)[segment]
+        np.add.at(bins, k, metrics[j] * (rate[segment] / works[j])[:, None] * overlap[:, None])
+        del stretches[:], n_active[:], active[:]
+
     t = float(starts[order[0]])
     nxt = 0
     while remaining or nxt < n:
@@ -220,8 +214,11 @@ def simulate_processor_sharing(
         dt = t_new - t
         if dt > 0:
             if bins is not None:
-                for j in remaining:
-                    _deposit(bins, grid, t, t_new, metrics[j] * (rate / works[j]))
+                stretches.append((t, t_new, rate))
+                n_active.append(len(remaining))
+                active.extend(remaining)
+                if len(active) >= _DEPOSIT_BLOCK:
+                    flush()
             done = []
             for j in list(remaining):
                 remaining[j] -= rate * dt
@@ -231,23 +228,9 @@ def simulate_processor_sharing(
                 completions[j] = t_new
                 del remaining[j]
         t = t_new
+    if stretches:
+        flush()
     return completions, bins
-
-
-def _deposit(bins: np.ndarray, grid: IntervalGrid, a: float, b: float,
-             rate_per_ms: np.ndarray) -> None:
-    lo = max(a, grid.start_ts)
-    hi = min(b, grid.end_ts)
-    if hi <= lo:
-        return
-    first = int((lo - grid.start_ts) // grid.interval_len_ms)
-    last = int((hi - grid.start_ts) // grid.interval_len_ms)
-    last = min(last, grid.n_intervals - 1)
-    for k in range(first, last + 1):
-        bin_a = grid.start_ts + k * grid.interval_len_ms
-        overlap = min(hi, bin_a + grid.interval_len_ms) - max(lo, bin_a)
-        if overlap > 0:
-            bins[k] += rate_per_ms * overlap
 
 
 def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,23 +242,6 @@ def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray
     features = np.array([c.feature.as_vector() for c in comps]).reshape(
         len(comps), len(catalog.schema.dimensions))
     return schedule.start_ts.astype(float), works[component], features[component]
-
-
-def estimate_interval_features(
-    schedule: Schedule,
-    catalog: Catalog,
-    interval_len_ms: int,
-    cores: int,
-    grid: IntervalGrid,
-) -> list[IntervalTarget]:
-    """Simulated per-interval metric sums for a schedule (metrics only)."""
-    if interval_len_ms != grid.interval_len_ms:
-        raise ValidationError("interval_len_ms does not match the grid")
-    starts, works, features = expand(schedule, catalog)
-    _, bins = simulate_processor_sharing(starts, works, cores,
-                                         features[:, :catalog.schema.n_metrics], grid)
-    return [IntervalTarget(-1, k, grid.start_ts + k * grid.interval_len_ms, bins[k].copy())
-            for k in range(grid.n_intervals)]
 
 
 def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: np.ndarray,

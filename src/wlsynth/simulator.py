@@ -15,9 +15,8 @@ import numpy as np
 
 from .catalog import Catalog
 from .features import MODE_COUNTS
-from .scheduler import (IntervalGrid, Schedule, expand, simulate_processor_sharing,
-                        warn_if_overloaded)
-from .trace import Trace
+from .scheduler import Schedule, expand, simulate_processor_sharing, warn_if_overloaded
+from .trace import IntervalGrid, Trace
 
 
 def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str = MODE_COUNTS,

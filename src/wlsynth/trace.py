@@ -8,10 +8,12 @@ time interval; operator statistics are aggregated at window granularity only.
 A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  Ingest parses every row's numeric cells into one table
 and checks it column-wise.  Aggregation expands each query into (row,
-interval, share) triples a block of rows at a time and applies them with
-`np.add.at`, which keeps the per-row summation order, so targets do not
-depend on the block size.  Export formats a block of rows at a time and
-writes them with one `writerows`.
+interval, share) triples a block of rows at a time through
+`IntervalGrid.overlaps`, the interval splitter the scheduler's energy and
+the fidelity report share, and applies them with `np.add.at`, which keeps
+the per-row summation order, so targets do not depend on the block size.
+Export formats a block of rows at a time and writes them with one
+`writerows`.
 """
 from __future__ import annotations
 
@@ -121,7 +123,59 @@ class IntervalTarget:
     window_index: int
     interval_index: int
     interval_start_ts: int
+    interval_len_ms: int
     metrics: np.ndarray
+
+
+@dataclass(frozen=True)
+class IntervalGrid:
+    """Uniform contiguous interval grid covering the synthesis horizon.
+
+    The one way the package splits time into intervals: targets, the
+    annealer's energy and the fidelity report all bin through `overlaps`.
+    """
+
+    start_ts: int
+    interval_len_ms: int
+    n_intervals: int
+
+    @property
+    def end_ts(self) -> int:
+        return self.start_ts + self.interval_len_ms * self.n_intervals
+
+    @classmethod
+    def from_targets(cls, targets: list[IntervalTarget]) -> "IntervalGrid":
+        if not targets:
+            raise ValidationError("empty interval target list")
+        starts = np.sort([t.interval_start_ts for t in targets])
+        lengths = {t.interval_len_ms for t in targets}
+        grid = cls(int(starts[0]), int(lengths.pop()), len(starts))
+        if lengths or grid.interval_len_ms <= 0 or np.any(
+                starts != grid.start_ts + grid.interval_len_ms * np.arange(len(starts))):
+            raise ValidationError("interval targets do not form a uniform grid")
+        return grid
+
+    def overlaps(self, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(segment, interval, overlap) triples of the half-open segments
+        [lo, hi) clipped to the grid, one per interval a segment overlaps.
+
+        Segments come in order and intervals ascend within each, so
+        `np.add.at` over the triples sums every interval's terms in segment
+        order.  Works for integer and float bounds alike.
+        """
+        lo = np.maximum(lo, self.start_ts)
+        hi = np.minimum(hi, self.end_ts)
+        first = (lo - self.start_ts) // self.interval_len_ms
+        # ceil((hi - start) / len) - 1, exact for integers
+        last = -((self.start_ts - hi) // self.interval_len_ms) - 1
+        count = np.where(hi > lo, last - first + 1, 0).astype(np.intp)
+        segment = np.repeat(np.arange(count.size), count)
+        interval = first[segment] + (np.arange(segment.size)
+                                     - np.repeat(np.cumsum(count) - count, count))
+        bin_lo = self.start_ts + interval * self.interval_len_ms
+        overlap = (np.minimum(hi[segment], bin_lo + self.interval_len_ms)
+                   - np.maximum(lo[segment], bin_lo))
+        return segment, interval.astype(np.intp), overlap
 
 
 def _parse_number(raw: str | None, row: int, column: str) -> float:
@@ -290,7 +344,8 @@ def read_targets(
     windows_path, intervals_path, schema: FeatureSchema
 ) -> tuple[list[WindowTarget], list[IntervalTarget]]:
     """Read the files write_targets wrote.  A missing or malformed cell is a
-    TraceParseError, a non-integral index or time a ValidationError."""
+    TraceParseError, a non-integral index or time a ValidationError.  The
+    interval length is the windows' summed length over the interval count."""
     def rows(path, int_columns, float_columns):
         with open(path, newline="", encoding="utf-8") as fh:
             for rownum, row in enumerate(csv.DictReader(fh), start=2):
@@ -303,12 +358,13 @@ def read_targets(
             windows_path, ("window_index", "window_start_ts", "window_len_ms", "query_count"),
             schema.dimensions)
     ]
-    intervals = [
-        IntervalTarget(window, index, start, vector)
-        for (window, index, start), vector in rows(
-            intervals_path, ("window_index", "interval_index", "interval_start_ts"),
-            schema.metrics)
-    ]
+    interval_rows = list(rows(intervals_path,
+                              ("window_index", "interval_index", "interval_start_ts"),
+                              schema.metrics))
+    # the windows tile the span that the intervals split evenly
+    length = sum(w.window_len_ms for w in windows) // max(len(interval_rows), 1)
+    intervals = [IntervalTarget(window, index, start, length, vector)
+                 for (window, index, start), vector in interval_rows]
     return windows, intervals
 
 
@@ -320,21 +376,22 @@ def build_targets(
 ) -> tuple[list[WindowTarget], list[IntervalTarget]]:
     """Aggregate query statistics into window- and interval-level targets.
 
-    Metric mass is spread uniformly over [arrival, arrival + duration) and
-    summed per interval; window metrics are the sums of their intervals.
-    Zero-duration queries deposit all mass into the interval containing the
-    arrival.  Operator statistics and query counts attach to the window
-    containing the arrival: plain sums in counts mode, duration-weighted
-    means in time_shares mode.  Mass outside the span, by default the
-    smallest one covering every execution, is clipped and logged.
+    Metric mass is spread uniformly over [arrival, arrival + max(duration, 1))
+    and summed per interval; window metrics are the sums of their intervals.
+    A zero-duration query is thus a 1 ms segment that deposits all its mass
+    into the interval containing the arrival.  Operator statistics and query
+    counts attach to the window containing the arrival: plain sums in counts
+    mode, duration-weighted means in time_shares mode.  Mass outside the
+    span, by default the smallest one covering every execution, is clipped
+    and logged.
 
     The work runs on the trace's columns, a block of rows at a time.  Each
-    query expands into one (row, interval, overlap / duration) triple per
-    interval it overlaps, one triple with share 1 for a zero-duration query.
-    `np.add.at` applies repeated indices one after another in the order
-    given, and the triples come in row order, so every interval and
-    window receives its terms in trace order: the sums are bit-identical to
-    a per-record loop and do not depend on the block size.
+    query expands through `IntervalGrid.overlaps` into one (row, interval,
+    overlap) triple per interval it overlaps, with share overlap /
+    max(duration, 1).  `np.add.at` applies repeated indices one after
+    another in the order given, and the triples come in row order, so every
+    interval and window receives its terms in trace order: the sums are
+    bit-identical to a per-record loop and do not depend on the block size.
     """
     if window_len_ms <= 0 or interval_len_ms <= 0:
         raise ConfigError("window_len_ms and interval_len_ms must be positive")
@@ -357,10 +414,9 @@ def build_targets(
         start, end = span
     n_windows = max(1, math.ceil((end - start) / window_len_ms))
     intervals_per_window = window_len_ms // interval_len_ms
-    n_intervals = n_windows * intervals_per_window
-    span_end = start + n_windows * window_len_ms
+    grid = IntervalGrid(start, interval_len_ms, n_windows * intervals_per_window)
 
-    interval_metrics = np.zeros((n_intervals, schema.n_metrics))
+    interval_metrics = np.zeros((grid.n_intervals, schema.n_metrics))
     window_ops = np.zeros((n_windows, schema.n_operators))
     window_op_weight = np.zeros(n_windows)
     query_counts = np.zeros(n_windows, dtype=int)
@@ -368,24 +424,11 @@ def build_targets(
 
     for b in range(0, n, _BLOCK):
         a, d = arrival[b:b + _BLOCK], duration[b:b + _BLOCK]
-        point = d == 0
-        # each query's execution clipped to the grid, and the intervals it touches
-        lo = np.maximum(a, start)
-        hi = np.minimum(a + d, span_end)
-        first = np.where(point, a - start, lo - start) // interval_len_ms
-        last = np.where(point, first, (hi - 1 - start) // interval_len_ms)
-        inside = np.where(point, (first >= 0) & (first < n_intervals), hi > lo)
-        n_bins = np.where(inside, last - first + 1, 0)
-
-        # one triple per (query, interval), queries in order, intervals ascending
-        rec = np.repeat(np.arange(a.size), n_bins)
-        k = first[rec] + np.arange(rec.size) - np.repeat(np.cumsum(n_bins) - n_bins, n_bins)
-        bin_a = start + k * interval_len_ms
-        overlap = np.minimum(hi[rec], bin_a + interval_len_ms) - np.maximum(lo[rec], bin_a)
-        share = np.where(point[rec], 1.0, overlap / np.maximum(d[rec], 1))
+        length = np.maximum(d, 1)
+        rec, k, overlap = grid.overlaps(a, a + length)
         block_metrics = trace.metrics[b:b + _BLOCK]
-        np.add.at(interval_metrics, k, block_metrics[rec] * share[:, None])
-        kept = np.where(point, inside, np.maximum(hi - lo, 0) / np.maximum(d, 1))
+        np.add.at(interval_metrics, k, block_metrics[rec] * (overlap / length[rec])[:, None])
+        kept = np.bincount(rec, overlap, minlength=a.size) / length
         clipped_mass += float(np.sum(block_metrics.sum(axis=1) * (1.0 - kept)))
 
         w = (a - start) // window_len_ms
@@ -396,7 +439,7 @@ def build_targets(
         if trace.mode == MODE_COUNTS:
             np.add.at(window_ops, w, ops)
         else:
-            weight = np.maximum(d[ok], 1).astype(float)
+            weight = length[ok].astype(float)
             np.add.at(window_ops, w, ops * weight[:, None])
             np.add.at(window_op_weight, w, weight)
 
@@ -426,6 +469,7 @@ def build_targets(
                     window_index=w,
                     interval_index=j,
                     interval_start_ts=start + w * window_len_ms + j * interval_len_ms,
+                    interval_len_ms=interval_len_ms,
                     metrics=rows[j].copy(),
                 )
             )

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -143,6 +144,22 @@ class TestPipeline:
         assert run_pipeline(demo_dir, out, ["--skip-ta", "--skip-augment"]) == 0
         energy = (out / "schedule/energy.csv").read_text().splitlines()
         assert energy == ["step,best_energy"]
+
+    def test_single_interval_grid_spans_the_window(self, demo_dir, tmp_path, caplog):
+        """With one interval per window and one window, the grid is that
+        interval, not 1 ms: no overload is reported, the energy counts the
+        whole window's mass and the starts spread over the window."""
+        out = tmp_path / "out"
+        extra = ["--skip-augment", "--window-ms", "900000", "--interval-ms", "900000"]
+        with caplog.at_level(logging.WARNING, logger="wlsynth"):
+            assert run_pipeline(demo_dir, out, extra) == 0
+        assert len((out / "targets/intervals.csv").read_text().splitlines()) == 2
+        assert not [r for r in caplog.records if "offered load" in r.getMessage()]
+        energy = (out / "schedule/energy.csv").read_text().splitlines()
+        assert float(energy[-1].split(",")[1]) < 1e-9
+        with open(out / "schedule/schedule.csv", newline="", encoding="utf-8") as fh:
+            starts = {row["start_ts"] for row in csv.DictReader(fh)}
+        assert len(starts) > 1
 
     def test_resume_prefix_matches_full_run(self, demo_dir, tmp_path):
         full = tmp_path / "full"

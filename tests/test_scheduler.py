@@ -1,4 +1,6 @@
 import logging
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from wlsynth.scheduler import (
     ScheduleEntry,
     assign_timestamps,
     energy,
-    estimate_interval_features,
+    expand,
     random_schedule,
     read_schedule,
     simulate_processor_sharing,
@@ -25,7 +27,8 @@ from wlsynth.scheduler import (
 )
 from wlsynth import scheduler as scheduler_module
 from wlsynth.selector import SelectionPlan
-from wlsynth.trace import IntervalTarget
+from wlsynth.trace import (IntervalTarget, QueryRecord, Trace, build_targets, read_targets,
+                           write_targets)
 
 
 def interval_targets(values, interval_len_ms=30000, intervals_per_window=10):
@@ -37,6 +40,7 @@ def interval_targets(values, interval_len_ms=30000, intervals_per_window=10):
                 window_index=k // intervals_per_window,
                 interval_index=k % intervals_per_window,
                 interval_start_ts=k * interval_len_ms,
+                interval_len_ms=interval_len_ms,
                 metrics=row,
             )
         )
@@ -118,6 +122,24 @@ class TestGrid:
         with pytest.raises(ValidationError):
             IntervalGrid.from_targets(targets)
 
+    def test_single_interval_keeps_its_length(self, schema, tmp_path):
+        """A lone interval is as long as its window, also after a CSV round trip."""
+        trace = Trace([QueryRecord("q", 1000, 5000, np.array([1.0, 2.0]), np.zeros(4))],
+                      schema)
+        windows, intervals = build_targets(trace, 900000, 900000)
+        paths = tmp_path / "windows.csv", tmp_path / "intervals.csv"
+        write_targets(windows, intervals, *paths, schema)
+        for targets in (intervals, read_targets(*paths, schema)[1]):
+            assert IntervalGrid.from_targets(targets) == IntervalGrid(1000, 900000, 1)
+
+    def test_overlaps_clips_segments_to_the_grid(self):
+        grid = IntervalGrid(start_ts=0, interval_len_ms=10, n_intervals=3)
+        segment, interval, overlap = grid.overlaps(np.array([-5, 10, 12, 25]),
+                                                   np.array([3, 10, 21, 40]))
+        assert segment.tolist() == [0, 2, 2, 3]
+        assert interval.tolist() == [0, 1, 2, 2]
+        assert overlap.tolist() == [3, 8, 1, 5]
+
 
 def planted_setup(schema):
     catalog = make_catalog(schema, [
@@ -151,15 +173,21 @@ class TestRandomSchedule:
                             targets, rng_seed=0)
 
 
+def simulated_bins(schedule, catalog):
+    """A schedule's per-interval metric sums at 8 cores on the ten 30 s
+    intervals of window 0."""
+    starts, works, features = expand(schedule, catalog)
+    _, bins = simulate_processor_sharing(starts, works, 8,
+                                         features[:, :catalog.schema.n_metrics],
+                                         IntervalGrid(0, 30000, 10))
+    return bins
+
+
 class TestEnergy:
     def test_zero_for_perfect_schedule(self, schema):
         catalog, _, plans = planted_setup(schema)
         schedule = Schedule([ScheduleEntry(0, "c1", 0, 0)])
-        est = estimate_interval_features(
-            schedule, catalog, 30000,
-            cores=8, grid=IntervalGrid(0, 30000, 10),
-        )
-        targets = interval_targets([t.metrics for t in est])
+        targets = interval_targets(simulated_bins(schedule, catalog))
         assert energy(schedule, targets, catalog, cores=8) == pytest.approx(0.0)
 
     def test_matches_manual_sum(self, schema):
@@ -181,10 +209,7 @@ class TestAnnealing:
             ScheduleEntry(0, "c2", 1, 210000),
             ScheduleEntry(0, "c2", 2, 270000),
         ])
-        est = estimate_interval_features(
-            planted, catalog, 30000, cores=8, grid=IntervalGrid(0, 30000, 10)
-        )
-        targets = interval_targets([t.metrics for t in est])
+        targets = interval_targets(simulated_bins(planted, catalog))
         return catalog, targets, plans
 
     def test_improves_on_initial(self, schema):
@@ -299,8 +324,9 @@ def plan_cases(draw):
     interval = draw(st.sampled_from([300, 1000, 7000, 30000]))
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     n_windows = len(sizes)
-    targets = [IntervalTarget(w, j, k * interval, np.zeros(1)) for k, (w, j) in enumerate(
-        (w, j) for w, size in enumerate(sizes) for j in range(size))]
+    targets = [IntervalTarget(w, j, k * interval, interval, np.zeros(1))
+               for k, (w, j) in enumerate((w, j) for w, size in enumerate(sizes)
+                                          for j in range(size))]
     plans = [
         SelectionPlan(w, draw(st.dictionaries(st.sampled_from(["a", "b", "c10", "c2"]),
                                               st.integers(0, 6), max_size=4)),
@@ -397,3 +423,97 @@ def test_standalone_replay_rejects_fractional_start(tmp_path, capsys):
     error = capsys.readouterr().err.strip().splitlines()[-1]
     assert error == ('{"stage": "replay", "error": "ValidationError", "message": '
                      '"row 3, column \'start_ts\': non-integral value 12.5"}')
+
+
+def _reference_processor_sharing(starts, works, cores, metrics, grid):
+    """The simulation with the per-event, per-instance deposit loop that
+    simulate_processor_sharing replaced, kept as its oracle."""
+    n = len(starts)
+    completions = np.zeros(n)
+    bins = np.zeros((grid.n_intervals, metrics.shape[1]))
+    if n == 0:
+        return completions, bins
+
+    def deposit(a, b, rate_per_ms):
+        lo = max(a, grid.start_ts)
+        hi = min(b, grid.end_ts)
+        if hi <= lo:
+            return
+        first = int((lo - grid.start_ts) // grid.interval_len_ms)
+        last = int((hi - grid.start_ts) // grid.interval_len_ms)
+        last = min(last, grid.n_intervals - 1)
+        for k in range(first, last + 1):
+            bin_a = grid.start_ts + k * grid.interval_len_ms
+            overlap = min(hi, bin_a + grid.interval_len_ms) - max(lo, bin_a)
+            if overlap > 0:
+                bins[k] += rate_per_ms * overlap
+
+    order = sorted(range(n), key=lambda j: (starts[j], j))
+    remaining = {}
+    t = float(starts[order[0]])
+    nxt = 0
+    while remaining or nxt < n:
+        while nxt < n and starts[order[nxt]] <= t + 1e-12:
+            j = order[nxt]
+            if works[j] <= 0:
+                completions[j] = starts[j]
+            else:
+                remaining[j] = float(works[j])
+            nxt += 1
+        if not remaining:
+            if nxt < n:
+                t = float(starts[order[nxt]])
+            continue
+        rate = min(1.0, cores / len(remaining))
+        t_finish = t + min(remaining.values()) / rate
+        t_arrive = float(starts[order[nxt]]) if nxt < n else math.inf
+        t_new = min(t_finish, t_arrive)
+        dt = t_new - t
+        if dt > 0:
+            for j in remaining:
+                deposit(t, t_new, metrics[j] * (rate / works[j]))
+            done = []
+            for j in list(remaining):
+                remaining[j] -= rate * dt
+                if remaining[j] <= 1e-9 * max(1.0, works[j]):
+                    done.append(j)
+            for j in done:
+                completions[j] = t_new
+                del remaining[j]
+        t = t_new
+    return completions, bins
+
+
+@st.composite
+def ps_cases(draw):
+    # starts on and off the ms grid, zero works, and a grid that may begin
+    # after the first start and end before the last completion
+    n = draw(st.integers(0, 12))
+    n_metrics = draw(st.integers(1, 3))
+    start = st.one_of(st.integers(-3000, 12000).map(float),
+                      st.floats(-3000, 12000, allow_nan=False, allow_infinity=False))
+    work = st.one_of(st.just(0.0), st.integers(1, 6000).map(float),
+                     st.floats(1e-3, 6000, allow_nan=False, allow_infinity=False))
+    value = st.floats(0, 1e9, allow_nan=False, allow_infinity=False)
+    starts = np.array(draw(st.lists(start, min_size=n, max_size=n)))
+    works = np.array(draw(st.lists(work, min_size=n, max_size=n)))
+    metrics = np.array(draw(st.lists(st.lists(value, min_size=n_metrics, max_size=n_metrics),
+                                     min_size=n, max_size=n))).reshape(n, n_metrics)
+    grid = IntervalGrid(draw(st.integers(-2000, 3000)), draw(st.sampled_from([1, 7, 500, 3000])),
+                        draw(st.integers(1, 12)))
+    block = draw(st.sampled_from([1, 2, 3, 7, scheduler_module._DEPOSIT_BLOCK]))
+    return starts, works, draw(st.integers(1, 4)), metrics, grid, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(ps_cases())
+def test_processor_sharing_matches_per_event_deposits(case):
+    """Completions and interval bins equal the per-event loop's bit for bit,
+    whatever the deposit block size."""
+    starts, works, cores, metrics, grid, block = case
+    with mock.patch.object(scheduler_module, "_DEPOSIT_BLOCK", block):
+        completions, bins = simulate_processor_sharing(starts, works, cores, metrics, grid)
+    expected_completions, expected_bins = _reference_processor_sharing(
+        starts, works, cores, metrics, grid)
+    np.testing.assert_array_equal(completions, expected_completions)
+    np.testing.assert_array_equal(bins, expected_bins)
