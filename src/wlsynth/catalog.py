@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ProfilingError, SchemaError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .trace import _format_number, _parse_number
+from .trace import _format_number, _parse_int, _parse_number
 
 ORIGIN_BENCHMARK = "benchmark"
 ORIGIN_AUGMENTED = "augmented"
@@ -127,7 +127,7 @@ def load_catalog(path, schema: FeatureSchema) -> Catalog:
             db = DatabaseDescriptor(
                 benchmark_name=row["benchmark"],
                 scale_factor=_parse_number(row["scale_factor"], rownum, "scale_factor"),
-                skewness=int(_parse_number(row["skewness"], rownum, "skewness")),
+                skewness=_parse_int(row["skewness"], rownum, "skewness"),
             )
             components.append(
                 WorkloadComponent(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, build_targets
+from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, build_targets, target_matrix
 
 EPS_DEFAULT = 1e-9
 
@@ -102,11 +102,9 @@ def report(
     # build_targets emits windows and intervals in time order
     schema = replayed.schema
     windows = sorted(window_targets, key=lambda w: w.window_index)
-    intervals = sorted(interval_targets, key=lambda t: t.interval_start_ts)
     tgt_w = np.array([w.feature.as_vector() for w in windows])
     rep_w = np.array([w.feature.as_vector() for w in rep_windows])
-    tgt_i = np.array([t.metrics for t in intervals])
-    rep_i = np.array([t.metrics for t in rep_intervals])
+    tgt_i, rep_i = target_matrix(interval_targets), target_matrix(rep_intervals)
     window_level = {
         dim: _scores(tgt_w[:, d], rep_w[:, d], eps) for d, dim in enumerate(schema.dimensions)
     }
@@ -114,7 +112,7 @@ def report(
         m: _scores(tgt_i[:, d], rep_i[:, d], eps) for d, m in enumerate(schema.metrics)
     }
     plot_data = [(t.interval_start_ts, m, float(tgt_i[row, d]), float(rep_i[row, d]))
-                 for d, m in enumerate(schema.metrics) for row, t in enumerate(intervals)]
+                 for d, m in enumerate(schema.metrics) for row, t in enumerate(rep_intervals)]
     plot_data += [(w.window_start_ts, op, float(tgt_w[row, d]), float(rep_w[row, d]))
                   for d, op in enumerate(schema.operators, schema.n_metrics)
                   for row, w in enumerate(windows)]

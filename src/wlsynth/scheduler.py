@@ -3,10 +3,11 @@
 Every instance selected for a window gets a start timestamp inside that
 window.  Fidelity against interval-level metric targets is evaluated with a
 deterministic processor-sharing simulation: when P instances are running on
-`cores` capacity each progresses at rate min(1, cores/P), and an instance
-deposits its metric mass uniformly per unit of its own progress.  Simulated
-annealing then refines the start times to minimize the summed interval
-relative error.
+`cores` capacity each progresses at rate min(1, cores/P).  Each instance's
+metric mass is then binned exactly as `evaluate` bins the replayed trace:
+spread evenly over its replayed span, the ceil-rounded simulated run time
+and never less than the profiled duration.  Simulated annealing refines the
+start times to minimize the summed interval relative error.
 
 A Schedule holds one column per field; the stages and the annealer work on
 the columns and build no per-instance objects.
@@ -22,16 +23,12 @@ import numpy as np
 
 from .catalog import Catalog
 from .errors import SchemaError, TraceParseError, ValidationError
-from .trace import IntervalGrid, IntervalTarget, _parse_int
+from .trace import _BLOCK, IntervalGrid, IntervalTarget, _parse_int, target_matrix
 from .selector import SelectionPlan
 
 log = logging.getLogger(__name__)
 
 _EPS_DEFAULT = 1.0
-
-# (stretch, instance) pairs the processor-sharing simulation records before it
-# deposits them; unbounded, they grow with the square of a backlog.
-_DEPOSIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,15 +156,11 @@ def simulate_processor_sharing(
     """Event-driven fair-share simulation.
 
     Returns per-instance completion times and, when `metrics` (one row per
-    instance) and a grid are given, the per-interval metric sums deposited
-    while instances progress.  Deposits outside the grid are dropped.
-
-    The event loop only records each running stretch and the instances
-    active in it.  Once per `_DEPOSIT_BLOCK` recorded pairs and after the
-    loop, one `IntervalGrid.overlaps` call splits the stretches into
-    intervals, and one `np.add.at` deposits metrics * (rate / work) *
-    overlap per (stretch, instance, interval), stretches in time order and
-    instances in admission order within each.
+    instance) and a grid are given, the per-interval metric sums of the
+    replayed trace, binned as `build_targets` bins it: `IntervalGrid.spread`
+    spreads each instance's metrics from its start over its
+    `replayed_durations`, instances in index order.  Mass outside the grid
+    is dropped.
     """
     if cores < 1:
         raise ValidationError("cores must be >= 1")
@@ -183,16 +176,6 @@ def simulate_processor_sharing(
 
     order = sorted(range(n), key=lambda j: (starts[j], j))
     remaining = {}
-    # each running stretch (t, t_new, rate), how many ran and which, in admission order
-    stretches, n_active, active = [], [], []
-
-    def flush() -> None:
-        lo, hi, rate = np.repeat(np.array(stretches), n_active, axis=0).T
-        segment, k, overlap = grid.overlaps(lo, hi)
-        j = np.array(active)[segment]
-        np.add.at(bins, k, metrics[j] * (rate[segment] / works[j])[:, None] * overlap[:, None])
-        del stretches[:], n_active[:], active[:]
-
     t = float(starts[order[0]])
     nxt = 0
     while remaining or nxt < n:
@@ -213,12 +196,6 @@ def simulate_processor_sharing(
         t_new = min(t_finish, t_arrive)
         dt = t_new - t
         if dt > 0:
-            if bins is not None:
-                stretches.append((t, t_new, rate))
-                n_active.append(len(remaining))
-                active.extend(remaining)
-                if len(active) >= _DEPOSIT_BLOCK:
-                    flush()
             done = []
             for j in list(remaining):
                 remaining[j] -= rate * dt
@@ -228,9 +205,19 @@ def simulate_processor_sharing(
                 completions[j] = t_new
                 del remaining[j]
         t = t_new
-    if stretches:
-        flush()
+    if bins is not None:
+        durations = replayed_durations(starts, completions, works)
+        # under a backlog each instance spans many intervals: blocks bound the temporaries
+        for b in range(0, n, _BLOCK):
+            rows = slice(b, b + _BLOCK)
+            grid.spread(starts[rows], durations[rows], metrics[rows], bins)
     return completions, bins
+
+
+def replayed_durations(starts, completions, works) -> np.ndarray:
+    """Each instance's duration in the replayed trace: its simulated run
+    time, never below its profiled duration, both rounded up to whole ms."""
+    return np.maximum(np.ceil(completions - starts), np.ceil(works))
 
 
 def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,8 +241,7 @@ def _check_targets(interval_targets: list[IntervalTarget], catalog: Catalog
                    ) -> tuple[IntervalGrid, np.ndarray]:
     """The grid and the (intervals x metrics) target matrix in time order."""
     grid = IntervalGrid.from_targets(interval_targets)
-    ordered = sorted(interval_targets, key=lambda t: t.interval_start_ts)
-    target = np.array([t.metrics for t in ordered])
+    target = target_matrix(interval_targets)
     if target.shape[1] != catalog.schema.n_metrics:
         raise ValidationError("interval target metric dimensions do not match the catalog")
     return grid, target

@@ -2,12 +2,10 @@
 
 Deterministic stand-in for sending the selected queries to a real cluster:
 the processor-sharing engine the annealer optimizes against produces
-per-instance completion times.  The two still place metric mass
-differently.  The annealer deposits it in proportion to each instance's
-progress, while `build_targets` spreads a replayed query's mass uniformly
-over its ceil-rounded duration.  Under contention the scheduling energy and
-the evaluated fidelity therefore diverge: by 5.5% of interval L1 error at
-1 core on the `select_gap` benchmark's output.
+per-instance completion times, and `replayed_durations` turns them into the
+trace's durations.  The annealer's energy bins the replayed trace exactly
+as `evaluate` does, so on the same schedule, grid and cores the energy is
+the evaluator's same-formula interval error, under contention too.
 """
 from __future__ import annotations
 
@@ -15,7 +13,8 @@ import numpy as np
 
 from .catalog import Catalog
 from .features import MODE_COUNTS
-from .scheduler import Schedule, expand, simulate_processor_sharing, warn_if_overloaded
+from .scheduler import (Schedule, expand, replayed_durations, simulate_processor_sharing,
+                        warn_if_overloaded)
 from .trace import IntervalGrid, Trace
 
 
@@ -33,7 +32,7 @@ def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str = MODE_CO
     if grid is not None:
         warn_if_overloaded(works, grid, cores)
     completions, _ = simulate_processor_sharing(starts, works, cores)
-    durations = np.maximum(np.ceil(completions - starts), np.ceil(works))
+    durations = replayed_durations(starts, completions, works)
     query_id = [f"{c}.w{w}.k{k}" for c, w, k in zip(schedule.component_id.tolist(),
                                                    schedule.window_index.tolist(),
                                                    schedule.instance_index.tolist())]

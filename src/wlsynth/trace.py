@@ -7,11 +7,10 @@ time interval; operator statistics are aggregated at window granularity only.
 
 A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  Ingest parses every row's numeric cells into one table
-and checks it column-wise.  Aggregation expands each query into (row,
-interval, share) triples a block of rows at a time through
-`IntervalGrid.overlaps`, the interval splitter the scheduler's energy and
-the fidelity report share, and applies them with `np.add.at`, which keeps
-the per-row summation order, so targets do not depend on the block size.
+and checks it column-wise.  Aggregation spreads a block of rows at a time
+through `IntervalGrid.spread`, which the scheduler's energy and the
+fidelity report share, and which keeps the per-row summation order, so
+targets do not depend on the block size.
 Export formats a block of rows at a time and writes them with one
 `writerows`.
 """
@@ -176,6 +175,27 @@ class IntervalGrid:
         overlap = (np.minimum(hi[segment], bin_lo + self.interval_len_ms)
                    - np.maximum(lo[segment], bin_lo))
         return segment, interval.astype(np.intp), overlap
+
+    def spread(self, start, duration, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add each row of `values`, spread evenly over [start, start +
+        max(duration, 1)), to the interval rows of `out`; return the share of
+        each row that fell inside the grid.
+
+        A zero-duration row is a 1 ms segment, all of whose mass goes to the
+        interval of its start.  Every interval receives its terms in row
+        order, values * (overlap / length) each, so the sums depend neither
+        on how the rows are split into calls nor on whether the bounds are
+        integers or floats holding the same values.
+        """
+        length = np.maximum(duration, 1)
+        row, k, overlap = self.overlaps(start, start + length)
+        np.add.at(out, k, values[row] * (overlap / length[row])[:, None])
+        return np.bincount(row, overlap, minlength=length.size) / length
+
+
+def target_matrix(targets: list[IntervalTarget]) -> np.ndarray:
+    """The (intervals x metrics) matrix of interval targets in time order."""
+    return np.array([t.metrics for t in sorted(targets, key=lambda t: t.interval_start_ts)])
 
 
 def _parse_number(raw: str | None, row: int, column: str) -> float:
@@ -385,13 +405,10 @@ def build_targets(
     span, by default the smallest one covering every execution, is clipped
     and logged.
 
-    The work runs on the trace's columns, a block of rows at a time.  Each
-    query expands through `IntervalGrid.overlaps` into one (row, interval,
-    overlap) triple per interval it overlaps, with share overlap /
-    max(duration, 1).  `np.add.at` applies repeated indices one after
-    another in the order given, and the triples come in row order, so every
-    interval and window receives its terms in trace order: the sums are
-    bit-identical to a per-record loop and do not depend on the block size.
+    The work runs on the trace's columns, a block of rows at a time.
+    `IntervalGrid.spread` bins the metric mass; every interval and window
+    receives its terms in trace order, so the sums are bit-identical to a
+    per-record loop and do not depend on the block size.
     """
     if window_len_ms <= 0 or interval_len_ms <= 0:
         raise ConfigError("window_len_ms and interval_len_ms must be positive")
@@ -424,11 +441,8 @@ def build_targets(
 
     for b in range(0, n, _BLOCK):
         a, d = arrival[b:b + _BLOCK], duration[b:b + _BLOCK]
-        length = np.maximum(d, 1)
-        rec, k, overlap = grid.overlaps(a, a + length)
         block_metrics = trace.metrics[b:b + _BLOCK]
-        np.add.at(interval_metrics, k, block_metrics[rec] * (overlap / length[rec])[:, None])
-        kept = np.bincount(rec, overlap, minlength=a.size) / length
+        kept = grid.spread(a, d, block_metrics, interval_metrics)
         clipped_mass += float(np.sum(block_metrics.sum(axis=1) * (1.0 - kept)))
 
         w = (a - start) // window_len_ms
@@ -439,7 +453,7 @@ def build_targets(
         if trace.mode == MODE_COUNTS:
             np.add.at(window_ops, w, ops)
         else:
-            weight = length[ok].astype(float)
+            weight = np.maximum(d[ok], 1).astype(float)
             np.add.at(window_ops, w, ops * weight[:, None])
             np.add.at(window_op_weight, w, weight)
 

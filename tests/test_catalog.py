@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_component
 from wlsynth.catalog import (
+    ORIGIN_AUGMENTED,
+    ORIGIN_BENCHMARK,
+    Catalog,
     DatabaseDescriptor,
+    WorkloadComponent,
     SimulatedExecutor,
     load_catalog,
     profile_component,
     save_catalog,
 )
 from wlsynth.errors import ProfilingError, SchemaError, TraceParseError, ValidationError
-from wlsynth.features import PerformanceFeature
+from wlsynth.features import FeatureSchema, PerformanceFeature
 
 
 class TestCatalog:
@@ -65,11 +71,57 @@ class TestCatalog:
         with pytest.raises(TraceParseError, match="row 2, column 'cpu_time_ms': missing value"):
             load_catalog(path, schema)
 
+    def test_fractional_skewness_is_typed_error(self, schema, tmp_path):
+        path = tmp_path / "cat.csv"
+        save_catalog(make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])]), path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index("skewness")] = "1.5"
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(ValidationError,
+                           match="row 2, column 'skewness': non-integral value 1.5"):
+            load_catalog(path, schema)
+
     def test_descriptor_validation(self):
         with pytest.raises(ValidationError):
             DatabaseDescriptor("tpch", 0.0)
         with pytest.raises(ValidationError):
             DatabaseDescriptor("tpch", 1.0, skewness=5)
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=8)
+_values = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def catalog_rows(draw):
+    ids = draw(st.lists(_text, unique=True, max_size=6))
+    return [(cid, draw(_text), draw(_positive), draw(st.integers(0, 4)), draw(_positive),
+             draw(st.lists(_values, min_size=6, max_size=6)), draw(_text),
+             draw(st.sampled_from((ORIGIN_BENCHMARK, ORIGIN_AUGMENTED)))) for cid in ids]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=catalog_rows())
+def test_catalog_csv_round_trip(tmp_path_factory, rows):
+    """save_catalog then load_catalog gives back every value, including query
+    texts with commas, quotes and newlines."""
+    schema = FeatureSchema(metrics=("cpu_time_ms", "scanned_bytes"),
+                           operators=("filter_num", "aggregate_num", "join_num", "sort_num"))
+    catalog = Catalog([
+        WorkloadComponent(cid, query_ref, DatabaseDescriptor(benchmark, scale_factor, skewness),
+                          duration_ms, PerformanceFeature(values[:2], values[2:]), origin)
+        for cid, benchmark, scale_factor, skewness, duration_ms, values, query_ref, origin
+        in rows], schema)
+    path = tmp_path_factory.getbasetemp() / "catalog.csv"
+    save_catalog(catalog, path)
+    back = load_catalog(path, schema)
+    assert [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
+             c.query_ref, c.origin) for c in back] == \
+        [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
+          c.query_ref, c.origin) for c in catalog]
 
 
 class TestSimulatedExecutor:

@@ -1,6 +1,5 @@
 import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from wlsynth.scheduler import (
 )
 from wlsynth import scheduler as scheduler_module
 from wlsynth.selector import SelectionPlan
+from wlsynth.simulator import replay
 from wlsynth.trace import (IntervalTarget, QueryRecord, Trace, build_targets, read_targets,
                            write_targets)
 
@@ -75,15 +75,15 @@ class TestProcessorSharing:
         completions, _ = simulate_processor_sharing(starts, works, cores=8)
         np.testing.assert_allclose(completions, works)
 
-    def test_metric_deposit_follows_progress(self):
+    def test_metric_mass_spreads_over_replayed_span(self):
         # staggered hand case above; A carries metric 10
         grid = IntervalGrid(start_ts=0, interval_len_ms=500, n_intervals=4)
         completions, bins = simulate_processor_sharing(
             np.array([0.0, 500.0]), np.array([1000.0, 1000.0]), cores=1,
             metrics=np.array([[10.0], [0.0]]), grid=grid,
         )
-        # A progresses 500 in bin 0, then 250 per bin for bins 1 and 2
-        np.testing.assert_allclose(bins[:, 0], [5.0, 2.5, 2.5, 0.0], atol=1e-9)
+        # A's replayed span is [0, 1500): its mass spreads evenly over three bins
+        np.testing.assert_allclose(bins[:, 0], [10 / 3, 10 / 3, 10 / 3, 0.0], atol=1e-9)
 
     def test_work_conservation(self):
         rng = np.random.default_rng(9)
@@ -262,6 +262,23 @@ class TestAnnealing:
         result = assign_timestamps([], targets, catalog, rng_seed=0, cores=8)
         assert len(result.schedule) == 0
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_best_energy_is_the_replayed_trace_error(self, schema, cores):
+        """Under contention the best energy is the energy formula applied,
+        exactly, to the intervals `evaluate` bins from the replayed trace."""
+        catalog, _, _ = planted_setup(schema)
+        planted = Schedule([ScheduleEntry(0, "c1", k, 20000 * k) for k in range(5)]
+                           + [ScheduleEntry(0, "c2", k, 10000 + 25000 * k) for k in range(6)])
+        targets = interval_targets(simulated_bins(planted, catalog))
+        plans = [SelectionPlan(0, {"c1": 5, "c2": 6}, np.zeros(6), 0.0)]
+        result = assign_timestamps(plans, targets, catalog, rng_seed=3, cores=cores)
+        _, replayed = build_targets(replay(result.schedule, catalog, cores), 300000, 30000,
+                                    span=(0, 300000))
+        achieved = np.array([t.metrics for t in replayed])
+        target = np.array([t.metrics for t in targets])
+        assert result.best_energy == np.sum(np.abs(achieved - target)
+                                            / np.maximum(target, 1.0))
+
 
 class TestOfferedLoad:
     # 10 x 30 s + 10 x 20 s of work over the 300 s grid: an offered load of 5/3
@@ -426,27 +443,14 @@ def test_standalone_replay_rejects_fractional_start(tmp_path, capsys):
 
 
 def _reference_processor_sharing(starts, works, cores, metrics, grid):
-    """The simulation with the per-event, per-instance deposit loop that
-    simulate_processor_sharing replaced, kept as its oracle."""
+    """The simulation as a per-event loop for completions and a per-instance
+    loop that spreads each instance's metrics evenly over its replayed span,
+    kept as the oracle of simulate_processor_sharing."""
     n = len(starts)
     completions = np.zeros(n)
     bins = np.zeros((grid.n_intervals, metrics.shape[1]))
     if n == 0:
         return completions, bins
-
-    def deposit(a, b, rate_per_ms):
-        lo = max(a, grid.start_ts)
-        hi = min(b, grid.end_ts)
-        if hi <= lo:
-            return
-        first = int((lo - grid.start_ts) // grid.interval_len_ms)
-        last = int((hi - grid.start_ts) // grid.interval_len_ms)
-        last = min(last, grid.n_intervals - 1)
-        for k in range(first, last + 1):
-            bin_a = grid.start_ts + k * grid.interval_len_ms
-            overlap = min(hi, bin_a + grid.interval_len_ms) - max(lo, bin_a)
-            if overlap > 0:
-                bins[k] += rate_per_ms * overlap
 
     order = sorted(range(n), key=lambda j: (starts[j], j))
     remaining = {}
@@ -470,8 +474,6 @@ def _reference_processor_sharing(starts, works, cores, metrics, grid):
         t_new = min(t_finish, t_arrive)
         dt = t_new - t
         if dt > 0:
-            for j in remaining:
-                deposit(t, t_new, metrics[j] * (rate / works[j]))
             done = []
             for j in list(remaining):
                 remaining[j] -= rate * dt
@@ -481,6 +483,21 @@ def _reference_processor_sharing(starts, works, cores, metrics, grid):
                 completions[j] = t_new
                 del remaining[j]
         t = t_new
+
+    for j in range(n):
+        length = max(math.ceil(completions[j] - starts[j]), math.ceil(works[j]), 1)
+        lo = max(starts[j], grid.start_ts)
+        hi = min(starts[j] + length, grid.end_ts)
+        if hi <= lo:
+            continue
+        first = int((lo - grid.start_ts) // grid.interval_len_ms)
+        last = int((hi - grid.start_ts) // grid.interval_len_ms)
+        last = min(last, grid.n_intervals - 1)
+        for k in range(first, last + 1):
+            bin_a = grid.start_ts + k * grid.interval_len_ms
+            overlap = min(hi, bin_a + grid.interval_len_ms) - max(lo, bin_a)
+            if overlap > 0:
+                bins[k] += metrics[j] * (overlap / length)
     return completions, bins
 
 
@@ -501,19 +518,33 @@ def ps_cases(draw):
                                      min_size=n, max_size=n))).reshape(n, n_metrics)
     grid = IntervalGrid(draw(st.integers(-2000, 3000)), draw(st.sampled_from([1, 7, 500, 3000])),
                         draw(st.integers(1, 12)))
-    block = draw(st.sampled_from([1, 2, 3, 7, scheduler_module._DEPOSIT_BLOCK]))
-    return starts, works, draw(st.integers(1, 4)), metrics, grid, block
+    return starts, works, draw(st.integers(1, 4)), metrics, grid
 
 
 @settings(max_examples=200, deadline=None)
 @given(ps_cases())
-def test_processor_sharing_matches_per_event_deposits(case):
-    """Completions and interval bins equal the per-event loop's bit for bit,
-    whatever the deposit block size."""
-    starts, works, cores, metrics, grid, block = case
-    with mock.patch.object(scheduler_module, "_DEPOSIT_BLOCK", block):
-        completions, bins = simulate_processor_sharing(starts, works, cores, metrics, grid)
+def test_processor_sharing_matches_per_instance_reference(case):
+    """Completions equal the per-event loop's and interval bins the
+    per-instance spreading loop's, bit for bit."""
+    starts, works, cores, metrics, grid = case
+    completions, bins = simulate_processor_sharing(starts, works, cores, metrics, grid)
     expected_completions, expected_bins = _reference_processor_sharing(
         starts, works, cores, metrics, grid)
+    np.testing.assert_array_equal(completions, expected_completions)
+    np.testing.assert_array_equal(bins, expected_bins)
+
+
+def test_processor_sharing_bins_span_several_blocks():
+    """With more instances than one spreading block holds, and a backlog that
+    stretches them over many intervals, bins still equal the reference's."""
+    rng = np.random.default_rng(17)
+    n = 2 * scheduler_module._BLOCK + 7
+    starts = rng.uniform(-5000, 300000, n)
+    works = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(1, 9000, n))
+    metrics = rng.uniform(0, 1e6, (n, 2))
+    grid = IntervalGrid(-2000, 7000, 50)
+    completions, bins = simulate_processor_sharing(starts, works, 2, metrics, grid)
+    expected_completions, expected_bins = _reference_processor_sharing(
+        starts, works, 2, metrics, grid)
     np.testing.assert_array_equal(completions, expected_completions)
     np.testing.assert_array_equal(bins, expected_bins)
