@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
@@ -47,38 +47,6 @@ VERDICT_ACCEPTED = "accepted"
 VERDICT_RETRY = "retry"
 VERDICT_DATABASE_SWITCH = "database_switch"
 
-HINT_TEXTS: dict[str, tuple[str, ...]] = {
-    SCENARIO_LOW_CPU_LOW_SB: (
-        "Try to generate a query that performs computation on a larger table.",
-        "Try to delete some predicates to scan more data.",
-    ),
-    SCENARIO_HIGH_CPU_LOW_SB: (
-        "Scan more data while deleting some operators.",
-        "Use more Inner Join operators to reduce the intermediate result size.",
-    ),
-    SCENARIO_LOW_CPU_HIGH_SB: (
-        "Use more Self Join operators to increase the size of intermediate results.",
-        "Perform arithmetic operations on some columns.",
-        "Scan a smaller table while adding more operators.",
-    ),
-    SCENARIO_BOTH_LOW_OR_HIGH: (
-        "Use or generate a benchmark database with a higher or lower Scale Factor.",
-    ),
-    SCENARIO_RATIO_OFF: (
-        "Use a benchmark database of higher or lower skewness, or select a database "
-        "with a more complex schema.",
-    ),
-}
-
-SCENARIO_ACTIONS: dict[str, str] = {
-    SCENARIO_LOW_CPU_LOW_SB: ACTION_REWRITE,
-    SCENARIO_HIGH_CPU_LOW_SB: ACTION_REWRITE,
-    SCENARIO_LOW_CPU_HIGH_SB: ACTION_REWRITE,
-    SCENARIO_BOTH_LOW_OR_HIGH: ACTION_CHANGE_DATABASE,
-    SCENARIO_RATIO_OFF: ACTION_CHANGE_DATABASE,
-}
-
-
 @dataclass(frozen=True)
 class HintScenario:
     scenario_id: str
@@ -87,7 +55,31 @@ class HintScenario:
 
     @classmethod
     def by_id(cls, scenario_id: str) -> "HintScenario":
-        return cls(scenario_id, HINT_TEXTS[scenario_id], SCENARIO_ACTIONS[scenario_id])
+        return HINT_SCENARIOS[scenario_id]
+
+
+HINT_SCENARIOS: dict[str, HintScenario] = {s.scenario_id: s for s in (
+    HintScenario(SCENARIO_LOW_CPU_LOW_SB, (
+        "Try to generate a query that performs computation on a larger table.",
+        "Try to delete some predicates to scan more data.",
+    ), ACTION_REWRITE),
+    HintScenario(SCENARIO_HIGH_CPU_LOW_SB, (
+        "Scan more data while deleting some operators.",
+        "Use more Inner Join operators to reduce the intermediate result size.",
+    ), ACTION_REWRITE),
+    HintScenario(SCENARIO_LOW_CPU_HIGH_SB, (
+        "Use more Self Join operators to increase the size of intermediate results.",
+        "Perform arithmetic operations on some columns.",
+        "Scan a smaller table while adding more operators.",
+    ), ACTION_REWRITE),
+    HintScenario(SCENARIO_BOTH_LOW_OR_HIGH, (
+        "Use or generate a benchmark database with a higher or lower Scale Factor.",
+    ), ACTION_CHANGE_DATABASE),
+    HintScenario(SCENARIO_RATIO_OFF, (
+        "Use a benchmark database of higher or lower skewness, or select a database "
+        "with a more complex schema.",
+    ), ACTION_CHANGE_DATABASE),
+)}
 
 
 @dataclass
@@ -465,19 +457,9 @@ def switch_database(
     """
     if scenario.scenario_id == SCENARIO_BOTH_LOW_OR_HIGH:
         factor = 2.0 if deltas_low else 0.5
-        return DatabaseDescriptor(
-            benchmark_name=database.benchmark_name,
-            scale_factor=database.scale_factor * factor,
-            skewness=database.skewness,
-            schema_summary=database.schema_summary,
-        )
+        return replace(database, scale_factor=database.scale_factor * factor)
     step = 1 if deltas_low else -1
-    return DatabaseDescriptor(
-        benchmark_name=database.benchmark_name,
-        scale_factor=database.scale_factor,
-        skewness=min(4, max(0, database.skewness + step)),
-        schema_summary=database.schema_summary,
-    )
+    return replace(database, skewness=min(4, max(0, database.skewness + step)))
 
 
 def generate_component(

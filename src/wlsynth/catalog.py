@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ProfilingError, SchemaError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .trace import _format_number, _parse_int, _parse_number
+from .trace import _format_number, read_columns
 
 ORIGIN_BENCHMARK = "benchmark"
 ORIGIN_AUGMENTED = "augmented"
@@ -54,8 +54,6 @@ class WorkloadComponent:
     duration_ms: float
     feature: PerformanceFeature
     origin: str = ORIGIN_BENCHMARK
-    duration_min_ms: float | None = None
-    duration_max_ms: float | None = None
 
     def __post_init__(self):
         if self.duration_ms <= 0:
@@ -109,37 +107,23 @@ class Catalog:
 
 
 def load_catalog(path, schema: FeatureSchema) -> Catalog:
-    """Read a catalog CSV; the optional trailing `origin` column defaults to benchmark."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in CATALOG_FIXED_COLUMNS + schema.dimensions:
-            if col not in header:
-                raise SchemaError(f"catalog file {path} is missing column {col!r}")
-        has_origin = "origin" in header
-        has_query = "query_ref" in header
-        components = []
-        for rownum, row in enumerate(reader, start=2):
-            feature = PerformanceFeature(
-                np.array([_parse_number(row[m], rownum, m) for m in schema.metrics]),
-                np.array([_parse_number(row[o], rownum, o) for o in schema.operators]),
-            )
-            db = DatabaseDescriptor(
-                benchmark_name=row["benchmark"],
-                scale_factor=_parse_number(row["scale_factor"], rownum, "scale_factor"),
-                skewness=_parse_int(row["skewness"], rownum, "skewness"),
-            )
-            components.append(
-                WorkloadComponent(
-                    component_id=row["component_id"],
-                    query_ref=row["query_ref"] if has_query else "",
-                    database_ref=db,
-                    duration_ms=_parse_number(row["duration_ms"], rownum, "duration_ms"),
-                    feature=feature,
-                    origin=row["origin"] if has_origin else ORIGIN_BENCHMARK,
-                )
-            )
-    return Catalog(components, schema)
+    """Read a catalog CSV through `read_columns`.  A header without the
+    trailing `query_ref` or `origin` column reads them as empty and as
+    benchmark."""
+    # the features come before duration_ms, so a row cut short after
+    # skewness names the first feature column
+    columns = read_columns(path, "catalog", {
+        "component_id": str, "benchmark": str, "scale_factor": float, "skewness": int,
+        **dict.fromkeys(schema.dimensions, float), "duration_ms": float,
+        "query_ref": str, "origin": str,
+    }, {"query_ref": "", "origin": ORIGIN_BENCHMARK})
+    features = np.column_stack([columns[c] for c in schema.dimensions])
+    return Catalog([
+        WorkloadComponent(component_id, query_ref, DatabaseDescriptor(benchmark, sf, skewness),
+                          duration, PerformanceFeature.from_vector(vector, schema), origin)
+        for component_id, benchmark, sf, skewness, duration, query_ref, origin, vector in zip(
+            *(columns[c] for c in CATALOG_FIXED_COLUMNS + ("query_ref", "origin")), features)
+    ], schema)
 
 
 def save_catalog(catalog: Catalog, path) -> None:
@@ -175,10 +159,8 @@ _ANNOTATION_RE = re.compile(r"/\*\s*profile:\s*(?P<body>[^*]*)\*/")
 class SimulatedExecutor:
     """Deterministic stand-in for running queries on a real cluster.
 
-    Resolution order per run:
-      1. the fixture table, keyed by query_ref;
-      2. an inline annotation in the query text:
-         ``/* profile: duration_ms=120; cpu_time_ms=40; ... */``.
+    Each run reads the profile from an inline annotation in the query text:
+    ``/* profile: duration_ms=120; cpu_time_ms=40; ... */``.
     Metric values can be capped proportionally to the database's scale factor
     (``metric_caps_per_sf``), modelling queries that cannot consume more than
     the database offers.  Optional multiplicative noise (one draw per run,
@@ -188,13 +170,11 @@ class SimulatedExecutor:
     def __init__(
         self,
         schema: FeatureSchema,
-        table: dict[str, tuple[float, PerformanceFeature]] | None = None,
         noise_sigma: float = 0.0,
         seed: int = 0,
         metric_caps_per_sf: dict[str, float] | None = None,
     ):
         self.schema = schema
-        self.table = dict(table or {})
         self.noise_sigma = noise_sigma
         self.metric_caps_per_sf = dict(metric_caps_per_sf or {})
         self._rng = np.random.default_rng(seed)
@@ -203,7 +183,7 @@ class SimulatedExecutor:
         match = _ANNOTATION_RE.search(query_ref)
         if match is None:
             raise ValidationError(
-                f"simulated executor has no fixture entry or annotation for {query_ref!r}"
+                f"simulated executor has no profile annotation for {query_ref!r}"
             )
         values: dict[str, float] = {}
         for part in match.group("body").split(";"):
@@ -221,10 +201,7 @@ class SimulatedExecutor:
 
     def run(self, query_ref: str, database_ref: DatabaseDescriptor
             ) -> tuple[float, PerformanceFeature]:
-        if query_ref in self.table:
-            duration, feature = self.table[query_ref]
-        else:
-            duration, feature = self._parse_annotation(query_ref)
+        duration, feature = self._parse_annotation(query_ref)
         metrics = feature.metrics.copy()
         for name, cap in self.metric_caps_per_sf.items():
             if name in self.schema.metrics:
@@ -263,8 +240,6 @@ def profile_component(
         metric_rows.append(feature.metrics)
         operator_rows.append(feature.operators)
     component.duration_ms = float(np.mean(durations))
-    component.duration_min_ms = float(np.min(durations))
-    component.duration_max_ms = float(np.max(durations))
     component.feature = PerformanceFeature(
         np.mean(metric_rows, axis=0), np.mean(operator_rows, axis=0)
     )

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
-from .errors import SchemaError, TraceParseError, ValidationError
-from .trace import _BLOCK, IntervalGrid, IntervalTarget, _parse_int, target_matrix
+from .errors import ValidationError
+from .trace import _BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix
 from .selector import SelectionPlan
 
 log = logging.getLogger(__name__)
@@ -119,31 +119,11 @@ def write_schedule(schedule: Schedule, path) -> None:
 
 
 def read_schedule(path) -> Schedule:
-    """Read a schedule CSV column by column.
-
-    A missing column is a SchemaError.  A missing or unparseable cell is a
-    TraceParseError and a non-integral index or time a ValidationError,
-    each naming the row (blank lines not counted) and the column.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in SCHEDULE_COLUMNS:
-            if col not in header:
-                raise SchemaError(f"schedule file {path} is missing column {col!r}")
-        # a repeated column name reads as its last occurrence, as with DictReader
-        position = {name: i for i, name in enumerate(header)}
-        rows = list(filter(None, reader))
-    columns = []
-    for name in SCHEDULE_COLUMNS:
-        i = position[name]
-        cells = [row[i] if i < len(row) else None for row in rows]
-        if name != "component_id":
-            cells = [_parse_int(c, rownum, name) for rownum, c in enumerate(cells, 2)]
-        elif None in cells:
-            raise TraceParseError(f"row {cells.index(None) + 2}, column {name!r}: missing value")
-        columns.append(cells)
-    return Schedule.from_columns(*columns)
+    """Read a schedule CSV through `trace.read_columns`: the component id is
+    text, every other column an int64."""
+    columns = read_columns(path, "schedule", dict(zip(SCHEDULE_COLUMNS, (int, str, int, int))),
+                           {})
+    return Schedule.from_columns(*columns.values())
 
 
 def simulate_processor_sharing(

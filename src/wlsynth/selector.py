@@ -28,7 +28,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .catalog import Catalog
 from .errors import SchemaError, SolverError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .trace import WindowTarget
+from .trace import WindowTarget, read_columns
 
 ONE_TO_ONE = "one_to_one"
 ONE_TO_MANY = "one_to_many"
@@ -339,14 +339,23 @@ def write_plans(plans: list[SelectionPlan], path) -> None:
 
 def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
                denom_floor: float = 1.0) -> list[SelectionPlan]:
-    """Rebuild plans from a plan CSV; achieved/objective are recomputed."""
+    """Rebuild plans from a plan CSV read through `trace.read_columns`;
+    achieved/objective are recomputed.  A window outside `targets`, a
+    component outside `catalog` or a negative count is a ValidationError
+    naming the row and the column."""
+    columns = read_columns(path, "plan",
+                           {"window_index": int, "component_id": str, "count": int}, {})
     counts: dict[int, dict[str, int]] = {t.window_index: {} for t in targets}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            w = int(row["window_index"])
-            if w not in counts:
-                raise ValidationError(f"plan references unknown window {w}")
-            counts[w][row["component_id"]] = int(row["count"])
+    for rownum, (w, cid, n) in enumerate(zip(*columns.values()), start=2):
+        if w not in counts:
+            raise ValidationError(
+                f"row {rownum}, column 'window_index': plan references unknown window {w}")
+        if cid not in catalog:
+            raise ValidationError(
+                f"row {rownum}, column 'component_id': unknown component_id {cid!r}")
+        if n < 0:
+            raise ValidationError(f"row {rownum}, column 'count': negative count {n}")
+        counts[w][cid] = n
     features = catalog.feature_matrix()
     ids = [c.component_id for c in catalog]
     denom_by_window = {t.window_index: t for t in targets}

@@ -12,7 +12,8 @@ through `IntervalGrid.spread`, which the scheduler's energy and the
 fidelity report share, and which keeps the per-row summation order, so
 targets do not depend on the block size.
 Export formats a block of rows at a time and writes them with one
-`writerows`.
+`writerows`.  The other CSV artifacts (targets, plans, schedules,
+catalogs) are read back column by column through `read_columns`.
 """
 from __future__ import annotations
 
@@ -224,6 +225,47 @@ def _parse_int(raw: str | None, row: int, column: str) -> int:
     return value
 
 
+def _parse_str(raw: str | None, row: int, column: str) -> str:
+    if raw is None:
+        raise TraceParseError(f"row {row}, column {column!r}: missing value")
+    return raw
+
+
+_PARSERS = {int: _parse_int, float: _parse_number, str: _parse_str}
+
+
+def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dict[str, list]:
+    """Parse the columns `kinds` names, each int, float or str, from a CSV
+    artifact.  Every CSV a stage reads back but the trace goes through here.
+
+    A column the header lacks is a SchemaError unless `defaults` gives the
+    value it reads as in every row.  Blank lines are skipped and not
+    counted, the first data row is row 2, and a repeated column name reads
+    as its last occurrence.  Columns are parsed one at a time in the order
+    of `kinds`, so an input with several faults reports the first one in
+    that order.  A missing cell (a short row) or an unparseable or
+    non-finite number is a TraceParseError; a fractional or out-of-range
+    int a ValidationError.  Each error names the row and the column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in kinds:
+            if name not in header and name not in defaults:
+                raise SchemaError(f"{what} file {path} is missing column {name!r}")
+        position = {name: i for i, name in enumerate(header)}
+        rows = list(filter(None, reader))
+    columns = {}
+    for name, kind in kinds.items():
+        if name not in position:
+            columns[name] = [defaults[name]] * len(rows)
+            continue
+        i, parse = position[name], _PARSERS[kind]
+        columns[name] = [parse(row[i] if i < len(row) else None, rownum, name)
+                         for rownum, row in enumerate(rows, start=2)]
+    return columns
+
+
 def _check_row(row: dict, rownum: int, schema: FeatureSchema) -> None:
     """Raise the error for the first contract breach in one trace row, read as by DictReader."""
     arrival = _parse_number(row.get("arrival_ts"), rownum, "arrival_ts")
@@ -340,6 +382,10 @@ def export_trace(trace: Trace, path) -> None:
                                  *_cells(trace.features[rows]).T.tolist()))
 
 
+_WINDOW_INTS = ("window_index", "window_start_ts", "window_len_ms", "query_count")
+_INTERVAL_INTS = ("window_index", "interval_index", "interval_start_ts")
+
+
 def write_targets(
     windows: list[WindowTarget],
     intervals: list[IntervalTarget],
@@ -349,13 +395,12 @@ def write_targets(
 ) -> None:
     with open(windows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_index", "window_start_ts", "window_len_ms", "query_count",
-                         *schema.dimensions])
+        writer.writerow([*_WINDOW_INTS, *schema.dimensions])
         writer.writerows([w.window_index, w.window_start_ts, w.window_len_ms, w.query_count,
                           *map(_format_number, w.feature.as_vector())] for w in windows)
     with open(intervals_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_index", "interval_index", "interval_start_ts", *schema.metrics])
+        writer.writerow([*_INTERVAL_INTS, *schema.metrics])
         writer.writerows([t.window_index, t.interval_index, t.interval_start_ts,
                           *map(_format_number, t.metrics)] for t in intervals)
 
@@ -363,28 +408,23 @@ def write_targets(
 def read_targets(
     windows_path, intervals_path, schema: FeatureSchema
 ) -> tuple[list[WindowTarget], list[IntervalTarget]]:
-    """Read the files write_targets wrote.  A missing or malformed cell is a
-    TraceParseError, a non-integral index or time a ValidationError.  The
+    """Read the files write_targets wrote, through `read_columns`.  The
     interval length is the windows' summed length over the interval count."""
-    def rows(path, int_columns, float_columns):
-        with open(path, newline="", encoding="utf-8") as fh:
-            for rownum, row in enumerate(csv.DictReader(fh), start=2):
-                yield ([_parse_int(row.get(c), rownum, c) for c in int_columns],
-                       np.array([_parse_number(row.get(c), rownum, c) for c in float_columns]))
-
-    windows = [
-        WindowTarget(index, start, length, PerformanceFeature.from_vector(vector, schema), count)
-        for (index, start, length, count), vector in rows(
-            windows_path, ("window_index", "window_start_ts", "window_len_ms", "query_count"),
-            schema.dimensions)
-    ]
-    interval_rows = list(rows(intervals_path,
-                              ("window_index", "interval_index", "interval_start_ts"),
-                              schema.metrics))
+    wcol = read_columns(windows_path, "targets", dict.fromkeys(_WINDOW_INTS, int)
+                        | dict.fromkeys(schema.dimensions, float), {})
+    icol = read_columns(intervals_path, "targets", dict.fromkeys(_INTERVAL_INTS, int)
+                        | dict.fromkeys(schema.metrics, float), {})
+    features = np.column_stack([wcol[c] for c in schema.dimensions])
+    windows = [WindowTarget(index, start, length, PerformanceFeature.from_vector(vector, schema),
+                            count)
+               for index, start, length, count, vector in zip(
+                   *(wcol[c] for c in _WINDOW_INTS), features)]
     # the windows tile the span that the intervals split evenly
-    length = sum(w.window_len_ms for w in windows) // max(len(interval_rows), 1)
+    length = sum(wcol["window_len_ms"]) // max(len(icol["window_index"]), 1)
+    metrics = np.column_stack([icol[c] for c in schema.metrics])
     intervals = [IntervalTarget(window, index, start, length, vector)
-                 for (window, index, start), vector in interval_rows]
+                 for window, index, start, vector in zip(
+                     *(icol[c] for c in _INTERVAL_INTS), metrics)]
     return windows, intervals
 
 

@@ -332,3 +332,19 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TraceParseError"
         assert err["message"] == "row 2, column 'filter_num': missing value"
+
+    def test_malformed_plan_fails_schedule(self, demo_dir, tmp_path, capsys):
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
+        catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]
+        assert main(["ingest", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        assert main(["targets"] + base) == 0
+        assert main(["select"] + base + catalog) == 0
+        path = tmp_path / "plans/plan.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",1.5"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["schedule", "--skip-ta"] + base + catalog) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": "schedule", "error": "ValidationError",
+                       "message": "row 2, column 'count': non-integral value 1.5"}

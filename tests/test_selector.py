@@ -6,7 +6,7 @@ from scipy.optimize import milp
 
 from conftest import make_catalog, random_catalog
 from wlsynth import selector
-from wlsynth.errors import SolverError, ValidationError
+from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
 from wlsynth.features import FeatureSchema, PerformanceFeature
 from wlsynth.selector import (
     ONE_TO_MANY,
@@ -23,6 +23,9 @@ from wlsynth.selector import (
     write_plans,
 )
 from wlsynth.trace import WindowTarget
+
+
+_PLAN_HEADER = "window_index,component_id,count\n"
 
 
 def random_problem(rng, n_components=4, n_dims=3, y=3, z=8):
@@ -297,6 +300,31 @@ class TestWindowsAndIO:
         path.write_text("window_index,component_id,count\n7,c1,1\n")
         with pytest.raises(ValidationError):
             read_plans(path, targets, catalog)
+
+    @pytest.mark.parametrize("text, error, message", [
+        (_PLAN_HEADER + "0,c1,1.5\n", ValidationError,
+         "row 2, column 'count': non-integral value 1.5"),
+        (_PLAN_HEADER + "0,c1,x\n", TraceParseError, "row 2, column 'count': cannot parse 'x'"),
+        (_PLAN_HEADER + "0,c1,1\n\n1,c1,\n", TraceParseError,
+         "row 3, column 'count': cannot parse ''"),
+        (_PLAN_HEADER + "0,c1\n", TraceParseError, "row 2, column 'count': missing value"),
+        (_PLAN_HEADER + "0\n", TraceParseError, "row 2, column 'component_id': missing value"),
+        (_PLAN_HEADER + "0.5,c1,1\n", ValidationError,
+         "row 2, column 'window_index': non-integral value 0.5"),
+        (_PLAN_HEADER + "0,c1,1\n1,c1,-4\n", ValidationError,
+         "row 3, column 'count': negative count -4"),
+        (_PLAN_HEADER + "0,c1,1\n1,c9,1\n", ValidationError,
+         "row 3, column 'component_id': unknown component_id 'c9'"),
+        (_PLAN_HEADER + "7,c1,1\n", ValidationError,
+         "row 2, column 'window_index': plan references unknown window 7"),
+        ("window_index,component_id\n0,c1\n", SchemaError, "is missing column 'count'"),
+    ])
+    def test_malformed_plan_rows_are_typed(self, schema, tmp_path, text, error, message):
+        catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])
+        path = tmp_path / "plan.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            read_plans(path, self.make_targets(schema), catalog)
 
 
 @st.composite

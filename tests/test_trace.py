@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -216,6 +218,16 @@ class TestBuildTargets:
         header, row = (tmp_path / "w.csv").read_text().splitlines()
         (tmp_path / "w.csv").write_text(header + "\n" + ",".join(row.split(",")[:5]) + "\n")
         with pytest.raises(TraceParseError, match="row 2, column 'scanned_bytes': missing value"):
+            read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
+
+    def test_targets_missing_column_is_schema_error(self, schema, tmp_path):
+        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        windows, intervals = build_targets(trace, 300000, 30000)
+        write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
+        lines = (tmp_path / "i.csv").read_text().splitlines()
+        (tmp_path / "i.csv").write_text(
+            "".join(line.rsplit(",", 1)[0] + "\n" for line in lines))  # drop scanned_bytes
+        with pytest.raises(SchemaError, match="targets file .* is missing column 'scanned_bytes'"):
             read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
 
     @pytest.mark.parametrize("name, row, column, cell, error, message", [
@@ -449,3 +461,68 @@ def test_export_number_format(tmp_path, value, text):
                   _EXPORT_SCHEMA)
     export_trace(trace, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text().splitlines()[1] == f"q,0,1,{text},0,1"
+
+
+_CELLS = {
+    int: st.integers(-2 ** 63, 2 ** 63 - 1),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                 max_size=6),
+}
+# (kinds it applies to, raw cell, error, message); a raw cell of None ends
+# the row before the cell
+_FAULTS = [
+    ((int,), "2.5", ValidationError, "non-integral value 2.5"),
+    ((int, float), "x1", TraceParseError, "cannot parse 'x1'"),
+    ((int, float), "", TraceParseError, "cannot parse ''"),
+    ((int, float), "nan", TraceParseError, "non-finite value 'nan'"),
+    ((int, float), "-Infinity", TraceParseError, "non-finite value '-Infinity'"),
+    ((int, float), "1e400", TraceParseError, "non-finite value '1e400'"),
+    ((int, float, str), None, TraceParseError, "missing value"),
+]
+
+
+@st.composite
+def column_files(draw):
+    """Column kinds, rows of cells of those kinds, and one fault at one cell
+    (None when no fault applies: a short row that ends before the first
+    cell is a blank line)."""
+    kinds = draw(st.lists(st.sampled_from((int, float, str)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)).map(list),
+                         min_size=1, max_size=6))
+    row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(kinds) - 1))
+    faults = [f for f in _FAULTS if kinds[col] in f[0] and (f[1] is not None or col > 0)]
+    return kinds, rows, row, col, draw(st.sampled_from(faults)) if faults else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_files())
+def test_read_columns_round_trip_and_typed_rejection(tmp_path_factory, case):
+    """Int, float and str columns written with csv.writer read back exactly;
+    one corrupted cell raises the typed error naming its row and column."""
+    kinds, rows, row, col, fault = case
+    names = [f"c{j}" for j in range(len(kinds))]
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+
+    def read(rows):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([names] + rows)
+        return trace_module.read_columns(path, "test", dict(zip(names, kinds)), {})
+
+    back = read(rows)
+    assert back == {name: [cells[j] for cells in rows] for j, name in enumerate(names)}
+    assert all(type(v) is kind for name, kind in zip(names, kinds) for v in back[name])
+    if fault is None:
+        return
+    _, raw, error, message = fault
+    cells = rows[row][:col] if raw is None else rows[row][:col] + [raw] + rows[row][col + 1:]
+    with pytest.raises(error, match=re.escape(f"row {row + 2}, column '{names[col]}': {message}")):
+        read(rows[:row] + [cells] + rows[row + 1:])
+
+
+def test_only_trace_reads_csv():
+    """Every CSV the package reads back goes through trace.py."""
+    package = Path(trace_module.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if re.search(
+        r"\bcsv\.(reader|DictReader)\b|from csv import", p.read_text(encoding="utf-8")))
+    assert readers == ["trace.py"]
