@@ -100,7 +100,8 @@ class Catalog:
 
     def feature_matrix(self) -> np.ndarray:
         """Components as rows, dimensions in schema order."""
-        return np.array([c.feature.as_vector() for c in self.components])
+        return np.array([c.feature.as_vector() for c in self.components]).reshape(
+            len(self.components), len(self.schema.dimensions))
 
     def copy(self) -> "Catalog":
         return Catalog(list(self.components), self.schema)

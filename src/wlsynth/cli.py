@@ -486,10 +486,8 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    cfg = _build_config(args)
-    paths = _Paths(args.out)
     try:
-        args.fn(cfg, paths, args)
+        args.fn(_build_config(args), _Paths(args.out), args)
     except WlsynthError as exc:
         print(json.dumps({
             "stage": args.command,

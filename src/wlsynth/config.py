@@ -41,6 +41,7 @@ DEFAULTS: dict[str, str] = {
     "provider.timeout_ms": "30000",
     "seed": "0",
 }
+FLOOR_KEYS = ("denom_floor", "metrics_eps")  # relative-error floors: positive, or x / 0
 
 
 @dataclass
@@ -107,7 +108,12 @@ def load_config(path) -> Config:
     unknown = set(values) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return Config(values)
+    config = Config(values)
+    for key in FLOOR_KEYS:
+        if not config.get_float(key) > 0:  # NaN too
+            raise ConfigError(f"config key {key!r}: expected a positive number, "
+                              f"got {config.get(key)!r}")
+    return config
 
 
 def write_config(config: Config, path) -> None:

@@ -14,6 +14,18 @@ MODE_TIME_SHARES = "time_shares"
 MODES = (MODE_COUNTS, MODE_TIME_SHARES)
 
 
+def floored(values, floor: float) -> np.ndarray:
+    """|values| floored at `floor`: a zero stays a finite divisor and logarithm."""
+    return np.maximum(np.abs(values), floor)
+
+
+def relative_errors(achieved, target, floor: float) -> np.ndarray:
+    """|achieved - target| / max(|target|, floor), elementwise.  Selection and
+    annealing minimise its sum (`selector.relative_error`); GMAPE is its
+    geometric mean (`metrics.gmape`)."""
+    return np.abs(achieved - target) / floored(target, floor)
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered metric and operator dimension names, fixed per trace."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .features import floored, relative_errors
 from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, build_targets, target_matrix
 
 EPS_DEFAULT = 1e-9
@@ -31,17 +32,15 @@ def mae(targets, achieved) -> float:
 
 
 def gmape(targets, achieved, eps: float = EPS_DEFAULT) -> float:
-    """Geometric mean of (relative error + 1), minus 1; zero targets floored at eps."""
+    """Geometric mean of (`features.relative_errors` + 1), minus 1: the
+    selection objective's rule, with zero targets floored at eps."""
     t, a = _check_lengths(targets, achieved)
-    rel = np.abs(t - a) / np.maximum(np.abs(t), eps)
-    return float(np.expm1(np.mean(np.log1p(rel))))
+    return float(np.expm1(np.mean(np.log1p(relative_errors(a, t, eps)))))
 
 
 def gmqe(targets, achieved, eps: float = EPS_DEFAULT) -> float:
     """Geometric mean of max(F/F~, F~/F) per point, both values floored at eps."""
-    t, a = _check_lengths(targets, achieved)
-    t = np.maximum(np.abs(t), eps)
-    a = np.maximum(np.abs(a), eps)
+    t, a = (floored(x, eps) for x in _check_lengths(targets, achieved))
     q = np.maximum(np.log(t) - np.log(a), np.log(a) - np.log(t))
     return float(np.exp(np.mean(q)))
 

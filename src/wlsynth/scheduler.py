@@ -24,11 +24,12 @@ import numpy as np
 from .catalog import Catalog
 from .errors import ValidationError
 from .trace import _BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix
-from .selector import SelectionPlan
+from .selector import SelectionPlan, relative_error
 
 log = logging.getLogger(__name__)
 
 _EPS_DEFAULT = 1.0
+_ACCEPT_HI, _ACCEPT_LO = 0.98, 1e-4  # chance of taking the median uphill move at V_max, V_min
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,11 @@ class Schedule:
 
 @dataclass
 class SAConfig:
-    """Annealer knobs; temperatures are auto-tuned when left unset."""
+    """Annealer knobs; the temperatures are tuned from the initial state."""
 
     no_improve_limit: int = 100   # S: stop after this many steps without a new best
     max_steps: int = 3000
     move_granularity_ms: int = 1000
-    v_max: float | None = None
-    v_min: float | None = None
-    accept_probability_hi: float = 0.98
-    accept_probability_lo: float = 1e-4
     denom_floor: float = _EPS_DEFAULT
 
 
@@ -214,7 +211,7 @@ def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray
 def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: np.ndarray,
             cores: int, grid: IntervalGrid, denom_floor: float) -> float:
     _, achieved = simulate_processor_sharing(starts, works, cores, metrics, grid)
-    return float(np.sum(np.abs(achieved - target) / np.maximum(target, denom_floor)))
+    return relative_error(achieved, target, denom_floor)
 
 
 def _check_targets(interval_targets: list[IntervalTarget], catalog: Catalog
@@ -234,7 +231,7 @@ def energy(
     cores: int,
     denom_floor: float = _EPS_DEFAULT,
 ) -> float:
-    """Sum over intervals and metric dimensions of |achieved - target| / max(target, eps)."""
+    """`selector.relative_error` of the replayed interval metrics against the targets."""
     grid, target = _check_targets(interval_targets, catalog)
     starts, works, features = expand(schedule, catalog)
     return _energy(starts, works, features[:, :catalog.schema.n_metrics], target, cores,
@@ -303,7 +300,7 @@ def _tune_temperatures(
     config: SAConfig,
 ) -> tuple[float, float]:
     """Sample random moves from the initial state to pick V_max and V_min so the
-    median uphill step is accepted with the configured probabilities."""
+    median uphill step is accepted with probabilities _ACCEPT_HI and _ACCEPT_LO."""
     uphill = []
     for _ in range(100):
         j = int(rng.integers(0, len(starts)))
@@ -314,9 +311,7 @@ def _tune_temperatures(
         if delta > 0:
             uphill.append(delta)
     median = float(np.median(uphill)) if uphill else 1.0
-    v_max = median / -math.log(config.accept_probability_hi)
-    v_min = median / -math.log(config.accept_probability_lo)
-    return v_max, v_min
+    return median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
 
 
 def assign_timestamps(
@@ -354,13 +349,8 @@ def assign_timestamps(
     if not len(schedule):
         return AnnealResult(schedule, 0.0, 0.0, [0.0], 0)
 
-    v_max, v_min = config.v_max, config.v_min
-    if v_max is None or v_min is None:
-        tuned = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng, config)
-        v_max = v_max if v_max is not None else tuned[0]
-        v_min = v_min if v_min is not None else tuned[1]
-    v_min = min(v_min, v_max)
-    alpha = (v_min / v_max) ** (1.0 / max(1, config.max_steps)) if v_max > 0 else 1.0
+    v_max, v_min = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng, config)
+    alpha = (v_min / v_max) ** (1.0 / max(1, config.max_steps))
 
     temperature = v_max
     no_improve = 0

@@ -1,9 +1,10 @@
 """Per-window component selection.
 
 Chooses an integer multiplicity for every catalog component so that the
-combined feature vector minimizes the summed relative error against the
-window target, subject to a per-component repetition cap, a total-count cap
-and a duration budget.  Absolute values are linearized with one nonnegative
+combined feature vector minimizes the summed relative error
+(`relative_error`, the sum of `features.relative_errors`) against the window
+target, subject to a per-component repetition cap, a total-count cap and a
+duration budget.  Absolute values are linearized with one nonnegative
 slack per feature dimension.  The integer program goes to HiGHS through
 `scipy.optimize.milp`: its LP relaxation first, and the MIP solver (branch and
 bound over LP relaxations, relative gap 0) only when that root is fractional.
@@ -27,7 +28,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .catalog import Catalog
 from .errors import SchemaError, SolverError, ValidationError
-from .features import FeatureSchema, PerformanceFeature
+from .features import FeatureSchema, PerformanceFeature, floored, relative_errors
 from .trace import WindowTarget, read_columns
 
 ONE_TO_ONE = "one_to_one"
@@ -59,7 +60,6 @@ class SelectionConstraints:
     total_per_query_factor: float = 2.0
     max_concurrency: int = 8           # cores; duration budget l = window_len * cores
     denom_floor: float = 1.0           # epsilon for zero-valued targets
-    weights: np.ndarray | None = None  # per-dimension, defaults to all ones
     node_limit: int = 20000            # HiGHS MIP nodes per window
     time_limit_s: float | None = None
 
@@ -76,7 +76,6 @@ class SelectionProblem:
     z: int
     duration_budget_ms: float
     denom_floor: float = 1.0
-    weights: np.ndarray | None = None
     window_index: int = 0
     node_limit: int = 20000
     time_limit_s: float | None = None
@@ -90,30 +89,27 @@ class SelectionProblem:
         if self.y < 1 or self.z < 1 or self.duration_budget_ms <= 0 or self.denom_floor <= 0:
             raise ValidationError("require y >= 1, z >= 1, l > 0 and denom_floor > 0")
 
-    @property
-    def denominators(self) -> np.ndarray:
-        return np.maximum(np.abs(self.target), self.denom_floor)
-
-    @property
-    def weight_vector(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones_like(self.target)
-        return np.asarray(self.weights, dtype=float)
-
     def objective(self, counts: np.ndarray) -> float:
         """Exact relative-error objective of an integer count vector."""
-        return relative_error(self.features.T @ counts, self.target, self.denominators,
-                              self.weight_vector)
+        return relative_error(self.features.T @ counts, self.target, self.denom_floor)
+
+    def plan(self, counts: np.ndarray, approximate: bool = False) -> "SelectionPlan":
+        """The plan of a count vector: every SelectionPlan is built here, so a
+        plan read back from its CSV carries the same achieved vector and
+        objective, bit for bit, as the one the solver made."""
+        achieved = self.features.T @ counts
+        return SelectionPlan(
+            window_index=self.window_index,
+            counts={cid: int(n) for cid, n in zip(self.component_ids, counts) if n > 0},
+            achieved=achieved,
+            objective_value=relative_error(achieved, self.target, self.denom_floor),
+            approximate=approximate,
+        )
 
 
-def relative_error(achieved: np.ndarray, target: np.ndarray, denominators: np.ndarray,
-                   weights: np.ndarray) -> float:
-    """The selection objective: weighted sum of |achieved - target| / denominators.
-
-    Every plan's `objective_value` comes from here, so a plan read back from
-    its CSV carries the same value, bit for bit, as the one the solver made.
-    """
-    return float(weights @ (np.abs(achieved - target) / denominators))
+def relative_error(achieved: np.ndarray, target: np.ndarray, floor: float) -> float:
+    """The selection and annealing objective: the sum of `features.relative_errors`."""
+    return float(np.sum(relative_errors(achieved, target, floor)))
 
 
 @dataclass
@@ -141,7 +137,7 @@ def _milp_model(problem: SelectionProblem):
     v = problem.features.shape[0]
     ndim = problem.target.shape[0]
     A = problem.features.T  # (ndim, v)
-    slack_block = -np.diag(problem.denominators)
+    slack_block = -np.diag(floored(problem.target, problem.denom_floor))
     a_ub = np.vstack(
         [
             np.hstack([A, slack_block]),
@@ -153,7 +149,7 @@ def _milp_model(problem: SelectionProblem):
     b_ub = np.concatenate(
         [problem.target, -problem.target, [problem.z], [problem.duration_budget_ms]]
     )
-    c = np.concatenate([np.zeros(v), problem.weight_vector])
+    c = np.concatenate([np.zeros(v), np.ones(ndim)])
     constraints = LinearConstraint(a_ub, -np.inf, b_ub)
     bounds = Bounds(
         np.zeros(v + ndim), np.concatenate([np.full(v, float(problem.y)), np.full(ndim, np.inf)])
@@ -198,8 +194,6 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
     counts, and repetitions of components with identical feature and
     duration columns are shifted to the later component id.
     """
-    if problem.weights is not None and np.any(np.asarray(problem.weights) < 0):
-        raise ValidationError("weights must be nonnegative")
     v = problem.features.shape[0]
     best_counts = np.zeros(v, dtype=int)
     zero_obj = problem.objective(best_counts)
@@ -225,18 +219,7 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
         if counts is not None and problem.objective(counts) < zero_obj - _TIE_EPS:
             best_counts = counts
 
-    best_counts = _lex_duplicate_shift(problem, best_counts)
-    achieved = problem.features.T @ best_counts
-    counts = {
-        cid: int(n) for cid, n in zip(problem.component_ids, best_counts) if n > 0
-    }
-    return SelectionPlan(
-        window_index=problem.window_index,
-        counts=counts,
-        achieved=achieved,
-        objective_value=problem.objective(best_counts),
-        approximate=approximate,
-    )
+    return problem.plan(_lex_duplicate_shift(problem, best_counts), approximate)
 
 
 def _rounded_counts(problem: SelectionProblem, x: np.ndarray | None) -> np.ndarray | None:
@@ -295,7 +278,6 @@ def build_problem(
         z=z,
         duration_budget_ms=float(target.window_len_ms * constraints.max_concurrency),
         denom_floor=constraints.denom_floor,
-        weights=constraints.weights,
         window_index=target.window_index,
         node_limit=constraints.node_limit,
         time_limit_s=constraints.time_limit_s,
@@ -339,10 +321,11 @@ def write_plans(plans: list[SelectionPlan], path) -> None:
 
 def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
                denom_floor: float = 1.0) -> list[SelectionPlan]:
-    """Rebuild plans from a plan CSV read through `trace.read_columns`;
-    achieved/objective are recomputed.  A window outside `targets`, a
-    component outside `catalog` or a negative count is a ValidationError
-    naming the row and the column."""
+    """Rebuild plans from a plan CSV read through `trace.read_columns`, each
+    by `SelectionProblem.plan` of its window's `build_problem`.  A window
+    outside `targets`, a component outside `catalog`, a repeated (window,
+    component) pair or a negative count is a ValidationError naming the row
+    and the column."""
     columns = read_columns(path, "plan",
                            {"window_index": int, "component_id": str, "count": int}, {})
     counts: dict[int, dict[str, int]] = {t.window_index: {} for t in targets}
@@ -353,27 +336,19 @@ def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
         if cid not in catalog:
             raise ValidationError(
                 f"row {rownum}, column 'component_id': unknown component_id {cid!r}")
+        if cid in counts[w]:
+            raise ValidationError(f"row {rownum}, column 'component_id': component_id "
+                                  f"{cid!r} repeated in window {w}")
         if n < 0:
             raise ValidationError(f"row {rownum}, column 'count': negative count {n}")
         counts[w][cid] = n
-    features = catalog.feature_matrix()
-    ids = [c.component_id for c in catalog]
-    denom_by_window = {t.window_index: t for t in targets}
+    constraints = SelectionConstraints(denom_floor=denom_floor)
+    by_window = {t.window_index: t for t in targets}
     plans = []
     for w in sorted(counts):
-        vector = np.array([counts[w].get(cid, 0) for cid in ids], dtype=int)
-        target = denom_by_window[w].feature.as_vector()
-        denom = np.maximum(np.abs(target), denom_floor)
-        achieved = features.T @ vector
-        plans.append(
-            SelectionPlan(
-                window_index=w,
-                counts={cid: n for cid, n in counts[w].items() if n > 0},
-                achieved=achieved,
-                objective_value=relative_error(achieved, target, denom,
-                                               np.ones_like(target)),
-            )
-        )
+        problem = build_problem(by_window[w], catalog, constraints)
+        plans.append(problem.plan(np.array(
+            [counts[w].get(cid, 0) for cid in problem.component_ids], dtype=int)))
     return plans
 
 
@@ -450,13 +425,6 @@ def match_query(
         raise ValidationError(f"unknown match mode {mode!r}")
     mean, std = znorm_stats(features)
     distances = np.linalg.norm((features - mean) / std - (target - mean) / std, axis=1)
-    ranked = sorted(range(len(ids)), key=lambda j: (distances[j], ids[j]))
-    j = ranked[0]
     counts = np.zeros(len(ids), dtype=int)
-    counts[j] = 1
-    return SelectionPlan(
-        window_index=0,
-        counts={ids[j]: 1},
-        achieved=features[j].copy(),
-        objective_value=problem.objective(counts),
-    )
+    counts[min(range(len(ids)), key=lambda j: (distances[j], ids[j]))] = 1
+    return problem.plan(counts)

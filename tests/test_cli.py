@@ -333,6 +333,31 @@ class TestErrors:
         assert err["error"] == "TraceParseError"
         assert err["message"] == "row 2, column 'filter_num': missing value"
 
+    @pytest.mark.parametrize("key, value, stage, output", [
+        ("denom_floor", "-1", 3, "schedule"),
+        ("metrics_eps", "0", 5, "report"),
+    ])
+    def test_nonpositive_floor_fails_before_writing(self, demo_dir, tmp_path, capsys,
+                                                   key, value, stage, output):
+        """A relative-error floor must be positive: the stage stops with a
+        ConfigError before it writes anything."""
+        out = ["--out", str(tmp_path)]
+        catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]
+        stages = [["ingest", "--trace", str(demo_dir / "demo_trace.csv")], ["targets"],
+                  ["select"] + catalog, ["schedule", "--skip-ta"] + catalog,
+                  ["replay"] + catalog, ["evaluate"]]
+        for args in stages[:stage]:
+            assert main(args + ["--config", str(demo_dir / "demo_config.txt")] + out) == 0
+        bad = tmp_path / "bad_config.txt"
+        bad.write_text((demo_dir / "demo_config.txt").read_text() + f"{key} = {value}\n")
+        capsys.readouterr()
+        assert main(stages[stage] + ["--config", str(bad)] + out) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": stages[stage][0], "error": "ConfigError",
+                       "message": f"config key {key!r}: expected a positive number, "
+                                  f"got {value!r}"}
+        assert not (tmp_path / output).exists()
+
     def test_malformed_plan_fails_schedule(self, demo_dir, tmp_path, capsys):
         base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
         catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy.optimize import milp
 
 from conftest import make_catalog, random_catalog
@@ -203,12 +207,6 @@ class TestSolveWindow:
             assert first.counts == second.counts
             assert first.objective_value == second.objective_value
 
-    def test_negative_weights_rejected(self):
-        problem = random_problem(np.random.default_rng(3))
-        problem.weights = np.array([1.0, -0.5, 1.0])
-        with pytest.raises(ValidationError):
-            solve_window(problem)
-
     def test_zero_target_uses_floor(self):
         problem = SelectionProblem(
             target=np.array([0.0, 5.0]),
@@ -269,8 +267,8 @@ class TestWindowsAndIO:
             solve_all_windows(targets, catalog, SelectionConstraints(), jobs)
 
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
-        # eight dimensions: enough that a plain sum and the objective's dot
-        # product can round differently
+        # eight dimensions: enough that two ways of summing the errors can
+        # round differently, so both sides must come from the same code
         schema = FeatureSchema(metrics=("m0", "m1", "m2"),
                                operators=("o0", "o1", "o2", "o3", "o4"))
         rng = np.random.default_rng(2024)
@@ -284,6 +282,17 @@ class TestWindowsAndIO:
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
         back = read_plans(path, targets, catalog)
+        assert [p.objective_value for p in back] == [p.objective_value for p in plans]
+
+    def test_empty_catalog_plans_no_instances(self, schema, tmp_path):
+        from wlsynth.catalog import Catalog
+
+        targets = self.make_targets(schema)
+        plans = solve_all_windows(targets, Catalog([], schema), SelectionConstraints())
+        assert [p.counts for p in plans] == [{}] * len(targets)
+        path = tmp_path / "plan.csv"
+        write_plans(plans, path)
+        back = read_plans(path, targets, Catalog([], schema))
         assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_build_problem_derives_total_cap(self, schema):
@@ -317,6 +326,8 @@ class TestWindowsAndIO:
          "row 3, column 'component_id': unknown component_id 'c9'"),
         (_PLAN_HEADER + "7,c1,1\n", ValidationError,
          "row 2, column 'window_index': plan references unknown window 7"),
+        (_PLAN_HEADER + "0,c1,1\n0,c1,3\n", ValidationError,
+         "row 3, column 'component_id': component_id 'c1' repeated in window 0"),
         ("window_index,component_id\n0,c1\n", SchemaError, "is missing column 'count'"),
     ])
     def test_malformed_plan_rows_are_typed(self, schema, tmp_path, text, error, message):
@@ -369,8 +380,8 @@ def plan_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(plan_cases())
 def test_plan_csv_round_trip(tmp_path_factory, case):
-    """write_plans -> read_plans keeps the counts and the objective bit for bit;
-    a row naming a window outside the targets is rejected."""
+    """write_plans -> read_plans keeps the counts, the achieved vector and the
+    objective bit for bit; a row naming a window outside the targets is rejected."""
     catalog, targets, plans, denom_floor, unknown = case
     path = tmp_path_factory.mktemp("plans") / "plan.csv"
     write_plans(plans, path)
@@ -379,6 +390,7 @@ def test_plan_csv_round_trip(tmp_path_factory, case):
     assert [p.window_index for p in back] == sorted(by_window)
     for plan in back:
         assert plan.counts == by_window[plan.window_index].counts
+        assert_array_equal(plan.achieved, by_window[plan.window_index].achieved)
         assert plan.objective_value == by_window[plan.window_index].objective_value
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{unknown},{catalog.components[0].component_id},1\n")
@@ -396,6 +408,7 @@ class TestMatchQuery:
                                    np.array([1.0, 0.0, 0.0, 0.0]))
         plan = match_query(query, catalog, mode=ONE_TO_ONE)
         assert plan.counts == {"near": 1}
+        assert_array_equal(plan.achieved, catalog.get("near").feature.as_vector())
 
     def test_one_to_one_tie_breaks_by_id(self, schema):
         catalog = make_catalog(schema, [
@@ -405,6 +418,7 @@ class TestMatchQuery:
         query = PerformanceFeature(np.array([5.0, 5.0]), np.zeros(4))
         plan = match_query(query, catalog, mode=ONE_TO_ONE)
         assert plan.counts == {"a": 1}
+        assert_array_equal(plan.achieved, catalog.get("a").feature.as_vector())
 
     def test_one_to_many_dominates(self, schema):
         rng = np.random.default_rng(21)
@@ -422,3 +436,12 @@ class TestMatchQuery:
         query = PerformanceFeature(np.zeros(2), np.zeros(4))
         with pytest.raises(ValidationError):
             match_query(query, Catalog([], schema), mode=ONE_TO_ONE)
+
+
+def test_only_features_divides_by_a_floor():
+    """The relative-error rule is written once, in features.py: no other
+    module divides by a floored denominator."""
+    package = Path(selector.__file__).parent
+    dividers = sorted(p.name for p in package.glob("*.py") if re.search(
+        r"/\s*(np\.maximum|floored)\(", p.read_text(encoding="utf-8")))
+    assert dividers == ["features.py"]
