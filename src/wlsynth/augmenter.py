@@ -236,29 +236,19 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, assignment
 
 
-def find_generation_targets(
-    queries: list[tuple[PerformanceFeature, int]],
-    k: int,
-    seed: int,
-) -> list[GenerationTarget]:
+def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: int,
+                     seed: int) -> list[GenerationTarget]:
     """Cluster under-fit queries' features; one target per non-empty cluster.
 
-    `queries` pairs each feature with its source window index.  Features are
-    z-normalized before clustering and centroids are mapped back to native
-    units.  With fewer distinct points than k, the distinct points are
-    returned instead (with a warning).
+    `matrix` holds one feature row per query and `windows` each query's
+    source window index.  Features are z-normalized before clustering and
+    centroids are mapped back to native units.  With fewer distinct points
+    than k, the distinct points are returned instead (with a warning).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if not queries:
+    if not len(matrix):
         return []
-    return _cluster_targets(np.array([f.as_vector() for f, _ in queries]),
-                            [w for _, w in queries], queries[0][0].metrics.shape[0], k, seed)
-
-
-def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: int,
-                     seed: int) -> list[GenerationTarget]:
-    """find_generation_targets on a (queries x dimensions) feature table."""
     distinct = np.unique(matrix, axis=0)
     if len(distinct) < k:
         log.warning(

@@ -55,6 +55,7 @@ log = logging.getLogger(__name__)
 
 WINDOW_LEVEL = "window"
 _DATA_FILES = ("demo_trace.csv", "demo_catalog.csv", "demo_config.txt")
+_FLAG_KEYS = ("seed", "window_ms", "interval_ms", "cores", "y", "z")  # flags that set a config key
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -90,27 +91,11 @@ class _Paths:
         return explicit
 
 
-def _build_config(args) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
-    overrides = {
-        "seed": args.seed,
-        "window_ms": getattr(args, "window_ms", None),
-        "interval_ms": getattr(args, "interval_ms", None),
-        "cores": getattr(args, "cores", None),
-        "y": getattr(args, "y", None),
-        "z": getattr(args, "z", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg.set(key, value)
-    return cfg
-
-
 def _read_trace(cfg: Config, paths: _Paths, args):
     path = getattr(args, "trace", None) or paths.trace
     if not Path(path).exists():
         raise ConfigError(f"no trace at {path}; pass --trace or run 'ingest' first")
-    return ingest_trace(path, cfg.schema(), cfg.mode())
+    return ingest_trace(path, cfg.schema(), cfg["mode"])
 
 
 def _read_targets(cfg: Config, paths: _Paths):
@@ -122,18 +107,18 @@ def _read_targets(cfg: Config, paths: _Paths):
 
 
 def _read_plans(cfg: Config, paths: _Paths, windows, catalog: Catalog) -> list[SelectionPlan]:
-    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg.get_float("denom_floor"))
+    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg["denom_floor"])
 
 
 def _constraints(cfg: Config) -> SelectionConstraints:
     return SelectionConstraints(
-        max_repetitions=cfg.get_int("y"),
-        max_total=cfg.get_optional_int("z"),
-        total_per_query_factor=cfg.get_float("z_per_query_factor"),
-        max_concurrency=cfg.get_int("cores"),
-        denom_floor=cfg.get_float("denom_floor"),
-        node_limit=cfg.get_int("solver.node_limit"),
-        time_limit_s=cfg.get_optional_float("solver.time_limit_s"),
+        max_repetitions=cfg["y"],
+        max_total=cfg["z"],
+        total_per_query_factor=cfg["z_per_query_factor"],
+        max_concurrency=cfg["cores"],
+        denom_floor=cfg["denom_floor"],
+        node_limit=cfg["solver.node_limit"],
+        time_limit_s=cfg["solver.time_limit_s"],
     )
 
 
@@ -181,23 +166,19 @@ def echo_policy(prompt: str, calls: int) -> str:
 
 
 def _provider(cfg: Config):
-    kind = cfg.get("provider.kind")
-    if kind == "mock":
+    if cfg["provider.kind"] == "mock":
         return MockProvider(echo_policy)
-    if kind == "http":
-        endpoint = cfg.get("provider.endpoint")
-        if not endpoint:
-            raise ConfigError("provider.endpoint is required when provider.kind = http")
-        return HttpProvider(endpoint, cfg.get_int("provider.timeout_ms"))
-    raise ConfigError(f"provider.kind must be 'mock' or 'http', got {kind!r}")
+    if not cfg["provider.endpoint"]:
+        raise ConfigError("provider.endpoint is required when provider.kind = http")
+    return HttpProvider(cfg["provider.endpoint"], cfg["provider.timeout_ms"])
 
 
 def _sa_config(cfg: Config) -> SAConfig:
     return SAConfig(
-        no_improve_limit=cfg.get_int("sa.no_improve"),
-        max_steps=cfg.get_int("sa.max_steps"),
-        move_granularity_ms=cfg.get_int("sa.move_granularity_ms"),
-        denom_floor=cfg.get_float("denom_floor"),
+        no_improve_limit=cfg["sa.no_improve"],
+        max_steps=cfg["sa.max_steps"],
+        move_granularity_ms=cfg["sa.move_granularity_ms"],
+        denom_floor=cfg["denom_floor"],
     )
 
 
@@ -209,7 +190,7 @@ def _sa_config(cfg: Config) -> SAConfig:
 def run_ingest(cfg: Config, paths: _Paths, trace_path) -> Trace:
     if trace_path is None:
         raise ConfigError("ingest requires --trace")
-    trace = ingest_trace(trace_path, cfg.schema(), cfg.mode())
+    trace = ingest_trace(trace_path, cfg.schema(), cfg["mode"])
     paths.ensure()
     export_trace(trace, paths.trace)
     log.info("ingested %d records -> %s", len(trace), paths.trace)
@@ -217,9 +198,7 @@ def run_ingest(cfg: Config, paths: _Paths, trace_path) -> Trace:
 
 
 def run_targets(cfg: Config, paths: _Paths, trace: Trace):
-    windows, intervals = build_targets(
-        trace, cfg.get_int("window_ms"), cfg.get_int("interval_ms")
-    )
+    windows, intervals = build_targets(trace, cfg["window_ms"], cfg["interval_ms"])
     paths.ensure(paths.targets)
     write_targets(windows, intervals, paths.targets / "windows.csv",
                   paths.targets / "intervals.csv", cfg.schema())
@@ -243,7 +222,7 @@ def run_select(cfg: Config, paths: _Paths, args, windows, catalog: Catalog,
             for query_id, feature in zip(trace.query_id, trace.features):
                 plan = match_query(
                     PerformanceFeature.from_vector(feature, trace.schema), catalog,
-                    mode=args.query_level, denom_floor=cfg.get_float("denom_floor"),
+                    mode=args.query_level, denom_floor=cfg["denom_floor"],
                 )
                 for cid in sorted(plan.counts):
                     fh.write(f"{query_id},{cid},{plan.counts[cid]},"
@@ -260,19 +239,19 @@ def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
                 ) -> tuple[Catalog, list[SelectionPlan]]:
     """Returns the augmented catalog and the plans the later stages use."""
     augment_cfg = AugmentConfig(
-        k=cfg.get_int("augment.k"),
-        examples_per_side=cfg.get_int("augment.examples_per_side"),
-        accept_threshold=cfg.get_float("augment.accept_threshold"),
-        max_attempts=cfg.get_int("augment.max_attempts"),
-        max_db_switches=cfg.get_int("augment.max_db_switches"),
-        bad_window_threshold=cfg.get_float("augment.bad_window_threshold"),
-        cpu_dimension=cfg.get("augment.cpu_dimension"),
-        sb_dimension=cfg.get("augment.sb_dimension"),
+        k=cfg["augment.k"],
+        examples_per_side=cfg["augment.examples_per_side"],
+        accept_threshold=cfg["augment.accept_threshold"],
+        max_attempts=cfg["augment.max_attempts"],
+        max_db_switches=cfg["augment.max_db_switches"],
+        bad_window_threshold=cfg["augment.bad_window_threshold"],
+        cpu_dimension=cfg["augment.cpu_dimension"],
+        sb_dimension=cfg["augment.sb_dimension"],
     )
     executor = SimulatedExecutor(cfg.schema())
     augmented, reports = augment_catalog(
         trace, plans, windows, catalog, _provider(cfg), executor,
-        config=augment_cfg, seed=stage_seed(cfg.get_int("seed"), "augment"),
+        config=augment_cfg, seed=stage_seed(cfg["seed"], "augment"),
     )
     paths.ensure(paths.augment, paths.plans)
     save_catalog(augmented, paths.augment / "catalog.csv")
@@ -292,16 +271,14 @@ def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
 def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
                  intervals, catalog: Catalog) -> Schedule:
     paths.ensure(paths.schedule)
-    seed = stage_seed(cfg.get_int("seed"), "schedule")
+    seed = stage_seed(cfg["seed"], "schedule")
     if args.skip_ta:
-        schedule = random_schedule(
-            plans, intervals, seed, cfg.get_int("sa.move_granularity_ms")
-        )
+        schedule = random_schedule(plans, intervals, seed, cfg["sa.move_granularity_ms"])
         trace_rows = []
     else:
         result = assign_timestamps(
             plans, intervals, catalog, _sa_config(cfg),
-            rng_seed=seed, cores=cfg.get_int("cores"),
+            rng_seed=seed, cores=cfg["cores"],
         )
         schedule = result.schedule
         trace_rows = list(enumerate(result.best_energy_trace))
@@ -317,7 +294,7 @@ def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
 
 def run_replay(cfg: Config, paths: _Paths, schedule: Schedule, catalog: Catalog,
                intervals) -> Trace:
-    replayed = replay(schedule, catalog, cfg.get_int("cores"), cfg.mode(),
+    replayed = replay(schedule, catalog, cfg["cores"], cfg["mode"],
                       IntervalGrid.from_targets(intervals))
     paths.ensure(paths.replay)
     export_trace(replayed, paths.replay / "trace.csv")
@@ -327,7 +304,7 @@ def run_replay(cfg: Config, paths: _Paths, schedule: Schedule, catalog: Catalog,
 
 def run_evaluate(cfg: Config, paths: _Paths, windows, intervals,
                  replayed: Trace) -> FidelityReport:
-    rep = report(windows, intervals, replayed, cfg.get_float("metrics_eps"))
+    rep = report(windows, intervals, replayed, cfg["metrics_eps"])
     paths.ensure(paths.report)
     write_report(rep, paths.report / "scores.csv", paths.report / "plot_data.csv")
     for level, dim, name, value, _ in rep.rows():
@@ -377,7 +354,7 @@ def cmd_evaluate(cfg: Config, paths: _Paths, args) -> None:
     replayed_path = paths.replay / "trace.csv"
     if not replayed_path.exists():
         raise ConfigError(f"no replayed trace at {replayed_path}; run 'replay' first")
-    replayed = ingest_trace(replayed_path, cfg.schema(), cfg.mode())
+    replayed = ingest_trace(replayed_path, cfg.schema(), cfg["mode"])
     run_evaluate(cfg, paths, windows, intervals, replayed)
 
 
@@ -487,7 +464,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.fn(_build_config(args), _Paths(args.out), args)
+        cfg = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS})
+        args.fn(cfg, _Paths(args.out), args)
     except WlsynthError as exc:
         print(json.dumps({
             "stage": args.command,

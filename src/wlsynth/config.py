@@ -2,121 +2,111 @@
 
 The file format is one `key = value` per line, `#` comments, UTF-8.  Lists
 are comma-separated.  Keys are named exactly as the modules name them so a
-config diff reads like a parameter change log.
+config diff reads like a parameter change log.  Every key is parsed and
+checked once, when the config is built, so a bad value stops a run before
+any stage writes.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .features import MODES, FeatureSchema
 
-DEFAULTS: dict[str, str] = {
-    "metrics": "cpu_time_ms, scanned_bytes",
-    "operators": "filter_num, aggregate_num, join_num, sort_num",
-    "mode": "counts",
-    "window_ms": "300000",
-    "interval_ms": "30000",
-    "cores": "8",
-    "y": "10",
-    "z": "",
-    "z_per_query_factor": "2.0",
-    "denom_floor": "1.0",
-    "solver.node_limit": "20000",
-    "solver.time_limit_s": "",
-    "sa.no_improve": "100",
-    "sa.max_steps": "3000",
-    "sa.move_granularity_ms": "1000",
-    "metrics_eps": "1e-9",
-    "augment.k": "3",
-    "augment.examples_per_side": "3",
-    "augment.accept_threshold": "0.15",
-    "augment.max_attempts": "5",
-    "augment.max_db_switches": "2",
-    "augment.bad_window_threshold": "0.2",
-    "augment.cpu_dimension": "cpu_time_ms",
-    "augment.sb_dimension": "scanned_bytes",
-    "provider.kind": "mock",
-    "provider.endpoint": "",
-    "provider.timeout_ms": "30000",
-    "seed": "0",
+POSITIVE = "positive"
+
+# key -> (type, typed default, rule).  A tuple-typed key is a comma list; a
+# key whose default is None is optional, and an empty value leaves it unset.
+# The rule is POSITIVE, a tuple of the allowed values, or None.  Rules over
+# two keys stay with the stage that reads them.
+KEYS: dict[str, tuple[type, object, object]] = {
+    "metrics": (tuple, ("cpu_time_ms", "scanned_bytes"), None),
+    "operators": (tuple, ("filter_num", "aggregate_num", "join_num", "sort_num"), None),
+    "mode": (str, "counts", MODES),
+    "window_ms": (int, 300000, POSITIVE),
+    "interval_ms": (int, 30000, POSITIVE),
+    "cores": (int, 8, POSITIVE),
+    "y": (int, 10, POSITIVE),
+    "z": (int, None, POSITIVE),
+    "z_per_query_factor": (float, 2.0, None),
+    # relative-error floors: positive, or x / 0
+    "denom_floor": (float, 1.0, POSITIVE),
+    "solver.node_limit": (int, 20000, POSITIVE),
+    "solver.time_limit_s": (float, None, None),
+    "sa.no_improve": (int, 100, None),
+    "sa.max_steps": (int, 3000, None),
+    "sa.move_granularity_ms": (int, 1000, None),
+    "metrics_eps": (float, 1e-9, POSITIVE),
+    "augment.k": (int, 3, POSITIVE),
+    "augment.examples_per_side": (int, 3, None),
+    "augment.accept_threshold": (float, 0.15, None),
+    "augment.max_attempts": (int, 5, None),
+    "augment.max_db_switches": (int, 2, None),
+    "augment.bad_window_threshold": (float, 0.2, None),
+    "augment.cpu_dimension": (str, "cpu_time_ms", None),
+    "augment.sb_dimension": (str, "scanned_bytes", None),
+    "provider.kind": (str, "mock", ("mock", "http")),
+    "provider.endpoint": (str, "", None),
+    "provider.timeout_ms": (int, 30000, None),
+    "seed": (int, 0, None),
 }
-FLOOR_KEYS = ("denom_floor", "metrics_eps")  # relative-error floors: positive, or x / 0
+_EXPECTED = {int: "integer", float: "number"}
 
 
-@dataclass
+def _resolve(key: str, raw: str):
+    kind, default, rule = KEYS[key]
+    if default is None and not raw:
+        return None
+    try:
+        value = (tuple(part.strip() for part in raw.split(",") if part.strip())
+                 if kind is tuple else kind(raw))
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected {_EXPECTED[kind]}, "
+                          f"got {raw!r}") from None
+    if rule == POSITIVE and not value > 0:  # NaN too
+        raise ConfigError(f"config key {key!r}: expected a positive number, got {raw!r}")
+    if isinstance(rule, tuple) and value not in rule:
+        raise ConfigError(f"config key {key!r}: expected one of {rule}, got {raw!r}")
+    return value
+
+
 class Config:
-    values: dict[str, str] = field(default_factory=dict)
+    """Every key of KEYS at its typed value: the `raw` strings given are
+    parsed and checked, the other keys take their defaults."""
 
-    def get(self, key: str) -> str:
-        if key in self.values:
-            return self.values[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        raise ConfigError(f"unknown config key {key!r}")
+    def __init__(self, raw: dict[str, str] | None = None):
+        raw = raw or {}
+        unknown = set(raw) - set(KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        self.values = {key: _resolve(key, raw[key]) if key in raw else default
+                       for key, (_, default, _) in KEYS.items()}
+
+    def __getitem__(self, key: str):
+        if key not in self.values:
+            raise ConfigError(f"unknown config key {key!r}")
+        return self.values[key]
 
     def get_int(self, key: str) -> int:
-        raw = self.get(key)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected integer, got {raw!r}") from exc
-
-    def get_float(self, key: str) -> float:
-        raw = self.get(key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected number, got {raw!r}") from exc
-
-    def get_optional_int(self, key: str) -> int | None:
-        raw = self.get(key).strip()
-        return int(raw) if raw else None
-
-    def get_optional_float(self, key: str) -> float | None:
-        raw = self.get(key).strip()
-        return float(raw) if raw else None
-
-    def get_list(self, key: str) -> tuple[str, ...]:
-        return tuple(part.strip() for part in self.get(key).split(",") if part.strip())
-
-    def set(self, key: str, value) -> None:
-        self.values[key] = str(value)
+        """`self[key]`; bench/child.py reads `cores` through this name."""
+        return self[key]
 
     def schema(self) -> FeatureSchema:
-        return FeatureSchema(metrics=self.get_list("metrics"),
-                             operators=self.get_list("operators"))
-
-    def mode(self) -> str:
-        mode = self.get("mode")
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        return mode
+        return FeatureSchema(metrics=self["metrics"], operators=self["operators"])
 
 
-def load_config(path) -> Config:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    unknown = set(values) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config = Config(values)
-    for key in FLOOR_KEYS:
-        if not config.get_float(key) > 0:  # NaN too
-            raise ConfigError(f"config key {key!r}: expected a positive number, "
-                              f"got {config.get(key)!r}")
-    return config
-
-
-def write_config(config: Config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in DEFAULTS:
-            fh.write(f"{key} = {config.get(key)}\n")
+def load_config(path=None, overrides: dict | None = None) -> Config:
+    """The config file at `path` (defaults when None), with each override
+    that is not None (the CLI flags) taking the place of the file's value."""
+    raw: dict[str, str] = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, value = stripped.partition("=")
+                raw[key.strip()] = value.strip()
+    raw.update((key, str(value)) for key, value in (overrides or {}).items()
+               if value is not None)
+    return Config(raw)

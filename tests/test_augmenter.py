@@ -23,14 +23,15 @@ from wlsynth.augmenter import (
     bad_windows,
     build_prompt,
     classify_gap,
-    find_generation_targets,
     generate_component,
     pick_database,
     retrieve_examples,
     switch_database,
     write_attempt_log,
+    _cluster_targets,
 )
 from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
+from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import SelectionPlan
 from wlsynth.trace import QueryRecord, Trace, WindowTarget
@@ -51,13 +52,19 @@ def target_for(cpu, sb, ops=(0, 0, 0, 0)):
     return GenerationTarget("t0", feature(cpu, sb, ops), (0,), 1)
 
 
+def cluster(queries, k, seed):
+    """_cluster_targets on (feature, source window) pairs."""
+    matrix = np.array([f.as_vector() for f, _ in queries])
+    return _cluster_targets(matrix, [w for _, w in queries], 2, k, seed)
+
+
 class TestClustering:
     def test_separated_clusters_recovered(self):
         rng = np.random.default_rng(1)
         low = [(feature(10 + rng.normal(0, 0.1), 5), 0) for _ in range(20)]
         high = [(feature(100 + rng.normal(0, 0.1), 50, (2, 0, 0, 0)), 1)
                 for _ in range(20)]
-        targets = find_generation_targets(low + high, k=2, seed=0)
+        targets = cluster(low + high, k=2, seed=0)
         assert len(targets) == 2
         cpus = sorted(t.feature.metrics[0] for t in targets)
         assert cpus[0] == pytest.approx(10, abs=0.5)
@@ -66,27 +73,27 @@ class TestClustering:
 
     def test_fewer_distinct_points_than_k(self):
         queries = [(feature(5, 5), 0), (feature(5, 5), 1)]
-        targets = find_generation_targets(queries, k=3, seed=0)
+        targets = cluster(queries, k=3, seed=0)
         assert len(targets) == 1
         assert targets[0].source_windows == (0, 1)
         assert targets[0].weight == 2
 
     def test_centroids_clamped_nonnegative(self):
         queries = [(feature(0, 0), 0), (feature(1, 1), 0)]
-        targets = find_generation_targets(queries, k=1, seed=0)
+        targets = cluster(queries, k=1, seed=0)
         assert np.all(targets[0].feature.as_vector() >= 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         queries = [(feature(*rng.uniform(0, 50, 2)), int(rng.integers(0, 3)))
                    for _ in range(30)]
-        a = find_generation_targets(queries, k=3, seed=4)
-        b = find_generation_targets(queries, k=3, seed=4)
+        a = cluster(queries, k=3, seed=4)
+        b = cluster(queries, k=3, seed=4)
         for ta, tb in zip(a, b):
             assert ta.feature == tb.feature
 
     def test_empty_queries(self):
-        assert find_generation_targets([], k=3, seed=0) == []
+        assert _cluster_targets(np.empty((0, 6)), [], 2, k=3, seed=0) == []
 
 
 class TestExamples:
@@ -300,6 +307,14 @@ class TestAugmentCatalog:
         assert new.origin == "augmented"
         # only queries from the bad window feed the clustering
         np.testing.assert_allclose(new.feature.metrics, [250, 250], atol=15)
+
+    def test_zero_clusters_rejected(self, schema):
+        trace, plans, windows, catalog = self.make_inputs(schema)
+        provider = MockProvider(lambda prompt, calls: annotated(250, 250))
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            augment_catalog(trace, plans, windows, catalog, provider,
+                            SimulatedExecutor(schema), AugmentConfig(k=0), seed=0)
+        assert provider.calls == 0
 
     def test_no_bad_windows_is_a_no_op(self, schema):
         trace, plans, windows, catalog = self.make_inputs(schema)

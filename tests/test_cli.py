@@ -358,6 +358,36 @@ class TestErrors:
                                   f"got {value!r}"}
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("key, line", [
+        ("z", "z = abc"),
+        ("solver.time_limit_s", "solver.time_limit_s = x"),
+        ("augment.accept_threshold", "augment.accept_threshold = x"),
+        ("cores", "cores = 0"),
+        ("cores", "--cores 0"),
+        ("y", "y = 0"),
+        ("z", "z = 0"),
+        ("solver.node_limit", "solver.node_limit = 0"),
+        ("augment.k", "augment.k = 0"),
+        ("provider.kind", "provider.kind = foo"),
+        ("provider.timeout_ms", "provider.timeout_ms = x"),
+    ])
+    def test_bad_config_value_fails_before_writing(self, demo_dir, tmp_path, capsys,
+                                                  key, line):
+        """Every key is checked when the config is built, so a bad value
+        stops `pipeline` before its first stage writes."""
+        config = (demo_dir / "demo_config.txt").read_text()
+        flags = line.split() if line.startswith("--") else []
+        (tmp_path / "config.txt").write_text(config if flags else config + line + "\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(tmp_path / "config.txt"),
+                     "--trace", str(demo_dir / "demo_trace.csv"),
+                     "--catalog", str(demo_dir / "demo_catalog.csv"),
+                     "--out", str(out)] + flags) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert f"config key {key!r}:" in err["message"]
+        assert not out.exists()
+
     def test_malformed_plan_fails_schedule(self, demo_dir, tmp_path, capsys):
         base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
         catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]

@@ -1,64 +1,55 @@
+from importlib import resources
+
 import pytest
 
-from wlsynth.config import Config, load_config, write_config
+from wlsynth.config import KEYS, Config, load_config
 from wlsynth.errors import ConfigError
+
+DEMO_CONFIG = resources.files("wlsynth.data") / "demo_config.txt"
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert cfg.get_int("window_ms") == 300000
-        assert cfg.get_int("interval_ms") == 30000
-        assert cfg.get_int("y") == 10
-        assert cfg.get_optional_int("z") is None
-        assert cfg.get_list("metrics") == ("cpu_time_ms", "scanned_bytes")
-        assert cfg.mode() == "counts"
+        assert cfg["window_ms"] == 300000
+        assert cfg["interval_ms"] == 30000
+        assert cfg["y"] == 10
+        assert cfg["z"] is None
+        assert cfg["metrics"] == ("cpu_time_ms", "scanned_bytes")
+        assert cfg["mode"] == "counts"
 
     def test_set_overrides_default(self):
-        cfg = Config()
-        cfg.set("cores", 16)
-        assert cfg.get_int("cores") == 16
+        assert Config({"cores": "16"})["cores"] == 16
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            Config().get("no_such_key")
+            Config()["no_such_key"]
 
     def test_bad_int_rejected(self):
-        cfg = Config()
-        cfg.set("cores", "eight")
-        with pytest.raises(ConfigError):
-            cfg.get_int("cores")
+        with pytest.raises(ConfigError, match="'cores'"):
+            Config({"cores": "eight"})
 
     def test_bad_mode_rejected(self):
-        cfg = Config()
-        cfg.set("mode", "percentages")
-        with pytest.raises(ConfigError):
-            cfg.mode()
+        with pytest.raises(ConfigError, match="'mode'"):
+            Config({"mode": "percentages"})
 
     def test_schema_from_lists(self):
-        cfg = Config()
-        cfg.set("metrics", "a, b")
-        cfg.set("operators", "x")
-        schema = cfg.schema()
+        schema = Config({"metrics": "a, b", "operators": "x"}).schema()
         assert schema.metrics == ("a", "b")
         assert schema.operators == ("x",)
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = Config()
-        cfg.set("seed", 42)
-        cfg.set("window_ms", 600000)
-        path = tmp_path / "c.txt"
-        write_config(cfg, path)
-        back = load_config(path)
-        assert back.get_int("seed") == 42
-        assert back.get_int("window_ms") == 600000
-
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# comment\n\nseed = 9\n")
-        assert load_config(path).get_int("seed") == 9
+        assert load_config(path)["seed"] == 9
+
+    def test_override_replaces_file_value(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("cores = 4\ny = 3\n")
+        cfg = load_config(path, {"cores": 16, "y": None})
+        assert (cfg["cores"], cfg["y"]) == (16, 3)
 
     def test_unknown_key_in_file_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -71,3 +62,11 @@ class TestConfigFile:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
             load_config(path)
+
+    def test_demo_config_lists_every_key_at_its_default(self):
+        keys = [line.partition("=")[0].strip()
+                for line in DEMO_CONFIG.read_text(encoding="utf-8").splitlines()
+                if line.strip() and not line.startswith("#")]
+        assert sorted(keys) == sorted(KEYS)
+        cfg = load_config(DEMO_CONFIG)
+        assert {key: cfg[key] for key in KEYS} == {key: KEYS[key][1] for key in KEYS}
