@@ -28,8 +28,8 @@ from .catalog import (
     profile_component,
 )
 from .errors import ProviderError, ValidationError
-from .features import FeatureSchema, PerformanceFeature
-from .selector import SelectionPlan, znorm_stats
+from .features import FeatureSchema, PerformanceFeature, relative_gaps
+from .selector import SelectionPlan, rank_components, znorm_stats
 from .trace import Trace, WindowTarget
 
 log = logging.getLogger(__name__)
@@ -47,15 +47,17 @@ VERDICT_ACCEPTED = "accepted"
 VERDICT_RETRY = "retry"
 VERDICT_DATABASE_SWITCH = "database_switch"
 
+# floor of the relative gaps and of the CPU/SB ratio's operands
+_EPS = 1e-9
+# executor runs averaged into one generated component's profile
+_PROFILE_REPETITIONS = 3
+
+
 @dataclass(frozen=True)
 class HintScenario:
     scenario_id: str
     hint_texts: tuple[str, ...]
     action: str
-
-    @classmethod
-    def by_id(cls, scenario_id: str) -> "HintScenario":
-        return HINT_SCENARIOS[scenario_id]
 
 
 HINT_SCENARIOS: dict[str, HintScenario] = {s.scenario_id: s for s in (
@@ -144,7 +146,6 @@ class AugmentConfig:
     bad_window_threshold: float = 0.2   # theta on the per-window objective
     cpu_dimension: str = "cpu_time_ms"
     sb_dimension: str = "scanned_bytes"
-    profile_repetitions: int = 3
 
 
 class Provider(Protocol):
@@ -282,25 +283,17 @@ def retrieve_examples(
     target: GenerationTarget, catalog: Catalog, n_examples: int
 ) -> ExampleSet:
     """N nearest components as positives, N farthest (from the remainder) as
-    negatives, on z-normalized features with ties broken by component_id."""
+    negatives, in `selector.rank_components` order."""
     if len(catalog) == 0:
         raise ValidationError("cannot retrieve examples from an empty catalog")
-    matrix = catalog.feature_matrix()
-    mean, std = znorm_stats(matrix)
-    normed = (matrix - mean) / std
-    point = (target.feature.as_vector() - mean) / std
-    distances = np.linalg.norm(normed - point, axis=1)
     components = list(catalog)
-    ranked = sorted(
-        range(len(components)), key=lambda j: (distances[j], components[j].component_id)
-    )
-    n = min(n_examples, len(components))
-    positive_idx = ranked[:n]
-    remainder = [j for j in ranked[n:]]
-    negative_idx = list(reversed(remainder))[:n_examples]
+    order, distances = rank_components(catalog.feature_matrix(),
+                                       [c.component_id for c in components],
+                                       target.feature.as_vector())
     return ExampleSet(
-        positives=[(components[j], float(distances[j])) for j in positive_idx],
-        negatives=[(components[j], float(distances[j])) for j in negative_idx],
+        positives=[(components[j], float(distances[j])) for j in order[:n_examples]],
+        negatives=[(components[j], float(distances[j]))
+                   for j in order[n_examples:][::-1][:n_examples]],
     )
 
 
@@ -348,21 +341,15 @@ def build_prompt(
         "",
         "TARGET FEATURE:",
         f"  {_format_feature(target.feature, schema)}",
-        "",
-        "POSITIVE EXAMPLES (learn the query patterns):",
     ]
-    for comp, distance in examples.positives:
-        lines.append(f"  [{comp.component_id}] distance={distance:.6g}")
-        lines.append(f"    feature: {_format_feature(comp.feature, schema)}")
-        if comp.query_ref:
-            lines.append(f"    query: {comp.query_ref}")
-    lines.append("")
-    lines.append("NEGATIVE EXAMPLES (avoid the query patterns):")
-    for comp, distance in examples.negatives:
-        lines.append(f"  [{comp.component_id}] distance={distance:.6g}")
-        lines.append(f"    feature: {_format_feature(comp.feature, schema)}")
-        if comp.query_ref:
-            lines.append(f"    query: {comp.query_ref}")
+    for title, side in (("POSITIVE EXAMPLES (learn the query patterns):", examples.positives),
+                        ("NEGATIVE EXAMPLES (avoid the query patterns):", examples.negatives)):
+        lines += ["", title]
+        for comp, distance in side:
+            lines.append(f"  [{comp.component_id}] distance={distance:.6g}")
+            lines.append(f"    feature: {_format_feature(comp.feature, schema)}")
+            if comp.query_ref:
+                lines.append(f"    query: {comp.query_ref}")
     if hints:
         lines.append("")
         lines.append("HINTS:")
@@ -373,18 +360,14 @@ def build_prompt(
     return "\n".join(lines)
 
 
-def _relative_deltas(
-    target: PerformanceFeature,
-    profiled: PerformanceFeature,
-    schema: FeatureSchema,
-    eps: float = 1e-9,
-) -> dict[str, float]:
-    deltas = {}
-    tvec = target.as_vector()
-    pvec = profiled.as_vector()
-    for d, name in enumerate(schema.dimensions):
-        deltas[name] = float((pvec[d] - tvec[d]) / max(abs(tvec[d]), eps))
-    return deltas
+def _gap_dimensions(schema: FeatureSchema, config: AugmentConfig) -> tuple[int, int]:
+    """Positions of the CPU-time and scanned-bytes dimensions in the schema."""
+    for key, name in (("augment.cpu_dimension", config.cpu_dimension),
+                      ("augment.sb_dimension", config.sb_dimension)):
+        if name not in schema.dimensions:
+            raise ValidationError(f"config key {key!r}: the schema has no dimension {name!r}")
+    return (schema.dimensions.index(config.cpu_dimension),
+            schema.dimensions.index(config.sb_dimension))
 
 
 def classify_gap(
@@ -396,45 +379,34 @@ def classify_gap(
     """Map the CPU-time / scanned-bytes gap sign pattern to a hint scenario.
 
     Returns None when the generated query is acceptable: both magnitudes and
-    their ratio within the tolerance.  Total over all delta sign patterns.
+    their ratio within the tolerance.  Total over all gap sign patterns.
     """
     config = config or AugmentConfig()
-    tau = config.accept_threshold
-    for dim in (config.cpu_dimension, config.sb_dimension):
-        if dim not in schema.dimensions:
-            raise ValidationError(f"schema lacks required dimension {dim!r}")
-    deltas = _relative_deltas(target, profiled, schema)
-    d_cpu = deltas[config.cpu_dimension]
-    d_sb = deltas[config.sb_dimension]
+    goal, achieved = target.as_vector(), profiled.as_vector()
+    return _scenario(relative_gaps(achieved, goal, _EPS), goal, achieved,
+                     _gap_dimensions(schema, config), config.accept_threshold)
 
-    eps = 1e-9
-    tvec = dict(zip(schema.dimensions, target.as_vector()))
-    pvec = dict(zip(schema.dimensions, profiled.as_vector()))
-    target_ratio = max(tvec[config.cpu_dimension], eps) / max(tvec[config.sb_dimension], eps)
-    profiled_ratio = max(pvec[config.cpu_dimension], eps) / max(pvec[config.sb_dimension], eps)
+
+def _scenario(gaps: np.ndarray, goal: np.ndarray, achieved: np.ndarray,
+              dims: tuple[int, int], tau: float) -> HintScenario | None:
+    """`classify_gap` on the relative gaps of `achieved` against `goal`."""
+    cpu, sb = dims
+    d_cpu, d_sb = gaps[cpu], gaps[sb]
+    target_ratio = max(goal[cpu], _EPS) / max(goal[sb], _EPS)
+    profiled_ratio = max(achieved[cpu], _EPS) / max(achieved[sb], _EPS)
     d_ratio = profiled_ratio / target_ratio - 1.0
 
     if abs(d_cpu) <= tau and abs(d_sb) <= tau:
         if abs(d_ratio) > tau:
-            return HintScenario.by_id(SCENARIO_RATIO_OFF)
+            return HINT_SCENARIOS[SCENARIO_RATIO_OFF]
         return None
-    if d_cpu < -tau and d_sb < -tau:
-        return HintScenario.by_id(SCENARIO_BOTH_LOW_OR_HIGH)
-    if d_cpu > tau and d_sb > tau:
-        return HintScenario.by_id(SCENARIO_BOTH_LOW_OR_HIGH)
-    if d_cpu > tau and d_sb <= tau:
+    if (d_cpu < -tau and d_sb < -tau) or (d_cpu > tau and d_sb > tau):
+        return HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH]
+    if d_cpu > tau:
         # too much CPU relative to scanned data, whether SB is low or in range
-        return HintScenario.by_id(SCENARIO_HIGH_CPU_LOW_SB)
-    if d_cpu < -tau and d_sb > tau:
-        return HintScenario.by_id(SCENARIO_LOW_CPU_HIGH_SB)
-    if d_cpu < -tau:
-        # CPU low, SB in range: raise computation
-        return HintScenario.by_id(SCENARIO_LOW_CPU_LOW_SB)
-    if d_sb < -tau:
-        # CPU in range, SB low: scan more
-        return HintScenario.by_id(SCENARIO_LOW_CPU_LOW_SB)
-    # CPU in range, SB high
-    return HintScenario.by_id(SCENARIO_LOW_CPU_HIGH_SB)
+        return HINT_SCENARIOS[SCENARIO_HIGH_CPU_LOW_SB]
+    # CPU low or in range: SB high calls for operators, else for computation or scanning
+    return HINT_SCENARIOS[SCENARIO_LOW_CPU_HIGH_SB if d_sb > tau else SCENARIO_LOW_CPU_LOW_SB]
 
 
 def switch_database(
@@ -465,30 +437,32 @@ def generate_component(
     Loop: build prompt -> provider -> profile -> classify.  Rewrite scenarios
     append their hints and retry; `max_attempts` consecutive misses on a
     database-shaped scenario switch the database (up to `max_db_switches`)
-    and reset the attempt counter.  Exhaustion returns a failure report
-    carrying every attempt.
+    and reset the attempt counter.  Acceptance needs every metric gap within
+    `accept_threshold`; operator gaps are advisory.  Exhaustion returns a
+    failure report carrying every attempt.
     """
     config = config or AugmentConfig()
     schema = catalog.schema
+    dims = _gap_dimensions(schema, config)
     examples = retrieve_examples(target, catalog, config.examples_per_side)
     database = pick_database(examples)
+    goal = target.feature.as_vector()
     hints: list[str] = []
     attempts: list[GenerationAttempt] = []
-    switches = 0
-    db_action_streak = 0
 
-    while switches <= config.max_db_switches:
+    for switches in range(config.max_db_switches + 1):
+        db_misses = 0
         for attempt_index in range(config.max_attempts):
             prompt = build_prompt(target, examples, database, schema, tuple(hints))
             try:
                 response = provider.complete(prompt)
             except ProviderError as exc:
                 raise ProviderError(str(exc), attempt_index=attempt_index) from exc
+            component = WorkloadComponent(
+                component_id or f"aug-{target.target_id}", response, database, 1.0,
+                PerformanceFeature.zeros(schema), origin=ORIGIN_AUGMENTED)
             try:
-                profiled = profile_component(
-                    WorkloadComponent(target.target_id, response, database, 1.0,
-                                      PerformanceFeature.zeros(schema)),
-                    executor, max(1, config.profile_repetitions))
+                profile_component(component, executor, _PROFILE_REPETITIONS)
             except Exception as exc:
                 log.warning("profiling attempt %d failed: %s", attempt_index, exc)
                 attempts.append(
@@ -496,64 +470,46 @@ def generate_component(
                                       None, VERDICT_RETRY)
                 )
                 continue
-            mean_feature = profiled.feature
-            deltas = _relative_deltas(target.feature, mean_feature, schema)
-            scenario = classify_gap(target.feature, mean_feature, schema, config)
-            if scenario is None and _metric_gaps_ok(deltas, schema, config):
+            achieved = component.feature.as_vector()
+            gaps = relative_gaps(achieved, goal, _EPS)
+            deltas = dict(zip(schema.dimensions, gaps.tolist()))
+            scenario = _scenario(gaps, goal, achieved, dims, config.accept_threshold)
+            if scenario is None and np.all(
+                    np.abs(gaps[:schema.n_metrics]) <= config.accept_threshold):
                 attempts.append(
-                    GenerationAttempt(attempt_index, prompt, response, mean_feature,
+                    GenerationAttempt(attempt_index, prompt, response, component.feature,
                                       deltas, None, VERDICT_ACCEPTED)
                 )
-                component = WorkloadComponent(
-                    component_id=component_id or f"aug-{target.target_id}",
-                    query_ref=response,
-                    database_ref=database,
-                    duration_ms=profiled.duration_ms,
-                    feature=mean_feature,
-                    origin=ORIGIN_AUGMENTED,
-                )
+                # the constructor's checks, now on the profiled duration
+                component = replace(component)
                 return GenerationReport(target.target_id, component, attempts, switches)
 
-            scenario = scenario or HintScenario.by_id(SCENARIO_RATIO_OFF)
-            if scenario.action == ACTION_CHANGE_DATABASE:
-                db_action_streak += 1
-            else:
-                db_action_streak = 0
-            verdict = VERDICT_RETRY
-            if (
-                scenario.action == ACTION_CHANGE_DATABASE
-                and db_action_streak >= config.max_attempts
-                and switches < config.max_db_switches
-            ):
-                verdict = VERDICT_DATABASE_SWITCH
+            scenario = scenario or HINT_SCENARIOS[SCENARIO_RATIO_OFF]
+            db_misses += scenario.action == ACTION_CHANGE_DATABASE
+            # every attempt of this round missed on a database-shaped scenario
+            switch = db_misses == config.max_attempts and switches < config.max_db_switches
             attempts.append(
-                GenerationAttempt(attempt_index, prompt, response, mean_feature,
-                                  deltas, scenario.scenario_id, verdict)
+                GenerationAttempt(attempt_index, prompt, response, component.feature,
+                                  deltas, scenario.scenario_id,
+                                  VERDICT_DATABASE_SWITCH if switch else VERDICT_RETRY)
             )
             for hint in scenario.hint_texts:
                 if hint not in hints:
                     hints.append(hint)
-            if verdict == VERDICT_DATABASE_SWITCH:
+            if switch:
+                cpu, sb = dims
                 if scenario.scenario_id == SCENARIO_BOTH_LOW_OR_HIGH:
-                    deltas_low = deltas[config.cpu_dimension] < 0
+                    deltas_low = gaps[cpu] < 0
                 else:
                     # ratio_off: low CPU/SB ratio calls for more skew
-                    deltas_low = deltas[config.cpu_dimension] < deltas[config.sb_dimension]
+                    deltas_low = gaps[cpu] < gaps[sb]
                 database = switch_database(database, scenario, deltas_low)
-                switches += 1
-                db_action_streak = 0
                 break
         else:
             # attempt budget exhausted without a database switch
             return GenerationReport(target.target_id, None, attempts, switches)
-    return GenerationReport(target.target_id, None, attempts, switches)
-
-
-def _metric_gaps_ok(deltas: dict[str, float], schema: FeatureSchema,
-                    config: AugmentConfig) -> bool:
-    """Acceptance requires every metric dimension within the threshold;
-    operator dimensions are advisory for generation."""
-    return all(abs(deltas[m]) <= config.accept_threshold for m in schema.metrics)
+    # max_db_switches < 0: no round at all
+    return GenerationReport(target.target_id, None, attempts, 0)
 
 
 def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:

@@ -26,19 +26,19 @@ KEYS: dict[str, tuple[type, object, object]] = {
     "cores": (int, 8, POSITIVE),
     "y": (int, 10, POSITIVE),
     "z": (int, None, POSITIVE),
-    "z_per_query_factor": (float, 2.0, None),
+    "z_per_query_factor": (float, 2.0, POSITIVE),
     # relative-error floors: positive, or x / 0
     "denom_floor": (float, 1.0, POSITIVE),
     "solver.node_limit": (int, 20000, POSITIVE),
     "solver.time_limit_s": (float, None, None),
     "sa.no_improve": (int, 100, None),
     "sa.max_steps": (int, 3000, None),
-    "sa.move_granularity_ms": (int, 1000, None),
+    "sa.move_granularity_ms": (int, 1000, POSITIVE),
     "metrics_eps": (float, 1e-9, POSITIVE),
     "augment.k": (int, 3, POSITIVE),
-    "augment.examples_per_side": (int, 3, None),
+    "augment.examples_per_side": (int, 3, POSITIVE),
     "augment.accept_threshold": (float, 0.15, None),
-    "augment.max_attempts": (int, 5, None),
+    "augment.max_attempts": (int, 5, POSITIVE),
     "augment.max_db_switches": (int, 2, None),
     "augment.bad_window_threshold": (float, 0.2, None),
     "augment.cpu_dimension": (str, "cpu_time_ms", None),
@@ -98,15 +98,19 @@ def load_config(path=None, overrides: dict | None = None) -> Config:
     that is not None (the CLI flags) taking the place of the file's value."""
     raw: dict[str, str] = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = stripped.partition("=")
-                raw[key.strip()] = value.strip()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = stripped.partition("=")
+            raw[key.strip()] = value.strip()
     raw.update((key, str(value)) for key, value in (overrides or {}).items()
                if value is not None)
     return Config(raw)

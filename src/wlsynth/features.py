@@ -19,11 +19,17 @@ def floored(values, floor: float) -> np.ndarray:
     return np.maximum(np.abs(values), floor)
 
 
+def relative_gaps(achieved, target, floor: float) -> np.ndarray:
+    """(achieved - target) / max(|target|, floor), elementwise: the signed
+    relative error.  The augmenter accepts a generated component when every
+    metric gap is within its threshold and reads the signs for its hints."""
+    return (achieved - target) / floored(target, floor)
+
+
 def relative_errors(achieved, target, floor: float) -> np.ndarray:
-    """|achieved - target| / max(|target|, floor), elementwise.  Selection and
-    annealing minimise its sum (`selector.relative_error`); GMAPE is its
-    geometric mean (`metrics.gmape`)."""
-    return np.abs(achieved - target) / floored(target, floor)
+    """|relative_gaps|, elementwise.  Selection and annealing minimise its sum
+    (`selector.relative_error`); GMAPE is its geometric mean (`metrics.gmape`)."""
+    return np.abs(relative_gaps(achieved, target, floor))
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,16 @@ def znorm_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def rank_components(features: np.ndarray, ids: list[str],
+                    point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Catalog rows (`features`, one per component id) by ascending Euclidean
+    distance from `point` on z-normalized features (statistics from the
+    rows), ties broken by component id, and every row's distance."""
+    mean, std = znorm_stats(features)
+    distances = np.linalg.norm((features - mean) / std - (point - mean) / std, axis=1)
+    return np.lexsort((np.array(ids), distances)), distances
+
+
 def match_query(
     query_feature: PerformanceFeature,
     catalog: Catalog,
@@ -396,8 +406,7 @@ def match_query(
 ) -> SelectionPlan:
     """Query-level matching: nearest single component or a small ILP combination.
 
-    one_to_one picks the component with the smallest Euclidean distance on
-    z-normalized features (normalization statistics from the catalog).
+    one_to_one picks the nearest component by `rank_components`.
     one_to_many solves the window problem with the query's feature as the
     target, capped at z_q total instances and no duration budget.  Both
     report the relative-error objective so the two modes are comparable.
@@ -423,8 +432,6 @@ def match_query(
         return solve_window(problem)
     if mode != ONE_TO_ONE:
         raise ValidationError(f"unknown match mode {mode!r}")
-    mean, std = znorm_stats(features)
-    distances = np.linalg.norm((features - mean) / std - (target - mean) / std, axis=1)
     counts = np.zeros(len(ids), dtype=int)
-    counts[min(range(len(ids)), key=lambda j: (distances[j], ids[j]))] = 1
+    counts[rank_components(features, ids, target)[0][0]] = 1
     return problem.plan(counts)

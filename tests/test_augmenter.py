@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,9 +16,9 @@ from wlsynth.augmenter import (
     VERDICT_ACCEPTED,
     VERDICT_DATABASE_SWITCH,
     VERDICT_RETRY,
+    HINT_SCENARIOS,
     AugmentConfig,
     GenerationTarget,
-    HintScenario,
     MockProvider,
     augment_catalog,
     bad_windows,
@@ -50,6 +51,12 @@ def annotated(cpu, sb, ops=(0, 0, 0, 0), duration=1000):
 
 def target_for(cpu, sb, ops=(0, 0, 0, 0)):
     return GenerationTarget("t0", feature(cpu, sb, ops), (0,), 1)
+
+
+def log_digest(report, path):
+    """sha256 of the attempt log `write_attempt_log` writes for one report."""
+    write_attempt_log([report], path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def cluster(queries, k, seed):
@@ -173,31 +180,31 @@ class TestClassifyGap:
             assert scenario.scenario_id == expected
 
     def test_actions(self):
-        assert HintScenario.by_id(SCENARIO_LOW_CPU_LOW_SB).action == ACTION_REWRITE
-        assert HintScenario.by_id(SCENARIO_BOTH_LOW_OR_HIGH).action == ACTION_CHANGE_DATABASE
-        assert HintScenario.by_id(SCENARIO_RATIO_OFF).action == ACTION_CHANGE_DATABASE
+        assert HINT_SCENARIOS[SCENARIO_LOW_CPU_LOW_SB].action == ACTION_REWRITE
+        assert HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH].action == ACTION_CHANGE_DATABASE
+        assert HINT_SCENARIOS[SCENARIO_RATIO_OFF].action == ACTION_CHANGE_DATABASE
         for sid in (SCENARIO_LOW_CPU_LOW_SB, SCENARIO_HIGH_CPU_LOW_SB,
                     SCENARIO_LOW_CPU_HIGH_SB, SCENARIO_BOTH_LOW_OR_HIGH,
                     SCENARIO_RATIO_OFF):
-            assert HintScenario.by_id(sid).hint_texts
+            assert HINT_SCENARIOS[sid].hint_texts
 
 
 class TestSwitchDatabase:
     def test_scale_doubles_when_low(self):
         db = DatabaseDescriptor("tpch", 2.0, 1)
-        out = switch_database(db, HintScenario.by_id(SCENARIO_BOTH_LOW_OR_HIGH), True)
+        out = switch_database(db, HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH], True)
         assert out.scale_factor == 4.0 and out.skewness == 1
 
     def test_scale_halves_when_high(self):
         db = DatabaseDescriptor("tpch", 2.0, 1)
-        out = switch_database(db, HintScenario.by_id(SCENARIO_BOTH_LOW_OR_HIGH), False)
+        out = switch_database(db, HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH], False)
         assert out.scale_factor == 1.0
 
     def test_skew_steps_and_clamps(self):
         db = DatabaseDescriptor("tpch", 1.0, 4)
-        out = switch_database(db, HintScenario.by_id(SCENARIO_RATIO_OFF), True)
+        out = switch_database(db, HINT_SCENARIOS[SCENARIO_RATIO_OFF], True)
         assert out.skewness == 4  # clamped at the top
-        out = switch_database(db, HintScenario.by_id(SCENARIO_RATIO_OFF), False)
+        out = switch_database(db, HINT_SCENARIOS[SCENARIO_RATIO_OFF], False)
         assert out.skewness == 3
 
 
@@ -217,7 +224,7 @@ class TestGenerateComponent:
         np.testing.assert_allclose(report.component.feature.metrics, [50, 60])
         assert [a.verdict for a in report.attempts] == [VERDICT_ACCEPTED]
 
-    def test_retry_adds_hints(self, schema):
+    def test_retry_adds_hints(self, schema, tmp_path):
         responses = [annotated(10, 60), annotated(50, 60)]
         provider = MockProvider(lambda prompt, calls: responses[calls])
         report = generate_component(
@@ -226,9 +233,12 @@ class TestGenerateComponent:
         )
         assert [a.verdict for a in report.attempts] == [VERDICT_RETRY, VERDICT_ACCEPTED]
         assert report.attempts[0].scenario_id == SCENARIO_LOW_CPU_LOW_SB
-        first_hint = HintScenario.by_id(SCENARIO_LOW_CPU_LOW_SB).hint_texts[0]
+        first_hint = HINT_SCENARIOS[SCENARIO_LOW_CPU_LOW_SB].hint_texts[0]
         assert first_hint not in report.attempts[0].prompt
         assert first_hint in report.attempts[1].prompt
+        # deltas, scenarios, verdicts and prompt digests, byte for byte
+        assert log_digest(report, tmp_path / "attempts.jsonl") == (
+            "730722c4b6c88b47c3dd729f6e3ead84850bbf0395bbf036b4a056f348e7fcc1")
 
     def test_exhaustion_returns_failure(self, schema):
         provider = MockProvider(lambda prompt, calls: annotated(10, 60))
@@ -241,7 +251,7 @@ class TestGenerateComponent:
         assert len(report.attempts) == 3
         assert report.database_switches == 0
 
-    def test_database_switch_path(self, schema):
+    def test_database_switch_path(self, schema, tmp_path):
         # executor caps both metrics below the target at scale factor 1;
         # doubling the scale factor lifts the cap and the echo then lands
         provider = MockProvider(lambda prompt, calls: annotated(100, 100))
@@ -258,6 +268,18 @@ class TestGenerateComponent:
         verdicts = [a.verdict for a in report.attempts]
         assert verdicts == [VERDICT_RETRY, VERDICT_DATABASE_SWITCH, VERDICT_ACCEPTED]
         assert report.attempts[1].scenario_id == SCENARIO_BOTH_LOW_OR_HIGH
+        assert log_digest(report, tmp_path / "attempts.jsonl") == (
+            "4dd5d1484ee32744bf28eb10036a8277b4610c0c852840f43eadabd2d59d1410")
+
+    @pytest.mark.parametrize("field", ["cpu_dimension", "sb_dimension"])
+    def test_dimension_checked_before_provider(self, schema, field):
+        provider = MockProvider(lambda prompt, calls: annotated(50, 60))
+        with pytest.raises(ValidationError, match=f"config key 'augment.{field}':"):
+            generate_component(
+                target_for(50, 60), self.make_cat(schema), provider,
+                SimulatedExecutor(schema), AugmentConfig(**{field: "cpu_ms"}),
+            )
+        assert provider.calls == 0
 
     def test_unprofilable_response_retries(self, schema):
         responses = ["SELECT broken", annotated(50, 60)]
@@ -269,6 +291,17 @@ class TestGenerateComponent:
         assert report.accepted
         assert report.attempts[0].verdict == VERDICT_RETRY
         assert report.attempts[0].profiled is None
+
+    @pytest.mark.parametrize("duration", [0, -5])
+    def test_accepted_component_needs_positive_duration(self, schema, duration):
+        # the profiled duration comes from the provider's text
+        provider = MockProvider(lambda prompt, calls: annotated(50, 60, duration=duration))
+        with pytest.raises(ValidationError,
+                           match="component 'aug-t0': duration_ms must be positive"):
+            generate_component(
+                target_for(50, 60), self.make_cat(schema), provider,
+                SimulatedExecutor(schema),
+            )
 
 
 class TestAugmentCatalog:

@@ -370,6 +370,10 @@ class TestErrors:
         ("augment.k", "augment.k = 0"),
         ("provider.kind", "provider.kind = foo"),
         ("provider.timeout_ms", "provider.timeout_ms = x"),
+        ("z_per_query_factor", "z_per_query_factor = -1"),
+        ("sa.move_granularity_ms", "sa.move_granularity_ms = 0"),
+        ("augment.examples_per_side", "augment.examples_per_side = -1"),
+        ("augment.max_attempts", "augment.max_attempts = 0"),
     ])
     def test_bad_config_value_fails_before_writing(self, demo_dir, tmp_path, capsys,
                                                   key, line):
@@ -386,6 +390,18 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "ConfigError"
         assert f"config key {key!r}:" in err["message"]
+        assert not out.exists()
+
+    def test_missing_config_file_fails_before_writing(self, demo_dir, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.txt"
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(missing),
+                     "--trace", str(demo_dir / "demo_trace.csv"),
+                     "--catalog", str(demo_dir / "demo_catalog.csv"),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert str(missing) in err["message"]
         assert not out.exists()
 
     def test_malformed_plan_fails_schedule(self, demo_dir, tmp_path, capsys):

@@ -440,8 +440,8 @@ class TestMatchQuery:
 
 def test_only_features_divides_by_a_floor():
     """The relative-error rule is written once, in features.py: no other
-    module divides by a floored denominator."""
+    module divides by a floored denominator, whether numpy's or Python's."""
     package = Path(selector.__file__).parent
     dividers = sorted(p.name for p in package.glob("*.py") if re.search(
-        r"/\s*(np\.maximum|floored)\(", p.read_text(encoding="utf-8")))
+        r"/\s*(np\.maximum\(|floored\(|max\(abs\()", p.read_text(encoding="utf-8")))
     assert dividers == ["features.py"]
