@@ -12,11 +12,12 @@ from .errors import ConfigError
 from .features import MODES, FeatureSchema
 
 POSITIVE = "positive"
+NON_NEGATIVE = "non-negative"
 
 # key -> (type, typed default, rule).  A tuple-typed key is a comma list; a
 # key whose default is None is optional, and an empty value leaves it unset.
-# The rule is POSITIVE, a tuple of the allowed values, or None.  Rules over
-# two keys stay with the stage that reads them.
+# The rule is POSITIVE, NON_NEGATIVE, a tuple of the allowed values, or None.
+# Rules over two keys stay with the stage that reads them.
 KEYS: dict[str, tuple[type, object, object]] = {
     "metrics": (tuple, ("cpu_time_ms", "scanned_bytes"), None),
     "operators": (tuple, ("filter_num", "aggregate_num", "join_num", "sort_num"), None),
@@ -31,15 +32,15 @@ KEYS: dict[str, tuple[type, object, object]] = {
     "denom_floor": (float, 1.0, POSITIVE),
     "solver.node_limit": (int, 20000, POSITIVE),
     "solver.time_limit_s": (float, None, None),
-    "sa.no_improve": (int, 100, None),
-    "sa.max_steps": (int, 3000, None),
+    "sa.no_improve": (int, 100, POSITIVE),
+    "sa.max_steps": (int, 3000, POSITIVE),
     "sa.move_granularity_ms": (int, 1000, POSITIVE),
     "metrics_eps": (float, 1e-9, POSITIVE),
     "augment.k": (int, 3, POSITIVE),
     "augment.examples_per_side": (int, 3, POSITIVE),
-    "augment.accept_threshold": (float, 0.15, None),
+    "augment.accept_threshold": (float, 0.15, NON_NEGATIVE),
     "augment.max_attempts": (int, 5, POSITIVE),
-    "augment.max_db_switches": (int, 2, None),
+    "augment.max_db_switches": (int, 2, NON_NEGATIVE),
     "augment.bad_window_threshold": (float, 0.2, None),
     "augment.cpu_dimension": (str, "cpu_time_ms", None),
     "augment.sb_dimension": (str, "scanned_bytes", None),
@@ -63,6 +64,8 @@ def _resolve(key: str, raw: str):
                           f"got {raw!r}") from None
     if rule == POSITIVE and not value > 0:  # NaN too
         raise ConfigError(f"config key {key!r}: expected a positive number, got {raw!r}")
+    if rule == NON_NEGATIVE and not value >= 0:  # NaN too
+        raise ConfigError(f"config key {key!r}: expected a number >= 0, got {raw!r}")
     if isinstance(rule, tuple) and value not in rule:
         raise ConfigError(f"config key {key!r}: expected one of {rule}, got {raw!r}")
     return value

@@ -3,7 +3,10 @@
 Every instance selected for a window gets a start timestamp inside that
 window.  Fidelity against interval-level metric targets is evaluated with a
 deterministic processor-sharing simulation: when P instances are running on
-`cores` capacity each progresses at rate min(1, cores/P).  Each instance's
+`cores` capacity each progresses at rate min(1, cores/P).  The simulation
+works in busy periods: where no arrival finds `cores` instances running, each
+completes at start + work, computed for all at once; a period where one does
+is simulated in virtual time, one heap operation per event.  Each instance's
 metric mass is then binned exactly as `evaluate` bins the replayed trace:
 spread evenly over its replayed span, the ceil-rounded simulated run time
 and never less than the profiled duration.  Simulated annealing refines the
@@ -15,6 +18,7 @@ the columns and build no per-instance objects.
 from __future__ import annotations
 
 import csv
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -99,8 +103,8 @@ def warn_if_overloaded(works: np.ndarray, grid: IntervalGrid, cores: int) -> Non
 
     The offered load is the summed profiled duration over the grid's span:
     the cores the instances keep busy on average.  Above `cores` the
-    processor-sharing backlog grows across the horizon, completions stretch
-    past it, and every simulation of the schedule slows down.
+    processor-sharing backlog grows across the horizon and completions
+    stretch past it.
     """
     load = float(np.sum(works)) / (grid.end_ts - grid.start_ts)
     if load > cores:
@@ -123,6 +127,37 @@ def read_schedule(path) -> Schedule:
     return Schedule.from_columns(*columns.values())
 
 
+def _contended_period(starts: list[float], works: list[float], cores: int, i: int,
+                      done: np.ndarray) -> int:
+    """Simulate from arrival `i` (in start order), which finds the system
+    empty, until it is empty before the next arrival; write those
+    completions into `done` and return that arrival's index.
+
+    Every running instance attains service at one rate, so a virtual clock
+    V of the service attained orders the departures: an instance arriving at
+    V with work w leaves when V reaches its tag V + w, the least in a heap.
+    """
+    n = len(starts)
+    heap: list[tuple[float, int]] = []
+    t, v = starts[i], 0.0
+    while True:
+        while i < n and starts[i] <= t + 1e-12:
+            if works[i] > 0:
+                heapq.heappush(heap, (v + works[i], i))
+            i += 1
+        if not heap:
+            return i
+        rate = min(1.0, cores / len(heap))
+        t_finish = t + (heap[0][0] - v) / rate
+        if i < n and starts[i] < t_finish:
+            v += rate * (starts[i] - t)
+            t = starts[i]
+        else:
+            t, v = t_finish, heap[0][0]
+        while heap and heap[0][0] - v <= 1e-9 * max(1.0, works[heap[0][1]]):
+            done[heapq.heappop(heap)[1]] = t
+
+
 def simulate_processor_sharing(
     starts: np.ndarray,
     works: np.ndarray,
@@ -130,7 +165,13 @@ def simulate_processor_sharing(
     metrics: np.ndarray | None = None,
     grid: IntervalGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Event-driven fair-share simulation.
+    """Processor sharing: P running instances each progress at min(1, cores/P).
+
+    In (start, index) order the arrivals fall into busy periods.  In one
+    where no arrival finds more than `cores` instances running, each
+    completes at start + work (at its start for zero work), all set at once;
+    from the first arrival of any other, `_contended_period` simulates in
+    virtual time until the system is empty again.
 
     Returns per-instance completion times and, when `metrics` (one row per
     instance) and a grid are given, the per-interval metric sums of the
@@ -151,37 +192,25 @@ def simulate_processor_sharing(
     if n == 0:
         return completions, bins
 
-    order = sorted(range(n), key=lambda j: (starts[j], j))
-    remaining = {}
-    t = float(starts[order[0]])
-    nxt = 0
-    while remaining or nxt < n:
-        while nxt < n and starts[order[nxt]] <= t + 1e-12:
-            j = order[nxt]
-            if works[j] <= 0:
-                completions[j] = starts[j]
-            else:
-                remaining[j] = float(works[j])
-            nxt += 1
-        if not remaining:
-            if nxt < n:
-                t = float(starts[order[nxt]])
-            continue
-        rate = min(1.0, cores / len(remaining))
-        t_finish = t + min(remaining.values()) / rate
-        t_arrive = float(starts[order[nxt]]) if nxt < n else math.inf
-        t_new = min(t_finish, t_arrive)
-        dt = t_new - t
-        if dt > 0:
-            done = []
-            for j in list(remaining):
-                remaining[j] -= rate * dt
-                if remaining[j] <= 1e-9 * max(1.0, works[j]):
-                    done.append(j)
-            for j in done:
-                completions[j] = t_new
-                del remaining[j]
-        t = t_new
+    order = np.argsort(starts, kind="stable")
+    s = np.asarray(starts, dtype=float)[order]
+    w = np.asarray(works, dtype=float)[order]
+    done = np.where(w > 0, s + w, s)  # the completions if none waits
+    # running just after each arrival if none waits; a later zero-work arrival
+    # at the same start undercounts, which moves no busy period's first arrival
+    running = np.arange(1, n + 1) - np.searchsorted(np.sort(done), s, "right")
+    contended = np.flatnonzero(running > cores).tolist()
+    if contended:
+        first = np.r_[True, s[1:] >= np.maximum.accumulate(done)[:-1]]
+        period = np.maximum.accumulate(np.where(first, np.arange(n), 0)).tolist()
+        s_list, w_list = s.tolist(), w.tolist()
+        i = 0  # the system is empty at arrival i
+        for c in contended:
+            if c >= i:
+                # max: the heap's completion tolerance can leave the period's
+                # first arrival before i
+                i = _contended_period(s_list, w_list, cores, max(i, period[c]), done)
+    completions[order] = done
     if bins is not None:
         durations = replayed_durations(starts, completions, works)
         # under a backlog each instance spans many intervals: blocks bound the temporaries

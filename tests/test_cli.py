@@ -374,6 +374,11 @@ class TestErrors:
         ("sa.move_granularity_ms", "sa.move_granularity_ms = 0"),
         ("augment.examples_per_side", "augment.examples_per_side = -1"),
         ("augment.max_attempts", "augment.max_attempts = 0"),
+        ("sa.max_steps", "sa.max_steps = -1"),
+        ("sa.no_improve", "sa.no_improve = 0"),
+        ("augment.max_db_switches", "augment.max_db_switches = -1"),
+        ("augment.accept_threshold", "augment.accept_threshold = -1"),
+        ("augment.accept_threshold", "augment.accept_threshold = nan"),
     ])
     def test_bad_config_value_fails_before_writing(self, demo_dir, tmp_path, capsys,
                                                   key, line):

@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'mode'"):
             Config({"mode": "percentages"})
 
+    @pytest.mark.parametrize("key, bad", [("augment.max_db_switches", "-1"),
+                                          ("augment.accept_threshold", "-0.1"),
+                                          ("augment.accept_threshold", "nan")])
+    def test_non_negative_rule(self, key, bad):
+        assert Config({key: "0"})[key] == 0
+        with pytest.raises(ConfigError, match=f"'{key}': expected a number >= 0"):
+            Config({key: bad})
+
     def test_schema_from_lists(self):
         schema = Config({"metrics": "a, b", "operators": "x"}).schema()
         assert schema.metrics == ("a", "b")
