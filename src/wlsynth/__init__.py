@@ -1,6 +1,6 @@
 """Synthesize runnable workloads whose replayed metrics track a target trace."""
 
-from .augmenter import AugmentConfig, HttpProvider, MockProvider, augment_catalog
+from .augmenter import HttpProvider, MockProvider, augment_catalog
 from .catalog import (
     Catalog,
     DatabaseDescriptor,
@@ -25,7 +25,6 @@ from .features import MODE_COUNTS, MODE_TIME_SHARES, FeatureSchema, PerformanceF
 from .metrics import FidelityReport, gmape, gmqe, mae, report
 from .scheduler import (
     AnnealResult,
-    SAConfig,
     Schedule,
     ScheduleEntry,
     assign_timestamps,
@@ -35,7 +34,6 @@ from .scheduler import (
 from .selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
-    SelectionConstraints,
     SelectionPlan,
     SelectionProblem,
     build_problem,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealResult",
-    "AugmentConfig",
     "Catalog",
     "Config",
     "ConfigError",
@@ -77,11 +74,9 @@ __all__ = [
     "ProfilingError",
     "ProviderError",
     "QueryRecord",
-    "SAConfig",
     "Schedule",
     "ScheduleEntry",
     "SchemaError",
-    "SelectionConstraints",
     "SelectionPlan",
     "SelectionProblem",
     "SimulatedExecutor",

@@ -27,6 +27,7 @@ from .catalog import (
     WorkloadComponent,
     profile_component,
 )
+from .config import Config
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, relative_gaps
 from .selector import SelectionPlan, rank_components, znorm_stats
@@ -136,18 +137,6 @@ class GenerationReport:
         return self.component is not None
 
 
-@dataclass
-class AugmentConfig:
-    k: int = 3
-    examples_per_side: int = 3          # N
-    accept_threshold: float = 0.15      # tau, relative per dimension
-    max_attempts: int = 5
-    max_db_switches: int = 2
-    bad_window_threshold: float = 0.2   # theta on the per-window objective
-    cpu_dimension: str = "cpu_time_ms"
-    sb_dimension: str = "scanned_bytes"
-
-
 class Provider(Protocol):
     """Text-in/text-out LLM transport."""
 
@@ -179,7 +168,7 @@ class HttpProvider:
     The bearer token is read from the WLSYNTH_LLM_TOKEN environment variable.
     """
 
-    def __init__(self, endpoint: str, timeout_ms: int = 30000):
+    def __init__(self, endpoint: str, timeout_ms: int):
         self.endpoint = endpoint
         self.timeout_s = timeout_ms / 1000.0
 
@@ -332,12 +321,6 @@ def build_prompt(
         "",
         f"DATABASE: {database.benchmark_name} "
         f"(scale_factor={database.scale_factor:.6g}, skewness={database.skewness})",
-    ]
-    if database.schema_summary:
-        lines.append("TABLES:")
-        for table, rows, columns in database.schema_summary:
-            lines.append(f"  {table}: {rows} rows ({', '.join(columns)})")
-    lines += [
         "",
         "TARGET FEATURE:",
         f"  {_format_feature(target.feature, schema)}",
@@ -360,31 +343,31 @@ def build_prompt(
     return "\n".join(lines)
 
 
-def _gap_dimensions(schema: FeatureSchema, config: AugmentConfig) -> tuple[int, int]:
+def _gap_dimensions(schema: FeatureSchema, cfg: Config) -> tuple[int, int]:
     """Positions of the CPU-time and scanned-bytes dimensions in the schema."""
-    for key, name in (("augment.cpu_dimension", config.cpu_dimension),
-                      ("augment.sb_dimension", config.sb_dimension)):
-        if name not in schema.dimensions:
-            raise ValidationError(f"config key {key!r}: the schema has no dimension {name!r}")
-    return (schema.dimensions.index(config.cpu_dimension),
-            schema.dimensions.index(config.sb_dimension))
+    keys = ("augment.cpu_dimension", "augment.sb_dimension")
+    for key in keys:
+        if cfg[key] not in schema.dimensions:
+            raise ValidationError(
+                f"config key {key!r}: the schema has no dimension {cfg[key]!r}")
+    return tuple(schema.dimensions.index(cfg[key]) for key in keys)
 
 
 def classify_gap(
     target: PerformanceFeature,
     profiled: PerformanceFeature,
     schema: FeatureSchema,
-    config: AugmentConfig | None = None,
+    cfg: Config,
 ) -> HintScenario | None:
     """Map the CPU-time / scanned-bytes gap sign pattern to a hint scenario.
 
     Returns None when the generated query is acceptable: both magnitudes and
-    their ratio within the tolerance.  Total over all gap sign patterns.
+    their ratio within `augment.accept_threshold`.  Total over all gap sign
+    patterns.
     """
-    config = config or AugmentConfig()
     goal, achieved = target.as_vector(), profiled.as_vector()
     return _scenario(relative_gaps(achieved, goal, _EPS), goal, achieved,
-                     _gap_dimensions(schema, config), config.accept_threshold)
+                     _gap_dimensions(schema, cfg), cfg["augment.accept_threshold"])
 
 
 def _scenario(gaps: np.ndarray, goal: np.ndarray, achieved: np.ndarray,
@@ -429,30 +412,31 @@ def generate_component(
     catalog: Catalog,
     provider: Provider,
     executor: Executor,
-    config: AugmentConfig | None = None,
+    cfg: Config,
     component_id: str | None = None,
 ) -> GenerationReport:
     """Trial-and-error generation of one component for one target.
 
     Loop: build prompt -> provider -> profile -> classify.  Rewrite scenarios
-    append their hints and retry; `max_attempts` consecutive misses on a
-    database-shaped scenario switch the database (up to `max_db_switches`)
-    and reset the attempt counter.  Acceptance needs every metric gap within
-    `accept_threshold`; operator gaps are advisory.  Exhaustion returns a
-    failure report carrying every attempt.
+    append their hints and retry; `augment.max_attempts` consecutive misses
+    on a database-shaped scenario switch the database (up to
+    `augment.max_db_switches`) and reset the attempt counter.  Acceptance
+    needs every metric gap within `augment.accept_threshold`; operator gaps
+    are advisory.  Exhaustion returns a failure report carrying every attempt.
     """
-    config = config or AugmentConfig()
+    max_attempts, max_switches = cfg["augment.max_attempts"], cfg["augment.max_db_switches"]
+    tau = cfg["augment.accept_threshold"]
     schema = catalog.schema
-    dims = _gap_dimensions(schema, config)
-    examples = retrieve_examples(target, catalog, config.examples_per_side)
+    dims = _gap_dimensions(schema, cfg)
+    examples = retrieve_examples(target, catalog, cfg["augment.examples_per_side"])
     database = pick_database(examples)
     goal = target.feature.as_vector()
     hints: list[str] = []
     attempts: list[GenerationAttempt] = []
 
-    for switches in range(config.max_db_switches + 1):
+    for switches in range(max_switches + 1):
         db_misses = 0
-        for attempt_index in range(config.max_attempts):
+        for attempt_index in range(max_attempts):
             prompt = build_prompt(target, examples, database, schema, tuple(hints))
             try:
                 response = provider.complete(prompt)
@@ -473,9 +457,8 @@ def generate_component(
             achieved = component.feature.as_vector()
             gaps = relative_gaps(achieved, goal, _EPS)
             deltas = dict(zip(schema.dimensions, gaps.tolist()))
-            scenario = _scenario(gaps, goal, achieved, dims, config.accept_threshold)
-            if scenario is None and np.all(
-                    np.abs(gaps[:schema.n_metrics]) <= config.accept_threshold):
+            scenario = _scenario(gaps, goal, achieved, dims, tau)
+            if scenario is None and np.all(np.abs(gaps[:schema.n_metrics]) <= tau):
                 attempts.append(
                     GenerationAttempt(attempt_index, prompt, response, component.feature,
                                       deltas, None, VERDICT_ACCEPTED)
@@ -487,7 +470,7 @@ def generate_component(
             scenario = scenario or HINT_SCENARIOS[SCENARIO_RATIO_OFF]
             db_misses += scenario.action == ACTION_CHANGE_DATABASE
             # every attempt of this round missed on a database-shaped scenario
-            switch = db_misses == config.max_attempts and switches < config.max_db_switches
+            switch = db_misses == max_attempts and switches < max_switches
             attempts.append(
                 GenerationAttempt(attempt_index, prompt, response, component.feature,
                                   deltas, scenario.scenario_id,
@@ -523,17 +506,17 @@ def augment_catalog(
     catalog: Catalog,
     provider: Provider,
     executor: Executor,
-    config: AugmentConfig | None = None,
-    seed: int = 0,
+    cfg: Config,
+    seed: int,
 ) -> tuple[Catalog, list[GenerationReport]]:
-    """Generate one component per cluster of queries in badly-fit windows.
+    """Generate one component per cluster (`augment.k` of them) of the
+    queries in windows whose objective exceeds `augment.bad_window_threshold`.
 
     Accepted components are appended to a copy of the catalog.  Appending
     only ever enlarges the candidate set, so re-solving any window with the
     returned catalog cannot worsen its objective.
     """
-    config = config or AugmentConfig()
-    bad = set(bad_windows(plans, config.bad_window_threshold))
+    bad = set(bad_windows(plans, cfg["augment.bad_window_threshold"]))
     if not bad:
         return catalog, []
     # the queries that arrive inside a bad window, in trace order; windows are disjoint
@@ -546,13 +529,13 @@ def augment_catalog(
     if not hit.size:
         return catalog, []
     targets = _cluster_targets(trace.features[hit], index[at[hit]].tolist(),
-                               trace.schema.n_metrics, config.k, seed)
+                               trace.schema.n_metrics, cfg["augment.k"], seed)
     augmented = catalog.copy()
     reports = []
     serial = sum(1 for c in catalog if c.origin == ORIGIN_AUGMENTED)
     for target in targets:
         report = generate_component(
-            target, augmented, provider, executor, config,
+            target, augmented, provider, executor, cfg,
             component_id=f"aug-{serial:03d}",
         )
         reports.append(report)

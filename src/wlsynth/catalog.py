@@ -31,7 +31,6 @@ class DatabaseDescriptor:
     benchmark_name: str
     scale_factor: float
     skewness: int = 0
-    schema_summary: tuple[tuple[str, int, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
         if self.scale_factor <= 0:

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
-from .augmenter import AugmentConfig, HttpProvider, MockProvider, augment_catalog, write_attempt_log
+from .augmenter import HttpProvider, MockProvider, augment_catalog, write_attempt_log
 from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
 from .config import Config, load_config
 from .errors import ConfigError, WlsynthError
@@ -29,7 +29,6 @@ from .features import PerformanceFeature
 from .metrics import FidelityReport, report, write_report
 from .scheduler import (
     IntervalGrid,
-    SAConfig,
     Schedule,
     assign_timestamps,
     random_schedule,
@@ -39,7 +38,6 @@ from .scheduler import (
 from .selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
-    SelectionConstraints,
     SelectionPlan,
     match_query,
     read_plans,
@@ -107,19 +105,7 @@ def _read_targets(cfg: Config, paths: _Paths):
 
 
 def _read_plans(cfg: Config, paths: _Paths, windows, catalog: Catalog) -> list[SelectionPlan]:
-    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg["denom_floor"])
-
-
-def _constraints(cfg: Config) -> SelectionConstraints:
-    return SelectionConstraints(
-        max_repetitions=cfg["y"],
-        max_total=cfg["z"],
-        total_per_query_factor=cfg["z_per_query_factor"],
-        max_concurrency=cfg["cores"],
-        denom_floor=cfg["denom_floor"],
-        node_limit=cfg["solver.node_limit"],
-        time_limit_s=cfg["solver.time_limit_s"],
-    )
+    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg)
 
 
 @contextmanager
@@ -141,9 +127,9 @@ def _solver_output_to_stderr():
         os.close(saved)
 
 
-def _solve_windows(targets, catalog, constraints, jobs: int) -> list[SelectionPlan]:
+def _solve_windows(targets, catalog, cfg: Config, jobs: int) -> list[SelectionPlan]:
     with _solver_output_to_stderr():
-        return solve_all_windows(targets, catalog, constraints, jobs)
+        return solve_all_windows(targets, catalog, cfg, jobs)
 
 
 def _catalog_arg(args) -> str:
@@ -171,15 +157,6 @@ def _provider(cfg: Config):
     if not cfg["provider.endpoint"]:
         raise ConfigError("provider.endpoint is required when provider.kind = http")
     return HttpProvider(cfg["provider.endpoint"], cfg["provider.timeout_ms"])
-
-
-def _sa_config(cfg: Config) -> SAConfig:
-    return SAConfig(
-        no_improve_limit=cfg["sa.no_improve"],
-        max_steps=cfg["sa.max_steps"],
-        move_granularity_ms=cfg["sa.move_granularity_ms"],
-        denom_floor=cfg["denom_floor"],
-    )
 
 
 # Each run_<stage> takes the stage's inputs as objects, writes the stage's
@@ -220,15 +197,13 @@ def run_select(cfg: Config, paths: _Paths, args, windows, catalog: Catalog,
         with _solver_output_to_stderr(), open(matches, "w", encoding="utf-8") as fh:
             fh.write("query_id,component_id,count,objective\n")
             for query_id, feature in zip(trace.query_id, trace.features):
-                plan = match_query(
-                    PerformanceFeature.from_vector(feature, trace.schema), catalog,
-                    mode=args.query_level, denom_floor=cfg["denom_floor"],
-                )
+                plan = match_query(PerformanceFeature.from_vector(feature, trace.schema),
+                                   catalog, cfg, mode=args.query_level)
                 for cid in sorted(plan.counts):
                     fh.write(f"{query_id},{cid},{plan.counts[cid]},"
                              f"{plan.objective_value!r}\n")
         log.info("matched %d queries (%s)", len(trace), args.query_level)
-    plans = _solve_windows(windows, catalog, _constraints(cfg), args.jobs)
+    plans = _solve_windows(windows, catalog, cfg, args.jobs)
     _write_plans(cfg, paths, plans, windows)
     log.info("solved %d windows", len(plans))
     return plans
@@ -238,20 +213,10 @@ def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
                 catalog: Catalog, plans: list[SelectionPlan]
                 ) -> tuple[Catalog, list[SelectionPlan]]:
     """Returns the augmented catalog and the plans the later stages use."""
-    augment_cfg = AugmentConfig(
-        k=cfg["augment.k"],
-        examples_per_side=cfg["augment.examples_per_side"],
-        accept_threshold=cfg["augment.accept_threshold"],
-        max_attempts=cfg["augment.max_attempts"],
-        max_db_switches=cfg["augment.max_db_switches"],
-        bad_window_threshold=cfg["augment.bad_window_threshold"],
-        cpu_dimension=cfg["augment.cpu_dimension"],
-        sb_dimension=cfg["augment.sb_dimension"],
-    )
     executor = SimulatedExecutor(cfg.schema())
     augmented, reports = augment_catalog(
         trace, plans, windows, catalog, _provider(cfg), executor,
-        config=augment_cfg, seed=stage_seed(cfg["seed"], "augment"),
+        cfg, stage_seed(cfg["seed"], "augment"),
     )
     paths.ensure(paths.augment, paths.plans)
     save_catalog(augmented, paths.augment / "catalog.csv")
@@ -261,7 +226,7 @@ def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
         # same catalog as the plans were solved with: a re-solve writes the same bytes
         log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
         return augmented, plans
-    plans = _solve_windows(windows, augmented, _constraints(cfg), args.jobs)
+    plans = _solve_windows(windows, augmented, cfg, args.jobs)
     _write_plans(cfg, paths, plans, windows)
     log.info("augmentation: %d/%d targets accepted, plans re-solved",
              accepted, len(reports))
@@ -273,13 +238,10 @@ def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
     paths.ensure(paths.schedule)
     seed = stage_seed(cfg["seed"], "schedule")
     if args.skip_ta:
-        schedule = random_schedule(plans, intervals, seed, cfg["sa.move_granularity_ms"])
+        schedule = random_schedule(plans, intervals, cfg, seed)
         trace_rows = []
     else:
-        result = assign_timestamps(
-            plans, intervals, catalog, _sa_config(cfg),
-            rng_seed=seed, cores=cfg["cores"],
-        )
+        result = assign_timestamps(plans, intervals, catalog, cfg, seed)
         schedule = result.schedule
         trace_rows = list(enumerate(result.best_energy_trace))
         log.info("annealed %d steps: energy %.6g -> %.6g",

@@ -1,10 +1,11 @@
 """Flat key/value configuration shared by the CLI subcommands.
 
 The file format is one `key = value` per line, `#` comments, UTF-8.  Lists
-are comma-separated.  Keys are named exactly as the modules name them so a
-config diff reads like a parameter change log.  Every key is parsed and
-checked once, when the config is built, so a bad value stops a run before
-any stage writes.
+are comma-separated.  `KEYS` is the only declaration of a key: its type,
+default and rule.  Every key is parsed and checked once, when the config is
+built, so a bad value stops a run before any stage writes; the stage
+functions then read their knobs from the `Config` (`Config()` for the
+defaults) and mirror none of them.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ KEYS: dict[str, tuple[type, object, object]] = {
     # relative-error floors: positive, or x / 0
     "denom_floor": (float, 1.0, POSITIVE),
     "solver.node_limit": (int, 20000, POSITIVE),
-    "solver.time_limit_s": (float, None, None),
+    "solver.time_limit_s": (float, None, POSITIVE),
     "sa.no_improve": (int, 100, POSITIVE),
     "sa.max_steps": (int, 3000, POSITIVE),
     "sa.move_granularity_ms": (int, 1000, POSITIVE),
@@ -41,12 +42,12 @@ KEYS: dict[str, tuple[type, object, object]] = {
     "augment.accept_threshold": (float, 0.15, NON_NEGATIVE),
     "augment.max_attempts": (int, 5, POSITIVE),
     "augment.max_db_switches": (int, 2, NON_NEGATIVE),
-    "augment.bad_window_threshold": (float, 0.2, None),
+    "augment.bad_window_threshold": (float, 0.2, NON_NEGATIVE),
     "augment.cpu_dimension": (str, "cpu_time_ms", None),
     "augment.sb_dimension": (str, "scanned_bytes", None),
     "provider.kind": (str, "mock", ("mock", "http")),
     "provider.endpoint": (str, "", None),
-    "provider.timeout_ms": (int, 30000, None),
+    "provider.timeout_ms": (int, 30000, POSITIVE),
     "seed": (int, 0, None),
 }
 _EXPECTED = {int: "integer", float: "number"}

@@ -85,7 +85,7 @@ def report(
     window_targets: list[WindowTarget],
     interval_targets: list[IntervalTarget],
     replayed: Trace,
-    eps: float = EPS_DEFAULT,
+    eps: float,
 ) -> FidelityReport:
     """Compare the replayed trace against the original targets on their grid."""
     if not window_targets:

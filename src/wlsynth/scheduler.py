@@ -26,13 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
+from .config import Config
 from .errors import ValidationError
 from .trace import _BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix
 from .selector import SelectionPlan, relative_error
 
 log = logging.getLogger(__name__)
 
-_EPS_DEFAULT = 1.0
 _ACCEPT_HI, _ACCEPT_LO = 0.98, 1e-4  # chance of taking the median uphill move at V_max, V_min
 
 
@@ -77,16 +77,6 @@ class Schedule:
     def entries(self) -> list[ScheduleEntry]:
         return list(map(ScheduleEntry, *(getattr(self, name).tolist()
                                          for name in SCHEDULE_COLUMNS)))
-
-
-@dataclass
-class SAConfig:
-    """Annealer knobs; the temperatures are tuned from the initial state."""
-
-    no_improve_limit: int = 100   # S: stop after this many steps without a new best
-    max_steps: int = 3000
-    move_granularity_ms: int = 1000
-    denom_floor: float = _EPS_DEFAULT
 
 
 @dataclass
@@ -253,18 +243,14 @@ def _check_targets(interval_targets: list[IntervalTarget], catalog: Catalog
     return grid, target
 
 
-def energy(
-    schedule: Schedule,
-    interval_targets: list[IntervalTarget],
-    catalog: Catalog,
-    cores: int,
-    denom_floor: float = _EPS_DEFAULT,
-) -> float:
-    """`selector.relative_error` of the replayed interval metrics against the targets."""
+def energy(schedule: Schedule, interval_targets: list[IntervalTarget], catalog: Catalog,
+           cfg: Config) -> float:
+    """`selector.relative_error` of the interval metrics replayed on `cores`
+    against the targets, floored at `denom_floor`."""
     grid, target = _check_targets(interval_targets, catalog)
     starts, works, features = expand(schedule, catalog)
-    return _energy(starts, works, features[:, :catalog.schema.n_metrics], target, cores,
-                   grid, denom_floor)
+    return _energy(starts, works, features[:, :catalog.schema.n_metrics], target,
+                   cfg["cores"], grid, cfg["denom_floor"])
 
 
 def _planned_instances(plans: list[SelectionPlan], grid: IntervalGrid,
@@ -304,18 +290,15 @@ def _draw_starts(rng: np.random.Generator, window_start, window_len, granularity
     return window_start + rng.integers(0, slots) * granularity_ms
 
 
-def random_schedule(
-    plans: list[SelectionPlan],
-    interval_targets: list[IntervalTarget],
-    rng_seed: int,
-    granularity_ms: int = 1000,
-) -> Schedule:
-    """Uniform random in-window start times; the annealer's initial state and
-    the baseline used by the timestamp-assignment ablation."""
+def random_schedule(plans: list[SelectionPlan], interval_targets: list[IntervalTarget],
+                    cfg: Config, rng_seed: int) -> Schedule:
+    """Uniform random in-window start times at `sa.move_granularity_ms`; the
+    annealer's initial state and the baseline used by the
+    timestamp-assignment ablation."""
     grid = IntervalGrid.from_targets(interval_targets)
     schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
     schedule.start_ts = _draw_starts(np.random.default_rng(rng_seed), w_start, w_len,
-                                     granularity_ms)
+                                     cfg["sa.move_granularity_ms"])
     return schedule
 
 
@@ -326,7 +309,7 @@ def _tune_temperatures(
     current_energy: float,
     energy_fn,
     rng: np.random.Generator,
-    config: SAConfig,
+    granularity_ms: int,
 ) -> tuple[float, float]:
     """Sample random moves from the initial state to pick V_max and V_min so the
     median uphill step is accepted with probabilities _ACCEPT_HI and _ACCEPT_LO."""
@@ -334,7 +317,7 @@ def _tune_temperatures(
     for _ in range(100):
         j = int(rng.integers(0, len(starts)))
         old = starts[j]
-        starts[j] = _draw_starts(rng, w_start[j], w_len[j], config.move_granularity_ms)
+        starts[j] = _draw_starts(rng, w_start[j], w_len[j], granularity_ms)
         delta = energy_fn() - current_energy
         starts[j] = old
         if delta > 0:
@@ -343,33 +326,30 @@ def _tune_temperatures(
     return median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
 
 
-def assign_timestamps(
-    plans: list[SelectionPlan],
-    interval_targets: list[IntervalTarget],
-    catalog: Catalog,
-    sa_config: SAConfig | None = None,
-    rng_seed: int = 0,
-    cores: int = 8,
-) -> AnnealResult:
+def assign_timestamps(plans: list[SelectionPlan], interval_targets: list[IntervalTarget],
+                      catalog: Catalog, cfg: Config, rng_seed: int) -> AnnealResult:
     """Simulated-annealing start-time assignment against interval metric targets.
 
     Starts from a seeded uniform-random assignment; each move re-draws one
-    instance's start time at move granularity, accepted per Metropolis with
-    geometrically cooled temperature.  Stops after `no_improve_limit`
-    consecutive steps without improving the best energy, or at the step cap.
+    instance's start time at `sa.move_granularity_ms`, accepted per
+    Metropolis with geometrically cooled temperature.  Stops after
+    `sa.no_improve` consecutive steps without improving the best energy, or
+    after `sa.max_steps`.  The energy replays on `cores`, floored at
+    `denom_floor`.
     """
-    config = sa_config or SAConfig()
+    granularity, max_steps = cfg["sa.move_granularity_ms"], cfg["sa.max_steps"]
+    cores, denom_floor = cfg["cores"], cfg["denom_floor"]
     grid, target = _check_targets(interval_targets, catalog)
     schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
     rng = np.random.default_rng(rng_seed)
-    starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, config.move_granularity_ms)
+    starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, granularity)
     _, works, features = expand(schedule, catalog)
     warn_if_overloaded(works, grid, cores)
     metrics = features[:, :catalog.schema.n_metrics]
 
     def energy_fn() -> float:
         return _energy(starts.astype(float), works, metrics, target, cores, grid,
-                       config.denom_floor)
+                       denom_floor)
 
     current = energy_fn()
     best_starts = starts.copy()
@@ -378,17 +358,18 @@ def assign_timestamps(
     if not len(schedule):
         return AnnealResult(schedule, 0.0, 0.0, [0.0], 0)
 
-    v_max, v_min = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng, config)
-    alpha = (v_min / v_max) ** (1.0 / max(1, config.max_steps))
+    v_max, v_min = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng,
+                                      granularity)
+    alpha = (v_min / v_max) ** (1.0 / max(1, max_steps))
 
     temperature = v_max
     no_improve = 0
     steps = 0
-    while steps < config.max_steps and no_improve < config.no_improve_limit:
+    while steps < max_steps and no_improve < cfg["sa.no_improve"]:
         steps += 1
         j = int(rng.integers(0, len(starts)))
         old = starts[j]
-        starts[j] = _draw_starts(rng, w_start[j], w_len[j], config.move_granularity_ms)
+        starts[j] = _draw_starts(rng, w_start[j], w_len[j], granularity)
         candidate = energy_fn()
         delta = candidate - current
         accept = delta <= 0 or (

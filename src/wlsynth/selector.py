@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .catalog import Catalog
+from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, floored, relative_errors
 from .trace import WindowTarget, read_columns
@@ -52,19 +53,6 @@ warnings.filterwarnings(
 
 
 @dataclass
-class SelectionConstraints:
-    """Knobs shared by all windows; see SelectionProblem for resolved values."""
-
-    max_repetitions: int = 10          # y
-    max_total: int | None = None       # z; None derives it from query counts
-    total_per_query_factor: float = 2.0
-    max_concurrency: int = 8           # cores; duration budget l = window_len * cores
-    denom_floor: float = 1.0           # epsilon for zero-valued targets
-    node_limit: int = 20000            # HiGHS MIP nodes per window
-    time_limit_s: float | None = None
-
-
-@dataclass
 class SelectionProblem:
     """One window's fully-resolved integer program."""
 
@@ -75,10 +63,10 @@ class SelectionProblem:
     y: int
     z: int
     duration_budget_ms: float
-    denom_floor: float = 1.0
+    denom_floor: float
+    node_limit: int           # HiGHS MIP nodes
+    time_limit_s: float | None
     window_index: int = 0
-    node_limit: int = 20000
-    time_limit_s: float | None = None
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
@@ -260,37 +248,27 @@ def enumerate_optimum(problem: SelectionProblem) -> tuple[float, list[np.ndarray
     return best, argbest
 
 
-def build_problem(
-    target: WindowTarget,
-    catalog: Catalog,
-    constraints: SelectionConstraints,
-) -> SelectionProblem:
-    if constraints.max_total is not None:
-        z = constraints.max_total
-    else:
-        z = max(1, round(constraints.total_per_query_factor * target.query_count))
-    problem = SelectionProblem(
+def build_problem(target: WindowTarget, catalog: Catalog, cfg: Config) -> SelectionProblem:
+    """The window's problem under the `y`, `z` (or `z_per_query_factor` times
+    its query count), `cores`, `denom_floor` and `solver.*` keys."""
+    z = cfg["z"] or max(1, round(cfg["z_per_query_factor"] * target.query_count))
+    return SelectionProblem(
         target=target.feature.as_vector(),
         features=catalog.feature_matrix(),
         durations=np.array([c.duration_ms for c in catalog]),
         component_ids=[c.component_id for c in catalog],
-        y=constraints.max_repetitions,
+        y=cfg["y"],
         z=z,
-        duration_budget_ms=float(target.window_len_ms * constraints.max_concurrency),
-        denom_floor=constraints.denom_floor,
+        duration_budget_ms=float(target.window_len_ms * cfg["cores"]),
+        denom_floor=cfg["denom_floor"],
+        node_limit=cfg["solver.node_limit"],
+        time_limit_s=cfg["solver.time_limit_s"],
         window_index=target.window_index,
-        node_limit=constraints.node_limit,
-        time_limit_s=constraints.time_limit_s,
     )
-    return problem
 
 
-def solve_all_windows(
-    targets: list[WindowTarget],
-    catalog: Catalog,
-    constraints: SelectionConstraints,
-    jobs: int = 1,
-) -> list[SelectionPlan]:
+def solve_all_windows(targets: list[WindowTarget], catalog: Catalog, cfg: Config,
+                      jobs: int = 1) -> list[SelectionPlan]:
     """Solve every window independently (the objective is separable over windows).
 
     With `jobs > 1` the windows are solved from a pool of that many threads.
@@ -299,7 +277,7 @@ def solve_all_windows(
     """
     def solve(target: WindowTarget) -> SelectionPlan:
         try:
-            return solve_window(build_problem(target, catalog, constraints))
+            return solve_window(build_problem(target, catalog, cfg))
         except SolverError as exc:
             raise SolverError(f"window {target.window_index}: {exc}") from exc
 
@@ -320,7 +298,7 @@ def write_plans(plans: list[SelectionPlan], path) -> None:
 
 
 def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
-               denom_floor: float = 1.0) -> list[SelectionPlan]:
+               cfg: Config) -> list[SelectionPlan]:
     """Rebuild plans from a plan CSV read through `trace.read_columns`, each
     by `SelectionProblem.plan` of its window's `build_problem`.  A window
     outside `targets`, a component outside `catalog`, a repeated (window,
@@ -342,11 +320,10 @@ def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
         if n < 0:
             raise ValidationError(f"row {rownum}, column 'count': negative count {n}")
         counts[w][cid] = n
-    constraints = SelectionConstraints(denom_floor=denom_floor)
     by_window = {t.window_index: t for t in targets}
     plans = []
     for w in sorted(counts):
-        problem = build_problem(by_window[w], catalog, constraints)
+        problem = build_problem(by_window[w], catalog, cfg)
         plans.append(problem.plan(np.array(
             [counts[w].get(cid, 0) for cid in problem.component_ids], dtype=int)))
     return plans
@@ -400,16 +377,17 @@ def rank_components(features: np.ndarray, ids: list[str],
 def match_query(
     query_feature: PerformanceFeature,
     catalog: Catalog,
+    cfg: Config,
     mode: str = ONE_TO_ONE,
     z_q: int = 5,
-    denom_floor: float = 1.0,
 ) -> SelectionPlan:
     """Query-level matching: nearest single component or a small ILP combination.
 
     one_to_one picks the nearest component by `rank_components`.
     one_to_many solves the window problem with the query's feature as the
-    target, capped at z_q total instances and no duration budget.  Both
-    report the relative-error objective so the two modes are comparable.
+    target, capped at z_q total instances and no duration budget, under the
+    `denom_floor` and `solver.*` keys.  Both report the relative-error
+    objective so the two modes are comparable.
     """
     if len(catalog) == 0:
         raise ValidationError("cannot match against an empty catalog")
@@ -426,7 +404,9 @@ def match_query(
         y=z_q,
         z=z_q,
         duration_budget_ms=budget,
-        denom_floor=denom_floor,
+        denom_floor=cfg["denom_floor"],
+        node_limit=cfg["solver.node_limit"],
+        time_limit_s=cfg["solver.time_limit_s"],
     )
     if mode == ONE_TO_MANY:
         return solve_window(problem)

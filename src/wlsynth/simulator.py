@@ -12,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import Catalog
-from .features import MODE_COUNTS
 from .scheduler import (Schedule, expand, replayed_durations, simulate_processor_sharing,
                         warn_if_overloaded)
 from .trace import IntervalGrid, Trace
 
 
-def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str = MODE_COUNTS,
+def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str,
            grid: IntervalGrid | None = None) -> Trace:
     """Run the schedule once and return the resulting trace.
 

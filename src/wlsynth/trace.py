@@ -443,7 +443,7 @@ def build_targets(
     counts attach to the window containing the arrival: plain sums in counts
     mode, duration-weighted means in time_shares mode.  Mass outside the
     span, by default the smallest one covering every execution, is clipped
-    and logged.
+    and logged.  An empty trace needs a span, and its targets are all zero.
 
     The work runs on the trace's columns, a block of rows at a time.
     `IntervalGrid.spread` bins the metric mass; every interval and window
@@ -458,7 +458,7 @@ def build_targets(
             f"interval_len_ms ({interval_len_ms})"
         )
     n = len(trace)
-    if not n:
+    if not n and span is None:
         raise ValidationError("cannot build targets from an empty trace")
 
     schema = trace.schema

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from wlsynth.catalog import Catalog, DatabaseDescriptor, WorkloadComponent
+from wlsynth.config import Config
 from wlsynth.features import FeatureSchema, PerformanceFeature
+
+
+# the SelectionProblem fields that config keys set, at the keys' defaults
+SOLVER_KNOBS = {field: Config()[key] for field, key in (
+    ("denom_floor", "denom_floor"), ("node_limit", "solver.node_limit"),
+    ("time_limit_s", "solver.time_limit_s"))}
 
 
 @pytest.fixture

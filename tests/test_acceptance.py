@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_catalog, random_catalog
+from conftest import SOLVER_KNOBS, make_catalog, random_catalog
 from wlsynth.augmenter import (
     VERDICT_DATABASE_SWITCH,
-    AugmentConfig,
     MockProvider,
     augment_catalog,
     generate_component,
@@ -21,10 +20,10 @@ from wlsynth.augmenter import (
 )
 from wlsynth.catalog import SimulatedExecutor
 from wlsynth.cli import echo_policy, main
-from wlsynth.features import FeatureSchema, PerformanceFeature
-from wlsynth.metrics import gmape, gmqe, mae, report
+from wlsynth.config import Config
+from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
+from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report
 from wlsynth.scheduler import (
-    SAConfig,
     Schedule,
     ScheduleEntry,
     assign_timestamps,
@@ -34,7 +33,6 @@ from wlsynth.scheduler import (
 from wlsynth.selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
-    SelectionConstraints,
     SelectionProblem,
     enumerate_optimum,
     match_query,
@@ -67,6 +65,7 @@ def test_criterion_1_solver_optimality():
             y=int(rng.integers(1, 4)),
             z=int(rng.integers(1, 11)),
             duration_budget_ms=float(rng.integers(10000, 400000)),
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         best, _ = enumerate_optimum(problem)
@@ -92,6 +91,7 @@ def test_criterion_2_worked_example(small_schema):
         durations=np.array([c.duration_ms for c in catalog]),
         component_ids=[c.component_id for c in catalog],
         y=10, z=10, duration_budget_ms=300000.0 * 8,
+        **SOLVER_KNOBS,
     )
     plan = solve_window(problem)
     best, _ = enumerate_optimum(problem)
@@ -168,21 +168,19 @@ def round_trip():
     planted = Schedule(sorted(entries, key=lambda e: (e.window_index,
                                                       e.component_id,
                                                       e.instance_index)))
-    source = replay(planted, catalog, cores)
+    source = replay(planted, catalog, cores, MODE_COUNTS)
     windows, intervals = build_targets(source, window_ms, interval_ms,
                                        span=(0, n_windows * window_ms))
 
     started = time.monotonic()
-    plans = solve_all_windows(windows, catalog,
-                              SelectionConstraints(max_concurrency=cores))
-    sa = assign_timestamps(plans, intervals, catalog,
-                           SAConfig(no_improve_limit=300, max_steps=6000),
-                           rng_seed=5, cores=cores)
-    replayed = replay(sa.schedule, catalog, cores)
+    cfg = Config({"cores": str(cores), "sa.no_improve": "300", "sa.max_steps": "6000"})
+    plans = solve_all_windows(windows, catalog, cfg)
+    sa = assign_timestamps(plans, intervals, catalog, cfg, rng_seed=5)
+    replayed = replay(sa.schedule, catalog, cores, MODE_COUNTS)
     elapsed = time.monotonic() - started
 
-    baseline = random_schedule(plans, intervals, rng_seed=5)
-    replayed_random = replay(baseline, catalog, cores)
+    baseline = random_schedule(plans, intervals, cfg, rng_seed=5)
+    replayed_random = replay(baseline, catalog, cores, MODE_COUNTS)
     return {
         "schema": schema,
         "windows": windows,
@@ -196,7 +194,7 @@ def round_trip():
 
 def test_criterion_4_round_trip_self_fidelity(round_trip):
     rep = report(round_trip["windows"], round_trip["intervals"],
-                 round_trip["replayed"])
+                 round_trip["replayed"], EPS_DEFAULT)
     schema = round_trip["schema"]
     worst_gmape = max(rep.window_level[m].gmape for m in schema.metrics)
     worst_gmqe = max(rep.window_level[m].gmqe for m in schema.metrics)
@@ -213,9 +211,9 @@ def test_criterion_4_round_trip_self_fidelity(round_trip):
 def test_criterion_5_timestamp_assignment_ablation(round_trip):
     schema = round_trip["schema"]
     with_sa = report(round_trip["windows"], round_trip["intervals"],
-                     round_trip["replayed"])
+                     round_trip["replayed"], EPS_DEFAULT)
     without = report(round_trip["windows"], round_trip["intervals"],
-                     round_trip["replayed_random"])
+                     round_trip["replayed_random"], EPS_DEFAULT)
     sa_gmape = np.mean([with_sa.interval_level[m].gmape for m in schema.metrics])
     rnd_gmape = np.mean([without.interval_level[m].gmape for m in schema.metrics])
     trace = round_trip["sa"].best_energy_trace
@@ -303,16 +301,16 @@ def test_criterion_7_augmentation_closed_loop(schema):
         QueryRecord("q2", 50000, 60000, q.copy(), ops.copy()),
     ], schema)
     windows, intervals = build_targets(trace, 300000, 30000)
-    constraints = SelectionConstraints()
-    pre = solve_all_windows(windows, catalog, constraints)
+    cfg = Config()
+    pre = solve_all_windows(windows, catalog, cfg)
     assert pre[0].objective_value > 0.2, "fixture gap is not planted"
 
     provider = MockProvider(echo_policy)
     augmented, reports = augment_catalog(
         trace, pre, windows, catalog, provider, SimulatedExecutor(schema),
-        AugmentConfig(k=1), seed=0,
+        Config({"augment.k": "1"}), seed=0,
     )
-    post = solve_all_windows(windows, augmented, constraints)
+    post = solve_all_windows(windows, augmented, cfg)
     improvement_ok = post[0].objective_value <= 0.1 * pre[0].objective_value
 
     # clamped fixture: the executor caps both metrics below the target until
@@ -325,7 +323,7 @@ def test_criterion_7_augmentation_closed_loop(schema):
         np.array([100.0, 100.0]), np.zeros(4)), (0,), 1)
     clamped = generate_component(
         target, catalog, clamped_provider, clamped_executor,
-        AugmentConfig(max_attempts=2, max_db_switches=2),
+        Config({"augment.max_attempts": "2", "augment.max_db_switches": "2"}),
     )
     switch_verdicts = sum(1 for a in clamped.attempts
                           if a.verdict == VERDICT_DATABASE_SWITCH)
@@ -338,14 +336,14 @@ def test_criterion_7_augmentation_closed_loop(schema):
     for i in range(50):
         base = random_catalog(schema, 5, rng)
         target_w = windows[0]
-        before = solve_all_windows([target_w], base, constraints)[0]
+        before = solve_all_windows([target_w], base, cfg)[0]
         grown = base.copy()
         for j in range(int(rng.integers(1, 4))):
             extra = random_catalog(schema, 1, rng)
             comp = extra.components[0]
             comp.component_id = f"x{i}-{j}"
             grown.add(comp)
-        after = solve_all_windows([target_w], grown, constraints)[0]
+        after = solve_all_windows([target_w], grown, cfg)[0]
         if after.objective_value > before.objective_value + 1e-9:
             regressions += 1
     ok = improvement_ok and switch_ok and regressions == 0
@@ -361,12 +359,13 @@ def test_criterion_7_augmentation_closed_loop(schema):
 def test_criterion_8_query_level_dominance(schema):
     rng = np.random.default_rng(8008)
     catalog = random_catalog(schema, 8, rng)
+    cfg = Config()
     violations = 0
     for _ in range(100):
         vals = rng.integers(0, 40, size=6).astype(float)
         query = PerformanceFeature(vals[:2], vals[2:])
-        single = match_query(query, catalog, mode=ONE_TO_ONE)
-        multi = match_query(query, catalog, mode=ONE_TO_MANY)
+        single = match_query(query, catalog, cfg, mode=ONE_TO_ONE)
+        multi = match_query(query, catalog, cfg, mode=ONE_TO_MANY)
         if multi.objective_value > single.objective_value + 1e-9:
             violations += 1
     verdict(8, violations == 0,

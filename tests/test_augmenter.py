@@ -17,7 +17,6 @@ from wlsynth.augmenter import (
     VERDICT_DATABASE_SWITCH,
     VERDICT_RETRY,
     HINT_SCENARIOS,
-    AugmentConfig,
     GenerationTarget,
     MockProvider,
     augment_catalog,
@@ -32,6 +31,7 @@ from wlsynth.augmenter import (
     _cluster_targets,
 )
 from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
+from wlsynth.config import Config
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import SelectionPlan
@@ -173,7 +173,7 @@ class TestClassifyGap:
         (112, 90, SCENARIO_RATIO_OFF),                  # both in range, ratio off
     ])
     def test_sign_table(self, schema, cpu, sb, expected):
-        scenario = classify_gap(feature(100, 100), feature(cpu, sb), schema)
+        scenario = classify_gap(feature(100, 100), feature(cpu, sb), schema, Config())
         if expected is None:
             assert scenario is None
         else:
@@ -216,7 +216,7 @@ class TestGenerateComponent:
         provider = MockProvider(lambda prompt, calls: annotated(50, 60))
         report = generate_component(
             target_for(50, 60), self.make_cat(schema), provider,
-            SimulatedExecutor(schema), component_id="aug-000",
+            SimulatedExecutor(schema), Config(), component_id="aug-000",
         )
         assert report.accepted
         assert report.component.component_id == "aug-000"
@@ -229,7 +229,7 @@ class TestGenerateComponent:
         provider = MockProvider(lambda prompt, calls: responses[calls])
         report = generate_component(
             target_for(50, 60), self.make_cat(schema), provider,
-            SimulatedExecutor(schema),
+            SimulatedExecutor(schema), Config(),
         )
         assert [a.verdict for a in report.attempts] == [VERDICT_RETRY, VERDICT_ACCEPTED]
         assert report.attempts[0].scenario_id == SCENARIO_LOW_CPU_LOW_SB
@@ -242,7 +242,7 @@ class TestGenerateComponent:
 
     def test_exhaustion_returns_failure(self, schema):
         provider = MockProvider(lambda prompt, calls: annotated(10, 60))
-        config = AugmentConfig(max_attempts=3)
+        config = Config({"augment.max_attempts": "3"})
         report = generate_component(
             target_for(50, 60), self.make_cat(schema), provider,
             SimulatedExecutor(schema), config,
@@ -258,7 +258,7 @@ class TestGenerateComponent:
         executor = SimulatedExecutor(
             schema, metric_caps_per_sf={"cpu_time_ms": 60.0, "scanned_bytes": 60.0}
         )
-        config = AugmentConfig(max_attempts=2, max_db_switches=2)
+        config = Config({"augment.max_attempts": "2", "augment.max_db_switches": "2"})
         report = generate_component(
             target_for(100, 100), self.make_cat(schema), provider, executor, config,
         )
@@ -277,7 +277,7 @@ class TestGenerateComponent:
         with pytest.raises(ValidationError, match=f"config key 'augment.{field}':"):
             generate_component(
                 target_for(50, 60), self.make_cat(schema), provider,
-                SimulatedExecutor(schema), AugmentConfig(**{field: "cpu_ms"}),
+                SimulatedExecutor(schema), Config({f"augment.{field}": "cpu_ms"}),
             )
         assert provider.calls == 0
 
@@ -286,7 +286,7 @@ class TestGenerateComponent:
         provider = MockProvider(lambda prompt, calls: responses[calls])
         report = generate_component(
             target_for(50, 60), self.make_cat(schema), provider,
-            SimulatedExecutor(schema),
+            SimulatedExecutor(schema), Config(),
         )
         assert report.accepted
         assert report.attempts[0].verdict == VERDICT_RETRY
@@ -300,7 +300,7 @@ class TestGenerateComponent:
                            match="component 'aug-t0': duration_ms must be positive"):
             generate_component(
                 target_for(50, 60), self.make_cat(schema), provider,
-                SimulatedExecutor(schema),
+                SimulatedExecutor(schema), Config(),
             )
 
 
@@ -331,7 +331,7 @@ class TestAugmentCatalog:
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         augmented, reports = augment_catalog(
             trace, plans, windows, catalog, provider, SimulatedExecutor(schema),
-            AugmentConfig(k=1), seed=0,
+            Config({"augment.k": "1"}), seed=0,
         )
         assert len(catalog) == 5  # input untouched
         assert len(augmented) == 6
@@ -344,9 +344,11 @@ class TestAugmentCatalog:
     def test_zero_clusters_rejected(self, schema):
         trace, plans, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
+        cfg = Config()
+        cfg.values["augment.k"] = 0  # past the table's rule: the stage checks k too
         with pytest.raises(ValidationError, match="k must be >= 1"):
             augment_catalog(trace, plans, windows, catalog, provider,
-                            SimulatedExecutor(schema), AugmentConfig(k=0), seed=0)
+                            SimulatedExecutor(schema), cfg, seed=0)
         assert provider.calls == 0
 
     def test_no_bad_windows_is_a_no_op(self, schema):
@@ -354,7 +356,8 @@ class TestAugmentCatalog:
         plans[0].objective_value = 0.0
         provider = MockProvider(lambda prompt, calls: annotated(1, 1))
         augmented, reports = augment_catalog(
-            trace, plans, windows, catalog, provider, SimulatedExecutor(schema))
+            trace, plans, windows, catalog, provider, SimulatedExecutor(schema), Config(),
+            seed=0)
         assert augmented is catalog
         assert reports == []
         assert provider.calls == 0
@@ -364,7 +367,7 @@ class TestAugmentCatalog:
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         _, reports = augment_catalog(
             trace, plans, windows, catalog, provider, SimulatedExecutor(schema),
-            AugmentConfig(k=1), seed=0,
+            Config({"augment.k": "1"}), seed=0,
         )
         path = tmp_path / "attempts.jsonl"
         write_attempt_log(reports, path)

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import shutil
 from pathlib import Path
 
@@ -13,9 +14,8 @@ from wlsynth import cli
 from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
 from wlsynth.cli import echo_policy, main, stage_seed
-from wlsynth.config import load_config
+from wlsynth.config import Config, load_config
 from wlsynth.features import FeatureSchema, PerformanceFeature
-from wlsynth.selector import SelectionConstraints
 from wlsynth.trace import WindowTarget
 
 EXPECTED_ARTIFACTS = [
@@ -144,6 +144,23 @@ class TestPipeline:
         assert run_pipeline(demo_dir, out, ["--skip-ta", "--skip-augment"]) == 0
         energy = (out / "schedule/energy.csv").read_text().splitlines()
         assert energy == ["step,best_energy"]
+
+    def test_empty_replay_scores(self, demo_dir, tmp_path):
+        """A catalog whose every component outlasts each window's budget plans
+        no instance: the replay is empty, and it still scores, finitely."""
+        with open(demo_dir / "demo_catalog.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        catalog = tmp_path / "catalog.csv"
+        with open(catalog, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(dict(row, duration_ms="1e10") for row in rows)
+        out = tmp_path / "out"
+        assert run_pipeline(demo_dir, out, ["--skip-augment"], catalog=catalog) == 0
+        assert (out / "replay/trace.csv").read_text().count("\n") == 1  # the header
+        with open(out / "report/scores.csv", newline="", encoding="utf-8") as fh:
+            values = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_single_interval_grid_spans_the_window(self, demo_dir, tmp_path, caplog):
         """With one interval per window and one window, the grid is that
@@ -276,9 +293,8 @@ class TestSolverOutput:
                                                 problem.features)))
         window = WindowTarget(0, 0, int(problem.duration_budget_ms),
                               PerformanceFeature(problem.target[:2], problem.target[2:]), 1)
-        constraints = SelectionConstraints(max_repetitions=6, max_total=30,
-                                           max_concurrency=1, node_limit=1)
-        cli._solve_windows([window], catalog, constraints, jobs)
+        cfg = Config({"y": "6", "z": "30", "cores": "1", "solver.node_limit": "1"})
+        cli._solve_windows([window], catalog, cfg, jobs)
         print("stdout still works")
         out, err = capfd.readouterr()
         assert "HighsMipSolverData" in err
@@ -379,6 +395,9 @@ class TestErrors:
         ("augment.max_db_switches", "augment.max_db_switches = -1"),
         ("augment.accept_threshold", "augment.accept_threshold = -1"),
         ("augment.accept_threshold", "augment.accept_threshold = nan"),
+        ("solver.time_limit_s", "solver.time_limit_s = 0"),
+        ("provider.timeout_ms", "provider.timeout_ms = 0"),
+        ("augment.bad_window_threshold", "augment.bad_window_threshold = nan"),
     ])
     def test_bad_config_value_fails_before_writing(self, demo_dir, tmp_path, capsys,
                                                   key, line):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
-from wlsynth.metrics import gmape, gmqe, mae, report, write_report
+from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report, write_report
 from wlsynth.trace import QueryRecord, Trace, build_targets
 
 
@@ -77,7 +77,7 @@ class TestReport:
             (200000, 30000, [3, 4], [0, 1, 0, 1]),
         ])
         windows, intervals = build_targets(trace, 300000, 30000)
-        rep = report(windows, intervals, trace)
+        rep = report(windows, intervals, trace, EPS_DEFAULT)
         for scores in rep.window_level.values():
             assert scores.mae == 0.0
             assert scores.gmqe == pytest.approx(1.0)
@@ -87,7 +87,7 @@ class TestReport:
     def test_levels_cover_schema(self, schema):
         trace = make_trace(schema, [(0, 10000, [1, 2], [1, 1, 0, 0])])
         windows, intervals = build_targets(trace, 300000, 30000)
-        rep = report(windows, intervals, trace)
+        rep = report(windows, intervals, trace, EPS_DEFAULT)
         assert set(rep.window_level) == set(schema.dimensions)
         assert set(rep.interval_level) == set(schema.metrics)
 
@@ -97,13 +97,13 @@ class TestReport:
         windows, intervals = build_targets(trace, 300000, 30000)
         longer = make_trace(schema, [(0, 10000, [1, 2], [1, 1, 0, 0]),
                                      (400000, 10000, [1, 2], [0, 0, 0, 0])])
-        rep = report(windows, intervals, longer)
+        rep = report(windows, intervals, longer, EPS_DEFAULT)
         assert rep.window_level["cpu_time_ms"].mae == pytest.approx(0.0)
 
     def test_rows_and_files(self, schema, tmp_path):
         trace = make_trace(schema, [(0, 10000, [1, 2], [1, 1, 0, 0])])
         windows, intervals = build_targets(trace, 300000, 30000)
-        rep = report(windows, intervals, trace)
+        rep = report(windows, intervals, trace, EPS_DEFAULT)
         rows = rep.rows()
         assert all(len(r) == 5 for r in rows)
         # one (mae, gmape, gmqe) triple per dimension per level
@@ -116,7 +116,7 @@ class TestReport:
     def test_plot_data_covers_intervals_and_windows(self, schema):
         trace = make_trace(schema, [(0, 10000, [1, 2], [1, 1, 0, 0])])
         windows, intervals = build_targets(trace, 300000, 30000)
-        rep = report(windows, intervals, trace)
+        rep = report(windows, intervals, trace, EPS_DEFAULT)
         dims = {d for _, d, _, _ in rep.plot_data}
         assert dims == set(schema.dimensions)
         n_metric_rows = sum(1 for _, d, _, _ in rep.plot_data if d in schema.metrics)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import make_catalog
 from wlsynth.cli import main
+from wlsynth.config import Config
 from wlsynth.errors import SchemaError, TraceParseError, ValidationError
-from wlsynth.features import PerformanceFeature
+from wlsynth.features import MODE_COUNTS, PerformanceFeature
 from wlsynth.scheduler import (
     SCHEDULE_COLUMNS,
     IntervalGrid,
-    SAConfig,
     Schedule,
     ScheduleEntry,
     assign_timestamps,
@@ -155,7 +155,7 @@ def planted_setup(schema):
 class TestRandomSchedule:
     def test_stays_inside_window_on_granularity(self, schema):
         catalog, targets, plans = planted_setup(schema)
-        schedule = random_schedule(plans, targets, rng_seed=4)
+        schedule = random_schedule(plans, targets, Config(), rng_seed=4)
         assert len(schedule) == 5
         for e in schedule.entries:
             assert 0 <= e.start_ts < 300000
@@ -163,15 +163,15 @@ class TestRandomSchedule:
 
     def test_seed_reproducible(self, schema):
         catalog, targets, plans = planted_setup(schema)
-        a = random_schedule(plans, targets, rng_seed=4)
-        b = random_schedule(plans, targets, rng_seed=4)
+        a = random_schedule(plans, targets, Config(), rng_seed=4)
+        b = random_schedule(plans, targets, Config(), rng_seed=4)
         assert a.entries == b.entries
 
     def test_unknown_window_rejected(self, schema):
         catalog, targets, _ = planted_setup(schema)
         with pytest.raises(ValidationError):
             random_schedule([SelectionPlan(5, {"c1": 1}, np.zeros(6), 0.0)],
-                            targets, rng_seed=0)
+                            targets, Config(), rng_seed=0)
 
 
 def simulated_bins(schedule, catalog):
@@ -189,14 +189,14 @@ class TestEnergy:
         catalog, _, plans = planted_setup(schema)
         schedule = Schedule([ScheduleEntry(0, "c1", 0, 0)])
         targets = interval_targets(simulated_bins(schedule, catalog))
-        assert energy(schedule, targets, catalog, cores=8) == pytest.approx(0.0)
+        assert energy(schedule, targets, catalog, Config()) == pytest.approx(0.0)
 
     def test_matches_manual_sum(self, schema):
         catalog, _, _ = planted_setup(schema)
         schedule = Schedule([ScheduleEntry(0, "c1", 0, 0)])
         # c1: work 30000 alone -> all mass in interval 0
         targets = interval_targets(np.zeros((10, 2)))
-        got = energy(schedule, targets, catalog, cores=8, denom_floor=1.0)
+        got = energy(schedule, targets, catalog, Config({"cores": "8", "denom_floor": "1.0"}))
         assert got == pytest.approx(60.0 + 10.0)
 
 
@@ -215,45 +215,44 @@ class TestAnnealing:
 
     def test_improves_on_initial(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        result = assign_timestamps(plans, targets, catalog, rng_seed=3, cores=8)
+        result = assign_timestamps(plans, targets, catalog, Config(), rng_seed=3)
         assert result.best_energy <= result.initial_energy
 
     def test_best_trace_non_increasing(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        result = assign_timestamps(plans, targets, catalog, rng_seed=3, cores=8)
+        result = assign_timestamps(plans, targets, catalog, Config(), rng_seed=3)
         trace = result.best_energy_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_best_energy_consistent_with_schedule(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        result = assign_timestamps(plans, targets, catalog, rng_seed=3, cores=8)
-        assert energy(result.schedule, targets, catalog, 8) == pytest.approx(
+        result = assign_timestamps(plans, targets, catalog, Config(), rng_seed=3)
+        assert energy(result.schedule, targets, catalog, Config()) == pytest.approx(
             result.best_energy)
 
     def test_deterministic(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        a = assign_timestamps(plans, targets, catalog, rng_seed=7, cores=8)
-        b = assign_timestamps(plans, targets, catalog, rng_seed=7, cores=8)
+        a = assign_timestamps(plans, targets, catalog, Config(), rng_seed=7)
+        b = assign_timestamps(plans, targets, catalog, Config(), rng_seed=7)
         assert a.schedule.entries == b.schedule.entries
         assert a.best_energy == b.best_energy
 
     def test_initial_state_matches_random_baseline(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        baseline = random_schedule(plans, targets, rng_seed=5)
-        result = assign_timestamps(plans, targets, catalog, rng_seed=5, cores=8)
+        baseline = random_schedule(plans, targets, Config(), rng_seed=5)
+        result = assign_timestamps(plans, targets, catalog, Config(), rng_seed=5)
         assert result.initial_energy == pytest.approx(
-            energy(baseline, targets, catalog, 8))
+            energy(baseline, targets, catalog, Config()))
 
     def test_stops_after_no_improvement(self, schema):
         catalog, targets, plans = self.make_instance(schema)
-        config = SAConfig(no_improve_limit=10, max_steps=100000)
-        result = assign_timestamps(plans, targets, catalog, config,
-                                   rng_seed=3, cores=8)
+        config = Config({"sa.no_improve": "10", "sa.max_steps": "100000"})
+        result = assign_timestamps(plans, targets, catalog, config, rng_seed=3)
         assert result.steps < 100000
 
     def test_empty_plans(self, schema):
         catalog, targets, _ = planted_setup(schema)
-        result = assign_timestamps([], targets, catalog, rng_seed=0, cores=8)
+        result = assign_timestamps([], targets, catalog, Config(), rng_seed=0)
         assert len(result.schedule) == 0
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -265,9 +264,10 @@ class TestAnnealing:
                            + [ScheduleEntry(0, "c2", k, 10000 + 25000 * k) for k in range(6)])
         targets = interval_targets(simulated_bins(planted, catalog))
         plans = [SelectionPlan(0, {"c1": 5, "c2": 6}, np.zeros(6), 0.0)]
-        result = assign_timestamps(plans, targets, catalog, rng_seed=3, cores=cores)
-        _, replayed = build_targets(replay(result.schedule, catalog, cores), 300000, 30000,
-                                    span=(0, 300000))
+        result = assign_timestamps(plans, targets, catalog, Config({"cores": str(cores)}),
+                                   rng_seed=3)
+        _, replayed = build_targets(replay(result.schedule, catalog, cores, MODE_COUNTS),
+                                    300000, 30000, span=(0, 300000))
         achieved = np.array([t.metrics for t in replayed])
         target = np.array([t.metrics for t in targets])
         assert result.best_energy == np.sum(np.abs(achieved - target)
@@ -280,8 +280,9 @@ class TestOfferedLoad:
 
     def anneal(self, schema, cores):
         catalog, targets, _ = planted_setup(schema)
-        return assign_timestamps(self.PLANS, targets, catalog, SAConfig(max_steps=30),
-                                 rng_seed=3, cores=cores)
+        return assign_timestamps(self.PLANS, targets, catalog,
+                                 Config({"sa.max_steps": "30", "cores": str(cores)}),
+                                 rng_seed=3)
 
     def test_one_warning_names_load_and_cores(self, schema, caplog):
         with caplog.at_level(logging.WARNING, logger="wlsynth"):
@@ -355,7 +356,8 @@ def test_array_draw_matches_scalar_draws(case):
     leaves the generator where the loop left it."""
     plans, targets, seed, granularity = case
     expected, scalar_rng = _scalar_random_schedule(plans, targets, seed, granularity)
-    assert random_schedule(plans, targets, seed, granularity).entries == expected
+    cfg = Config({"sa.move_granularity_ms": str(granularity)})
+    assert random_schedule(plans, targets, cfg, seed).entries == expected
 
     grid = IntervalGrid.from_targets(targets)
     schedule, w_start, w_len = scheduler_module._planned_instances(plans, grid, targets)
@@ -368,9 +370,10 @@ def test_array_draw_matches_scalar_draws(case):
 def test_annealer_initial_state_is_random_schedule(schema):
     """With no steps the annealer returns its initial state, the random schedule."""
     catalog, targets, plans = planted_setup(schema)
-    config = SAConfig(max_steps=0, move_granularity_ms=7000)
+    config = Config({"sa.move_granularity_ms": "7000"})
+    config.values["sa.max_steps"] = 0  # past the table's rule, which rejects 0
     result = assign_timestamps(plans, targets, catalog, config, rng_seed=9)
-    assert result.schedule.entries == random_schedule(plans, targets, 9, 7000).entries
+    assert result.schedule.entries == random_schedule(plans, targets, config, 9).entries
 
 
 _ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.optimize import milp
 
-from conftest import make_catalog, random_catalog
+from conftest import SOLVER_KNOBS, make_catalog, random_catalog
 from wlsynth import selector
+from wlsynth.config import Config
 from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
 from wlsynth.features import FeatureSchema, PerformanceFeature
 from wlsynth.selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
-    SelectionConstraints,
     SelectionPlan,
     SelectionProblem,
     build_problem,
@@ -44,6 +44,7 @@ def random_problem(rng, n_components=4, n_dims=3, y=3, z=8):
         y=y,
         z=z,
         duration_budget_ms=float(durations.sum() * z),
+        **SOLVER_KNOBS,
     )
 
 
@@ -69,6 +70,7 @@ class TestSolveWindow:
             durations=np.array([1000.0, 1000.0]),
             component_ids=["a", "b"],
             y=5, z=10, duration_budget_ms=1e9,
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         assert plan.objective_value == pytest.approx(0.0, abs=1e-9)
@@ -107,6 +109,7 @@ class TestSolveWindow:
             durations=np.array([1000.0]),
             component_ids=["a"],
             y=3, z=50, duration_budget_ms=1e9,
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         assert plan.counts == {"a": 3}
@@ -118,6 +121,7 @@ class TestSolveWindow:
             durations=np.array([1000.0, 1000.0]),
             component_ids=["a", "b"],
             y=10, z=4, duration_budget_ms=1e9,
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         assert plan.total_count() == 4
@@ -129,6 +133,7 @@ class TestSolveWindow:
             durations=np.array([1000.0]),
             component_ids=["a"],
             y=10, z=10, duration_budget_ms=3000.0,
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         assert plan.counts.get("a", 0) <= 3
@@ -142,6 +147,7 @@ class TestSolveWindow:
             durations=np.array([1000.0, 1000.0]),
             component_ids=["a", "b"],
             y=5, z=5, duration_budget_ms=1e9,
+            **SOLVER_KNOBS,
         )
         plan = solve_window(problem)
         assert plan.counts == {"b": 2}
@@ -214,7 +220,7 @@ class TestSolveWindow:
             durations=np.array([1000.0]),
             component_ids=["a"],
             y=3, z=3, duration_budget_ms=1e9,
-            denom_floor=1.0,
+            **dict(SOLVER_KNOBS, denom_floor=1.0),
         )
         plan = solve_window(problem)
         # picking one instance costs 1/1 on the zero dim but saves 5/5 on the other
@@ -240,11 +246,11 @@ class TestWindowsAndIO:
             ("c3", 25000, [1.5, 4, 0, 1, 1, 0]),
         ])
         targets = self.make_targets(schema)
-        plans = solve_all_windows(targets, catalog, SelectionConstraints())
+        plans = solve_all_windows(targets, catalog, Config())
         assert [p.window_index for p in plans] == [0, 1]
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
-        back = read_plans(path, targets, catalog)
+        back = read_plans(path, targets, catalog, Config())
         for a, b in zip(plans, back):
             assert a.counts == b.counts
             assert a.objective_value == pytest.approx(b.objective_value)
@@ -254,7 +260,7 @@ class TestWindowsAndIO:
     def test_solve_all_windows_names_failing_window(self, schema, monkeypatch, jobs):
         catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])
         targets = self.make_targets(schema)
-        plans = solve_all_windows(targets, catalog, SelectionConstraints(), jobs)
+        plans = solve_all_windows(targets, catalog, Config(), jobs)
         assert [p.window_index for p in plans] == [0, 1]
 
         def failing(problem):
@@ -264,7 +270,7 @@ class TestWindowsAndIO:
 
         monkeypatch.setattr(selector, "solve_window", failing)
         with pytest.raises(SolverError, match="^window 1: infeasible$"):
-            solve_all_windows(targets, catalog, SelectionConstraints(), jobs)
+            solve_all_windows(targets, catalog, Config(), jobs)
 
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
         # eight dimensions: enough that two ways of summing the errors can
@@ -278,27 +284,27 @@ class TestWindowsAndIO:
                          PerformanceFeature(rng.uniform(0, 60, 3), rng.uniform(0, 9, 5)), 3)
             for w in range(40)
         ]
-        plans = solve_all_windows(targets, catalog, SelectionConstraints())
+        plans = solve_all_windows(targets, catalog, Config())
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
-        back = read_plans(path, targets, catalog)
+        back = read_plans(path, targets, catalog, Config())
         assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_empty_catalog_plans_no_instances(self, schema, tmp_path):
         from wlsynth.catalog import Catalog
 
         targets = self.make_targets(schema)
-        plans = solve_all_windows(targets, Catalog([], schema), SelectionConstraints())
+        plans = solve_all_windows(targets, Catalog([], schema), Config())
         assert [p.counts for p in plans] == [{}] * len(targets)
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
-        back = read_plans(path, targets, Catalog([], schema))
+        back = read_plans(path, targets, Catalog([], schema), Config())
         assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_build_problem_derives_total_cap(self, schema):
         catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])
         target = self.make_targets(schema)[0]
-        problem = build_problem(target, catalog, SelectionConstraints())
+        problem = build_problem(target, catalog, Config())
         assert problem.z == 4  # 2 queries * factor 2.0
         assert problem.duration_budget_ms == 300000 * 8
 
@@ -308,7 +314,7 @@ class TestWindowsAndIO:
         path = tmp_path / "plan.csv"
         path.write_text("window_index,component_id,count\n7,c1,1\n")
         with pytest.raises(ValidationError):
-            read_plans(path, targets, catalog)
+            read_plans(path, targets, catalog, Config())
 
     @pytest.mark.parametrize("text, error, message", [
         (_PLAN_HEADER + "0,c1,1.5\n", ValidationError,
@@ -335,7 +341,7 @@ class TestWindowsAndIO:
         path = tmp_path / "plan.csv"
         path.write_text(text)
         with pytest.raises(error, match=message):
-            read_plans(path, self.make_targets(schema), catalog)
+            read_plans(path, self.make_targets(schema), catalog, Config())
 
 
 @st.composite
@@ -361,12 +367,12 @@ def plan_cases(draw):
                      draw(st.integers(0, 20)))
         for w in window_indexes
     ]
-    denom_floor = draw(st.sampled_from([1e-3, 1.0, 7.5]))
+    cfg = Config({"denom_floor": str(draw(st.sampled_from([1e-3, 1.0, 7.5])))})
     plans = []
     for target in targets:
         counts = np.array(draw(st.lists(st.integers(0, 12), min_size=len(ids),
                                         max_size=len(ids))))
-        problem = build_problem(target, catalog, SelectionConstraints(denom_floor=denom_floor))
+        problem = build_problem(target, catalog, cfg)
         plans.append(SelectionPlan(
             window_index=target.window_index,
             counts={cid: int(n) for cid, n in zip(ids, counts) if n > 0},
@@ -374,7 +380,7 @@ def plan_cases(draw):
             objective_value=problem.objective(counts),
         ))
     unknown = draw(st.integers(0, 60).filter(lambda w: w not in window_indexes))
-    return catalog, targets, plans, denom_floor, unknown
+    return catalog, targets, plans, cfg, unknown
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,10 +388,10 @@ def plan_cases(draw):
 def test_plan_csv_round_trip(tmp_path_factory, case):
     """write_plans -> read_plans keeps the counts, the achieved vector and the
     objective bit for bit; a row naming a window outside the targets is rejected."""
-    catalog, targets, plans, denom_floor, unknown = case
+    catalog, targets, plans, cfg, unknown = case
     path = tmp_path_factory.mktemp("plans") / "plan.csv"
     write_plans(plans, path)
-    back = read_plans(path, targets, catalog, denom_floor)
+    back = read_plans(path, targets, catalog, cfg)
     by_window = {p.window_index: p for p in plans}
     assert [p.window_index for p in back] == sorted(by_window)
     for plan in back:
@@ -395,7 +401,7 @@ def test_plan_csv_round_trip(tmp_path_factory, case):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{unknown},{catalog.components[0].component_id},1\n")
     with pytest.raises(ValidationError, match=f"unknown window {unknown}"):
-        read_plans(path, targets, catalog, denom_floor)
+        read_plans(path, targets, catalog, cfg)
 
 
 class TestMatchQuery:
@@ -406,7 +412,7 @@ class TestMatchQuery:
         ])
         query = PerformanceFeature(np.array([10.0, 10.0]),
                                    np.array([1.0, 0.0, 0.0, 0.0]))
-        plan = match_query(query, catalog, mode=ONE_TO_ONE)
+        plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"near": 1}
         assert_array_equal(plan.achieved, catalog.get("near").feature.as_vector())
 
@@ -416,7 +422,7 @@ class TestMatchQuery:
             ("a", 1000, [5, 5, 0, 0, 0, 0]),
         ])
         query = PerformanceFeature(np.array([5.0, 5.0]), np.zeros(4))
-        plan = match_query(query, catalog, mode=ONE_TO_ONE)
+        plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"a": 1}
         assert_array_equal(plan.achieved, catalog.get("a").feature.as_vector())
 
@@ -426,16 +432,26 @@ class TestMatchQuery:
         for _ in range(20):
             vals = rng.integers(0, 40, size=6).astype(float)
             query = PerformanceFeature(vals[:2], vals[2:])
-            single = match_query(query, catalog, mode=ONE_TO_ONE)
-            multi = match_query(query, catalog, mode=ONE_TO_MANY)
+            single = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
+            multi = match_query(query, catalog, Config(), mode=ONE_TO_MANY)
             assert multi.objective_value <= single.objective_value + 1e-9
+
+    def test_one_to_many_obeys_solver_keys(self, schema, monkeypatch):
+        catalog = random_catalog(schema, 4, np.random.default_rng(3))
+        problems = []
+        monkeypatch.setattr(selector, "solve_window",
+                            lambda problem: problems.append(problem) or solve_window(problem))
+        cfg = Config({"solver.node_limit": "7", "solver.time_limit_s": "2.5"})
+        match_query(PerformanceFeature(np.ones(2), np.ones(4)), catalog, cfg,
+                    mode=ONE_TO_MANY)
+        assert [(p.node_limit, p.time_limit_s) for p in problems] == [(7, 2.5)]
 
     def test_empty_catalog_rejected(self, schema):
         from wlsynth.catalog import Catalog
 
         query = PerformanceFeature(np.zeros(2), np.zeros(4))
         with pytest.raises(ValidationError):
-            match_query(query, Catalog([], schema), mode=ONE_TO_ONE)
+            match_query(query, Catalog([], schema), Config(), mode=ONE_TO_ONE)
 
 
 def test_only_features_divides_by_a_floor():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog
-from wlsynth.features import FeatureSchema
+from wlsynth.features import MODE_COUNTS, FeatureSchema
 from wlsynth.scheduler import IntervalGrid, Schedule, ScheduleEntry, simulate_processor_sharing
 from wlsynth.simulator import replay
 from wlsynth.trace import build_targets, export_trace
@@ -28,11 +28,11 @@ class TestReplay:
         schedule = Schedule([ScheduleEntry(0, "c1", k, 0) for k in range(4)])
         grid = IntervalGrid(start_ts=0, interval_len_ms=30000, n_intervals=2)
         with caplog.at_level(logging.WARNING, logger="wlsynth"):
-            quiet = replay(schedule, catalog, cores=1)
+            quiet = replay(schedule, catalog, cores=1, mode=MODE_COUNTS)
             assert not caplog.records
-            replay(schedule, catalog, cores=2, grid=grid)
+            replay(schedule, catalog, cores=2, mode=MODE_COUNTS, grid=grid)
             assert not caplog.records
-            warned = replay(schedule, catalog, cores=1, grid=grid)
+            warned = replay(schedule, catalog, cores=1, mode=MODE_COUNTS, grid=grid)
         assert [r.getMessage() for r in caplog.records] == [
             "offered load 2 exceeds cores = 1: the processor-sharing backlog grows "
             "across the horizon"
@@ -45,14 +45,14 @@ class TestReplay:
             ScheduleEntry(0, "c1", 0, 0),
             ScheduleEntry(0, "c2", 0, 100000),
         ])
-        trace = replay(schedule, catalog, cores=8)
+        trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         by_id = {r.query_id: r for r in trace.records}
         assert by_id["c1.w0.k0"].duration_ms == 30000
         assert by_id["c2.w0.k0"].duration_ms == 20000
 
     def test_contention_stretches_durations(self, schema, catalog):
         schedule = Schedule([ScheduleEntry(0, "c1", k, 0) for k in range(4)])
-        trace = replay(schedule, catalog, cores=2)
+        trace = replay(schedule, catalog, cores=2, mode=MODE_COUNTS)
         # 4 equal instances on 2 cores progress at rate 1/2
         for r in trace.records:
             assert r.duration_ms == 60000
@@ -64,7 +64,7 @@ class TestReplay:
         ] + [
             ScheduleEntry(0, "c2", k, int(rng.integers(0, 200000))) for k in range(6)
         ])
-        trace = replay(schedule, catalog, cores=3)
+        trace = replay(schedule, catalog, cores=3, mode=MODE_COUNTS)
         for r in trace.records:
             profiled = catalog.get(r.query_id.split(".")[0]).duration_ms
             assert r.duration_ms >= profiled
@@ -75,7 +75,7 @@ class TestReplay:
             ScheduleEntry(0, "c1", 1, 5000),
             ScheduleEntry(1, "c1", 0, 300000),
         ])
-        trace = replay(schedule, catalog, cores=8)
+        trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         ids = [r.query_id for r in trace.records]
         assert len(set(ids)) == 3
         for r in trace.records:
@@ -85,11 +85,11 @@ class TestReplay:
 
     def test_arrivals_are_schedule_starts(self, schema, catalog):
         schedule = Schedule([ScheduleEntry(0, "c2", 0, 42000)])
-        trace = replay(schedule, catalog, cores=8)
+        trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         assert trace.records[0].arrival_ts == 42000
 
     def test_empty_schedule(self, schema, catalog):
-        trace = replay(Schedule([]), catalog, cores=8)
+        trace = replay(Schedule([]), catalog, cores=8, mode=MODE_COUNTS)
         assert trace.records == []
 
     def test_window_operator_sums_recoverable(self, schema, catalog):
@@ -100,7 +100,7 @@ class TestReplay:
             ScheduleEntry(1, "c2", 0, 310000),
             ScheduleEntry(1, "c2", 1, 350000),
         ])
-        trace = replay(schedule, catalog, cores=8)
+        trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
         np.testing.assert_array_equal(windows[0].feature.operators, [1, 1, 1, 0])
         np.testing.assert_array_equal(windows[1].feature.operators, [0, 2, 2, 0])
@@ -154,7 +154,7 @@ def test_replay_matches_per_instance_loop(tmp_path_factory, durations, zero_work
     schedule = Schedule(entries)
     expected = _reference_replay(schedule, catalog, cores)
 
-    trace = replay(schedule, catalog, cores)
+    trace = replay(schedule, catalog, cores, MODE_COUNTS)
     assert trace.duration_ms.tolist() == [row[2] for row in expected]
     assert trace.arrival_ts.tolist() == [row[1] for row in expected]
     assert trace.query_id == [row[0] for row in expected]

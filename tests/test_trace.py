@@ -196,6 +196,14 @@ class TestBuildTargets:
         with pytest.raises(ValidationError):
             build_targets(Trace([], schema), 300000, 30000)
 
+    def test_empty_trace_over_a_span_has_zero_targets(self, schema):
+        windows, intervals = build_targets(Trace([], schema), 300000, 30000,
+                                           span=(0, 600000))
+        assert [w.query_count for w in windows] == [0, 0]
+        assert len(intervals) == 20
+        assert not np.any([w.feature.as_vector() for w in windows])
+        assert not np.any([t.metrics for t in intervals])
+
     def test_targets_file_round_trip(self, schema, tmp_path):
         trace = Trace(
             [record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema
