@@ -491,8 +491,6 @@ def generate_component(
         else:
             # attempt budget exhausted without a database switch
             return GenerationReport(target.target_id, None, attempts, switches)
-    # max_db_switches < 0: no round at all
-    return GenerationReport(target.target_id, None, attempts, 0)
 
 
 def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:

@@ -1,15 +1,17 @@
 """Command-line pipeline driver.
 
-Each stage is a subcommand reading and writing the CSV contracts of the
-library modules, so any prefix of the pipeline can be resumed from its
-artifacts.  `pipeline` runs the same stage functions in order and hands each
-one's outputs to the next in memory; it writes the same artifacts.  All
-randomness flows from one --seed; each stage derives its own generator by
-hashing the stage name.
+Each stage is a subcommand and one function, `stage_<name>(run)`: it takes
+its inputs from the invocation's run context (`Run`) and writes the CSV
+contracts of the library modules, so any prefix of the pipeline can be
+resumed from its artifacts.  `pipeline` calls the same stage functions in
+order on one context, where each finds the outputs of the stages before it
+and reads back nothing the run wrote.  All randomness flows from one --seed;
+each stage derives its own generator by hashing the stage name.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -26,7 +28,7 @@ from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
 from .config import Config, load_config
 from .errors import ConfigError, WlsynthError
 from .features import PerformanceFeature
-from .metrics import FidelityReport, report, write_report
+from .metrics import report, write_report
 from .scheduler import (
     IntervalGrid,
     Schedule,
@@ -53,7 +55,10 @@ log = logging.getLogger(__name__)
 
 WINDOW_LEVEL = "window"
 _DATA_FILES = ("demo_trace.csv", "demo_catalog.csv", "demo_config.txt")
-_FLAG_KEYS = ("seed", "window_ms", "interval_ms", "cores", "y", "z")  # flags that set a config key
+# integer flags that set the config key of their name (underscores for dashes)
+_KEY_FLAGS = {"seed": None, "window_ms": None, "interval_ms": None, "cores": None,
+              "y": "max repetitions of one component per window",
+              "z": "max total instances per window"}
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -79,33 +84,58 @@ class _Paths:
         for d in (self.root,) + dirs:
             d.mkdir(parents=True, exist_ok=True)
 
-    def effective_catalog(self, explicit: str | None):
-        """Augmented catalog when one was produced, otherwise the one given."""
-        augmented = self.augment / "catalog.csv"
-        if augmented.exists():
-            return augmented
-        if explicit is None:
-            raise ConfigError("--catalog is required (no augmented catalog found)")
-        return explicit
 
-
-def _read_trace(cfg: Config, paths: _Paths, args):
-    path = getattr(args, "trace", None) or paths.trace
+def _existing(path, what: str, hint: str):
     if not Path(path).exists():
-        raise ConfigError(f"no trace at {path}; pass --trace or run 'ingest' first")
-    return ingest_trace(path, cfg.schema(), cfg["mode"])
+        raise ConfigError(f"no {what} at {path}; {hint}")
+    return path
 
 
-def _read_targets(cfg: Config, paths: _Paths):
-    windows_path = paths.targets / "windows.csv"
-    intervals_path = paths.targets / "intervals.csv"
-    if not windows_path.exists():
-        raise ConfigError(f"no targets at {windows_path}; run 'targets' first")
-    return read_targets(windows_path, intervals_path, cfg.schema())
+class Run:
+    """One invocation's stage inputs.  An input is the value an earlier stage
+    of the same invocation left in `held`; otherwise it is read back from
+    that stage's artifact on first use, and held from then on."""
 
+    def __init__(self, cfg: Config, args: argparse.Namespace):
+        self.cfg, self.args, self.paths = cfg, args, _Paths(args.out)
+        self.held: dict[str, object] = {}
 
-def _read_plans(cfg: Config, paths: _Paths, windows, catalog: Catalog) -> list[SelectionPlan]:
-    return read_plans(paths.plans / "plan.csv", windows, catalog, cfg)
+    def get(self, name: str):
+        if name not in self.held:
+            self.held[name] = getattr(self, f"_read_{name}")()
+        return self.held[name]
+
+    def _read_trace(self) -> Trace:
+        path = _existing(getattr(self.args, "trace", None) or self.paths.trace, "trace",
+                         "pass --trace or run 'ingest' first")
+        return ingest_trace(path, self.cfg.schema(), self.cfg["mode"])
+
+    def _read_targets(self):
+        windows = _existing(self.paths.targets / "windows.csv", "targets", "run 'targets' first")
+        return read_targets(windows, self.paths.targets / "intervals.csv", self.cfg.schema())
+
+    def _read_catalog(self) -> Catalog:
+        # select and augment start from --catalog; a standalone schedule or
+        # replay prefers the catalog an earlier augment left
+        path = self.paths.augment / "catalog.csv"
+        if self.args.command not in ("schedule", "replay"):
+            path = _catalog_arg(self.args)
+        elif not path.exists():
+            if self.args.catalog is None:
+                raise ConfigError("--catalog is required (no augmented catalog found)")
+            path = self.args.catalog
+        return load_catalog(path, self.cfg.schema())
+
+    def _read_plans(self) -> list[SelectionPlan]:
+        windows, _ = self.get("targets")
+        return read_plans(self.paths.plans / "plan.csv", windows, self.get("catalog"), self.cfg)
+
+    def _read_schedule(self) -> Schedule:
+        return read_schedule(self.paths.schedule / "schedule.csv")
+
+    def _read_replayed(self) -> Trace:
+        path = _existing(self.paths.replay / "trace.csv", "replayed trace", "run 'replay' first")
+        return ingest_trace(path, self.cfg.schema(), self.cfg["mode"])
 
 
 @contextmanager
@@ -159,85 +189,92 @@ def _provider(cfg: Config):
     return HttpProvider(cfg["provider.endpoint"], cfg["provider.timeout_ms"])
 
 
-# Each run_<stage> takes the stage's inputs as objects, writes the stage's
-# artifacts and returns its outputs.  cmd_<stage> loads those inputs from the
-# artifacts of earlier stages; cmd_pipeline passes each stage's return value
-# on, so a run reads back nothing it wrote.
+# Each stage_<name> is one subcommand: it takes its inputs from the run
+# context, writes its artifacts and leaves its outputs in `run.held`, where a
+# later stage of the same `pipeline` run finds them without reading back.
 
-def run_ingest(cfg: Config, paths: _Paths, trace_path) -> Trace:
-    if trace_path is None:
+def stage_ingest(run: Run) -> None:
+    if run.args.trace is None:
         raise ConfigError("ingest requires --trace")
-    trace = ingest_trace(trace_path, cfg.schema(), cfg["mode"])
-    paths.ensure()
-    export_trace(trace, paths.trace)
-    log.info("ingested %d records -> %s", len(trace), paths.trace)
-    return trace
+    trace = ingest_trace(run.args.trace, run.cfg.schema(), run.cfg["mode"])
+    run.paths.ensure()
+    export_trace(trace, run.paths.trace)
+    log.info("ingested %d records -> %s", len(trace), run.paths.trace)
+    run.held["trace"] = trace
 
 
-def run_targets(cfg: Config, paths: _Paths, trace: Trace):
-    windows, intervals = build_targets(trace, cfg["window_ms"], cfg["interval_ms"])
+def stage_targets(run: Run) -> None:
+    cfg, paths = run.cfg, run.paths
+    windows, intervals = build_targets(run.get("trace"), cfg["window_ms"], cfg["interval_ms"])
     paths.ensure(paths.targets)
     write_targets(windows, intervals, paths.targets / "windows.csv",
                   paths.targets / "intervals.csv", cfg.schema())
     log.info("wrote %d windows, %d intervals", len(windows), len(intervals))
-    return windows, intervals
+    run.held["targets"] = windows, intervals
 
 
-def _write_plans(cfg: Config, paths: _Paths, plans: list[SelectionPlan], windows) -> None:
-    write_plans(plans, paths.plans / "plan.csv")
-    write_plan_summary(plans, windows, cfg.schema(), paths.plans / "summary.csv")
+def _solve_and_write(run: Run, windows, catalog: Catalog) -> None:
+    plans = _solve_windows(windows, catalog, run.cfg, run.args.jobs)
+    write_plans(plans, run.paths.plans / "plan.csv")
+    write_plan_summary(plans, windows, run.cfg.schema(), run.paths.plans / "summary.csv")
+    run.held["plans"] = plans
 
 
-def run_select(cfg: Config, paths: _Paths, args, windows, catalog: Catalog,
-               trace: Trace | None) -> list[SelectionPlan]:
-    """`trace` is used only by --query-level matching."""
+def stage_select(run: Run) -> None:
+    """The input trace is read only for --query-level matching."""
+    cfg, paths, level = run.cfg, run.paths, run.args.query_level
+    windows, _ = run.get("targets")
+    catalog = run.get("catalog")
+    trace = None if level == WINDOW_LEVEL else run.get("trace")
     paths.ensure(paths.plans)
-    if args.query_level != WINDOW_LEVEL:
-        matches = paths.plans / "query_matches.csv"
-        with _solver_output_to_stderr(), open(matches, "w", encoding="utf-8") as fh:
-            fh.write("query_id,component_id,count,objective\n")
+    if trace is not None:
+        with _solver_output_to_stderr(), open(paths.plans / "query_matches.csv", "w",
+                                              newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("query_id", "component_id", "count", "objective"))
             for query_id, feature in zip(trace.query_id, trace.features):
                 plan = match_query(PerformanceFeature.from_vector(feature, trace.schema),
-                                   catalog, cfg, mode=args.query_level)
-                for cid in sorted(plan.counts):
-                    fh.write(f"{query_id},{cid},{plan.counts[cid]},"
-                             f"{plan.objective_value!r}\n")
-        log.info("matched %d queries (%s)", len(trace), args.query_level)
-    plans = _solve_windows(windows, catalog, cfg, args.jobs)
-    _write_plans(cfg, paths, plans, windows)
-    log.info("solved %d windows", len(plans))
-    return plans
+                                   catalog, cfg, mode=level)
+                writer.writerows((query_id, cid, plan.counts[cid], repr(plan.objective_value))
+                                 for cid in sorted(plan.counts))
+        log.info("matched %d queries (%s)", len(trace), level)
+    _solve_and_write(run, windows, catalog)
+    log.info("solved %d windows", len(windows))
 
 
-def run_augment(cfg: Config, paths: _Paths, args, trace: Trace, windows,
-                catalog: Catalog, plans: list[SelectionPlan]
-                ) -> tuple[Catalog, list[SelectionPlan]]:
-    """Returns the augmented catalog and the plans the later stages use."""
-    executor = SimulatedExecutor(cfg.schema())
+def stage_augment(run: Run) -> None:
+    """Holds the augmented catalog, and the plans re-solved with it."""
+    cfg, paths = run.cfg, run.paths
+    trace = run.get("trace")
+    windows, _ = run.get("targets")
+    catalog = run.get("catalog")
+    plans = run.get("plans")
     augmented, reports = augment_catalog(
-        trace, plans, windows, catalog, _provider(cfg), executor,
+        trace, plans, windows, catalog, _provider(cfg), SimulatedExecutor(cfg.schema()),
         cfg, stage_seed(cfg["seed"], "augment"),
     )
     paths.ensure(paths.augment, paths.plans)
     save_catalog(augmented, paths.augment / "catalog.csv")
     write_attempt_log(reports, paths.augment / "attempts.jsonl")
+    run.held["catalog"] = augmented
     accepted = sum(1 for r in reports if r.accepted)
     if accepted == 0:
         # same catalog as the plans were solved with: a re-solve writes the same bytes
         log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
-        return augmented, plans
-    plans = _solve_windows(windows, augmented, cfg, args.jobs)
-    _write_plans(cfg, paths, plans, windows)
+        return
+    _solve_and_write(run, windows, augmented)
     log.info("augmentation: %d/%d targets accepted, plans re-solved",
              accepted, len(reports))
-    return augmented, plans
 
 
-def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
-                 intervals, catalog: Catalog) -> Schedule:
+def stage_schedule(run: Run) -> None:
+    cfg, paths = run.cfg, run.paths
+    _, intervals = run.get("targets")
+    catalog = run.get("catalog")
+    plans = run.get("plans")
     paths.ensure(paths.schedule)
     seed = stage_seed(cfg["seed"], "schedule")
-    if args.skip_ta:
+    if run.args.skip_ta:
         schedule = random_schedule(plans, intervals, cfg, seed)
         trace_rows = []
     else:
@@ -251,116 +288,86 @@ def run_schedule(cfg: Config, paths: _Paths, args, plans: list[SelectionPlan],
         fh.write("step,best_energy\n")
         for step, value in trace_rows:
             fh.write(f"{step},{value!r}\n")
-    return schedule
+    run.held["schedule"] = schedule
 
 
-def run_replay(cfg: Config, paths: _Paths, schedule: Schedule, catalog: Catalog,
-               intervals) -> Trace:
-    replayed = replay(schedule, catalog, cfg["cores"], cfg["mode"],
+def stage_replay(run: Run) -> None:
+    cfg, paths = run.cfg, run.paths
+    catalog = run.get("catalog")
+    _, intervals = run.get("targets")
+    replayed = replay(run.get("schedule"), catalog, cfg["cores"], cfg["mode"],
                       IntervalGrid.from_targets(intervals))
     paths.ensure(paths.replay)
     export_trace(replayed, paths.replay / "trace.csv")
     log.info("replayed %d instances", len(replayed))
-    return replayed
+    run.held["replayed"] = replayed
 
 
-def run_evaluate(cfg: Config, paths: _Paths, windows, intervals,
-                 replayed: Trace) -> FidelityReport:
-    rep = report(windows, intervals, replayed, cfg["metrics_eps"])
-    paths.ensure(paths.report)
-    write_report(rep, paths.report / "scores.csv", paths.report / "plot_data.csv")
+def stage_evaluate(run: Run) -> None:
+    windows, intervals = run.get("targets")
+    rep = report(windows, intervals, run.get("replayed"), run.cfg["metrics_eps"])
+    run.paths.ensure(run.paths.report)
+    write_report(rep, run.paths.report / "scores.csv", run.paths.report / "plot_data.csv")
     for level, dim, name, value, _ in rep.rows():
         print(f"{level:8s} {dim:20s} {name:6s} {value:.6g}")
-    return rep
 
 
-def cmd_ingest(cfg: Config, paths: _Paths, args) -> None:
-    run_ingest(cfg, paths, args.trace)
+# subcommand -> (stage function, help, its flags in FLAGS); `pipeline` runs
+# these stages in this order
+STAGES = {
+    "ingest": (stage_ingest, "validate a trace and normalize it into the output dir",
+               ("--trace",)),
+    "targets": (stage_targets, "aggregate the trace into window/interval targets",
+                ("--trace",)),
+    "select": (stage_select, "pick component counts per window",
+               ("--trace", "--catalog", "--query-level")),
+    "augment": (stage_augment, "generate components for badly-fit windows and re-solve",
+                ("--trace", "--catalog")),
+    "schedule": (stage_schedule, "assign start timestamps inside each window",
+                 ("--catalog", "--skip-ta")),
+    "replay": (stage_replay, "simulate the schedule into a replayed trace", ("--catalog",)),
+    "evaluate": (stage_evaluate, "score the replayed trace against the targets", ()),
+}
+# every flag a stage takes; `pipeline` takes them all
+FLAGS = {
+    "--trace": dict(help="input trace CSV"),
+    "--catalog": dict(help="component catalog CSV"),
+    "--query-level": dict(default=WINDOW_LEVEL, choices=[WINDOW_LEVEL, ONE_TO_ONE, ONE_TO_MANY],
+                          help="window-level selection (default) or per-query matching"),
+    "--skip-ta": dict(action="store_true", help="random start times instead of annealing"),
+    "--skip-augment": dict(action="store_true", help="keep the selected plans: run no augment stage"),
+}
 
 
-def cmd_targets(cfg: Config, paths: _Paths, args) -> None:
-    run_targets(cfg, paths, _read_trace(cfg, paths, args))
+def pipeline(run: Run) -> None:
+    _catalog_arg(run.args)  # before any stage writes
+    for name, (stage, _, _) in STAGES.items():
+        if not (name == "augment" and run.args.skip_augment):
+            stage(run)
+        # the trace's last consumer is augment and the schedule's is replay:
+        # dropping each there keeps it out of the later stages' peak memory
+        run.held.pop({"augment": "trace", "replay": "schedule"}.get(name), None)
 
 
-def cmd_select(cfg: Config, paths: _Paths, args) -> None:
-    windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(_catalog_arg(args), cfg.schema())
-    trace = None if args.query_level == WINDOW_LEVEL else _read_trace(cfg, paths, args)
-    run_select(cfg, paths, args, windows, catalog, trace)
-
-
-def cmd_augment(cfg: Config, paths: _Paths, args) -> None:
-    trace = _read_trace(cfg, paths, args)
-    windows, _ = _read_targets(cfg, paths)
-    catalog = load_catalog(_catalog_arg(args), cfg.schema())
-    plans = _read_plans(cfg, paths, windows, catalog)
-    run_augment(cfg, paths, args, trace, windows, catalog, plans)
-
-
-def cmd_schedule(cfg: Config, paths: _Paths, args) -> None:
-    windows, intervals = _read_targets(cfg, paths)
-    catalog = load_catalog(paths.effective_catalog(args.catalog), cfg.schema())
-    plans = _read_plans(cfg, paths, windows, catalog)
-    run_schedule(cfg, paths, args, plans, intervals, catalog)
-
-
-def cmd_replay(cfg: Config, paths: _Paths, args) -> None:
-    catalog = load_catalog(paths.effective_catalog(args.catalog), cfg.schema())
-    _, intervals = _read_targets(cfg, paths)
-    schedule = read_schedule(paths.schedule / "schedule.csv")
-    run_replay(cfg, paths, schedule, catalog, intervals)
-
-
-def cmd_evaluate(cfg: Config, paths: _Paths, args) -> None:
-    windows, intervals = _read_targets(cfg, paths)
-    replayed_path = paths.replay / "trace.csv"
-    if not replayed_path.exists():
-        raise ConfigError(f"no replayed trace at {replayed_path}; run 'replay' first")
-    replayed = ingest_trace(replayed_path, cfg.schema(), cfg["mode"])
-    run_evaluate(cfg, paths, windows, intervals, replayed)
-
-
-def cmd_pipeline(cfg: Config, paths: _Paths, args) -> None:
-    catalog_path = _catalog_arg(args)  # before any stage writes
-    trace = run_ingest(cfg, paths, args.trace)
-    windows, intervals = run_targets(cfg, paths, trace)
-    catalog = load_catalog(catalog_path, cfg.schema())
-    plans = run_select(cfg, paths, args, windows, catalog, trace)
-    if not args.skip_augment:
-        catalog, plans = run_augment(cfg, paths, args, trace, windows, catalog, plans)
-    # the input trace's last consumer is done, and the schedule's after the
-    # replay: dropping each there keeps it out of the later stages' peak memory
-    del trace
-    schedule = run_schedule(cfg, paths, args, plans, intervals, catalog)
-    replayed = run_replay(cfg, paths, schedule, catalog, intervals)
-    del schedule
-    run_evaluate(cfg, paths, windows, intervals, replayed)
-
-
-def cmd_demo(cfg: Config, paths: _Paths, args) -> None:
+def demo(run: Run) -> None:
     """Copy the bundled demo trace, catalog and config into the output dir."""
-    paths.ensure()
+    root = run.paths.root
+    run.paths.ensure()
     for name in _DATA_FILES:
         with resources.as_file(resources.files("wlsynth.data") / name) as src:
-            shutil.copy(src, paths.root / name)
-    print(f"demo inputs written to {paths.root}")
-    print(f"run: wlsynth pipeline --config {paths.root / 'demo_config.txt'} "
-          f"--trace {paths.root / 'demo_trace.csv'} "
-          f"--catalog {paths.root / 'demo_catalog.csv'} --out {paths.root / 'out'}")
+            shutil.copy(src, root / name)
+    print(f"demo inputs written to {root}")
+    print(f"run: wlsynth pipeline --config {root / 'demo_config.txt'} "
+          f"--trace {root / 'demo_trace.csv'} "
+          f"--catalog {root / 'demo_catalog.csv'} --out {root / 'out'}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--window-ms", type=int, default=None, dest="window_ms")
-    common.add_argument("--interval-ms", type=int, default=None, dest="interval_ms")
-    common.add_argument("--cores", type=int, default=None)
-    common.add_argument("--y", type=int, default=None,
-                        help="max repetitions of one component per window")
-    common.add_argument("--z", type=int, default=None,
-                        help="max total instances per window")
+    for key, help_text in _KEY_FLAGS.items():
+        common.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key, help=help_text)
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel window solves (default: 1)")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -370,52 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assemble runnable synthetic workloads that replay like a target trace.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, trace=False, catalog=False, extra=None):
+    commands = {**STAGES, "pipeline": (pipeline, "run every stage end to end", FLAGS),
+                "demo": (demo, "materialize the bundled demo inputs", ())}
+    for name, (fn, help_text, flags) in commands.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if trace:
-            p.add_argument("--trace", help="input trace CSV")
-        if catalog:
-            p.add_argument("--catalog", help="component catalog CSV")
-        if extra:
-            extra(p)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
-
-    add("ingest", cmd_ingest, "validate a trace and normalize it into the output dir",
-        trace=True)
-    add("targets", cmd_targets, "aggregate the trace into window/interval targets",
-        trace=True)
-
-    def select_extra(p):
-        p.add_argument("--query-level", default=WINDOW_LEVEL,
-                       choices=[WINDOW_LEVEL, ONE_TO_ONE, ONE_TO_MANY],
-                       help="window-level selection (default) or per-query matching")
-
-    add("select", cmd_select, "pick component counts per window", trace=True,
-        catalog=True, extra=select_extra)
-    add("augment", cmd_augment, "generate components for badly-fit windows and re-solve",
-        trace=True, catalog=True)
-
-    def schedule_extra(p):
-        p.add_argument("--skip-ta", action="store_true",
-                       help="random start times instead of annealing")
-
-    add("schedule", cmd_schedule, "assign start timestamps inside each window",
-        catalog=True, extra=schedule_extra)
-    add("replay", cmd_replay, "simulate the schedule into a replayed trace",
-        catalog=True)
-    add("evaluate", cmd_evaluate, "score the replayed trace against the targets")
-
-    def pipeline_extra(p):
-        p.add_argument("--skip-ta", action="store_true")
-        p.add_argument("--skip-augment", action="store_true")
-        p.add_argument("--query-level", default=WINDOW_LEVEL,
-                       choices=[WINDOW_LEVEL, ONE_TO_ONE, ONE_TO_MANY])
-
-    add("pipeline", cmd_pipeline, "run every stage end to end", trace=True,
-        catalog=True, extra=pipeline_extra)
-    add("demo", cmd_demo, "materialize the bundled demo inputs")
     return parser
 
 
@@ -426,8 +394,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS})
-        args.fn(cfg, _Paths(args.out), args)
+        cfg = load_config(args.config, {key: getattr(args, key) for key in _KEY_FLAGS})
+        args.fn(Run(cfg, args))
     except WlsynthError as exc:
         print(json.dumps({
             "stage": args.command,

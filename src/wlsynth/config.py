@@ -55,6 +55,8 @@ _EXPECTED = {int: "integer", float: "number"}
 
 def _resolve(key: str, raw: str):
     kind, default, rule = KEYS[key]
+    if not isinstance(raw, str):
+        raise ConfigError(f"config key {key!r}: expected a string, got {raw!r}")
     if default is None and not raw:
         return None
     try:

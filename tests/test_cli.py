@@ -73,6 +73,21 @@ def output_files(out):
     return sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
 
 
+def doubled_catalog(demo_dir, tmp_path):
+    """The demo catalog with every component's CPU time and duration doubled."""
+    doubled = tmp_path / "doubled.csv"
+    with open(demo_dir / "demo_catalog.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for column in ("cpu_time_ms", "duration_ms"):
+            row[column] = str(2 * int(row[column]))
+    with open(doubled, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return doubled
+
+
 class TestStageSeed:
     def test_stable(self):
         assert stage_seed(0, "schedule") == stage_seed(0, "schedule")
@@ -248,16 +263,7 @@ class TestPipeline:
             scheduler_module.read_schedule(out / "schedule/schedule.csv").entries
 
     def test_pipeline_ignores_stale_augmented_catalog(self, demo_dir, tmp_path):
-        doubled = tmp_path / "doubled.csv"
-        with open(demo_dir / "demo_catalog.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            for column in ("cpu_time_ms", "duration_ms"):
-                row[column] = str(2 * int(row[column]))
-        with open(doubled, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        doubled = doubled_catalog(demo_dir, tmp_path)
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         assert run_pipeline(demo_dir, reused) == 0
         assert (reused / "augment/catalog.csv").exists()
@@ -265,6 +271,41 @@ class TestPipeline:
             assert run_pipeline(demo_dir, out, ["--skip-augment"], catalog=doubled) == 0
         for rel in ("schedule/schedule.csv", "replay/trace.csv", "report/scores.csv"):
             assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+    def test_select_and_augment_ignore_stale_augmented_catalog(self, demo_dir, tmp_path):
+        """Standalone select and augment start from --catalog, not from the
+        augment/catalog.csv an earlier run left in --out."""
+        doubled = doubled_catalog(demo_dir, tmp_path)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_pipeline(demo_dir, reused) == 0
+        assert (reused / "augment/catalog.csv").exists()
+        config = ["--config", str(demo_dir / "demo_config.txt")]
+        trace = ["--trace", str(demo_dir / "demo_trace.csv")]
+        catalog = ["--catalog", str(doubled)]
+        assert main(["ingest", "--out", str(fresh)] + config + trace) == 0
+        assert main(["targets", "--out", str(fresh)] + config) == 0
+        for out in (reused, fresh):
+            assert main(["select", "--out", str(out)] + config + catalog) == 0
+            assert main(["augment", "--out", str(out)] + config + trace + catalog) == 0
+        for rel in ("plans/plan.csv", "augment/attempts.jsonl"):
+            assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+    def test_query_matches_quote_ids(self, demo_dir, tmp_path):
+        """A query id holding the delimiter reads back as one field."""
+        lines = (demo_dir / "demo_trace.csv").read_text().splitlines()
+        query_id = lines[1].split(",")[0]
+        lines[1] = lines[1].replace(query_id, '"q,1"', 1)
+        (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(demo_dir / "demo_config.txt"),
+                     "--trace", str(tmp_path / "trace.csv"),
+                     "--catalog", str(demo_dir / "demo_catalog.csv"), "--out", str(out),
+                     "--query-level", "one_to_one", "--skip-augment"]) == 0
+        with open(out / "plans/query_matches.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["query_id", "component_id", "count", "objective"]
+        assert all(len(row) == 4 for row in rows)
+        assert "q,1" in [row[0] for row in rows]
 
     def test_query_level_matching_artifact(self, demo_dir, tmp_path):
         out = tmp_path / "out"
@@ -280,6 +321,46 @@ class TestPipeline:
         lines = (out / "plans/query_matches.csv").read_text().splitlines()
         assert lines[0] == "query_id,component_id,count,objective"
         assert len(lines) > 1
+
+
+class TestFlagTable:
+    FLAGS = {
+        "ingest": {"--trace": "t.csv"},
+        "targets": {"--trace": "t.csv"},
+        "select": {"--trace": "t.csv", "--catalog": "c.csv", "--query-level": "one_to_one"},
+        "augment": {"--trace": "t.csv", "--catalog": "c.csv"},
+        "schedule": {"--catalog": "c.csv", "--skip-ta": True},
+        "replay": {"--catalog": "c.csv"},
+        "evaluate": {},
+        "pipeline": {"--trace": "t.csv", "--catalog": "c.csv", "--query-level": "one_to_one",
+                     "--skip-ta": True, "--skip-augment": True},
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_subcommand_takes_its_stage_flags(self, command):
+        """Each stage subcommand runs the stage function pipeline runs, and
+        pipeline takes the flags of every stage."""
+        flags = self.FLAGS[command]
+        argv = [command, "--jobs", "1"]
+        for flag, value in flags.items():
+            argv += [flag] if value is True else [flag, value]
+        args = cli.build_parser().parse_args(argv)
+        assert args.fn is (cli.pipeline if command == "pipeline" else cli.STAGES[command][0])
+        assert {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags} == flags
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--query-level", "one_to_one"],
+        ["select", "--skip-ta"],
+        ["augment", "--skip-augment"],
+        ["replay", "--trace", "t.csv"],
+        ["evaluate", "--catalog", "c.csv"],
+        ["demo", "--skip-ta"],
+    ])
+    def test_flag_of_another_stage_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSolverOutput:

@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}': expected a number >= 0"):
             Config({key: bad})
 
+    @pytest.mark.parametrize("key, value", [("y", 6.7), ("cores", True),
+                                            ("metrics", ("a", "b"))])
+    def test_non_string_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': expected a string"):
+            Config({key: value})
+
     def test_schema_from_lists(self):
         schema = Config({"metrics": "a, b", "operators": "x"}).schema()
         assert schema.metrics == ("a", "b")
