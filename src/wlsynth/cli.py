@@ -127,11 +127,13 @@ class Run:
         return load_catalog(path, self.cfg.schema())
 
     def _read_plans(self) -> list[SelectionPlan]:
+        path = _existing(self.paths.plans / "plan.csv", "plans", "run 'select' first")
         windows, _ = self.get("targets")
-        return read_plans(self.paths.plans / "plan.csv", windows, self.get("catalog"), self.cfg)
+        return read_plans(path, windows, self.get("catalog"), self.cfg)
 
     def _read_schedule(self) -> Schedule:
-        return read_schedule(self.paths.schedule / "schedule.csv")
+        return read_schedule(_existing(self.paths.schedule / "schedule.csv", "schedule",
+                                       "run 'schedule' first"))
 
     def _read_replayed(self) -> Trace:
         path = _existing(self.paths.replay / "trace.csv", "replayed trace", "run 'replay' first")
@@ -196,7 +198,8 @@ def _provider(cfg: Config):
 def stage_ingest(run: Run) -> None:
     if run.args.trace is None:
         raise ConfigError("ingest requires --trace")
-    trace = ingest_trace(run.args.trace, run.cfg.schema(), run.cfg["mode"])
+    path = _existing(run.args.trace, "trace", "pass an existing --trace")
+    trace = ingest_trace(path, run.cfg.schema(), run.cfg["mode"])
     run.paths.ensure()
     export_trace(trace, run.paths.trace)
     log.info("ingested %d records -> %s", len(trace), run.paths.trace)
@@ -232,9 +235,14 @@ def stage_select(run: Run) -> None:
                                               newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("query_id", "component_id", "count", "objective"))
+            # a match depends only on the feature row: identical rows get identical plans
+            matches: dict[bytes, SelectionPlan] = {}
             for query_id, feature in zip(trace.query_id, trace.features):
-                plan = match_query(PerformanceFeature.from_vector(feature, trace.schema),
-                                   catalog, cfg, mode=level)
+                key = feature.tobytes()
+                if key not in matches:
+                    matches[key] = match_query(PerformanceFeature.from_vector(
+                        feature, trace.schema), catalog, cfg, mode=level)
+                plan = matches[key]
                 writer.writerows((query_id, cid, plan.counts[cid], repr(plan.objective_value))
                                  for cid in sorted(plan.counts))
         log.info("matched %d queries (%s)", len(trace), level)

@@ -10,10 +10,14 @@ slack per feature dimension.  The integer program goes to HiGHS through
 bound over LP relaxations, relative gap 0) only when that root is fractional.
 The MIP runs without HiGHS's sub-MIP primal heuristics (RINS, RENS and root
 reduced-cost fixing): on window-sized problems they cost more LP iterations
-than they save, and the search stays exact without them.  Windows are
-independent; `solve_all_windows` solves them in order or from a thread pool.
-Identical inputs give identical counts; repetitions of components with
-identical feature and duration columns sit on the later component id.
+than they save, and the search stays exact without them.  Windows share
+nothing, so `solve_all_windows` solves every window's relaxation in one HiGHS
+call on the block-diagonal stack of their models, then each fractional
+window's MIP alone, in order or from a thread pool.  Identical inputs give
+identical counts; repetitions of components with identical feature and
+duration columns sit on the later component id.  Where a window has several
+optimal count vectors, which one the stacked call returns can depend on the
+other windows in it.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from .catalog import Catalog
 from .config import Config
@@ -115,34 +120,55 @@ class SelectionPlan:
         return sum(self.counts.values())
 
 
-def _milp_model(problem: SelectionProblem):
-    """Slack linearization: variables are the counts x then one slack per dimension.
+def _milp_model(problems: list[SelectionProblem]):
+    """Slack linearization of windows that share one catalog, stacked block-diagonally.
 
-    |A x - t| / denom <= s is scaled by denom to keep coefficients bounded:
-    A x - denom * s <= t  and  -A x - denom * s <= -t.  Two more rows cap the
-    total count at z and the summed duration at the budget.
+    Window k's block has its counts x then one slack per dimension as
+    variables.  |A x - t| / denom <= s is scaled by denom to keep coefficients
+    bounded: A x - denom * s <= t  and  -A x - denom * s <= -t.  Two more rows
+    cap the total count at z and the summed duration at the budget.  Blocks
+    share no variable and no row, so an optimum of the stack is an optimum of
+    every window.  The count columns [A; -A; 1; durations] are the catalog's
+    in every block; only the slack diagonal and the right-hand sides differ.
+    The matrix is built straight into CSC with zeros dropped, so a single
+    block is the matrix scipy makes of the dense one-window model.
     """
-    v = problem.features.shape[0]
-    ndim = problem.target.shape[0]
-    A = problem.features.T  # (ndim, v)
-    slack_block = -np.diag(floored(problem.target, problem.denom_floor))
-    a_ub = np.vstack(
-        [
-            np.hstack([A, slack_block]),
-            np.hstack([-A, slack_block]),
-            np.hstack([np.ones((1, v)), np.zeros((1, ndim))]),
-            np.hstack([problem.durations[None, :], np.zeros((1, ndim))]),
-        ]
-    )
-    b_ub = np.concatenate(
-        [problem.target, -problem.target, [problem.z], [problem.duration_budget_ms]]
-    )
-    c = np.concatenate([np.zeros(v), np.ones(ndim)])
-    constraints = LinearConstraint(a_ub, -np.inf, b_ub)
-    bounds = Bounds(
-        np.zeros(v + ndim), np.concatenate([np.full(v, float(problem.y)), np.full(ndim, np.inf)])
-    )
-    return c, constraints, bounds
+    first = problems[0]
+    k, (v, ndim) = len(problems), first.features.shape
+    rows, width = 2 * ndim + 2, v + ndim
+    A = first.features.T  # (ndim, v)
+    count_cols = csc_array(np.vstack([A, -A, np.ones((1, v)), first.durations[None, :]]))
+    dims = np.arange(ndim)
+    # one block's CSC: the count columns, then slack column d at rows d and ndim + d
+    indices = np.concatenate([count_cols.indices, np.column_stack([dims, ndim + dims]).ravel()])
+    indptr = np.concatenate([count_cols.indptr, count_cols.nnz + 2 * (dims + 1)])
+    nnz = indices.shape[0]
+    blocks = np.arange(k)[:, None]
+    targets = np.array([p.target for p in problems])
+    denoms = floored(targets, np.array([[p.denom_floor] for p in problems]))
+    data = np.hstack([np.broadcast_to(count_cols.data, (k, count_cols.nnz)),
+                      np.repeat(-denoms, 2, axis=1)])
+    a_ub = csc_array(
+        (data.ravel(), (indices + rows * blocks).ravel(),
+         np.append((indptr[:-1] + nnz * blocks).ravel(), k * nnz)),
+        shape=(k * rows, k * width))
+    b_ub = np.hstack([targets, -targets, [[p.z, p.duration_budget_ms] for p in problems]])
+    c = np.tile(np.concatenate([np.zeros(v), np.ones(ndim)]), k)
+    upper = np.hstack([np.repeat([[float(p.y)] for p in problems], v, axis=1),
+                       np.full((k, ndim), np.inf)])
+    constraints = LinearConstraint(a_ub, -np.inf, b_ub.ravel())
+    return c, constraints, Bounds(np.zeros(k * width), upper.ravel())
+
+
+def _relaxation_points(problems: list[SelectionProblem]) -> list[np.ndarray | None]:
+    """Each window's point of the LP relaxation of `_milp_model(problems)`,
+    all solved in one HiGHS call; None for every window when HiGHS returns
+    no point."""
+    c, constraints, bounds = _milp_model(problems)
+    res = milp(c, constraints=constraints, bounds=bounds, integrality=np.zeros(c.shape[0]))
+    if res.x is None:
+        return [None] * len(problems)
+    return np.split(res.x, len(problems))
 
 
 def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.ndarray:
@@ -168,14 +194,17 @@ def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.nd
     return counts
 
 
-def solve_window(problem: SelectionProblem) -> SelectionPlan:
+def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> SelectionPlan:
     """Exact solve of one window's selection problem with HiGHS.
 
-    The LP relaxation is solved first; when its counts are already integral
-    they are optimal and no MIP is needed.  Otherwise one HiGHS MIP solve
-    (branch and bound over LP relaxations, relative gap 0, sub-MIP primal
-    heuristics off as set in `_MIP_OPTIONS`) runs under `node_limit` MIP
-    nodes and `time_limit_s` seconds.  If either budget is exhausted the best
+    `root` is the window's point of its LP relaxation when the caller has
+    solved it already, as `solve_all_windows` does for every window in one
+    call; without one the window's own relaxation is solved here.  When the
+    root's counts are integral and feasible they are optimal and no MIP is
+    needed.  Otherwise one HiGHS MIP solve of this window alone (branch and
+    bound over LP relaxations, relative gap 0, sub-MIP primal heuristics off
+    as set in `_MIP_OPTIONS`) runs under `node_limit` MIP nodes and
+    `time_limit_s` seconds.  If either budget is exhausted the best
     incumbent is returned with `approximate=True`; the all-zeros vector is
     always feasible and is the (approximate) fallback when HiGHS returns no
     integral, feasible incumbent.  Ties: identical inputs give identical
@@ -188,11 +217,12 @@ def solve_window(problem: SelectionProblem) -> SelectionPlan:
     approximate = False
 
     if v > 0 and zero_obj > 0:
-        c, constraints, bounds = _milp_model(problem)
-        integrality = np.zeros(c.shape[0])
-        res = milp(c, constraints=constraints, bounds=bounds, integrality=integrality)
-        counts = _rounded_counts(problem, res.x)
+        if root is None:
+            root = _relaxation_points([problem])[0]
+        counts = _rounded_counts(problem, root)
         if counts is None:
+            c, constraints, bounds = _milp_model([problem])
+            integrality = np.zeros(c.shape[0])
             integrality[:v] = 1
             options = {
                 "mip_rel_gap": 0,
@@ -269,22 +299,32 @@ def build_problem(target: WindowTarget, catalog: Catalog, cfg: Config) -> Select
 
 def solve_all_windows(targets: list[WindowTarget], catalog: Catalog, cfg: Config,
                       jobs: int = 1) -> list[SelectionPlan]:
-    """Solve every window independently (the objective is separable over windows).
+    """Solve every window (the objective is separable over windows).
 
-    With `jobs > 1` the windows are solved from a pool of that many threads.
-    Plans come back in target order either way, and a `SolverError` names
-    the window it came from.
+    The LP relaxations of all windows are solved in one HiGHS call, stacked
+    block-diagonally (`_milp_model`); then `solve_window` takes each window
+    from its slice of that point, with a MIP of its own where the slice is
+    fractional.  When the stacked call returns no point, each window solves
+    its own relaxation as `solve_window` alone does.  With `jobs > 1` the
+    per-window calls, and so only the MIPs, run from a pool of that many
+    threads.  Plans come back in target order either way, and a
+    `SolverError` names the window it came from.  Where a window has several
+    optimal count vectors, which one comes back can depend on the other
+    windows in the same call; the optimal objective does not.
     """
-    def solve(target: WindowTarget) -> SelectionPlan:
+    problems = [build_problem(target, catalog, cfg) for target in targets]
+    roots = _relaxation_points(problems) if problems else []
+
+    def solve(problem: SelectionProblem, root: np.ndarray | None) -> SelectionPlan:
         try:
-            return solve_window(build_problem(target, catalog, cfg))
+            return solve_window(problem, root)
         except SolverError as exc:
-            raise SolverError(f"window {target.window_index}: {exc}") from exc
+            raise SolverError(f"window {problem.window_index}: {exc}") from exc
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve, targets))
-    return [solve(target) for target in targets]
+            return list(pool.map(solve, problems, roots))
+    return [solve(problem, root) for problem, root in zip(problems, roots)]
 
 
 def write_plans(plans: list[SelectionPlan], path) -> None:

@@ -47,6 +47,9 @@ def test_traced_child_reports_every_layer_metric(tmp_path, monkeypatch):
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     missing = declared - {"tracing.overhead_s"} - outcome["metrics"].keys()
     assert not missing
+    # one selector.solve_window span per window of the select stage
+    assert outcome["metrics"]["selector.windows"] == 6
+    assert outcome["metrics"]["selector.instances"] > 0
 
 
 def test_pipeline_child_runs_dense_trace(tmp_path, monkeypatch):

@@ -391,6 +391,35 @@ class TestErrors:
         assert err["stage"] == "targets"
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_missing_trace_file_is_machine_readable(self, demo_dir, tmp_path, capsys,
+                                                    command):
+        out, missing = tmp_path / "out", tmp_path / "missing.csv"
+        argv = [command, "--config", str(demo_dir / "demo_config.txt"),
+                "--trace", str(missing), "--out", str(out)]
+        if command == "pipeline":
+            argv += ["--catalog", str(demo_dir / "demo_catalog.csv")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": command, "error": "ConfigError",
+                       "message": f"no trace at {missing}; pass an existing --trace"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, what, artifact, before", [
+        ("schedule", "plans", "plans/plan.csv", "select"),
+        ("replay", "schedule", "schedule/schedule.csv", "schedule"),
+    ])
+    def test_missing_stage_input_names_the_stage_to_run(self, demo_dir, tmp_path, capsys,
+                                                        stage, what, artifact, before):
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
+        assert main(["ingest", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        assert main(["targets"] + base) == 0
+        capsys.readouterr()
+        assert main([stage, "--catalog", str(demo_dir / "demo_catalog.csv")] + base) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"no {what} at {tmp_path / artifact}; run '{before}' first"
+
     def test_pipeline_without_catalog_writes_nothing(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pipeline", "--config", str(demo_dir / "demo_config.txt"),

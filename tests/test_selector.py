@@ -263,14 +263,24 @@ class TestWindowsAndIO:
         plans = solve_all_windows(targets, catalog, Config(), jobs)
         assert [p.window_index for p in plans] == [0, 1]
 
-        def failing(problem):
+        def failing(problem, root=None):
             if problem.window_index == 1:
                 raise SolverError("infeasible")
-            return solve_window(problem)
+            return solve_window(problem, root)
 
         monkeypatch.setattr(selector, "solve_window", failing)
         with pytest.raises(SolverError, match="^window 1: infeasible$"):
             solve_all_windows(targets, catalog, Config(), jobs)
+
+    def test_solve_all_windows_solves_every_relaxation_in_one_call(self, schema, milp_calls):
+        catalog = random_catalog(schema, 6, np.random.default_rng(4))
+        rng = np.random.default_rng(8)
+        targets = [WindowTarget(w, w * 300000, 300000,
+                                PerformanceFeature(rng.uniform(1, 30, 2), rng.uniform(1, 30, 4)),
+                                2)
+                   for w in range(5)]
+        assert len(solve_all_windows(targets, catalog, Config())) == len(targets)
+        assert [is_mip for is_mip, _ in milp_calls].count(False) == 1
 
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
         # eight dimensions: enough that two ways of summing the errors can
@@ -402,6 +412,52 @@ def test_plan_csv_round_trip(tmp_path_factory, case):
         fh.write(f"{unknown},{catalog.components[0].component_id},1\n")
     with pytest.raises(ValidationError, match=f"unknown window {unknown}"):
         read_plans(path, targets, catalog, cfg)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A catalog with real-valued features and at most one component per
+    dimension, so that every window has one optimal count vector, and windows
+    whose target is zero (no solve), planted (mostly an integral relaxation) or
+    random (mostly a fractional relaxation, then a MIP), each under a loose
+    or a binding duration budget."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = FeatureSchema(metrics=("m0", "m1"), operators=("o0", "o1", "o2", "o3"))
+    n_components = draw(st.integers(1, 6))
+    durations = rng.uniform(1000, 20000, n_components)
+    features = rng.uniform(0.5, 10, (n_components, 6))
+    catalog = make_catalog(schema, [(f"c{j}", durations[j], features[j])
+                                    for j in range(n_components)])
+    cfg = Config({"y": str(draw(st.integers(1, 5))), "z": str(draw(st.integers(1, 20))),
+                  "cores": "1"})
+    windows = draw(st.lists(st.tuples(st.sampled_from(["zero", "planted", "random"]),
+                                      st.booleans()), min_size=1, max_size=6))
+    targets = []
+    for w, (kind, tight) in enumerate(windows):
+        if kind == "zero":
+            vec = np.zeros(6)
+        elif kind == "planted":
+            vec = features.T @ rng.integers(0, 4, n_components)
+        else:
+            vec = rng.uniform(0, 30, 6)
+        budget = durations.sum() * (rng.uniform(0.2, 0.6) if tight else 10)
+        targets.append(WindowTarget(w, w * 10**7, int(budget),
+                                    PerformanceFeature(vec[:2], vec[2:]), 1))
+    return catalog, targets, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_cases())
+def test_stacked_relaxation_gives_the_lone_plans(case):
+    """solve_all_windows solves every window's relaxation in one call; each
+    plan is the one a lone solve_window of that window gives."""
+    catalog, targets, cfg = case
+    for target, plan in zip(targets, solve_all_windows(targets, catalog, cfg), strict=True):
+        alone = solve_window(build_problem(target, catalog, cfg))
+        assert plan.window_index == alone.window_index
+        assert plan.counts == alone.counts
+        assert plan.objective_value == alone.objective_value
+        assert plan.approximate == alone.approximate
 
 
 class TestMatchQuery:
