@@ -37,7 +37,6 @@ from .selector import (
     SelectionPlan,
     SelectionProblem,
     build_problem,
-    enumerate_optimum,
     match_query,
     solve_all_windows,
     solve_window,
@@ -91,7 +90,6 @@ __all__ = [
     "augment_catalog",
     "build_problem",
     "build_targets",
-    "enumerate_optimum",
     "export_trace",
     "gmape",
     "gmqe",

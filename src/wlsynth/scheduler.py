@@ -17,7 +17,6 @@ the columns and build no per-instance objects.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
@@ -28,7 +27,8 @@ import numpy as np
 from .catalog import Catalog
 from .config import Config
 from .errors import ValidationError
-from .trace import _BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix
+from .trace import (_BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix,
+                    write_columns)
 from .selector import SelectionPlan, relative_error
 
 log = logging.getLogger(__name__)
@@ -103,10 +103,8 @@ def warn_if_overloaded(works: np.ndarray, grid: IntervalGrid, cores: int) -> Non
 
 
 def write_schedule(schedule: Schedule, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_COLUMNS)
-        writer.writerows(zip(*(getattr(schedule, name).tolist() for name in SCHEDULE_COLUMNS)))
+    write_columns(path, SCHEDULE_COLUMNS, [schedule.window_index, schedule.component_id.tolist(),
+                                           schedule.instance_index, schedule.start_ts])
 
 
 def read_schedule(path) -> Schedule:

@@ -22,7 +22,6 @@ other windows in it.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -112,9 +111,6 @@ class SelectionPlan:
     achieved: np.ndarray
     objective_value: float
     approximate: bool = False
-
-    def count_vector(self, component_ids: list[str]) -> np.ndarray:
-        return np.array([self.counts.get(cid, 0) for cid in component_ids], dtype=int)
 
     def total_count(self) -> int:
         return sum(self.counts.values())
@@ -257,25 +253,6 @@ def _feasible(problem: SelectionProblem, counts: np.ndarray) -> bool:
     if counts.sum() > problem.z:
         return False
     return float(problem.durations @ counts) <= problem.duration_budget_ms + 1e-9
-
-
-def enumerate_optimum(problem: SelectionProblem) -> tuple[float, list[np.ndarray]]:
-    """Exhaustive enumeration oracle; only viable for small component counts."""
-    v = problem.features.shape[0]
-    best = None
-    argbest: list[np.ndarray] = []
-    for combo in itertools.product(range(problem.y + 1), repeat=v):
-        counts = np.array(combo, dtype=int)
-        if not _feasible(problem, counts):
-            continue
-        obj = problem.objective(counts)
-        if best is None or obj < best - _TIE_EPS:
-            best, argbest = obj, [counts]
-        elif abs(obj - best) <= _TIE_EPS:
-            argbest.append(counts)
-    if best is None:
-        raise SolverError("no feasible count vector (cannot happen with z, l > 0)")
-    return best, argbest
 
 
 def build_problem(target: WindowTarget, catalog: Catalog, cfg: Config) -> SelectionProblem:

@@ -7,17 +7,20 @@ time interval; operator statistics are aggregated at window granularity only.
 
 A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  Ingest parses every row's numeric cells into one table
-and checks it column-wise.  Aggregation spreads a block of rows at a time
-through `IntervalGrid.spread`, which the scheduler's energy and the
-fidelity report share, and which keeps the per-row summation order, so
-targets do not depend on the block size.
-Export formats a block of rows at a time and writes them with one
-`writerows`.  The other CSV artifacts (targets, plans, schedules,
-catalogs) are read back column by column through `read_columns`.
+and checks it column-wise: a plain file a block of lines at a time in numpy
+and `np.loadtxt`, any other through csv.reader.  Aggregation spreads a
+block of rows at a time through `IntervalGrid.spread`, which the
+scheduler's energy and the fidelity report share, and which keeps the
+per-row summation order, so targets do not depend on the block size.
+`write_columns`, the one CSV writer of the trace, the targets and the
+schedule, formats the numbers of a block of rows in numpy and writes the
+bytes csv.writer would.  The other CSV artifacts (targets, plans,
+schedules, catalogs) are read back column by column through `read_columns`.
 """
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from array import array
@@ -34,9 +37,12 @@ log = logging.getLogger(__name__)
 
 MANDATORY_COLUMNS = ("query_id", "arrival_ts", "duration_ms")
 
-# Rows per block in build_targets and export_trace; bounds the size of
-# temporaries, whose heap churn otherwise shows in peak RSS.
+# Rows per block when build_targets and the scheduler spread metric mass;
+# bounds the size of temporaries, whose heap churn otherwise shows in peak RSS.
 _BLOCK = 256
+# Lines per block that write_columns formats and _read_plain parses: from
+# 256 to 1024 the per-block overhead fell by a third, beyond it barely.
+_CSV_BLOCK = 1024
 
 
 @dataclass
@@ -303,40 +309,127 @@ def _check_unique(ids: list[str]) -> None:
                 )
 
 
-def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
-    """Read a trace CSV into a Trace.
-
-    The header must declare query_id, arrival_ts, duration_ms and every
-    metric/operator column named by the schema.  Row order is preserved.
-    The numeric cells of all rows are parsed into one table, which is
-    checked as a whole: values must be finite, durations, metrics and
-    operators nonnegative, and arrival_ts and duration_ms integral.  The
-    first offending row is read again and checked cell by cell to name the
-    error.  Times must fit int64, and a repeated query_id is rejected.  The
-    trace's feature table is a view of the parsed table.
-    """
-    columns = ("arrival_ts", "duration_ms") + schema.dimensions
+def _read_csv(path, columns: tuple[str, ...]) -> tuple[list[str], list[str], array, int | None]:
+    """The header, the query ids and the `columns` cells (row by row) of a
+    trace file, read by csv.reader, and the index of the row where parsing
+    stopped (None if it did not).  Blank lines are skipped and not counted,
+    and a repeated column name reads as its last occurrence, as with
+    DictReader."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        for col in MANDATORY_COLUMNS + schema.dimensions:
+        for col in ("query_id",) + columns:
             if col not in header:
                 raise SchemaError(f"trace file {path} is missing column {col!r}")
-        # a repeated column name reads as its last occurrence, as with DictReader
         position = {name: i for i, name in enumerate(header)}
         query_id = itemgetter(position["query_id"])
         numeric = itemgetter(*(position[c] for c in columns))
         ids: list[str] = []
         values = array("d")
-        failed = None
         try:
-            for row in filter(None, reader):  # DictReader skips blank lines too
+            for row in filter(None, reader):
                 values.extend(map(float, numeric(row)))
                 ids.append(query_id(row))
         except (IndexError, ValueError):
-            failed = len(ids)
-            del values[failed * len(columns):]
+            del values[len(ids) * len(columns):]
+            return header, ids, values, len(ids)
+    return header, ids, values, None
 
+
+def _plain_header(line: bytes) -> list[str] | None:
+    """The cells of a header line that csv.reader splits at every comma, or None."""
+    cells = line.removesuffix(b"\n").removesuffix(b"\r")
+    if not cells or len(cells) > csv.field_size_limit() or b'"' in cells or min(cells) < 32:
+        return None
+    try:
+        return cells.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+
+
+def _plain_block(chunk: bytes, width: int, id_column: int,
+                 usecols: list[int]) -> tuple[list[str], np.ndarray] | None:
+    """The query ids and `usecols` cells of a block of plain lines; see `_read_plain`."""
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    control = np.flatnonzero(raw < 32)
+    ends = control[raw[control] == ord("\n")]
+    returns = control[raw[control] == ord("\r")]
+    commas = np.flatnonzero(raw == ord(","))
+    if (b'"' in chunk or ends.size + returns.size < control.size
+            or np.any(raw[returns + 1] != ord("\n"))
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+            or commas.size != ends.size * (width - 1)
+            or np.any(np.searchsorted(commas, ends) != np.arange(1, ends.size + 1) * (width - 1))):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(chunk.decode("utf-8")), delimiter=",", usecols=usecols,
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(table) != ends.size:
+        return None
+    # each line's delimiters, with its start and end as the outer ones
+    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(ends.size, width - 1),
+                              ends - (raw[ends - 1] == ord("\r"))])
+    start, stop = bounds[:, id_column] + 1, bounds[:, id_column + 1]
+    # the id cells, each with the delimiter after it as "\n"
+    edges = np.zeros(raw.size + 1, dtype=np.int8)
+    edges[start] += 1
+    edges[stop + 1] -= 1
+    cells = raw[np.cumsum(edges[:-1], dtype=np.int8).astype(bool)]
+    cells[np.cumsum(stop - start + 1) - 1] = ord("\n")
+    return cells.tobytes().decode("utf-8").split("\n")[:-1], table
+
+
+def _read_plain(path, columns: tuple[str, ...]
+                ) -> tuple[list[str], list[str], array, None] | None:
+    """What `_read_csv` reads, for a plain file; None for any other file.
+
+    A plain file is UTF-8 with a header line that names query_id and every
+    column, no quote, no control character but the line ends "\n" and
+    "\r\n", no line longer than csv.field_size_limit(), and every other
+    line exactly as wide as the header: csv.reader splits it at every
+    comma and line end.  Blocks of `_CSV_BLOCK` lines are split in numpy,
+    and their numeric cells parsed by np.loadtxt, which parses a cell as
+    float() does or rejects it (as `1_0`, and full-width digits); a
+    rejected cell makes the file not plain, so its error comes from the
+    csv reader.
+    """
+    with open(path, "rb") as fh:
+        header = _plain_header(fh.readline())
+        if header is None or not all(c in header for c in ("query_id",) + columns):
+            return None
+        position = {name: i for i, name in enumerate(header)}
+        usecols = [position[c] for c in columns]
+        ids: list[str] = []
+        values = array("d")
+        while chunk := b"".join(islice(fh, _CSV_BLOCK)):
+            block = _plain_block(chunk, len(header), position["query_id"], usecols)
+            if block is None:
+                return None
+            ids += block[0]
+            values.frombytes(block[1].tobytes())
+    return header, ids, values, None
+
+
+def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
+    """Read a trace CSV into a Trace.
+
+    The header must declare query_id, arrival_ts, duration_ms and every
+    metric/operator column named by the schema.  Row order is preserved.
+    A plain file is parsed in bulk by `_read_plain`; any other file, and
+    every file that breaks the contract, is parsed by csv.reader.  The
+    numeric cells of all rows go into one table, which is checked as a
+    whole: values must be finite, durations, metrics and operators
+    nonnegative, and arrival_ts and duration_ms integral.  The first
+    offending row is read again and checked cell by cell to name the
+    error.  Times must fit int64, and a repeated query_id is rejected.  The
+    trace's feature table is a view of the parsed table.
+    """
+    columns = ("arrival_ts", "duration_ms") + schema.dimensions
+    header, ids, values, failed = _read_plain(path, columns) or _read_csv(path, columns)
     table = np.frombuffer(values, dtype=float).reshape(len(ids), len(columns))
     times = table[:, :2]
     bad = np.flatnonzero(
@@ -358,28 +451,106 @@ def _format_number(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _cells(values: np.ndarray) -> np.ndarray:
-    """`values` as objects that csv writes under the `_format_number` rule:
-    ints for integral values, floats (written by repr) for the rest."""
-    cells = values.astype(object)
-    whole = np.floor(values) == values
-    small = whole & (np.abs(values) < 2.0 ** 53)
-    cells[small] = values[small].astype(np.int64)
-    for i, j in zip(*np.nonzero(whole & ~small & np.isfinite(values))):
-        cells[i, j] = int(values[i, j])
-    return cells
+def _csv_cells(texts: list[str], alone: bool) -> list[str]:
+    """`texts` as csv.writer writes them: a text that holds a delimiter, a
+    quote or a line break is quoted, with its quotes doubled, and so is an
+    empty text that is `alone` in its row."""
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n') and not (alone and "" in texts):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') or alone and not t
+            else t for t in texts]
+
+
+def _digit_words() -> np.ndarray:
+    """Four ASCII digits to a word: "0000" to "9999", then the same numbers
+    with their leading zeros as `_SKIP` bytes (0 is all `_SKIP`)."""
+    # small dtypes: temporaries held here would stay in the heap, and in peak RSS
+    n = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8)
+    digits += ord("0")
+    leading = np.arange(4) < 4 - sum(n >= power for power in (1, 10, 100, 1000))[:, None]
+    return np.concatenate([digits, np.where(leading, _SKIP, digits)]).view(np.uint32).ravel()
+
+
+_SKIP = 0xFF  # a byte that is not ASCII; write_columns drops it
+_DIGIT_WORDS = _digit_words()
+_ZERO_WORD = np.array([_SKIP, _SKIP, _SKIP, ord("0")], dtype=np.uint8).view(np.uint32)[0]
+
+
+def _format_rows(columns: list, width: int) -> str:
+    """The CSV lines of one block of rows; see `write_columns`."""
+    rows = len(columns[0])
+    ints = np.zeros((rows, width), dtype=np.int64)
+    spliced = np.zeros((rows, width), dtype=bool)
+    texts = np.empty((rows, width), dtype=object)
+    j = 0
+    for column in columns:
+        if isinstance(column, list):
+            spliced[:, j] = True
+            texts[:, j] = _csv_cells(column, width == 1)
+            j += 1
+            continue
+        block = column.reshape(rows, -1)
+        cells = slice(j, j + block.shape[1])
+        j = cells.stop
+        if block.dtype.kind != "f":
+            ints[:, cells] = block
+            continue
+        other = ~((np.floor(block) == block) & (np.abs(block) < 2.0 ** 53))
+        ints[:, cells] = np.where(other, 0, block)
+        if other.any():
+            spliced[:, cells] = other
+            texts[:, cells][other] = list(map(_format_number, block[other].tolist()))
+    # A cell is a word of separator, sign and a spare byte, then `groups`
+    # words of four digits.  A row's first cell holds the previous row's
+    # "\r\n" as its separator, and a NUL sign marks a spliced cell.
+    magnitude = np.abs(ints).view(np.uint64)
+    groups = -(-len(str(magnitude.max())) // 4)
+    words = np.empty((rows, width, groups + 1), dtype=np.uint32)
+    for g in range(groups, 0, -1):
+        quotient = magnitude // 10000
+        index = (magnitude - quotient * 10000).astype(np.intp)
+        # the leading group, or one above it, drops its leading zeros
+        words[:, :, g] = _DIGIT_WORDS[np.where(quotient == 0, index + 10000, index)]
+        magnitude = quotient
+    words[:, :, groups][(ints == 0) & ~spliced] = _ZERO_WORD
+    text = words.view(np.uint8)
+    text[:, :, [0, 1, 3]] = ord(","), _SKIP, _SKIP
+    text[:, 0, :2] = ord("\r"), ord("\n")
+    text[:, :, 2] = np.where(spliced, 0, np.where(ints < 0, ord("-"), _SKIP))
+    lines = text[text != _SKIP].tobytes()[2:].decode("ascii") + "\r\n"
+    if not spliced.any():
+        return lines
+    pieces = lines.split("\0")
+    merged = [""] * (2 * len(pieces) - 1)
+    merged[::2] = pieces
+    merged[1::2] = texts[spliced].tolist()
+    return "".join(merged)
+
+
+def write_columns(path, header: list[str], columns: list) -> None:
+    """Write `header`, then row i of the columns, as csv.writer writes them.
+
+    A column is a list of strings, or a numpy array of ints or floats that
+    holds one column (1-D) or several (2-D, one row per CSV row); a float
+    is written by the `_format_number` rule.  A block of rows at a time,
+    every int, and every float that is an integer below 2**53 in magnitude,
+    becomes decimal digits through one table lookup per four digits into a
+    byte matrix of the block, which one `tobytes` turns into text.  The
+    strings, quoted where csv.writer quotes, and the other floats,
+    formatted one by one, are spliced into that text with one `str.join`.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for b in range(0, len(columns[0]), _CSV_BLOCK):
+            fh.write(_format_rows([column[b:b + _CSV_BLOCK] for column in columns], len(header)))
 
 
 def export_trace(trace: Trace, path) -> None:
     """Write a trace back out under the same CSV contract as ingest_trace."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(MANDATORY_COLUMNS) + list(trace.schema.dimensions))
-        for b in range(0, len(trace), _BLOCK):
-            rows = slice(b, b + _BLOCK)
-            writer.writerows(zip(trace.query_id[rows], trace.arrival_ts[rows].tolist(),
-                                 trace.duration_ms[rows].tolist(),
-                                 *_cells(trace.features[rows]).T.tolist()))
+    write_columns(path, [*MANDATORY_COLUMNS, *trace.schema.dimensions],
+                  [trace.query_id, trace.arrival_ts, trace.duration_ms, trace.features])
 
 
 _WINDOW_INTS = ("window_index", "window_start_ts", "window_len_ms", "query_count")
@@ -393,16 +564,16 @@ def write_targets(
     intervals_path,
     schema: FeatureSchema,
 ) -> None:
-    with open(windows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*_WINDOW_INTS, *schema.dimensions])
-        writer.writerows([w.window_index, w.window_start_ts, w.window_len_ms, w.query_count,
-                          *map(_format_number, w.feature.as_vector())] for w in windows)
-    with open(intervals_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*_INTERVAL_INTS, *schema.metrics])
-        writer.writerows([t.window_index, t.interval_index, t.interval_start_ts,
-                          *map(_format_number, t.metrics)] for t in intervals)
+    write_columns(windows_path, [*_WINDOW_INTS, *schema.dimensions], [
+        np.array([[w.window_index, w.window_start_ts, w.window_len_ms, w.query_count]
+                  for w in windows], dtype=np.int64).reshape(len(windows), len(_WINDOW_INTS)),
+        np.array([w.feature.as_vector() for w in windows],
+                 dtype=float).reshape(len(windows), len(schema.dimensions))])
+    write_columns(intervals_path, [*_INTERVAL_INTS, *schema.metrics], [
+        np.array([[t.window_index, t.interval_index, t.interval_start_ts] for t in intervals],
+                 dtype=np.int64).reshape(len(intervals), len(_INTERVAL_INTS)),
+        np.array([t.metrics for t in intervals],
+                 dtype=float).reshape(len(intervals), schema.n_metrics)])
 
 
 def read_targets(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import SOLVER_KNOBS, make_catalog, random_catalog
+from selection_oracle import enumerate_optimum
 from wlsynth.augmenter import (
     VERDICT_DATABASE_SWITCH,
     MockProvider,
@@ -34,7 +35,6 @@ from wlsynth.selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
     SelectionProblem,
-    enumerate_optimum,
     match_query,
     solve_all_windows,
     solve_window,

@@ -1,6 +1,8 @@
+import csv
 import logging
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from wlsynth.scheduler import (
     write_schedule,
 )
 from wlsynth import scheduler as scheduler_module
+from wlsynth import trace as trace_module
 from wlsynth.selector import SelectionPlan
 from wlsynth.simulator import replay
 from wlsynth.trace import (IntervalTarget, QueryRecord, Trace, build_targets, read_targets,
@@ -393,6 +396,27 @@ def test_schedule_csv_round_trip(tmp_path_factory, rows):
         np.testing.assert_array_equal(getattr(back, name), getattr(schedule, name))
         assert getattr(back, name).dtype == getattr(schedule, name).dtype
     assert back.entries == schedule.entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
+                               st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+                               st.integers(-2 ** 63, 2 ** 63 - 1),
+                               st.integers(-2 ** 63, 2 ** 63 - 1)), max_size=20),
+       block=st.integers(1, 6))
+@example(rows=[(0, 'c,"1"', -1, 2 ** 63 - 1), (-2 ** 63, "c\r\n", 9999, 10000)], block=1)
+def test_schedule_csv_bytes(tmp_path_factory, rows, block):
+    """write_schedule writes what a plain csv.writer writes for the columns,
+    whatever the block size."""
+    schedule = Schedule([ScheduleEntry(*row) for row in rows])
+    out = tmp_path_factory.getbasetemp()
+    with mock.patch.object(trace_module, "_CSV_BLOCK", block):
+        write_schedule(schedule, out / "new.csv")
+    with open(out / "old.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCHEDULE_COLUMNS)
+        writer.writerows(zip(*(getattr(schedule, name).tolist() for name in SCHEDULE_COLUMNS)))
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("body, error, message", [

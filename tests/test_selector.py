@@ -9,6 +9,7 @@ from numpy.testing import assert_array_equal
 from scipy.optimize import milp
 
 from conftest import SOLVER_KNOBS, make_catalog, random_catalog
+from selection_oracle import count_vector, enumerate_optimum
 from wlsynth import selector
 from wlsynth.config import Config
 from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
@@ -19,7 +20,6 @@ from wlsynth.selector import (
     SelectionPlan,
     SelectionProblem,
     build_problem,
-    enumerate_optimum,
     match_query,
     read_plans,
     solve_all_windows,
@@ -97,7 +97,7 @@ class TestSolveWindow:
                 assert not plan.approximate
                 assert plan.objective_value == pytest.approx(best, abs=1e-9)
                 # reported achieved/objective must be self-consistent
-                counts = plan.count_vector(problem.component_ids)
+                counts = count_vector(plan, problem.component_ids)
                 assert problem.objective(counts) == pytest.approx(plan.objective_value)
         # both the integral-LP-root shortcut and the MIP solve were exercised
         assert 0 < is_mip.count(True) < solves
@@ -166,7 +166,7 @@ class TestSolveWindow:
         plan = solve_window(problem)
         assert plan.approximate
         # the incumbent is still feasible
-        counts = plan.count_vector(problem.component_ids)
+        counts = count_vector(plan, problem.component_ids)
         assert counts.max() <= problem.y
         assert counts.sum() <= problem.z
         assert problem.durations @ counts <= problem.duration_budget_ms

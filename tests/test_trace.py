@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wlsynth import trace as trace_module
@@ -418,10 +418,14 @@ _EXPORT_SCHEMA = FeatureSchema(metrics=("m0", "m1"), operators=("o0",))
 _cell = st.one_of(
     st.sampled_from([0.0, 0.1, 5.0, 1e20, 2.0 ** 53, 2.0 ** 53 + 2, 1e-300, 5e-324]),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    # negative, huge, non-integral and non-finite values ingest rejects
+    st.sampled_from([-1.0, -0.0, -0.5, -2.0 ** 53, -1e300, 9.5e15, float("nan"),
+                     float("inf"), -float("inf")]),
+    st.floats(),
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     rows=st.lists(
         st.tuples(
@@ -438,19 +442,26 @@ _cell = st.one_of(
 )
 @example(rows=[("q", 0, 5, [0.1, 5.0, 1e20]), ("r", 2 ** 53, 0, [2.0 ** 53, 0.0, 1.5])],
          block=1)
+@example(rows=[(f"q{i}", -i * 10 ** 11, i, [-0.25 * i, 2.0 ** 60, i]) for i in range(9)],
+         block=4)
 def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
-    """export_trace writes the old exporter's bytes, and ingest_trace reads them back."""
+    """export_trace writes the old exporter's bytes, whatever the block size,
+    and ingest_trace reads them back, or rejects a negative or non-finite value."""
     records = [
         QueryRecord(qid, arrival, duration, np.array(cells[:2]), np.array(cells[2:]))
         for qid, arrival, duration, cells in rows
     ]
     trace = Trace(records, _EXPORT_SCHEMA)
     out = tmp_path_factory.getbasetemp()
-    with mock.patch.object(trace_module, "_BLOCK", block):
+    with mock.patch.object(trace_module, "_CSV_BLOCK", block):
         export_trace(trace, out / "new.csv")
     _reference_export(trace, out / "old.csv")
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
+    if not (np.isfinite(trace.features).all() and (trace.features >= 0).all()):
+        with pytest.raises((TraceParseError, ValidationError)):
+            ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
+        return
     back = ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
     assert [r.query_id for r in back.records] == [r.query_id for r in records]
     for a, b in zip(records, back.records):
@@ -534,3 +545,210 @@ def test_only_trace_reads_csv():
     readers = sorted(p.name for p in package.glob("*.py") if re.search(
         r"\bcsv\.(reader|DictReader)\b|from csv import", p.read_text(encoding="utf-8")))
     assert readers == ["trace.py"]
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    return path.read_bytes()
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_COLUMN_CELLS = {
+    "str": _TEXT,
+    "int": st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(-10 ** 5, 10 ** 5)),
+    "float": st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60).map(float),
+                       st.sampled_from([0.0, -0.0, 2.0 ** 53 - 1, -2.0 ** 53, 2.0 ** 53])),
+}
+
+
+@st.composite
+def column_blocks(draw):
+    """Columns of every kind the writer takes, with the rows of cells a
+    csv.writer reference writes for them."""
+    n = draw(st.integers(0, 30))
+    columns, cells = [], []
+    for kind in draw(st.lists(st.sampled_from(["str", "int", "float", "floats"]),
+                              min_size=1, max_size=5)):
+        width = draw(st.integers(0, 3)) if kind == "floats" else 1
+        values = [draw(st.lists(_COLUMN_CELLS[kind.rstrip("s")], min_size=n, max_size=n))
+                  for _ in range(width)]
+        if kind == "str":
+            columns.append(values[0])
+            cells += values
+        elif kind == "int":
+            columns.append(np.array(values[0], dtype=np.int64))
+            cells += values
+        else:
+            block = np.array(values, dtype=float).T.reshape(n, width)
+            columns.append(block if kind == "floats" else block[:, 0])
+            cells += [[_reference_format(v) for v in column] for column in block.T]
+    assume(cells)  # a table has at least one column
+    return columns, [list(row) for row in zip(*cells)], len(cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_blocks(), st.integers(1, 7))
+@example(([["a,b", 'q"', "x\ry", "\n", ""], np.array([-2 ** 63, 2 ** 63 - 1, 0, -7, 10 ** 16]),
+           np.array([[0.5, 2.0 ** 53], [float("nan"), -0.0], [float("inf"), 1e300],
+                     [-1.5, 9999.0], [10000.0, -float("inf")]])],
+          [["a,b", "-9223372036854775808", "0.5", "9007199254740992"],
+           ['q"', "9223372036854775807", "nan", "0"], ["x\ry", "0", "inf", str(int(1e300))],
+           ["\n", "-7", "-1.5", "9999"], ["", "10000000000000000", "10000", "-inf"]], 4), 2)
+def test_write_columns_writes_csv_writer_bytes(tmp_path_factory, case, block):
+    """write_columns writes what csv.writer writes for the same cells, with
+    floats under the `_format_number` rule, whatever the block size."""
+    columns, rows, width = case
+    header = [f"c{j}" for j in range(width)]
+    out = tmp_path_factory.getbasetemp()
+    with mock.patch.object(trace_module, "_CSV_BLOCK", block):
+        trace_module.write_columns(out / "new.csv", header, columns)
+    assert (out / "new.csv").read_bytes() == _csv_writer_bytes(out / "old.csv", header, rows)
+
+
+def _ingest_outcome(path, schema):
+    """What ingest_trace gives: the trace's columns, or the error's type and message."""
+    try:
+        trace = ingest_trace(path, schema)
+    except Exception as exc:  # any error, as long as both readers raise the same
+        return type(exc), str(exc)
+    return (trace.query_id, trace.arrival_ts.tolist(), trace.duration_ms.tolist(),
+            trace.features.tobytes())
+
+
+def _assert_plain_path_agrees(path, schema):
+    """The plain-file reader either declines or reads exactly what the csv
+    reader reads, and ingest_trace gives the same trace or the same error
+    with the plain-file reader as without it.  Returns whether it read the file."""
+    columns = ("arrival_ts", "duration_ms") + schema.dimensions
+    plain = trace_module._read_plain(path, columns)
+    if plain is not None:
+        header, ids, values, failed = trace_module._read_csv(path, columns)
+        assert (plain[0], plain[1], plain[3], failed) == (header, ids, None, None)
+        assert plain[2].tobytes() == values.tobytes()
+    with mock.patch.object(trace_module, "_read_plain", return_value=None):
+        expected = _ingest_outcome(path, schema)
+    assert _ingest_outcome(path, schema) == expected
+    return plain is not None
+
+
+_PLAIN_SCHEMA = FeatureSchema(metrics=("m",), operators=("o",))
+_PLAIN_HEADER = "query_id,arrival_ts,duration_ms,m,o"
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("{h}\nq1,0,10,1.5,2\nq2,5,0,0,1\n", True),
+    ("{h}\r\nq1,0,10,1.5,2\r\nq2,5,0,0,1", True),
+    ("{h}\n", True),  # header only: no data, and no np.loadtxt call
+    ("{h}", True),
+    ("x,{h},query_id\nz,q1,0,10,1,2,q9\n", True),  # a repeated name reads as its last
+    ("﻿x,{h}\nz,q1,0,10,1,2\n", True),
+    ("{h}\nq1, 5,+5,5 ,\xa05\n", True),
+    ("{h}\nq1,0,10,nan,2\n", True),  # read, then rejected by the table check
+    ("{h}\nq1,0,10,1e400,2\n", True),
+    ("{h}\nq1,0,10,1,2\nq1,0,10,1,2\n", True),
+    ('{h}\n"q,1",0,10,1,2\n', False),
+    ('{h}\nq"1,0,10,1,2\n', False),
+    ("{h}\nq1,0,10,1,2\rq2,0,10,1,2\n", False),
+    ("{h}\nq\r1,0,10,1,2\n", False),
+    ("{h}\n\rq1,0,10,1,2\n", False),  # np.loadtxt skips the blank line "\r" makes
+    ("x\ry,{h}\nz,q1,0,10,1,2\n", False),
+    ('"x,y",{h}\nz,w,q1,0,10,1,2\n', False),
+    ("﻿{h}\nq1,0,10,1,2\n", False),
+    ("{h}\nq\x001,0,10,1,2\n", False),
+    ("{h}\nq1,0,10,1,\x1c2\n", False),
+    ("\n{h}\nq1,0,10,1,2\n", False),  # a blank first line is an empty header
+    ("{h}\nq1,0,10,1,2\n\nq2,0,10,1,2\n", False),
+    ("{h}\nq1,0,10,1,2\n \nq2,0,10,1,2\n", False),
+    ("{h}\nq1,0,10,1,2\n\n", False),
+    ("{h}\nq1,0,10,1\n", False),
+    ("{h}\nq1,0,10,1,2,3\n", False),
+    ("{h}\nq1,0,10,1_0,2\n", False),
+    ("{h}\nq1,0,10,１２,2\n", False),
+    ("{h}\nq1,0,10,,2\n", False),
+    ("query_id,arrival_ts,m,o\nq1,0,1,2\n", False),
+    ("", False),
+])
+def test_plain_path_matches_csv_reader(tmp_path, text, plain):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.format(h=_PLAIN_HEADER).encode("utf-8"))
+    assert _assert_plain_path_agrees(path, _PLAIN_SCHEMA) == plain
+
+
+@pytest.mark.parametrize("header, row", [
+    (_PLAIN_HEADER + ",x", "q1,0,10,1,2," + "y" * 131073),
+    (_PLAIN_HEADER + "," + "x" * 131073, "q1,0,10,1,2,y"),
+])
+def test_plain_path_declines_fields_over_the_csv_limit(tmp_path, header, row):
+    """A field longer than csv.field_size_limit() (131072 by default) is a
+    csv.Error from the csv reader, so the plain-file reader declines it."""
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n" + row + "\n")
+    assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+
+
+def test_plain_path_declines_invalid_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PLAIN_HEADER.encode() + b"\nq\xff,0,10,1,2\n")
+    assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+
+
+# true about one time in sixteen; Hypothesis favours the bounds, not 7
+_RARE = st.integers(0, 15).map(lambda k: k == 7)
+
+
+def _rarely(common, rare):
+    """`common`, or now and then `rare`."""
+    return _RARE.flatmap(lambda rarely: rare if rarely else common)
+
+
+_PLAIN_CELLS = _rarely(
+    st.one_of(st.integers(0, 10 ** 6).map(str), st.floats(min_value=0, allow_nan=False).map(repr)),
+    st.sampled_from(["1_0", "１２", " 5", "+5", "5 ", "\xa05", "\x1c5", "nan", "-nan", "inf",
+                     "1e400", "", "-3", "1.5", "0x10", "1e3", "2e-400", "9007199254740993",
+                     "9223372036854775808", "٣", "q,1", '"5"']),
+)
+_PLAIN_IDS = _rarely(st.text("q1é ", max_size=4),
+                     st.text(st.sampled_from(list('q1,"\r\n\x00\ufeff\x1c\xa0')), max_size=4))
+
+
+@st.composite
+def trace_files(draw):
+    """Trace file bytes: mostly plain, with a fault here and there."""
+    names = ["query_id", "arrival_ts", "duration_ms", "m", "o"]
+    header = draw(st.permutations(names + draw(st.lists(
+        st.sampled_from(names + ["x"]), max_size=2))))
+    if draw(_RARE):
+        header = header[1:]
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 8))):
+        cells = [draw(_PLAIN_IDS) if name in ("query_id", "x") else draw(_PLAIN_CELLS)
+                 for name in header]
+        if draw(st.integers(0, 1)):
+            cells[header.index("query_id") if "query_id" in header else 0] = f"q{i}"
+        if draw(_RARE):
+            j = header.index("query_id") if "query_id" in header else 0
+            cells[j] = '"' + cells[j].replace('"', '""') + '"'  # csv quoting
+        length = draw(_rarely(st.just(len(cells)), st.sampled_from([len(cells) - 1, len(cells) + 1])))
+        lines.append(",".join((cells + ["7"])[:length]))
+        lines += draw(_rarely(st.just([]), st.sampled_from([[""], [" "]])))
+    ends = draw(st.lists(_rarely(st.sampled_from(["\n", "\r\n"]), st.just("\r")),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    text = draw(_rarely(st.just(""), st.sampled_from(["\ufeff", "\n"]))) + text
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_files(), st.integers(1, 4))
+def test_plain_path_agrees_on_generated_files(tmp_path_factory, data, block):
+    """On files with quoted ids, CR line ends, blank, whitespace-only, short
+    and long lines, repeated names and cells that float() and np.loadtxt
+    read differently, the plain-file reader reads what csv.reader reads or
+    declines, and ingest_trace gives the same trace or the same error."""
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(data)
+    with mock.patch.object(trace_module, "_CSV_BLOCK", block):
+        _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
