@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique reads np.ma: load it with the module, not mid-run
+from numpy.random import Generator, default_rng
 
 from .catalog import (
     ORIGIN_AUGMENTED,
@@ -194,7 +196,7 @@ class HttpProvider:
         return str(body["completion"])
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
+def _kmeans(points: np.ndarray, k: int, rng: Generator,
             tol: float = 1e-6, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization followed by Lloyd iterations."""
     n = points.shape[0]
@@ -247,7 +249,7 @@ def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: 
         k = len(distinct)
     mean, std = znorm_stats(matrix)
     normed = (matrix - mean) / std
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     centroids, assignment = _kmeans(normed, k, rng)
     targets = []
     for c in range(k):

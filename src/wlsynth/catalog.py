@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ProfilingError, SchemaError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
@@ -177,7 +178,7 @@ class SimulatedExecutor:
         self.schema = schema
         self.noise_sigma = noise_sigma
         self.metric_caps_per_sf = dict(metric_caps_per_sf or {})
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
 
     def _parse_annotation(self, query_ref: str) -> tuple[float, PerformanceFeature]:
         match = _ANNOTATION_RE.search(query_ref)

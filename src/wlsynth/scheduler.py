@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .catalog import Catalog
 from .config import Config
@@ -276,7 +277,7 @@ def _planned_instances(plans: list[SelectionPlan], grid: IntervalGrid,
     return schedule, schedule.start_ts, w_len[row]
 
 
-def _draw_starts(rng: np.random.Generator, window_start, window_len, granularity_ms: int):
+def _draw_starts(rng: Generator, window_start, window_len, granularity_ms: int):
     """Uniform random start times at `granularity_ms` steps inside windows.
 
     One `rng.integers` call draws for a whole array of windows or for one
@@ -295,7 +296,7 @@ def random_schedule(plans: list[SelectionPlan], interval_targets: list[IntervalT
     timestamp-assignment ablation."""
     grid = IntervalGrid.from_targets(interval_targets)
     schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
-    schedule.start_ts = _draw_starts(np.random.default_rng(rng_seed), w_start, w_len,
+    schedule.start_ts = _draw_starts(default_rng(rng_seed), w_start, w_len,
                                      cfg["sa.move_granularity_ms"])
     return schedule
 
@@ -306,7 +307,7 @@ def _tune_temperatures(
     w_len: np.ndarray,
     current_energy: float,
     energy_fn,
-    rng: np.random.Generator,
+    rng: Generator,
     granularity_ms: int,
 ) -> tuple[float, float]:
     """Sample random moves from the initial state to pick V_max and V_min so the
@@ -339,7 +340,7 @@ def assign_timestamps(plans: list[SelectionPlan], interval_targets: list[Interva
     cores, denom_floor = cfg["cores"], cfg["denom_floor"]
     grid, target = _check_targets(interval_targets, catalog)
     schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
-    rng = np.random.default_rng(rng_seed)
+    rng = default_rng(rng_seed)
     starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, granularity)
     _, works, features = expand(schedule, catalog)
     warn_if_overloaded(works, grid, cores)

@@ -6,8 +6,9 @@ combined feature vector minimizes the summed relative error
 target, subject to a per-component repetition cap, a total-count cap and a
 duration budget.  Absolute values are linearized with one nonnegative
 slack per feature dimension.  The integer program goes to HiGHS through
-`scipy.optimize.milp`: its LP relaxation first, and the MIP solver (branch and
-bound over LP relaxations, relative gap 0) only when that root is fractional.
+`highs.solve`, which hands it what scipy's `milp` would: its LP relaxation
+first, and the MIP solver (branch and bound over LP relaxations, relative
+gap 0) only when that root is fractional.
 The MIP runs without HiGHS's sub-MIP primal heuristics (RINS, RENS and root
 reduced-cost fixing): on window-sized problems they cost more LP iterations
 than they save, and the search stays exact without them.  Windows share
@@ -22,14 +23,12 @@ other windows in it.
 from __future__ import annotations
 
 import csv
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
 
+from . import highs
 from .catalog import Catalog
 from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
@@ -48,12 +47,6 @@ _MIP_OPTIONS = {
     "mip_heuristic_run_rens": False,
     "mip_heuristic_run_root_reduced_cost": False,
 }
-# milp passes these names to HiGHS verbatim and says so on every call; a name
-# HiGHS does not know still raises OptimizeWarning, which stays audible.
-warnings.filterwarnings(
-    "ignore", message=r"Unrecognized options detected: .*mip_heuristic_run_",
-    category=RuntimeWarning, module=r"wlsynth\.selector",
-)
 
 
 @dataclass
@@ -117,7 +110,8 @@ class SelectionPlan:
 
 
 def _milp_model(problems: list[SelectionProblem]):
-    """Slack linearization of windows that share one catalog, stacked block-diagonally.
+    """Slack linearization of windows that share one catalog, stacked
+    block-diagonally, as the (c, matrix, rows, cols) `highs.solve` takes.
 
     Window k's block has its counts x then one slack per dimension as
     variables.  |A x - t| / denom <= s is scaled by denom to keep coefficients
@@ -127,44 +121,45 @@ def _milp_model(problems: list[SelectionProblem]):
     every window.  The count columns [A; -A; 1; durations] are the catalog's
     in every block; only the slack diagonal and the right-hand sides differ.
     The matrix is built straight into CSC with zeros dropped, so a single
-    block is the matrix scipy makes of the dense one-window model.
+    block is the CSC form of the dense one-window model.
     """
     first = problems[0]
     k, (v, ndim) = len(problems), first.features.shape
     rows, width = 2 * ndim + 2, v + ndim
     A = first.features.T  # (ndim, v)
-    count_cols = csc_array(np.vstack([A, -A, np.ones((1, v)), first.durations[None, :]]))
+    count_cols = np.vstack([A, -A, np.ones((1, v)), first.durations[None, :]]).T
+    # each count column's nonzeros, by column and then by row
+    nz_col, nz_row = np.nonzero(count_cols)
+    count_data = count_cols[nz_col, nz_row]
     dims = np.arange(ndim)
     # one block's CSC: the count columns, then slack column d at rows d and ndim + d
-    indices = np.concatenate([count_cols.indices, np.column_stack([dims, ndim + dims]).ravel()])
-    indptr = np.concatenate([count_cols.indptr, count_cols.nnz + 2 * (dims + 1)])
+    indices = np.concatenate([nz_row, np.column_stack([dims, ndim + dims]).ravel()])
+    indptr = np.concatenate([np.searchsorted(nz_col, np.arange(v + 1)),
+                             count_data.size + 2 * (dims + 1)])
     nnz = indices.shape[0]
     blocks = np.arange(k)[:, None]
     targets = np.array([p.target for p in problems])
     denoms = floored(targets, np.array([[p.denom_floor] for p in problems]))
-    data = np.hstack([np.broadcast_to(count_cols.data, (k, count_cols.nnz)),
+    data = np.hstack([np.broadcast_to(count_data, (k, count_data.size)),
                       np.repeat(-denoms, 2, axis=1)])
-    a_ub = csc_array(
-        (data.ravel(), (indices + rows * blocks).ravel(),
-         np.append((indptr[:-1] + nnz * blocks).ravel(), k * nnz)),
-        shape=(k * rows, k * width))
+    matrix = (np.append((indptr[:-1] + nnz * blocks).ravel(), k * nnz),
+              (indices + rows * blocks).ravel(), data.ravel())
     b_ub = np.hstack([targets, -targets, [[p.z, p.duration_budget_ms] for p in problems]])
     c = np.tile(np.concatenate([np.zeros(v), np.ones(ndim)]), k)
     upper = np.hstack([np.repeat([[float(p.y)] for p in problems], v, axis=1),
                        np.full((k, ndim), np.inf)])
-    constraints = LinearConstraint(a_ub, -np.inf, b_ub.ravel())
-    return c, constraints, Bounds(np.zeros(k * width), upper.ravel())
+    return c, matrix, (-np.inf, b_ub.ravel()), (0.0, upper.ravel())
 
 
 def _relaxation_points(problems: list[SelectionProblem]) -> list[np.ndarray | None]:
     """Each window's point of the LP relaxation of `_milp_model(problems)`,
     all solved in one HiGHS call; None for every window when HiGHS returns
     no point."""
-    c, constraints, bounds = _milp_model(problems)
-    res = milp(c, constraints=constraints, bounds=bounds, integrality=np.zeros(c.shape[0]))
-    if res.x is None:
+    c, matrix, rows, cols = _milp_model(problems)
+    _, x = highs.solve(c, matrix, rows, cols, np.zeros(c.shape[0]), {})
+    if x is None:
         return [None] * len(problems)
-    return np.split(res.x, len(problems))
+    return np.split(x, len(problems))
 
 
 def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.ndarray:
@@ -217,19 +212,18 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
             root = _relaxation_points([problem])[0]
         counts = _rounded_counts(problem, root)
         if counts is None:
-            c, constraints, bounds = _milp_model([problem])
+            c, matrix, rows, cols = _milp_model([problem])
             integrality = np.zeros(c.shape[0])
             integrality[:v] = 1
             options = {
                 "mip_rel_gap": 0,
-                "node_limit": problem.node_limit,
+                "mip_max_nodes": problem.node_limit,
                 "time_limit": problem.time_limit_s,
                 **_MIP_OPTIONS,
             }
-            res = milp(c, constraints=constraints, bounds=bounds,
-                       integrality=integrality, options=options)
-            counts = _rounded_counts(problem, res.x)
-            approximate = res.status != 0 or counts is None
+            status, x = highs.solve(c, matrix, rows, cols, integrality, options)
+            counts = _rounded_counts(problem, x)
+            approximate = status != 0 or counts is None
         if counts is not None and problem.objective(counts) < zero_obj - _TIE_EPS:
             best_counts = counts
 

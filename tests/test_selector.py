@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
-from scipy.optimize import milp
 
 from conftest import SOLVER_KNOBS, make_catalog, random_catalog
 from selection_oracle import count_vector, enumerate_optimum
-from wlsynth import selector
+from wlsynth import highs, selector
 from wlsynth.config import Config
 from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
 from wlsynth.features import FeatureSchema, PerformanceFeature
@@ -49,16 +48,17 @@ def random_problem(rng, n_components=4, n_dims=3, y=3, z=8):
 
 
 @pytest.fixture
-def milp_calls(monkeypatch):
-    """(is_mip, options) of every milp call selector makes during the test."""
+def highs_calls(monkeypatch):
+    """(is_mip, options) of every `highs.solve` call selector makes during the test."""
     calls = []
+    solve = highs.solve
 
-    def recording_milp(*args, **kwargs):
+    def recording_solve(c, matrix, rows, cols, integrality, options):
         # integrality is read now: solve_window reuses the array for its MIP call
-        calls.append((bool(kwargs["integrality"].any()), kwargs.get("options")))
-        return milp(*args, **kwargs)
+        calls.append((bool(integrality.any()), options))
+        return solve(c, matrix, rows, cols, integrality, options)
 
-    monkeypatch.setattr(selector, "milp", recording_milp)
+    monkeypatch.setattr(highs, "solve", recording_solve)
     return calls
 
 
@@ -77,14 +77,7 @@ class TestSolveWindow:
         assert plan.counts == {"a": 2}
         np.testing.assert_allclose(plan.achieved, [10.0, 6.0])
 
-    def test_matches_enumeration(self, monkeypatch):
-        is_mip = []  # one entry per milp call: MIP (True) or LP relaxation (False)
-
-        def counting_milp(*args, **kwargs):
-            is_mip.append(bool(kwargs["integrality"].any()))
-            return milp(*args, **kwargs)
-
-        monkeypatch.setattr(selector, "milp", counting_milp)
+    def test_matches_enumeration(self, highs_calls):
         rng = np.random.default_rng(11)
         solves = 0
         for n_components, y, z, n_problems in [(4, 3, 8, 30), (6, 2, 8, 6),
@@ -100,6 +93,7 @@ class TestSolveWindow:
                 counts = count_vector(plan, problem.component_ids)
                 assert problem.objective(counts) == pytest.approx(plan.objective_value)
         # both the integral-LP-root shortcut and the MIP solve were exercised
+        is_mip = [mip for mip, _ in highs_calls]  # MIP (True) or LP relaxation (False)
         assert 0 < is_mip.count(True) < solves
 
     def test_repetition_cap(self):
@@ -178,7 +172,7 @@ class TestSolveWindow:
         assert not plan.approximate
         assert plan.objective_value == pytest.approx(best, abs=1e-9)
 
-    def test_heuristics_off_keeps_highs_default_optimum(self, monkeypatch, milp_calls):
+    def test_heuristics_off_keeps_highs_default_optimum(self, monkeypatch, highs_calls):
         """The MIP options change how fast HiGHS closes the gap, never the plan."""
         rng = np.random.default_rng(2025)
         problems = []
@@ -189,7 +183,7 @@ class TestSolveWindow:
                 problem.duration_budget_ms = float(problem.durations.sum()) / 2
             problems.append(problem)
         tuned = [solve_window(p) for p in problems]
-        assert sum(is_mip for is_mip, _ in milp_calls) >= len(problems) // 2
+        assert sum(is_mip for is_mip, _ in highs_calls) >= len(problems) // 2
         monkeypatch.setattr(selector, "_MIP_OPTIONS", {})
         default = [solve_window(p) for p in problems]
         for a, b in zip(tuned, default):
@@ -197,13 +191,15 @@ class TestSolveWindow:
             assert a.objective_value == b.objective_value
             assert a.approximate == b.approximate
 
-    @pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
-    def test_highs_accepts_every_mip_option(self, milp_calls):
-        # milp reports an option name HiGHS rejects with OptimizeWarning, an error here
+    def test_highs_accepts_every_mip_option(self, monkeypatch, highs_calls):
+        # highs.solve raises SolverError for an option name HiGHS rejects
         solve_window(self.branching_problem())
-        mip_options = [options for is_mip, options in milp_calls if is_mip]
+        mip_options = [options for is_mip, options in highs_calls if is_mip]
         assert len(mip_options) == 1
         assert selector._MIP_OPTIONS.items() <= mip_options[0].items()
+        monkeypatch.setitem(selector._MIP_OPTIONS, "mip_heuristic_run_unknown", False)
+        with pytest.raises(SolverError, match="mip_heuristic_run_unknown"):
+            solve_window(self.branching_problem())
 
     def test_repeated_solves_identical(self):
         rng = np.random.default_rng(5)
@@ -272,7 +268,7 @@ class TestWindowsAndIO:
         with pytest.raises(SolverError, match="^window 1: infeasible$"):
             solve_all_windows(targets, catalog, Config(), jobs)
 
-    def test_solve_all_windows_solves_every_relaxation_in_one_call(self, schema, milp_calls):
+    def test_solve_all_windows_solves_every_relaxation_in_one_call(self, schema, highs_calls):
         catalog = random_catalog(schema, 6, np.random.default_rng(4))
         rng = np.random.default_rng(8)
         targets = [WindowTarget(w, w * 300000, 300000,
@@ -280,7 +276,7 @@ class TestWindowsAndIO:
                                 2)
                    for w in range(5)]
         assert len(solve_all_windows(targets, catalog, Config())) == len(targets)
-        assert [is_mip for is_mip, _ in milp_calls].count(False) == 1
+        assert [is_mip for is_mip, _ in highs_calls].count(False) == 1
 
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
         # eight dimensions: enough that two ways of summing the errors can
