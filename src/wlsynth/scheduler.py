@@ -28,8 +28,7 @@ from numpy.random import Generator, default_rng
 from .catalog import Catalog
 from .config import Config
 from .errors import ValidationError
-from .trace import (_BLOCK, IntervalGrid, IntervalTarget, read_columns, target_matrix,
-                    write_columns)
+from .trace import IntervalGrid, IntervalTarget, read_columns, target_matrix, write_columns
 from .selector import SelectionPlan, relative_error
 
 log = logging.getLogger(__name__)
@@ -171,42 +170,36 @@ def simulate_processor_sharing(
     """
     if cores < 1:
         raise ValidationError("cores must be >= 1")
+    if metrics is not None and grid is None:
+        raise ValidationError("a grid is required to accumulate interval metrics")
     n = len(starts)
     completions = np.zeros(n)
-    bins = None
-    if metrics is not None:
-        if grid is None:
-            raise ValidationError("a grid is required to accumulate interval metrics")
-        bins = np.zeros((grid.n_intervals, metrics.shape[1]))
-    if n == 0:
-        return completions, bins
-
-    order = np.argsort(starts, kind="stable")
-    s = np.asarray(starts, dtype=float)[order]
-    w = np.asarray(works, dtype=float)[order]
-    done = np.where(w > 0, s + w, s)  # the completions if none waits
-    # running just after each arrival if none waits; a later zero-work arrival
-    # at the same start undercounts, which moves no busy period's first arrival
-    running = np.arange(1, n + 1) - np.searchsorted(np.sort(done), s, "right")
-    contended = np.flatnonzero(running > cores).tolist()
-    if contended:
-        first = np.r_[True, s[1:] >= np.maximum.accumulate(done)[:-1]]
-        period = np.maximum.accumulate(np.where(first, np.arange(n), 0)).tolist()
-        s_list, w_list = s.tolist(), w.tolist()
-        i = 0  # the system is empty at arrival i
-        for c in contended:
-            if c >= i:
-                # max: the heap's completion tolerance can leave the period's
-                # first arrival before i
-                i = _contended_period(s_list, w_list, cores, max(i, period[c]), done)
-    completions[order] = done
-    if bins is not None:
-        durations = replayed_durations(starts, completions, works)
-        # under a backlog each instance spans many intervals: blocks bound the temporaries
-        for b in range(0, n, _BLOCK):
-            rows = slice(b, b + _BLOCK)
-            grid.spread(starts[rows], durations[rows], metrics[rows], bins)
-    return completions, bins
+    if n:
+        order = np.argsort(starts, kind="stable")
+        s = np.asarray(starts, dtype=float)[order]
+        w = np.asarray(works, dtype=float)[order]
+        done = np.where(w > 0, s + w, s)  # the completions if none waits
+        # running just after each arrival if none waits; a later zero-work arrival
+        # at the same start undercounts, which moves no busy period's first arrival
+        running = np.arange(1, n + 1) - np.searchsorted(np.sort(done), s, "right")
+        contended = np.flatnonzero(running > cores).tolist()
+        if contended:
+            first = np.r_[True, s[1:] >= np.maximum.accumulate(done)[:-1]]
+            period = np.maximum.accumulate(np.where(first, np.arange(n), 0)).tolist()
+            s_list, w_list = s.tolist(), w.tolist()
+            i = 0  # the system is empty at arrival i
+            for c in contended:
+                if c >= i:
+                    # max: the heap's completion tolerance can leave the period's
+                    # first arrival before i
+                    i = _contended_period(s_list, w_list, cores, max(i, period[c]), done)
+        completions[order] = done
+    if metrics is None:
+        return completions, None
+    # every instance in one call: past its triple budget, as when a backlog
+    # stretches instances over many intervals, spread chunks the rows itself
+    return completions, grid.spread(starts, replayed_durations(starts, completions, works),
+                                    metrics)
 
 
 def replayed_durations(starts, completions, works) -> np.ndarray:

@@ -10,8 +10,9 @@ slack per feature dimension.  The integer program goes to HiGHS through
 first, and the MIP solver (branch and bound over LP relaxations, relative
 gap 0) only when that root is fractional.
 The MIP runs without HiGHS's sub-MIP primal heuristics (RINS, RENS and root
-reduced-cost fixing): on window-sized problems they cost more LP iterations
-than they save, and the search stays exact without them.  Windows share
+reduced-cost fixing) and without its feasibility-jump heuristic: on
+window-sized problems they cost more time than they save, and the search
+stays exact without them.  Windows share
 nothing, so `solve_all_windows` solves every window's relaxation in one HiGHS
 call on the block-diagonal stack of their models, then each fractional
 window's MIP alone, in order or from a thread pool.  Identical inputs give
@@ -41,11 +42,14 @@ ONE_TO_MANY = "one_to_many"
 _TIE_EPS = 1e-9
 _INT_EPS = 1e-6
 
-# Sub-MIP heuristics cost window-sized MIPs more LP iterations than they save.
+# Sub-MIP heuristics cost window-sized MIPs more LP iterations than they
+# save; feasibility jump, run before the root LP, about half of a MIP that
+# needs no branching.
 _MIP_OPTIONS = {
     "mip_heuristic_run_rins": False,
     "mip_heuristic_run_rens": False,
     "mip_heuristic_run_root_reduced_cost": False,
+    "mip_heuristic_run_feasibility_jump": False,
 }
 
 

@@ -8,10 +8,13 @@ time interval; operator statistics are aggregated at window granularity only.
 A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  Ingest parses every row's numeric cells into one table
 and checks it column-wise: a plain file a block of lines at a time in numpy
-and `np.loadtxt`, any other through csv.reader.  Aggregation spreads a
-block of rows at a time through `IntervalGrid.spread`, which the
-scheduler's energy and the fidelity report share, and which keeps the
-per-row summation order, so targets do not depend on the block size.
+and `np.loadtxt`, any other through csv.reader.  Aggregation bins the
+whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
+which the scheduler's energy and the fidelity report share: it cuts the
+rows into (row, interval, overlap) triples and sums each column with one
+`np.bincount`, or, past a fixed triple budget, with `np.add.at` a chunk
+of rows at a time.  Either way every interval adds its terms from zero in
+row order, so the sums equal a per-row loop's bit for bit.
 `write_columns`, the one CSV writer of the trace, the targets and the
 schedule, formats the numbers of a block of rows in numpy and writes the
 bytes csv.writer would.  The other CSV artifacts (targets, plans,
@@ -37,9 +40,12 @@ log = logging.getLogger(__name__)
 
 MANDATORY_COLUMNS = ("query_id", "arrival_ts", "duration_ms")
 
-# Rows per block when build_targets and the scheduler spread metric mass;
-# bounds the size of temporaries, whose heap churn otherwise shows in peak RSS.
-_BLOCK = 256
+# Most (row, interval, overlap) triples one IntervalGrid.spread call builds
+# at once.  A call within it sums each column with one np.bincount; a larger
+# one, such as a backlog that stretches instances over hundreds of
+# intervals, goes through np.add.at a chunk of rows at a time, so the
+# temporaries stay bounded.
+_TRIPLES = 1 << 15
 # Lines per block that write_columns formats and _read_plain parses: from
 # 256 to 1024 the per-block overhead fell by a third, beyond it barely.
 _CSV_BLOCK = 1024
@@ -138,7 +144,7 @@ class IntervalGrid:
     """Uniform contiguous interval grid covering the synthesis horizon.
 
     The one way the package splits time into intervals: targets, the
-    annealer's energy and the fidelity report all bin through `overlaps`.
+    annealer's energy and the fidelity report all bin through `spread`.
     """
 
     start_ts: int
@@ -161,43 +167,76 @@ class IntervalGrid:
             raise ValidationError("interval targets do not form a uniform grid")
         return grid
 
+    def _segments(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The first interval of each half-open segment [lo, hi) clipped to
+        the grid, and the number of intervals it overlaps."""
+        lo = np.maximum(lo, self.start_ts)
+        hi = np.minimum(hi, self.end_ts)
+        first = ((lo - self.start_ts) // self.interval_len_ms).astype(np.intp, copy=False)
+        # ceil((hi - start) / len) - first, exact for integers
+        count = (-((self.start_ts - hi) // self.interval_len_ms)).astype(np.intp, copy=False)
+        count -= first
+        count[hi <= lo] = 0
+        return first, count
+
+    def _triples(self, lo, hi, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`overlaps` given `_segments`; an interval's own bounds clip each
+        segment to the grid."""
+        segment = np.repeat(np.arange(count.size), count)
+        interval = np.arange(segment.size)
+        interval -= np.repeat(np.cumsum(count) - count, count)
+        interval += first[segment]
+        # in the bounds' dtype, so that the overlap is computed in place
+        bin_lo = (interval * self.interval_len_ms + self.start_ts).astype(
+            np.result_type(lo, hi), copy=False)
+        overlap = bin_lo + self.interval_len_ms
+        np.minimum(overlap, hi[segment], out=overlap)
+        overlap -= np.maximum(bin_lo, lo[segment], out=bin_lo)
+        return segment, interval, overlap
+
     def overlaps(self, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(segment, interval, overlap) triples of the half-open segments
         [lo, hi) clipped to the grid, one per interval a segment overlaps.
 
-        Segments come in order and intervals ascend within each, so
-        `np.add.at` over the triples sums every interval's terms in segment
-        order.  Works for integer and float bounds alike.
+        Segments come in order and intervals ascend within each, so summing
+        the triples in order adds every interval's terms in segment order.
+        Works for integer and float bounds alike.
         """
-        lo = np.maximum(lo, self.start_ts)
-        hi = np.minimum(hi, self.end_ts)
-        first = (lo - self.start_ts) // self.interval_len_ms
-        # ceil((hi - start) / len) - 1, exact for integers
-        last = -((self.start_ts - hi) // self.interval_len_ms) - 1
-        count = np.where(hi > lo, last - first + 1, 0).astype(np.intp)
-        segment = np.repeat(np.arange(count.size), count)
-        interval = first[segment] + (np.arange(segment.size)
-                                     - np.repeat(np.cumsum(count) - count, count))
-        bin_lo = self.start_ts + interval * self.interval_len_ms
-        overlap = (np.minimum(hi[segment], bin_lo + self.interval_len_ms)
-                   - np.maximum(lo[segment], bin_lo))
-        return segment, interval.astype(np.intp), overlap
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        return self._triples(lo, hi, *self._segments(lo, hi))
 
-    def spread(self, start, duration, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add each row of `values`, spread evenly over [start, start +
-        max(duration, 1)), to the interval rows of `out`; return the share of
-        each row that fell inside the grid.
+    def spread(self, start, duration, values: np.ndarray) -> np.ndarray:
+        """Spread each row of `values` evenly over [start, start +
+        max(duration, 1)) and return the (intervals x columns) sums.
 
         A zero-duration row is a 1 ms segment, all of whose mass goes to the
-        interval of its start.  Every interval receives its terms in row
-        order, values * (overlap / length) each, so the sums depend neither
-        on how the rows are split into calls nor on whether the bounds are
-        integers or floats holding the same values.
+        interval of its start.  Every interval receives its terms from zero
+        in row order, values * (overlap / length) each, so the sums equal a
+        per-row loop's bit for bit, whatever `_TRIPLES` is, and do not depend
+        on whether the bounds are integers or floats holding the same values.
         """
         length = np.maximum(duration, 1)
-        row, k, overlap = self.overlaps(start, start + length)
-        np.add.at(out, k, values[row] * (overlap / length[row])[:, None])
-        return np.bincount(row, overlap, minlength=length.size) / length
+        end = start + length
+        first, count = self._segments(start, end)
+        sums = np.zeros((self.n_intervals, values.shape[1]))
+        if count.sum() <= _TRIPLES:
+            # one np.bincount per column adds in the order np.add.at would
+            row, k, overlap = self._triples(start, end, first, count)
+            share = overlap / length[row]
+            for c, column in enumerate(values.T):
+                weights = column[row]
+                weights *= share
+                sums[:, c] = np.bincount(k, weights, minlength=self.n_intervals)
+            return sums
+        ends = np.cumsum(count)
+        b = 0
+        while b < count.size:
+            # the rows from b whose triples fit the budget, at least one
+            e = max(b + 1, int(np.searchsorted(ends, ends[b] - count[b] + _TRIPLES, "right")))
+            row, k, overlap = self._triples(start[b:e], end[b:e], first[b:e], count[b:e])
+            np.add.at(sums, k, values[b:e][row] * (overlap / length[b:e][row])[:, None])
+            b = e
+        return sums
 
 
 def target_matrix(targets: list[IntervalTarget]) -> np.ndarray:
@@ -599,6 +638,75 @@ def read_targets(
     return windows, intervals
 
 
+def bin_trace(
+    trace: Trace,
+    window_len_ms: int,
+    interval_len_ms: int,
+    span: tuple[int, int] | None = None,
+) -> tuple[IntervalGrid, np.ndarray, np.ndarray, np.ndarray]:
+    """Bin a trace on the window and interval grid of `build_targets`.
+
+    Returns the grid, the (intervals x metrics) interval sums, the (windows
+    x dimensions) window features, metrics then operators, and the
+    per-window query counts, all in time order; `build_targets` documents
+    the rules.  `IntervalGrid.spread` bins the whole trace's metric mass,
+    and the window operator sums, operator weights and query counts are
+    one `np.bincount` per column, so every interval and window receives its
+    terms in trace order and the sums are bit-identical to a per-record
+    loop.
+    """
+    if window_len_ms <= 0 or interval_len_ms <= 0:
+        raise ConfigError("window_len_ms and interval_len_ms must be positive")
+    if window_len_ms % interval_len_ms != 0:
+        raise ConfigError(
+            f"window_len_ms ({window_len_ms}) must be a multiple of "
+            f"interval_len_ms ({interval_len_ms})"
+        )
+    if not len(trace) and span is None:
+        raise ValidationError("cannot build targets from an empty trace")
+
+    schema = trace.schema
+    arrival, duration = trace.arrival_ts, trace.duration_ms
+    if span is None:
+        ends = np.maximum(duration, 1)
+        ends += arrival
+        start, end = int(arrival.min()), int(ends.max())
+    else:
+        start, end = span
+    n_windows = max(1, math.ceil((end - start) / window_len_ms))
+    intervals_per_window = window_len_ms // interval_len_ms
+    grid = IntervalGrid(start, interval_len_ms, n_windows * intervals_per_window)
+
+    interval_metrics = grid.spread(arrival, duration, trace.metrics)
+    if span is not None:  # the default span covers every execution
+        length = np.maximum(duration, 1)
+        inside = np.minimum(arrival + length, grid.end_ts) - np.maximum(arrival, start)
+        kept = np.maximum(inside, 0) / length
+        clipped_mass = float(np.sum(trace.metrics.sum(axis=1) * (1.0 - kept)))
+        if clipped_mass > 0:
+            log.info("clipped %.6g units of metric mass outside the trace span", clipped_mass)
+
+    features = np.empty((n_windows, len(schema.dimensions)))
+    features[:, :schema.n_metrics] = interval_metrics.reshape(
+        n_windows, intervals_per_window, schema.n_metrics).sum(axis=1)
+    w = (arrival - start) // window_len_ms
+    ok = (w >= 0) & (w < n_windows)
+    w = w[ok]
+    query_counts = np.bincount(w, minlength=n_windows)
+    weight = (np.maximum(duration[ok], 1).astype(float) if trace.mode == MODE_TIME_SHARES
+              else None)
+    for c, column in enumerate(trace.operators.T, schema.n_metrics):
+        column = column[ok]
+        if weight is not None:
+            column *= weight
+        features[:, c] = np.bincount(w, column, minlength=n_windows)
+    if weight is not None:
+        total = np.bincount(w, weight, minlength=n_windows)
+        nonzero = total > 0
+        features[nonzero, schema.n_metrics:] /= total[nonzero, None]
+    return grid, interval_metrics, features, query_counts
+
+
 def build_targets(
     trace: Trace,
     window_len_ms: int,
@@ -615,87 +723,16 @@ def build_targets(
     mode, duration-weighted means in time_shares mode.  Mass outside the
     span, by default the smallest one covering every execution, is clipped
     and logged.  An empty trace needs a span, and its targets are all zero.
-
-    The work runs on the trace's columns, a block of rows at a time.
-    `IntervalGrid.spread` bins the metric mass; every interval and window
-    receives its terms in trace order, so the sums are bit-identical to a
-    per-record loop and do not depend on the block size.
+    `bin_trace` computes the sums; the targets' vectors are views of them.
     """
-    if window_len_ms <= 0 or interval_len_ms <= 0:
-        raise ConfigError("window_len_ms and interval_len_ms must be positive")
-    if window_len_ms % interval_len_ms != 0:
-        raise ConfigError(
-            f"window_len_ms ({window_len_ms}) must be a multiple of "
-            f"interval_len_ms ({interval_len_ms})"
-        )
-    n = len(trace)
-    if not n and span is None:
-        raise ValidationError("cannot build targets from an empty trace")
-
+    grid, interval_metrics, window_features, query_counts = bin_trace(
+        trace, window_len_ms, interval_len_ms, span)
     schema = trace.schema
-    arrival, duration = trace.arrival_ts, trace.duration_ms
-    if span is None:
-        ends = np.maximum(duration, 1)
-        ends += arrival
-        start, end = int(arrival.min()), int(ends.max())
-    else:
-        start, end = span
-    n_windows = max(1, math.ceil((end - start) / window_len_ms))
-    intervals_per_window = window_len_ms // interval_len_ms
-    grid = IntervalGrid(start, interval_len_ms, n_windows * intervals_per_window)
-
-    interval_metrics = np.zeros((grid.n_intervals, schema.n_metrics))
-    window_ops = np.zeros((n_windows, schema.n_operators))
-    window_op_weight = np.zeros(n_windows)
-    query_counts = np.zeros(n_windows, dtype=int)
-    clipped_mass = 0.0
-
-    for b in range(0, n, _BLOCK):
-        a, d = arrival[b:b + _BLOCK], duration[b:b + _BLOCK]
-        block_metrics = trace.metrics[b:b + _BLOCK]
-        kept = grid.spread(a, d, block_metrics, interval_metrics)
-        clipped_mass += float(np.sum(block_metrics.sum(axis=1) * (1.0 - kept)))
-
-        w = (a - start) // window_len_ms
-        ok = (w >= 0) & (w < n_windows)
-        w = w[ok]
-        query_counts += np.bincount(w, minlength=n_windows)
-        ops = trace.operators[b:b + _BLOCK][ok]
-        if trace.mode == MODE_COUNTS:
-            np.add.at(window_ops, w, ops)
-        else:
-            weight = np.maximum(d[ok], 1).astype(float)
-            np.add.at(window_ops, w, ops * weight[:, None])
-            np.add.at(window_op_weight, w, weight)
-
-    if trace.mode == MODE_TIME_SHARES:
-        nonzero = window_op_weight > 0
-        window_ops[nonzero] /= window_op_weight[nonzero, None]
-
-    if clipped_mass > 0:
-        log.info("clipped %.6g units of metric mass outside the trace span", clipped_mass)
-
-    windows: list[WindowTarget] = []
-    intervals: list[IntervalTarget] = []
-    for w in range(n_windows):
-        rows = interval_metrics[w * intervals_per_window : (w + 1) * intervals_per_window]
-        windows.append(
-            WindowTarget(
-                window_index=w,
-                window_start_ts=start + w * window_len_ms,
-                window_len_ms=window_len_ms,
-                feature=PerformanceFeature(rows.sum(axis=0), window_ops[w].copy()),
-                query_count=int(query_counts[w]),
-            )
-        )
-        for j in range(intervals_per_window):
-            intervals.append(
-                IntervalTarget(
-                    window_index=w,
-                    interval_index=j,
-                    interval_start_ts=start + w * window_len_ms + j * interval_len_ms,
-                    interval_len_ms=interval_len_ms,
-                    metrics=rows[j].copy(),
-                )
-            )
+    per_window = window_len_ms // interval_len_ms
+    windows = [WindowTarget(w, grid.start_ts + w * window_len_ms, window_len_ms,
+                            PerformanceFeature.from_vector(vector, schema), count)
+               for w, (vector, count) in enumerate(zip(window_features, query_counts.tolist()))]
+    intervals = [IntervalTarget(k // per_window, k % per_window,
+                                grid.start_ts + k * interval_len_ms, interval_len_ms, metrics)
+                 for k, metrics in enumerate(interval_metrics)]
     return windows, intervals

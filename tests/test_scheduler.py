@@ -608,18 +608,27 @@ def test_uncontended_completions_are_start_plus_work(rows):
 
 
 def test_processor_sharing_bins_span_several_blocks():
-    """With more instances than one spreading block holds, and a backlog that
-    stretches them over many intervals, bins still equal the reference's."""
+    """With a triple budget of one, of five (under the intervals one
+    backlogged instance spans) and of a few chunks of rows, and a backlog
+    that stretches instances over many intervals, bins still equal the
+    reference's."""
     rng = np.random.default_rng(17)
-    n = 2 * scheduler_module._BLOCK + 7
+    n = 519
     starts = rng.uniform(-5000, 300000, n)
     works = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(1, 9000, n))
     metrics = rng.uniform(0, 1e6, (n, 2))
     grid = IntervalGrid(-2000, 7000, 50)
-    completions, bins = simulate_processor_sharing(starts, works, 2, metrics, grid)
+    completions, whole = simulate_processor_sharing(starts, works, 2, metrics, grid)
     assert_completions_near_reference(completions, starts, works, 2)
-    np.testing.assert_array_equal(bins, _reference_bins(starts, works, completions, metrics,
-                                                        grid))
+    reference = _reference_bins(starts, works, completions, metrics, grid)
+    np.testing.assert_array_equal(whole, reference)
+    durations = scheduler_module.replayed_durations(starts, completions, works)
+    row, _, _ = grid.overlaps(starts, starts + np.maximum(durations, 1))
+    assert np.bincount(row).max() > 5
+    for budget in (1, 5, 256):
+        with mock.patch.object(trace_module, "_TRIPLES", budget):
+            _, bins = simulate_processor_sharing(starts, works, 2, metrics, grid)
+        np.testing.assert_array_equal(bins, reference)
 
 
 def test_overloaded_backlog_simulates_in_seconds():

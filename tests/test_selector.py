@@ -278,6 +278,22 @@ class TestWindowsAndIO:
         assert len(solve_all_windows(targets, catalog, Config())) == len(targets)
         assert [is_mip for is_mip, _ in highs_calls].count(False) == 1
 
+    def test_solve_all_windows_threads_give_the_serial_plans(self, schema, highs_calls):
+        """With `jobs=2` the windows' MIPs run on two threads (the HiGHS
+        binding releases the GIL in `run`); the plans are the serial ones."""
+        catalog = random_catalog(schema, 8, np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        targets = [WindowTarget(w, w * 300000, 300000,
+                                PerformanceFeature(rng.uniform(1, 60, 2), rng.uniform(1, 20, 4)),
+                                4)
+                   for w in range(8)]
+        serial = solve_all_windows(targets, catalog, Config(), jobs=1)
+        assert [is_mip for is_mip, _ in highs_calls].count(True) >= 3
+        threaded = solve_all_windows(targets, catalog, Config(), jobs=2)
+        assert [p.counts for p in threaded] == [p.counts for p in serial]
+        assert [p.objective_value for p in threaded] == [p.objective_value for p in serial]
+        assert [p.approximate for p in threaded] == [p.approximate for p in serial]
+
     def test_read_plans_objective_is_the_solver_objective(self, tmp_path):
         # eight dimensions: enough that two ways of summing the errors can
         # round differently, so both sides must come from the same code

@@ -368,15 +368,14 @@ def binning_cases(draw):
         .map(lambda t: (t[0], t[0] + t[1])),
     ))
     trace = Trace(records, schema, mode=draw(st.sampled_from(MODES)))
-    return trace, window, interval, span, draw(st.integers(1, 8))
+    # from one triple per chunk to the default, which takes every case whole
+    budget = draw(st.one_of(st.integers(1, 8), st.just(trace_module._TRIPLES)))
+    return trace, window, interval, span, budget
 
 
-@settings(max_examples=100, deadline=None)
-@given(binning_cases())
-def test_binning_matches_per_record_loop(case):
-    """build_targets equals the per-record loop bit for bit, whatever the block size."""
-    trace, window_len_ms, interval_len_ms, span, block = case
-    with mock.patch.object(trace_module, "_BLOCK", block):
+def _assert_binning_matches_per_record_loop(trace, window_len_ms, interval_len_ms, span,
+                                            budget):
+    with mock.patch.object(trace_module, "_TRIPLES", budget):
         windows, intervals = build_targets(trace, window_len_ms, interval_len_ms, span)
     start, interval_metrics, window_ops, query_counts = _reference_bins(
         trace, window_len_ms, interval_len_ms, span)
@@ -393,6 +392,33 @@ def test_binning_matches_per_record_loop(case):
         np.testing.assert_array_equal(target.feature.operators, window_ops[w])
     for j, target in enumerate(intervals):
         assert target.interval_start_ts == start + j * interval_len_ms
+
+
+@settings(max_examples=100, deadline=None)
+@given(binning_cases())
+def test_binning_matches_per_record_loop(case):
+    """build_targets equals the per-record loop bit for bit, whatever the triple budget."""
+    _assert_binning_matches_per_record_loop(*case)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("budget", [1, 5, trace_module._TRIPLES])
+def test_binning_chunks_match_per_record_loop(mode, budget):
+    """Each row its own chunk (budget 1), one query whose 40 intervals alone
+    exceed the budget (budget 5), and the whole trace in one call: bit for
+    bit the per-record loop's, in both operator modes."""
+    rng = np.random.default_rng(7)
+    n = 300
+    schema = FeatureSchema(metrics=("m0", "m1"), operators=("o0", "o1"))
+    # in arrival order, so that the rows of one chunk share intervals
+    arrival = np.sort(rng.integers(-20000, 600000, n))
+    duration = np.where(rng.random(n) < 0.1, 0, rng.integers(1, 90000, n))
+    arrival[17], duration[17] = 14000, 40 * 7000
+    values = rng.uniform(0, 1e9, (n, 4)) * rng.random((n, 4)) ** 4
+    records = [QueryRecord(f"q{i}", int(a), int(d), v[:2], v[2:])
+               for i, (a, d, v) in enumerate(zip(arrival, duration, values))]
+    trace = Trace(records, schema, mode=mode)
+    _assert_binning_matches_per_record_loop(trace, 70000, 7000, (0, 560000), budget)
 
 
 def _reference_format(value):
