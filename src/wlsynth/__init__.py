@@ -43,10 +43,10 @@ from .selector import (
 )
 from .simulator import replay
 from .trace import (
-    IntervalTarget,
+    IntervalTargets,
     QueryRecord,
     Trace,
-    WindowTarget,
+    WindowTargets,
     build_targets,
     export_trace,
     ingest_trace,
@@ -63,7 +63,7 @@ __all__ = [
     "FeatureSchema",
     "FidelityReport",
     "HttpProvider",
-    "IntervalTarget",
+    "IntervalTargets",
     "MODE_COUNTS",
     "MODE_TIME_SHARES",
     "MockProvider",
@@ -83,7 +83,7 @@ __all__ = [
     "Trace",
     "TraceParseError",
     "ValidationError",
-    "WindowTarget",
+    "WindowTargets",
     "WlsynthError",
     "WorkloadComponent",
     "assign_timestamps",

@@ -33,7 +33,7 @@ from .config import Config
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, relative_gaps
 from .selector import SelectionPlan, rank_components, znorm_stats
-from .trace import Trace, WindowTarget
+from .trace import Trace, WindowTargets
 
 log = logging.getLogger(__name__)
 
@@ -502,7 +502,7 @@ def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:
 def augment_catalog(
     trace: Trace,
     plans: list[SelectionPlan],
-    window_targets: list[WindowTarget],
+    window_targets: WindowTargets,
     catalog: Catalog,
     provider: Provider,
     executor: Executor,
@@ -516,19 +516,15 @@ def augment_catalog(
     only ever enlarges the candidate set, so re-solving any window with the
     returned catalog cannot worsen its objective.
     """
-    bad = set(bad_windows(plans, cfg["augment.bad_window_threshold"]))
+    bad = bad_windows(plans, cfg["augment.bad_window_threshold"])
     if not bad:
         return catalog, []
-    # the queries that arrive inside a bad window, in trace order; windows are disjoint
-    windows = sorted((w.window_start_ts, w.window_len_ms, w.window_index)
-                     for w in window_targets if w.window_index in bad)
-    start, length, index = (np.array(col) for col in zip(*windows))
-    at = np.maximum(np.searchsorted(start, trace.arrival_ts, side="right") - 1, 0)
-    offset = trace.arrival_ts - start[at]
-    hit = np.flatnonzero((offset >= 0) & (offset < length[at]))
+    # the queries that arrive inside a bad window, in trace order
+    window = (trace.arrival_ts - window_targets.start_ts) // window_targets.len_ms
+    hit = np.flatnonzero(np.isin(window, bad))
     if not hit.size:
         return catalog, []
-    targets = _cluster_targets(trace.features[hit], index[at[hit]].tolist(),
+    targets = _cluster_targets(trace.features[hit], window[hit].tolist(),
                                trace.schema.n_metrics, cfg["augment.k"], seed)
     augmented = catalog.copy()
     reports = []

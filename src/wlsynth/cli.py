@@ -30,7 +30,6 @@ from .errors import ConfigError, WlsynthError
 from .features import PerformanceFeature
 from .metrics import report, write_report
 from .scheduler import (
-    IntervalGrid,
     Schedule,
     assign_timestamps,
     random_schedule,
@@ -303,8 +302,7 @@ def stage_replay(run: Run) -> None:
     cfg, paths = run.cfg, run.paths
     catalog = run.get("catalog")
     _, intervals = run.get("targets")
-    replayed = replay(run.get("schedule"), catalog, cfg["cores"], cfg["mode"],
-                      IntervalGrid.from_targets(intervals))
+    replayed = replay(run.get("schedule"), catalog, cfg["cores"], cfg["mode"], intervals.grid)
     paths.ensure(paths.replay)
     export_trace(replayed, paths.replay / "trace.csv")
     log.info("replayed %d instances", len(replayed))

@@ -13,9 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import floored, relative_errors
-from .trace import IntervalGrid, IntervalTarget, Trace, WindowTarget, bin_trace, target_matrix
-# the benchmark's traced run wraps metrics.build_targets, so the name stays importable here
-from .trace import build_targets  # noqa: F401
+from .trace import IntervalTargets, Trace, WindowTargets, build_targets
 
 EPS_DEFAULT = 1e-9
 
@@ -84,25 +82,19 @@ def _scores(target_series: np.ndarray, achieved_series: np.ndarray, eps: float) 
 
 
 def report(
-    window_targets: list[WindowTarget],
-    interval_targets: list[IntervalTarget],
+    window_targets: WindowTargets,
+    interval_targets: IntervalTargets,
     replayed: Trace,
     eps: float,
 ) -> FidelityReport:
     """Compare the replayed trace against the original targets on their grid."""
-    if not window_targets:
-        raise ValidationError("no window targets")
-    grid = IntervalGrid.from_targets(interval_targets)
-    _, rep_i, rep_w, _ = bin_trace(replayed, window_targets[0].window_len_ms,
-                                   grid.interval_len_ms, span=(grid.start_ts, grid.end_ts))
-    if len(rep_w) != len(window_targets) or len(rep_i) != len(interval_targets):
-        raise ValidationError("replayed trace grid does not match the target grid")
-
-    # bin_trace returns windows and intervals in time order
+    grid = interval_targets.grid
+    # on the targets' own grid, so a target and a replayed series have equal lengths
+    windows, intervals = build_targets(replayed, window_targets.len_ms, grid.interval_len_ms,
+                                       span=(grid.start_ts, grid.end_ts))
     schema = replayed.schema
-    windows = sorted(window_targets, key=lambda w: w.window_index)
-    tgt_w = np.array([w.feature.as_vector() for w in windows])
-    tgt_i = target_matrix(interval_targets)
+    tgt_w, tgt_i = window_targets.features, interval_targets.metrics
+    rep_w, rep_i = windows.features, intervals.metrics
     window_level = {
         dim: _scores(tgt_w[:, d], rep_w[:, d], eps) for d, dim in enumerate(schema.dimensions)
     }
@@ -110,11 +102,13 @@ def report(
         m: _scores(tgt_i[:, d], rep_i[:, d], eps) for d, m in enumerate(schema.metrics)
     }
     interval_ts = (grid.start_ts + grid.interval_len_ms * np.arange(grid.n_intervals)).tolist()
+    window_ts = (window_targets.start_ts
+                 + window_targets.len_ms * np.arange(len(window_targets))).tolist()
     plot_data = [(ts, m, float(tgt_i[row, d]), float(rep_i[row, d]))
                  for d, m in enumerate(schema.metrics) for row, ts in enumerate(interval_ts)]
-    plot_data += [(w.window_start_ts, op, float(tgt_w[row, d]), float(rep_w[row, d]))
+    plot_data += [(ts, op, float(tgt_w[row, d]), float(rep_w[row, d]))
                   for d, op in enumerate(schema.operators, schema.n_metrics)
-                  for row, w in enumerate(windows)]
+                  for row, ts in enumerate(window_ts)]
 
     return FidelityReport(window_level, interval_level, plot_data)
 

@@ -28,7 +28,7 @@ from numpy.random import Generator, default_rng
 from .catalog import Catalog
 from .config import Config
 from .errors import ValidationError
-from .trace import IntervalGrid, IntervalTarget, read_columns, target_matrix, write_columns
+from .trace import IntervalGrid, IntervalTargets, read_columns, write_columns
 from .selector import SelectionPlan, relative_error
 
 log = logging.getLogger(__name__)
@@ -225,49 +225,42 @@ def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: 
     return relative_error(achieved, target, denom_floor)
 
 
-def _check_targets(interval_targets: list[IntervalTarget], catalog: Catalog
-                   ) -> tuple[IntervalGrid, np.ndarray]:
-    """The grid and the (intervals x metrics) target matrix in time order."""
-    grid = IntervalGrid.from_targets(interval_targets)
-    target = target_matrix(interval_targets)
-    if target.shape[1] != catalog.schema.n_metrics:
+def _check_metrics(targets: IntervalTargets, catalog: Catalog) -> None:
+    if targets.metrics.shape[1] != catalog.schema.n_metrics:
         raise ValidationError("interval target metric dimensions do not match the catalog")
-    return grid, target
 
 
-def energy(schedule: Schedule, interval_targets: list[IntervalTarget], catalog: Catalog,
+def energy(schedule: Schedule, interval_targets: IntervalTargets, catalog: Catalog,
            cfg: Config) -> float:
     """`selector.relative_error` of the interval metrics replayed on `cores`
     against the targets, floored at `denom_floor`."""
-    grid, target = _check_targets(interval_targets, catalog)
+    _check_metrics(interval_targets, catalog)
     starts, works, features = expand(schedule, catalog)
-    return _energy(starts, works, features[:, :catalog.schema.n_metrics], target,
-                   cfg["cores"], grid, cfg["denom_floor"])
+    return _energy(starts, works, features[:, :catalog.schema.n_metrics],
+                   interval_targets.metrics, cfg["cores"], interval_targets.grid,
+                   cfg["denom_floor"])
 
 
-def _planned_instances(plans: list[SelectionPlan], grid: IntervalGrid,
-                       interval_targets: list[IntervalTarget]
+def _planned_instances(plans: list[SelectionPlan], targets: IntervalTargets
                        ) -> tuple[Schedule, np.ndarray, np.ndarray]:
     """Every planned instance, window by window in plan order and components
     in id order, with start_ts at its window's start; also each instance's
-    window start and length, recovered from the interval grid."""
-    windows: dict[int, list[int]] = {}
-    for t in interval_targets:
-        windows.setdefault(t.window_index, []).append(t.interval_start_ts)
+    window start and length: window w starts at the grid's start plus w
+    window lengths."""
+    grid, n_windows = targets.grid, len(targets) // targets.per_window
+    window_len = grid.interval_len_ms * targets.per_window
     rows = []
     for plan in plans:
-        if plan.window_index not in windows:
+        if not 0 <= plan.window_index < n_windows:
             raise ValidationError(f"plan references unknown window {plan.window_index}")
-        starts = windows[plan.window_index]
-        rows += [(plan.window_index, cid, plan.counts[cid], min(starts),
-                  grid.interval_len_ms * len(starts)) for cid in sorted(plan.counts)]
-    window, cid, count, w_start, w_len = (
-        np.array(col, dtype=dtype) for col, dtype in
-        zip(list(zip(*rows)) or [()] * 5, (np.int64, str, np.int64, np.int64, np.int64)))
+        rows += [(plan.window_index, cid, plan.counts[cid]) for cid in sorted(plan.counts)]
+    window, cid, count = (np.array(col, dtype=dtype) for col, dtype in
+                          zip(list(zip(*rows)) or [()] * 3, (np.int64, str, np.int64)))
     row = np.repeat(np.arange(count.size), count)
     instance = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    schedule = Schedule.from_columns(window[row], cid[row], instance, w_start[row])
-    return schedule, schedule.start_ts, w_len[row]
+    w_start = grid.start_ts + window_len * window[row]
+    schedule = Schedule.from_columns(window[row], cid[row], instance, w_start)
+    return schedule, schedule.start_ts, np.full(row.size, window_len)
 
 
 def _draw_starts(rng: Generator, window_start, window_len, granularity_ms: int):
@@ -282,13 +275,12 @@ def _draw_starts(rng: Generator, window_start, window_len, granularity_ms: int):
     return window_start + rng.integers(0, slots) * granularity_ms
 
 
-def random_schedule(plans: list[SelectionPlan], interval_targets: list[IntervalTarget],
+def random_schedule(plans: list[SelectionPlan], interval_targets: IntervalTargets,
                     cfg: Config, rng_seed: int) -> Schedule:
     """Uniform random in-window start times at `sa.move_granularity_ms`; the
     annealer's initial state and the baseline used by the
     timestamp-assignment ablation."""
-    grid = IntervalGrid.from_targets(interval_targets)
-    schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
+    schedule, w_start, w_len = _planned_instances(plans, interval_targets)
     schedule.start_ts = _draw_starts(default_rng(rng_seed), w_start, w_len,
                                      cfg["sa.move_granularity_ms"])
     return schedule
@@ -318,7 +310,7 @@ def _tune_temperatures(
     return median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
 
 
-def assign_timestamps(plans: list[SelectionPlan], interval_targets: list[IntervalTarget],
+def assign_timestamps(plans: list[SelectionPlan], interval_targets: IntervalTargets,
                       catalog: Catalog, cfg: Config, rng_seed: int) -> AnnealResult:
     """Simulated-annealing start-time assignment against interval metric targets.
 
@@ -331,8 +323,9 @@ def assign_timestamps(plans: list[SelectionPlan], interval_targets: list[Interva
     """
     granularity, max_steps = cfg["sa.move_granularity_ms"], cfg["sa.max_steps"]
     cores, denom_floor = cfg["cores"], cfg["denom_floor"]
-    grid, target = _check_targets(interval_targets, catalog)
-    schedule, w_start, w_len = _planned_instances(plans, grid, interval_targets)
+    _check_metrics(interval_targets, catalog)
+    grid, target = interval_targets.grid, interval_targets.metrics
+    schedule, w_start, w_len = _planned_instances(plans, interval_targets)
     rng = default_rng(rng_seed)
     starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, granularity)
     _, works, features = expand(schedule, catalog)

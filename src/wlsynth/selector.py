@@ -34,7 +34,7 @@ from .catalog import Catalog
 from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, floored, relative_errors
-from .trace import WindowTarget, read_columns
+from .trace import WindowTargets, read_columns
 
 ONE_TO_ONE = "one_to_one"
 ONE_TO_MANY = "one_to_many"
@@ -253,26 +253,36 @@ def _feasible(problem: SelectionProblem, counts: np.ndarray) -> bool:
     return float(problem.durations @ counts) <= problem.duration_budget_ms + 1e-9
 
 
-def build_problem(target: WindowTarget, catalog: Catalog, cfg: Config) -> SelectionProblem:
-    """The window's problem under the `y`, `z` (or `z_per_query_factor` times
+def build_problem(windows: WindowTargets, w: int, catalog: Catalog,
+                  cfg: Config) -> SelectionProblem:
+    """Window w's problem under the `y`, `z` (or `z_per_query_factor` times
     its query count), `cores`, `denom_floor` and `solver.*` keys."""
-    z = cfg["z"] or max(1, round(cfg["z_per_query_factor"] * target.query_count))
-    return SelectionProblem(
-        target=target.feature.as_vector(),
-        features=catalog.feature_matrix(),
-        durations=np.array([c.duration_ms for c in catalog]),
-        component_ids=[c.component_id for c in catalog],
+    return _build_problems(windows, catalog, cfg, [w])[0]
+
+
+def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
+                    ws) -> list[SelectionProblem]:
+    """`build_problem` of each window in `ws`; the problems share one copy of
+    the catalog's features, durations and ids."""
+    features = catalog.feature_matrix()
+    durations = np.array([c.duration_ms for c in catalog], dtype=float)
+    ids = [c.component_id for c in catalog]
+    return [SelectionProblem(
+        target=windows.features[w],
+        features=features,
+        durations=durations,
+        component_ids=ids,
         y=cfg["y"],
-        z=z,
-        duration_budget_ms=float(target.window_len_ms * cfg["cores"]),
+        z=cfg["z"] or max(1, round(cfg["z_per_query_factor"] * int(windows.query_counts[w]))),
+        duration_budget_ms=float(windows.len_ms * cfg["cores"]),
         denom_floor=cfg["denom_floor"],
         node_limit=cfg["solver.node_limit"],
         time_limit_s=cfg["solver.time_limit_s"],
-        window_index=target.window_index,
-    )
+        window_index=w,
+    ) for w in ws]
 
 
-def solve_all_windows(targets: list[WindowTarget], catalog: Catalog, cfg: Config,
+def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
                       jobs: int = 1) -> list[SelectionPlan]:
     """Solve every window (the objective is separable over windows).
 
@@ -282,12 +292,12 @@ def solve_all_windows(targets: list[WindowTarget], catalog: Catalog, cfg: Config
     fractional.  When the stacked call returns no point, each window solves
     its own relaxation as `solve_window` alone does.  With `jobs > 1` the
     per-window calls, and so only the MIPs, run from a pool of that many
-    threads.  Plans come back in target order either way, and a
+    threads.  Plans come back in window order either way, and a
     `SolverError` names the window it came from.  Where a window has several
     optimal count vectors, which one comes back can depend on the other
     windows in the same call; the optimal objective does not.
     """
-    problems = [build_problem(target, catalog, cfg) for target in targets]
+    problems = _build_problems(windows, catalog, cfg, range(len(windows)))
     roots = _relaxation_points(problems) if problems else []
 
     def solve(problem: SelectionProblem, root: np.ndarray | None) -> SelectionPlan:
@@ -312,18 +322,18 @@ def write_plans(plans: list[SelectionPlan], path) -> None:
                 writer.writerow([plan.window_index, component_id, plan.counts[component_id]])
 
 
-def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
+def read_plans(path, windows: WindowTargets, catalog: Catalog,
                cfg: Config) -> list[SelectionPlan]:
-    """Rebuild plans from a plan CSV read through `trace.read_columns`, each
-    by `SelectionProblem.plan` of its window's `build_problem`.  A window
-    outside `targets`, a component outside `catalog`, a repeated (window,
-    component) pair or a negative count is a ValidationError naming the row
-    and the column."""
+    """Rebuild every window's plan from a plan CSV read through
+    `trace.read_columns`, each by `SelectionProblem.plan` of the window's
+    `build_problem`.  A window outside `windows`, a component outside
+    `catalog`, a repeated (window, component) pair or a negative count is a
+    ValidationError naming the row and the column."""
     columns = read_columns(path, "plan",
                            {"window_index": int, "component_id": str, "count": int}, {})
-    counts: dict[int, dict[str, int]] = {t.window_index: {} for t in targets}
+    counts: list[dict[str, int]] = [{} for _ in range(len(windows))]
     for rownum, (w, cid, n) in enumerate(zip(*columns.values()), start=2):
-        if w not in counts:
+        if not 0 <= w < len(windows):
             raise ValidationError(
                 f"row {rownum}, column 'window_index': plan references unknown window {w}")
         if cid not in catalog:
@@ -335,20 +345,16 @@ def read_plans(path, targets: list[WindowTarget], catalog: Catalog,
         if n < 0:
             raise ValidationError(f"row {rownum}, column 'count': negative count {n}")
         counts[w][cid] = n
-    by_window = {t.window_index: t for t in targets}
-    plans = []
-    for w in sorted(counts):
-        problem = build_problem(by_window[w], catalog, cfg)
-        plans.append(problem.plan(np.array(
-            [counts[w].get(cid, 0) for cid in problem.component_ids], dtype=int)))
-    return plans
+    return [problem.plan(np.array([counts[w].get(cid, 0) for cid in problem.component_ids],
+                                  dtype=int))
+            for w, problem in enumerate(_build_problems(windows, catalog, cfg,
+                                                        range(len(windows))))]
 
 
 def write_plan_summary(
-    plans: list[SelectionPlan], targets: list[WindowTarget], schema: FeatureSchema, path
+    plans: list[SelectionPlan], windows: WindowTargets, schema: FeatureSchema, path
 ) -> None:
     """Per-window objective plus per-dimension achieved/target/error rows."""
-    by_window = {t.window_index: t for t in targets}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -356,7 +362,7 @@ def write_plan_summary(
              "target", "achieved", "abs_error"]
         )
         for plan in sorted(plans, key=lambda p: p.window_index):
-            target = by_window[plan.window_index].feature.as_vector()
+            target = windows.features[plan.window_index]
             for d, dim in enumerate(schema.dimensions):
                 writer.writerow(
                     [

@@ -6,7 +6,10 @@ each query's metric mass uniformly over its execution span and sums it per
 time interval; operator statistics are aggregated at window granularity only.
 
 A Trace holds its rows as columns, and every stage works on the columns
-as bulk numpy code.  Ingest parses every row's numeric cells into one table
+as bulk numpy code.  The targets are columns too: `WindowTargets` holds one
+feature row and query count per window, `IntervalTargets` one metric row
+per interval of its `IntervalGrid`, and a window's position on the grid is
+its index.  Ingest parses every row's numeric cells into one table
 and checks it column-wise: a plain file a block of lines at a time in numpy
 and `np.loadtxt`, any other through csv.reader.  Aggregation bins the
 whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
@@ -34,7 +37,7 @@ from operator import eq, itemgetter
 import numpy as np
 
 from .errors import ConfigError, SchemaError, TraceParseError, ValidationError
-from .features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema, PerformanceFeature
+from .features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema
 
 log = logging.getLogger(__name__)
 
@@ -117,28 +120,6 @@ class Trace:
                         self.duration_ms.tolist(), self.metrics, self.operators))
 
 
-@dataclass
-class WindowTarget:
-    """Aggregated generation target for one coarse time window."""
-
-    window_index: int
-    window_start_ts: int
-    window_len_ms: int
-    feature: PerformanceFeature
-    query_count: int
-
-
-@dataclass
-class IntervalTarget:
-    """Fine-grained metric target for one interval inside a window."""
-
-    window_index: int
-    interval_index: int
-    interval_start_ts: int
-    interval_len_ms: int
-    metrics: np.ndarray
-
-
 @dataclass(frozen=True)
 class IntervalGrid:
     """Uniform contiguous interval grid covering the synthesis horizon.
@@ -156,16 +137,9 @@ class IntervalGrid:
         return self.start_ts + self.interval_len_ms * self.n_intervals
 
     @classmethod
-    def from_targets(cls, targets: list[IntervalTarget]) -> "IntervalGrid":
-        if not targets:
-            raise ValidationError("empty interval target list")
-        starts = np.sort([t.interval_start_ts for t in targets])
-        lengths = {t.interval_len_ms for t in targets}
-        grid = cls(int(starts[0]), int(lengths.pop()), len(starts))
-        if lengths or grid.interval_len_ms <= 0 or np.any(
-                starts != grid.start_ts + grid.interval_len_ms * np.arange(len(starts))):
-            raise ValidationError("interval targets do not form a uniform grid")
-        return grid
+    def from_targets(cls, targets: IntervalTargets) -> "IntervalGrid":
+        """`targets.grid`; bench/child.py reads the grid through this name."""
+        return targets.grid
 
     def _segments(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """The first interval of each half-open segment [lo, hi) clipped to
@@ -239,9 +213,33 @@ class IntervalGrid:
         return sums
 
 
-def target_matrix(targets: list[IntervalTarget]) -> np.ndarray:
-    """The (intervals x metrics) matrix of interval targets in time order."""
-    return np.array([t.metrics for t in sorted(targets, key=lambda t: t.interval_start_ts)])
+@dataclass
+class WindowTargets:
+    """Window targets as columns: window w starts at start_ts + w * len_ms,
+    row w of the (windows x dimensions) float64 `features` table is its
+    metrics then operators, and `query_counts[w]` its int64 arrival count."""
+
+    start_ts: int
+    len_ms: int
+    features: np.ndarray
+    query_counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.query_counts)
+
+
+@dataclass
+class IntervalTargets:
+    """Interval metric targets as columns: row k of the (intervals x metrics)
+    float64 `metrics` table is interval k of `grid`, and window w holds rows
+    w * per_window up to (w + 1) * per_window."""
+
+    grid: IntervalGrid
+    per_window: int
+    metrics: np.ndarray
+
+    def __len__(self) -> int:
+        return self.grid.n_intervals
 
 
 def _parse_number(raw: str | None, row: int, column: str) -> float:
@@ -596,64 +594,84 @@ _WINDOW_INTS = ("window_index", "window_start_ts", "window_len_ms", "query_count
 _INTERVAL_INTS = ("window_index", "interval_index", "interval_start_ts")
 
 
-def write_targets(
-    windows: list[WindowTarget],
-    intervals: list[IntervalTarget],
-    windows_path,
-    intervals_path,
-    schema: FeatureSchema,
-) -> None:
-    write_columns(windows_path, [*_WINDOW_INTS, *schema.dimensions], [
-        np.array([[w.window_index, w.window_start_ts, w.window_len_ms, w.query_count]
-                  for w in windows], dtype=np.int64).reshape(len(windows), len(_WINDOW_INTS)),
-        np.array([w.feature.as_vector() for w in windows],
-                 dtype=float).reshape(len(windows), len(schema.dimensions))])
-    write_columns(intervals_path, [*_INTERVAL_INTS, *schema.metrics], [
-        np.array([[t.window_index, t.interval_index, t.interval_start_ts] for t in intervals],
-                 dtype=np.int64).reshape(len(intervals), len(_INTERVAL_INTS)),
-        np.array([t.metrics for t in intervals],
-                 dtype=float).reshape(len(intervals), schema.n_metrics)])
+def _target_ints(windows: WindowTargets,
+                 intervals: IntervalTargets) -> tuple[np.ndarray, np.ndarray]:
+    """The `_WINDOW_INTS` and `_INTERVAL_INTS` columns of the targets files,
+    one int64 table each."""
+    w, k, grid = np.arange(len(windows)), np.arange(len(intervals)), intervals.grid
+    return (np.column_stack([w, windows.start_ts + windows.len_ms * w,
+                             np.full_like(w, windows.len_ms), windows.query_counts]),
+            np.column_stack([k // intervals.per_window, k % intervals.per_window,
+                             grid.start_ts + grid.interval_len_ms * k]))
 
 
-def read_targets(
-    windows_path, intervals_path, schema: FeatureSchema
-) -> tuple[list[WindowTarget], list[IntervalTarget]]:
-    """Read the files write_targets wrote, through `read_columns`.  The
-    interval length is the windows' summed length over the interval count."""
+def write_targets(windows: WindowTargets, intervals: IntervalTargets, windows_path,
+                  intervals_path, schema: FeatureSchema) -> None:
+    window_ints, interval_ints = _target_ints(windows, intervals)
+    write_columns(windows_path, [*_WINDOW_INTS, *schema.dimensions],
+                  [window_ints, windows.features])
+    write_columns(intervals_path, [*_INTERVAL_INTS, *schema.metrics],
+                  [interval_ints, intervals.metrics])
+
+
+def read_targets(windows_path, intervals_path,
+                 schema: FeatureSchema) -> tuple[WindowTargets, IntervalTargets]:
+    """Read the files write_targets wrote, through `read_columns`.
+
+    The first window row gives the grid's start and the window length, and
+    the row counts the intervals per window.  The integer columns of each
+    file must be the ones `write_targets` derives from these, and its counts
+    and values nonnegative; a file that breaks this, such as one with rows
+    out of time order, windows of unequal length or a lost row, is a
+    ValidationError naming the file.
+    """
     wcol = read_columns(windows_path, "targets", dict.fromkeys(_WINDOW_INTS, int)
                         | dict.fromkeys(schema.dimensions, float), {})
     icol = read_columns(intervals_path, "targets", dict.fromkeys(_INTERVAL_INTS, int)
                         | dict.fromkeys(schema.metrics, float), {})
-    features = np.column_stack([wcol[c] for c in schema.dimensions])
-    windows = [WindowTarget(index, start, length, PerformanceFeature.from_vector(vector, schema),
-                            count)
-               for index, start, length, count, vector in zip(
-                   *(wcol[c] for c in _WINDOW_INTS), features)]
-    # the windows tile the span that the intervals split evenly
-    length = sum(wcol["window_len_ms"]) // max(len(icol["window_index"]), 1)
-    metrics = np.column_stack([icol[c] for c in schema.metrics])
-    intervals = [IntervalTarget(window, index, start, length, vector)
-                 for window, index, start, vector in zip(
-                     *(icol[c] for c in _INTERVAL_INTS), metrics)]
+    n_windows = len(wcol["window_index"])
+    if not n_windows:
+        raise ValidationError(f"targets file {windows_path} holds no window")
+    start, length = wcol["window_start_ts"][0], wcol["window_len_ms"][0]
+    per_window = max(len(icol["window_index"]) // n_windows, 1)
+    windows = WindowTargets(start, length, np.column_stack([wcol[c] for c in schema.dimensions]),
+                            np.array(wcol["query_count"], dtype=np.int64))
+    intervals = IntervalTargets(IntervalGrid(start, length // per_window, n_windows * per_window),
+                                per_window, np.column_stack([icol[c] for c in schema.metrics]))
+    window_ints, interval_ints = _target_ints(windows, intervals)
+    for path, ints, expected, ok in (
+            (windows_path, [wcol[c] for c in _WINDOW_INTS], window_ints,
+             length > 0 and np.all(windows.query_counts >= 0) and np.all(windows.features >= 0)),
+            (intervals_path, [icol[c] for c in _INTERVAL_INTS], interval_ints,
+             length % per_window == 0 and np.all(intervals.metrics >= 0))):
+        ints = np.array(ints, dtype=np.int64).T
+        if not ok or ints.shape != expected.shape or np.any(ints != expected):
+            raise ValidationError(f"targets file {path} does not hold equal windows split into "
+                                  "equal intervals in time order, with nonnegative values")
     return windows, intervals
 
 
-def bin_trace(
+def build_targets(
     trace: Trace,
     window_len_ms: int,
     interval_len_ms: int,
     span: tuple[int, int] | None = None,
-) -> tuple[IntervalGrid, np.ndarray, np.ndarray, np.ndarray]:
-    """Bin a trace on the window and interval grid of `build_targets`.
+) -> tuple[WindowTargets, IntervalTargets]:
+    """Aggregate query statistics into window- and interval-level targets.
 
-    Returns the grid, the (intervals x metrics) interval sums, the (windows
-    x dimensions) window features, metrics then operators, and the
-    per-window query counts, all in time order; `build_targets` documents
-    the rules.  `IntervalGrid.spread` bins the whole trace's metric mass,
-    and the window operator sums, operator weights and query counts are
-    one `np.bincount` per column, so every interval and window receives its
-    terms in trace order and the sums are bit-identical to a per-record
-    loop.
+    Metric mass is spread uniformly over [arrival, arrival + max(duration, 1))
+    and summed per interval; window metrics are the sums of their intervals.
+    A zero-duration query is thus a 1 ms segment that deposits all its mass
+    into the interval containing the arrival.  Operator statistics and query
+    counts attach to the window containing the arrival: plain sums in counts
+    mode, duration-weighted means in time_shares mode.  Mass outside the
+    span, by default the smallest one covering every execution, is clipped
+    and logged.  An empty trace needs a span, and its targets are all zero.
+
+    `IntervalGrid.spread` bins the whole trace's metric mass, and the window
+    operator sums, operator weights and query counts are one `np.bincount`
+    per column, so every interval and window receives its terms in trace
+    order and the sums are bit-identical to a per-record loop.
     """
     if window_len_ms <= 0 or interval_len_ms <= 0:
         raise ConfigError("window_len_ms and interval_len_ms must be positive")
@@ -674,8 +692,8 @@ def bin_trace(
     else:
         start, end = span
     n_windows = max(1, math.ceil((end - start) / window_len_ms))
-    intervals_per_window = window_len_ms // interval_len_ms
-    grid = IntervalGrid(start, interval_len_ms, n_windows * intervals_per_window)
+    per_window = window_len_ms // interval_len_ms
+    grid = IntervalGrid(start, interval_len_ms, n_windows * per_window)
 
     interval_metrics = grid.spread(arrival, duration, trace.metrics)
     if span is not None:  # the default span covers every execution
@@ -688,7 +706,7 @@ def bin_trace(
 
     features = np.empty((n_windows, len(schema.dimensions)))
     features[:, :schema.n_metrics] = interval_metrics.reshape(
-        n_windows, intervals_per_window, schema.n_metrics).sum(axis=1)
+        n_windows, per_window, schema.n_metrics).sum(axis=1)
     w = (arrival - start) // window_len_ms
     ok = (w >= 0) & (w < n_windows)
     w = w[ok]
@@ -704,35 +722,5 @@ def bin_trace(
         total = np.bincount(w, weight, minlength=n_windows)
         nonzero = total > 0
         features[nonzero, schema.n_metrics:] /= total[nonzero, None]
-    return grid, interval_metrics, features, query_counts
-
-
-def build_targets(
-    trace: Trace,
-    window_len_ms: int,
-    interval_len_ms: int,
-    span: tuple[int, int] | None = None,
-) -> tuple[list[WindowTarget], list[IntervalTarget]]:
-    """Aggregate query statistics into window- and interval-level targets.
-
-    Metric mass is spread uniformly over [arrival, arrival + max(duration, 1))
-    and summed per interval; window metrics are the sums of their intervals.
-    A zero-duration query is thus a 1 ms segment that deposits all its mass
-    into the interval containing the arrival.  Operator statistics and query
-    counts attach to the window containing the arrival: plain sums in counts
-    mode, duration-weighted means in time_shares mode.  Mass outside the
-    span, by default the smallest one covering every execution, is clipped
-    and logged.  An empty trace needs a span, and its targets are all zero.
-    `bin_trace` computes the sums; the targets' vectors are views of them.
-    """
-    grid, interval_metrics, window_features, query_counts = bin_trace(
-        trace, window_len_ms, interval_len_ms, span)
-    schema = trace.schema
-    per_window = window_len_ms // interval_len_ms
-    windows = [WindowTarget(w, grid.start_ts + w * window_len_ms, window_len_ms,
-                            PerformanceFeature.from_vector(vector, schema), count)
-               for w, (vector, count) in enumerate(zip(window_features, query_counts.tolist()))]
-    intervals = [IntervalTarget(k // per_window, k % per_window,
-                                grid.start_ts + k * interval_len_ms, interval_len_ms, metrics)
-                 for k, metrics in enumerate(interval_metrics)]
-    return windows, intervals
+    return (WindowTargets(grid.start_ts, window_len_ms, features, query_counts),
+            IntervalTargets(grid, per_window, interval_metrics))

@@ -40,7 +40,7 @@ from wlsynth.selector import (
     solve_window,
 )
 from wlsynth.simulator import replay
-from wlsynth.trace import QueryRecord, Trace, build_targets
+from wlsynth.trace import QueryRecord, Trace, WindowTargets, build_targets
 
 
 def verdict(number, ok, detail):
@@ -333,17 +333,18 @@ def test_criterion_7_augmentation_closed_loop(schema):
     # re-solve monotonicity: appending components can never hurt
     rng = np.random.default_rng(7007)
     regressions = 0
+    target_w = WindowTargets(windows.start_ts, windows.len_ms, windows.features[:1],
+                             windows.query_counts[:1])
     for i in range(50):
         base = random_catalog(schema, 5, rng)
-        target_w = windows[0]
-        before = solve_all_windows([target_w], base, cfg)[0]
+        before = solve_all_windows(target_w, base, cfg)[0]
         grown = base.copy()
         for j in range(int(rng.integers(1, 4))):
             extra = random_catalog(schema, 1, rng)
             comp = extra.components[0]
             comp.component_id = f"x{i}-{j}"
             grown.add(comp)
-        after = solve_all_windows([target_w], grown, cfg)[0]
+        after = solve_all_windows(target_w, grown, cfg)[0]
         if after.objective_value > before.objective_value + 1e-9:
             regressions += 1
     ok = improvement_ok and switch_ok and regressions == 0

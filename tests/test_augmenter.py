@@ -35,7 +35,7 @@ from wlsynth.config import Config
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import SelectionPlan
-from wlsynth.trace import QueryRecord, Trace, WindowTarget
+from wlsynth.trace import QueryRecord, Trace, WindowTargets
 
 
 def feature(cpu, sb, ops=(0, 0, 0, 0)):
@@ -307,10 +307,9 @@ class TestGenerateComponent:
 class TestAugmentCatalog:
     def make_inputs(self, schema):
         catalog = TestExamples().make_cat(schema)
-        windows = [
-            WindowTarget(0, 0, 300000, feature(500, 500), 2),
-            WindowTarget(1, 300000, 300000, feature(20, 20), 1),
-        ]
+        windows = WindowTargets(0, 300000, np.array([feature(500, 500).as_vector(),
+                                                     feature(20, 20).as_vector()]),
+                                np.array([2, 1]))
         plans = [
             SelectionPlan(0, {}, np.zeros(6), objective_value=2.0),
             SelectionPlan(1, {"near1": 2}, np.zeros(6), objective_value=0.01),

@@ -15,8 +15,8 @@ from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
 from wlsynth.cli import echo_policy, main, stage_seed
 from wlsynth.config import Config, load_config
-from wlsynth.features import FeatureSchema, PerformanceFeature
-from wlsynth.trace import WindowTarget
+from wlsynth.features import FeatureSchema
+from wlsynth.trace import WindowTargets
 
 EXPECTED_ARTIFACTS = [
     "trace.csv",
@@ -372,10 +372,10 @@ class TestSolverOutput:
         schema = FeatureSchema(metrics=("m0", "m1"), operators=("o0", "o1", "o2"))
         catalog = make_catalog(schema, list(zip(problem.component_ids, problem.durations,
                                                 problem.features)))
-        window = WindowTarget(0, 0, int(problem.duration_budget_ms),
-                              PerformanceFeature(problem.target[:2], problem.target[2:]), 1)
+        windows = WindowTargets(0, int(problem.duration_budget_ms), problem.target[None, :],
+                                np.array([1]))
         cfg = Config({"y": "6", "z": "30", "cores": "1", "solver.node_limit": "1"})
-        cli._solve_windows([window], catalog, cfg, jobs)
+        cli._solve_windows(windows, catalog, cfg, jobs)
         print("stdout still works")
         out, err = capfd.readouterr()
         assert "HighsMipSolverData" in err
@@ -419,6 +419,20 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "ConfigError"
         assert err["message"] == f"no {what} at {tmp_path / artifact}; run '{before}' first"
+
+    def test_select_rejects_a_truncated_intervals_file(self, demo_dir, tmp_path, capsys):
+        """An interval row lost from targets/intervals.csv stops select with a
+        ValidationError naming the file, before it writes plans/."""
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path)]
+        assert main(["targets", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        intervals = tmp_path / "targets" / "intervals.csv"
+        intervals.write_text("".join(intervals.read_text().splitlines(True)[:-1]))
+        capsys.readouterr()
+        assert main(["select", "--catalog", str(demo_dir / "demo_catalog.csv")] + base) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"targets file {intervals} " in err["message"]
+        assert not (tmp_path / "plans").exists()
 
     def test_pipeline_without_catalog_writes_nothing(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"

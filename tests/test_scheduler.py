@@ -31,24 +31,15 @@ from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
 from wlsynth.selector import SelectionPlan
 from wlsynth.simulator import replay
-from wlsynth.trace import (IntervalTarget, QueryRecord, Trace, build_targets, read_targets,
+from wlsynth.trace import (IntervalTargets, QueryRecord, Trace, build_targets, read_targets,
                            write_targets)
 
 
 def interval_targets(values, interval_len_ms=30000, intervals_per_window=10):
     """values: 2-D array, one row per interval."""
-    out = []
-    for k, row in enumerate(np.atleast_2d(np.asarray(values, dtype=float))):
-        out.append(
-            IntervalTarget(
-                window_index=k // intervals_per_window,
-                interval_index=k % intervals_per_window,
-                interval_start_ts=k * interval_len_ms,
-                interval_len_ms=interval_len_ms,
-                metrics=row,
-            )
-        )
-    return out
+    metrics = np.atleast_2d(np.asarray(values, dtype=float))
+    return IntervalTargets(IntervalGrid(0, interval_len_ms, len(metrics)), intervals_per_window,
+                           metrics)
 
 
 class TestProcessorSharing:
@@ -119,12 +110,6 @@ class TestGrid:
         assert grid.start_ts == 0
         assert grid.interval_len_ms == 30000
         assert grid.n_intervals == 6
-
-    def test_nonuniform_rejected(self):
-        targets = interval_targets(np.zeros((3, 1)))
-        targets[2].interval_start_ts += 7
-        with pytest.raises(ValidationError):
-            IntervalGrid.from_targets(targets)
 
     def test_single_interval_keeps_its_length(self, schema, tmp_path):
         """A lone interval is as long as its window, also after a CSV round trip."""
@@ -271,8 +256,8 @@ class TestAnnealing:
                                    rng_seed=3)
         _, replayed = build_targets(replay(result.schedule, catalog, cores, MODE_COUNTS),
                                     300000, 30000, span=(0, 300000))
-        achieved = np.array([t.metrics for t in replayed])
-        target = np.array([t.metrics for t in targets])
+        achieved = replayed.metrics
+        target = targets.metrics
         assert result.best_energy == np.sum(np.abs(achieved - target)
                                             / np.maximum(target, 1.0))
 
@@ -315,33 +300,28 @@ def _scalar_random_schedule(plans, targets, rng_seed, granularity_ms):
     """The per-instance loop random_schedule replaced, kept as its oracle:
     one scalar rng.integers draw per instance, in plan order."""
     rng = np.random.default_rng(rng_seed)
-    interval_len_ms = IntervalGrid.from_targets(targets).interval_len_ms
-    windows = {}
-    for t in targets:
-        windows.setdefault(t.window_index, []).append(t.interval_start_ts)
+    grid = targets.grid
+    window_len = grid.interval_len_ms * targets.per_window
     entries = []
     for plan in plans:
-        starts = windows[plan.window_index]
-        window_len = interval_len_ms * len(starts)
+        window_start = grid.start_ts + plan.window_index * window_len
         for component_id in sorted(plan.counts):
             for k in range(plan.counts[component_id]):
                 slots = max(1, window_len // granularity_ms)
                 offset = int(rng.integers(0, slots)) * granularity_ms
                 entries.append(ScheduleEntry(plan.window_index, component_id, k,
-                                             min(starts) + offset))
+                                             window_start + offset))
     return entries, rng
 
 
 @st.composite
 def plan_cases(draw):
-    # windows of 1-4 intervals each; a 300 ms interval makes a window shorter
+    # windows of 1-4 intervals; a 300 ms interval makes a window shorter
     # than the move granularity (one slot)
     interval = draw(st.sampled_from([300, 1000, 7000, 30000]))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    n_windows = len(sizes)
-    targets = [IntervalTarget(w, j, k * interval, interval, np.zeros(1))
-               for k, (w, j) in enumerate((w, j) for w, size in enumerate(sizes)
-                                          for j in range(size))]
+    per_window, n_windows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    targets = IntervalTargets(IntervalGrid(0, interval, n_windows * per_window), per_window,
+                              np.zeros((n_windows * per_window, 1)))
     plans = [
         SelectionPlan(w, draw(st.dictionaries(st.sampled_from(["a", "b", "c10", "c2"]),
                                               st.integers(0, 6), max_size=4)),
@@ -362,8 +342,7 @@ def test_array_draw_matches_scalar_draws(case):
     cfg = Config({"sa.move_granularity_ms": str(granularity)})
     assert random_schedule(plans, targets, cfg, seed).entries == expected
 
-    grid = IntervalGrid.from_targets(targets)
-    schedule, w_start, w_len = scheduler_module._planned_instances(plans, grid, targets)
+    schedule, w_start, w_len = scheduler_module._planned_instances(plans, targets)
     rng = np.random.default_rng(seed)
     starts = scheduler_module._draw_starts(rng, w_start, w_len, granularity)
     assert starts.tolist() == [e.start_ts for e in expected]

@@ -25,7 +25,7 @@ from wlsynth.selector import (
     solve_window,
     write_plans,
 )
-from wlsynth.trace import WindowTarget
+from wlsynth.trace import WindowTargets
 
 
 _PLAN_HEADER = "window_index,component_id,count\n"
@@ -226,14 +226,9 @@ class TestSolveWindow:
 
 class TestWindowsAndIO:
     def make_targets(self, schema):
-        return [
-            WindowTarget(0, 0, 300000,
-                         PerformanceFeature(np.array([10.0, 4.0]),
-                                            np.array([2.0, 1.0, 0.0, 0.0])), 2),
-            WindowTarget(1, 300000, 300000,
-                         PerformanceFeature(np.array([3.0, 8.0]),
-                                            np.array([0.0, 2.0, 2.0, 0.0])), 2),
-        ]
+        return WindowTargets(0, 300000, np.array([[10.0, 4.0, 2.0, 1.0, 0.0, 0.0],
+                                                  [3.0, 8.0, 0.0, 2.0, 2.0, 0.0]]),
+                             np.array([2, 2]))
 
     def test_solve_all_windows_and_round_trip(self, schema, tmp_path):
         catalog = make_catalog(schema, [
@@ -271,10 +266,9 @@ class TestWindowsAndIO:
     def test_solve_all_windows_solves_every_relaxation_in_one_call(self, schema, highs_calls):
         catalog = random_catalog(schema, 6, np.random.default_rng(4))
         rng = np.random.default_rng(8)
-        targets = [WindowTarget(w, w * 300000, 300000,
-                                PerformanceFeature(rng.uniform(1, 30, 2), rng.uniform(1, 30, 4)),
-                                2)
-                   for w in range(5)]
+        targets = WindowTargets(0, 300000, np.array([
+            np.concatenate([rng.uniform(1, 30, 2), rng.uniform(1, 30, 4)]) for _ in range(5)]),
+            np.full(5, 2))
         assert len(solve_all_windows(targets, catalog, Config())) == len(targets)
         assert [is_mip for is_mip, _ in highs_calls].count(False) == 1
 
@@ -283,10 +277,9 @@ class TestWindowsAndIO:
         binding releases the GIL in `run`); the plans are the serial ones."""
         catalog = random_catalog(schema, 8, np.random.default_rng(11))
         rng = np.random.default_rng(12)
-        targets = [WindowTarget(w, w * 300000, 300000,
-                                PerformanceFeature(rng.uniform(1, 60, 2), rng.uniform(1, 20, 4)),
-                                4)
-                   for w in range(8)]
+        targets = WindowTargets(0, 300000, np.array([
+            np.concatenate([rng.uniform(1, 60, 2), rng.uniform(1, 20, 4)]) for _ in range(8)]),
+            np.full(8, 4))
         serial = solve_all_windows(targets, catalog, Config(), jobs=1)
         assert [is_mip for is_mip, _ in highs_calls].count(True) >= 3
         threaded = solve_all_windows(targets, catalog, Config(), jobs=2)
@@ -301,11 +294,9 @@ class TestWindowsAndIO:
                                operators=("o0", "o1", "o2", "o3", "o4"))
         rng = np.random.default_rng(2024)
         catalog = random_catalog(schema, 6, rng)
-        targets = [
-            WindowTarget(w, w * 300000, 300000,
-                         PerformanceFeature(rng.uniform(0, 60, 3), rng.uniform(0, 9, 5)), 3)
-            for w in range(40)
-        ]
+        targets = WindowTargets(0, 300000, np.array([
+            np.concatenate([rng.uniform(0, 60, 3), rng.uniform(0, 9, 5)]) for _ in range(40)]),
+            np.full(40, 3))
         plans = solve_all_windows(targets, catalog, Config())
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
@@ -325,8 +316,7 @@ class TestWindowsAndIO:
 
     def test_build_problem_derives_total_cap(self, schema):
         catalog = make_catalog(schema, [("c1", 20000, [5, 2, 1, 0, 0, 0])])
-        target = self.make_targets(schema)[0]
-        problem = build_problem(target, catalog, Config())
+        problem = build_problem(self.make_targets(schema), 0, catalog, Config())
         assert problem.z == 4  # 2 queries * factor 2.0
         assert problem.duration_budget_ms == 300000 * 8
 
@@ -382,26 +372,23 @@ def plan_cases(draw):
     catalog = make_catalog(schema, [
         (cid, draw(st.integers(1, 100000)), vector(n_metrics + n_operators)) for cid in ids
     ])
-    window_indexes = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
-    targets = [
-        WindowTarget(w, w * 300000, 300000,
-                     PerformanceFeature(vector(n_metrics), vector(n_operators)),
-                     draw(st.integers(0, 20)))
-        for w in window_indexes
-    ]
+    n_windows = draw(st.integers(1, 6))
+    targets = WindowTargets(0, 300000,
+                            np.array([vector(n_metrics + n_operators) for _ in range(n_windows)]),
+                            np.array([draw(st.integers(0, 20)) for _ in range(n_windows)]))
     cfg = Config({"denom_floor": str(draw(st.sampled_from([1e-3, 1.0, 7.5])))})
     plans = []
-    for target in targets:
+    for w in range(n_windows):
         counts = np.array(draw(st.lists(st.integers(0, 12), min_size=len(ids),
                                         max_size=len(ids))))
-        problem = build_problem(target, catalog, cfg)
+        problem = build_problem(targets, w, catalog, cfg)
         plans.append(SelectionPlan(
-            window_index=target.window_index,
+            window_index=w,
             counts={cid: int(n) for cid, n in zip(ids, counts) if n > 0},
             achieved=problem.features.T @ counts,
             objective_value=problem.objective(counts),
         ))
-    unknown = draw(st.integers(0, 60).filter(lambda w: w not in window_indexes))
+    unknown = draw(st.integers(n_windows, 60))
     return catalog, targets, plans, cfg, unknown
 
 
@@ -442,19 +429,19 @@ def stacked_cases(draw):
                                     for j in range(n_components)])
     cfg = Config({"y": str(draw(st.integers(1, 5))), "z": str(draw(st.integers(1, 20))),
                   "cores": "1"})
-    windows = draw(st.lists(st.tuples(st.sampled_from(["zero", "planted", "random"]),
-                                      st.booleans()), min_size=1, max_size=6))
-    targets = []
-    for w, (kind, tight) in enumerate(windows):
+    kinds = draw(st.lists(st.sampled_from(["zero", "planted", "random"]), min_size=1,
+                          max_size=6))
+    # the windows of one grid share their length, and so their duration budget
+    budget = durations.sum() * (rng.uniform(0.2, 0.6) if draw(st.booleans()) else 10)
+    vectors = []
+    for kind in kinds:
         if kind == "zero":
-            vec = np.zeros(6)
+            vectors.append(np.zeros(6))
         elif kind == "planted":
-            vec = features.T @ rng.integers(0, 4, n_components)
+            vectors.append(features.T @ rng.integers(0, 4, n_components))
         else:
-            vec = rng.uniform(0, 30, 6)
-        budget = durations.sum() * (rng.uniform(0.2, 0.6) if tight else 10)
-        targets.append(WindowTarget(w, w * 10**7, int(budget),
-                                    PerformanceFeature(vec[:2], vec[2:]), 1))
+            vectors.append(rng.uniform(0, 30, 6))
+    targets = WindowTargets(0, int(budget), np.array(vectors), np.ones(len(kinds), dtype=int))
     return catalog, targets, cfg
 
 
@@ -464,8 +451,9 @@ def test_stacked_relaxation_gives_the_lone_plans(case):
     """solve_all_windows solves every window's relaxation in one call; each
     plan is the one a lone solve_window of that window gives."""
     catalog, targets, cfg = case
-    for target, plan in zip(targets, solve_all_windows(targets, catalog, cfg), strict=True):
-        alone = solve_window(build_problem(target, catalog, cfg))
+    for w, plan in zip(range(len(targets)), solve_all_windows(targets, catalog, cfg),
+                       strict=True):
+        alone = solve_window(build_problem(targets, w, catalog, cfg))
         assert plan.window_index == alone.window_index
         assert plan.counts == alone.counts
         assert plan.objective_value == alone.objective_value

@@ -102,8 +102,9 @@ class TestReplay:
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
-        np.testing.assert_array_equal(windows[0].feature.operators, [1, 1, 1, 0])
-        np.testing.assert_array_equal(windows[1].feature.operators, [0, 2, 2, 0])
+        operators = windows.features[:, schema.n_metrics:]
+        np.testing.assert_array_equal(operators[0], [1, 1, 1, 0])
+        np.testing.assert_array_equal(operators[1], [0, 2, 2, 0])
 
 
 def _reference_replay(schedule, catalog, cores):

@@ -132,7 +132,7 @@ class TestBuildTargets:
         # [10000, 70000) against 30000 ms bins: overlaps 20000/30000/10000
         trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.0])], schema)
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
-        got = np.array([t.metrics for t in intervals])
+        got = intervals.metrics
         np.testing.assert_allclose(got[0], [2.0, 4.0])
         np.testing.assert_allclose(got[1], [3.0, 6.0])
         np.testing.assert_allclose(got[2], [1.0, 2.0])
@@ -141,7 +141,7 @@ class TestBuildTargets:
     def test_zero_duration_deposits_at_arrival(self, schema):
         trace = Trace([record(schema, "q", 45000, 0, [5.0, 1.0])], schema)
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
-        got = np.array([t.metrics for t in intervals])
+        got = intervals.metrics
         np.testing.assert_allclose(got[1], [5.0, 1.0])
         assert got.sum() == pytest.approx(6.0)
 
@@ -155,18 +155,20 @@ class TestBuildTargets:
         ]
         trace = Trace(records, schema)
         windows, intervals = build_targets(trace, 300000, 30000)
-        for w in windows:
-            rows = [t.metrics for t in intervals if t.window_index == w.window_index]
-            np.testing.assert_allclose(np.sum(rows, axis=0), w.feature.metrics)
+        per_window = intervals.per_window
+        for w, feature in enumerate(windows.features):
+            rows = intervals.metrics[w * per_window:(w + 1) * per_window]
+            np.testing.assert_allclose(np.sum(rows, axis=0), feature[:schema.n_metrics])
 
     def test_operators_counted_in_arrival_window(self, schema):
         # arrival in window 0, execution mostly in window 1
         trace = Trace([record(schema, "q", 290000, 100000, [1.0, 1.0], [3, 1, 2, 0])],
                       schema)
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
-        np.testing.assert_array_equal(windows[0].feature.operators, [3, 1, 2, 0])
-        assert np.all(windows[1].feature.operators == 0)
-        assert windows[0].query_count == 1 and windows[1].query_count == 0
+        operators = windows.features[:, schema.n_metrics:]
+        np.testing.assert_array_equal(operators[0], [3, 1, 2, 0])
+        assert np.all(operators[1] == 0)
+        assert windows.query_counts[0] == 1 and windows.query_counts[1] == 0
 
     def test_time_shares_weighted_mean(self, schema):
         trace = Trace(
@@ -179,12 +181,12 @@ class TestBuildTargets:
         )
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 300000))
         # (0.2*10000 + 0.6*30000) / 40000 = 0.5
-        assert windows[0].feature.operators[0] == pytest.approx(0.5)
+        assert windows.features[0, schema.n_metrics] == pytest.approx(0.5)
 
     def test_overhang_clipped(self, schema):
         trace = Trace([record(schema, "q", 280000, 40000, [4.0, 0.0])], schema)
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
-        total = sum(t.metrics[0] for t in intervals)
+        total = sum(intervals.metrics[:, 0])
         assert total == pytest.approx(2.0)  # half the mass falls past the span
 
     def test_indivisible_lengths_rejected(self, schema):
@@ -199,10 +201,10 @@ class TestBuildTargets:
     def test_empty_trace_over_a_span_has_zero_targets(self, schema):
         windows, intervals = build_targets(Trace([], schema), 300000, 30000,
                                            span=(0, 600000))
-        assert [w.query_count for w in windows] == [0, 0]
+        assert windows.query_counts.tolist() == [0, 0]
         assert len(intervals) == 20
-        assert not np.any([w.feature.as_vector() for w in windows])
-        assert not np.any([t.metrics for t in intervals])
+        assert not np.any(windows.features)
+        assert not np.any(intervals.metrics)
 
     def test_targets_file_round_trip(self, schema, tmp_path):
         trace = Trace(
@@ -212,12 +214,11 @@ class TestBuildTargets:
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         rw, ri = read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
         assert len(rw) == len(windows) and len(ri) == len(intervals)
-        for a, b in zip(windows, rw):
-            assert a.feature == b.feature
-            assert (a.window_index, a.window_start_ts, a.query_count) == (
-                b.window_index, b.window_start_ts, b.query_count)
-        for a, b in zip(intervals, ri):
-            np.testing.assert_array_equal(a.metrics, b.metrics)
+        np.testing.assert_array_equal(windows.features, rw.features)
+        assert (windows.start_ts, windows.len_ms, windows.query_counts.tolist()) == (
+            rw.start_ts, rw.len_ms, rw.query_counts.tolist())
+        assert (intervals.grid, intervals.per_window) == (ri.grid, ri.per_window)
+        np.testing.assert_array_equal(intervals.metrics, ri.metrics)
 
     def test_short_targets_row_is_typed_error(self, schema, tmp_path):
         trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
@@ -265,6 +266,34 @@ class TestBuildTargets:
         with pytest.raises(error, match=message):
             read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("i.csv", lambda rows: rows[2].__setitem__(2, str(int(rows[2][2]) + 7)), "does not hold"),
+        ("i.csv", lambda rows: rows.pop(), "does not hold"),
+        ("i.csv", lambda rows: rows.reverse(), "does not hold"),
+        ("w.csv", lambda rows: rows.reverse(), "does not hold"),
+        ("i.csv", lambda rows: rows[10].__setitem__(slice(0, 2), ["0", "10"]), "does not hold"),
+        ("w.csv", lambda rows: rows[1].__setitem__(3, "-1"), "does not hold"),
+        ("i.csv", lambda rows: rows[4].__setitem__(4, "-0.5"), "does not hold"),
+        ("w.csv", lambda rows: rows.clear(), "holds no window"),
+    ], ids=["interval-off-the-grid", "interval-lost", "intervals-shuffled", "windows-shuffled",
+            "unequal-windows", "negative-count", "negative-metric", "no-window"])
+    def test_targets_off_the_grid_are_rejected(self, schema, tmp_path, name, edit, message):
+        """The rows of either file must be the ones write_targets writes for
+        equal windows split into equal intervals, in time order; a file that
+        breaks this is a ValidationError naming it."""
+        trace = Trace([record(schema, "a", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1]),
+                       record(schema, "b", 400000, 1000, [1.0, 1.0], [0, 0, 1, 0])], schema)
+        windows, intervals = build_targets(trace, 300000, 30000)
+        write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        edit(rows)
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        with pytest.raises(ValidationError,
+                           match=f"targets file {re.escape(str(tmp_path / name))} {message}"):
+            read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
@@ -288,7 +317,7 @@ def test_mass_conserved_inside_span(rows):
     end = max(r.end_ts for r in records) + 1
     n_windows = -(-end // 300000)
     _, intervals = build_targets(trace, 300000, 30000, span=(0, n_windows * 300000))
-    total = sum(t.metrics[0] for t in intervals)
+    total = sum(intervals.metrics[:, 0])
     assert total == pytest.approx(sum(m for _, _, m in rows), rel=1e-9, abs=1e-9)
 
 
@@ -382,16 +411,18 @@ def _assert_binning_matches_per_record_loop(trace, window_len_ms, interval_len_m
     per_window = window_len_ms // interval_len_ms
     assert len(windows) == len(query_counts)
     assert len(intervals) == len(interval_metrics)
-    np.testing.assert_array_equal(np.array([t.metrics for t in intervals]), interval_metrics)
-    for w, target in enumerate(windows):
-        assert target.window_start_ts == start + w * window_len_ms
-        assert target.query_count == query_counts[w]
+    np.testing.assert_array_equal(intervals.metrics, interval_metrics)
+    n_metrics = trace.schema.n_metrics
+    for w, feature in enumerate(windows.features):
+        assert windows.start_ts + w * windows.len_ms == start + w * window_len_ms
+        assert windows.query_counts[w] == query_counts[w]
         np.testing.assert_array_equal(
-            target.feature.metrics,
+            feature[:n_metrics],
             interval_metrics[w * per_window:(w + 1) * per_window].sum(axis=0))
-        np.testing.assert_array_equal(target.feature.operators, window_ops[w])
-    for j, target in enumerate(intervals):
-        assert target.interval_start_ts == start + j * interval_len_ms
+        np.testing.assert_array_equal(feature[n_metrics:], window_ops[w])
+    grid = intervals.grid
+    for j in range(len(intervals)):
+        assert grid.start_ts + j * grid.interval_len_ms == start + j * interval_len_ms
 
 
 @settings(max_examples=100, deadline=None)
