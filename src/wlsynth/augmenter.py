@@ -277,13 +277,11 @@ def retrieve_examples(
     negatives, in `selector.rank_components` order."""
     if len(catalog) == 0:
         raise ValidationError("cannot retrieve examples from an empty catalog")
-    components = list(catalog)
-    order, distances = rank_components(catalog.feature_matrix(),
-                                       [c.component_id for c in components],
+    order, distances = rank_components(catalog.features, catalog.ids,
                                        target.feature.as_vector())
     return ExampleSet(
-        positives=[(components[j], float(distances[j])) for j in order[:n_examples]],
-        negatives=[(components[j], float(distances[j]))
+        positives=[(catalog.row(j), float(distances[j])) for j in order[:n_examples]],
+        negatives=[(catalog.row(j), float(distances[j]))
                    for j in order[n_examples:][::-1][:n_examples]],
     )
 
@@ -512,9 +510,10 @@ def augment_catalog(
     """Generate one component per cluster (`augment.k` of them) of the
     queries in windows whose objective exceeds `augment.bad_window_threshold`.
 
-    Accepted components are appended to a copy of the catalog.  Appending
-    only ever enlarges the candidate set, so re-solving any window with the
-    returned catalog cannot worsen its objective.
+    Each accepted component is appended to a new catalog; the input catalog,
+    and the selection problems that share its columns, stay as they are.
+    Appending only ever enlarges the candidate set, so re-solving any window
+    with the returned catalog cannot worsen its objective.
     """
     bad = bad_windows(plans, cfg["augment.bad_window_threshold"])
     if not bad:
@@ -526,9 +525,9 @@ def augment_catalog(
         return catalog, []
     targets = _cluster_targets(trace.features[hit], window[hit].tolist(),
                                trace.schema.n_metrics, cfg["augment.k"], seed)
-    augmented = catalog.copy()
+    augmented = catalog
     reports = []
-    serial = sum(1 for c in catalog if c.origin == ORIGIN_AUGMENTED)
+    serial = catalog.origin.count(ORIGIN_AUGMENTED)
     for target in targets:
         report = generate_component(
             target, augmented, provider, executor, cfg,
@@ -536,7 +535,7 @@ def augment_catalog(
         )
         reports.append(report)
         if report.accepted:
-            augmented.add(report.component)
+            augmented = augmented.appended(report.component)
             serial += 1
         else:
             log.warning(

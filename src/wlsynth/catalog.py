@@ -1,13 +1,14 @@
 """Workload component catalog: benchmark queries with profiled features.
 
 Each component pairs a query with a populated benchmark database reference
-and carries the feature and duration measured by an executor.  The executor
-is an interface; a deterministic simulated executor ships with the package
-so the whole pipeline runs without a real warehouse.
+and carries the feature and duration measured by an executor.  A `Catalog`
+holds the columns of catalog.csv; a `WorkloadComponent` is one row, built on
+demand for the augmenter's prompts and for profiling a generated query.  The
+executor is an interface; a deterministic simulated executor ships with the
+package so the whole pipeline runs without a real warehouse.
 """
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from typing import Protocol
@@ -17,7 +18,7 @@ from numpy.random import default_rng
 
 from .errors import ProfilingError, SchemaError, ValidationError
 from .features import FeatureSchema, PerformanceFeature
-from .trace import _format_number, read_columns
+from .trace import read_columns, write_columns
 
 ORIGIN_BENCHMARK = "benchmark"
 ORIGIN_AUGMENTED = "augmented"
@@ -63,48 +64,91 @@ class WorkloadComponent:
 
 
 class Catalog:
-    """Read-mostly pool of components with id lookup and shared schema."""
+    """The columns of catalog.csv, in its order: the lists of strings `ids`
+    and `benchmark`, the float64 `scale_factor`, the int64 `skewness`, the
+    float64 `duration_ms`, one (components x dimensions) float64 `features`
+    table, and the lists `query_ref` and `origin`.  The constructor checks
+    them all at once and names the first offending component; no method
+    changes them, and `appended` returns a new catalog.
+    """
 
-    def __init__(self, components: list[WorkloadComponent], schema: FeatureSchema):
+    def __init__(self, ids: list[str], benchmark: list[str], scale_factor, skewness,
+                 duration_ms, features: np.ndarray, query_ref: list[str], origin: list[str],
+                 schema: FeatureSchema):
+        self.ids, self.benchmark = list(ids), list(benchmark)
+        self.scale_factor = np.asarray(scale_factor, dtype=float)
+        self.skewness = np.asarray(skewness, dtype=np.int64)
+        self.duration_ms = np.asarray(duration_ms, dtype=float)
+        self.features = np.asarray(features, dtype=float)
+        self.query_ref, self.origin = list(query_ref), list(origin)
         self.schema = schema
-        self.components: list[WorkloadComponent] = []
-        self._by_id: dict[str, WorkloadComponent] = {}
-        for comp in components:
-            self.add(comp)
+        n = len(self.ids)
+        # each id's first row
+        self._rows = dict(zip(reversed(self.ids), range(n - 1, -1, -1)))
+        if any(len(column) != n for column in self.columns):
+            raise ValidationError("catalog columns differ in length")
+        if not n:
+            self.features = self.features.reshape(0, len(schema.dimensions))
+        if self.features.ndim != 2 or self.features.shape[1] != len(schema.dimensions):
+            raise SchemaError(f"component {self.ids[0]!r} feature dimensions do not match schema")
+        # in the order one component's fields were checked
+        faults = (
+            (self.scale_factor <= 0, "component {!r}: scale_factor must be positive"),
+            ((self.skewness < 0) | (self.skewness > 4),
+             "component {!r}: skewness level must be in 0..4"),
+            (~np.isfinite(self.features).all(axis=1),
+             "component {!r}: feature entries must be finite"),
+            ((self.features < 0).any(axis=1),
+             "component {!r}: feature entries must be nonnegative"),
+            (self.duration_ms <= 0, "component {!r}: duration_ms must be positive"),
+            (self.index(self.ids) != np.arange(n), "duplicate component_id {!r}"),
+        )
+        bad = np.flatnonzero(np.any([mask for mask, _ in faults], axis=0))
+        if bad.size:
+            j = int(bad[0])
+            raise ValidationError(next(m for mask, m in faults if mask[j]).format(self.ids[j]))
 
-    def add(self, component: WorkloadComponent) -> None:
-        if component.component_id in self._by_id:
-            raise ValidationError(f"duplicate component_id {component.component_id!r}")
-        if component.feature.metrics.shape[0] != self.schema.n_metrics or \
-                component.feature.operators.shape[0] != self.schema.n_operators:
-            raise SchemaError(
-                f"component {component.component_id!r} feature dimensions do not match schema"
-            )
-        self.components.append(component)
-        self._by_id[component.component_id] = component
-
-    def get(self, component_id: str) -> WorkloadComponent:
-        try:
-            return self._by_id[component_id]
-        except KeyError:
-            raise ValidationError(f"unknown component_id {component_id!r}") from None
+    @property
+    def columns(self) -> tuple:
+        """The constructor's arguments but the schema."""
+        return (self.ids, self.benchmark, self.scale_factor, self.skewness, self.duration_ms,
+                self.features, self.query_ref, self.origin)
 
     def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+        return len(self.ids)
 
     def __contains__(self, component_id: str) -> bool:
-        return component_id in self._by_id
+        return component_id in self._rows
 
-    def feature_matrix(self) -> np.ndarray:
-        """Components as rows, dimensions in schema order."""
-        return np.array([c.feature.as_vector() for c in self.components]).reshape(
-            len(self.components), len(self.schema.dimensions))
+    def index(self, ids) -> np.ndarray:
+        """The row of each of `ids`; an id the catalog lacks is a ValidationError."""
+        try:
+            return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp, count=len(ids))
+        except KeyError as exc:
+            raise ValidationError(f"unknown component_id {str(exc.args[0])!r}") from None
 
-    def copy(self) -> "Catalog":
-        return Catalog(list(self.components), self.schema)
+    def row(self, j: int) -> WorkloadComponent:
+        """Row j as a component, built from the columns."""
+        m = self.schema.n_metrics
+        return WorkloadComponent(
+            self.ids[j], self.query_ref[j],
+            DatabaseDescriptor(self.benchmark[j], float(self.scale_factor[j]),
+                               int(self.skewness[j])),
+            float(self.duration_ms[j]),
+            PerformanceFeature(self.features[j, :m], self.features[j, m:]), self.origin[j])
+
+    def get(self, component_id: str) -> WorkloadComponent:
+        return self.row(int(self.index([component_id])[0]))
+
+    def appended(self, component: WorkloadComponent) -> "Catalog":
+        """A new catalog of these rows, then `component`; this one is unchanged."""
+        db = component.database_ref
+        values = (component.component_id, db.benchmark_name, db.scale_factor, db.skewness,
+                  component.duration_ms, component.feature.as_vector(), component.query_ref,
+                  component.origin)
+        return Catalog(*(column + [value] if isinstance(column, list)
+                         else np.concatenate([column, [value]])
+                         for column, value in zip(self.columns, values)), self.schema)
 
 
 def load_catalog(path, schema: FeatureSchema) -> Catalog:
@@ -118,32 +162,15 @@ def load_catalog(path, schema: FeatureSchema) -> Catalog:
         **dict.fromkeys(schema.dimensions, float), "duration_ms": float,
         "query_ref": str, "origin": str,
     }, {"query_ref": "", "origin": ORIGIN_BENCHMARK})
-    features = np.column_stack([columns[c] for c in schema.dimensions])
-    return Catalog([
-        WorkloadComponent(component_id, query_ref, DatabaseDescriptor(benchmark, sf, skewness),
-                          duration, PerformanceFeature.from_vector(vector, schema), origin)
-        for component_id, benchmark, sf, skewness, duration, query_ref, origin, vector in zip(
-            *(columns[c] for c in CATALOG_FIXED_COLUMNS + ("query_ref", "origin")), features)
-    ], schema)
+    return Catalog(*(columns[c] for c in CATALOG_FIXED_COLUMNS),
+                   np.column_stack([columns[c] for c in schema.dimensions]),
+                   columns["query_ref"], columns["origin"], schema)
 
 
 def save_catalog(catalog: Catalog, path) -> None:
-    schema = catalog.schema
-    header = list(CATALOG_FIXED_COLUMNS) + list(schema.dimensions) + ["query_ref", "origin"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for comp in catalog:
-            row = [
-                comp.component_id,
-                comp.database_ref.benchmark_name,
-                _format_number(comp.database_ref.scale_factor),
-                comp.database_ref.skewness,
-                _format_number(comp.duration_ms),
-            ]
-            row += [_format_number(v) for v in comp.feature.as_vector()]
-            row += [comp.query_ref, comp.origin]
-            writer.writerow(row)
+    """Write the columns through `write_columns`, in the order `load_catalog` reads."""
+    write_columns(path, [*CATALOG_FIXED_COLUMNS, *catalog.schema.dimensions, "query_ref",
+                         "origin"], list(catalog.columns))
 
 
 class Executor(Protocol):

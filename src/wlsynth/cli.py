@@ -27,7 +27,6 @@ from .augmenter import HttpProvider, MockProvider, augment_catalog, write_attemp
 from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
 from .config import Config, load_config
 from .errors import ConfigError, WlsynthError
-from .features import PerformanceFeature
 from .metrics import report, write_report
 from .scheduler import (
     Schedule,
@@ -239,8 +238,7 @@ def stage_select(run: Run) -> None:
             for query_id, feature in zip(trace.query_id, trace.features):
                 key = feature.tobytes()
                 if key not in matches:
-                    matches[key] = match_query(PerformanceFeature.from_vector(
-                        feature, trace.schema), catalog, cfg, mode=level)
+                    matches[key] = match_query(feature, catalog, cfg, mode=level)
                 plan = matches[key]
                 writer.writerows((query_id, cid, plan.counts[cid], repr(plan.objective_value))
                                  for cid in sorted(plan.counts))
@@ -400,6 +398,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config, {key: getattr(args, key) for key in _KEY_FLAGS})
         args.fn(Run(cfg, args))
     except WlsynthError as exc:

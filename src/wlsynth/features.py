@@ -80,11 +80,6 @@ class PerformanceFeature:
         return np.concatenate([self.metrics, self.operators])
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, schema: FeatureSchema) -> "PerformanceFeature":
-        vec = np.asarray(vec, dtype=float)
-        return cls(vec[: schema.n_metrics], vec[schema.n_metrics :])
-
-    @classmethod
     def zeros(cls, schema: FeatureSchema) -> "PerformanceFeature":
         return cls(np.zeros(schema.n_metrics), np.zeros(schema.n_operators))
 

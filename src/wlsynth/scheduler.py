@@ -12,8 +12,8 @@ spread evenly over its replayed span, the ceil-rounded simulated run time
 and never less than the profiled duration.  Simulated annealing refines the
 start times to minimize the summed interval relative error.
 
-A Schedule holds one column per field; the stages and the annealer work on
-the columns and build no per-instance objects.
+A Schedule holds one column per field; `expand` maps its ids to catalog rows
+once, so the stages and the annealer build no per-instance object.
 """
 from __future__ import annotations
 
@@ -51,20 +51,10 @@ class Schedule:
     """Instances and their start times, one column per ScheduleEntry field.
 
     `component_id` is a string array, the other columns are int64 arrays.
-    The constructor converts a list of entries once; `from_columns` takes
-    the columns as they are.
+    The constructor takes the columns as they are.
     """
 
-    def __init__(self, entries: list[ScheduleEntry] = ()):
-        self._set(*([getattr(e, name) for e in entries] for name in SCHEDULE_COLUMNS))
-
-    @classmethod
-    def from_columns(cls, window_index, component_id, instance_index, start_ts) -> "Schedule":
-        schedule = cls.__new__(cls)
-        schedule._set(window_index, component_id, instance_index, start_ts)
-        return schedule
-
-    def _set(self, window_index, component_id, instance_index, start_ts) -> None:
+    def __init__(self, window_index, component_id, instance_index, start_ts):
         self.window_index = np.asarray(window_index, dtype=np.int64)
         self.component_id = np.asarray(component_id, dtype=str)
         self.instance_index = np.asarray(instance_index, dtype=np.int64)
@@ -112,7 +102,7 @@ def read_schedule(path) -> Schedule:
     text, every other column an int64."""
     columns = read_columns(path, "schedule", dict(zip(SCHEDULE_COLUMNS, (int, str, int, int))),
                            {})
-    return Schedule.from_columns(*columns.values())
+    return Schedule(*columns.values())
 
 
 def _contended_period(starts: list[float], works: list[float], cores: int, i: int,
@@ -210,13 +200,10 @@ def replayed_durations(starts, completions, works) -> np.ndarray:
 
 def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float start times, profiled durations and feature rows (metrics then
-    operators) of a schedule's instances, gathered from the catalog."""
-    names, component = np.unique(schedule.component_id, return_inverse=True)
-    comps = [catalog.get(name) for name in names.tolist()]
-    works = np.array([c.duration_ms for c in comps], dtype=float)
-    features = np.array([c.feature.as_vector() for c in comps]).reshape(
-        len(comps), len(catalog.schema.dimensions))
-    return schedule.start_ts.astype(float), works[component], features[component]
+    operators) of a schedule's instances, gathered from the catalog's columns."""
+    names, which = np.unique(schedule.component_id, return_inverse=True)
+    rows = catalog.index(names.tolist())[which]
+    return schedule.start_ts.astype(float), catalog.duration_ms[rows], catalog.features[rows]
 
 
 def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: np.ndarray,
@@ -259,7 +246,7 @@ def _planned_instances(plans: list[SelectionPlan], targets: IntervalTargets
     row = np.repeat(np.arange(count.size), count)
     instance = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     w_start = grid.start_ts + window_len * window[row]
-    schedule = Schedule.from_columns(window[row], cid[row], instance, w_start)
+    schedule = Schedule(window[row], cid[row], instance, w_start)
     return schedule, schedule.start_ts, np.full(row.size, window_len)
 
 

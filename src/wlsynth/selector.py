@@ -33,7 +33,7 @@ from . import highs
 from .catalog import Catalog
 from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
-from .features import FeatureSchema, PerformanceFeature, floored, relative_errors
+from .features import FeatureSchema, floored, relative_errors
 from .trace import WindowTargets, read_columns
 
 ONE_TO_ONE = "one_to_one"
@@ -175,13 +175,11 @@ def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.nd
     the plan.
     """
     order = np.argsort(np.array(problem.component_ids))
-    cols = [
-        (tuple(problem.features[j]), float(problem.durations[j])) for j in range(len(counts))
-    ]
+    cols = np.column_stack([problem.features, problem.durations])
     counts = counts.copy()
     for pos_a, a in enumerate(order):
         for b in reversed(order[pos_a + 1 :]):
-            if cols[a] == cols[b] and counts[a] > 0:
+            if counts[a] > 0 and np.array_equal(cols[a], cols[b]):
                 room = problem.y - counts[b]
                 moved = min(room, counts[a])
                 counts[b] += moved
@@ -262,16 +260,13 @@ def build_problem(windows: WindowTargets, w: int, catalog: Catalog,
 
 def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
                     ws) -> list[SelectionProblem]:
-    """`build_problem` of each window in `ws`; the problems share one copy of
-    the catalog's features, durations and ids."""
-    features = catalog.feature_matrix()
-    durations = np.array([c.duration_ms for c in catalog], dtype=float)
-    ids = [c.component_id for c in catalog]
+    """`build_problem` of each window in `ws`; the problems share the
+    catalog's features, durations and ids columns."""
     return [SelectionProblem(
         target=windows.features[w],
-        features=features,
-        durations=durations,
-        component_ids=ids,
+        features=catalog.features,
+        durations=catalog.duration_ms,
+        component_ids=catalog.ids,
         y=cfg["y"],
         z=cfg["z"] or max(1, round(cfg["z_per_query_factor"] * int(windows.query_counts[w]))),
         duration_budget_ms=float(windows.len_ms * cfg["cores"]),
@@ -331,7 +326,7 @@ def read_plans(path, windows: WindowTargets, catalog: Catalog,
     ValidationError naming the row and the column."""
     columns = read_columns(path, "plan",
                            {"window_index": int, "component_id": str, "count": int}, {})
-    counts: list[dict[str, int]] = [{} for _ in range(len(windows))]
+    seen: set[tuple[int, str]] = set()
     for rownum, (w, cid, n) in enumerate(zip(*columns.values()), start=2):
         if not 0 <= w < len(windows):
             raise ValidationError(
@@ -339,16 +334,17 @@ def read_plans(path, windows: WindowTargets, catalog: Catalog,
         if cid not in catalog:
             raise ValidationError(
                 f"row {rownum}, column 'component_id': unknown component_id {cid!r}")
-        if cid in counts[w]:
+        if (w, cid) in seen:
             raise ValidationError(f"row {rownum}, column 'component_id': component_id "
                                   f"{cid!r} repeated in window {w}")
         if n < 0:
             raise ValidationError(f"row {rownum}, column 'count': negative count {n}")
-        counts[w][cid] = n
-    return [problem.plan(np.array([counts[w].get(cid, 0) for cid in problem.component_ids],
-                                  dtype=int))
-            for w, problem in enumerate(_build_problems(windows, catalog, cfg,
-                                                        range(len(windows))))]
+        seen.add((w, cid))
+    counts = np.zeros((len(windows), len(catalog)), dtype=int)
+    counts[np.asarray(columns["window_index"], dtype=np.intp),
+           catalog.index(columns["component_id"])] = columns["count"]
+    return [problem.plan(counts[problem.window_index])
+            for problem in _build_problems(windows, catalog, cfg, range(len(windows)))]
 
 
 def write_plan_summary(
@@ -396,7 +392,7 @@ def rank_components(features: np.ndarray, ids: list[str],
 
 
 def match_query(
-    query_feature: PerformanceFeature,
+    target: np.ndarray,
     catalog: Catalog,
     cfg: Config,
     mode: str = ONE_TO_ONE,
@@ -404,6 +400,7 @@ def match_query(
 ) -> SelectionPlan:
     """Query-level matching: nearest single component or a small ILP combination.
 
+    `target` is the query's feature vector, metrics then operators.
     one_to_one picks the nearest component by `rank_components`.
     one_to_many solves the window problem with the query's feature as the
     target, capped at z_q total instances and no duration budget, under the
@@ -412,19 +409,14 @@ def match_query(
     """
     if len(catalog) == 0:
         raise ValidationError("cannot match against an empty catalog")
-    target = query_feature.as_vector()
-    features = catalog.feature_matrix()
-    ids = [c.component_id for c in catalog]
-    durations = np.array([c.duration_ms for c in catalog])
-    budget = float(durations.sum() * z_q + 1.0)
     problem = SelectionProblem(
         target=target,
-        features=features,
-        durations=durations,
-        component_ids=ids,
+        features=catalog.features,
+        durations=catalog.duration_ms,
+        component_ids=catalog.ids,
         y=z_q,
         z=z_q,
-        duration_budget_ms=budget,
+        duration_budget_ms=float(catalog.duration_ms.sum() * z_q + 1.0),
         denom_floor=cfg["denom_floor"],
         node_limit=cfg["solver.node_limit"],
         time_limit_s=cfg["solver.time_limit_s"],
@@ -433,6 +425,6 @@ def match_query(
         return solve_window(problem)
     if mode != ONE_TO_ONE:
         raise ValidationError(f"unknown match mode {mode!r}")
-    counts = np.zeros(len(ids), dtype=int)
-    counts[rank_components(features, ids, target)[0][0]] = 1
+    counts = np.zeros(len(catalog), dtype=int)
+    counts[rank_components(catalog.features, catalog.ids, problem.target)[0][0]] = 1
     return problem.plan(counts)

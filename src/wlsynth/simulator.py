@@ -35,5 +35,4 @@ def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str,
     query_id = [f"{c}.w{w}.k{k}" for c, w, k in zip(schedule.component_id.tolist(),
                                                    schedule.window_index.tolist(),
                                                    schedule.instance_index.tolist())]
-    return Trace.from_columns(query_id, schedule.start_ts.copy(), durations, features,
-                              catalog.schema, mode)
+    return Trace(query_id, schedule.start_ts.copy(), durations, features, catalog.schema, mode)

@@ -18,9 +18,9 @@ rows into (row, interval, overlap) triples and sums each column with one
 `np.bincount`, or, past a fixed triple budget, with `np.add.at` a chunk
 of rows at a time.  Either way every interval adds its terms from zero in
 row order, so the sums equal a per-row loop's bit for bit.
-`write_columns`, the one CSV writer of the trace, the targets and the
-schedule, formats the numbers of a block of rows in numpy and writes the
-bytes csv.writer would.  The other CSV artifacts (targets, plans,
+`write_columns`, the one CSV writer of the trace, the targets, the
+schedule and the catalog, formats the numbers of a block of rows in numpy
+and writes the bytes csv.writer would.  The other CSV artifacts (targets, plans,
 schedules, catalogs) are read back column by column through `read_columns`.
 """
 from __future__ import annotations
@@ -74,25 +74,12 @@ class Trace:
 
     `query_id` is a list of strings, `arrival_ts` and `duration_ms` are int64
     arrays, and `features` is one (rows x dimensions) float64 table, metrics
-    then operators in schema order.  The constructor converts a list of
-    records once; `from_columns` takes the columns as they are.
+    then operators in schema order.  The constructor takes the columns as
+    they are.
     """
 
-    def __init__(self, records: list[QueryRecord], schema: FeatureSchema,
-                 mode: str = MODE_COUNTS):
-        features = np.array([np.concatenate((r.metrics, r.operators)) for r in records],
-                            dtype=float).reshape(len(records), len(schema.dimensions))
-        self._set([r.query_id for r in records], [r.arrival_ts for r in records],
-                  [r.duration_ms for r in records], features, schema, mode)
-
-    @classmethod
-    def from_columns(cls, query_id: list[str], arrival_ts, duration_ms, features: np.ndarray,
-                     schema: FeatureSchema, mode: str = MODE_COUNTS) -> "Trace":
-        trace = cls.__new__(cls)
-        trace._set(query_id, arrival_ts, duration_ms, features, schema, mode)
-        return trace
-
-    def _set(self, query_id, arrival_ts, duration_ms, features, schema, mode) -> None:
+    def __init__(self, query_id: list[str], arrival_ts, duration_ms, features: np.ndarray,
+                 schema: FeatureSchema, mode: str = MODE_COUNTS):
         if mode not in MODES:
             raise ConfigError(f"unknown operator mode {mode!r}, expected one of {MODES}")
         self.query_id = list(query_id)
@@ -480,7 +467,7 @@ def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
         _check_row(dict(zip(header, _read_row(path, index))), index + 2, schema)
     _check_unique(ids)
 
-    return Trace.from_columns(ids, times[:, 0], times[:, 1], table[:, 2:], schema, mode)
+    return Trace(ids, times[:, 0], times[:, 1], table[:, 2:], schema, mode)
 
 
 def _format_number(value: float) -> str:

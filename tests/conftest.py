@@ -3,7 +3,9 @@ import pytest
 
 from wlsynth.catalog import Catalog, DatabaseDescriptor, WorkloadComponent
 from wlsynth.config import Config
-from wlsynth.features import FeatureSchema, PerformanceFeature
+from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
+from wlsynth.scheduler import Schedule
+from wlsynth.trace import Trace
 
 
 # the SelectionProblem fields that config keys set, at the keys' defaults
@@ -40,10 +42,31 @@ def make_component(schema, component_id, duration_ms, values, benchmark="tpch",
     )
 
 
-def make_catalog(schema, rows):
-    """rows: list of (component_id, duration_ms, feature_values)."""
-    return Catalog([make_component(schema, cid, dur, vals) for cid, dur, vals in rows],
-                   schema)
+def make_catalog(schema, rows, benchmark="tpch", scale_factor=1.0):
+    """rows: list of (component_id, duration_ms, feature_values); `benchmark`
+    and `scale_factor` are one value for every row or a list of one per row."""
+    ids = [cid for cid, _, _ in rows]
+    per_row = [value if isinstance(value, list) else [value] * len(rows)
+               for value in (benchmark, scale_factor)]
+    features = np.array([vals for _, _, vals in rows], dtype=float).reshape(
+        len(rows), len(schema.dimensions))
+    return Catalog(ids, *per_row, [0] * len(rows), [dur for _, dur, _ in rows], features,
+                   [f"{cid}.sql" for cid in ids], ["benchmark"] * len(rows), schema)
+
+
+def make_trace(schema, rows, mode=MODE_COUNTS):
+    """A Trace of the columns of (query_id, arrival_ts, duration_ms, metrics,
+    operators) rows."""
+    features = np.array([[*m, *o] for _, _, _, m, o in rows], dtype=float).reshape(
+        len(rows), len(schema.dimensions))
+    return Trace([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], features,
+                 schema, mode)
+
+
+def make_schedule(rows):
+    """A Schedule of the columns of (window_index, component_id,
+    instance_index, start_ts) rows."""
+    return Schedule(*(zip(*rows) if rows else [()] * 4))
 
 
 def random_catalog(schema, n, rng, duration_range=(5000, 60000), value_range=(0, 20)):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SOLVER_KNOBS, make_catalog, random_catalog
+from conftest import SOLVER_KNOBS, make_catalog, make_schedule, make_trace, random_catalog
 from selection_oracle import enumerate_optimum
 from wlsynth.augmenter import (
     VERDICT_DATABASE_SWITCH,
@@ -25,8 +25,6 @@ from wlsynth.config import Config
 from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
 from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report
 from wlsynth.scheduler import (
-    Schedule,
-    ScheduleEntry,
     assign_timestamps,
     random_schedule,
     simulate_processor_sharing,
@@ -40,7 +38,7 @@ from wlsynth.selector import (
     solve_window,
 )
 from wlsynth.simulator import replay
-from wlsynth.trace import QueryRecord, Trace, WindowTargets, build_targets
+from wlsynth.trace import WindowTargets, build_targets
 
 
 def verdict(number, ok, detail):
@@ -87,9 +85,9 @@ def test_criterion_2_worked_example(small_schema):
     target_vec = np.array([20.0, 20.0, 34.0, 2.0])
     problem = SelectionProblem(
         target=target_vec,
-        features=catalog.feature_matrix(),
-        durations=np.array([c.duration_ms for c in catalog]),
-        component_ids=[c.component_id for c in catalog],
+        features=catalog.features,
+        durations=catalog.duration_ms,
+        component_ids=catalog.ids,
         y=10, z=10, duration_budget_ms=300000.0 * 8,
         **SOLVER_KNOBS,
     )
@@ -154,20 +152,19 @@ def round_trip():
     window_ms, interval_ms, n_windows = 300000, 30000, 12
     cores = 32  # planted concurrency stays far below capacity
 
-    entries = []
+    rows = []
     for w in range(n_windows):
         picks = rng.integers(0, 20, size=8)
         serial = {}
         for j in picks:
-            comp = catalog.components[j]
-            k = serial.get(comp.component_id, 0)
-            serial[comp.component_id] = k + 1
-            slack = (window_ms - int(comp.duration_ms)) // 1000
+            component_id = catalog.ids[j]
+            k = serial.get(component_id, 0)
+            serial[component_id] = k + 1
+            slack = (window_ms - int(catalog.duration_ms[j])) // 1000
             start = w * window_ms + int(rng.integers(0, slack)) * 1000
-            entries.append(ScheduleEntry(w, comp.component_id, k, start))
-    planted = Schedule(sorted(entries, key=lambda e: (e.window_index,
-                                                      e.component_id,
-                                                      e.instance_index)))
+            rows.append((w, component_id, k, start))
+    # by window, component id and instance, which no two rows share
+    planted = make_schedule(sorted(rows))
     source = replay(planted, catalog, cores, MODE_COUNTS)
     windows, intervals = build_targets(source, window_ms, interval_ms,
                                        span=(0, n_windows * window_ms))
@@ -296,10 +293,10 @@ def test_criterion_7_augmentation_closed_loop(schema):
     ])
     q = np.array([200.0, 200.0])
     ops = np.array([2.0, 1.0, 1.0, 0.0])
-    trace = Trace([
-        QueryRecord("q1", 10000, 60000, q.copy(), ops.copy()),
-        QueryRecord("q2", 50000, 60000, q.copy(), ops.copy()),
-    ], schema)
+    trace = make_trace(schema, [
+        ("q1", 10000, 60000, q, ops),
+        ("q2", 50000, 60000, q, ops),
+    ])
     windows, intervals = build_targets(trace, 300000, 30000)
     cfg = Config()
     pre = solve_all_windows(windows, catalog, cfg)
@@ -338,12 +335,12 @@ def test_criterion_7_augmentation_closed_loop(schema):
     for i in range(50):
         base = random_catalog(schema, 5, rng)
         before = solve_all_windows(target_w, base, cfg)[0]
-        grown = base.copy()
+        grown = base
         for j in range(int(rng.integers(1, 4))):
             extra = random_catalog(schema, 1, rng)
-            comp = extra.components[0]
+            comp = extra.row(0)
             comp.component_id = f"x{i}-{j}"
-            grown.add(comp)
+            grown = grown.appended(comp)
         after = solve_all_windows(target_w, grown, cfg)[0]
         if after.objective_value > before.objective_value + 1e-9:
             regressions += 1
@@ -364,9 +361,8 @@ def test_criterion_8_query_level_dominance(schema):
     violations = 0
     for _ in range(100):
         vals = rng.integers(0, 40, size=6).astype(float)
-        query = PerformanceFeature(vals[:2], vals[2:])
-        single = match_query(query, catalog, cfg, mode=ONE_TO_ONE)
-        multi = match_query(query, catalog, cfg, mode=ONE_TO_MANY)
+        single = match_query(vals, catalog, cfg, mode=ONE_TO_ONE)
+        multi = match_query(vals, catalog, cfg, mode=ONE_TO_MANY)
         if multi.objective_value > single.objective_value + 1e-9:
             violations += 1
     verdict(8, violations == 0,

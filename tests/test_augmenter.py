@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_catalog
+from conftest import make_catalog, make_trace
 from wlsynth.augmenter import (
     ACTION_CHANGE_DATABASE,
     ACTION_REWRITE,
@@ -35,7 +35,7 @@ from wlsynth.config import Config
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import SelectionPlan
-from wlsynth.trace import QueryRecord, Trace, WindowTargets
+from wlsynth.trace import WindowTargets
 
 
 def feature(cpu, sb, ops=(0, 0, 0, 0)):
@@ -129,8 +129,7 @@ class TestExamples:
             ("a", 1000, [10, 10, 0, 0, 0, 0]),
             ("b", 1000, [11, 10, 0, 0, 0, 0]),
             ("c", 1000, [12, 10, 0, 0, 0, 0]),
-        ])
-        catalog.get("a").database_ref = DatabaseDescriptor("tpcds", 2.0)
+        ], benchmark=["tpcds", "tpch", "tpch"], scale_factor=[2.0, 1.0, 1.0])
         examples = retrieve_examples(target_for(11, 10), catalog, 3)
         assert pick_database(examples).benchmark_name == "tpch"
 
@@ -314,11 +313,11 @@ class TestAugmentCatalog:
             SelectionPlan(0, {}, np.zeros(6), objective_value=2.0),
             SelectionPlan(1, {"near1": 2}, np.zeros(6), objective_value=0.01),
         ]
-        trace = Trace([
-            QueryRecord("q1", 10000, 60000, np.array([260.0, 240.0]), np.zeros(4)),
-            QueryRecord("q2", 40000, 60000, np.array([240.0, 260.0]), np.zeros(4)),
-            QueryRecord("q3", 320000, 60000, np.array([20.0, 20.0]), np.zeros(4)),
-        ], schema)
+        trace = make_trace(schema, [
+            ("q1", 10000, 60000, [260.0, 240.0], np.zeros(4)),
+            ("q2", 40000, 60000, [240.0, 260.0], np.zeros(4)),
+            ("q3", 320000, 60000, [20.0, 20.0], np.zeros(4)),
+        ])
         return trace, plans, windows, catalog
 
     def test_bad_windows_thresholded(self, schema):

@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_component
@@ -9,14 +11,13 @@ from wlsynth.catalog import (
     ORIGIN_BENCHMARK,
     Catalog,
     DatabaseDescriptor,
-    WorkloadComponent,
     SimulatedExecutor,
     load_catalog,
     profile_component,
     save_catalog,
 )
 from wlsynth.errors import ProfilingError, SchemaError, TraceParseError, ValidationError
-from wlsynth.features import FeatureSchema, PerformanceFeature
+from wlsynth.features import FeatureSchema
 
 
 class TestCatalog:
@@ -29,7 +30,7 @@ class TestCatalog:
         save_catalog(catalog, path)
         back = load_catalog(path, schema)
         assert len(back) == 2
-        for a, b in zip(catalog, back):
+        for a, b in zip(map(catalog.row, range(2)), map(back.row, range(2))):
             assert a.component_id == b.component_id
             assert a.duration_ms == b.duration_ms
             assert a.database_ref == b.database_ref
@@ -44,9 +45,53 @@ class TestCatalog:
             ])
 
     def test_dimension_mismatch_rejected(self, schema, small_schema):
-        catalog = make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])])
-        with pytest.raises(SchemaError):
-            catalog.add(make_component(small_schema, "c2", 1000, [1, 1, 0, 0]))
+        columns = make_catalog(small_schema, [("c1", 1000, [1, 1, 0, 0])]).columns
+        with pytest.raises(SchemaError, match="component 'c1' feature dimensions"):
+            Catalog(*columns, schema)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (2, 0.0, "scale_factor must be positive"),
+        (3, 5, "skewness level must be in 0..4"),
+        (3, -1, "skewness level must be in 0..4"),
+        (4, 0.0, "duration_ms must be positive"),
+        (5, [1, np.inf, 0, 0, 0, 0], "feature entries must be finite"),
+        (5, [1, 1, 0, -1, 0, 0], "feature entries must be nonnegative"),
+    ])
+    def test_column_checks_name_the_first_offending_component(self, schema, column, value,
+                                                              message):
+        columns = list(make_catalog(schema, [(f"c{j}", 1000, [1, 1, 0, 0, 0, 0])
+                                             for j in range(4)]).columns)
+        columns[column][2] = columns[column][3] = value
+        with pytest.raises(ValidationError, match=f"^component 'c2': {message}$"):
+            Catalog(*columns, schema)
+
+    def test_first_offending_row_wins_over_check_order(self, schema):
+        """A repeated id reported before a bad duration in a later row, as a
+        row-by-row check would."""
+        columns = list(make_catalog(schema, [(f"c{j}", 1000, [1, 1, 0, 0, 0, 0])
+                                             for j in range(3)]).columns)
+        columns[0] = ["c0", "c0", "c2"]
+        columns[4] = np.array([1000.0, 1000.0, -1.0])
+        with pytest.raises(ValidationError, match="^duplicate component_id 'c0'$"):
+            Catalog(*columns, schema)
+
+    def test_index_maps_ids_to_rows(self, schema):
+        catalog = make_catalog(schema, [(cid, 1000, [1, 1, 0, 0, 0, 0]) for cid in "bca"])
+        np.testing.assert_array_equal(catalog.index(["a", "b", "a"]), [2, 0, 2])
+        with pytest.raises(ValidationError, match="unknown component_id 'z'"):
+            catalog.index(np.array(["a", "z"]))
+
+    def test_appended_leaves_the_catalog_unchanged(self, schema):
+        catalog = make_catalog(schema, [("c1", 1000, [1, 2, 3, 4, 5, 6])])
+        features = catalog.features
+        grown = catalog.appended(make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
+                                                scale_factor=2.0, skewness=1))
+        assert len(catalog) == 1 and catalog.features is features
+        assert grown.ids == ["c1", "c2"]
+        assert grown.get("c2") == make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
+                                                 scale_factor=2.0, skewness=1)
+        with pytest.raises(ValidationError, match="duplicate component_id 'c1'"):
+            grown.appended(catalog.row(0))
 
     def test_unknown_id_is_loud(self, schema):
         catalog = make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])])
@@ -59,7 +104,7 @@ class TestCatalog:
             ("c2", 1000, [7, 8, 9, 10, 11, 12]),
         ])
         np.testing.assert_array_equal(
-            catalog.feature_matrix(),
+            catalog.features,
             [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]],
         )
 
@@ -100,37 +145,65 @@ class TestCatalog:
 
 _text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                 max_size=8)
-_values = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
-_positive = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+# texts the CSV writer must quote, and empty ones, more often than st.text draws them
+_cell = st.one_of(_text, st.text(st.sampled_from(',"\r\n a'), max_size=4))
+_big = st.sampled_from([2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 64, 1e300])
+_values = st.one_of(st.floats(0, 1e300, allow_nan=False, allow_infinity=False), _big)
+_positive = st.one_of(st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False), _big)
 
 
 @st.composite
 def catalog_rows(draw):
-    ids = draw(st.lists(_text, unique=True, max_size=6))
-    return [(cid, draw(_text), draw(_positive), draw(st.integers(0, 4)), draw(_positive),
-             draw(st.lists(_values, min_size=6, max_size=6)), draw(_text),
+    ids = draw(st.lists(_cell, unique=True, max_size=6))
+    return [(cid, draw(_cell), draw(_positive), draw(st.integers(0, 4)), draw(_positive),
+             draw(st.lists(_values, min_size=6, max_size=6)), draw(_cell),
              draw(st.sampled_from((ORIGIN_BENCHMARK, ORIGIN_AUGMENTED)))) for cid in ids]
+
+
+def _per_row_catalog_bytes(path, catalog):
+    """The bytes of the per-row csv.writer writer save_catalog once was: a
+    float cell is its integer digits when integral, else its repr."""
+    def number(value):
+        return str(int(value)) if value.is_integer() else repr(value)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["component_id", "benchmark", "scale_factor", "skewness",
+                         "duration_ms", *catalog.schema.dimensions, "query_ref", "origin"])
+        for comp in map(catalog.row, range(len(catalog))):
+            writer.writerow([comp.component_id, comp.database_ref.benchmark_name,
+                             number(comp.database_ref.scale_factor), comp.database_ref.skewness,
+                             number(comp.duration_ms),
+                             *map(number, comp.feature.as_vector().tolist()),
+                             comp.query_ref, comp.origin])
+    return path.read_bytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=catalog_rows())
+@example(rows=[("a,b", 'tp"ch', 0.5, 0, 2.0 ** 53, [0.1, 2.0 ** 60, 0, 1e300, 3.25, 7],
+                "SELECT 1,\r\n 2", ORIGIN_BENCHMARK),
+               ("", "", 2.0 ** 53 + 2, 4, 1e-300, [0] * 6, "", ORIGIN_AUGMENTED),
+               ("\r", "\n", 1.0, 2, 12.5, [1.5] * 6, '"', ORIGIN_BENCHMARK)])
 def test_catalog_csv_round_trip(tmp_path_factory, rows):
-    """save_catalog then load_catalog gives back every value, including query
-    texts with commas, quotes and newlines."""
+    """save_catalog writes the bytes of the per-row csv.writer writer, and
+    load_catalog gives back every value, including query texts with commas,
+    quotes and newlines."""
     schema = FeatureSchema(metrics=("cpu_time_ms", "scanned_bytes"),
                            operators=("filter_num", "aggregate_num", "join_num", "sort_num"))
-    catalog = Catalog([
-        WorkloadComponent(cid, query_ref, DatabaseDescriptor(benchmark, scale_factor, skewness),
-                          duration_ms, PerformanceFeature(values[:2], values[2:]), origin)
-        for cid, benchmark, scale_factor, skewness, duration_ms, values, query_ref, origin
-        in rows], schema)
+    columns = list(zip(*rows)) or [()] * 8
+    ids, benchmark, scale_factor, skewness, duration_ms, values, query_ref, origin = columns
+    catalog = Catalog(ids, benchmark, scale_factor, skewness, duration_ms,
+                      np.array(values, dtype=float).reshape(len(rows), 6), query_ref, origin,
+                      schema)
     path = tmp_path_factory.getbasetemp() / "catalog.csv"
     save_catalog(catalog, path)
+    assert path.read_bytes() == _per_row_catalog_bytes(path.with_name("reference.csv"), catalog)
     back = load_catalog(path, schema)
     assert [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
-             c.query_ref, c.origin) for c in back] == \
+             c.query_ref, c.origin) for c in map(back.row, range(len(back)))] == \
         [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
-          c.query_ref, c.origin) for c in catalog]
+          c.query_ref, c.origin) for c in map(catalog.row, range(len(catalog)))]
 
 
 class TestSimulatedExecutor:

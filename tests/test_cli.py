@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_catalog
 from test_selector import random_problem
+from wlsynth import catalog as catalog_module
 from wlsynth import cli
 from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
@@ -234,26 +235,30 @@ class TestPipeline:
         for rel in files:
             assert (staged / rel).read_bytes() == (full / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("skip_augment", [False, True])
     @pytest.mark.parametrize("query_level", ["window", "one_to_one"])
     @pytest.mark.parametrize("skip_ta", [False, True])
     def test_pipeline_builds_no_per_row_objects(self, demo_dir, tmp_path, monkeypatch,
-                                                skip_ta, query_level):
-        """Every stage works on the trace and schedule columns: with the row
-        classes replaced by stubs that raise, pipeline still succeeds."""
+                                                skip_ta, query_level, skip_augment):
+        """Every stage works on the trace, schedule and catalog columns: with
+        the row classes replaced by stubs that raise, pipeline still
+        succeeds.  Only augment builds component rows, for its prompts, so
+        without it the component row class is stubbed too."""
         def forbidden(*args, **kwargs):
             raise AssertionError("per-row object built")
 
         monkeypatch.setattr(trace_module, "QueryRecord", forbidden)
         monkeypatch.setattr(scheduler_module, "ScheduleEntry", forbidden)
+        if skip_augment:
+            monkeypatch.setattr(catalog_module, "WorkloadComponent", forbidden)
         (tmp_path / "trace.csv").write_text(PLANTED_TRACE)
         (tmp_path / "catalog.csv").write_text(PLANTED_CATALOG)
         out = tmp_path / "out"
         argv = ["pipeline", "--config", str(demo_dir / "demo_config.txt"),
                 "--trace", str(tmp_path / "trace.csv"), "--catalog", str(tmp_path / "catalog.csv"),
                 "--out", str(out), "--query-level", query_level]
-        assert main(argv + (["--skip-ta"] if skip_ta else [])) == 0
-        attempts = (out / "augment/attempts.jsonl").read_text().splitlines()
-        assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
+        assert main(argv + (["--skip-ta"] if skip_ta else [])
+                    + (["--skip-augment"] if skip_augment else [])) == 0
         assert (out / "plans/query_matches.csv").exists() == (query_level == "one_to_one")
         # the stubs are live: the row views would have raised
         schema = load_config(demo_dir / "demo_config.txt").schema()
@@ -261,6 +266,13 @@ class TestPipeline:
             trace_module.ingest_trace(out / "replay/trace.csv", schema).records
         with pytest.raises(AssertionError, match="per-row object"):
             scheduler_module.read_schedule(out / "schedule/schedule.csv").entries
+        if skip_augment:
+            assert not (out / "augment").exists()
+            with pytest.raises(AssertionError, match="per-row object"):
+                catalog_module.load_catalog(tmp_path / "catalog.csv", schema).row(0)
+        else:
+            attempts = (out / "augment/attempts.jsonl").read_text().splitlines()
+            assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
 
     def test_pipeline_ignores_stale_augmented_catalog(self, demo_dir, tmp_path):
         doubled = doubled_catalog(demo_dir, tmp_path)
@@ -384,6 +396,15 @@ class TestSolverOutput:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fails_before_writing(self, demo_dir, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert run_pipeline(demo_dir, out, ["--jobs", jobs]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": "pipeline", "error": "ConfigError",
+                       "message": f"--jobs must be at least 1, got {jobs}"}
+        assert not out.exists()
+
     def test_missing_trace_is_machine_readable(self, tmp_path, capsys):
         code = main(["targets", "--out", str(tmp_path / "nowhere")])
         assert code == 2

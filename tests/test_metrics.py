@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace as trace_of_rows
 from wlsynth.errors import ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report, write_report
-from wlsynth.trace import QueryRecord, Trace, build_targets
+from wlsynth.trace import build_targets
 
 
 class TestHandChecks:
@@ -61,13 +62,9 @@ def test_fuzzed_bounds(pairs):
 
 
 def make_trace(schema, rows):
-    return Trace(
-        [
-            QueryRecord(f"q{i}", arr, dur, np.asarray(m, float), np.asarray(o, float))
-            for i, (arr, dur, m, o) in enumerate(rows)
-        ],
-        schema,
-    )
+    """A trace of (arrival_ts, duration_ms, metrics, operators) rows, ids q0, q1, ..."""
+    return trace_of_rows(schema, [(f"q{i}", arr, dur, m, o)
+                                  for i, (arr, dur, m, o) in enumerate(rows)])
 
 
 class TestReport:

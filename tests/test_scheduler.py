@@ -1,4 +1,5 @@
 import csv
+import json
 import logging
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog
+from conftest import make_catalog, make_schedule, make_trace
 from wlsynth.cli import main
 from wlsynth.config import Config
 from wlsynth.errors import SchemaError, TraceParseError, ValidationError
@@ -17,7 +18,6 @@ from wlsynth.features import MODE_COUNTS, PerformanceFeature
 from wlsynth.scheduler import (
     SCHEDULE_COLUMNS,
     IntervalGrid,
-    Schedule,
     ScheduleEntry,
     assign_timestamps,
     energy,
@@ -31,8 +31,7 @@ from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
 from wlsynth.selector import SelectionPlan
 from wlsynth.simulator import replay
-from wlsynth.trace import (IntervalTargets, QueryRecord, Trace, build_targets, read_targets,
-                           write_targets)
+from wlsynth.trace import IntervalTargets, build_targets, read_targets, write_targets
 
 
 def interval_targets(values, interval_len_ms=30000, intervals_per_window=10):
@@ -113,8 +112,7 @@ class TestGrid:
 
     def test_single_interval_keeps_its_length(self, schema, tmp_path):
         """A lone interval is as long as its window, also after a CSV round trip."""
-        trace = Trace([QueryRecord("q", 1000, 5000, np.array([1.0, 2.0]), np.zeros(4))],
-                      schema)
+        trace = make_trace(schema, [("q", 1000, 5000, [1.0, 2.0], np.zeros(4))])
         windows, intervals = build_targets(trace, 900000, 900000)
         paths = tmp_path / "windows.csv", tmp_path / "intervals.csv"
         write_targets(windows, intervals, *paths, schema)
@@ -175,13 +173,13 @@ def simulated_bins(schedule, catalog):
 class TestEnergy:
     def test_zero_for_perfect_schedule(self, schema):
         catalog, _, plans = planted_setup(schema)
-        schedule = Schedule([ScheduleEntry(0, "c1", 0, 0)])
+        schedule = make_schedule([(0, "c1", 0, 0)])
         targets = interval_targets(simulated_bins(schedule, catalog))
         assert energy(schedule, targets, catalog, Config()) == pytest.approx(0.0)
 
     def test_matches_manual_sum(self, schema):
         catalog, _, _ = planted_setup(schema)
-        schedule = Schedule([ScheduleEntry(0, "c1", 0, 0)])
+        schedule = make_schedule([(0, "c1", 0, 0)])
         # c1: work 30000 alone -> all mass in interval 0
         targets = interval_targets(np.zeros((10, 2)))
         got = energy(schedule, targets, catalog, Config({"cores": "8", "denom_floor": "1.0"}))
@@ -191,12 +189,12 @@ class TestEnergy:
 class TestAnnealing:
     def make_instance(self, schema):
         catalog, _, plans = planted_setup(schema)
-        planted = Schedule([
-            ScheduleEntry(0, "c1", 0, 0),
-            ScheduleEntry(0, "c1", 1, 150000),
-            ScheduleEntry(0, "c2", 0, 60000),
-            ScheduleEntry(0, "c2", 1, 210000),
-            ScheduleEntry(0, "c2", 2, 270000),
+        planted = make_schedule([
+            (0, "c1", 0, 0),
+            (0, "c1", 1, 150000),
+            (0, "c2", 0, 60000),
+            (0, "c2", 1, 210000),
+            (0, "c2", 2, 270000),
         ])
         targets = interval_targets(simulated_bins(planted, catalog))
         return catalog, targets, plans
@@ -248,8 +246,8 @@ class TestAnnealing:
         """Under contention the best energy is the energy formula applied,
         exactly, to the intervals `evaluate` bins from the replayed trace."""
         catalog, _, _ = planted_setup(schema)
-        planted = Schedule([ScheduleEntry(0, "c1", k, 20000 * k) for k in range(5)]
-                           + [ScheduleEntry(0, "c2", k, 10000 + 25000 * k) for k in range(6)])
+        planted = make_schedule([(0, "c1", k, 20000 * k) for k in range(5)]
+                                + [(0, "c2", k, 10000 + 25000 * k) for k in range(6)])
         targets = interval_targets(simulated_bins(planted, catalog))
         plans = [SelectionPlan(0, {"c1": 5, "c2": 6}, np.zeros(6), 0.0)]
         result = assign_timestamps(plans, targets, catalog, Config({"cores": str(cores)}),
@@ -287,9 +285,9 @@ class TestOfferedLoad:
 
 
 def test_schedule_file_round_trip(tmp_path):
-    schedule = Schedule([
-        ScheduleEntry(0, "c1", 0, 1000),
-        ScheduleEntry(1, "c2", 3, 301000),
+    schedule = make_schedule([
+        (0, "c1", 0, 1000),
+        (1, "c2", 3, 301000),
     ])
     path = tmp_path / "s.csv"
     write_schedule(schedule, path)
@@ -367,7 +365,7 @@ _ints = st.integers(-2 ** 62, 2 ** 62)
 @given(rows=st.lists(st.tuples(_ints, _ids, _ints, _ints), max_size=20))
 def test_schedule_csv_round_trip(tmp_path_factory, rows):
     """write_schedule then read_schedule gives back the same columns."""
-    schedule = Schedule([ScheduleEntry(*row) for row in rows])
+    schedule = make_schedule(rows)
     path = tmp_path_factory.getbasetemp() / "schedule.csv"
     write_schedule(schedule, path)
     back = read_schedule(path)
@@ -387,7 +385,7 @@ def test_schedule_csv_round_trip(tmp_path_factory, rows):
 def test_schedule_csv_bytes(tmp_path_factory, rows, block):
     """write_schedule writes what a plain csv.writer writes for the columns,
     whatever the block size."""
-    schedule = Schedule([ScheduleEntry(*row) for row in rows])
+    schedule = make_schedule(rows)
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(trace_module, "_CSV_BLOCK", block):
         write_schedule(schedule, out / "new.csv")
@@ -422,24 +420,44 @@ def test_schedule_missing_column_is_typed(tmp_path):
         read_schedule(path)
 
 
-def test_standalone_replay_rejects_fractional_start(tmp_path, capsys):
+def _standalone_schedule(tmp_path):
+    """Run the demo up to `schedule` into tmp_path/out; return the argv of a
+    later stage and the lines of the schedule file."""
     out = tmp_path / "out"
     assert main(["demo", "--out", str(tmp_path)]) == 0
-    base = ["--config", str(tmp_path / "demo_config.txt"), "--out", str(out)]
-    catalog = ["--catalog", str(tmp_path / "demo_catalog.csv")]
-    assert main(["ingest", "--trace", str(tmp_path / "demo_trace.csv")] + base) == 0
-    assert main(["targets"] + base) == 0
-    assert main(["select"] + base + catalog) == 0
-    assert main(["schedule", "--skip-ta"] + base + catalog) == 0
-    path = out / "schedule/schedule.csv"
-    lines = path.read_text().splitlines()
+    base = ["--config", str(tmp_path / "demo_config.txt"), "--out", str(out),
+            "--catalog", str(tmp_path / "demo_catalog.csv")]
+    assert main(["ingest", "--trace", str(tmp_path / "demo_trace.csv")] + base[:4]) == 0
+    assert main(["targets"] + base[:4]) == 0
+    assert main(["select"] + base) == 0
+    assert main(["schedule", "--skip-ta"] + base) == 0
+    return base, (out / "schedule/schedule.csv").read_text().splitlines()
+
+
+def test_standalone_replay_rejects_fractional_start(tmp_path, capsys):
+    base, lines = _standalone_schedule(tmp_path)
     lines[2] = lines[2].rsplit(",", 1)[0] + ",12.5"
-    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "out/schedule/schedule.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["replay"] + base + catalog) == 2
+    assert main(["replay"] + base) == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
     assert error == ('{"stage": "replay", "error": "ValidationError", "message": '
                      '"row 3, column \'start_ts\': non-integral value 12.5"}')
+
+
+def test_standalone_replay_rejects_unknown_component(tmp_path, capsys):
+    """The schedule's ids are looked up in the catalog's rows: one it lacks
+    stops replay with a typed error naming it."""
+    base, lines = _standalone_schedule(tmp_path)
+    window, _, rest = lines[2].split(",", 2)
+    lines[2] = f"{window},no-such-component,{rest}"
+    (tmp_path / "out/schedule/schedule.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay"] + base) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"stage": "replay", "error": "ValidationError",
+                     "message": "unknown component_id 'no-such-component'"}
+    assert not (tmp_path / "out/replay").exists()
 
 
 def _reference_completions(starts, works, cores):

@@ -12,7 +12,7 @@ from selection_oracle import count_vector, enumerate_optimum
 from wlsynth import highs, selector
 from wlsynth.config import Config
 from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
-from wlsynth.features import FeatureSchema, PerformanceFeature
+from wlsynth.features import FeatureSchema
 from wlsynth.selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
@@ -304,14 +304,12 @@ class TestWindowsAndIO:
         assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_empty_catalog_plans_no_instances(self, schema, tmp_path):
-        from wlsynth.catalog import Catalog
-
         targets = self.make_targets(schema)
-        plans = solve_all_windows(targets, Catalog([], schema), Config())
+        plans = solve_all_windows(targets, make_catalog(schema, []), Config())
         assert [p.counts for p in plans] == [{}] * len(targets)
         path = tmp_path / "plan.csv"
         write_plans(plans, path)
-        back = read_plans(path, targets, Catalog([], schema), Config())
+        back = read_plans(path, targets, make_catalog(schema, []), Config())
         assert [p.objective_value for p in back] == [p.objective_value for p in plans]
 
     def test_build_problem_derives_total_cap(self, schema):
@@ -408,7 +406,7 @@ def test_plan_csv_round_trip(tmp_path_factory, case):
         assert_array_equal(plan.achieved, by_window[plan.window_index].achieved)
         assert plan.objective_value == by_window[plan.window_index].objective_value
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"{unknown},{catalog.components[0].component_id},1\n")
+        fh.write(f"{unknown},{catalog.ids[0]},1\n")
     with pytest.raises(ValidationError, match=f"unknown window {unknown}"):
         read_plans(path, targets, catalog, cfg)
 
@@ -466,8 +464,7 @@ class TestMatchQuery:
             ("far", 1000, [100, 100, 5, 5, 5, 5]),
             ("near", 1000, [10, 11, 1, 0, 0, 0]),
         ])
-        query = PerformanceFeature(np.array([10.0, 10.0]),
-                                   np.array([1.0, 0.0, 0.0, 0.0]))
+        query = np.array([10.0, 10.0, 1.0, 0.0, 0.0, 0.0])
         plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"near": 1}
         assert_array_equal(plan.achieved, catalog.get("near").feature.as_vector())
@@ -477,7 +474,7 @@ class TestMatchQuery:
             ("b", 1000, [5, 5, 0, 0, 0, 0]),
             ("a", 1000, [5, 5, 0, 0, 0, 0]),
         ])
-        query = PerformanceFeature(np.array([5.0, 5.0]), np.zeros(4))
+        query = np.array([5.0, 5.0, 0.0, 0.0, 0.0, 0.0])
         plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"a": 1}
         assert_array_equal(plan.achieved, catalog.get("a").feature.as_vector())
@@ -487,9 +484,8 @@ class TestMatchQuery:
         catalog = random_catalog(schema, 6, rng)
         for _ in range(20):
             vals = rng.integers(0, 40, size=6).astype(float)
-            query = PerformanceFeature(vals[:2], vals[2:])
-            single = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
-            multi = match_query(query, catalog, Config(), mode=ONE_TO_MANY)
+            single = match_query(vals, catalog, Config(), mode=ONE_TO_ONE)
+            multi = match_query(vals, catalog, Config(), mode=ONE_TO_MANY)
             assert multi.objective_value <= single.objective_value + 1e-9
 
     def test_one_to_many_obeys_solver_keys(self, schema, monkeypatch):
@@ -498,16 +494,12 @@ class TestMatchQuery:
         monkeypatch.setattr(selector, "solve_window",
                             lambda problem: problems.append(problem) or solve_window(problem))
         cfg = Config({"solver.node_limit": "7", "solver.time_limit_s": "2.5"})
-        match_query(PerformanceFeature(np.ones(2), np.ones(4)), catalog, cfg,
-                    mode=ONE_TO_MANY)
+        match_query(np.ones(6), catalog, cfg, mode=ONE_TO_MANY)
         assert [(p.node_limit, p.time_limit_s) for p in problems] == [(7, 2.5)]
 
     def test_empty_catalog_rejected(self, schema):
-        from wlsynth.catalog import Catalog
-
-        query = PerformanceFeature(np.zeros(2), np.zeros(4))
         with pytest.raises(ValidationError):
-            match_query(query, Catalog([], schema), Config(), mode=ONE_TO_ONE)
+            match_query(np.zeros(6), make_catalog(schema, []), Config(), mode=ONE_TO_ONE)
 
 
 def test_only_features_divides_by_a_floor():

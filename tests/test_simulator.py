@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog
+from conftest import make_catalog, make_schedule
 from wlsynth.features import MODE_COUNTS, FeatureSchema
-from wlsynth.scheduler import IntervalGrid, Schedule, ScheduleEntry, simulate_processor_sharing
+from wlsynth.scheduler import IntervalGrid, simulate_processor_sharing
 from wlsynth.simulator import replay
 from wlsynth.trace import build_targets, export_trace
 
@@ -25,7 +25,7 @@ def catalog(schema):
 class TestReplay:
     def test_offered_load_above_cores_warns_once(self, schema, catalog, caplog):
         # 4 x 30 s of work over a 60 s grid: an offered load of 2
-        schedule = Schedule([ScheduleEntry(0, "c1", k, 0) for k in range(4)])
+        schedule = make_schedule([(0, "c1", k, 0) for k in range(4)])
         grid = IntervalGrid(start_ts=0, interval_len_ms=30000, n_intervals=2)
         with caplog.at_level(logging.WARNING, logger="wlsynth"):
             quiet = replay(schedule, catalog, cores=1, mode=MODE_COUNTS)
@@ -41,9 +41,9 @@ class TestReplay:
             [(r.arrival_ts, r.duration_ms) for r in quiet.records]
 
     def test_uncontended_durations_match_profile(self, schema, catalog):
-        schedule = Schedule([
-            ScheduleEntry(0, "c1", 0, 0),
-            ScheduleEntry(0, "c2", 0, 100000),
+        schedule = make_schedule([
+            (0, "c1", 0, 0),
+            (0, "c2", 0, 100000),
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         by_id = {r.query_id: r for r in trace.records}
@@ -51,7 +51,7 @@ class TestReplay:
         assert by_id["c2.w0.k0"].duration_ms == 20000
 
     def test_contention_stretches_durations(self, schema, catalog):
-        schedule = Schedule([ScheduleEntry(0, "c1", k, 0) for k in range(4)])
+        schedule = make_schedule([(0, "c1", k, 0) for k in range(4)])
         trace = replay(schedule, catalog, cores=2, mode=MODE_COUNTS)
         # 4 equal instances on 2 cores progress at rate 1/2
         for r in trace.records:
@@ -59,10 +59,10 @@ class TestReplay:
 
     def test_durations_never_below_profile(self, schema, catalog):
         rng = np.random.default_rng(2)
-        schedule = Schedule([
-            ScheduleEntry(0, "c1", k, int(rng.integers(0, 200000))) for k in range(6)
+        schedule = make_schedule([
+            (0, "c1", k, int(rng.integers(0, 200000))) for k in range(6)
         ] + [
-            ScheduleEntry(0, "c2", k, int(rng.integers(0, 200000))) for k in range(6)
+            (0, "c2", k, int(rng.integers(0, 200000))) for k in range(6)
         ])
         trace = replay(schedule, catalog, cores=3, mode=MODE_COUNTS)
         for r in trace.records:
@@ -70,10 +70,10 @@ class TestReplay:
             assert r.duration_ms >= profiled
 
     def test_ids_unique_and_features_copied(self, schema, catalog):
-        schedule = Schedule([
-            ScheduleEntry(0, "c1", 0, 0),
-            ScheduleEntry(0, "c1", 1, 5000),
-            ScheduleEntry(1, "c1", 0, 300000),
+        schedule = make_schedule([
+            (0, "c1", 0, 0),
+            (0, "c1", 1, 5000),
+            (1, "c1", 0, 300000),
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         ids = [r.query_id for r in trace.records]
@@ -84,21 +84,21 @@ class TestReplay:
             np.testing.assert_array_equal(r.operators, comp.feature.operators)
 
     def test_arrivals_are_schedule_starts(self, schema, catalog):
-        schedule = Schedule([ScheduleEntry(0, "c2", 0, 42000)])
+        schedule = make_schedule([(0, "c2", 0, 42000)])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         assert trace.records[0].arrival_ts == 42000
 
     def test_empty_schedule(self, schema, catalog):
-        trace = replay(Schedule([]), catalog, cores=8, mode=MODE_COUNTS)
+        trace = replay(make_schedule([]), catalog, cores=8, mode=MODE_COUNTS)
         assert trace.records == []
 
     def test_window_operator_sums_recoverable(self, schema, catalog):
         # instances fully inside their windows: window operator sums are exact
-        schedule = Schedule([
-            ScheduleEntry(0, "c1", 0, 10000),
-            ScheduleEntry(0, "c2", 0, 50000),
-            ScheduleEntry(1, "c2", 0, 310000),
-            ScheduleEntry(1, "c2", 1, 350000),
+        schedule = make_schedule([
+            (0, "c1", 0, 10000),
+            (0, "c2", 0, 50000),
+            (1, "c2", 0, 310000),
+            (1, "c2", 1, 350000),
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
@@ -111,9 +111,9 @@ def _reference_replay(schedule, catalog, cores):
     """The per-instance loop replay replaced, kept as its oracle: the rows of
     the replayed trace.csv."""
     entries = schedule.entries
-    comps = [catalog.get(e.component_id) for e in entries]
+    rows = [catalog.ids.index(e.component_id) for e in entries]
     starts = np.array([e.start_ts for e in entries], dtype=float)
-    works = np.array([c.duration_ms for c in comps])
+    works = catalog.duration_ms[rows]
     completions, _ = simulate_processor_sharing(starts, works, cores)
 
     def cell(value):
@@ -121,9 +121,9 @@ def _reference_replay(schedule, catalog, cores):
 
     return [
         [f"{e.component_id}.w{e.window_index}.k{e.instance_index}", int(start),
-         max(math.ceil(completion - start), math.ceil(comp.duration_ms)),
-         *map(cell, comp.feature.as_vector())]
-        for e, comp, start, completion in zip(entries, comps, starts, completions)
+         max(math.ceil(completion - start), math.ceil(works[i])),
+         *map(cell, catalog.features[rows[i]])]
+        for i, (e, start, completion) in enumerate(zip(entries, starts, completions))
     ]
 
 
@@ -149,10 +149,10 @@ def test_replay_matches_per_instance_loop(tmp_path_factory, durations, zero_work
         (f"c{j}", duration, features[3 * j:3 * j + 3]) for j, duration in enumerate(durations)
     ])
     if zero_work:
-        catalog.get("c0").duration_ms = 0.0
-    entries = [ScheduleEntry(w, f"c{c % len(durations)}", k, start)
-               for k, (c, w, start) in enumerate(rows)]
-    schedule = Schedule(entries)
+        # past the constructor's check: a component that takes no time
+        catalog.duration_ms[0] = 0.0
+    schedule = make_schedule([(w, f"c{c % len(durations)}", k, start)
+                              for k, (c, w, start) in enumerate(rows)])
     expected = _reference_replay(schedule, catalog, cores)
 
     trace = replay(schedule, catalog, cores, MODE_COUNTS)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace
 from wlsynth import trace as trace_module
 from wlsynth.errors import ConfigError, SchemaError, TraceParseError, ValidationError
 from wlsynth.features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema
 from wlsynth.trace import (
-    QueryRecord,
     Trace,
     build_targets,
     export_trace,
@@ -24,25 +24,17 @@ from wlsynth.trace import (
 
 
 def record(schema, qid, arrival, duration, metrics, operators=None):
-    return QueryRecord(
-        query_id=qid,
-        arrival_ts=arrival,
-        duration_ms=duration,
-        metrics=np.asarray(metrics, dtype=float),
-        operators=np.asarray(operators if operators is not None
-                             else [0.0] * schema.n_operators, dtype=float),
-    )
+    """One row for `make_trace`."""
+    return (qid, arrival, duration, metrics,
+            operators if operators is not None else [0.0] * schema.n_operators)
 
 
 class TestIngest:
     def test_round_trip(self, schema, tmp_path):
-        trace = Trace(
-            records=[
-                record(schema, "q1", 1000, 2500, [3.5, 7.0], [1, 0, 2, 1]),
-                record(schema, "q2", 4000, 0, [1.25, 0.5], [0, 1, 0, 0]),
-            ],
-            schema=schema,
-        )
+        trace = make_trace(schema, [
+            record(schema, "q1", 1000, 2500, [3.5, 7.0], [1, 0, 2, 1]),
+            record(schema, "q2", 4000, 0, [1.25, 0.5], [0, 1, 0, 0]),
+        ])
         path = tmp_path / "t.csv"
         export_trace(trace, path)
         back = ingest_trace(path, schema)
@@ -130,7 +122,7 @@ class TestIngest:
 class TestBuildTargets:
     def test_uniform_apportionment(self, schema):
         # [10000, 70000) against 30000 ms bins: overlaps 20000/30000/10000
-        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.0])], schema)
+        trace = make_trace(schema, [record(schema, "q", 10000, 60000, [6.0, 12.0])])
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
         got = intervals.metrics
         np.testing.assert_allclose(got[0], [2.0, 4.0])
@@ -139,7 +131,7 @@ class TestBuildTargets:
         assert np.all(got[3:] == 0)
 
     def test_zero_duration_deposits_at_arrival(self, schema):
-        trace = Trace([record(schema, "q", 45000, 0, [5.0, 1.0])], schema)
+        trace = make_trace(schema, [record(schema, "q", 45000, 0, [5.0, 1.0])])
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
         got = intervals.metrics
         np.testing.assert_allclose(got[1], [5.0, 1.0])
@@ -153,7 +145,7 @@ class TestBuildTargets:
                    rng.integers(0, 4, 4))
             for i in range(30)
         ]
-        trace = Trace(records, schema)
+        trace = make_trace(schema, records)
         windows, intervals = build_targets(trace, 300000, 30000)
         per_window = intervals.per_window
         for w, feature in enumerate(windows.features):
@@ -162,8 +154,8 @@ class TestBuildTargets:
 
     def test_operators_counted_in_arrival_window(self, schema):
         # arrival in window 0, execution mostly in window 1
-        trace = Trace([record(schema, "q", 290000, 100000, [1.0, 1.0], [3, 1, 2, 0])],
-                      schema)
+        trace = make_trace(schema, [record(schema, "q", 290000, 100000, [1.0, 1.0],
+                                           [3, 1, 2, 0])])
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 600000))
         operators = windows.features[:, schema.n_metrics:]
         np.testing.assert_array_equal(operators[0], [3, 1, 2, 0])
@@ -171,35 +163,31 @@ class TestBuildTargets:
         assert windows.query_counts[0] == 1 and windows.query_counts[1] == 0
 
     def test_time_shares_weighted_mean(self, schema):
-        trace = Trace(
-            [
-                record(schema, "a", 0, 10000, [1, 1], [0.2, 0.0, 0.0, 0.0]),
-                record(schema, "b", 0, 30000, [1, 1], [0.6, 0.0, 0.0, 0.0]),
-            ],
-            schema,
-            mode=MODE_TIME_SHARES,
-        )
+        trace = make_trace(schema, [
+            record(schema, "a", 0, 10000, [1, 1], [0.2, 0.0, 0.0, 0.0]),
+            record(schema, "b", 0, 30000, [1, 1], [0.6, 0.0, 0.0, 0.0]),
+        ], mode=MODE_TIME_SHARES)
         windows, _ = build_targets(trace, 300000, 30000, span=(0, 300000))
         # (0.2*10000 + 0.6*30000) / 40000 = 0.5
         assert windows.features[0, schema.n_metrics] == pytest.approx(0.5)
 
     def test_overhang_clipped(self, schema):
-        trace = Trace([record(schema, "q", 280000, 40000, [4.0, 0.0])], schema)
+        trace = make_trace(schema, [record(schema, "q", 280000, 40000, [4.0, 0.0])])
         _, intervals = build_targets(trace, 300000, 30000, span=(0, 300000))
         total = sum(intervals.metrics[:, 0])
         assert total == pytest.approx(2.0)  # half the mass falls past the span
 
     def test_indivisible_lengths_rejected(self, schema):
-        trace = Trace([record(schema, "q", 0, 1000, [1, 1])], schema)
+        trace = make_trace(schema, [record(schema, "q", 0, 1000, [1, 1])])
         with pytest.raises(ConfigError):
             build_targets(trace, 300000, 70000)
 
     def test_empty_trace_rejected(self, schema):
         with pytest.raises(ValidationError):
-            build_targets(Trace([], schema), 300000, 30000)
+            build_targets(make_trace(schema, []), 300000, 30000)
 
     def test_empty_trace_over_a_span_has_zero_targets(self, schema):
-        windows, intervals = build_targets(Trace([], schema), 300000, 30000,
+        windows, intervals = build_targets(make_trace(schema, []), 300000, 30000,
                                            span=(0, 600000))
         assert windows.query_counts.tolist() == [0, 0]
         assert len(intervals) == 20
@@ -207,9 +195,8 @@ class TestBuildTargets:
         assert not np.any(intervals.metrics)
 
     def test_targets_file_round_trip(self, schema, tmp_path):
-        trace = Trace(
-            [record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema
-        )
+        trace = make_trace(schema, [record(schema, "q", 10000, 60000, [6.0, 12.5],
+                                           [1, 2, 0, 1])])
         windows, intervals = build_targets(trace, 300000, 30000)
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         rw, ri = read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
@@ -221,7 +208,7 @@ class TestBuildTargets:
         np.testing.assert_array_equal(intervals.metrics, ri.metrics)
 
     def test_short_targets_row_is_typed_error(self, schema, tmp_path):
-        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        trace = make_trace(schema, [record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])])
         windows, intervals = build_targets(trace, 300000, 30000)
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         header, row = (tmp_path / "w.csv").read_text().splitlines()
@@ -230,7 +217,7 @@ class TestBuildTargets:
             read_targets(tmp_path / "w.csv", tmp_path / "i.csv", schema)
 
     def test_targets_missing_column_is_schema_error(self, schema, tmp_path):
-        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        trace = make_trace(schema, [record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])])
         windows, intervals = build_targets(trace, 300000, 30000)
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         lines = (tmp_path / "i.csv").read_text().splitlines()
@@ -251,7 +238,7 @@ class TestBuildTargets:
     ])
     def test_malformed_targets_cell_is_typed_error(self, schema, tmp_path, name, row, column,
                                                    cell, error, message):
-        trace = Trace([record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])], schema)
+        trace = make_trace(schema, [record(schema, "q", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1])])
         windows, intervals = build_targets(trace, 300000, 30000)
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
@@ -281,8 +268,8 @@ class TestBuildTargets:
         """The rows of either file must be the ones write_targets writes for
         equal windows split into equal intervals, in time order; a file that
         breaks this is a ValidationError naming it."""
-        trace = Trace([record(schema, "a", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1]),
-                       record(schema, "b", 400000, 1000, [1.0, 1.0], [0, 0, 1, 0])], schema)
+        trace = make_trace(schema, [record(schema, "a", 10000, 60000, [6.0, 12.5], [1, 2, 0, 1]),
+                                    record(schema, "b", 400000, 1000, [1.0, 1.0], [0, 0, 1, 0])])
         windows, intervals = build_targets(trace, 300000, 30000)
         write_targets(windows, intervals, tmp_path / "w.csv", tmp_path / "i.csv", schema)
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
@@ -309,12 +296,8 @@ def test_mass_conserved_inside_span(rows):
     from wlsynth.features import FeatureSchema
 
     schema = FeatureSchema(metrics=("m",), operators=())
-    records = [
-        QueryRecord(f"q{i}", a, d, np.array([m]), np.zeros(0))
-        for i, (a, d, m) in enumerate(rows)
-    ]
-    trace = Trace(records, schema)
-    end = max(r.end_ts for r in records) + 1
+    trace = make_trace(schema, [(f"q{i}", a, d, [m], []) for i, (a, d, m) in enumerate(rows)])
+    end = max(a + d for a, d, _ in rows) + 1
     n_windows = -(-end // 300000)
     _, intervals = build_targets(trace, 300000, 30000, span=(0, n_windows * 300000))
     total = sum(intervals.metrics[:, 0])
@@ -380,13 +363,12 @@ def binning_cases(draw):
     window = interval * draw(st.integers(1, 4))
     values = st.floats(min_value=0, max_value=1e12, allow_nan=False, allow_infinity=False)
     records = [
-        QueryRecord(
+        (
             f"q{i}",
             draw(st.integers(-50000, 400000)),
             draw(st.one_of(st.just(0), st.integers(1, 200000))),
-            np.array(draw(st.lists(values, min_size=n_metrics, max_size=n_metrics))),
-            np.array(draw(st.lists(values, min_size=n_operators, max_size=n_operators)),
-                     dtype=float),
+            draw(st.lists(values, min_size=n_metrics, max_size=n_metrics)),
+            draw(st.lists(values, min_size=n_operators, max_size=n_operators)),
         )
         for i in range(draw(st.integers(1, 40)))
     ]
@@ -396,7 +378,7 @@ def binning_cases(draw):
         st.tuples(st.integers(-20000, 300000), st.integers(0, 300000))
         .map(lambda t: (t[0], t[0] + t[1])),
     ))
-    trace = Trace(records, schema, mode=draw(st.sampled_from(MODES)))
+    trace = make_trace(schema, records, mode=draw(st.sampled_from(MODES)))
     # from one triple per chunk to the default, which takes every case whole
     budget = draw(st.one_of(st.integers(1, 8), st.just(trace_module._TRIPLES)))
     return trace, window, interval, span, budget
@@ -446,9 +428,7 @@ def test_binning_chunks_match_per_record_loop(mode, budget):
     duration = np.where(rng.random(n) < 0.1, 0, rng.integers(1, 90000, n))
     arrival[17], duration[17] = 14000, 40 * 7000
     values = rng.uniform(0, 1e9, (n, 4)) * rng.random((n, 4)) ** 4
-    records = [QueryRecord(f"q{i}", int(a), int(d), v[:2], v[2:])
-               for i, (a, d, v) in enumerate(zip(arrival, duration, values))]
-    trace = Trace(records, schema, mode=mode)
+    trace = Trace([f"q{i}" for i in range(n)], arrival, duration, values, schema, mode)
     _assert_binning_matches_per_record_loop(trace, 70000, 7000, (0, 560000), budget)
 
 
@@ -504,11 +484,8 @@ _cell = st.one_of(
 def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
     """export_trace writes the old exporter's bytes, whatever the block size,
     and ingest_trace reads them back, or rejects a negative or non-finite value."""
-    records = [
-        QueryRecord(qid, arrival, duration, np.array(cells[:2]), np.array(cells[2:]))
-        for qid, arrival, duration, cells in rows
-    ]
-    trace = Trace(records, _EXPORT_SCHEMA)
+    trace = make_trace(_EXPORT_SCHEMA, [(qid, arrival, duration, cells[:2], cells[2:])
+                                        for qid, arrival, duration, cells in rows])
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(trace_module, "_CSV_BLOCK", block):
         export_trace(trace, out / "new.csv")
@@ -520,8 +497,8 @@ def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
             ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
         return
     back = ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
-    assert [r.query_id for r in back.records] == [r.query_id for r in records]
-    for a, b in zip(records, back.records):
+    assert [r.query_id for r in back.records] == [r.query_id for r in trace.records]
+    for a, b in zip(trace.records, back.records):
         assert (type(b.arrival_ts), type(b.duration_ms)) == (int, int)
         assert (a.arrival_ts, a.duration_ms) == (b.arrival_ts, b.duration_ms)
         np.testing.assert_array_equal(a.metrics, b.metrics)
@@ -533,8 +510,7 @@ def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
     (2.0 ** 53, "9007199254740992"), (1.5e-7, "1.5e-07"),
 ])
 def test_export_number_format(tmp_path, value, text):
-    trace = Trace([QueryRecord("q", 0, 1, np.array([value, 0.0]), np.array([1.0]))],
-                  _EXPORT_SCHEMA)
+    trace = make_trace(_EXPORT_SCHEMA, [("q", 0, 1, [value, 0.0], [1.0])])
     export_trace(trace, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text().splitlines()[1] == f"q,0,1,{text},0,1"
 
