@@ -191,9 +191,10 @@ class HttpProvider:
                 body = json.loads(response.read().decode())
         except Exception as exc:
             raise ProviderError(f"provider request failed: {exc}") from exc
-        if "completion" not in body:
-            raise ProviderError("provider response lacks a 'completion' field")
-        return str(body["completion"])
+        if not isinstance(body, dict) or not isinstance(body.get("completion"), str):
+            raise ProviderError("provider response is not a JSON object with a string "
+                                "'completion' field")
+        return body["completion"]
 
 
 def _kmeans(points: np.ndarray, k: int, rng: Generator,

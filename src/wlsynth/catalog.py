@@ -93,6 +93,9 @@ class Catalog:
             raise SchemaError(f"component {self.ids[0]!r} feature dimensions do not match schema")
         # in the order one component's fields were checked
         faults = (
+            # a numpy str array, such as Schedule.component_id, drops trailing NULs
+            (np.array([i.endswith("\0") for i in self.ids], dtype=bool),
+             "component {!r}: component_id ends in a NUL character"),
             (self.scale_factor <= 0, "component {!r}: scale_factor must be positive"),
             ((self.skewness < 0) | (self.skewness > 4),
              "component {!r}: skewness level must be in 0..4"),

@@ -42,7 +42,7 @@ from .selector import (
     match_query,
     read_plans,
     solve_all_windows,
-    solve_window,  # not called here; bench/child.py traces it under this name
+    solve_window,  # noqa: F401 not called here; bench/child.py traces it under this name
     write_plan_summary,
     write_plans,
 )

@@ -99,9 +99,14 @@ def write_schedule(schedule: Schedule, path) -> None:
 
 def read_schedule(path) -> Schedule:
     """Read a schedule CSV through `trace.read_columns`: the component id is
-    text, every other column an int64."""
+    text, every other column an int64.  An id that ends in a NUL character,
+    which `Schedule.component_id` would drop, is a ValidationError."""
     columns = read_columns(path, "schedule", dict(zip(SCHEDULE_COLUMNS, (int, str, int, int))),
                            {})
+    for rownum, component_id in enumerate(columns["component_id"], start=2):
+        if component_id.endswith("\0"):
+            raise ValidationError(f"row {rownum}, column 'component_id': {component_id!r} "
+                                  "ends in a NUL character")
     return Schedule(*columns.values())
 
 

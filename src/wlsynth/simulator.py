@@ -9,8 +9,6 @@ the evaluator's same-formula interval error, under contention too.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .catalog import Catalog
 from .scheduler import (Schedule, expand, replayed_durations, simulate_processor_sharing,
                         warn_if_overloaded)

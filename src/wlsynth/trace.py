@@ -9,9 +9,10 @@ A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  The targets are columns too: `WindowTargets` holds one
 feature row and query count per window, `IntervalTargets` one metric row
 per interval of its `IntervalGrid`, and a window's position on the grid is
-its index.  Ingest parses every row's numeric cells into one table
-and checks it column-wise: a plain file a block of lines at a time in numpy
-and `np.loadtxt`, any other through csv.reader.  Aggregation bins the
+its index.  Ingest takes the ids from csv.reader and parses every row's
+numeric cells with one `np.loadtxt` call into one table, which it checks
+column-wise; a file that reader may misread, or whose table fails the
+check, is read again row by row to name the error.  Aggregation bins the
 whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
 which the scheduler's energy and the fidelity report share: it cuts the
 rows into (row, interval, overlap) triples and sums each column with one
@@ -26,11 +27,11 @@ schedules, catalogs) are read back column by column through `read_columns`.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from operator import eq, itemgetter
 
@@ -49,9 +50,12 @@ MANDATORY_COLUMNS = ("query_id", "arrival_ts", "duration_ms")
 # intervals, goes through np.add.at a chunk of rows at a time, so the
 # temporaries stay bounded.
 _TRIPLES = 1 << 15
-# Lines per block that write_columns formats and _read_plain parses: from
-# 256 to 1024 the per-block overhead fell by a third, beyond it barely.
+# Rows per block that write_columns formats: from 256 to 1024 the
+# per-block overhead fell by a third, beyond it barely.
 _CSV_BLOCK = 1024
+# np.loadtxt strips these around a number and float() does not, so
+# `_read_bulk` declines a file that holds one
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -296,13 +300,15 @@ def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dic
     return columns
 
 
-def _check_row(row: dict, rownum: int, schema: FeatureSchema) -> None:
-    """Raise the error for the first contract breach in one trace row, read as by DictReader."""
-    arrival = _parse_number(row.get("arrival_ts"), rownum, "arrival_ts")
-    duration = _parse_number(row.get("duration_ms"), rownum, "duration_ms")
+def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> list[float]:
+    """The numbers of a row's query_id, arrival_ts, duration_ms and schema
+    cells (None past the row's end); raises the row's first breach."""
+    query_id, arrival, duration, *values = cells
+    arrival = _parse_number(arrival, rownum, "arrival_ts")
+    duration = _parse_number(duration, rownum, "duration_ms")
     if duration < 0:
         raise ValidationError(f"row {rownum}: negative duration_ms {duration}")
-    values = [_parse_number(row.get(c), rownum, c) for c in schema.dimensions]
+    values = [_parse_number(v, rownum, c) for v, c in zip(values, schema.dimensions)]
     if any(v < 0 for v in values):
         raise ValidationError(f"row {rownum}: negative metric or operator value")
     for column, value in (("arrival_ts", arrival), ("duration_ms", duration)):
@@ -310,14 +316,9 @@ def _check_row(row: dict, rownum: int, schema: FeatureSchema) -> None:
             raise ValidationError(f"row {rownum}, column {column!r}: non-integral value {value!r}")
         if abs(value) >= 2.0 ** 63:
             raise ValidationError(f"row {rownum}, column {column!r}: {value!r} is out of range")
-    if row.get("query_id") is None:
+    if query_id is None:
         raise TraceParseError(f"row {rownum}, column 'query_id': missing value")
-
-
-def _read_row(path, index: int) -> list[str]:
-    """The cells of data row `index` (0-based, blank lines skipped) of a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return next(islice(filter(None, csv.reader(fh)), index + 1, None))
+    return [arrival, duration, *values]
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -333,141 +334,79 @@ def _check_unique(ids: list[str]) -> None:
                 )
 
 
-def _read_csv(path, columns: tuple[str, ...]) -> tuple[list[str], list[str], array, int | None]:
-    """The header, the query ids and the `columns` cells (row by row) of a
-    trace file, read by csv.reader, and the index of the row where parsing
-    stopped (None if it did not).  Blank lines are skipped and not counted,
-    and a repeated column name reads as its last occurrence, as with
-    DictReader."""
+def _positions(reader, path, columns: tuple[str, ...]) -> list[int]:
+    """query_id's and `columns`' positions in the header, at a name's last occurrence."""
+    header = next(reader, [])
+    for col in ("query_id",) + columns:
+        if col not in header:
+            raise SchemaError(f"trace file {path} is missing column {col!r}")
+    position = {name: i for i, name in enumerate(header)}
+    return [position[c] for c in ("query_id",) + columns]
+
+
+def _read_rows(path, columns: tuple[str, ...], schema: FeatureSchema
+               ) -> tuple[list[str], np.ndarray]:
+    """The ids and (rows x columns) table of a trace file, read by csv.reader
+    and `_parse_row` a row at a time, so the first breach in the file is
+    raised.  Blank lines are skipped and not counted; data starts at row 2."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in ("query_id",) + columns:
-            if col not in header:
-                raise SchemaError(f"trace file {path} is missing column {col!r}")
-        position = {name: i for i, name in enumerate(header)}
-        query_id = itemgetter(position["query_id"])
-        numeric = itemgetter(*(position[c] for c in columns))
-        ids: list[str] = []
-        values = array("d")
+        positions = _positions(reader, path, columns)
+        ids, values = [], array("d")
+        for rownum, row in enumerate(filter(None, reader), start=2):
+            cells = [row[i] if i < len(row) else None for i in positions]
+            values.extend(_parse_row(cells, rownum, schema))
+            ids.append(cells[0])
+    return ids, np.frombuffer(values).reshape(len(ids), len(columns))
+
+
+def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] | None:
+    """What `_read_rows` returns for a trace file, or None where unsure:
+    ids from csv.reader, and the `columns` cells after the header from one
+    np.loadtxt call, which splits quoted cells as csv.reader does.  It
+    declines a csv.Error, invalid UTF-8, a row without its query_id, a cell
+    np.loadtxt rejects (a short row, `1_0`, full-width digits), a row count
+    other than csv.reader's, any of \\x1c to \\x1f (np.loadtxt strips them
+    around a number, float() does not) and a value that breaks the contract.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            for row in filter(None, reader):
-                values.extend(map(float, numeric(row)))
-                ids.append(query_id(row))
-        except (IndexError, ValueError):
-            del values[len(ids) * len(columns):]
-            return header, ids, values, len(ids)
-    return header, ids, values, None
-
-
-def _plain_header(line: bytes) -> list[str] | None:
-    """The cells of a header line that csv.reader splits at every comma, or None."""
-    cells = line.removesuffix(b"\n").removesuffix(b"\r")
-    if not cells or len(cells) > csv.field_size_limit() or b'"' in cells or min(cells) < 32:
-        return None
+            positions = _positions(reader, path, columns)
+            skip = reader.line_num
+            ids = list(map(itemgetter(positions[0]), filter(None, reader)))
+        except (IndexError, csv.Error, UnicodeDecodeError):
+            return None
+        if not ids:  # np.loadtxt warns on a file without data
+            return ids, np.empty((0, len(columns)))
+        fh.seek(0)
+        if any(c in chunk for chunk in iter(partial(fh.read, 1 << 16), "") for c in _SEPARATORS):
+            return None
     try:
-        return cells.decode("utf-8").split(",")
-    except UnicodeDecodeError:
-        return None
-
-
-def _plain_block(chunk: bytes, width: int, id_column: int,
-                 usecols: list[int]) -> tuple[list[str], np.ndarray] | None:
-    """The query ids and `usecols` cells of a block of plain lines; see `_read_plain`."""
-    if not chunk.endswith(b"\n"):
-        chunk += b"\n"
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    control = np.flatnonzero(raw < 32)
-    ends = control[raw[control] == ord("\n")]
-    returns = control[raw[control] == ord("\r")]
-    commas = np.flatnonzero(raw == ord(","))
-    if (b'"' in chunk or ends.size + returns.size < control.size
-            or np.any(raw[returns + 1] != ord("\n"))
-            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
-            or commas.size != ends.size * (width - 1)
-            or np.any(np.searchsorted(commas, ends) != np.arange(1, ends.size + 1) * (width - 1))):
-        return None
-    try:
-        table = np.loadtxt(io.StringIO(chunk.decode("utf-8")), delimiter=",", usecols=usecols,
-                           comments=None, ndmin=2)
+        table = np.loadtxt(path, delimiter=",", quotechar='"', skiprows=skip,
+                           usecols=positions[1:], comments=None, ndmin=2, encoding="utf-8")
     except ValueError:
         return None
-    if len(table) != ends.size:
+    times = table[:, :2]
+    if (len(table) != len(ids) or not np.isfinite(table).all() or (table[:, 1:] < 0).any()
+            or (np.floor(times) != times).any() or (np.abs(times) >= 2.0 ** 63).any()):
         return None
-    # each line's delimiters, with its start and end as the outer ones
-    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(ends.size, width - 1),
-                              ends - (raw[ends - 1] == ord("\r"))])
-    start, stop = bounds[:, id_column] + 1, bounds[:, id_column + 1]
-    # the id cells, each with the delimiter after it as "\n"
-    edges = np.zeros(raw.size + 1, dtype=np.int8)
-    edges[start] += 1
-    edges[stop + 1] -= 1
-    cells = raw[np.cumsum(edges[:-1], dtype=np.int8).astype(bool)]
-    cells[np.cumsum(stop - start + 1) - 1] = ord("\n")
-    return cells.tobytes().decode("utf-8").split("\n")[:-1], table
-
-
-def _read_plain(path, columns: tuple[str, ...]
-                ) -> tuple[list[str], list[str], array, None] | None:
-    """What `_read_csv` reads, for a plain file; None for any other file.
-
-    A plain file is UTF-8 with a header line that names query_id and every
-    column, no quote, no control character but the line ends "\n" and
-    "\r\n", no line longer than csv.field_size_limit(), and every other
-    line exactly as wide as the header: csv.reader splits it at every
-    comma and line end.  Blocks of `_CSV_BLOCK` lines are split in numpy,
-    and their numeric cells parsed by np.loadtxt, which parses a cell as
-    float() does or rejects it (as `1_0`, and full-width digits); a
-    rejected cell makes the file not plain, so its error comes from the
-    csv reader.
-    """
-    with open(path, "rb") as fh:
-        header = _plain_header(fh.readline())
-        if header is None or not all(c in header for c in ("query_id",) + columns):
-            return None
-        position = {name: i for i, name in enumerate(header)}
-        usecols = [position[c] for c in columns]
-        ids: list[str] = []
-        values = array("d")
-        while chunk := b"".join(islice(fh, _CSV_BLOCK)):
-            block = _plain_block(chunk, len(header), position["query_id"], usecols)
-            if block is None:
-                return None
-            ids += block[0]
-            values.frombytes(block[1].tobytes())
-    return header, ids, values, None
+    return ids, table
 
 
 def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
-    """Read a trace CSV into a Trace.
+    """Read a trace CSV into a Trace, in row order.
 
-    The header must declare query_id, arrival_ts, duration_ms and every
-    metric/operator column named by the schema.  Row order is preserved.
-    A plain file is parsed in bulk by `_read_plain`; any other file, and
-    every file that breaks the contract, is parsed by csv.reader.  The
-    numeric cells of all rows go into one table, which is checked as a
-    whole: values must be finite, durations, metrics and operators
-    nonnegative, and arrival_ts and duration_ms integral.  The first
-    offending row is read again and checked cell by cell to name the
-    error.  Times must fit int64, and a repeated query_id is rejected.  The
-    trace's feature table is a view of the parsed table.
+    The header must name query_id, arrival_ts, duration_ms and the schema's
+    columns.  Values must be finite, durations, metrics and operators
+    nonnegative, arrival_ts and duration_ms integral within int64, and ids
+    unique.  A file `_read_bulk` declines is read by `_read_rows`, which
+    names the first offending row.  The features are a view of the table.
     """
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
-    header, ids, values, failed = _read_plain(path, columns) or _read_csv(path, columns)
-    table = np.frombuffer(values, dtype=float).reshape(len(ids), len(columns))
-    times = table[:, :2]
-    bad = np.flatnonzero(
-        ~np.isfinite(table).all(axis=1)
-        | (table[:, 1:] < 0).any(axis=1)
-        | (np.floor(times) != times).any(axis=1)
-        | (np.abs(times) >= 2.0 ** 63).any(axis=1)
-    )
-    if bad.size or failed is not None:
-        index = int(bad[0]) if bad.size else failed
-        _check_row(dict(zip(header, _read_row(path, index))), index + 2, schema)
+    ids, table = _read_bulk(path, columns) or _read_rows(path, columns, schema)
     _check_unique(ids)
-
-    return Trace(ids, times[:, 0], times[:, 1], table[:, 2:], schema, mode)
+    return Trace(ids, table[:, 0], table[:, 1], table[:, 2:], schema, mode)
 
 
 def _format_number(value: float) -> str:

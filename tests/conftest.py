@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from wlsynth.trace import Trace
 SOLVER_KNOBS = {field: Config()[key] for field, key in (
     ("denom_floor", "denom_floor"), ("node_limit", "solver.node_limit"),
     ("time_limit_s", "solver.time_limit_s"))}
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -77,3 +83,16 @@ def random_catalog(schema, n, rng, duration_range=(5000, 60000), value_range=(0,
                             size=schema.n_metrics + schema.n_operators)
         rows.append((f"c{j:02d}", dur, vals.astype(float)))
     return make_catalog(schema, rows)
+
+
+def write_bench_inputs(tmp_path, monkeypatch, name):
+    """Write benchmark workload `name`'s seed-1 inputs; return the workload
+    and their directory."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    inputs = tmp_path / "inputs"
+    workloads.write_inputs(workloads.WORKLOADS[name], 1, inputs)
+    return workloads.WORKLOADS[name], inputs

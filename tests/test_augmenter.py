@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from wlsynth.augmenter import (
     VERDICT_RETRY,
     HINT_SCENARIOS,
     GenerationTarget,
+    HttpProvider,
     MockProvider,
     augment_catalog,
     bad_windows,
@@ -32,7 +35,7 @@ from wlsynth.augmenter import (
 )
 from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
 from wlsynth.config import Config
-from wlsynth.errors import ValidationError
+from wlsynth.errors import ProviderError, ValidationError
 from wlsynth.features import PerformanceFeature
 from wlsynth.selector import SelectionPlan
 from wlsynth.trace import WindowTargets
@@ -375,3 +378,24 @@ class TestAugmentCatalog:
             record = json.loads(line)
             assert {"target_id", "attempt_index", "prompt_sha256",
                     "scenario", "deltas", "verdict"} <= set(record)
+
+
+def _provider_reply(body: bytes):
+    """`urllib.request.urlopen` stand-in that answers every request with `body`."""
+    return mock.patch("urllib.request.urlopen", lambda request, timeout: io.BytesIO(body))
+
+
+def test_http_provider_returns_the_completion():
+    with _provider_reply(b'{"completion": "SELECT 1", "model": "m"}'):
+        assert HttpProvider("http://localhost:1/complete", 1000).complete("p") == "SELECT 1"
+
+
+@pytest.mark.parametrize("body", [
+    b'"completion"', b"5", b'{"completion": null}', b'{"completion": 5}', b'{"text": "x"}',
+    b"[]", b"not json",
+])
+def test_http_provider_rejects_a_body_without_a_string_completion(body):
+    """Anything but a JSON object whose `completion` is a string is a
+    ProviderError, which the stage reports as an exit-2 JSON line."""
+    with _provider_reply(body), pytest.raises(ProviderError):
+        HttpProvider("http://localhost:1/complete", 1000).complete("p")

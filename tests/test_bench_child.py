@@ -10,7 +10,6 @@ are pinned here too, so a change to those bytes fails here as well; a
 change meant to alter them updates both places.
 """
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -19,20 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_bench_inputs
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-
-
-def _write_inputs(tmp_path, monkeypatch, name):
-    """Write workload `name`'s seed-1 inputs; return the workload and their directory."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    inputs = tmp_path / "inputs"
-    workloads.write_inputs(workloads.WORKLOADS[name], 1, inputs)
-    return workloads.WORKLOADS[name], inputs
 
 
 def _run_child(*args):
@@ -43,7 +32,7 @@ def _run_child(*args):
 
 
 def test_traced_child_reports_every_layer_metric(tmp_path, monkeypatch):
-    _, inputs = _write_inputs(tmp_path, monkeypatch, "select_gap")
+    _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
     result = tmp_path / "result.json"
     proc = _run_child("traced", result, tmp_path / "spans.jsonl", inputs, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
@@ -61,7 +50,7 @@ def test_traced_child_reports_every_layer_metric(tmp_path, monkeypatch):
 def test_pipeline_child_runs_dense_trace(tmp_path, monkeypatch):
     """The untraced child behind every end-to-end metric, with the argv
     bench/run.py gives it."""
-    workload, inputs = _write_inputs(tmp_path, monkeypatch, "dense_trace")
+    workload, inputs = write_bench_inputs(tmp_path, monkeypatch, "dense_trace")
     result = tmp_path / "result.json"
     proc = _run_child("pipeline", result, "--config", inputs / "config.txt",
                       "--trace", inputs / "trace.csv", "--catalog", inputs / "catalog.csv",
@@ -80,7 +69,7 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name):
-    workload, inputs = _write_inputs(tmp_path, monkeypatch, name)
+    workload, inputs = write_bench_inputs(tmp_path, monkeypatch, name)
     out = tmp_path / "out"
     proc = _run_child("pipeline", tmp_path / "result.json", "--config", inputs / "config.txt",
                       "--trace", inputs / "trace.csv", "--catalog", inputs / "catalog.csv",

@@ -75,6 +75,15 @@ class TestCatalog:
         with pytest.raises(ValidationError, match="^duplicate component_id 'c0'$"):
             Catalog(*columns, schema)
 
+    def test_id_ending_in_nul_rejected(self, schema):
+        """A numpy str array drops a trailing NUL, so `c1` and `c1\\x00` would
+        replay as one component; a NUL inside an id is kept."""
+        values = [1, 1, 0, 0, 0, 0]
+        with pytest.raises(ValidationError, match=r"^component 'c1\\x00': component_id ends "
+                                                  "in a NUL character$"):
+            make_catalog(schema, [("c1", 1000, values), ("c1\0", 1000, values)])
+        assert make_catalog(schema, [("c\x001", 1000, values)]).ids == ["c\x001"]
+
     def test_index_maps_ids_to_rows(self, schema):
         catalog = make_catalog(schema, [(cid, 1000, [1, 1, 0, 0, 0, 0]) for cid in "bca"])
         np.testing.assert_array_equal(catalog.index(["a", "b", "a"]), [2, 0, 2])

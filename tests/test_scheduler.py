@@ -405,6 +405,9 @@ def test_schedule_csv_bytes(tmp_path_factory, rows, block):
     ("inf,c1,0,1000\n", TraceParseError, "row 2, column 'window_index': non-finite"),
     ("0,c1,0,1000\n0,c1,1,9223372036854775808\n", ValidationError,
      "row 3, column 'start_ts': '9223372036854775808' is out of range"),
+    # Schedule.component_id, a numpy str array, would read it as 'c1'
+    ("0,c1,0,1000\n0,c1\x00,1,1000\n", ValidationError,
+     r"row 3, column 'component_id': 'c1\\x00' ends in a NUL character"),
 ])
 def test_malformed_schedule_rows_are_typed(tmp_path, body, error, message):
     path = tmp_path / "schedule.csv"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import make_trace, write_bench_inputs
 from wlsynth import trace as trace_module
 from wlsynth.errors import ConfigError, SchemaError, TraceParseError, ValidationError
 from wlsynth.features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema
@@ -82,6 +82,11 @@ class TestIngest:
         (["q1,0,100,1,1,0,0,0,0", "", "q2,0,100,1,1,0,0,0,-2"],
          ValidationError, "row 3: negative metric or operator value"),
         (["q1,0,100,1,1"], TraceParseError, "row 2, column 'filter_num': missing value"),
+        # rows every cell of which parses: the bulk table's check finds them
+        (["q1,0,100,1,1,0,0,0,0", "q2,0,-5,1,1,0,0,0,0"],
+         ValidationError, "row 3: negative duration_ms -5.0"),
+        (["q1,0,100,1,1,0,0,0,0", "q2,9223372036854775808,5,1,1,0,0,0,0"],
+         ValidationError, "row 3, column 'arrival_ts': 9.223372036854776e+18 is out of range"),
     ])
     def test_first_offending_row_is_named(self, schema, tmp_path, rows, error, message):
         path = tmp_path / "bad.csv"
@@ -95,6 +100,16 @@ class TestIngest:
         path = tmp_path / "bad.csv"
         header = "arrival_ts,duration_ms," + ",".join(schema.dimensions) + ",query_id"
         path.write_text(header + "\n0,100,1,1,0,0,0,0\n")
+        with pytest.raises(TraceParseError, match="row 2, column 'query_id': missing value"):
+            ingest_trace(path, schema)
+
+    def test_short_row_missing_a_repeated_name_is_typed_error(self, schema, tmp_path):
+        """A repeated column name reads as its last occurrence, so a row
+        that stops before it lacks that cell, as DictReader reads it; the
+        row is not dropped from the trace."""
+        path = tmp_path / "bad.csv"
+        header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions) + ",query_id"
+        path.write_text(header + "\nq1,0,100,1,1,0,0,0,0\n")
         with pytest.raises(TraceParseError, match="row 2, column 'query_id': missing value"):
             ingest_trace(path, schema)
 
@@ -650,19 +665,22 @@ def _ingest_outcome(path, schema):
 
 
 def _assert_plain_path_agrees(path, schema):
-    """The plain-file reader either declines or reads exactly what the csv
-    reader reads, and ingest_trace gives the same trace or the same error
-    with the plain-file reader as without it.  Returns whether it read the file."""
+    """The bulk reader either declines or reads exactly what the row reader
+    reads, and ingest_trace gives the same trace or the same error with the
+    bulk reader as without it.  Returns whether the bulk reader read the file."""
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
-    plain = trace_module._read_plain(path, columns)
-    if plain is not None:
-        header, ids, values, failed = trace_module._read_csv(path, columns)
-        assert (plain[0], plain[1], plain[3], failed) == (header, ids, None, None)
-        assert plain[2].tobytes() == values.tobytes()
-    with mock.patch.object(trace_module, "_read_plain", return_value=None):
+    try:
+        bulk = trace_module._read_bulk(path, columns)
+    except SchemaError:  # a missing column, which the row reader names alike
+        bulk = None
+    if bulk is not None:
+        ids, table = trace_module._read_rows(path, columns, schema)
+        assert (bulk[0], bulk[1].shape) == (ids, table.shape)
+        assert bulk[1].tobytes() == table.tobytes()
+    with mock.patch.object(trace_module, "_read_bulk", return_value=None):
         expected = _ingest_outcome(path, schema)
     assert _ingest_outcome(path, schema) == expected
-    return plain is not None
+    return bulk is not None
 
 
 _PLAIN_SCHEMA = FeatureSchema(metrics=("m",), operators=("o",))
@@ -677,25 +695,33 @@ _PLAIN_HEADER = "query_id,arrival_ts,duration_ms,m,o"
     ("x,{h},query_id\nz,q1,0,10,1,2,q9\n", True),  # a repeated name reads as its last
     ("﻿x,{h}\nz,q1,0,10,1,2\n", True),
     ("{h}\nq1, 5,+5,5 ,\xa05\n", True),
-    ("{h}\nq1,0,10,nan,2\n", True),  # read, then rejected by the table check
-    ("{h}\nq1,0,10,1e400,2\n", True),
+    ("{h}\nq1,0,10,nan,2\n", False),  # the table check declines it, the row reader names it
+    ("{h}\nq1,0,10,1e400,2\n", False),
     ("{h}\nq1,0,10,1,2\nq1,0,10,1,2\n", True),
-    ('{h}\n"q,1",0,10,1,2\n', False),
-    ('{h}\nq"1,0,10,1,2\n', False),
-    ("{h}\nq1,0,10,1,2\rq2,0,10,1,2\n", False),
+    ('{h}\n"q,1",0,10,1,2\n', True),  # np.loadtxt splits quoted cells as csv.reader does
+    ('{h}\nq"1,0,10,1,2\n', True),
+    ('{h}\n"q\r\n1",0,10,1,2\n', True),
+    ('{h}\nq1,"0",10,1,2\n', True),
+    ("{h}\nq1,0,10,1,2\rq2,0,10,1,2\n", True),  # both end a line at a bare "\r"
     ("{h}\nq\r1,0,10,1,2\n", False),
-    ("{h}\n\rq1,0,10,1,2\n", False),  # np.loadtxt skips the blank line "\r" makes
+    ("{h}\n\rq1,0,10,1,2\n", True),  # both skip the blank line "\r" makes
     ("x\ry,{h}\nz,q1,0,10,1,2\n", False),
     ('"x,y",{h}\nz,w,q1,0,10,1,2\n', False),
+    ('"x\ny",{h}\nz,q1,0,10,1,2\n', True),  # np.loadtxt skips the header's two lines
+    ('"x\r\ny",{h}\r\nz,q1,0,10,1,2\r\n', True),
     ("﻿{h}\nq1,0,10,1,2\n", False),
-    ("{h}\nq\x001,0,10,1,2\n", False),
-    ("{h}\nq1,0,10,1,\x1c2\n", False),
+    ("{h}\nq\x001,0,10,1,2\n", True),  # the id comes from csv.reader
+    ("{h}\nq1,0,10,1,\x1c2\n", False),  # np.loadtxt strips \x1c to \x1f, float() does not
+    ("{h}\nq1,0,10,1,\x1d2\n", False),
+    ("{h}\nq1,0,10,1,\x1e2\n", False),
+    ("{h}\nq1,0,10,1,\x1f2\n", False),
+    ("{h}\nq\x1f1,0,10,1,2\n", False),
     ("\n{h}\nq1,0,10,1,2\n", False),  # a blank first line is an empty header
-    ("{h}\nq1,0,10,1,2\n\nq2,0,10,1,2\n", False),
+    ("{h}\nq1,0,10,1,2\n\nq2,0,10,1,2\n", True),  # both skip blank lines
     ("{h}\nq1,0,10,1,2\n \nq2,0,10,1,2\n", False),
-    ("{h}\nq1,0,10,1,2\n\n", False),
+    ("{h}\nq1,0,10,1,2\n\n", True),
     ("{h}\nq1,0,10,1\n", False),
-    ("{h}\nq1,0,10,1,2,3\n", False),
+    ("{h}\nq1,0,10,1,2,3\n", True),  # cells past the header are not read
     ("{h}\nq1,0,10,1_0,2\n", False),
     ("{h}\nq1,0,10,１２,2\n", False),
     ("{h}\nq1,0,10,,2\n", False),
@@ -714,7 +740,7 @@ def test_plain_path_matches_csv_reader(tmp_path, text, plain):
 ])
 def test_plain_path_declines_fields_over_the_csv_limit(tmp_path, header, row):
     """A field longer than csv.field_size_limit() (131072 by default) is a
-    csv.Error from the csv reader, so the plain-file reader declines it."""
+    csv.Error from csv.reader, so the bulk reader declines it."""
     path = tmp_path / "t.csv"
     path.write_text(header + "\n" + row + "\n")
     assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
@@ -737,7 +763,8 @@ def _rarely(common, rare):
 
 _PLAIN_CELLS = _rarely(
     st.one_of(st.integers(0, 10 ** 6).map(str), st.floats(min_value=0, allow_nan=False).map(repr)),
-    st.sampled_from(["1_0", "１２", " 5", "+5", "5 ", "\xa05", "\x1c5", "nan", "-nan", "inf",
+    st.sampled_from(["1_0", "１２", " 5", "+5", "5 ", "\xa05", "\x1c5", "\x1d5", "\x1e5", "\x1f5",
+                     "nan", "-nan", "inf",
                      "1e400", "", "-3", "1.5", "0x10", "1e3", "2e-400", "9007199254740993",
                      "9223372036854775808", "٣", "q,1", '"5"']),
 )
@@ -775,13 +802,51 @@ def trace_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(trace_files(), st.integers(1, 4))
-def test_plain_path_agrees_on_generated_files(tmp_path_factory, data, block):
+@given(trace_files())
+def test_plain_path_agrees_on_generated_files(tmp_path_factory, data):
     """On files with quoted ids, CR line ends, blank, whitespace-only, short
     and long lines, repeated names and cells that float() and np.loadtxt
-    read differently, the plain-file reader reads what csv.reader reads or
+    read differently, the bulk reader reads what the row reader reads or
     declines, and ingest_trace gives the same trace or the same error."""
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_bytes(data)
-    with mock.patch.object(trace_module, "_CSV_BLOCK", block):
-        _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+    _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+
+
+def _never_parse_row(*args):
+    raise AssertionError("the row reader read the file")
+
+
+@pytest.mark.parametrize("workload", ["select_gap", "dense_trace"])
+def test_bulk_reader_reads_benchmark_traces(tmp_path, monkeypatch, schema, workload):
+    """A benchmark trace is read in bulk, by one np.loadtxt call, and never
+    reaches the row reader."""
+    _, inputs = write_bench_inputs(tmp_path, monkeypatch, workload)
+    with (mock.patch.object(trace_module, "_parse_row", _never_parse_row),
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+        trace = ingest_trace(inputs / "trace.csv", schema)
+    assert loadtxt.call_count == 1
+    assert len(trace) == len((inputs / "trace.csv").read_text().splitlines()) - 1
+
+
+def test_bulk_reader_reads_quoted_ids(tmp_path, schema):
+    """Ids that csv.writer quotes, with commas, quotes and line breaks in
+    them, do not send the file to the row reader."""
+    ids = ['q,1', 'q"2', "q\n3", "q\r\n4", '"', ""]
+    path = tmp_path / "t.csv"
+    export_trace(make_trace(schema, [record(schema, qid, 10 * i, 5, [1, i])
+                                     for i, qid in enumerate(ids)]), path)
+    with mock.patch.object(trace_module, "_parse_row", _never_parse_row):
+        trace = ingest_trace(path, schema)
+    assert trace.query_id == ids
+    assert trace.metrics.tolist() == [[1, i] for i in range(len(ids))]
+
+
+def test_bulk_reader_declines_a_row_count_csv_reader_does_not_give(tmp_path):
+    """No file known splits into other rows for np.loadtxt than for
+    csv.reader without a ValueError; should one, the row reader reads it."""
+    path = tmp_path / "t.csv"
+    path.write_text(_PLAIN_HEADER + "\nq1,0,10,1,2\n")
+    loadtxt = np.loadtxt
+    with mock.patch.object(np, "loadtxt", lambda *args, **kw: np.tile(loadtxt(*args, **kw), (2, 1))):
+        assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
