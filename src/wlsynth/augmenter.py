@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique reads np.ma: load it with the module, not mid-run
 from numpy.random import Generator, default_rng
 
 from .catalog import (
@@ -31,7 +30,7 @@ from .catalog import (
 )
 from .config import Config
 from .errors import ProviderError, ValidationError
-from .features import FeatureSchema, PerformanceFeature, relative_gaps
+from .features import FeatureSchema, PerformanceFeature, relative_gaps, row_groups
 from .selector import SelectionPlan, rank_components, znorm_stats
 from .trace import Trace, WindowTargets
 
@@ -242,12 +241,10 @@ def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: 
         raise ValidationError("k must be >= 1")
     if not len(matrix):
         return []
-    distinct = np.unique(matrix, axis=0)
-    if len(distinct) < k:
-        log.warning(
-            "only %d distinct feature points for k=%d clusters", len(distinct), k
-        )
-        k = len(distinct)
+    distinct = int(row_groups(matrix).max()) + 1
+    if distinct < k:
+        log.warning("only %d distinct feature points for k=%d clusters", distinct, k)
+        k = distinct
     mean, std = znorm_stats(matrix)
     normed = (matrix - mean) / std
     rng = default_rng(seed)

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import locale  # noqa: F401 argparse's gettext imports it when main builds the parser
 import logging
 import os
 import re

@@ -32,6 +32,21 @@ def relative_errors(achieved, target, floor: float) -> np.ndarray:
     return np.abs(relative_gaps(achieved, target, floor))
 
 
+def row_groups(matrix: np.ndarray) -> np.ndarray:
+    """Each row's group number: rows whose entries are all equal (`==`, so
+    -0.0 joins 0.0 and a row with a NaN is alone) share one, and the groups
+    are numbered from 0 in the lexicographic order of their rows.  One
+    np.lexsort, then each sorted row against the next; `np.unique(matrix,
+    axis=0)` finds the same groups but loads numpy.ma to do it."""
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    starts = np.ones(len(matrix), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    groups = np.empty(len(matrix), dtype=np.intp)
+    groups[order] = np.cumsum(starts) - 1
+    return groups
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered metric and operator dimension names, fixed per trace."""

@@ -298,8 +298,18 @@ def _tune_temperatures(
         starts[j] = old
         if delta > 0:
             uphill.append(delta)
-    median = float(np.median(uphill)) if uphill else 1.0
+    median = _median(uphill) if uphill else 1.0
     return median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
+
+
+def _median(values: list[float]) -> float:
+    """The middle of the sorted values, or the mean of the two middle ones:
+    `np.median`'s value, without the numpy.ma import of its NaN check."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
 
 
 def assign_timestamps(plans: list[SelectionPlan], interval_targets: IntervalTargets,

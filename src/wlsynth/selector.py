@@ -24,7 +24,6 @@ other windows in it.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from . import highs
 from .catalog import Catalog
 from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
-from .features import FeatureSchema, floored, relative_errors
+from .features import FeatureSchema, floored, relative_errors, row_groups
 from .trace import WindowTargets, read_columns
 
 ONE_TO_ONE = "one_to_one"
@@ -68,6 +67,8 @@ class SelectionProblem:
     node_limit: int           # HiGHS MIP nodes
     time_limit_s: float | None
     window_index: int = 0
+    # `_duplicate_pairs` of the columns above; None finds them on first use
+    duplicates: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
@@ -166,6 +167,23 @@ def _relaxation_points(problems: list[SelectionProblem]) -> list[np.ndarray | No
     return np.split(x, len(problems))
 
 
+def _duplicate_pairs(features: np.ndarray, durations: np.ndarray,
+                     component_ids) -> list[tuple[int, int]]:
+    """The (a, b) pairs of components with identical feature and duration
+    columns where a's id sorts before b's, ordered by a's id and then by b's
+    id from the last: the order in which `_lex_duplicate_shift` moves counts.
+    A catalog's pairs are found once and shared by its windows' problems."""
+    order = np.argsort(np.array(component_ids))
+    groups = row_groups(np.column_stack([features, durations]))[order]
+    members: dict[int, list[int]] = {}
+    for position, group in enumerate(groups.tolist()):
+        members.setdefault(group, []).append(position)
+    pairs = [(i, j) for same in members.values()
+             for k, i in enumerate(same) for j in same[k + 1:]]
+    pairs.sort(key=lambda pair: (pair[0], -pair[1]))
+    return [(int(order[i]), int(order[j])) for i, j in pairs]
+
+
 def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.ndarray:
     """Shift counts between components with identical feature/duration columns.
 
@@ -174,16 +192,15 @@ def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.nd
     interchangeable components the solver happened to pick does not show in
     the plan.
     """
-    order = np.argsort(np.array(problem.component_ids))
-    cols = np.column_stack([problem.features, problem.durations])
+    if problem.duplicates is None:
+        problem.duplicates = _duplicate_pairs(problem.features, problem.durations,
+                                              problem.component_ids)
     counts = counts.copy()
-    for pos_a, a in enumerate(order):
-        for b in reversed(order[pos_a + 1 :]):
-            if counts[a] > 0 and np.array_equal(cols[a], cols[b]):
-                room = problem.y - counts[b]
-                moved = min(room, counts[a])
-                counts[b] += moved
-                counts[a] -= moved
+    for a, b in problem.duplicates:
+        if counts[a] > 0:
+            moved = min(problem.y - counts[b], counts[a])
+            counts[b] += moved
+            counts[a] -= moved
     return counts
 
 
@@ -261,7 +278,8 @@ def build_problem(windows: WindowTargets, w: int, catalog: Catalog,
 def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
                     ws) -> list[SelectionProblem]:
     """`build_problem` of each window in `ws`; the problems share the
-    catalog's features, durations and ids columns."""
+    catalog's features, durations and ids columns and its duplicate pairs."""
+    duplicates = _duplicate_pairs(catalog.features, catalog.duration_ms, catalog.ids)
     return [SelectionProblem(
         target=windows.features[w],
         features=catalog.features,
@@ -274,6 +292,7 @@ def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
         node_limit=cfg["solver.node_limit"],
         time_limit_s=cfg["solver.time_limit_s"],
         window_index=w,
+        duplicates=duplicates,
     ) for w in ws]
 
 
@@ -302,6 +321,8 @@ def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
             raise SolverError(f"window {problem.window_index}: {exc}") from exc
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(solve, problems, roots))
     return [solve(problem, root) for problem, root in zip(problems, roots)]

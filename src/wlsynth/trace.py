@@ -314,7 +314,7 @@ def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> l
     for column, value in (("arrival_ts", arrival), ("duration_ms", duration)):
         if not value.is_integer():
             raise ValidationError(f"row {rownum}, column {column!r}: non-integral value {value!r}")
-        if abs(value) >= 2.0 ** 63:
+        if not -2.0 ** 63 <= value < 2.0 ** 63:
             raise ValidationError(f"row {rownum}, column {column!r}: {value!r} is out of range")
     if query_id is None:
         raise TraceParseError(f"row {rownum}, column 'query_id': missing value")
@@ -382,14 +382,18 @@ def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] |
         fh.seek(0)
         if any(c in chunk for chunk in iter(partial(fh.read, 1 << 16), "") for c in _SEPARATORS):
             return None
-    try:
-        table = np.loadtxt(path, delimiter=",", quotechar='"', skiprows=skip,
-                           usecols=positions[1:], comments=None, ndmin=2, encoding="utf-8")
-    except ValueError:
-        return None
+    # opened here as np.loadtxt opens a path; given the path, it would first
+    # import its openers of compressed files, gzip among them, mid-run
+    with open(path, encoding="utf-8") as fh:
+        try:
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', skiprows=skip,
+                               usecols=positions[1:], comments=None, ndmin=2)
+        except ValueError:
+            return None
     times = table[:, :2]
     if (len(table) != len(ids) or not np.isfinite(table).all() or (table[:, 1:] < 0).any()
-            or (np.floor(times) != times).any() or (np.abs(times) >= 2.0 ** 63).any()):
+            or (np.floor(times) != times).any() or (times < -2.0 ** 63).any()
+            or (times >= 2.0 ** 63).any()):
         return None
     return ids, table
 

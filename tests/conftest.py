@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ SOLVER_KNOBS = {field: Config()[key] for field, key in (
     ("denom_floor", "denom_floor"), ("node_limit", "solver.node_limit"),
     ("time_limit_s", "solver.time_limit_s"))}
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -83,6 +86,15 @@ def random_catalog(schema, n, rng, duration_range=(5000, 60000), value_range=(0,
                             size=schema.n_metrics + schema.n_operators)
         rows.append((f"c{j:02d}", dur, vals.astype(float)))
     return make_catalog(schema, rows)
+
+
+def run_fresh(code: str) -> list[str]:
+    """The words `code` prints in a fresh interpreter, which has loaded only
+    what the code imports, whatever this process has."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
 
 
 def write_bench_inputs(tmp_path, monkeypatch, name):

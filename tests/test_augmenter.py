@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_trace
 from wlsynth.augmenter import (
@@ -36,7 +38,7 @@ from wlsynth.augmenter import (
 from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
 from wlsynth.config import Config
 from wlsynth.errors import ProviderError, ValidationError
-from wlsynth.features import PerformanceFeature
+from wlsynth.features import PerformanceFeature, row_groups
 from wlsynth.selector import SelectionPlan
 from wlsynth.trace import WindowTargets
 
@@ -104,6 +106,25 @@ class TestClustering:
 
     def test_empty_queries(self):
         assert _cluster_targets(np.empty((0, 6)), [], 2, k=3, seed=0) == []
+
+
+# a few values, so that rows repeat, -0.0 beside 0.0, and any finite float
+_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(_CELLS, min_size=d, max_size=d), min_size=1, max_size=30)))
+@example([[0.0, 1.0], [-0.0, 1.0], [2.5, 0.0], [0.0, 1.0]])
+def test_row_groups_are_the_rows_np_unique_keeps(rows):
+    """The distinct-row count `_cluster_targets` takes from `row_groups` is
+    np.unique's, and each row's group is its row of np.unique's result."""
+    matrix = np.array(rows)
+    distinct = np.unique(matrix, axis=0)
+    groups = row_groups(matrix)
+    assert int(groups.max()) + 1 == len(distinct)
+    assert (distinct[groups] == matrix).all()
 
 
 class TestExamples:

@@ -1,10 +1,5 @@
 """`highs.solve` against scipy's `milp` on the same model, and how the
 binding is loaded: without scipy's optimize package, and once per process."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy
@@ -15,12 +10,10 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.linalg import block_diag
 from scipy.sparse import csc_array
 
-from conftest import SOLVER_KNOBS
+from conftest import SOLVER_KNOBS, run_fresh
 from wlsynth import highs, selector
 from wlsynth.errors import SolverError
 from wlsynth.selector import SelectionProblem
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def window_problems(seed, n_windows, n_components, n_dims):
@@ -112,33 +105,26 @@ def test_missing_binding_is_a_solver_error(tmp_path):
     assert str(tmp_path) in str(info.value)
 
 
-def _run(code):
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.split()
-
-
 def test_import_loads_neither_optimize_nor_sparse():
-    assert _run("import sys, wlsynth.cli\n"
-                "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
-                ) == ["False", "False"]
+    assert run_fresh("import sys, wlsynth.cli\n"
+                     "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
+                     ) == ["False", "False"]
 
 
 def test_milp_works_after_wlsynth_loaded_the_binding():
-    assert _run("import numpy as np\n"
-                "from wlsynth import highs\n"
-                "from scipy.optimize import milp\n"
-                "from scipy.optimize._highspy import _core\n"
-                "res = milp(np.array([1.0, 2.0]), bounds=(1, 3), integrality=1)\n"
-                "print(res.status, res.x.tolist(), _core is highs._h)"
-                ) == ["0", "[1.0,", "1.0]", "True"]
+    assert run_fresh("import numpy as np\n"
+                     "from wlsynth import highs\n"
+                     "from scipy.optimize import milp\n"
+                     "from scipy.optimize._highspy import _core\n"
+                     "res = milp(np.array([1.0, 2.0]), bounds=(1, 3), integrality=1)\n"
+                     "print(res.status, res.x.tolist(), _core is highs._h)"
+                     ) == ["0", "[1.0,", "1.0]", "True"]
 
 
 def test_wlsynth_reuses_the_binding_scipy_loaded():
-    assert _run("import scipy.optimize\n"
-                "from scipy.optimize._highspy import _core\n"
-                "from wlsynth import highs\n"
-                "print(highs._h is _core, highs.solve([1.0], ([0, 0], [], []), ([], []),"
-                " (2, 5), [0], {})[1].tolist())"
-                ) == ["True", "[2.0]"]
+    assert run_fresh("import scipy.optimize\n"
+                     "from scipy.optimize._highspy import _core\n"
+                     "from wlsynth import highs\n"
+                     "print(highs._h is _core, highs.solve([1.0], ([0, 0], [], []), ([], []),"
+                     " (2, 5), [0], {})[1].tolist())"
+                     ) == ["True", "[2.0]"]

@@ -3,7 +3,11 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import wlsynth
+from conftest import run_fresh, write_bench_inputs
+from wlsynth.cli import main
 
 PACKAGE = Path(wlsynth.__file__).parent
 
@@ -51,3 +55,33 @@ def test_unused_import_check_flags_and_spares():
               "import sys  # noqa: F401\nfrom json import dumps, loads\n"
               "__all__ = ['dumps']\nprint(loads)\n")
     assert _unused_imports(source) == ["line 2: os", "line 4: sys"]
+
+
+def test_import_loads_neither_numpy_ma_nor_the_thread_pool():
+    assert run_fresh("import sys, wlsynth.cli\n"
+                     "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)"
+                     ) == ["False", "False"]
+
+
+@pytest.mark.parametrize("inputs, flags", [
+    ("demo", ()),
+    ("demo", ("--skip-ta",)),
+    ("select_gap", ()),  # a gap the augmenter closes: clustering and a re-solve
+])
+def test_serial_pipeline_loads_no_module(tmp_path, monkeypatch, inputs, flags):
+    """Every module a `--jobs 1` pipeline runs is loaded by `import wlsynth.cli`."""
+    if inputs == "demo":
+        assert main(["demo", "--out", str(tmp_path)]) == 0
+        paths = [tmp_path / f"demo_{name}" for name in ("config.txt", "trace.csv", "catalog.csv")]
+    else:
+        _, root = write_bench_inputs(tmp_path, monkeypatch, inputs)
+        paths = [root / name for name in ("config.txt", "trace.csv", "catalog.csv")]
+    argv = ["pipeline", "--config", str(paths[0]), "--trace", str(paths[1]),
+            "--catalog", str(paths[2]), "--out", str(tmp_path / "out"), "--jobs", "1", *flags]
+    assert run_fresh("import contextlib, io, sys\n"
+                     "from wlsynth.cli import main\n"
+                     "before = set(sys.modules)\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    code = main({argv!r})\n"
+                     "print(code, *sorted(set(sys.modules) - before))"
+                     ) == ["0"]

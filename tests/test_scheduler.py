@@ -643,3 +643,13 @@ def test_overloaded_backlog_simulates_in_seconds():
     assert time.perf_counter() - started < 2.0
     assert np.all(completions >= starts + works)
     assert completions.max() >= starts.min() + works.sum() / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0, max_value=1e300, exclude_min=True),
+                min_size=1, max_size=100))
+@example([1.0, 2.0])
+@example([0.1, 0.2, 0.7, 0.3])
+def test_median_is_np_median(values):
+    """The annealer's median uphill step is `np.median`'s, bit for bit."""
+    assert scheduler_module._median(values) == np.median(values)

@@ -458,6 +458,40 @@ def test_stacked_relaxation_gives_the_lone_plans(case):
         assert plan.approximate == alone.approximate
 
 
+def _shift_by_scanning_every_pair(problem, counts):
+    """The duplicate shift as a scan of every pair of components in id
+    order, testing each pair's columns for equality."""
+    order = np.argsort(np.array(problem.component_ids))
+    cols = np.column_stack([problem.features, problem.durations])
+    counts = counts.copy()
+    for pos_a, a in enumerate(order):
+        for b in reversed(order[pos_a + 1:]):
+            if counts[a] > 0 and np.array_equal(cols[a], cols[b]):
+                moved = min(problem.y - counts[b], counts[a])
+                counts[b] += moved
+                counts[a] -= moved
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(1, 4))
+def test_duplicate_pairs_shift_as_a_scan_of_every_pair(seed, n, y):
+    """Shifting counts over the catalog's duplicate pairs, found once, gives
+    what a scan of every pair per window gives."""
+    rng = np.random.default_rng(seed)
+    problem = SelectionProblem(
+        target=np.ones(2),
+        features=rng.choice([0.0, -0.0, 1.0], size=(n, 2)),
+        durations=rng.choice([1000.0, 2000.0], size=n),
+        component_ids=[f"c{j}" for j in rng.permutation(n)],
+        y=y, z=n * y + 1, duration_budget_ms=1e9,
+        **SOLVER_KNOBS,
+    )
+    counts = rng.integers(0, y + 1, size=n)
+    assert_array_equal(selector._lex_duplicate_shift(problem, counts),
+                       _shift_by_scanning_every_pair(problem, counts))
+
+
 class TestMatchQuery:
     def test_one_to_one_picks_nearest(self, schema):
         catalog = make_catalog(schema, [

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import re
@@ -732,6 +733,24 @@ def test_plain_path_matches_csv_reader(tmp_path, text, plain):
     path = tmp_path / "t.csv"
     path.write_bytes(text.format(h=_PLAIN_HEADER).encode("utf-8"))
     assert _assert_plain_path_agrees(path, _PLAIN_SCHEMA) == plain
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_arrival_ts_reads_the_int64_range(tmp_path, bulk):
+    """An arrival_ts of -2**63 ingests and one of 2**63 is out of range, on
+    the bulk reader and on the row reader, as in `read_columns`' int cells."""
+    low, high = tmp_path / "low.csv", tmp_path / "high.csv"
+    low.write_text(f"{_PLAIN_HEADER}\nq1,-9223372036854775808,10,1,2\n")
+    high.write_text(f"{_PLAIN_HEADER}\nq1,9223372036854775808,10,1,2\n")
+    if bulk:  # the bulk reader takes the row itself
+        columns = ("arrival_ts", "duration_ms") + _PLAIN_SCHEMA.dimensions
+        assert trace_module._read_bulk(low, columns)[1].tolist() == [[-2 ** 63, 10, 1, 2]]
+    with (contextlib.nullcontext() if bulk else
+          mock.patch.object(trace_module, "_read_bulk", return_value=None)):
+        assert ingest_trace(low, _PLAIN_SCHEMA).arrival_ts.tolist() == [-2 ** 63]
+        with pytest.raises(ValidationError) as info:
+            ingest_trace(high, _PLAIN_SCHEMA)
+    assert str(info.value) == "row 2, column 'arrival_ts': 9.223372036854776e+18 is out of range"
 
 
 @pytest.mark.parametrize("header, row", [
