@@ -9,6 +9,8 @@ the evaluator's same-formula interval error, under contention too.
 """
 from __future__ import annotations
 
+from operator import add
+
 from .catalog import Catalog
 from .scheduler import (Schedule, expand, replayed_durations, simulate_processor_sharing,
                         warn_if_overloaded)
@@ -30,7 +32,10 @@ def replay(schedule: Schedule, catalog: Catalog, cores: int, mode: str,
         warn_if_overloaded(works, grid, cores)
     completions, _ = simulate_processor_sharing(starts, works, cores)
     durations = replayed_durations(starts, completions, works)
-    query_id = [f"{c}.w{w}.k{k}" for c, w, k in zip(schedule.component_id.tolist(),
-                                                   schedule.window_index.tolist(),
-                                                   schedule.instance_index.tolist())]
+    windows, instances = schedule.window_index.tolist(), schedule.instance_index.tolist()
+    # each id joins one text per distinct window and per distinct instance index
+    window_text = {w: f".w{w}.k" for w in set(windows)}
+    instance_text = {k: str(k) for k in set(instances)}
+    prefixes = map(add, schedule.component_id.tolist(), map(window_text.get, windows))
+    query_id = list(map(add, prefixes, map(instance_text.get, instances)))
     return Trace(query_id, schedule.start_ts.copy(), durations, features, catalog.schema, mode)

@@ -9,10 +9,11 @@ A Trace holds its rows as columns, and every stage works on the columns
 as bulk numpy code.  The targets are columns too: `WindowTargets` holds one
 feature row and query count per window, `IntervalTargets` one metric row
 per interval of its `IntervalGrid`, and a window's position on the grid is
-its index.  Ingest takes the ids from csv.reader and parses every row's
-numeric cells with one `np.loadtxt` call into one table, which it checks
-column-wise; a file that reader may misread, or whose table fails the
-check, is read again row by row to name the error.  Aggregation bins the
+its index.  Ingest parses each row once: one `np.loadtxt` call reads
+every id and numeric cell, and the table is checked column-wise; a file
+np.loadtxt may misread, or whose table fails the check, is read again row
+by row through csv.reader to name the error.  Times are integers of
+magnitude at most 2**53, which float64 holds exactly.  Aggregation bins the
 whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
 which the scheduler's energy and the fidelity report share: it cuts the
 rows into (row, interval, overlap) triples and sums each column with one
@@ -33,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from operator import eq, itemgetter
+from operator import eq
 
 import numpy as np
 
@@ -311,11 +312,13 @@ def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> l
     values = [_parse_number(v, rownum, c) for v, c in zip(values, schema.dimensions)]
     if any(v < 0 for v in values):
         raise ValidationError(f"row {rownum}: negative metric or operator value")
-    for column, value in (("arrival_ts", arrival), ("duration_ms", duration)):
+    for column, raw, value in (("arrival_ts", cells[1], arrival),
+                               ("duration_ms", cells[2], duration)):
         if not value.is_integer():
             raise ValidationError(f"row {rownum}, column {column!r}: non-integral value {value!r}")
-        if not -2.0 ** 63 <= value < 2.0 ** 63:
-            raise ValidationError(f"row {rownum}, column {column!r}: {value!r} is out of range")
+        # float() rounds past 2**53: there only 2**53 itself, written out, is in range
+        if not -2.0 ** 53 < value < 2.0 ** 53 and raw.strip().lstrip("-") != str(2 ** 53):
+            raise ValidationError(f"row {rownum}, column {column!r}: {raw!r} is out of range")
     if query_id is None:
         raise TraceParseError(f"row {rownum}, column 'query_id': missing value")
     return [arrival, duration, *values]
@@ -361,41 +364,53 @@ def _read_rows(path, columns: tuple[str, ...], schema: FeatureSchema
 
 
 def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] | None:
-    """What `_read_rows` returns for a trace file, or None where unsure:
-    ids from csv.reader, and the `columns` cells after the header from one
-    np.loadtxt call, which splits quoted cells as csv.reader does.  It
-    declines a csv.Error, invalid UTF-8, a row without its query_id, a cell
-    np.loadtxt rejects (a short row, `1_0`, full-width digits), a row count
-    other than csv.reader's, any of \\x1c to \\x1f (np.loadtxt strips them
-    around a number, float() does not) and a value that breaks the contract.
+    """What `_read_rows` returns for a trace file, or None where unsure: one
+    np.loadtxt call reads every row's id and `columns` cells, splitting
+    quoted cells as csv.reader does; csv.reader reads only the header and
+    one row, as np.loadtxt warns on a file without data.  It declines a
+    csv.Error, invalid UTF-8, a cell np.loadtxt rejects (a short row, `1_0`,
+    full-width digits), any of \\x1c to \\x1f (np.loadtxt strips them around
+    a number, float() does not), a line over `csv.field_size_limit()` and a
+    value that breaks the contract or is a time of magnitude 2**53 or more.
     """
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             positions = _positions(reader, path, columns)
             skip = reader.line_num
-            ids = list(map(itemgetter(positions[0]), filter(None, reader)))
-        except (IndexError, csv.Error, UnicodeDecodeError):
+            if next(filter(None, reader), None) is None:
+                return [], np.empty((0, len(columns)))
+            fh.seek(0)
+            # csv.reader raises on a field over the limit and np.loadtxt does
+            # not, so a longer line is declined.  Chunks of at most limit + 1
+            # hold no whole line that long: only one running over chunks is.
+            line, quoted = 0, False
+            for chunk in iter(partial(fh.read, min(1 << 16, limit + 1)), ""):
+                head = len(chunk.split("\n", 1)[0].split("\r", 1)[0])
+                if any(c in chunk for c in _SEPARATORS) or line + head > limit:
+                    return None
+                line = line + head if head == len(chunk) else len(
+                    chunk.rsplit("\n", 1)[-1].rsplit("\r", 1)[-1])
+                quoted = quoted or '"' in chunk
+            if quoted:  # a quoted field may run over lines: csv.reader measures it
+                fh.seek(0)
+                for _ in csv.reader(fh):
+                    pass
+        except (csv.Error, UnicodeDecodeError):
             return None
-        if not ids:  # np.loadtxt warns on a file without data
-            return ids, np.empty((0, len(columns)))
         fh.seek(0)
-        if any(c in chunk for chunk in iter(partial(fh.read, 1 << 16), "") for c in _SEPARATORS):
-            return None
-    # opened here as np.loadtxt opens a path; given the path, it would first
-    # import its openers of compressed files, gzip among them, mid-run
-    with open(path, encoding="utf-8") as fh:
         try:
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', skiprows=skip,
-                               usecols=positions[1:], comments=None, ndmin=2)
+            dtype = [("query_id", object), ("values", float, (len(columns),))]
+            records = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', skiprows=skip,
+                                 usecols=positions, comments=None, ndmin=1)
         except ValueError:
             return None
-    times = table[:, :2]
-    if (len(table) != len(ids) or not np.isfinite(table).all() or (table[:, 1:] < 0).any()
-            or (np.floor(times) != times).any() or (times < -2.0 ** 63).any()
-            or (times >= 2.0 ** 63).any()):
+    table, times = records["values"], records["values"][:, :2]
+    if (not np.isfinite(table).all() or (table[:, 1:] < 0).any()
+            or (np.floor(times) != times).any() or (np.abs(times) >= 2.0 ** 53).any()):
         return None
-    return ids, table
+    return records["query_id"].tolist(), table
 
 
 def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
@@ -403,7 +418,7 @@ def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
 
     The header must name query_id, arrival_ts, duration_ms and the schema's
     columns.  Values must be finite, durations, metrics and operators
-    nonnegative, arrival_ts and duration_ms integral within int64, and ids
+    nonnegative, arrival_ts and duration_ms integral within +-2**53, and ids
     unique.  A file `_read_bulk` declines is read by `_read_rows`, which
     names the first offending row.  The features are a view of the table.
     """

@@ -97,14 +97,14 @@ def run_fresh(code: str) -> list[str]:
     return result.stdout.split()
 
 
-def write_bench_inputs(tmp_path, monkeypatch, name):
-    """Write benchmark workload `name`'s seed-1 inputs; return the workload
-    and their directory."""
+def write_bench_inputs(tmp_path, monkeypatch, name, seed=1):
+    """Write benchmark workload `name`'s inputs for `seed`; return the
+    workload and their directory."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     inputs = tmp_path / "inputs"
-    workloads.write_inputs(workloads.WORKLOADS[name], 1, inputs)
+    workloads.write_inputs(workloads.WORKLOADS[name], seed, inputs)
     return workloads.WORKLOADS[name], inputs

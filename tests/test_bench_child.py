@@ -5,9 +5,10 @@ end-to-end metric times.  `bench/child.py traced` wraps names of the
 program (`cli.solve_window`, `simulate_processor_sharing` called with five
 arguments, `Trace.records`, `Schedule.entries`, ...).  A change that
 breaks one of them fails here, not only in a `bench/run.py --trace 1` run.
-The seed-1 output digests that ROADMAP.md records for byte-identity claims
-are pinned here too, so a change to those bytes fails here as well; a
-change meant to alter them updates both places.
+The output digests that ROADMAP.md records for byte-identity claims, at
+seed 1 and at the held-out seed 1009, are pinned here too, so a change to
+those bytes fails here as well; a change meant to alter them updates both
+places.
 """
 import hashlib
 import json
@@ -60,16 +61,19 @@ def test_pipeline_child_runs_dense_trace(tmp_path, monkeypatch):
 
 
 # sha256 prefixes of plans/plan.csv, schedule/schedule.csv and
-# report/scores.csv for the seed-1 inputs, as ROADMAP.md lists them
+# report/scores.csv for each workload's inputs at seed 1 and at the held-out
+# seed 1009, as ROADMAP.md lists them
 PINNED_DIGESTS = {
-    "select_gap": ("1e3f6ff42303", "4cb87728a85d", "268da535bccd"),
-    "dense_trace": ("58f75f3c9973", "9d84e8cce2b0", "387033601646"),
+    ("select_gap", 1): ("1e3f6ff42303", "4cb87728a85d", "268da535bccd"),
+    ("select_gap", 1009): ("1e3f6ff42303", "90806b946256", "be4dd83b1e35"),
+    ("dense_trace", 1): ("58f75f3c9973", "9d84e8cce2b0", "387033601646"),
+    ("dense_trace", 1009): ("58f75f3c9973", "9d84e8cce2b0", "56ed79e00fc1"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name):
-    workload, inputs = write_bench_inputs(tmp_path, monkeypatch, name)
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
+def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name, seed):
+    workload, inputs = write_bench_inputs(tmp_path, monkeypatch, name, seed)
     out = tmp_path / "out"
     proc = _run_child("pipeline", tmp_path / "result.json", "--config", inputs / "config.txt",
                       "--trace", inputs / "trace.csv", "--catalog", inputs / "catalog.csv",
@@ -78,4 +82,4 @@ def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name):
     digests = tuple(hashlib.sha256((out / artifact).read_bytes()).hexdigest()[:12]
                     for artifact in ("plans/plan.csv", "schedule/schedule.csv",
                                      "report/scores.csv"))
-    assert digests == PINNED_DIGESTS[name]
+    assert digests == PINNED_DIGESTS[name, seed]

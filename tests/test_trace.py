@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import math
 import re
@@ -87,7 +86,7 @@ class TestIngest:
         (["q1,0,100,1,1,0,0,0,0", "q2,0,-5,1,1,0,0,0,0"],
          ValidationError, "row 3: negative duration_ms -5.0"),
         (["q1,0,100,1,1,0,0,0,0", "q2,9223372036854775808,5,1,1,0,0,0,0"],
-         ValidationError, "row 3, column 'arrival_ts': 9.223372036854776e+18 is out of range"),
+         ValidationError, "row 3, column 'arrival_ts': '9223372036854775808' is out of range"),
     ])
     def test_first_offending_row_is_named(self, schema, tmp_path, rows, error, message):
         path = tmp_path / "bad.csv"
@@ -711,7 +710,7 @@ _PLAIN_HEADER = "query_id,arrival_ts,duration_ms,m,o"
     ('"x\ny",{h}\nz,q1,0,10,1,2\n', True),  # np.loadtxt skips the header's two lines
     ('"x\r\ny",{h}\r\nz,q1,0,10,1,2\r\n', True),
     ("﻿{h}\nq1,0,10,1,2\n", False),
-    ("{h}\nq\x001,0,10,1,2\n", True),  # the id comes from csv.reader
+    ("{h}\nq\x001,0,10,1,2\n", True),  # np.loadtxt keeps the NUL in the id, as csv.reader does
     ("{h}\nq1,0,10,1,\x1c2\n", False),  # np.loadtxt strips \x1c to \x1f, float() does not
     ("{h}\nq1,0,10,1,\x1d2\n", False),
     ("{h}\nq1,0,10,1,\x1e2\n", False),
@@ -735,22 +734,30 @@ def test_plain_path_matches_csv_reader(tmp_path, text, plain):
     assert _assert_plain_path_agrees(path, _PLAIN_SCHEMA) == plain
 
 
-@pytest.mark.parametrize("bulk", [True, False])
-def test_arrival_ts_reads_the_int64_range(tmp_path, bulk):
-    """An arrival_ts of -2**63 ingests and one of 2**63 is out of range, on
-    the bulk reader and on the row reader, as in `read_columns`' int cells."""
-    low, high = tmp_path / "low.csv", tmp_path / "high.csv"
-    low.write_text(f"{_PLAIN_HEADER}\nq1,-9223372036854775808,10,1,2\n")
-    high.write_text(f"{_PLAIN_HEADER}\nq1,9223372036854775808,10,1,2\n")
-    if bulk:  # the bulk reader takes the row itself
-        columns = ("arrival_ts", "duration_ms") + _PLAIN_SCHEMA.dimensions
-        assert trace_module._read_bulk(low, columns)[1].tolist() == [[-2 ** 63, 10, 1, 2]]
-    with (contextlib.nullcontext() if bulk else
-          mock.patch.object(trace_module, "_read_bulk", return_value=None)):
-        assert ingest_trace(low, _PLAIN_SCHEMA).arrival_ts.tolist() == [-2 ** 63]
+@pytest.mark.parametrize("row, outcome", [
+    ("q1,9007199254740992,10,1,2", 2 ** 53),
+    ("q1,-9007199254740992,10,1,2", -2 ** 53),
+    ("q1,9007199254740993,10,1,2", "'arrival_ts': '9007199254740993'"),
+    ("q1,9007199254740992.0,10,1,2", "'arrival_ts': '9007199254740992.0'"),
+    ("q1,9223372036854775807,10,1,2", "'arrival_ts': '9223372036854775807'"),
+    ("q1,-9223372036854775808,10,1,2", "'arrival_ts': '-9223372036854775808'"),
+    ("q1,-9223372036854775809,10,1,2", "'arrival_ts': '-9223372036854775809'"),
+    ("q1,9223372036854775808,10,1,2", "'arrival_ts': '9223372036854775808'"),
+    ("q1,0,9007199254740993,1,2", "'duration_ms': '9007199254740993'"),
+])
+def test_times_past_2_53_are_out_of_range(tmp_path, row, outcome):
+    """Past 2**53 float64 rounds times, so a time read exactly is at most
+    2**53 in magnitude, written out; any other is out of range.  The bulk
+    reader leaves every time of that magnitude to the row reader."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"{_PLAIN_HEADER}\n{row}\n")
+    assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+    if isinstance(outcome, int):
+        assert ingest_trace(path, _PLAIN_SCHEMA).arrival_ts.tolist() == [outcome]
+    else:
         with pytest.raises(ValidationError) as info:
-            ingest_trace(high, _PLAIN_SCHEMA)
-    assert str(info.value) == "row 2, column 'arrival_ts': 9.223372036854776e+18 is out of range"
+            ingest_trace(path, _PLAIN_SCHEMA)
+        assert str(info.value) == f"row 2, column {outcome} is out of range"
 
 
 @pytest.mark.parametrize("header, row", [
@@ -861,11 +868,83 @@ def test_bulk_reader_reads_quoted_ids(tmp_path, schema):
     assert trace.metrics.tolist() == [[1, i] for i in range(len(ids))]
 
 
-def test_bulk_reader_declines_a_row_count_csv_reader_does_not_give(tmp_path):
-    """No file known splits into other rows for np.loadtxt than for
-    csv.reader without a ValueError; should one, the row reader reads it."""
+def test_bulk_reader_parses_each_row_once(tmp_path):
+    """One np.loadtxt call reads every row's id and numbers; csv.reader
+    reads no more than the header and one row."""
     path = tmp_path / "t.csv"
-    path.write_text(_PLAIN_HEADER + "\nq1,0,10,1,2\n")
-    loadtxt = np.loadtxt
-    with mock.patch.object(np, "loadtxt", lambda *args, **kw: np.tile(loadtxt(*args, **kw), (2, 1))):
+    path.write_text(_PLAIN_HEADER + "".join(f"\nq{i},{i},10,1,2" for i in range(50)) + "\n")
+    rows, reader = [], csv.reader
+
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self._reader = reader(*args, **kwargs)
+            self.line_num = 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows.append(next(self._reader))
+            self.line_num = self._reader.line_num
+            return rows[-1]
+
+    with (mock.patch.object(csv, "reader", CountingReader),
+          mock.patch.object(trace_module, "_parse_row", _never_parse_row),
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+        trace = ingest_trace(path, _PLAIN_SCHEMA)
+    assert loadtxt.call_count == 1
+    assert len(rows) <= 2
+    assert trace.query_id == [f"q{i}" for i in range(50)]
+    assert trace.arrival_ts.tolist() == list(range(50))
+
+
+def _straddling_file(path, column, length):
+    """A CRLF trace whose third line, `length` characters long, starts 7
+    characters before the first 64 KiB chunk boundary, so that it runs
+    through the next chunk into the one after; `column` holds its padding."""
+    header = _PLAIN_HEADER + ",x\r\n"
+    filler = "q0,0,10,1,2,"
+    filler += "y" * ((1 << 16) - 7 - len(header) - len(filler) - 2) + "\r\n"
+    cells = {"query_id": "q1", "x": "y"}
+    cells[column] += "z" * (length - len("q1,0,10,1,2,y"))
+    line = f"{cells['query_id']},0,10,1,2,{cells['x']}\r\n"
+    path.write_bytes((header + filler + line + "q2,0,10,1,2,y\r\n").encode())
+    assert len(header + filler) == (1 << 16) - 7 and len(line) == length + 2
+
+
+@pytest.mark.parametrize("column", ["query_id", "x"])
+@pytest.mark.parametrize("excess, plain", [(0, True), (1, False), (12, False)])
+def test_bulk_reader_measures_lines_across_chunks(tmp_path, column, excess, plain):
+    """A line longer than csv.field_size_limit() (131072 by default) is
+    declined, though it straddles 64 KiB chunks, in the id column and in a
+    column no reader reads.  12 more characters make its padded field too
+    long for csv.reader, which raises on it."""
+    path = tmp_path / "t.csv"
+    _straddling_file(path, column, csv.field_size_limit() + excess)
+    assert _assert_plain_path_agrees(path, _PLAIN_SCHEMA) == plain
+
+
+def test_bulk_reader_measures_lines_under_a_lowered_limit(tmp_path):
+    """Under a csv.field_size_limit() below the chunk size, a line over it
+    inside one chunk is declined too."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"{_PLAIN_HEADER},x\nq1,0,10,1,2,y\nq2,0,10,1,2,{'y' * 101}\nq3,0,10,1,2,y\n")
+    limit = csv.field_size_limit(100)
+    try:
         assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("column", ["query_id", "x"])
+@pytest.mark.parametrize("lines, plain", [(100, True), (132, False)])
+def test_bulk_reader_declines_quoted_fields_over_the_csv_limit(tmp_path, column, lines, plain):
+    """A quoted field of short lines can run past csv.field_size_limit(),
+    on which csv.reader raises; so a file that quotes is read through
+    csv.reader too, and declined there."""
+    field = '"' + ("y" * 999 + "\n") * lines + '"'
+    cells = {"query_id": "q2", "x": "y", column: field}
+    path = tmp_path / "t.csv"
+    path.write_text(f"{_PLAIN_HEADER},x\nq1,0,10,1,2,y\n"
+                    f"{cells['query_id']},0,10,1,2,{cells['x']}\n")
+    assert _assert_plain_path_agrees(path, _PLAIN_SCHEMA) == plain
