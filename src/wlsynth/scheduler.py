@@ -343,7 +343,7 @@ def assign_timestamps(plans: list[SelectionPlan], interval_targets: IntervalTarg
     best = current
     trace = [best]
     if not len(schedule):
-        return AnnealResult(schedule, 0.0, 0.0, [0.0], 0)
+        return AnnealResult(schedule, best, best, trace, 0)
 
     v_max, v_min = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng,
                                       granularity)

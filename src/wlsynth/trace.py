@@ -16,10 +16,10 @@ by row through csv.reader to name the error.  Times are integers of
 magnitude at most 2**53, which float64 holds exactly.  Aggregation bins the
 whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
 which the scheduler's energy and the fidelity report share: it cuts the
-rows into (row, interval, overlap) triples and sums each column with one
-`np.bincount`, or, past a fixed triple budget, with `np.add.at` a chunk
-of rows at a time.  Either way every interval adds its terms from zero in
-row order, so the sums equal a per-row loop's bit for bit.
+rows at the intervals, a chunk of rows within a fixed budget of (row,
+interval) pairs at a time, and adds each column's terms with `np.add.at`.
+Every interval adds its terms from zero in row order, so the sums equal a
+per-row loop's bit for bit.
 `write_columns`, the one CSV writer of the trace, the targets, the
 schedule and the catalog, formats the numbers of a block of rows in numpy
 and writes the bytes csv.writer would.  The other CSV artifacts (targets, plans,
@@ -45,11 +45,9 @@ log = logging.getLogger(__name__)
 
 MANDATORY_COLUMNS = ("query_id", "arrival_ts", "duration_ms")
 
-# Most (row, interval, overlap) triples one IntervalGrid.spread call builds
-# at once.  A call within it sums each column with one np.bincount; a larger
-# one, such as a backlog that stretches instances over hundreds of
-# intervals, goes through np.add.at a chunk of rows at a time, so the
-# temporaries stay bounded.
+# Most (row, interval) pairs IntervalGrid.spread cuts at once, so that its
+# temporaries stay bounded also when a backlog stretches instances over
+# hundreds of intervals.
 _TRIPLES = 1 << 15
 # Rows per block that write_columns formats: from 256 to 1024 the
 # per-block overhead fell by a third, beyond it barely.
@@ -133,74 +131,53 @@ class IntervalGrid:
         """`targets.grid`; bench/child.py reads the grid through this name."""
         return targets.grid
 
-    def _segments(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """The first interval of each half-open segment [lo, hi) clipped to
-        the grid, and the number of intervals it overlaps."""
-        lo = np.maximum(lo, self.start_ts)
-        hi = np.minimum(hi, self.end_ts)
-        first = ((lo - self.start_ts) // self.interval_len_ms).astype(np.intp, copy=False)
-        # ceil((hi - start) / len) - first, exact for integers
-        count = (-((self.start_ts - hi) // self.interval_len_ms)).astype(np.intp, copy=False)
-        count -= first
-        count[hi <= lo] = 0
-        return first, count
-
-    def _triples(self, lo, hi, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`overlaps` given `_segments`; an interval's own bounds clip each
-        segment to the grid."""
-        segment = np.repeat(np.arange(count.size), count)
-        interval = np.arange(segment.size)
-        interval -= np.repeat(np.cumsum(count) - count, count)
-        interval += first[segment]
-        # in the bounds' dtype, so that the overlap is computed in place
-        bin_lo = (interval * self.interval_len_ms + self.start_ts).astype(
-            np.result_type(lo, hi), copy=False)
-        overlap = bin_lo + self.interval_len_ms
-        np.minimum(overlap, hi[segment], out=overlap)
-        overlap -= np.maximum(bin_lo, lo[segment], out=bin_lo)
-        return segment, interval, overlap
-
-    def overlaps(self, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(segment, interval, overlap) triples of the half-open segments
-        [lo, hi) clipped to the grid, one per interval a segment overlaps.
-
-        Segments come in order and intervals ascend within each, so summing
-        the triples in order adds every interval's terms in segment order.
-        Works for integer and float bounds alike.
-        """
-        lo, hi = np.asarray(lo), np.asarray(hi)
-        return self._triples(lo, hi, *self._segments(lo, hi))
-
     def spread(self, start, duration, values: np.ndarray) -> np.ndarray:
         """Spread each row of `values` evenly over [start, start +
         max(duration, 1)) and return the (intervals x columns) sums.
 
         A zero-duration row is a 1 ms segment, all of whose mass goes to the
-        interval of its start.  Every interval receives its terms from zero
-        in row order, values * (overlap / length) each, so the sums equal a
-        per-row loop's bit for bit, whatever `_TRIPLES` is, and do not depend
-        on whether the bounds are integers or floats holding the same values.
+        interval of its start.  The segments are clipped to the grid and cut
+        at its intervals, and each column's terms, values * (overlap /
+        length), are added with np.add.at, at most `_TRIPLES` (row,
+        interval) pairs at a time.  Every interval thus receives its terms
+        from zero in row order, so the sums equal a per-row loop's bit for
+        bit, whatever `_TRIPLES` is, and do not depend on whether the bounds
+        are integers or floats holding the same values.
         """
         length = np.maximum(duration, 1)
         end = start + length
-        first, count = self._segments(start, end)
-        sums = np.zeros((self.n_intervals, values.shape[1]))
-        if count.sum() <= _TRIPLES:
-            # one np.bincount per column adds in the order np.add.at would
-            row, k, overlap = self._triples(start, end, first, count)
-            share = overlap / length[row]
-            for c, column in enumerate(values.T):
-                weights = column[row]
-                weights *= share
-                sums[:, c] = np.bincount(k, weights, minlength=self.n_intervals)
-            return sums
+        # the first interval of each segment clipped to the grid, and the
+        # number it overlaps: ceil((end - start_ts) / len) - first, exact
+        # for integers, and none for a segment off the grid
+        first = ((np.maximum(start, self.start_ts) - self.start_ts)
+                 // self.interval_len_ms).astype(np.intp, copy=False)
+        count = (-((self.start_ts - np.minimum(end, self.end_ts))
+                   // self.interval_len_ms)).astype(np.intp, copy=False)
+        count -= first
+        np.maximum(count, 0, out=count)
         ends = np.cumsum(count)
+        begins = ends - count  # each row's first pair among the call's
+        sums = np.zeros((self.n_intervals, values.shape[1]))
         b = 0
         while b < count.size:
-            # the rows from b whose triples fit the budget, at least one
-            e = max(b + 1, int(np.searchsorted(ends, ends[b] - count[b] + _TRIPLES, "right")))
-            row, k, overlap = self._triples(start[b:e], end[b:e], first[b:e], count[b:e])
-            np.add.at(sums, k, values[b:e][row] * (overlap / length[b:e][row])[:, None])
+            # the rows from b whose pairs fit the budget, at least one
+            e = max(b + 1, int(np.searchsorted(ends, begins[b] + _TRIPLES, "right")))
+            row = np.repeat(np.arange(b, e), count[b:e])
+            # each pair's interval: its row's first plus its place among the row's pairs
+            k = np.arange(begins[b], ends[e - 1])
+            k += np.repeat(first[b:e] - begins[b:e], count[b:e])
+            # in the bounds' dtype, so that the overlap is computed in place;
+            # an interval's own bounds clip each segment to the grid
+            bin_lo = (k * self.interval_len_ms + self.start_ts).astype(
+                np.result_type(start, end), copy=False)
+            overlap = bin_lo + self.interval_len_ms
+            np.minimum(overlap, end[row], out=overlap)
+            overlap -= np.maximum(bin_lo, start[row], out=bin_lo)
+            share = overlap / length[row]
+            for accumulator, column in zip(sums.T, values.T):
+                terms = column[row]
+                terms *= share
+                np.add.at(accumulator, k, terms)
             b = e
         return sums
 
@@ -247,14 +224,21 @@ def _parse_number(raw: str | None, row: int, column: str) -> float:
 
 
 def _parse_int(raw: str | None, row: int, column: str) -> int:
-    """An int64 cell; a fractional or out-of-range number is a ValidationError."""
+    """An int64 cell; a fractional or out-of-range number is a ValidationError.
+
+    Integrality and range are decided on the cell's exact decimal value:
+    float() would read 1.0000000000000001 as 1, and 9007199254740993.0 as
+    9007199254740992.
+    """
     try:
         value = int(raw)
     except (TypeError, ValueError):
-        number = _parse_number(raw, row, column)
-        if not number.is_integer():
-            raise ValidationError(f"row {row}, column {column!r}: non-integral value {number!r}")
-        value = int(number)
+        _parse_number(raw, row, column)  # raises on a missing, unparseable or non-finite cell
+        from decimal import Decimal  # a run whose int cells are all digits never loads it
+        exact = Decimal(raw)
+        if exact != exact.to_integral_value():
+            raise ValidationError(f"row {row}, column {column!r}: non-integral value {exact}")
+        value = int(exact)
     if not -2 ** 63 <= value < 2 ** 63:
         raise ValidationError(f"row {row}, column {column!r}: {raw!r} is out of range")
     return value

@@ -119,13 +119,16 @@ class TestGrid:
         for targets in (intervals, read_targets(*paths, schema)[1]):
             assert IntervalGrid.from_targets(targets) == IntervalGrid(1000, 900000, 1)
 
-    def test_overlaps_clips_segments_to_the_grid(self):
+    def test_spread_clips_segments_to_the_grid(self):
+        """A segment that starts before the grid, one inside it, one that
+        ends past it, a zero-duration one and two outside it: column j of
+        the sums is row j's share of each interval."""
         grid = IntervalGrid(start_ts=0, interval_len_ms=10, n_intervals=3)
-        segment, interval, overlap = grid.overlaps(np.array([-5, 10, 12, 25]),
-                                                   np.array([3, 10, 21, 40]))
-        assert segment.tolist() == [0, 2, 2, 3]
-        assert interval.tolist() == [0, 1, 2, 2]
-        assert overlap.tolist() == [3, 8, 1, 5]
+        sums = grid.spread(np.array([-5, 12, 25, 10, -20, 30]), np.array([8, 9, 15, 0, 5, 4]),
+                           np.eye(6))
+        assert sums.tolist() == [[3 / 8, 0, 0, 0, 0, 0],
+                                 [0, 8 / 9, 0, 1, 0, 0],
+                                 [0, 1 / 9, 5 / 15, 0, 0, 0]]
 
 
 def planted_setup(schema):
@@ -237,9 +240,15 @@ class TestAnnealing:
         assert result.steps < 100000
 
     def test_empty_plans(self, schema):
-        catalog, targets, _ = planted_setup(schema)
+        """No instance: the reported energies are the empty schedule's, as
+        `energy` scores it, not zero."""
+        catalog, _, _ = planted_setup(schema)
+        targets = interval_targets(np.full((10, 2), 5.0))
         result = assign_timestamps([], targets, catalog, Config(), rng_seed=0)
         assert len(result.schedule) == 0
+        assert result.best_energy == energy(result.schedule, targets, catalog, Config())
+        assert result.initial_energy == result.best_energy
+        assert result.best_energy_trace == [result.best_energy]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_best_energy_is_the_replayed_trace_error(self, schema, cores):
@@ -405,6 +414,11 @@ def test_schedule_csv_bytes(tmp_path_factory, rows, block):
     ("inf,c1,0,1000\n", TraceParseError, "row 2, column 'window_index': non-finite"),
     ("0,c1,0,1000\n0,c1,1,9223372036854775808\n", ValidationError,
      "row 3, column 'start_ts': '9223372036854775808' is out of range"),
+    # float() reads these two as 1.0 and -2**63
+    ("0,c1,0,1000\n0,c1,1,1.0000000000000001\n", ValidationError,
+     "row 3, column 'start_ts': non-integral value 1.0000000000000001"),
+    ("0,c1,0,1000\n0,c1,1,-9223372036854775809.0\n", ValidationError,
+     "row 3, column 'start_ts': '-9223372036854775809.0' is out of range"),
     # Schedule.component_id, a numpy str array, would read it as 'c1'
     ("0,c1,0,1000\n0,c1\x00,1,1000\n", ValidationError,
      r"row 3, column 'component_id': 'c1\\x00' ends in a NUL character"),
@@ -414,6 +428,18 @@ def test_malformed_schedule_rows_are_typed(tmp_path, body, error, message):
     path.write_text("window_index,component_id,instance_index,start_ts\n" + body)
     with pytest.raises(error, match=message):
         read_schedule(path)
+
+
+@pytest.mark.parametrize("cell, start_ts", [
+    ("9007199254740993.0", 2 ** 53 + 1), ("9223372036854775807.0", 2 ** 63 - 1),
+    ("-9223372036854775808.0", -2 ** 63), ("1e3", 1000),
+])
+def test_integral_number_cells_read_exactly(tmp_path, cell, start_ts):
+    """An int cell written as a number reads as its exact value, not as
+    float()'s rounding of it."""
+    path = tmp_path / "schedule.csv"
+    path.write_text(f"window_index,component_id,instance_index,start_ts\n0,c1,0,{cell}\n")
+    assert read_schedule(path).start_ts.tolist() == [start_ts]
 
 
 def test_schedule_missing_column_is_typed(tmp_path):
@@ -623,8 +649,10 @@ def test_processor_sharing_bins_span_several_blocks():
     reference = _reference_bins(starts, works, completions, metrics, grid)
     np.testing.assert_array_equal(whole, reference)
     durations = scheduler_module.replayed_durations(starts, completions, works)
-    row, _, _ = grid.overlaps(starts, starts + np.maximum(durations, 1))
-    assert np.bincount(row).max() > 5
+    lo = np.maximum(starts, grid.start_ts) - grid.start_ts
+    hi = np.minimum(starts + np.maximum(durations, 1), grid.end_ts) - grid.start_ts
+    spans = np.ceil(hi / grid.interval_len_ms) - lo // grid.interval_len_ms
+    assert spans[hi > lo].max() > 5
     for budget in (1, 5, 256):
         with mock.patch.object(trace_module, "_TRIPLES", budget):
             _, bins = simulate_processor_sharing(starts, works, 2, metrics, grid)

@@ -540,6 +540,7 @@ _CELLS = {
 # the row before the cell
 _FAULTS = [
     ((int,), "2.5", ValidationError, "non-integral value 2.5"),
+    ((int,), "1.0000000000000001", ValidationError, "non-integral value 1.0000000000000001"),
     ((int, float), "x1", TraceParseError, "cannot parse 'x1'"),
     ((int, float), "", TraceParseError, "cannot parse ''"),
     ((int, float), "nan", TraceParseError, "non-finite value 'nan'"),
