@@ -492,12 +492,13 @@ def generate_component(
 
 
 def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:
+    """Indices of the windows whose plan objective exceeds `threshold`."""
     return sorted(p.window_index for p in plans if p.objective_value > threshold)
 
 
 def augment_catalog(
     trace: Trace,
-    plans: list[SelectionPlan],
+    bad: list[int],
     window_targets: WindowTargets,
     catalog: Catalog,
     provider: Provider,
@@ -506,14 +507,15 @@ def augment_catalog(
     seed: int,
 ) -> tuple[Catalog, list[GenerationReport]]:
     """Generate one component per cluster (`augment.k` of them) of the
-    queries in windows whose objective exceeds `augment.bad_window_threshold`.
+    queries in the `bad` windows: those whose objective exceeds
+    `augment.bad_window_threshold`, by `bad_windows` of written plans or by
+    `selector.exceeds` of the windows' relaxation.
 
     Each accepted component is appended to a new catalog; the input catalog,
     and the selection problems that share its columns, stay as they are.
     Appending only ever enlarges the candidate set, so re-solving any window
     with the returned catalog cannot worsen its objective.
     """
-    bad = bad_windows(plans, cfg["augment.bad_window_threshold"])
     if not bad:
         return catalog, []
     # the queries that arrive inside a bad window, in trace order

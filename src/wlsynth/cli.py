@@ -5,8 +5,12 @@ its inputs from the invocation's run context (`Run`) and writes the CSV
 contracts of the library modules, so any prefix of the pipeline can be
 resumed from its artifacts.  `pipeline` calls the same stage functions in
 order on one context, where each finds the outputs of the stages before it
-and reads back nothing the run wrote.  All randomness flows from one --seed;
-each stage derives its own generator by hashing the stage name.
+and reads back nothing the run wrote.  A pipeline that runs augment solves no
+window's exact MIP before it: select holds the windows' stacked LP relaxation
+in place of plans, augment decides the badly fit windows from it
+(`selector.exceeds`), and plans are solved and written once, after augment.
+All randomness flows from one --seed; each stage derives its own generator
+by hashing the stage name.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
+from . import augmenter
 from .augmenter import HttpProvider, MockProvider, augment_catalog, write_attempt_log
 from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
 from .config import Config, load_config
@@ -40,8 +45,11 @@ from .selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
     SelectionPlan,
+    exceeds,
+    finish_windows,
     match_query,
     read_plans,
+    relax_windows,
     solve_all_windows,
     solve_window,  # noqa: F401 not called here; bench/child.py traces it under this name
     write_plan_summary,
@@ -215,8 +223,7 @@ def stage_targets(run: Run) -> None:
     run.held["targets"] = windows, intervals
 
 
-def _solve_and_write(run: Run, windows, catalog: Catalog) -> None:
-    plans = _solve_windows(windows, catalog, run.cfg, run.args.jobs)
+def _write_plans(run: Run, windows, plans: list[SelectionPlan]) -> None:
     write_plans(plans, run.paths.plans / "plan.csv")
     write_plan_summary(plans, windows, run.cfg.schema(), run.paths.plans / "summary.csv")
     run.held["plans"] = plans
@@ -244,19 +251,34 @@ def stage_select(run: Run) -> None:
                 writer.writerows((query_id, cid, plan.counts[cid], repr(plan.objective_value))
                                  for cid in sorted(plan.counts))
         log.info("matched %d queries (%s)", len(trace), level)
-    _solve_and_write(run, windows, catalog)
+    if run.args.command == "pipeline" and not run.args.skip_augment:
+        # augment decides the bad windows from the relaxation and solves the plans
+        with _solver_output_to_stderr():
+            run.held["relaxation"] = relax_windows(windows, catalog, cfg)
+        log.info("relaxed %d windows", len(windows))
+        return
+    _write_plans(run, windows, _solve_windows(windows, catalog, cfg, run.args.jobs))
     log.info("solved %d windows", len(windows))
 
 
 def stage_augment(run: Run) -> None:
-    """Holds the augmented catalog, and the plans re-solved with it."""
+    """Holds the augmented catalog, and the plans solved with it.  The windows
+    whose objective exceeds `augment.bad_window_threshold` come from the plans
+    select wrote, or, in a pipeline, from the relaxation select held."""
     cfg, paths = run.cfg, run.paths
     trace = run.get("trace")
     windows, _ = run.get("targets")
     catalog = run.get("catalog")
-    plans = run.get("plans")
+    threshold = cfg["augment.bad_window_threshold"]
+    relaxation = run.held.pop("relaxation", None)
+    if relaxation is None:
+        bad = augmenter.bad_windows(run.get("plans"), threshold)
+    else:
+        with _solver_output_to_stderr():
+            bad = [problem.window_index for problem, root in zip(*relaxation)
+                   if exceeds(problem, root, threshold)]
     augmented, reports = augment_catalog(
-        trace, plans, windows, catalog, _provider(cfg), SimulatedExecutor(cfg.schema()),
+        trace, bad, windows, catalog, _provider(cfg), SimulatedExecutor(cfg.schema()),
         cfg, stage_seed(cfg["seed"], "augment"),
     )
     paths.ensure(paths.augment, paths.plans)
@@ -265,10 +287,15 @@ def stage_augment(run: Run) -> None:
     run.held["catalog"] = augmented
     accepted = sum(1 for r in reports if r.accepted)
     if accepted == 0:
-        # same catalog as the plans were solved with: a re-solve writes the same bytes
+        # same catalog as the relaxation's or the written plans': a re-solve
+        # would write the same bytes
+        if relaxation is not None:
+            with _solver_output_to_stderr():
+                plans = finish_windows(*relaxation, run.args.jobs)
+            _write_plans(run, windows, plans)
         log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
         return
-    _solve_and_write(run, windows, augmented)
+    _write_plans(run, windows, _solve_windows(windows, augmented, cfg, run.args.jobs))
     log.info("augmentation: %d/%d targets accepted, plans re-solved",
              accepted, len(reports))
 

@@ -13,9 +13,13 @@ The MIP runs without HiGHS's sub-MIP primal heuristics (RINS, RENS and root
 reduced-cost fixing) and without its feasibility-jump heuristic: on
 window-sized problems they cost more time than they save, and the search
 stays exact without them.  Windows share
-nothing, so `solve_all_windows` solves every window's relaxation in one HiGHS
-call on the block-diagonal stack of their models, then each fractional
-window's MIP alone, in order or from a thread pool.  Identical inputs give
+nothing, so `relax_windows` solves every window's relaxation in one HiGHS
+call on the block-diagonal stack of their models, and `finish_windows` then
+solves each fractional window's MIP alone, in order or from a thread pool;
+`solve_all_windows` is the two in turn.  Whether a window's optimum exceeds a
+threshold, `exceeds` answers from the same relaxation, mostly without the
+exact MIP: by the LP bound, or by a MIP cut off at the threshold that stops
+at its first solution under it.  Identical inputs give
 identical counts; repetitions of components with identical feature and
 duration columns sit on the later component id.  Where a window has several
 optimal count vectors, which one the stacked call returns can depend on the
@@ -40,6 +44,9 @@ ONE_TO_MANY = "one_to_many"
 
 _TIE_EPS = 1e-9
 _INT_EPS = 1e-6
+# `exceeds` decides by a bound only when it clears the threshold by this much:
+# more than HiGHS's mip_abs_gap (1e-6) plus its mip_feasibility_tolerance (1e-6)
+_CUTOFF_MARGIN = 1e-5
 
 # Sub-MIP heuristics cost window-sized MIPs more LP iterations than they
 # save; feasibility jump, run before the root LP, about half of a MIP that
@@ -99,7 +106,7 @@ class SelectionProblem:
 
 def relative_error(achieved: np.ndarray, target: np.ndarray, floor: float) -> float:
     """The selection and annealing objective: the sum of `features.relative_errors`."""
-    return float(np.sum(relative_errors(achieved, target, floor)))
+    return float(relative_errors(achieved, target, floor).sum())
 
 
 @dataclass
@@ -208,7 +215,7 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
     """Exact solve of one window's selection problem with HiGHS.
 
     `root` is the window's point of its LP relaxation when the caller has
-    solved it already, as `solve_all_windows` does for every window in one
+    solved it already, as `relax_windows` does for every window in one
     call; without one the window's own relaxation is solved here.  When the
     root's counts are integral and feasible they are optimal and no MIP is
     needed.  Otherwise one HiGHS MIP solve of this window alone (branch and
@@ -231,16 +238,7 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
             root = _relaxation_points([problem])[0]
         counts = _rounded_counts(problem, root)
         if counts is None:
-            c, matrix, rows, cols = _milp_model([problem])
-            integrality = np.zeros(c.shape[0])
-            integrality[:v] = 1
-            options = {
-                "mip_rel_gap": 0,
-                "mip_max_nodes": problem.node_limit,
-                "time_limit": problem.time_limit_s,
-                **_MIP_OPTIONS,
-            }
-            status, x = highs.solve(c, matrix, rows, cols, integrality, options)
+            status, x = _window_mip(problem, {})
             counts = _rounded_counts(problem, x)
             approximate = status != 0 or counts is None
         if counts is not None and problem.objective(counts) < zero_obj - _TIE_EPS:
@@ -249,19 +247,78 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
     return problem.plan(_lex_duplicate_shift(problem, best_counts), approximate)
 
 
+def _window_mip(problem: SelectionProblem, options: dict) -> tuple[int, np.ndarray | None]:
+    """One HiGHS MIP of this window alone: relative gap 0, `_MIP_OPTIONS`,
+    the problem's node and time limits, then `options`."""
+    c, matrix, rows, cols = _milp_model([problem])
+    integrality = np.zeros(c.shape[0])
+    integrality[:problem.features.shape[0]] = 1
+    return highs.solve(c, matrix, rows, cols, integrality, {
+        "mip_rel_gap": 0,
+        "mip_max_nodes": problem.node_limit,
+        "time_limit": problem.time_limit_s,
+        **_MIP_OPTIONS,
+        **options,
+    })
+
+
+def exceeds(problem: SelectionProblem, root: np.ndarray | None, threshold: float) -> bool:
+    """`solve_window(problem, root).objective_value > threshold`, mostly
+    without its exact MIP.
+
+    The plan is never worse than the all-zeros vector, so a zero vector at or
+    under the threshold answers False.  An integral root is the plan, up to
+    `solve_window`'s tie rules.  A fractional root's slack sum is a lower
+    bound on the optimum: above the threshold by `_CUTOFF_MARGIN`, True.
+    Otherwise one MIP runs under `solve_window`'s node and time limits, cut
+    off at the threshold plus the margin and stopped at its first solution
+    under the cutoff.  An integral root or incumbent at most the threshold
+    minus the margin answers False; a search that ends (optimal or
+    infeasible) with nothing under the cutoff answers True.  Anything else (a
+    limit hit, a point within the margin of the threshold, no point) falls
+    back to `solve_window`.  So the two answers can differ only where
+    `solve_window`'s own MIP would stop at `node_limit` or `time_limit_s`
+    with an approximate plan.
+    """
+    v = problem.features.shape[0]
+    zero_obj = problem.objective(np.zeros(v, dtype=int))
+    if zero_obj <= threshold or v == 0:
+        return zero_obj > threshold
+    if root is None:
+        root = _relaxation_points([problem])[0]
+    counts = _rounded_counts(problem, root)
+    finished = counts is not None  # an integral root is optimal
+    if root is not None and counts is None:
+        cutoff = threshold + _CUTOFF_MARGIN
+        if float(root[v:].sum()) > cutoff:
+            return True
+        status, x = _window_mip(problem, {"objective_bound": cutoff,
+                                          "mip_max_improving_sols": 1})
+        if status == 2 and x is None:  # infeasible under the cutoff
+            return True
+        counts, finished = _rounded_counts(problem, x), status == 0
+    if counts is not None:
+        found = problem.objective(counts)
+        if found <= threshold - _CUTOFF_MARGIN:
+            return False
+        if finished and found >= threshold + _CUTOFF_MARGIN:
+            return True
+    return solve_window(problem, root).objective_value > threshold
+
+
 def _rounded_counts(problem: SelectionProblem, x: np.ndarray | None) -> np.ndarray | None:
     """Integer counts of a solver point, or None unless they are integral and feasible."""
     if x is None:
         return None
     x = x[: problem.features.shape[0]]
-    counts = np.round(x).astype(int)
-    if np.any(np.abs(x - counts) > _INT_EPS) or not _feasible(problem, counts):
+    counts = x.round().astype(int)
+    if (abs(x - counts) > _INT_EPS).any() or not _feasible(problem, counts):
         return None
     return counts
 
 
 def _feasible(problem: SelectionProblem, counts: np.ndarray) -> bool:
-    if np.any(counts < 0) or np.any(counts > problem.y):
+    if (counts < 0).any() or (counts > problem.y).any():
         return False
     if counts.sum() > problem.z:
         return False
@@ -296,24 +353,22 @@ def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
     ) for w in ws]
 
 
-def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
-                      jobs: int = 1) -> list[SelectionPlan]:
-    """Solve every window (the objective is separable over windows).
-
-    The LP relaxations of all windows are solved in one HiGHS call, stacked
-    block-diagonally (`_milp_model`); then `solve_window` takes each window
-    from its slice of that point, with a MIP of its own where the slice is
-    fractional.  When the stacked call returns no point, each window solves
-    its own relaxation as `solve_window` alone does.  With `jobs > 1` the
-    per-window calls, and so only the MIPs, run from a pool of that many
-    threads.  Plans come back in window order either way, and a
-    `SolverError` names the window it came from.  Where a window has several
-    optimal count vectors, which one comes back can depend on the other
-    windows in the same call; the optimal objective does not.
-    """
+def relax_windows(windows: WindowTargets, catalog: Catalog, cfg: Config
+                  ) -> tuple[list[SelectionProblem], list[np.ndarray | None]]:
+    """Every window's problem (`build_problem`) and its point of the LP
+    relaxation, all solved in one HiGHS call on their block-diagonal stack
+    (`_milp_model`); None for every window when that call returns no point."""
     problems = _build_problems(windows, catalog, cfg, range(len(windows)))
-    roots = _relaxation_points(problems) if problems else []
+    return problems, _relaxation_points(problems) if problems else []
 
+
+def finish_windows(problems: list[SelectionProblem], roots: list[np.ndarray | None],
+                   jobs: int = 1) -> list[SelectionPlan]:
+    """`solve_window` of each problem from its root, with a MIP of its own
+    where the root is fractional, and its own relaxation where the root is
+    None.  With `jobs > 1` the calls, and so only the MIPs, run from a pool of
+    that many threads.  Plans come back in window order either way, and a
+    `SolverError` names the window it came from."""
     def solve(problem: SelectionProblem, root: np.ndarray | None) -> SelectionPlan:
         try:
             return solve_window(problem, root)
@@ -326,6 +381,16 @@ def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(solve, problems, roots))
     return [solve(problem, root) for problem, root in zip(problems, roots)]
+
+
+def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
+                      jobs: int = 1) -> list[SelectionPlan]:
+    """Solve every window (the objective is separable over windows):
+    `finish_windows` over `relax_windows`.  Where a window has several
+    optimal count vectors, which one comes back can depend on the other
+    windows in the same stacked call; the optimal objective does not.
+    """
+    return finish_windows(*relax_windows(windows, catalog, cfg), jobs)
 
 
 def write_plans(plans: list[SelectionPlan], path) -> None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wlsynth import highs
 from wlsynth.catalog import Catalog, DatabaseDescriptor, WorkloadComponent
 from wlsynth.config import Config
 from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
@@ -108,3 +109,18 @@ def write_bench_inputs(tmp_path, monkeypatch, name, seed=1):
     inputs = tmp_path / "inputs"
     workloads.write_inputs(workloads.WORKLOADS[name], seed, inputs)
     return workloads.WORKLOADS[name], inputs
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """(is_mip, options) of every `highs.solve` call the program makes during the test."""
+    calls = []
+    solve = highs.solve
+
+    def recording_solve(c, matrix, rows, cols, integrality, options):
+        # integrality is read now: solve_window reuses the array for its MIP call
+        calls.append((bool(integrality.any()), options))
+        return solve(c, matrix, rows, cols, integrality, options)
+
+    monkeypatch.setattr(highs, "solve", recording_solve)
+    return calls

@@ -16,6 +16,7 @@ from wlsynth.augmenter import (
     VERDICT_DATABASE_SWITCH,
     MockProvider,
     augment_catalog,
+    bad_windows,
     generate_component,
     GenerationTarget,
 )
@@ -304,8 +305,8 @@ def test_criterion_7_augmentation_closed_loop(schema):
 
     provider = MockProvider(echo_policy)
     augmented, reports = augment_catalog(
-        trace, pre, windows, catalog, provider, SimulatedExecutor(schema),
-        Config({"augment.k": "1"}), seed=0,
+        trace, bad_windows(pre, 0.2), windows, catalog, provider,
+        SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
     )
     post = solve_all_windows(windows, augmented, cfg)
     improvement_ok = post[0].objective_value <= 0.1 * pre[0].objective_value

@@ -352,8 +352,8 @@ class TestAugmentCatalog:
         trace, plans, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         augmented, reports = augment_catalog(
-            trace, plans, windows, catalog, provider, SimulatedExecutor(schema),
-            Config({"augment.k": "1"}), seed=0,
+            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
         )
         assert len(catalog) == 5  # input untouched
         assert len(augmented) == 6
@@ -369,7 +369,7 @@ class TestAugmentCatalog:
         cfg = Config()
         cfg.values["augment.k"] = 0  # past the table's rule: the stage checks k too
         with pytest.raises(ValidationError, match="k must be >= 1"):
-            augment_catalog(trace, plans, windows, catalog, provider,
+            augment_catalog(trace, bad_windows(plans, 0.2), windows, catalog, provider,
                             SimulatedExecutor(schema), cfg, seed=0)
         assert provider.calls == 0
 
@@ -378,8 +378,8 @@ class TestAugmentCatalog:
         plans[0].objective_value = 0.0
         provider = MockProvider(lambda prompt, calls: annotated(1, 1))
         augmented, reports = augment_catalog(
-            trace, plans, windows, catalog, provider, SimulatedExecutor(schema), Config(),
-            seed=0)
+            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            SimulatedExecutor(schema), Config(), seed=0)
         assert augmented is catalog
         assert reports == []
         assert provider.calls == 0
@@ -388,8 +388,8 @@ class TestAugmentCatalog:
         trace, plans, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         _, reports = augment_catalog(
-            trace, plans, windows, catalog, provider, SimulatedExecutor(schema),
-            Config({"augment.k": "1"}), seed=0,
+            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
         )
         path = tmp_path / "attempts.jsonl"
         write_attempt_log(reports, path)

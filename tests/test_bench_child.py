@@ -46,6 +46,10 @@ def test_traced_child_reports_every_layer_metric(tmp_path, monkeypatch):
     # one selector.solve_window span per window of the select stage
     assert outcome["metrics"]["selector.windows"] == 6
     assert outcome["metrics"]["selector.instances"] > 0
+    # the standalone augment decides the bad windows by augmenter.bad_windows,
+    # the name the child wraps: 5 of the 6 windows, and 3 components accepted
+    assert outcome["metrics"]["augmenter.bad_windows"] == 5
+    assert outcome["metrics"]["augmenter.accepted"] == 3
 
 
 def test_pipeline_child_runs_dense_trace(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_catalog
+from conftest import make_catalog, write_bench_inputs
 from test_selector import random_problem
 from wlsynth import catalog as catalog_module
 from wlsynth import cli
@@ -373,6 +373,88 @@ class TestFlagTable:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def bench_argv(command, out, inputs, config=None):
+    """`command`'s argv on benchmark inputs: the flags of FLAGS it takes."""
+    files = {"--trace": inputs / "trace.csv", "--catalog": inputs / "catalog.csv"}
+    flags = cli.FLAGS if command == "pipeline" else cli.STAGES[command][2]
+    argv = [command, "--out", str(out), "--config", str(config or inputs / "config.txt")]
+    for flag in flags:
+        if flag in files:
+            argv += [flag, str(files[flag])]
+    return argv
+
+
+def call_kinds(highs_calls) -> dict[str, int]:
+    """How many of the recorded `highs.solve` calls were LPs, MIPs cut off at
+    a threshold (`selector.exceeds`) and full MIPs."""
+    kinds = ["cutoff" if "objective_bound" in options else "mip" if is_mip else "lp"
+             for is_mip, options in highs_calls]
+    return {kind: kinds.count(kind) for kind in ("lp", "cutoff", "mip")}
+
+
+def never_accepted(prompt, calls):
+    """A mock-provider policy whose every answer profiles at zero."""
+    return "SELECT 1 /* profile: duration_ms=30000; */"
+
+
+class TestPipelineBadWindows:
+    """On the benchmark's select_gap inputs (6 windows, 5 of them above the
+    augment threshold, 3 components accepted), a pipeline decides the bad
+    windows from select's relaxation and solves each window's exact MIP once,
+    after augment; the standalone stages solve every window before augment
+    and again after it."""
+
+    def test_pipeline_matches_the_standalone_chain(self, tmp_path, monkeypatch):
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        assert main(bench_argv("pipeline", full, inputs)) == 0
+        for name in cli.STAGES:
+            assert main(bench_argv(name, staged, inputs)) == 0, name
+        attempts = (full / "augment/attempts.jsonl").read_text().splitlines()
+        assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
+        files = output_files(full)
+        assert files == output_files(staged)
+        for rel in files:
+            assert (staged / rel).read_bytes() == (full / rel).read_bytes(), rel
+
+    def test_pipeline_solves_each_window_mip_once(self, tmp_path, monkeypatch, highs_calls):
+        """2 stacked LPs (one per catalog), at most 6 cutoff MIPs and 6 full
+        MIPs, where the standalone select and augment make 2 LPs and 12 full
+        MIPs."""
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        assert main(bench_argv("pipeline", tmp_path / "full", inputs)) == 0
+        calls = call_kinds(highs_calls)
+        assert calls["lp"] == 2 and calls["cutoff"] <= 6 and calls["mip"] == 6, calls
+        highs_calls.clear()
+        for name in ("ingest", "targets", "select", "augment"):
+            assert main(bench_argv(name, tmp_path / "staged", inputs)) == 0, name
+        assert call_kinds(highs_calls) == {"lp": 2, "cutoff": 0, "mip": 12}
+
+    @pytest.mark.parametrize("case", ["no_bad_window", "nothing_accepted"])
+    def test_pipeline_without_accepted_components_writes_the_select_plans(
+            self, tmp_path, monkeypatch, highs_calls, case):
+        """With no bad window, or no generated component accepted, the plans
+        are the standalone select's, from one stacked LP."""
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        config = tmp_path / "config.txt"
+        config.write_text((inputs / "config.txt").read_text()
+                          + ("augment.bad_window_threshold = 1e9\n"
+                             if case == "no_bad_window" else ""))
+        if case == "nothing_accepted":
+            monkeypatch.setattr(cli, "echo_policy", never_accepted)
+        staged, full = tmp_path / "staged", tmp_path / "full"
+        for name in ("ingest", "targets", "select"):
+            assert main(bench_argv(name, staged, inputs, config)) == 0, name
+        highs_calls.clear()
+        assert main(bench_argv("pipeline", full, inputs, config)) == 0
+        assert call_kinds(highs_calls)["lp"] == 1, highs_calls
+        attempts = (full / "augment/attempts.jsonl").read_text().splitlines()
+        assert bool(attempts) == (case == "nothing_accepted")
+        assert "accepted" not in [json.loads(line)["verdict"] for line in attempts]
+        for rel in ("plans/plan.csv", "plans/summary.csv"):
+            assert (full / rel).read_bytes() == (staged / rel).read_bytes(), rel
 
 
 class TestSolverOutput:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_schedule, make_trace
+from conftest import make_catalog, make_schedule, make_trace, write_bench_inputs
+from wlsynth.catalog import load_catalog
 from wlsynth.cli import main
-from wlsynth.config import Config
+from wlsynth.config import Config, load_config
 from wlsynth.errors import SchemaError, TraceParseError, ValidationError
 from wlsynth.features import MODE_COUNTS, PerformanceFeature
 from wlsynth.scheduler import (
@@ -31,7 +32,13 @@ from wlsynth import scheduler as scheduler_module
 from wlsynth import trace as trace_module
 from wlsynth.selector import SelectionPlan
 from wlsynth.simulator import replay
-from wlsynth.trace import IntervalTargets, build_targets, read_targets, write_targets
+from wlsynth.trace import (
+    IntervalTargets,
+    build_targets,
+    ingest_trace,
+    read_targets,
+    write_targets,
+)
 
 
 def interval_targets(values, interval_len_ms=30000, intervals_per_window=10):
@@ -681,3 +688,20 @@ def test_overloaded_backlog_simulates_in_seconds():
 def test_median_is_np_median(values):
     """The annealer's median uphill step is `np.median`'s, bit for bit."""
     assert scheduler_module._median(values) == np.median(values)
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_planted_schedule_of_dense_trace_has_zero_energy(tmp_path, monkeypatch, seed):
+    """The benchmark's dense_trace is written from a planted schedule that its
+    catalog can express: query `cid.wW.kK` is instance K of component cid in
+    window W, started at its arrival.  Replayed, that schedule meets every
+    interval target exactly, so timestamp assignment has a floor of 0."""
+    _, inputs = write_bench_inputs(tmp_path, monkeypatch, "dense_trace", seed)
+    cfg = load_config(inputs / "config.txt")
+    trace = ingest_trace(inputs / "trace.csv", cfg.schema(), cfg["mode"])
+    _, intervals = build_targets(trace, cfg["window_ms"], cfg["interval_ms"])
+    cid, window, instance = zip(*(query_id.split(".") for query_id in trace.query_id))
+    planted = make_schedule(zip([int(w[1:]) for w in window], cid,
+                                [int(k[1:]) for k in instance], trace.arrival_ts))
+    catalog = load_catalog(inputs / "catalog.csv", cfg.schema())
+    assert energy(planted, intervals, catalog, cfg) == 0.0

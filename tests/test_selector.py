@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import SOLVER_KNOBS, make_catalog, random_catalog
 from selection_oracle import count_vector, enumerate_optimum
-from wlsynth import highs, selector
+from wlsynth import selector
 from wlsynth.config import Config
 from wlsynth.errors import SchemaError, SolverError, TraceParseError, ValidationError
 from wlsynth.features import FeatureSchema
@@ -19,6 +19,7 @@ from wlsynth.selector import (
     SelectionPlan,
     SelectionProblem,
     build_problem,
+    exceeds,
     match_query,
     read_plans,
     solve_all_windows,
@@ -45,21 +46,6 @@ def random_problem(rng, n_components=4, n_dims=3, y=3, z=8):
         duration_budget_ms=float(durations.sum() * z),
         **SOLVER_KNOBS,
     )
-
-
-@pytest.fixture
-def highs_calls(monkeypatch):
-    """(is_mip, options) of every `highs.solve` call selector makes during the test."""
-    calls = []
-    solve = highs.solve
-
-    def recording_solve(c, matrix, rows, cols, integrality, options):
-        # integrality is read now: solve_window reuses the array for its MIP call
-        calls.append((bool(integrality.any()), options))
-        return solve(c, matrix, rows, cols, integrality, options)
-
-    monkeypatch.setattr(highs, "solve", recording_solve)
-    return calls
 
 
 class TestSolveWindow:
@@ -456,6 +442,69 @@ def test_stacked_relaxation_gives_the_lone_plans(case):
         assert plan.counts == alone.counts
         assert plan.objective_value == alone.objective_value
         assert plan.approximate == alone.approximate
+
+
+def _exceeds_problems(rng):
+    """Small random problems, every fourth with a planted target (an integer
+    combination of its components, so mostly an integral root)."""
+    for k in range(48):
+        problem = random_problem(rng, n_components=4, n_dims=3)
+        if k % 4 == 0:
+            problem.target = problem.features.T @ rng.integers(0, 3, 4)
+        yield problem
+
+
+def test_exceeds_is_the_exact_comparison(highs_calls):
+    """exceeds(p, root, t) is both `optimum > t` and solve_window's answer,
+    at the optimum, within 1e-9 and 1e-6 of it, 0.05 off it and at the zero
+    vector's objective; it decides by the integral root, the LP bound and
+    the cutoff MIP along the way."""
+    integral = 0
+    for problem in _exceeds_problems(np.random.default_rng(7)):
+        best, _ = enumerate_optimum(problem)
+        root = selector._relaxation_points([problem])[0]
+        integral += selector._rounded_counts(problem, root) is not None
+        plan = solve_window(problem, root)
+        assert not plan.approximate
+        zero = problem.objective(np.zeros(len(problem.component_ids), dtype=int))
+        for t in (best, best - 1e-9, best + 1e-9, best - 1e-6, best + 1e-6,
+                  best - 0.05, best + 0.05, zero):
+            assert exceeds(problem, root, t) == (best > t) == (plan.objective_value > t), t
+    cutoffs = [options for mip, options in highs_calls if "objective_bound" in options]
+    assert integral and cutoffs
+    assert all(options["mip_max_improving_sols"] == 1 for options in cutoffs)
+
+
+def test_exceeds_can_differ_only_where_the_full_mip_stops_at_its_node_limit():
+    """Under node_limit = 1, solve_window's plan is approximate, above the
+    threshold; the cutoff MIP finds a point under it within the same limit,
+    so exceeds gives the optimum's answer, not the approximate plan's."""
+    problem = random_problem(np.random.default_rng(7), n_components=6, n_dims=4, y=3, z=12)
+    problem.node_limit = 1
+    root = selector._relaxation_points([problem])[0]
+    plan = solve_window(problem, root)
+    best, _ = enumerate_optimum(problem)
+    threshold = (best + plan.objective_value) / 2
+    assert plan.approximate and plan.objective_value > threshold > best
+    assert not exceeds(problem, root, threshold)
+    problem.node_limit = SOLVER_KNOBS["node_limit"]
+    assert not solve_window(problem, root).objective_value > threshold
+
+
+def test_exceeds_falls_back_when_the_cutoff_mip_stops_without_a_point():
+    """Under node_limit = 1, a cutoff MIP can stop at the node limit with no
+    point while solve_window's own MIP proves its plan optimal: exceeds then
+    gives solve_window's answer, not True."""
+    problem = random_problem(np.random.default_rng(107), n_components=6, n_dims=4, y=3, z=12)
+    problem.node_limit = 1
+    root = selector._relaxation_points([problem])[0]
+    plan = solve_window(problem, root)
+    threshold = plan.objective_value + 0.01
+    cutoff = threshold + selector._CUTOFF_MARGIN
+    status, x = selector._window_mip(problem, {"objective_bound": cutoff,
+                                               "mip_max_improving_sols": 1})
+    assert x is None and status != 2 and not plan.approximate
+    assert not exceeds(problem, root, threshold)
 
 
 def _shift_by_scanning_every_pair(problem, counts):
