@@ -93,7 +93,7 @@ class _Paths:
 
 
 def _existing(path, what: str, hint: str):
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ConfigError(f"no {what} at {path}; {hint}")
     return path
 
@@ -127,10 +127,10 @@ class Run:
         path = self.paths.augment / "catalog.csv"
         if self.args.command not in ("schedule", "replay"):
             path = _catalog_arg(self.args)
-        elif not path.exists():
+        elif not path.is_file():
             if self.args.catalog is None:
                 raise ConfigError("--catalog is required (no augmented catalog found)")
-            path = self.args.catalog
+            path = _catalog_arg(self.args)
         return load_catalog(path, self.cfg.schema())
 
     def _read_plans(self) -> list[SelectionPlan]:
@@ -174,7 +174,7 @@ def _solve_windows(targets, catalog, cfg: Config, jobs: int) -> list[SelectionPl
 def _catalog_arg(args) -> str:
     if args.catalog is None:
         raise ConfigError(f"{args.command} requires --catalog")
-    return args.catalog
+    return _existing(args.catalog, "catalog", "pass an existing --catalog")
 
 
 _TARGET_LINE_RE = re.compile(r"TARGET FEATURE:\n  (?P<body>[^\n]*)")

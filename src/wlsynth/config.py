@@ -50,7 +50,7 @@ KEYS: dict[str, tuple[type, object, object]] = {
     "provider.timeout_ms": (int, 30000, POSITIVE),
     "seed": (int, 0, None),
 }
-_EXPECTED = {int: "integer", float: "number"}
+_EXPECTED = {int: "an integer", float: "a finite number"}
 
 
 def _resolve(key: str, raw: str):
@@ -62,6 +62,8 @@ def _resolve(key: str, raw: str):
     try:
         value = (tuple(part.strip() for part in raw.split(",") if part.strip())
                  if kind is tuple else kind(raw))
+        if value in (float("inf"), -float("inf")):  # inf, or past float64 such as 1e400
+            raise ValueError
     except ValueError:
         raise ConfigError(f"config key {key!r}: expected {_EXPECTED[kind]}, "
                           f"got {raw!r}") from None

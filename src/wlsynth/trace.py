@@ -12,11 +12,11 @@ per interval of its `IntervalGrid`, and a window's position on the grid is
 its index.  Ingest parses each row once: one `np.loadtxt` call reads
 every id and numeric cell, and the table is checked column-wise; a file
 np.loadtxt may misread, or whose table fails the check, is read again row
-by row through csv.reader to name the error.  Times are integers of
-magnitude at most 2**53, which float64 holds exactly.  Aggregation bins the
-whole trace in one call of `IntervalGrid.spread`, the one binning kernel,
-which the scheduler's energy and the fidelity report share: it cuts the
-rows at the intervals, a chunk of rows within a fixed budget of (row,
+by row through csv.reader to name the error.  Times are int64 under the one
+integer rule of every CSV, `_parse_int`'s, within +-2**53.  Aggregation
+bins the whole trace in one call of `IntervalGrid.spread`, the one binning
+kernel, which the scheduler's energy and the fidelity report share: it cuts
+the rows at the intervals, a chunk of rows within a fixed budget of (row,
 interval) pairs at a time, and adds each column's terms with `np.add.at`.
 Every interval adds its terms from zero in row order, so the sums equal a
 per-row loop's bit for bit.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -212,10 +213,8 @@ class IntervalTargets:
 
 
 def _parse_number(raw: str | None, row: int, column: str) -> float:
-    if raw is None:
-        raise TraceParseError(f"row {row}, column {column!r}: missing value")
     try:
-        value = float(raw)
+        value = float(_parse_str(raw, row, column))
     except ValueError as exc:
         raise TraceParseError(f"row {row}, column {column!r}: cannot parse {raw!r}") from exc
     if math.isnan(value) or math.isinf(value):
@@ -235,7 +234,10 @@ def _parse_int(raw: str | None, row: int, column: str) -> int:
     except (TypeError, ValueError):
         _parse_number(raw, row, column)  # raises on a missing, unparseable or non-finite cell
         from decimal import Decimal  # a run whose int cells are all digits never loads it
-        exact = Decimal(raw)
+        try:
+            exact = Decimal(raw)
+        except ArithmeticError:  # an exponent past Decimal's range, which float() reads
+            raise TraceParseError(f"row {row}, column {column!r}: cannot parse {raw!r}") from None
         if exact != exact.to_integral_value():
             raise ValidationError(f"row {row}, column {column!r}: non-integral value {exact}")
         value = int(exact)
@@ -253,6 +255,15 @@ def _parse_str(raw: str | None, row: int, column: str) -> str:
 _PARSERS = {int: _parse_int, float: _parse_number, str: _parse_str}
 
 
+def _csv_rows(path, what: str):
+    """csv.reader's rows of a CSV file; one that is not UTF-8 is a TraceParseError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except UnicodeDecodeError:
+            raise TraceParseError(f"{what} file {path} is not valid UTF-8") from None
+
+
 def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dict[str, list]:
     """Parse the columns `kinds` names, each int, float or str, from a CSV
     artifact.  Every CSV a stage reads back but the trace goes through here.
@@ -266,14 +277,13 @@ def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dic
     non-finite number is a TraceParseError; a fractional or out-of-range
     int a ValidationError.  Each error names the row and the column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name in kinds:
-            if name not in header and name not in defaults:
-                raise SchemaError(f"{what} file {path} is missing column {name!r}")
-        position = {name: i for i, name in enumerate(header)}
-        rows = list(filter(None, reader))
+    reader = _csv_rows(path, what)
+    header = next(reader, [])
+    for name in kinds:
+        if name not in header and name not in defaults:
+            raise SchemaError(f"{what} file {path} is missing column {name!r}")
+    position = {name: i for i, name in enumerate(header)}
+    rows = list(filter(None, reader))
     columns = {}
     for name, kind in kinds.items():
         if name not in position:
@@ -285,27 +295,22 @@ def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dic
     return columns
 
 
-def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> list[float]:
-    """The numbers of a row's query_id, arrival_ts, duration_ms and schema
-    cells (None past the row's end); raises the row's first breach."""
-    query_id, arrival, duration, *values = cells
-    arrival = _parse_number(arrival, rownum, "arrival_ts")
-    duration = _parse_number(duration, rownum, "duration_ms")
-    if duration < 0:
-        raise ValidationError(f"row {rownum}: negative duration_ms {duration}")
-    values = [_parse_number(v, rownum, c) for v, c in zip(values, schema.dimensions)]
+def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> tuple[list, list]:
+    """The int times and float numbers of a row's query_id, arrival_ts,
+    duration_ms and schema cells (None past the row's end); raises the
+    row's first breach."""
+    times = []
+    for raw, column in zip(cells[1:3], MANDATORY_COLUMNS[1:]):
+        times.append(_parse_int(raw, rownum, column))
+        if not -2 ** 53 <= times[-1] <= 2 ** 53:
+            raise ValidationError(f"row {rownum}, column {column!r}: {raw!r} is out of range")
+    if times[1] < 0:
+        raise ValidationError(f"row {rownum}: negative duration_ms {times[1]}")
+    values = [_parse_number(v, rownum, c) for v, c in zip(cells[3:], schema.dimensions)]
     if any(v < 0 for v in values):
         raise ValidationError(f"row {rownum}: negative metric or operator value")
-    for column, raw, value in (("arrival_ts", cells[1], arrival),
-                               ("duration_ms", cells[2], duration)):
-        if not value.is_integer():
-            raise ValidationError(f"row {rownum}, column {column!r}: non-integral value {value!r}")
-        # float() rounds past 2**53: there only 2**53 itself, written out, is in range
-        if not -2.0 ** 53 < value < 2.0 ** 53 and raw.strip().lstrip("-") != str(2 ** 53):
-            raise ValidationError(f"row {rownum}, column {column!r}: {raw!r} is out of range")
-    if query_id is None:
-        raise TraceParseError(f"row {rownum}, column 'query_id': missing value")
-    return [arrival, duration, *values]
+    _parse_str(cells[0], rownum, "query_id")
+    return times, values
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -331,45 +336,43 @@ def _positions(reader, path, columns: tuple[str, ...]) -> list[int]:
     return [position[c] for c in ("query_id",) + columns]
 
 
-def _read_rows(path, columns: tuple[str, ...], schema: FeatureSchema
-               ) -> tuple[list[str], np.ndarray]:
-    """The ids and (rows x columns) table of a trace file, read by csv.reader
-    and `_parse_row` a row at a time, so the first breach in the file is
-    raised.  Blank lines are skipped and not counted; data starts at row 2."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        positions = _positions(reader, path, columns)
-        ids, values = [], array("d")
-        for rownum, row in enumerate(filter(None, reader), start=2):
-            cells = [row[i] if i < len(row) else None for i in positions]
-            values.extend(_parse_row(cells, rownum, schema))
-            ids.append(cells[0])
-    return ids, np.frombuffer(values).reshape(len(ids), len(columns))
+def _read_rows(path, columns: tuple[str, ...], schema: FeatureSchema) -> tuple:
+    """The ids, int64 times and float64 features of a trace file, read a row
+    at a time by csv.reader and `_parse_row`, which raise the file's first
+    breach.  Blank lines are skipped and not counted; data starts at row 2."""
+    reader = _csv_rows(path, "trace")
+    positions = _positions(reader, path, columns)
+    ids, times, values = [], array("q"), array("d")
+    for rownum, row in enumerate(filter(None, reader), start=2):
+        cells = [row[i] if i < len(row) else None for i in positions]
+        row_times, row_values = _parse_row(cells, rownum, schema)
+        times.extend(row_times)
+        values.extend(row_values)
+        ids.append(cells[0])
+    times = np.frombuffer(times, np.int64).reshape(len(ids), 2)
+    return ids, times[:, 0], times[:, 1], np.frombuffer(values).reshape(len(ids), len(columns) - 2)
 
 
-def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] | None:
+def _read_bulk(path, columns: tuple[str, ...]) -> tuple | None:
     """What `_read_rows` returns for a trace file, or None where unsure: one
-    np.loadtxt call reads every row's id and `columns` cells, splitting
-    quoted cells as csv.reader does; csv.reader reads only the header and
-    one row, as np.loadtxt warns on a file without data.  It declines a
-    csv.Error, invalid UTF-8, a cell np.loadtxt rejects (a short row, `1_0`,
-    full-width digits), any of \\x1c to \\x1f (np.loadtxt strips them around
-    a number, float() does not), a line over `csv.field_size_limit()` and a
-    value that breaks the contract or is a time of magnitude 2**53 or more.
-    """
+    np.loadtxt call reads every row's id, int64 times and float64 features,
+    splitting quoted cells as csv.reader does, which reads only the header.
+    It declines a csv.Error, invalid UTF-8, a cell np.loadtxt rejects (a
+    short row, `1_0`, a float-form time), any of \\x1c to \\x1f (np.loadtxt
+    strips them, int() and float() do not), a line over
+    `csv.field_size_limit()` and a value that breaks the contract or is a
+    time of magnitude 2**53 or more."""
     limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             positions = _positions(reader, path, columns)
             skip = reader.line_num
-            if next(filter(None, reader), None) is None:
-                return [], np.empty((0, len(columns)))
             fh.seek(0)
             # csv.reader raises on a field over the limit and np.loadtxt does
             # not, so a longer line is declined.  Chunks of at most limit + 1
             # hold no whole line that long: only one running over chunks is.
-            line, quoted = 0, False
+            line, quoted, ascii_only = 0, False, True
             for chunk in iter(partial(fh.read, min(1 << 16, limit + 1)), ""):
                 head = len(chunk.split("\n", 1)[0].split("\r", 1)[0])
                 if any(c in chunk for c in _SEPARATORS) or line + head > limit:
@@ -377,6 +380,7 @@ def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] |
                 line = line + head if head == len(chunk) else len(
                     chunk.rsplit("\n", 1)[-1].rsplit("\r", 1)[-1])
                 quoted = quoted or '"' in chunk
+                ascii_only = ascii_only and chunk.isascii()
             if quoted:  # a quoted field may run over lines: csv.reader measures it
                 fh.seek(0)
                 for _ in csv.reader(fh):
@@ -384,32 +388,42 @@ def _read_bulk(path, columns: tuple[str, ...]) -> tuple[list[str], np.ndarray] |
         except (csv.Error, UnicodeDecodeError):
             return None
         fh.seek(0)
+        dtype = [("query_id", object), ("arrival_ts", np.int64), ("duration_ms", np.int64),
+                 ("values", float, (len(columns) - 2,))]
+        # np.loadtxt's int parser reads some non-ASCII characters as digits:
+        # where the file holds any, int() parses the times
+        converters = None if ascii_only else dict.fromkeys(positions[1:3], int)
         try:
-            dtype = [("query_id", object), ("values", float, (len(columns),))]
-            records = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', skiprows=skip,
-                                 usecols=positions, comments=None, ndmin=1)
-        except ValueError:
+            with warnings.catch_warnings():
+                # numpy before 2.0 reads a float cell such as 1.0 into an int
+                # field, truncated, and warns; a file without data warns too
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                records = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', skiprows=skip,
+                                     usecols=positions, comments=None, ndmin=1,
+                                     converters=converters)
+        except (ValueError, DeprecationWarning):
             return None
-    table, times = records["values"], records["values"][:, :2]
-    if (not np.isfinite(table).all() or (table[:, 1:] < 0).any()
-            or (np.floor(times) != times).any() or (np.abs(times) >= 2.0 ** 53).any()):
+    arrival, duration, values = records["arrival_ts"], records["duration_ms"], records["values"]
+    bounded = (-2 ** 53 < arrival) & (arrival < 2 ** 53) & (0 <= duration) & (duration < 2 ** 53)
+    if not bounded.all() or not np.isfinite(values).all() or (values < 0).any():
         return None
-    return records["query_id"].tolist(), table
+    return records["query_id"].tolist(), arrival, duration, values
 
 
 def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
     """Read a trace CSV into a Trace, in row order.
 
     The header must name query_id, arrival_ts, duration_ms and the schema's
-    columns.  Values must be finite, durations, metrics and operators
-    nonnegative, arrival_ts and duration_ms integral within +-2**53, and ids
+    columns.  Times must be integers by `_parse_int`'s rule within +-2**53,
+    values finite, durations, metrics and operators nonnegative, and ids
     unique.  A file `_read_bulk` declines is read by `_read_rows`, which
-    names the first offending row.  The features are a view of the table.
+    names the first offending row.  The columns are the readers', as read.
     """
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
-    ids, table = _read_bulk(path, columns) or _read_rows(path, columns, schema)
+    ids, *table = _read_bulk(path, columns) or _read_rows(path, columns, schema)
     _check_unique(ids)
-    return Trace(ids, table[:, 0], table[:, 1], table[:, 2:], schema, mode)
+    return Trace(ids, *table, schema, mode)
 
 
 def _format_number(value: float) -> str:

@@ -559,6 +559,39 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["message"] == f"{stage} requires --catalog"
 
+    @pytest.mark.parametrize("stage", ["ingest", "select"])
+    def test_input_that_is_not_utf8_is_machine_readable(self, demo_dir, tmp_path, capsys,
+                                                        stage):
+        """A trace or catalog that is not UTF-8 fails its stage with a
+        TraceParseError naming the file."""
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path / "o")]
+        bad = tmp_path / "latin1.csv"
+        name = "trace" if stage == "ingest" else "catalog"
+        good = (demo_dir / f"demo_{name}.csv").read_bytes()
+        bad.write_bytes(good.rstrip(b"\n") + b"\xe9\n")  # Latin-1, not UTF-8
+        if stage == "select":
+            assert main(["targets", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        capsys.readouterr()
+        assert main([stage, f"--{name}", str(bad)] + base) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": stage, "error": "TraceParseError",
+                       "message": f"{name} file {bad} is not valid UTF-8"}
+
+    @pytest.mark.parametrize("flag", ["--trace", "--catalog"])
+    def test_directory_input_is_machine_readable(self, demo_dir, tmp_path, capsys, flag):
+        """A directory given as the trace or the catalog is a ConfigError,
+        raised before the pipeline writes."""
+        inputs = {"--trace": str(demo_dir / "demo_trace.csv"),
+                  "--catalog": str(demo_dir / "demo_catalog.csv"), flag: str(tmp_path)}
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(demo_dir / "demo_config.txt"), "--out", str(out),
+                     *(item for pair in inputs.items() for item in pair)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        what = flag[2:]
+        assert err == {"stage": "pipeline", "error": "ConfigError",
+                       "message": f"no {what} at {tmp_path}; pass an existing {flag}"}
+        assert not out.exists()
+
     def test_bad_trace_file_fails_ingest(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("query_id\nq1\n")

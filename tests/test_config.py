@@ -41,6 +41,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}': expected a number >= 0"):
             Config({key: bad})
 
+    @pytest.mark.parametrize("key", [key for key, (kind, _, _) in KEYS.items() if kind is float])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "Infinity", "1e400", "-1e400"])
+    def test_float_keys_must_be_finite(self, key, bad):
+        with pytest.raises(ConfigError, match=f"'{key}': expected a finite number, got '{bad}'"):
+            Config({key: bad})
+
+    def test_empty_time_limit_is_no_limit(self):
+        assert Config({"solver.time_limit_s": ""})["solver.time_limit_s"] is None
+
     @pytest.mark.parametrize("key, value", [("y", 6.7), ("cores", True),
                                             ("metrics", ("a", "b"))])
     def test_non_string_value_rejected(self, key, value):
