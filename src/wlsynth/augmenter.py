@@ -445,6 +445,8 @@ def generate_component(
                 PerformanceFeature.zeros(schema), origin=ORIGIN_AUGMENTED)
             try:
                 profile_component(component, executor, _PROFILE_REPETITIONS)
+                # the constructor's checks, now on the profiled duration
+                component = replace(component)
             except Exception as exc:
                 log.warning("profiling attempt %d failed: %s", attempt_index, exc)
                 attempts.append(
@@ -461,8 +463,6 @@ def generate_component(
                     GenerationAttempt(attempt_index, prompt, response, component.feature,
                                       deltas, None, VERDICT_ACCEPTED)
                 )
-                # the constructor's checks, now on the profiled duration
-                component = replace(component)
                 return GenerationReport(target.target_id, component, attempts, switches)
 
             scenario = scenario or HINT_SCENARIOS[SCENARIO_RATIO_OFF]

@@ -141,6 +141,7 @@ class Catalog:
             PerformanceFeature(self.features[j, :m], self.features[j, m:]), self.origin[j])
 
     def get(self, component_id: str) -> WorkloadComponent:
+        """`row` of the component's row; only bench/child.py reads components by id."""
         return self.row(int(self.index([component_id])[0]))
 
     def appended(self, component: WorkloadComponent) -> "Catalog":

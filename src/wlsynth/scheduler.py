@@ -65,6 +65,7 @@ class Schedule:
 
     @property
     def entries(self) -> list[ScheduleEntry]:
+        """The rows as ScheduleEntry records; only bench/child.py reads them."""
         return list(map(ScheduleEntry, *(getattr(self, name).tolist()
                                          for name in SCHEDULE_COLUMNS)))
 

@@ -21,9 +21,9 @@ threshold, `exceeds` answers from the same relaxation, mostly without the
 exact MIP: by the LP bound, or by a MIP cut off at the threshold that stops
 at its first solution under it.  Identical inputs give
 identical counts; repetitions of components with identical feature and
-duration columns sit on the later component id.  Where a window has several
-optimal count vectors, which one the stacked call returns can depend on the
-other windows in it.
+duration columns sit on the latest of their ids, at most y each.  Where a
+window has several optimal count vectors, which one the stacked call
+returns can depend on the other windows in it.
 """
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ class SelectionProblem:
     node_limit: int           # HiGHS MIP nodes
     time_limit_s: float | None
     window_index: int = 0
-    # `_duplicate_pairs` of the columns above; None finds them on first use
-    duplicates: list[tuple[int, int]] | None = None
+    # `_duplicate_groups` of the columns above; None finds them on first use
+    duplicates: list[np.ndarray] | None = None
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
@@ -174,40 +174,31 @@ def _relaxation_points(problems: list[SelectionProblem]) -> list[np.ndarray | No
     return np.split(x, len(problems))
 
 
-def _duplicate_pairs(features: np.ndarray, durations: np.ndarray,
-                     component_ids) -> list[tuple[int, int]]:
-    """The (a, b) pairs of components with identical feature and duration
-    columns where a's id sorts before b's, ordered by a's id and then by b's
-    id from the last: the order in which `_lex_duplicate_shift` moves counts.
-    A catalog's pairs are found once and shared by its windows' problems."""
-    order = np.argsort(np.array(component_ids))
-    groups = row_groups(np.column_stack([features, durations]))[order]
-    members: dict[int, list[int]] = {}
-    for position, group in enumerate(groups.tolist()):
-        members.setdefault(group, []).append(position)
-    pairs = [(i, j) for same in members.values()
-             for k, i in enumerate(same) for j in same[k + 1:]]
-    pairs.sort(key=lambda pair: (pair[0], -pair[1]))
-    return [(int(order[i]), int(order[j])) for i, j in pairs]
+def _duplicate_groups(features: np.ndarray, durations: np.ndarray,
+                      component_ids) -> list[np.ndarray]:
+    """The rows of each group of two or more components with identical
+    feature and duration columns, in id order.  A catalog's groups are found
+    once and shared by its windows' problems."""
+    groups = row_groups(np.column_stack([features, durations]))
+    order = np.lexsort((np.array(component_ids), groups))
+    starts = np.flatnonzero(np.diff(groups[order])) + 1
+    return [rows for rows in np.split(order, starts) if len(rows) > 1]
 
 
 def _lex_duplicate_shift(problem: SelectionProblem, counts: np.ndarray) -> np.ndarray:
-    """Shift counts between components with identical feature/duration columns.
+    """Put each duplicate group's total count on its latest ids, at most y each.
 
-    Moving repetitions from an earlier id to a later duplicate (up to the cap
-    y) keeps the objective and all constraints intact, so which of several
-    interchangeable components the solver happened to pick does not show in
-    the plan.
+    Components with identical feature and duration columns are
+    interchangeable: moving repetitions between them keeps the objective and
+    all constraints intact, so which of them the solver happened to pick
+    does not show in the plan.
     """
     if problem.duplicates is None:
-        problem.duplicates = _duplicate_pairs(problem.features, problem.durations,
-                                              problem.component_ids)
-    counts = counts.copy()
-    for a, b in problem.duplicates:
-        if counts[a] > 0:
-            moved = min(problem.y - counts[b], counts[a])
-            counts[b] += moved
-            counts[a] -= moved
+        problem.duplicates = _duplicate_groups(problem.features, problem.durations,
+                                               problem.component_ids)
+    counts, y = counts.copy(), problem.y
+    for rows in problem.duplicates:
+        counts[rows[::-1]] = np.clip(counts[rows].sum() - y * np.arange(len(rows)), 0, y)
     return counts
 
 
@@ -226,7 +217,7 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
     always feasible and is the (approximate) fallback when HiGHS returns no
     integral, feasible incumbent.  Ties: identical inputs give identical
     counts, and repetitions of components with identical feature and
-    duration columns are shifted to the later component id.
+    duration columns go to the latest of their ids, at most y each.
     """
     v = problem.features.shape[0]
     best_counts = np.zeros(v, dtype=int)
@@ -335,22 +326,24 @@ def build_problem(windows: WindowTargets, w: int, catalog: Catalog,
 def _build_problems(windows: WindowTargets, catalog: Catalog, cfg: Config,
                     ws) -> list[SelectionProblem]:
     """`build_problem` of each window in `ws`; the problems share the
-    catalog's features, durations and ids columns and its duplicate pairs."""
-    duplicates = _duplicate_pairs(catalog.features, catalog.duration_ms, catalog.ids)
-    return [SelectionProblem(
-        target=windows.features[w],
-        features=catalog.features,
-        durations=catalog.duration_ms,
-        component_ids=catalog.ids,
-        y=cfg["y"],
-        z=cfg["z"] or max(1, round(cfg["z_per_query_factor"] * int(windows.query_counts[w]))),
-        duration_budget_ms=float(windows.len_ms * cfg["cores"]),
-        denom_floor=cfg["denom_floor"],
-        node_limit=cfg["solver.node_limit"],
-        time_limit_s=cfg["solver.time_limit_s"],
-        window_index=w,
-        duplicates=duplicates,
+    catalog's features, durations and ids columns and its duplicate groups."""
+    duplicates = _duplicate_groups(catalog.features, catalog.duration_ms, catalog.ids)
+    return [_catalog_problem(
+        catalog, cfg, windows.features[w], cfg["y"],
+        cfg["z"] or max(1, round(cfg["z_per_query_factor"] * int(windows.query_counts[w]))),
+        float(windows.len_ms * cfg["cores"]), window_index=w, duplicates=duplicates,
     ) for w in ws]
+
+
+def _catalog_problem(catalog: Catalog, cfg: Config, target, y: int, z: int,
+                     duration_budget_ms: float, **fields) -> SelectionProblem:
+    """`target`'s problem over the catalog's columns under these caps and the
+    `denom_floor` and `solver.*` keys; `fields` sets the rest.  Every
+    SelectionProblem the package builds is built here."""
+    return SelectionProblem(target, catalog.features, catalog.duration_ms, catalog.ids, y, z,
+                            duration_budget_ms, denom_floor=cfg["denom_floor"],
+                            node_limit=cfg["solver.node_limit"],
+                            time_limit_s=cfg["solver.time_limit_s"], **fields)
 
 
 def relax_windows(windows: WindowTargets, catalog: Catalog, cfg: Config
@@ -495,18 +488,8 @@ def match_query(
     """
     if len(catalog) == 0:
         raise ValidationError("cannot match against an empty catalog")
-    problem = SelectionProblem(
-        target=target,
-        features=catalog.features,
-        durations=catalog.duration_ms,
-        component_ids=catalog.ids,
-        y=z_q,
-        z=z_q,
-        duration_budget_ms=float(catalog.duration_ms.sum() * z_q + 1.0),
-        denom_floor=cfg["denom_floor"],
-        node_limit=cfg["solver.node_limit"],
-        time_limit_s=cfg["solver.time_limit_s"],
-    )
+    problem = _catalog_problem(catalog, cfg, target, z_q, z_q,
+                               float(catalog.duration_ms.sum() * z_q + 1.0))
     if mode == ONE_TO_MANY:
         return solve_window(problem)
     if mode != ONE_TO_ONE:

@@ -106,7 +106,8 @@ class Trace:
 
     @property
     def records(self) -> list[QueryRecord]:
-        """The rows as records whose vectors are views of the feature table."""
+        """The rows as records whose vectors are views of the feature table;
+        only bench/child.py reads them."""
         return list(map(QueryRecord, self.query_id, self.arrival_ts.tolist(),
                         self.duration_ms.tolist(), self.metrics, self.operators))
 
@@ -256,12 +257,17 @@ _PARSERS = {int: _parse_int, float: _parse_number, str: _parse_str}
 
 
 def _csv_rows(path, what: str):
-    """csv.reader's rows of a CSV file; one that is not UTF-8 is a TraceParseError."""
+    """csv.reader's rows of a CSV file; one that is not UTF-8, or that
+    csv.reader rejects (a field over `csv.field_size_limit()`), is a
+    TraceParseError naming the file, and the line for the latter."""
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            yield from csv.reader(fh)
+            yield from reader
         except UnicodeDecodeError:
             raise TraceParseError(f"{what} file {path} is not valid UTF-8") from None
+        except csv.Error as exc:
+            raise TraceParseError(f"{what} file {path}, line {reader.line_num}: {exc}") from None
 
 
 def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dict[str, list]:

@@ -79,6 +79,17 @@ def make_schedule(rows):
     return Schedule(*(zip(*rows) if rows else [()] * 4))
 
 
+def rows_of(table, *names) -> list[tuple]:
+    """The rows of a Trace's or Schedule's `names` columns, as Python values
+    (a row of a 2-D column is a list): the columns compared row by row."""
+    return list(zip(*(np.asarray(getattr(table, name)).tolist() for name in names)))
+
+
+def catalog_row(catalog, component_id) -> int:
+    """The catalog row of `component_id`."""
+    return int(catalog.index([component_id])[0])
+
+
 def random_catalog(schema, n, rng, duration_range=(5000, 60000), value_range=(0, 20)):
     rows = []
     for j in range(n):

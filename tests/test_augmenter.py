@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_trace
+from conftest import catalog_row, make_catalog, make_trace
 from wlsynth.augmenter import (
     ACTION_CHANGE_DATABASE,
     ACTION_REWRITE,
@@ -315,16 +315,29 @@ class TestGenerateComponent:
         assert report.attempts[0].verdict == VERDICT_RETRY
         assert report.attempts[0].profiled is None
 
+    def test_zero_duration_profile_retries(self, schema):
+        responses = [annotated(50, 60, duration=0), annotated(50, 60)]
+        provider = MockProvider(lambda prompt, calls: responses[calls])
+        report = generate_component(
+            target_for(50, 60), self.make_cat(schema), provider,
+            SimulatedExecutor(schema), Config(),
+        )
+        assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
+            (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
+        assert report.component.duration_ms == 1000.0
+
     @pytest.mark.parametrize("duration", [0, -5])
     def test_accepted_component_needs_positive_duration(self, schema, duration):
-        # the profiled duration comes from the provider's text
+        # the profiled duration comes from the provider's text; a profile
+        # within the threshold but of no positive duration is retried
         provider = MockProvider(lambda prompt, calls: annotated(50, 60, duration=duration))
-        with pytest.raises(ValidationError,
-                           match="component 'aug-t0': duration_ms must be positive"):
-            generate_component(
-                target_for(50, 60), self.make_cat(schema), provider,
-                SimulatedExecutor(schema), Config(),
-            )
+        report = generate_component(
+            target_for(50, 60), self.make_cat(schema), provider,
+            SimulatedExecutor(schema), Config(),
+        )
+        assert report.component is None
+        assert len(report.attempts) == Config()["augment.max_attempts"]
+        assert all(a.verdict == VERDICT_RETRY and a.profiled is None for a in report.attempts)
 
 
 class TestAugmentCatalog:
@@ -358,10 +371,24 @@ class TestAugmentCatalog:
         assert len(catalog) == 5  # input untouched
         assert len(augmented) == 6
         assert reports[0].accepted
-        new = augmented.get("aug-000")
-        assert new.origin == "augmented"
+        new = catalog_row(augmented, "aug-000")
+        assert augmented.origin[new] == "augmented"
         # only queries from the bad window feed the clustering
-        np.testing.assert_allclose(new.feature.metrics, [250, 250], atol=15)
+        np.testing.assert_allclose(augmented.features[new, :schema.n_metrics], [250, 250],
+                                   atol=15)
+
+    def test_zero_duration_answers_fail_only_their_target(self, schema):
+        """A target whose every answer profiles at zero duration fails alone:
+        the component accepted for the target before it is kept."""
+        trace, plans, windows, catalog = self.make_inputs(schema)
+        provider = MockProvider(
+            lambda prompt, calls: annotated(250, 250, duration=0 if calls else 1000))
+        augmented, reports = augment_catalog(
+            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            SimulatedExecutor(schema), Config({"augment.k": "2"}), seed=0,
+        )
+        assert [report.accepted for report in reports] == [True, False]
+        assert augmented.ids == catalog.ids + ["aug-000"]
 
     def test_zero_clusters_rejected(self, schema):
         trace, plans, windows, catalog = self.make_inputs(schema)

@@ -97,8 +97,8 @@ class TestCatalog:
                                                 scale_factor=2.0, skewness=1))
         assert len(catalog) == 1 and catalog.features is features
         assert grown.ids == ["c1", "c2"]
-        assert grown.get("c2") == make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
-                                                 scale_factor=2.0, skewness=1)
+        assert grown.row(1) == make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
+                                              scale_factor=2.0, skewness=1)
         with pytest.raises(ValidationError, match="duplicate component_id 'c1'"):
             grown.appended(catalog.row(0))
 

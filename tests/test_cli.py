@@ -577,6 +577,30 @@ class TestErrors:
         assert err == {"stage": stage, "error": "TraceParseError",
                        "message": f"{name} file {bad} is not valid UTF-8"}
 
+    @pytest.mark.parametrize("stage", ["ingest", "select"])
+    def test_field_over_the_csv_limit_is_machine_readable(self, demo_dir, tmp_path, capsys,
+                                                          stage):
+        """A trace or catalog field longer than csv.field_size_limit() fails
+        its stage with a TraceParseError naming the file and the line.  The
+        limit is lowered to 100 to keep the file small."""
+        base = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(tmp_path / "o")]
+        bad = tmp_path / "long.csv"
+        name = "trace" if stage == "ingest" else "catalog"
+        lines = (demo_dir / f"demo_{name}.csv").read_text().splitlines(keepends=True)
+        bad.write_text("".join([lines[0], "x" * 101 + lines[1]] + lines[2:]))
+        if stage == "select":
+            assert main(["targets", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
+        capsys.readouterr()
+        limit = csv.field_size_limit(100)
+        try:
+            assert main([stage, f"--{name}", str(bad)] + base) == 2
+        finally:
+            csv.field_size_limit(limit)
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": stage, "error": "TraceParseError",
+                       "message": f"{name} file {bad}, line 2: field larger than field "
+                                  "limit (100)"}
+
     @pytest.mark.parametrize("flag", ["--trace", "--catalog"])
     def test_directory_input_is_machine_readable(self, demo_dir, tmp_path, capsys, flag):
         """A directory given as the trace or the catalog is a ConfigError,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_schedule, make_trace, write_bench_inputs
+from conftest import make_catalog, make_schedule, make_trace, rows_of, write_bench_inputs
 from wlsynth.catalog import load_catalog
 from wlsynth.cli import main
 from wlsynth.config import Config, load_config
@@ -19,7 +19,6 @@ from wlsynth.features import MODE_COUNTS, PerformanceFeature
 from wlsynth.scheduler import (
     SCHEDULE_COLUMNS,
     IntervalGrid,
-    ScheduleEntry,
     assign_timestamps,
     energy,
     expand,
@@ -153,15 +152,15 @@ class TestRandomSchedule:
         catalog, targets, plans = planted_setup(schema)
         schedule = random_schedule(plans, targets, Config(), rng_seed=4)
         assert len(schedule) == 5
-        for e in schedule.entries:
-            assert 0 <= e.start_ts < 300000
-            assert e.start_ts % 1000 == 0
+        for start in schedule.start_ts.tolist():
+            assert 0 <= start < 300000
+            assert start % 1000 == 0
 
     def test_seed_reproducible(self, schema):
         catalog, targets, plans = planted_setup(schema)
         a = random_schedule(plans, targets, Config(), rng_seed=4)
         b = random_schedule(plans, targets, Config(), rng_seed=4)
-        assert a.entries == b.entries
+        assert rows_of(a, *SCHEDULE_COLUMNS) == rows_of(b, *SCHEDULE_COLUMNS)
 
     def test_unknown_window_rejected(self, schema):
         catalog, targets, _ = planted_setup(schema)
@@ -230,7 +229,7 @@ class TestAnnealing:
         catalog, targets, plans = self.make_instance(schema)
         a = assign_timestamps(plans, targets, catalog, Config(), rng_seed=7)
         b = assign_timestamps(plans, targets, catalog, Config(), rng_seed=7)
-        assert a.schedule.entries == b.schedule.entries
+        assert rows_of(a.schedule, *SCHEDULE_COLUMNS) == rows_of(b.schedule, *SCHEDULE_COLUMNS)
         assert a.best_energy == b.best_energy
 
     def test_initial_state_matches_random_baseline(self, schema):
@@ -307,7 +306,7 @@ def test_schedule_file_round_trip(tmp_path):
     ])
     path = tmp_path / "s.csv"
     write_schedule(schedule, path)
-    assert read_schedule(path).entries == schedule.entries
+    assert rows_of(read_schedule(path), *SCHEDULE_COLUMNS) == rows_of(schedule, *SCHEDULE_COLUMNS)
 
 
 def _scalar_random_schedule(plans, targets, rng_seed, granularity_ms):
@@ -323,8 +322,7 @@ def _scalar_random_schedule(plans, targets, rng_seed, granularity_ms):
             for k in range(plan.counts[component_id]):
                 slots = max(1, window_len // granularity_ms)
                 offset = int(rng.integers(0, slots)) * granularity_ms
-                entries.append(ScheduleEntry(plan.window_index, component_id, k,
-                                             window_start + offset))
+                entries.append((plan.window_index, component_id, k, window_start + offset))
     return entries, rng
 
 
@@ -354,12 +352,12 @@ def test_array_draw_matches_scalar_draws(case):
     plans, targets, seed, granularity = case
     expected, scalar_rng = _scalar_random_schedule(plans, targets, seed, granularity)
     cfg = Config({"sa.move_granularity_ms": str(granularity)})
-    assert random_schedule(plans, targets, cfg, seed).entries == expected
+    assert rows_of(random_schedule(plans, targets, cfg, seed), *SCHEDULE_COLUMNS) == expected
 
     schedule, w_start, w_len = scheduler_module._planned_instances(plans, targets)
     rng = np.random.default_rng(seed)
     starts = scheduler_module._draw_starts(rng, w_start, w_len, granularity)
-    assert starts.tolist() == [e.start_ts for e in expected]
+    assert starts.tolist() == [start for *_, start in expected]
     assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
@@ -369,7 +367,8 @@ def test_annealer_initial_state_is_random_schedule(schema):
     config = Config({"sa.move_granularity_ms": "7000"})
     config.values["sa.max_steps"] = 0  # past the table's rule, which rejects 0
     result = assign_timestamps(plans, targets, catalog, config, rng_seed=9)
-    assert result.schedule.entries == random_schedule(plans, targets, config, 9).entries
+    assert rows_of(result.schedule, *SCHEDULE_COLUMNS) == \
+        rows_of(random_schedule(plans, targets, config, 9), *SCHEDULE_COLUMNS)
 
 
 _ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -388,7 +387,7 @@ def test_schedule_csv_round_trip(tmp_path_factory, rows):
     for name in SCHEDULE_COLUMNS:
         np.testing.assert_array_equal(getattr(back, name), getattr(schedule, name))
         assert getattr(back, name).dtype == getattr(schedule, name).dtype
-    assert back.entries == schedule.entries
+    assert rows_of(back, *SCHEDULE_COLUMNS) == rows_of(schedule, *SCHEDULE_COLUMNS)
 
 
 @settings(max_examples=100, deadline=None)

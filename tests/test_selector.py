@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import SOLVER_KNOBS, make_catalog, random_catalog
+from conftest import SOLVER_KNOBS, catalog_row, make_catalog, random_catalog
 from selection_oracle import count_vector, enumerate_optimum
 from wlsynth import selector
 from wlsynth.config import Config
@@ -522,11 +522,9 @@ def _shift_by_scanning_every_pair(problem, counts):
     return counts
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(1, 4))
-def test_duplicate_pairs_shift_as_a_scan_of_every_pair(seed, n, y):
-    """Shifting counts over the catalog's duplicate pairs, found once, gives
-    what a scan of every pair per window gives."""
+def _problem_with_duplicates(seed, n, y):
+    """A problem of n components drawn from few distinct columns, with ids in
+    random order, and a count vector of at most y each."""
     rng = np.random.default_rng(seed)
     problem = SelectionProblem(
         target=np.ones(2),
@@ -536,9 +534,36 @@ def test_duplicate_pairs_shift_as_a_scan_of_every_pair(seed, n, y):
         y=y, z=n * y + 1, duration_budget_ms=1e9,
         **SOLVER_KNOBS,
     )
-    counts = rng.integers(0, y + 1, size=n)
+    return problem, rng.integers(0, y + 1, size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(1, 4))
+def test_duplicate_pairs_shift_as_a_scan_of_every_pair(seed, n, y):
+    """Shifting counts over the catalog's duplicate groups, found once, gives
+    what a scan of every pair per window gives."""
+    problem, counts = _problem_with_duplicates(seed, n, y)
     assert_array_equal(selector._lex_duplicate_shift(problem, counts),
                        _shift_by_scanning_every_pair(problem, counts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(1, 4))
+def test_duplicate_shift_fills_each_group_from_its_latest_id(seed, n, y):
+    """In each group of components with equal columns the shift keeps the
+    group's total, leaves every count at most y and fills the ids from the
+    latest down: a component keeps a count only when every later id of its
+    group holds y."""
+    problem, counts = _problem_with_duplicates(seed, n, y)
+    shifted = selector._lex_duplicate_shift(problem, counts)
+    cols = np.column_stack([problem.features, problem.durations])
+    ids = problem.component_ids
+    for a in range(n):
+        group = [b for b in range(n) if np.array_equal(cols[a], cols[b])]
+        assert shifted[group].sum() == counts[group].sum()
+        assert 0 <= shifted[a] <= y
+        if shifted[a] > 0:
+            assert all(shifted[b] == y for b in group if ids[b] > ids[a])
 
 
 class TestMatchQuery:
@@ -550,7 +575,7 @@ class TestMatchQuery:
         query = np.array([10.0, 10.0, 1.0, 0.0, 0.0, 0.0])
         plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"near": 1}
-        assert_array_equal(plan.achieved, catalog.get("near").feature.as_vector())
+        assert_array_equal(plan.achieved, catalog.features[catalog_row(catalog, "near")])
 
     def test_one_to_one_tie_breaks_by_id(self, schema):
         catalog = make_catalog(schema, [
@@ -560,7 +585,7 @@ class TestMatchQuery:
         query = np.array([5.0, 5.0, 0.0, 0.0, 0.0, 0.0])
         plan = match_query(query, catalog, Config(), mode=ONE_TO_ONE)
         assert plan.counts == {"a": 1}
-        assert_array_equal(plan.achieved, catalog.get("a").feature.as_vector())
+        assert_array_equal(plan.achieved, catalog.features[catalog_row(catalog, "a")])
 
     def test_one_to_many_dominates(self, schema):
         rng = np.random.default_rng(21)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_schedule
+from conftest import catalog_row, make_catalog, make_schedule, rows_of
 from wlsynth.features import MODE_COUNTS, FeatureSchema
-from wlsynth.scheduler import IntervalGrid, simulate_processor_sharing
+from wlsynth.scheduler import SCHEDULE_COLUMNS, IntervalGrid, simulate_processor_sharing
 from wlsynth.simulator import replay
 from wlsynth.trace import build_targets, export_trace
 
@@ -37,8 +37,8 @@ class TestReplay:
             "offered load 2 exceeds cores = 1: the processor-sharing backlog grows "
             "across the horizon"
         ]
-        assert [(r.arrival_ts, r.duration_ms) for r in warned.records] == \
-            [(r.arrival_ts, r.duration_ms) for r in quiet.records]
+        assert rows_of(warned, "arrival_ts", "duration_ms") == \
+            rows_of(quiet, "arrival_ts", "duration_ms")
 
     def test_uncontended_durations_match_profile(self, schema, catalog):
         schedule = make_schedule([
@@ -46,16 +46,16 @@ class TestReplay:
             (0, "c2", 0, 100000),
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
-        by_id = {r.query_id: r for r in trace.records}
-        assert by_id["c1.w0.k0"].duration_ms == 30000
-        assert by_id["c2.w0.k0"].duration_ms == 20000
+        by_id = dict(rows_of(trace, "query_id", "duration_ms"))
+        assert by_id["c1.w0.k0"] == 30000
+        assert by_id["c2.w0.k0"] == 20000
 
     def test_contention_stretches_durations(self, schema, catalog):
         schedule = make_schedule([(0, "c1", k, 0) for k in range(4)])
         trace = replay(schedule, catalog, cores=2, mode=MODE_COUNTS)
         # 4 equal instances on 2 cores progress at rate 1/2
-        for r in trace.records:
-            assert r.duration_ms == 60000
+        for duration in trace.duration_ms.tolist():
+            assert duration == 60000
 
     def test_durations_never_below_profile(self, schema, catalog):
         rng = np.random.default_rng(2)
@@ -65,9 +65,9 @@ class TestReplay:
             (0, "c2", k, int(rng.integers(0, 200000))) for k in range(6)
         ])
         trace = replay(schedule, catalog, cores=3, mode=MODE_COUNTS)
-        for r in trace.records:
-            profiled = catalog.get(r.query_id.split(".")[0]).duration_ms
-            assert r.duration_ms >= profiled
+        for query_id, duration in rows_of(trace, "query_id", "duration_ms"):
+            profiled = catalog.duration_ms[catalog_row(catalog, query_id.split(".")[0])]
+            assert duration >= profiled
 
     def test_ids_unique_and_features_copied(self, schema, catalog):
         schedule = make_schedule([
@@ -76,21 +76,20 @@ class TestReplay:
             (1, "c1", 0, 300000),
         ])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
-        ids = [r.query_id for r in trace.records]
-        assert len(set(ids)) == 3
-        for r in trace.records:
-            comp = catalog.get("c1")
-            np.testing.assert_array_equal(r.metrics, comp.feature.metrics)
-            np.testing.assert_array_equal(r.operators, comp.feature.operators)
+        assert len(set(trace.query_id)) == 3
+        m, c1 = schema.n_metrics, catalog_row(catalog, "c1")
+        for metrics, operators in rows_of(trace, "metrics", "operators"):
+            np.testing.assert_array_equal(metrics, catalog.features[c1, :m])
+            np.testing.assert_array_equal(operators, catalog.features[c1, m:])
 
     def test_arrivals_are_schedule_starts(self, schema, catalog):
         schedule = make_schedule([(0, "c2", 0, 42000)])
         trace = replay(schedule, catalog, cores=8, mode=MODE_COUNTS)
-        assert trace.records[0].arrival_ts == 42000
+        assert trace.arrival_ts[0] == 42000
 
     def test_empty_schedule(self, schema, catalog):
         trace = replay(make_schedule([]), catalog, cores=8, mode=MODE_COUNTS)
-        assert trace.records == []
+        assert rows_of(trace, "query_id") == []
 
     def test_window_operator_sums_recoverable(self, schema, catalog):
         # instances fully inside their windows: window operator sums are exact
@@ -110,9 +109,9 @@ class TestReplay:
 def _reference_replay(schedule, catalog, cores):
     """The per-instance loop replay replaced, kept as its oracle: the rows of
     the replayed trace.csv."""
-    entries = schedule.entries
-    rows = [catalog.ids.index(e.component_id) for e in entries]
-    starts = np.array([e.start_ts for e in entries], dtype=float)
+    entries = rows_of(schedule, *SCHEDULE_COLUMNS)
+    rows = [catalog.ids.index(component_id) for _, component_id, _, _ in entries]
+    starts = np.array([start for *_, start in entries], dtype=float)
     works = catalog.duration_ms[rows]
     completions, _ = simulate_processor_sharing(starts, works, cores)
 
@@ -120,10 +119,11 @@ def _reference_replay(schedule, catalog, cores):
         return str(int(value)) if float(value).is_integer() else repr(float(value))
 
     return [
-        [f"{e.component_id}.w{e.window_index}.k{e.instance_index}", int(start),
+        [f"{component_id}.w{w}.k{k}", int(start),
          max(math.ceil(completion - start), math.ceil(works[i])),
          *map(cell, catalog.features[rows[i]])]
-        for i, (e, start, completion) in enumerate(zip(entries, starts, completions))
+        for i, ((w, component_id, k, _), start, completion)
+        in enumerate(zip(entries, starts, completions))
     ]
 
 

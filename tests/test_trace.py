@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace, write_bench_inputs
+from conftest import make_trace, rows_of, write_bench_inputs
 from wlsynth import trace as trace_module
-from wlsynth.errors import ConfigError, SchemaError, TraceParseError, ValidationError
+from wlsynth.errors import (ConfigError, SchemaError, TraceParseError, ValidationError,
+                            WlsynthError)
 from wlsynth.features import MODE_COUNTS, MODE_TIME_SHARES, MODES, FeatureSchema
 from wlsynth.trace import (
     Trace,
@@ -22,6 +23,9 @@ from wlsynth.trace import (
     read_targets,
     write_targets,
 )
+
+
+_ID_AND_TIMES = ("query_id", "arrival_ts", "duration_ms")
 
 
 def record(schema, qid, arrival, duration, metrics, operators=None):
@@ -39,13 +43,10 @@ class TestIngest:
         path = tmp_path / "t.csv"
         export_trace(trace, path)
         back = ingest_trace(path, schema)
-        assert len(back.records) == 2
-        for a, b in zip(trace.records, back.records):
-            assert a.query_id == b.query_id
-            assert a.arrival_ts == b.arrival_ts
-            assert a.duration_ms == b.duration_ms
-            np.testing.assert_array_equal(a.metrics, b.metrics)
-            np.testing.assert_array_equal(a.operators, b.operators)
+        assert len(back) == 2
+        assert rows_of(back, *_ID_AND_TIMES) == rows_of(trace, *_ID_AND_TIMES)
+        np.testing.assert_array_equal(back.metrics, trace.metrics)
+        np.testing.assert_array_equal(back.operators, trace.operators)
 
     def test_missing_column(self, schema, tmp_path):
         path = tmp_path / "bad.csv"
@@ -340,10 +341,10 @@ def _reference_bins(trace, window_len_ms, interval_len_ms, span=None):
 
     Returns the grid start, interval metrics, window operators and query counts.
     """
-    records = trace.records
+    arrivals, durations = trace.arrival_ts.tolist(), trace.duration_ms.tolist()
     if span is None:
-        start = min(r.arrival_ts for r in records)
-        end = max(max(r.end_ts, r.arrival_ts + 1) for r in records)
+        start = min(arrivals)
+        end = max(max(a + d, a + 1) for a, d in zip(arrivals, durations))
     else:
         start, end = span
     n_windows = max(1, math.ceil((end - start) / window_len_ms))
@@ -353,12 +354,11 @@ def _reference_bins(trace, window_len_ms, interval_len_ms, span=None):
     window_ops = np.zeros((n_windows, trace.schema.n_operators))
     window_op_weight = np.zeros(n_windows)
     query_counts = np.zeros(n_windows, dtype=int)
-    for rec in records:
-        a, d = rec.arrival_ts, rec.duration_ms
+    for a, d, metrics, operators in zip(arrivals, durations, trace.metrics, trace.operators):
         if d == 0:
             k = int((a - start) // interval_len_ms)
             if 0 <= k < n_intervals:
-                interval_metrics[k] += rec.metrics
+                interval_metrics[k] += metrics
         else:
             lo, hi = max(a, start), min(a + d, grid_end)
             if hi > lo:
@@ -368,15 +368,15 @@ def _reference_bins(trace, window_len_ms, interval_len_ms, span=None):
                     bin_a = start + k * interval_len_ms
                     overlap = min(hi, bin_a + interval_len_ms) - max(lo, bin_a)
                     if overlap > 0:
-                        interval_metrics[k] += rec.metrics * (overlap / d)
+                        interval_metrics[k] += metrics * (overlap / d)
         w = int((a - start) // window_len_ms)
         if 0 <= w < n_windows:
             query_counts[w] += 1
             if trace.mode == MODE_COUNTS:
-                window_ops[w] += rec.operators
+                window_ops[w] += operators
             else:
                 weight = max(d, 1)
-                window_ops[w] += rec.operators * weight
+                window_ops[w] += operators * weight
                 window_op_weight[w] += weight
     if trace.mode == MODE_TIME_SHARES:
         nonzero = window_op_weight > 0
@@ -474,11 +474,12 @@ def _reference_export(trace, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "arrival_ts", "duration_ms"] + list(trace.schema.dimensions))
-        for rec in trace.records:
+        for query_id, arrival_ts, duration_ms, metrics, operators in rows_of(
+                trace, *_ID_AND_TIMES, "metrics", "operators"):
             writer.writerow(
-                [rec.query_id, rec.arrival_ts, rec.duration_ms]
-                + [_reference_format(v) for v in rec.metrics]
-                + [_reference_format(v) for v in rec.operators]
+                [query_id, arrival_ts, duration_ms]
+                + [_reference_format(v) for v in metrics]
+                + [_reference_format(v) for v in operators]
             )
 
 
@@ -528,12 +529,11 @@ def test_export_round_trip_and_bytes(tmp_path_factory, rows, block):
             ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
         return
     back = ingest_trace(out / "new.csv", _EXPORT_SCHEMA)
-    assert [r.query_id for r in back.records] == [r.query_id for r in trace.records]
-    for a, b in zip(trace.records, back.records):
-        assert (type(b.arrival_ts), type(b.duration_ms)) == (int, int)
-        assert (a.arrival_ts, a.duration_ms) == (b.arrival_ts, b.duration_ms)
-        np.testing.assert_array_equal(a.metrics, b.metrics)
-        np.testing.assert_array_equal(a.operators, b.operators)
+    assert back.query_id == trace.query_id
+    assert (back.arrival_ts.dtype, back.duration_ms.dtype) == (np.int64, np.int64)
+    assert rows_of(back, *_ID_AND_TIMES) == rows_of(trace, *_ID_AND_TIMES)
+    np.testing.assert_array_equal(back.metrics, trace.metrics)
+    np.testing.assert_array_equal(back.operators, trace.operators)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -677,7 +677,7 @@ def _ingest_outcome(path, schema):
     """What ingest_trace gives: the trace's columns, or the error's type and message."""
     try:
         trace = ingest_trace(path, schema)
-    except Exception as exc:  # any error, as long as both readers raise the same
+    except WlsynthError as exc:  # a typed error, as long as both readers raise the same
         return type(exc), str(exc)
     return (trace.query_id, trace.arrival_ts.tolist(), trace.duration_ms.tolist(),
             trace.features.tobytes())
