@@ -31,7 +31,7 @@ from .catalog import (
 from .config import Config
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, relative_gaps, row_groups
-from .selector import SelectionPlan, rank_components, znorm_stats
+from .selector import SelectionProblem, exceeds, rank_components, znorm_stats
 from .trace import Trace, WindowTargets
 
 log = logging.getLogger(__name__)
@@ -491,9 +491,12 @@ def generate_component(
             return GenerationReport(target.target_id, None, attempts, switches)
 
 
-def bad_windows(plans: list[SelectionPlan], threshold: float) -> list[int]:
-    """Indices of the windows whose plan objective exceeds `threshold`."""
-    return sorted(p.window_index for p in plans if p.objective_value > threshold)
+def bad_windows(problems: list[SelectionProblem], roots: list[np.ndarray | None],
+                threshold: float) -> list[int]:
+    """Indices of the windows whose optimum `selector.exceeds` the threshold,
+    from their problems and roots as `selector.relax_windows` returns them."""
+    return [problem.window_index for problem, root in zip(problems, roots)
+            if exceeds(problem, root, threshold)]
 
 
 def augment_catalog(
@@ -507,9 +510,8 @@ def augment_catalog(
     seed: int,
 ) -> tuple[Catalog, list[GenerationReport]]:
     """Generate one component per cluster (`augment.k` of them) of the
-    queries in the `bad` windows: those whose objective exceeds
-    `augment.bad_window_threshold`, by `bad_windows` of written plans or by
-    `selector.exceeds` of the windows' relaxation.
+    queries in the `bad` windows: those whose optimum exceeds
+    `augment.bad_window_threshold`, by `bad_windows` of their relaxation.
 
     Each accepted component is appended to a new catalog; the input catalog,
     and the selection problems that share its columns, stay as they are.

@@ -57,10 +57,9 @@ class WorkloadComponent:
     origin: str = ORIGIN_BENCHMARK
 
     def __post_init__(self):
-        if self.duration_ms <= 0:
-            raise ValidationError(
-                f"component {self.component_id!r}: duration_ms must be positive"
-            )
+        if not 0 < self.duration_ms < np.inf:  # NaN too
+            rule = "positive" if np.isfinite(self.duration_ms) else "finite"
+            raise ValidationError(f"component {self.component_id!r}: duration_ms must be {rule}")
 
 
 class Catalog:
@@ -103,6 +102,7 @@ class Catalog:
              "component {!r}: feature entries must be finite"),
             ((self.features < 0).any(axis=1),
              "component {!r}: feature entries must be nonnegative"),
+            (~np.isfinite(self.duration_ms), "component {!r}: duration_ms must be finite"),
             (self.duration_ms <= 0, "component {!r}: duration_ms must be positive"),
             (self.index(self.ids) != np.arange(n), "duplicate component_id {!r}"),
         )

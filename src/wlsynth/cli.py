@@ -5,10 +5,13 @@ its inputs from the invocation's run context (`Run`) and writes the CSV
 contracts of the library modules, so any prefix of the pipeline can be
 resumed from its artifacts.  `pipeline` calls the same stage functions in
 order on one context, where each finds the outputs of the stages before it
-and reads back nothing the run wrote.  A pipeline that runs augment solves no
-window's exact MIP before it: select holds the windows' stacked LP relaxation
-in place of plans, augment decides the badly fit windows from it
-(`selector.exceeds`), and plans are solved and written once, after augment.
+and reads back nothing the run wrote.  Every plan set is written one way,
+by `finish_windows` on the windows' stacked LP relaxation over the run's
+catalog (`_write_plans`).  `augment` decides the badly fit windows on that
+relaxation over --catalog (`augmenter.bad_windows`), so it needs no plans.
+A pipeline that runs augment leaves the plans to it: its select solves
+nothing, no window's exact MIP runs before augment, and the plans are
+written once, after it.
 All randomness flows from one --seed; each stage derives its own generator
 by hashing the stage name.
 """
@@ -45,12 +48,10 @@ from .selector import (
     ONE_TO_MANY,
     ONE_TO_ONE,
     SelectionPlan,
-    exceeds,
     finish_windows,
     match_query,
     read_plans,
     relax_windows,
-    solve_all_windows,
     solve_window,  # noqa: F401 not called here; bench/child.py traces it under this name
     write_plan_summary,
     write_plans,
@@ -62,7 +63,7 @@ log = logging.getLogger(__name__)
 
 WINDOW_LEVEL = "window"
 _DATA_FILES = ("demo_trace.csv", "demo_catalog.csv", "demo_config.txt")
-# integer flags that set the config key of their name (underscores for dashes)
+# flags whose text sets the config key of their name (underscores for dashes)
 _KEY_FLAGS = {"seed": None, "window_ms": None, "interval_ms": None, "cores": None,
               "y": "max repetitions of one component per window",
               "z": "max total instances per window"}
@@ -99,9 +100,9 @@ def _existing(path, what: str, hint: str):
 
 
 class Run:
-    """One invocation's stage inputs.  An input is the value an earlier stage
-    of the same invocation left in `held`; otherwise it is read back from
-    that stage's artifact on first use, and held from then on."""
+    """One invocation's stage inputs: the value an earlier stage of the same
+    invocation left in `held`, else its artifact read back (the relaxation:
+    solved) on first use, and held from then on."""
 
     def __init__(self, cfg: Config, args: argparse.Namespace):
         self.cfg, self.args, self.paths = cfg, args, _Paths(args.out)
@@ -132,6 +133,10 @@ class Run:
                 raise ConfigError("--catalog is required (no augmented catalog found)")
             path = _catalog_arg(self.args)
         return load_catalog(path, self.cfg.schema())
+
+    def _read_relaxation(self):
+        with _solver_output_to_stderr():
+            return relax_windows(self.get("targets")[0], self.get("catalog"), self.cfg)
 
     def _read_plans(self) -> list[SelectionPlan]:
         path = _existing(self.paths.plans / "plan.csv", "plans", "run 'select' first")
@@ -164,11 +169,6 @@ def _solver_output_to_stderr():
     finally:
         os.dup2(saved, 1)
         os.close(saved)
-
-
-def _solve_windows(targets, catalog, cfg: Config, jobs: int) -> list[SelectionPlan]:
-    with _solver_output_to_stderr():
-        return solve_all_windows(targets, catalog, cfg, jobs)
 
 
 def _catalog_arg(args) -> str:
@@ -223,7 +223,15 @@ def stage_targets(run: Run) -> None:
     run.held["targets"] = windows, intervals
 
 
-def _write_plans(run: Run, windows, plans: list[SelectionPlan]) -> None:
+def _write_plans(run: Run) -> None:
+    """Finish every window's plan from the relaxation over the run's catalog,
+    write the plans and hold them in its place: every plan set is written here."""
+    windows, _ = run.get("targets")
+    relaxation = run.get("relaxation")
+    with _solver_output_to_stderr():
+        plans = finish_windows(*relaxation, run.args.jobs)
+    del run.held["relaxation"]
+    run.paths.ensure(run.paths.plans)
     write_plans(plans, run.paths.plans / "plan.csv")
     write_plan_summary(plans, windows, run.cfg.schema(), run.paths.plans / "summary.csv")
     run.held["plans"] = plans
@@ -235,8 +243,8 @@ def stage_select(run: Run) -> None:
     windows, _ = run.get("targets")
     catalog = run.get("catalog")
     trace = None if level == WINDOW_LEVEL else run.get("trace")
-    paths.ensure(paths.plans)
     if trace is not None:
+        paths.ensure(paths.plans)
         with _solver_output_to_stderr(), open(paths.plans / "query_matches.csv", "w",
                                               newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -252,52 +260,36 @@ def stage_select(run: Run) -> None:
                                  for cid in sorted(plan.counts))
         log.info("matched %d queries (%s)", len(trace), level)
     if run.args.command == "pipeline" and not run.args.skip_augment:
-        # augment decides the bad windows from the relaxation and solves the plans
-        with _solver_output_to_stderr():
-            run.held["relaxation"] = relax_windows(windows, catalog, cfg)
-        log.info("relaxed %d windows", len(windows))
-        return
-    _write_plans(run, windows, _solve_windows(windows, catalog, cfg, run.args.jobs))
+        return  # augment writes the plans, from the relaxation it decides the bad windows on
+    _write_plans(run)
     log.info("solved %d windows", len(windows))
 
 
 def stage_augment(run: Run) -> None:
-    """Holds the augmented catalog, and the plans solved with it.  The windows
-    whose objective exceeds `augment.bad_window_threshold` come from the plans
-    select wrote, or, in a pipeline, from the relaxation select held."""
+    """Holds the augmented catalog, and the plans finished with it.  The
+    windows whose optimum exceeds `augment.bad_window_threshold` are decided
+    on the relaxation over --catalog, which also gives the plans when no
+    component is accepted."""
     cfg, paths = run.cfg, run.paths
     trace = run.get("trace")
     windows, _ = run.get("targets")
     catalog = run.get("catalog")
-    threshold = cfg["augment.bad_window_threshold"]
-    relaxation = run.held.pop("relaxation", None)
-    if relaxation is None:
-        bad = augmenter.bad_windows(run.get("plans"), threshold)
-    else:
-        with _solver_output_to_stderr():
-            bad = [problem.window_index for problem, root in zip(*relaxation)
-                   if exceeds(problem, root, threshold)]
+    relaxation = run.get("relaxation")
+    with _solver_output_to_stderr():
+        bad = augmenter.bad_windows(*relaxation, cfg["augment.bad_window_threshold"])
     augmented, reports = augment_catalog(
         trace, bad, windows, catalog, _provider(cfg), SimulatedExecutor(cfg.schema()),
         cfg, stage_seed(cfg["seed"], "augment"),
     )
-    paths.ensure(paths.augment, paths.plans)
+    paths.ensure(paths.augment)
     save_catalog(augmented, paths.augment / "catalog.csv")
     write_attempt_log(reports, paths.augment / "attempts.jsonl")
     run.held["catalog"] = augmented
     accepted = sum(1 for r in reports if r.accepted)
-    if accepted == 0:
-        # same catalog as the relaxation's or the written plans': a re-solve
-        # would write the same bytes
-        if relaxation is not None:
-            with _solver_output_to_stderr():
-                plans = finish_windows(*relaxation, run.args.jobs)
-            _write_plans(run, windows, plans)
-        log.info("augmentation: 0/%d targets accepted, plans kept", len(reports))
-        return
-    _write_plans(run, windows, _solve_windows(windows, augmented, cfg, run.args.jobs))
-    log.info("augmentation: %d/%d targets accepted, plans re-solved",
-             accepted, len(reports))
+    if accepted:
+        del run.held["relaxation"]  # the plans are finished on the augmented catalog's
+    _write_plans(run)
+    log.info("augmentation: %d/%d targets accepted", accepted, len(reports))
 
 
 def stage_schedule(run: Run) -> None:
@@ -399,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     for key, help_text in _KEY_FLAGS.items():
-        common.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key, help=help_text)
+        common.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text)
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel window solves (default: 1)")
     common.add_argument("-v", "--verbose", action="store_true")

@@ -3,14 +3,16 @@
 The file format is one `key = value` per line, `#` comments, UTF-8.  Lists
 are comma-separated.  `KEYS` is the only declaration of a key: its type,
 default and rule.  Every key is parsed and checked once, when the config is
-built, so a bad value stops a run before any stage writes; the stage
-functions then read their knobs from the `Config` (`Config()` for the
-defaults) and mirror none of them.
+built, so a bad value stops a run before any stage writes; an int key (or
+its CLI flag) reads as every CSV's int column does, by `trace._parse_int`.
+The stage functions then read their knobs from the `Config`
+(`Config()` for the defaults) and mirror none of them.
 """
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, WlsynthError
 from .features import MODES, FeatureSchema
+from .trace import _parse_int
 
 POSITIVE = "positive"
 NON_NEGATIVE = "non-negative"
@@ -61,10 +63,10 @@ def _resolve(key: str, raw: str):
         return None
     try:
         value = (tuple(part.strip() for part in raw.split(",") if part.strip())
-                 if kind is tuple else kind(raw))
+                 if kind is tuple else _parse_int(raw, 0, key) if kind is int else kind(raw))
         if value in (float("inf"), -float("inf")):  # inf, or past float64 such as 1e400
             raise ValueError
-    except ValueError:
+    except (ValueError, WlsynthError):
         raise ConfigError(f"config key {key!r}: expected {_EXPECTED[kind]}, "
                           f"got {raw!r}") from None
     if rule == POSITIVE and not value > 0:  # NaN too

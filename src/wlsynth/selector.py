@@ -16,10 +16,11 @@ stays exact without them.  Windows share
 nothing, so `relax_windows` solves every window's relaxation in one HiGHS
 call on the block-diagonal stack of their models, and `finish_windows` then
 solves each fractional window's MIP alone, in order or from a thread pool;
-`solve_all_windows` is the two in turn.  Whether a window's optimum exceeds a
-threshold, `exceeds` answers from the same relaxation, mostly without the
-exact MIP: by the LP bound, or by a MIP cut off at the threshold that stops
-at its first solution under it.  Identical inputs give
+the CLI writes every plan set so, and `solve_all_windows` is the two in turn.
+Whether a window's optimum exceeds a threshold (augment's bad windows),
+`exceeds` answers from the same relaxation, mostly without the exact MIP: by
+the LP bound, or by a MIP cut off at the threshold that stops at its first
+solution under it.  Identical inputs give
 identical counts; repetitions of components with identical feature and
 duration columns sit on the latest of their ids, at most y each.  Where a
 window has several optimal count vectors, which one the stacked call

@@ -35,6 +35,7 @@ from wlsynth.selector import (
     ONE_TO_ONE,
     SelectionProblem,
     match_query,
+    relax_windows,
     solve_all_windows,
     solve_window,
 )
@@ -305,8 +306,8 @@ def test_criterion_7_augmentation_closed_loop(schema):
 
     provider = MockProvider(echo_policy)
     augmented, reports = augment_catalog(
-        trace, bad_windows(pre, 0.2), windows, catalog, provider,
-        SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
+        trace, bad_windows(*relax_windows(windows, catalog, cfg), 0.2), windows, catalog,
+        provider, SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
     )
     post = solve_all_windows(windows, augmented, cfg)
     improvement_ok = post[0].objective_value <= 0.1 * pre[0].objective_value

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_row, make_catalog, make_trace
+from test_selector import random_problem
 from wlsynth.augmenter import (
     ACTION_CHANGE_DATABASE,
     ACTION_REWRITE,
@@ -39,7 +40,7 @@ from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
 from wlsynth.config import Config
 from wlsynth.errors import ProviderError, ValidationError
 from wlsynth.features import PerformanceFeature, row_groups
-from wlsynth.selector import SelectionPlan
+from wlsynth.selector import finish_windows, relax_windows
 from wlsynth.trace import WindowTargets
 
 
@@ -326,6 +327,20 @@ class TestGenerateComponent:
             (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
         assert report.component.duration_ms == 1000.0
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "1e400"])
+    def test_non_finite_duration_profile_retries(self, schema, duration):
+        """A profile of no finite duration is retried, as one of zero is: it
+        never reaches the catalog, whose saved CSV would not load."""
+        responses = [annotated(50, 60, duration=duration), annotated(50, 60)]
+        provider = MockProvider(lambda prompt, calls: responses[calls])
+        report = generate_component(
+            target_for(50, 60), self.make_cat(schema), provider,
+            SimulatedExecutor(schema), Config(),
+        )
+        assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
+            (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
+        assert report.component.duration_ms == 1000.0
+
     @pytest.mark.parametrize("duration", [0, -5])
     def test_accepted_component_needs_positive_duration(self, schema, duration):
         # the profiled duration comes from the provider's text; a profile
@@ -346,26 +361,51 @@ class TestAugmentCatalog:
         windows = WindowTargets(0, 300000, np.array([feature(500, 500).as_vector(),
                                                      feature(20, 20).as_vector()]),
                                 np.array([2, 1]))
-        plans = [
-            SelectionPlan(0, {}, np.zeros(6), objective_value=2.0),
-            SelectionPlan(1, {"near1": 2}, np.zeros(6), objective_value=0.01),
-        ]
+        # window 0's optimum is 1.816 (four near2), window 1's is 0.0
+        relaxation = relax_windows(windows, catalog, Config())
         trace = make_trace(schema, [
             ("q1", 10000, 60000, [260.0, 240.0], np.zeros(4)),
             ("q2", 40000, 60000, [240.0, 260.0], np.zeros(4)),
             ("q3", 320000, 60000, [20.0, 20.0], np.zeros(4)),
         ])
-        return trace, plans, windows, catalog
+        return trace, relaxation, windows, catalog
 
     def test_bad_windows_thresholded(self, schema):
-        _, plans, _, _ = self.make_inputs(schema)
-        assert bad_windows(plans, 0.2) == [0]
+        _, relaxation, _, _ = self.make_inputs(schema)
+        assert bad_windows(*relaxation, 0.2) == [0]
+
+    @pytest.mark.parametrize("seed", [3, 29, 101])
+    def test_bad_windows_are_the_plans_over_the_threshold(self, schema, seed):
+        """On seeded random windows over one catalog, bad_windows of their
+        relaxation is, at every threshold, the windows whose finished plan's
+        objective exceeds it: thresholds at each plan's objective, within 1e-6
+        and 0.05 of it, and a few fixed ones.  Windows where the MIP hits a
+        node or time limit (an approximate plan) are left out."""
+        rng = np.random.default_rng(seed)
+        drawn = [random_problem(rng, n_components=5, n_dims=6) for _ in range(6)]
+        catalog = make_catalog(schema, [(cid, duration, features) for cid, duration, features
+                                        in zip(drawn[0].component_ids, drawn[0].durations,
+                                               drawn[0].features)])
+        windows = WindowTargets(0, int(drawn[0].duration_budget_ms),
+                                np.array([p.target for p in drawn]), np.ones(6, dtype=int))
+        cfg = Config({"y": "3", "z": "8", "cores": "1"})
+        problems, roots = relax_windows(windows, catalog, cfg)
+        plans = finish_windows(problems, roots)
+        kept = [w for w, plan in enumerate(plans) if not plan.approximate]
+        assert len(kept) >= 4
+        objectives = [plans[w].objective_value for w in kept]
+        thresholds = {0.0, 0.2, 1.0, *(value + delta for value in objectives
+                                       for delta in (-0.05, -1e-6, 0.0, 1e-6, 0.05))}
+        for threshold in sorted(thresholds):
+            assert bad_windows([problems[w] for w in kept], [roots[w] for w in kept],
+                               threshold) == [plans[w].window_index for w in kept
+                                              if plans[w].objective_value > threshold]
 
     def test_accepted_components_are_appended(self, schema):
-        trace, plans, windows, catalog = self.make_inputs(schema)
+        trace, relaxation, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         augmented, reports = augment_catalog(
-            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            trace, bad_windows(*relaxation, 0.2), windows, catalog, provider,
             SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
         )
         assert len(catalog) == 5  # input untouched
@@ -380,42 +420,43 @@ class TestAugmentCatalog:
     def test_zero_duration_answers_fail_only_their_target(self, schema):
         """A target whose every answer profiles at zero duration fails alone:
         the component accepted for the target before it is kept."""
-        trace, plans, windows, catalog = self.make_inputs(schema)
+        trace, relaxation, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(
             lambda prompt, calls: annotated(250, 250, duration=0 if calls else 1000))
         augmented, reports = augment_catalog(
-            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            trace, bad_windows(*relaxation, 0.2), windows, catalog, provider,
             SimulatedExecutor(schema), Config({"augment.k": "2"}), seed=0,
         )
         assert [report.accepted for report in reports] == [True, False]
         assert augmented.ids == catalog.ids + ["aug-000"]
 
     def test_zero_clusters_rejected(self, schema):
-        trace, plans, windows, catalog = self.make_inputs(schema)
+        trace, relaxation, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         cfg = Config()
         cfg.values["augment.k"] = 0  # past the table's rule: the stage checks k too
         with pytest.raises(ValidationError, match="k must be >= 1"):
-            augment_catalog(trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            augment_catalog(trace, bad_windows(*relaxation, 0.2), windows, catalog, provider,
                             SimulatedExecutor(schema), cfg, seed=0)
         assert provider.calls == 0
 
     def test_no_bad_windows_is_a_no_op(self, schema):
-        trace, plans, windows, catalog = self.make_inputs(schema)
-        plans[0].objective_value = 0.0
+        trace, relaxation, windows, catalog = self.make_inputs(schema)
+        bad = bad_windows(*relaxation, 2.0)
+        assert bad == []
         provider = MockProvider(lambda prompt, calls: annotated(1, 1))
         augmented, reports = augment_catalog(
-            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            trace, bad, windows, catalog, provider,
             SimulatedExecutor(schema), Config(), seed=0)
         assert augmented is catalog
         assert reports == []
         assert provider.calls == 0
 
     def test_attempt_log_is_jsonl(self, schema, tmp_path):
-        trace, plans, windows, catalog = self.make_inputs(schema)
+        trace, relaxation, windows, catalog = self.make_inputs(schema)
         provider = MockProvider(lambda prompt, calls: annotated(250, 250))
         _, reports = augment_catalog(
-            trace, bad_windows(plans, 0.2), windows, catalog, provider,
+            trace, bad_windows(*relaxation, 0.2), windows, catalog, provider,
             SimulatedExecutor(schema), Config({"augment.k": "1"}), seed=0,
         )
         path = tmp_path / "attempts.jsonl"

@@ -54,6 +54,9 @@ class TestCatalog:
         (3, 5, "skewness level must be in 0..4"),
         (3, -1, "skewness level must be in 0..4"),
         (4, 0.0, "duration_ms must be positive"),
+        (4, np.nan, "duration_ms must be finite"),
+        (4, np.inf, "duration_ms must be finite"),
+        (4, -np.inf, "duration_ms must be finite"),
         (5, [1, np.inf, 0, 0, 0, 0], "feature entries must be finite"),
         (5, [1, 1, 0, -1, 0, 0], "feature entries must be nonnegative"),
     ])
@@ -101,6 +104,11 @@ class TestCatalog:
                                               scale_factor=2.0, skewness=1)
         with pytest.raises(ValidationError, match="duplicate component_id 'c1'"):
             grown.appended(catalog.row(0))
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "1e400", "-inf"])
+    def test_component_of_no_finite_duration_rejected(self, schema, duration):
+        with pytest.raises(ValidationError, match="^component 'c2': duration_ms must be finite$"):
+            make_component(schema, "c2", float(duration), [1, 1, 0, 0, 0, 0])
 
     def test_unknown_id_is_loud(self, schema):
         catalog = make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])])

@@ -135,9 +135,9 @@ class TestPipeline:
         assert run_pipeline(demo_dir, out, ["--skip-augment"]) == 0
         assert not (out / "augment").exists()
 
-    def test_augment_without_accepted_components_keeps_plans(
-        self, demo_dir, tmp_path, monkeypatch
-    ):
+    def test_augment_without_accepted_components_keeps_plans(self, demo_dir, tmp_path):
+        """With no bad window, augment finishes the plans from its own
+        relaxation of --catalog: select's bytes."""
         config = (demo_dir / "demo_config.txt").read_text().replace(
             "augment.bad_window_threshold = 0.2", "augment.bad_window_threshold = 1e9"
         )
@@ -148,12 +148,12 @@ class TestPipeline:
         assert main(["ingest", "--trace", str(demo_dir / "demo_trace.csv")] + base) == 0
         assert main(["targets"] + base) == 0
         assert main(["select"] + base + catalog) == 0
-        plan = (out / "plans/plan.csv").read_bytes()
-        solves = []
-        monkeypatch.setattr(cli, "_solve_windows", lambda *a: solves.append(a))
+        selected = {rel: (out / rel).read_bytes() for rel in ("plans/plan.csv",
+                                                              "plans/summary.csv")}
+        (out / "plans/plan.csv").unlink()
         assert main(["augment"] + base + catalog) == 0
-        assert solves == []
-        assert (out / "plans/plan.csv").read_bytes() == plan
+        for rel, data in selected.items():
+            assert (out / rel).read_bytes() == data, rel
 
     def test_skip_ta_writes_empty_energy_trace(self, demo_dir, tmp_path):
         out = tmp_path / "out"
@@ -375,6 +375,29 @@ class TestFlagTable:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestIntegerFlags:
+    """The integer flags hand their text to the config, which reads it by the
+    integer rule of every CSV."""
+
+    @pytest.mark.parametrize("key", cli._KEY_FLAGS)
+    def test_integral_text_sets_the_key(self, tmp_path, monkeypatch, key):
+        configs = []
+        monkeypatch.setattr(cli, "Run", lambda cfg, args: configs.append(cfg))
+        monkeypatch.setattr(cli, "demo", lambda run: None)
+        assert main(["demo", "--out", str(tmp_path), f"--{key.replace('_', '-')}", "8.0"]) == 0
+        assert configs[0][key] == 8
+
+    @pytest.mark.parametrize("key", cli._KEY_FLAGS)
+    @pytest.mark.parametrize("bad", ["8.5", "1e400", "eight"])
+    def test_other_text_is_a_config_error_naming_the_key(self, tmp_path, capsys, key, bad):
+        out = tmp_path / "out"
+        assert main(["demo", "--out", str(out), f"--{key.replace('_', '-')}", bad]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": "demo", "error": "ConfigError",
+                       "message": f"config key {key!r}: expected an integer, got {bad!r}"}
+        assert not out.exists()
+
+
 def bench_argv(command, out, inputs, config=None):
     """`command`'s argv on benchmark inputs: the flags of FLAGS it takes."""
     files = {"--trace": inputs / "trace.csv", "--catalog": inputs / "catalog.csv"}
@@ -402,9 +425,10 @@ def never_accepted(prompt, calls):
 class TestPipelineBadWindows:
     """On the benchmark's select_gap inputs (6 windows, 5 of them above the
     augment threshold, 3 components accepted), a pipeline decides the bad
-    windows from select's relaxation and solves each window's exact MIP once,
-    after augment; the standalone stages solve every window before augment
-    and again after it."""
+    windows from the relaxation over --catalog and solves each window's exact
+    MIP once, after augment; the standalone select solves every window, and
+    the standalone augment relaxes --catalog again to decide the bad windows,
+    then solves every window with the augmented catalog."""
 
     def test_pipeline_matches_the_standalone_chain(self, tmp_path, monkeypatch):
         _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
@@ -421,8 +445,8 @@ class TestPipelineBadWindows:
 
     def test_pipeline_solves_each_window_mip_once(self, tmp_path, monkeypatch, highs_calls):
         """2 stacked LPs (one per catalog), at most 6 cutoff MIPs and 6 full
-        MIPs, where the standalone select and augment make 2 LPs and 12 full
-        MIPs."""
+        MIPs, where the standalone select and augment make 3 LPs, 4 cutoff
+        MIPs and 12 full MIPs."""
         _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
         assert main(bench_argv("pipeline", tmp_path / "full", inputs)) == 0
         calls = call_kinds(highs_calls)
@@ -430,7 +454,7 @@ class TestPipelineBadWindows:
         highs_calls.clear()
         for name in ("ingest", "targets", "select", "augment"):
             assert main(bench_argv(name, tmp_path / "staged", inputs)) == 0, name
-        assert call_kinds(highs_calls) == {"lp": 2, "cutoff": 0, "mip": 12}
+        assert call_kinds(highs_calls) == {"lp": 3, "cutoff": 4, "mip": 12}
 
     @pytest.mark.parametrize("case", ["no_bad_window", "nothing_accepted"])
     def test_pipeline_without_accepted_components_writes_the_select_plans(
@@ -457,9 +481,52 @@ class TestPipelineBadWindows:
             assert (full / rel).read_bytes() == (staged / rel).read_bytes(), rel
 
 
+class TestStandaloneAugment:
+    """A standalone augment decides the bad windows on its own relaxation of
+    --catalog, so it needs no plans: on the select_gap inputs it writes the
+    bytes of a select -> augment chain."""
+
+    def test_augment_right_after_targets_writes_the_chain_bytes(self, tmp_path, monkeypatch):
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        direct, chain = tmp_path / "direct", tmp_path / "chain"
+        for names, out in ((("ingest", "targets", "augment"), direct),
+                           (("ingest", "targets", "select", "augment"), chain)):
+            for name in names:
+                assert main(bench_argv(name, out, inputs)) == 0, name
+        attempts = (chain / "augment/attempts.jsonl").read_text().splitlines()
+        assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
+        assert output_files(direct) == output_files(chain)
+        for rel in ("plans/plan.csv", "plans/summary.csv", "augment/catalog.csv",
+                    "augment/attempts.jsonl"):
+            assert (direct / rel).read_bytes() == (chain / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("case", ["no_bad_window", "nothing_accepted"])
+    def test_augment_accepting_nothing_rewrites_the_select_plans(self, tmp_path, monkeypatch,
+                                                                  case):
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        config = tmp_path / "config.txt"
+        config.write_text((inputs / "config.txt").read_text()
+                          + ("augment.bad_window_threshold = 1e9\n"
+                             if case == "no_bad_window" else ""))
+        if case == "nothing_accepted":
+            monkeypatch.setattr(cli, "echo_policy", never_accepted)
+        out = tmp_path / "out"
+        for name in ("ingest", "targets", "select"):
+            assert main(bench_argv(name, out, inputs, config)) == 0, name
+        selected = {rel: (out / rel).read_bytes() for rel in ("plans/plan.csv",
+                                                              "plans/summary.csv")}
+        shutil.rmtree(out / "plans")
+        assert main(bench_argv("augment", out, inputs, config)) == 0
+        attempts = (out / "augment/attempts.jsonl").read_text().splitlines()
+        assert bool(attempts) == (case == "nothing_accepted")
+        assert "accepted" not in [json.loads(line)["verdict"] for line in attempts]
+        for rel, data in selected.items():
+            assert (out / rel).read_bytes() == data, rel
+
+
 class TestSolverOutput:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_highs_output_goes_to_stderr(self, capfd, jobs):
+    def test_highs_output_goes_to_stderr(self, capfd, tmp_path, jobs):
         # a node-limited solve on which HiGHS prints a diagnostic straight to fd 1
         problem = random_problem(np.random.default_rng(146), n_components=10, n_dims=5,
                                  y=6, z=30)
@@ -468,8 +535,12 @@ class TestSolverOutput:
                                                 problem.features)))
         windows = WindowTargets(0, int(problem.duration_budget_ms), problem.target[None, :],
                                 np.array([1]))
-        cfg = Config({"y": "6", "z": "30", "cores": "1", "solver.node_limit": "1"})
-        cli._solve_windows(windows, catalog, cfg, jobs)
+        cfg = Config({"y": "6", "z": "30", "cores": "1", "solver.node_limit": "1",
+                      "metrics": "m0, m1", "operators": "o0, o1, o2"})
+        run = cli.Run(cfg, cli.build_parser().parse_args(
+            ["select", "--out", str(tmp_path), "--jobs", str(jobs)]))
+        run.held.update(targets=(windows, None), catalog=catalog)
+        cli._write_plans(run)
         print("stdout still works")
         out, err = capfd.readouterr()
         assert "HighsMipSolverData" in err

@@ -29,6 +29,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'cores'"):
             Config({"cores": "eight"})
 
+    @pytest.mark.parametrize("key", [key for key, (kind, _, _) in KEYS.items() if kind is int])
+    @pytest.mark.parametrize("raw, value", [("8.0", 8), ("8", 8), ("3e5", 300000),
+                                            ("800e-2", 8)])
+    def test_int_keys_read_an_integral_number(self, key, raw, value):
+        """An int key reads its text as every CSV's int column does."""
+        assert Config({key: raw})[key] == value
+
+    @pytest.mark.parametrize("key", [key for key, (kind, _, _) in KEYS.items() if kind is int])
+    @pytest.mark.parametrize("bad", ["8.5", "1e400", "nan", "1e-3", "9223372036854775808"])
+    def test_int_keys_reject_what_is_no_int64(self, key, bad):
+        with pytest.raises(ConfigError, match=f"^config key '{key}': expected an integer, "
+                                              f"got '{bad}'$"):
+            Config({key: bad})
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="'mode'"):
             Config({"mode": "percentages"})

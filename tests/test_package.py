@@ -7,7 +7,7 @@ import pytest
 
 import wlsynth
 from conftest import run_fresh, write_bench_inputs
-from wlsynth.cli import main
+from wlsynth.cli import FLAGS, STAGES, main
 
 PACKAGE = Path(wlsynth.__file__).parent
 
@@ -63,25 +63,31 @@ def test_import_loads_neither_numpy_ma_nor_the_thread_pool():
                      ) == ["False", "False"]
 
 
-@pytest.mark.parametrize("inputs, flags", [
-    ("demo", ()),
-    ("demo", ("--skip-ta",)),
-    ("select_gap", ()),  # a gap the augmenter closes: clustering and a re-solve
+@pytest.mark.parametrize("inputs, flags, commands", [
+    ("demo", (), ("pipeline",)),
+    ("demo", ("--skip-ta",), ("pipeline",)),
+    ("select_gap", (), ("pipeline",)),  # a gap the augmenter closes: clustering and a re-solve
+    # a standalone augment relaxes --catalog itself to decide the bad windows
+    ("select_gap", (), ("ingest", "targets", "augment")),
 ])
-def test_serial_pipeline_loads_no_module(tmp_path, monkeypatch, inputs, flags):
-    """Every module a `--jobs 1` pipeline runs is loaded by `import wlsynth.cli`."""
+def test_serial_pipeline_loads_no_module(tmp_path, monkeypatch, inputs, flags, commands):
+    """Every module a `--jobs 1` pipeline, or a chain of stages, runs is
+    loaded by `import wlsynth.cli`."""
     if inputs == "demo":
         assert main(["demo", "--out", str(tmp_path)]) == 0
         paths = [tmp_path / f"demo_{name}" for name in ("config.txt", "trace.csv", "catalog.csv")]
     else:
         _, root = write_bench_inputs(tmp_path, monkeypatch, inputs)
         paths = [root / name for name in ("config.txt", "trace.csv", "catalog.csv")]
-    argv = ["pipeline", "--config", str(paths[0]), "--trace", str(paths[1]),
-            "--catalog", str(paths[2]), "--out", str(tmp_path / "out"), "--jobs", "1", *flags]
+    files = {"--trace": str(paths[1]), "--catalog": str(paths[2])}
+    argvs = [[command, "--config", str(paths[0]), "--out", str(tmp_path / "out"), "--jobs", "1",
+              *(arg for flag in (FLAGS if command == "pipeline" else STAGES[command][2])
+                if flag in files for arg in (flag, files[flag])), *flags]
+             for command in commands]
     assert run_fresh("import contextlib, io, sys\n"
                      "from wlsynth.cli import main\n"
                      "before = set(sys.modules)\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
-                     f"    code = main({argv!r})\n"
-                     "print(code, *sorted(set(sys.modules) - before))"
-                     ) == ["0"]
+                     f"    codes = [main(argv) for argv in {argvs!r}]\n"
+                     "print(*codes, *sorted(set(sys.modules) - before))"
+                     ) == ["0"] * len(commands)
