@@ -57,7 +57,8 @@ from .selector import (
     write_plans,
 )
 from .simulator import replay
-from .trace import Trace, build_targets, export_trace, ingest_trace, read_targets, write_targets
+from .trace import (Trace, _parse_int, build_targets, export_trace, ingest_trace, read_targets,
+                    write_targets)
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +107,12 @@ class Run:
 
     def __init__(self, cfg: Config, args: argparse.Namespace):
         self.cfg, self.args, self.paths = cfg, args, _Paths(args.out)
+        try:  # read as the integer flags that set config keys are
+            self.jobs = _parse_int(args.jobs, 0, "--jobs")
+        except WlsynthError:
+            raise ConfigError(f"--jobs: expected an integer, got {args.jobs!r}") from None
+        if self.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         self.held: dict[str, object] = {}
 
     def get(self, name: str):
@@ -229,7 +236,7 @@ def _write_plans(run: Run) -> None:
     windows, _ = run.get("targets")
     relaxation = run.get("relaxation")
     with _solver_output_to_stderr():
-        plans = finish_windows(*relaxation, run.args.jobs)
+        plans = finish_windows(*relaxation, run.jobs)
     del run.held["relaxation"]
     run.paths.ensure(run.paths.plans)
     write_plans(plans, run.paths.plans / "plan.csv")
@@ -392,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory (default: out)")
     for key, help_text in _KEY_FLAGS.items():
         common.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel window solves (default: 1)")
+    common.add_argument("--jobs", default="1", help="parallel window solves (default: 1)")
     common.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -418,8 +424,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config, {key: getattr(args, key) for key in _KEY_FLAGS})
         args.fn(Run(cfg, args))
     except WlsynthError as exc:

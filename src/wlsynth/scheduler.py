@@ -10,7 +10,9 @@ is simulated in virtual time, one heap operation per event.  Each instance's
 metric mass is then binned exactly as `evaluate` bins the replayed trace:
 spread evenly over its replayed span, the ceil-rounded simulated run time
 and never less than the profiled duration.  Simulated annealing refines the
-start times to minimize the summed interval relative error.
+start times to minimize the summed interval relative error: from
+`random_schedule`, its initial state, each move re-draws one instance's
+start inside the instance's move range [lo, lo + span), its window.
 
 A Schedule holds one column per field; `expand` maps its ids to catalog rows
 once, so the stages and the annealer build no per-instance object.
@@ -212,34 +214,35 @@ def expand(schedule: Schedule, catalog: Catalog) -> tuple[np.ndarray, np.ndarray
     return schedule.start_ts.astype(float), catalog.duration_ms[rows], catalog.features[rows]
 
 
-def _energy(starts: np.ndarray, works: np.ndarray, metrics: np.ndarray, target: np.ndarray,
-            cores: int, grid: IntervalGrid, denom_floor: float) -> float:
-    _, achieved = simulate_processor_sharing(starts, works, cores, metrics, grid)
-    return relative_error(achieved, target, denom_floor)
-
-
-def _check_metrics(targets: IntervalTargets, catalog: Catalog) -> None:
+def _scorer(schedule: Schedule, targets: IntervalTargets, catalog: Catalog, cfg: Config):
+    """The profiled durations of a schedule's instances, and the function
+    that scores start times for them as `energy` scores a schedule."""
     if targets.metrics.shape[1] != catalog.schema.n_metrics:
         raise ValidationError("interval target metric dimensions do not match the catalog")
+    _, works, features = expand(schedule, catalog)
+    metrics = features[:, :catalog.schema.n_metrics]
+
+    def score(starts: np.ndarray) -> float:
+        _, achieved = simulate_processor_sharing(starts.astype(float), works, cfg["cores"],
+                                                 metrics, targets.grid)
+        return relative_error(achieved, targets.metrics, cfg["denom_floor"])
+
+    return works, score
 
 
 def energy(schedule: Schedule, interval_targets: IntervalTargets, catalog: Catalog,
            cfg: Config) -> float:
     """`selector.relative_error` of the interval metrics replayed on `cores`
-    against the targets, floored at `denom_floor`."""
-    _check_metrics(interval_targets, catalog)
-    starts, works, features = expand(schedule, catalog)
-    return _energy(starts, works, features[:, :catalog.schema.n_metrics],
-                   interval_targets.metrics, cfg["cores"], interval_targets.grid,
-                   cfg["denom_floor"])
+    against the targets, floored at `denom_floor`: the annealer's score."""
+    return _scorer(schedule, interval_targets, catalog, cfg)[1](schedule.start_ts)
 
 
-def _planned_instances(plans: list[SelectionPlan], targets: IntervalTargets
-                       ) -> tuple[Schedule, np.ndarray, np.ndarray]:
+def _initial_state(plans: list[SelectionPlan], targets: IntervalTargets, cfg: Config,
+                   rng: Generator) -> tuple[Schedule, np.ndarray, np.ndarray]:
     """Every planned instance, window by window in plan order and components
-    in id order, with start_ts at its window's start; also each instance's
-    window start and length: window w starts at the grid's start plus w
-    window lengths."""
+    in id order, with its move range [lo, lo + span) and a start drawn in it
+    by one `_draw_starts` call.  An instance's range is its window: window w
+    starts at the grid's start plus w window lengths."""
     grid, n_windows = targets.grid, len(targets) // targets.per_window
     window_len = grid.interval_len_ms * targets.per_window
     rows = []
@@ -251,21 +254,33 @@ def _planned_instances(plans: list[SelectionPlan], targets: IntervalTargets
                           zip(list(zip(*rows)) or [()] * 3, (np.int64, str, np.int64)))
     row = np.repeat(np.arange(count.size), count)
     instance = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    w_start = grid.start_ts + window_len * window[row]
-    schedule = Schedule(window[row], cid[row], instance, w_start)
-    return schedule, schedule.start_ts, np.full(row.size, window_len)
+    lo, span = grid.start_ts + window_len * window[row], np.full(row.size, window_len)
+    starts = _draw_starts(rng, lo, span, cfg["sa.move_granularity_ms"])
+    return Schedule(window[row], cid[row], instance, starts), lo, span
 
 
-def _draw_starts(rng: Generator, window_start, window_len, granularity_ms: int):
-    """Uniform random start times at `granularity_ms` steps inside windows.
+def _draw_starts(rng: Generator, lo, span, granularity_ms: int):
+    """Uniform random start times at `granularity_ms` steps from `lo` inside
+    move ranges [lo, lo + span).
 
-    One `rng.integers` call draws for a whole array of windows or for one
-    scalar window.  On the numpy this package supports the array call yields
-    the values and generator state of one scalar call per window, in order;
+    One `rng.integers` call draws for a whole array of ranges or for one
+    scalar range.  On the numpy this package supports the array call yields
+    the values and generator state of one scalar call per range, in order;
     tests/test_scheduler.py pins that.
     """
-    slots = np.maximum(1, window_len // granularity_ms)
-    return window_start + rng.integers(0, slots) * granularity_ms
+    slots = np.maximum(1, span // granularity_ms)
+    return lo + rng.integers(0, slots) * granularity_ms
+
+
+def _move(rng: Generator, starts: np.ndarray, lo: np.ndarray, span: np.ndarray,
+          granularity_ms: int) -> tuple[int, int]:
+    """The one proposal: re-draw the start of one uniformly chosen instance
+    inside its move range, in place.  Returns the instance and its old start,
+    which undo the move."""
+    j = int(rng.integers(0, len(starts)))
+    old = starts[j]
+    starts[j] = _draw_starts(rng, lo[j], span[j], granularity_ms)
+    return j, old
 
 
 def random_schedule(plans: list[SelectionPlan], interval_targets: IntervalTargets,
@@ -273,34 +288,7 @@ def random_schedule(plans: list[SelectionPlan], interval_targets: IntervalTarget
     """Uniform random in-window start times at `sa.move_granularity_ms`; the
     annealer's initial state and the baseline used by the
     timestamp-assignment ablation."""
-    schedule, w_start, w_len = _planned_instances(plans, interval_targets)
-    schedule.start_ts = _draw_starts(default_rng(rng_seed), w_start, w_len,
-                                     cfg["sa.move_granularity_ms"])
-    return schedule
-
-
-def _tune_temperatures(
-    starts: np.ndarray,
-    w_start: np.ndarray,
-    w_len: np.ndarray,
-    current_energy: float,
-    energy_fn,
-    rng: Generator,
-    granularity_ms: int,
-) -> tuple[float, float]:
-    """Sample random moves from the initial state to pick V_max and V_min so the
-    median uphill step is accepted with probabilities _ACCEPT_HI and _ACCEPT_LO."""
-    uphill = []
-    for _ in range(100):
-        j = int(rng.integers(0, len(starts)))
-        old = starts[j]
-        starts[j] = _draw_starts(rng, w_start[j], w_len[j], granularity_ms)
-        delta = energy_fn() - current_energy
-        starts[j] = old
-        if delta > 0:
-            uphill.append(delta)
-    median = _median(uphill) if uphill else 1.0
-    return median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
+    return _initial_state(plans, interval_targets, cfg, default_rng(rng_seed))[0]
 
 
 def _median(values: list[float]) -> float:
@@ -317,37 +305,45 @@ def assign_timestamps(plans: list[SelectionPlan], interval_targets: IntervalTarg
                       catalog: Catalog, cfg: Config, rng_seed: int) -> AnnealResult:
     """Simulated-annealing start-time assignment against interval metric targets.
 
-    Starts from a seeded uniform-random assignment; each move re-draws one
-    instance's start time at `sa.move_granularity_ms`, accepted per
-    Metropolis with geometrically cooled temperature.  Stops after
-    `sa.no_improve` consecutive steps without improving the best energy, or
-    after `sa.max_steps`.  The energy replays on `cores`, floored at
-    `denom_floor`.
+    Starts from `random_schedule`'s seeded assignment, the annealer's initial
+    state; each move re-draws one instance's start inside its move range, its
+    window, at `sa.move_granularity_ms`, accepted per Metropolis with
+    geometrically cooled temperature.  Stops after `sa.no_improve`
+    consecutive steps without improving the best energy, or after
+    `sa.max_steps`.  The energy replays on `cores`, floored at `denom_floor`.
     """
-    granularity, max_steps = cfg["sa.move_granularity_ms"], cfg["sa.max_steps"]
-    cores, denom_floor = cfg["cores"], cfg["denom_floor"]
-    _check_metrics(interval_targets, catalog)
-    grid, target = interval_targets.grid, interval_targets.metrics
-    schedule, w_start, w_len = _planned_instances(plans, interval_targets)
     rng = default_rng(rng_seed)
-    starts = schedule.start_ts = _draw_starts(rng, w_start, w_len, granularity)
-    _, works, features = expand(schedule, catalog)
-    warn_if_overloaded(works, grid, cores)
-    metrics = features[:, :catalog.schema.n_metrics]
+    schedule, lo, span = _initial_state(plans, interval_targets, cfg, rng)
+    works, score = _scorer(schedule, interval_targets, catalog, cfg)
+    warn_if_overloaded(works, interval_targets.grid, cfg["cores"])
+    return _anneal(schedule, lo, span, score, rng, cfg)
 
-    def energy_fn() -> float:
-        return _energy(starts.astype(float), works, metrics, target, cores, grid,
-                       denom_floor)
 
-    current = energy_fn()
+def _anneal(schedule: Schedule, lo: np.ndarray, span: np.ndarray, score, rng: Generator,
+            cfg: Config) -> AnnealResult:
+    """Anneal `schedule`'s start times, each inside its move range
+    [lo, lo + span), under `score`: temperatures tuned on `_move`s from the
+    initial state, then Metropolis steps, each one `_move`.  The schedule
+    ends at the best state seen."""
+    granularity, max_steps = cfg["sa.move_granularity_ms"], cfg["sa.max_steps"]
+    starts = schedule.start_ts
+    current = best = score(starts)
     best_starts = starts.copy()
-    best = current
     trace = [best]
     if not len(schedule):
         return AnnealResult(schedule, best, best, trace, 0)
 
-    v_max, v_min = _tune_temperatures(starts, w_start, w_len, current, energy_fn, rng,
-                                      granularity)
+    # 100 moves from the initial state pick V_max and V_min so the median
+    # uphill step is accepted with probabilities _ACCEPT_HI and _ACCEPT_LO
+    uphill = []
+    for _ in range(100):
+        j, old = _move(rng, starts, lo, span, granularity)
+        delta = score(starts) - current
+        starts[j] = old
+        if delta > 0:
+            uphill.append(delta)
+    median = _median(uphill) if uphill else 1.0
+    v_max, v_min = median / -math.log(_ACCEPT_HI), median / -math.log(_ACCEPT_LO)
     alpha = (v_min / v_max) ** (1.0 / max(1, max_steps))
 
     temperature = v_max
@@ -355,10 +351,8 @@ def assign_timestamps(plans: list[SelectionPlan], interval_targets: IntervalTarg
     steps = 0
     while steps < max_steps and no_improve < cfg["sa.no_improve"]:
         steps += 1
-        j = int(rng.integers(0, len(starts)))
-        old = starts[j]
-        starts[j] = _draw_starts(rng, w_start[j], w_len[j], granularity)
-        candidate = energy_fn()
+        j, old = _move(rng, starts, lo, span, granularity)
+        candidate = score(starts)
         delta = candidate - current
         accept = delta <= 0 or (
             temperature > 0 and rng.random() < math.exp(-delta / temperature)

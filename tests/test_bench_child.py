@@ -75,6 +75,14 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 prefixes of schedule/energy.csv, the annealer's best-energy trace,
+# where the workload anneals
+PINNED_ENERGY_DIGESTS = {
+    ("select_gap", 1): "c2b95831a533",
+    ("select_gap", 1009): "e67ad13086e2",
+}
+
+
 @pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
 def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name, seed):
     workload, inputs = write_bench_inputs(tmp_path, monkeypatch, name, seed)
@@ -87,3 +95,6 @@ def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name, see
                     for artifact in ("plans/plan.csv", "schedule/schedule.csv",
                                      "report/scores.csv"))
     assert digests == PINNED_DIGESTS[name, seed]
+    if (name, seed) in PINNED_ENERGY_DIGESTS:
+        energy = hashlib.sha256((out / "schedule/energy.csv").read_bytes()).hexdigest()[:12]
+        assert energy == PINNED_ENERGY_DIGESTS[name, seed]

@@ -558,6 +558,23 @@ class TestErrors:
                        "message": f"--jobs must be at least 1, got {jobs}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["2.5", "x"])
+    def test_non_integer_jobs_is_one_config_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert main(["demo", "--out", str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"stage": "demo", "error": "ConfigError",
+                                      "message": f"--jobs: expected an integer, got {jobs!r}"}
+        assert not out.exists()
+
+    def test_integral_jobs_reads_as_the_config_integer_flags_do(self, tmp_path, monkeypatch):
+        """`--jobs 2.0` reads as 2, as `--cores 2.0` does."""
+        seen = []
+        monkeypatch.setattr(cli, "demo", lambda run: seen.append(run.jobs))
+        assert main(["demo", "--out", str(tmp_path), "--jobs", "2.0"]) == 0
+        assert seen == [2] and type(seen[0]) is int
+
     def test_missing_trace_is_machine_readable(self, tmp_path, capsys):
         code = main(["targets", "--out", str(tmp_path / "nowhere")])
         assert code == 2

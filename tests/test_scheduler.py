@@ -274,6 +274,34 @@ class TestAnnealing:
         assert result.best_energy == np.sum(np.abs(achieved - target)
                                             / np.maximum(target, 1.0))
 
+    def test_confined_ranges_keep_every_visited_start_in_range(self, schema):
+        """`_anneal` on ranges narrowed to one 30 s interval of the window:
+        every start it scores, and every start of its result, lies on the
+        range's granularity grid inside [lo, lo + span)."""
+        catalog, targets, plans = self.make_instance(schema)
+        cfg = Config({"sa.max_steps": "300", "sa.no_improve": "300"})
+        rng = np.random.default_rng(3)
+        schedule, _, _ = scheduler_module._initial_state(plans, targets, cfg, rng)
+        lo = 30000 * np.array([0, 5, 2, 7, 9])
+        span = np.full(len(schedule), 30000)
+        schedule.start_ts = lo + 1000 * np.arange(len(schedule))
+        _, score = scheduler_module._scorer(schedule, targets, catalog, cfg)
+        visited = []
+
+        def recording_score(starts):
+            visited.append(starts.copy())
+            return score(starts)
+
+        result = scheduler_module._anneal(schedule, lo, span, recording_score, rng, cfg)
+        assert result.steps >= 200
+        assert len(visited) == 1 + 100 + result.steps  # initial, tuning moves, steps
+        for starts in visited + [result.schedule.start_ts]:
+            assert np.all((lo <= starts) & (starts < lo + span))
+            assert np.all((starts - lo) % 1000 == 0)
+        trace = result.best_energy_trace
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert energy(result.schedule, targets, catalog, cfg) == result.best_energy
+
 
 class TestOfferedLoad:
     # 10 x 30 s + 10 x 20 s of work over the 300 s grid: an offered load of 5/3
@@ -354,10 +382,9 @@ def test_array_draw_matches_scalar_draws(case):
     cfg = Config({"sa.move_granularity_ms": str(granularity)})
     assert rows_of(random_schedule(plans, targets, cfg, seed), *SCHEDULE_COLUMNS) == expected
 
-    schedule, w_start, w_len = scheduler_module._planned_instances(plans, targets)
     rng = np.random.default_rng(seed)
-    starts = scheduler_module._draw_starts(rng, w_start, w_len, granularity)
-    assert starts.tolist() == [start for *_, start in expected]
+    schedule, _, _ = scheduler_module._initial_state(plans, targets, cfg, rng)
+    assert schedule.start_ts.tolist() == [start for *_, start in expected]
     assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
