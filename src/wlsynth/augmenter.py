@@ -31,7 +31,7 @@ from .catalog import (
 from .config import Config
 from .errors import ProviderError, ValidationError
 from .features import FeatureSchema, PerformanceFeature, relative_gaps, row_groups
-from .selector import SelectionProblem, exceeds, rank_components, znorm_stats
+from .selector import SelectionProblem, exceeds, map_windows, rank_components, znorm_stats
 from .trace import Trace, WindowTargets
 
 log = logging.getLogger(__name__)
@@ -492,11 +492,13 @@ def generate_component(
 
 
 def bad_windows(problems: list[SelectionProblem], roots: list[np.ndarray | None],
-                threshold: float) -> list[int]:
+                threshold: float, jobs: int = 1) -> list[int]:
     """Indices of the windows whose optimum `selector.exceeds` the threshold,
-    from their problems and roots as `selector.relax_windows` returns them."""
-    return [problem.window_index for problem, root in zip(problems, roots)
-            if exceeds(problem, root, threshold)]
+    from their problems and roots as `selector.relax_windows` returns them,
+    decided by `selector.map_windows` on `jobs` threads."""
+    found = map_windows(lambda problem, root: exceeds(problem, root, threshold),
+                        problems, roots, jobs)
+    return [problem.window_index for problem, bad in zip(problems, found) if bad]
 
 
 def augment_catalog(

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import augmenter
 from .augmenter import HttpProvider, MockProvider, augment_catalog, write_attempt_log
 from .catalog import Catalog, SimulatedExecutor, load_catalog, save_catalog
@@ -131,15 +133,20 @@ class Run:
 
     def _read_catalog(self) -> Catalog:
         # select and augment start from --catalog; a standalone schedule or
-        # replay prefers the catalog an earlier augment left
-        path = self.paths.augment / "catalog.csv"
-        if self.args.command not in ("schedule", "replay"):
-            path = _catalog_arg(self.args)
-        elif not path.is_file():
-            if self.args.catalog is None:
-                raise ConfigError("--catalog is required (no augmented catalog found)")
-            path = _catalog_arg(self.args)
-        return load_catalog(path, self.cfg.schema())
+        # replay reads the catalog an earlier augment left, which must extend
+        # the --catalog it is given (augment only appends to it)
+        schema, augmented = self.cfg.schema(), self.paths.augment / "catalog.csv"
+        standalone = self.args.command in ("schedule", "replay")
+        if standalone and augmented.is_file():
+            catalog = load_catalog(augmented, schema)
+            if self.args.catalog is not None and not _extends(
+                    catalog, load_catalog(_catalog_arg(self.args), schema)):
+                raise ConfigError(f"{augmented} does not extend --catalog {self.args.catalog}; "
+                                  "rerun 'augment' with this --catalog")
+            return catalog
+        if standalone and self.args.catalog is None:
+            raise ConfigError("--catalog is required (no augmented catalog found)")
+        return load_catalog(_catalog_arg(self.args), schema)
 
     def _read_relaxation(self):
         with _solver_output_to_stderr():
@@ -176,6 +183,14 @@ def _solver_output_to_stderr():
     finally:
         os.dup2(saved, 1)
         os.close(saved)
+
+
+def _extends(catalog: Catalog, base: Catalog) -> bool:
+    """Whether `catalog`'s first rows are `base`'s, column for column."""
+    n = len(base)
+    return len(catalog) >= n and all(
+        column[:n] == first if isinstance(first, list) else np.array_equal(column[:n], first)
+        for column, first in zip(catalog.columns, base.columns))
 
 
 def _catalog_arg(args) -> str:
@@ -283,7 +298,7 @@ def stage_augment(run: Run) -> None:
     catalog = run.get("catalog")
     relaxation = run.get("relaxation")
     with _solver_output_to_stderr():
-        bad = augmenter.bad_windows(*relaxation, cfg["augment.bad_window_threshold"])
+        bad = augmenter.bad_windows(*relaxation, cfg["augment.bad_window_threshold"], run.jobs)
     augmented, reports = augment_catalog(
         trace, bad, windows, catalog, _provider(cfg), SimulatedExecutor(cfg.schema()),
         cfg, stage_seed(cfg["seed"], "augment"),

@@ -6,14 +6,13 @@ badly-matched series neither overflow nor underflow.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .features import floored, relative_errors
-from .trace import IntervalTargets, Trace, WindowTargets, build_targets
+from .trace import IntervalTargets, Trace, WindowTargets, build_targets, write_columns
 
 EPS_DEFAULT = 1e-9
 
@@ -114,13 +113,13 @@ def report(
 
 
 def write_report(rep: FidelityReport, scores_path, plot_path) -> None:
-    with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "dimension", "metric", "value", "n"])
-        for level, dim, name, value, n in rep.rows():
-            writer.writerow([level, dim, name, repr(value), n])
-    with open(plot_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ts", "dimension", "target", "replayed"])
-        for ts, dim, target, replayed in rep.plot_data:
-            writer.writerow([ts, dim, repr(target), repr(replayed)])
+    """`rep.rows()` to scores.csv and `rep.plot_data` to plot_data.csv, every
+    float written by `repr`."""
+    scores = np.array(rep.rows(), dtype=object).reshape(-1, 5)
+    write_columns(scores_path, ["level", "dimension", "metric", "value", "n"],
+                  [scores[:, 0].tolist(), scores[:, 1].tolist(), scores[:, 2].tolist(),
+                   list(map(repr, scores[:, 3].tolist())), scores[:, 4].astype(np.int64)])
+    plot = np.array(rep.plot_data, dtype=object).reshape(-1, 4)
+    write_columns(plot_path, ["ts", "dimension", "target", "replayed"],
+                  [plot[:, 0].astype(np.int64), plot[:, 1].tolist(),
+                   list(map(repr, plot[:, 2].tolist())), list(map(repr, plot[:, 3].tolist()))])

@@ -15,8 +15,9 @@ window-sized problems they cost more time than they save, and the search
 stays exact without them.  Windows share
 nothing, so `relax_windows` solves every window's relaxation in one HiGHS
 call on the block-diagonal stack of their models, and `finish_windows` then
-solves each fractional window's MIP alone, in order or from a thread pool;
-the CLI writes every plan set so, and `solve_all_windows` is the two in turn.
+solves each fractional window's MIP alone, in order or from a thread pool
+(`map_windows`, which augment's `bad_windows` shares); the CLI writes every
+plan set so, and `solve_all_windows` is the two in turn.
 Whether a window's optimum exceeds a threshold (augment's bad windows),
 `exceeds` answers from the same relaxation, mostly without the exact MIP: by
 the LP bound, or by a MIP cut off at the threshold that stops at its first
@@ -28,7 +29,6 @@ returns can depend on the other windows in it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,7 @@ from .catalog import Catalog
 from .config import Config
 from .errors import SchemaError, SolverError, ValidationError
 from .features import FeatureSchema, floored, relative_errors, row_groups
-from .trace import WindowTargets, read_columns
+from .trace import WindowTargets, read_columns, write_columns
 
 ONE_TO_ONE = "one_to_one"
 ONE_TO_MANY = "one_to_many"
@@ -356,16 +356,15 @@ def relax_windows(windows: WindowTargets, catalog: Catalog, cfg: Config
     return problems, _relaxation_points(problems) if problems else []
 
 
-def finish_windows(problems: list[SelectionProblem], roots: list[np.ndarray | None],
-                   jobs: int = 1) -> list[SelectionPlan]:
-    """`solve_window` of each problem from its root, with a MIP of its own
-    where the root is fractional, and its own relaxation where the root is
-    None.  With `jobs > 1` the calls, and so only the MIPs, run from a pool of
-    that many threads.  Plans come back in window order either way, and a
-    `SolverError` names the window it came from."""
-    def solve(problem: SelectionProblem, root: np.ndarray | None) -> SelectionPlan:
+def map_windows(fn, problems: list[SelectionProblem], roots: list[np.ndarray | None],
+                jobs: int = 1) -> list:
+    """`fn(problem, root)` of each window, in window order.  With `jobs > 1`
+    the calls run from a pool of that many threads (the HiGHS binding
+    releases the GIL while it solves).  A `SolverError` names the window it
+    came from."""
+    def call(problem: SelectionProblem, root: np.ndarray | None):
         try:
-            return solve_window(problem, root)
+            return fn(problem, root)
         except SolverError as exc:
             raise SolverError(f"window {problem.window_index}: {exc}") from exc
 
@@ -373,8 +372,16 @@ def finish_windows(problems: list[SelectionProblem], roots: list[np.ndarray | No
         from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve, problems, roots))
-    return [solve(problem, root) for problem, root in zip(problems, roots)]
+            return list(pool.map(call, problems, roots))
+    return [call(problem, root) for problem, root in zip(problems, roots)]
+
+
+def finish_windows(problems: list[SelectionProblem], roots: list[np.ndarray | None],
+                   jobs: int = 1) -> list[SelectionPlan]:
+    """`solve_window` of each problem from its root by `map_windows`, with a
+    MIP of its own where the root is fractional, and its own relaxation
+    where the root is None."""
+    return map_windows(solve_window, problems, roots, jobs)
 
 
 def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
@@ -389,12 +396,11 @@ def solve_all_windows(windows: WindowTargets, catalog: Catalog, cfg: Config,
 
 def write_plans(plans: list[SelectionPlan], path) -> None:
     """Plan CSV: one row per (window, component) with a positive count."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_index", "component_id", "count"])
-        for plan in sorted(plans, key=lambda p: p.window_index):
-            for component_id in sorted(plan.counts):
-                writer.writerow([plan.window_index, component_id, plan.counts[component_id]])
+    rows = np.array([(plan.window_index, cid, plan.counts[cid])
+                     for plan in sorted(plans, key=lambda p: p.window_index)
+                     for cid in sorted(plan.counts)], dtype=object).reshape(-1, 3)
+    write_columns(path, ["window_index", "component_id", "count"],
+                  [rows[:, 0].astype(np.int64), rows[:, 1].tolist(), rows[:, 2].astype(np.int64)])
 
 
 def read_plans(path, windows: WindowTargets, catalog: Catalog,
@@ -430,27 +436,19 @@ def read_plans(path, windows: WindowTargets, catalog: Catalog,
 def write_plan_summary(
     plans: list[SelectionPlan], windows: WindowTargets, schema: FeatureSchema, path
 ) -> None:
-    """Per-window objective plus per-dimension achieved/target/error rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["window_index", "objective", "approximate", "dimension",
-             "target", "achieved", "abs_error"]
-        )
-        for plan in sorted(plans, key=lambda p: p.window_index):
-            target = windows.features[plan.window_index]
-            for d, dim in enumerate(schema.dimensions):
-                writer.writerow(
-                    [
-                        plan.window_index,
-                        repr(plan.objective_value),
-                        int(plan.approximate),
-                        dim,
-                        repr(float(target[d])),
-                        repr(float(plan.achieved[d])),
-                        repr(abs(float(plan.achieved[d] - target[d]))),
-                    ]
-                )
+    """Per-window objective plus per-dimension achieved/target/error rows;
+    every float is written by `repr`."""
+    plans, dims = sorted(plans, key=lambda p: p.window_index), len(schema.dimensions)
+    target = windows.features[[plan.window_index for plan in plans]]
+    achieved = np.array([plan.achieved for plan in plans], dtype=float).reshape(target.shape)
+    ints = np.array([(plan.window_index, plan.approximate) for plan in plans],
+                    dtype=np.int64).reshape(-1, 2).repeat(dims, axis=0)
+    write_columns(path, ["window_index", "objective", "approximate", "dimension",
+                         "target", "achieved", "abs_error"], [
+        ints[:, 0], [repr(plan.objective_value) for plan in plans for _ in range(dims)],
+        ints[:, 1], list(schema.dimensions) * len(plans),
+        *([repr(v) for v in column.ravel().tolist()]
+          for column in (target, achieved, np.abs(achieved - target)))])
 
 
 def znorm_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,15 @@ the rows at the intervals, a chunk of rows within a fixed budget of (row,
 interval) pairs at a time, and adds each column's terms with `np.add.at`.
 Every interval adds its terms from zero in row order, so the sums equal a
 per-row loop's bit for bit.
-`write_columns`, the one CSV writer of the trace, the targets, the
-schedule and the catalog, formats the numbers of a block of rows in numpy
-and writes the bytes csv.writer would.  The other CSV artifacts (targets, plans,
-schedules, catalogs) are read back column by column through `read_columns`.
+`write_columns` writes every table artifact: the trace, the targets, the
+plans and their summary, the schedule, the catalog, and the report's scores
+and plot data.  It formats the numbers of a block of rows in numpy and
+writes the bytes csv.writer would, CRLF line ends included.  Two files
+end their lines in a bare LF and keep writers of their own: the schedule's
+energy.csv, whose bytes pin the annealer's trajectory, and select's
+query_matches.csv, written row by row as the queries are matched.  The other
+CSV artifacts (targets, plans, schedules, catalogs) are read back column by
+column through `read_columns`.
 """
 from __future__ import annotations
 
@@ -526,6 +531,10 @@ def write_columns(path, header: list[str], columns: list) -> None:
     byte matrix of the block, which one `tobytes` turns into text.  The
     strings, quoted where csv.writer quotes, and the other floats,
     formatted one by one, are spliced into that text with one `str.join`.
+    It writes the trace, the targets, the plans and their summary, the
+    schedule, the catalog and the report; a float those write by `repr`
+    (every float of the plan summary and of the report) goes in as a list
+    of its `repr` strings.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_row, make_catalog, make_trace
+from conftest import catalog_row, make_catalog, make_trace, write_bench_inputs
 from test_selector import random_problem
+from wlsynth import augmenter
 from wlsynth.augmenter import (
     ACTION_CHANGE_DATABASE,
     ACTION_REWRITE,
@@ -36,12 +37,12 @@ from wlsynth.augmenter import (
     write_attempt_log,
     _cluster_targets,
 )
-from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor
-from wlsynth.config import Config
-from wlsynth.errors import ProviderError, ValidationError
+from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor, load_catalog
+from wlsynth.config import Config, load_config
+from wlsynth.errors import ProviderError, SolverError, ValidationError
 from wlsynth.features import PerformanceFeature, row_groups
-from wlsynth.selector import finish_windows, relax_windows
-from wlsynth.trace import WindowTargets
+from wlsynth.selector import exceeds, finish_windows, relax_windows
+from wlsynth.trace import WindowTargets, build_targets, ingest_trace
 
 
 def feature(cpu, sb, ops=(0, 0, 0, 0)):
@@ -467,6 +468,39 @@ class TestAugmentCatalog:
             record = json.loads(line)
             assert {"target_id", "attempt_index", "prompt_sha256",
                     "scenario", "deltas", "verdict"} <= set(record)
+
+
+class TestBadWindowsPool:
+    """bad_windows runs its windows through `selector.map_windows`, as
+    finish_windows does: on the benchmark's select_gap inputs."""
+
+    @pytest.fixture
+    def relaxation(self, tmp_path, monkeypatch):
+        _, inputs = write_bench_inputs(tmp_path, monkeypatch, "select_gap")
+        cfg = load_config(inputs / "config.txt")
+        trace = ingest_trace(inputs / "trace.csv", cfg.schema(), cfg["mode"])
+        windows, _ = build_targets(trace, cfg["window_ms"], cfg["interval_ms"])
+        catalog = load_catalog(inputs / "catalog.csv", cfg.schema())
+        return relax_windows(windows, catalog, cfg), cfg["augment.bad_window_threshold"]
+
+    def test_threads_give_the_serial_bad_windows(self, relaxation):
+        (problems, roots), threshold = relaxation
+        serial = bad_windows(problems, roots, threshold)
+        assert len(serial) == 5  # of 6 windows
+        assert bad_windows(problems, roots, threshold, jobs=2) == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solver_error_names_its_window(self, relaxation, monkeypatch, jobs):
+        (problems, roots), threshold = relaxation
+
+        def failing(problem, root, threshold):
+            if problem.window_index == 1:
+                raise SolverError("infeasible")
+            return exceeds(problem, root, threshold)
+
+        monkeypatch.setattr(augmenter, "exceeds", failing)
+        with pytest.raises(SolverError, match="^window 1: infeasible$"):
+            bad_windows(problems, roots, threshold, jobs)
 
 
 def _provider_reply(body: bytes):

@@ -8,7 +8,8 @@ breaks one of them fails here, not only in a `bench/run.py --trace 1` run.
 The output digests that ROADMAP.md records for byte-identity claims, at
 seed 1 and at the held-out seed 1009, are pinned here too, so a change to
 those bytes fails here as well; a change meant to alter them updates both
-places.
+places.  So are the prefixes of `plans/summary.csv` and
+`report/plot_data.csv`, which the triples leave out.
 """
 import hashlib
 import json
@@ -83,6 +84,16 @@ PINNED_ENERGY_DIGESTS = {
 }
 
 
+# sha256 prefixes of plans/summary.csv and report/plot_data.csv, the two
+# table artifacts the digest triples leave out
+PINNED_TABLE_DIGESTS = {
+    ("select_gap", 1): ("f54d290d47b2", "acb9281c25fd"),
+    ("select_gap", 1009): ("187925eeb614", "c5ba0a5b3a74"),
+    ("dense_trace", 1): ("f91f4a0e0caa", "5d332c3f8e26"),
+    ("dense_trace", 1009): ("a2e14f15c1a2", "aa4424372bf6"),
+}
+
+
 @pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
 def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name, seed):
     workload, inputs = write_bench_inputs(tmp_path, monkeypatch, name, seed)
@@ -95,6 +106,9 @@ def test_pipeline_child_writes_the_pinned_bytes(tmp_path, monkeypatch, name, see
                     for artifact in ("plans/plan.csv", "schedule/schedule.csv",
                                      "report/scores.csv"))
     assert digests == PINNED_DIGESTS[name, seed]
+    tables = tuple(hashlib.sha256((out / artifact).read_bytes()).hexdigest()[:12]
+                   for artifact in ("plans/summary.csv", "report/plot_data.csv"))
+    assert tables == PINNED_TABLE_DIGESTS[name, seed]
     if (name, seed) in PINNED_ENERGY_DIGESTS:
         energy = hashlib.sha256((out / "schedule/energy.csv").read_bytes()).hexdigest()[:12]
         assert energy == PINNED_ENERGY_DIGESTS[name, seed]

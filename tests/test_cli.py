@@ -302,6 +302,32 @@ class TestPipeline:
         for rel in ("plans/plan.csv", "augment/attempts.jsonl"):
             assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
 
+    def test_standalone_schedule_and_replay_refuse_an_augmented_catalog_of_another_catalog(
+            self, demo_dir, tmp_path, capsys):
+        """A standalone schedule or replay reads the augment/catalog.csv an
+        earlier run left only where its first rows are --catalog's: over
+        another --catalog it is one ConfigError naming both files, and
+        nothing is written; over the same --catalog it is read."""
+        out = tmp_path / "out"
+        assert run_pipeline(demo_dir, out) == 0
+        written = {rel: (out / rel).read_bytes() for rel in ("schedule/schedule.csv",
+                                                             "replay/trace.csv")}
+        config = ["--config", str(demo_dir / "demo_config.txt"), "--out", str(out)]
+        doubled = doubled_catalog(demo_dir, tmp_path)
+        for stage in ("schedule", "replay"):
+            capsys.readouterr()
+            assert main([stage, "--catalog", str(doubled)] + config) == 2, stage
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "ConfigError"
+            assert str(out / "augment/catalog.csv") in err["message"]
+            assert str(doubled) in err["message"] and "rerun 'augment'" in err["message"]
+        for rel, data in written.items():
+            assert (out / rel).read_bytes() == data, rel
+        for stage in ("schedule", "replay"):
+            assert main([stage, "--catalog", str(demo_dir / "demo_catalog.csv")] + config) == 0
+        for rel, data in written.items():
+            assert (out / rel).read_bytes() == data, rel
+
     def test_query_matches_quote_ids(self, demo_dir, tmp_path):
         """A query id holding the delimiter reads back as one field."""
         lines = (demo_dir / "demo_trace.csv").read_text().splitlines()
