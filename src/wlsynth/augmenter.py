@@ -551,7 +551,7 @@ def augment_catalog(
 
 def write_attempt_log(reports: list[GenerationReport], path) -> None:
     """One JSON object per attempt, in generation order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for report in reports:
             for attempt in report.attempts:
                 record = {"target_id": report.target_id}

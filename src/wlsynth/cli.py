@@ -18,7 +18,6 @@ by hashing the stage name.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import locale  # noqa: F401 argparse's gettext imports it when main builds the parser
@@ -60,7 +59,7 @@ from .selector import (
 )
 from .simulator import replay
 from .trace import (Trace, _parse_int, build_targets, export_trace, ingest_trace, read_targets,
-                    write_targets)
+                    write_columns, write_targets)
 
 log = logging.getLogger(__name__)
 
@@ -266,20 +265,19 @@ def stage_select(run: Run) -> None:
     catalog = run.get("catalog")
     trace = None if level == WINDOW_LEVEL else run.get("trace")
     if trace is not None:
+        # a match depends only on the feature row: identical rows get identical plans
+        keys = [feature.tobytes() for feature in trace.features]
+        with _solver_output_to_stderr():
+            matches = {key: match_query(feature, catalog, cfg, mode=level)
+                       for key, feature in dict(zip(keys, trace.features)).items()}
+        rows = [(query_id, matches[key], cid) for query_id, key in zip(trace.query_id, keys)
+                for cid in sorted(matches[key].counts)]
         paths.ensure(paths.plans)
-        with _solver_output_to_stderr(), open(paths.plans / "query_matches.csv", "w",
-                                              newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("query_id", "component_id", "count", "objective"))
-            # a match depends only on the feature row: identical rows get identical plans
-            matches: dict[bytes, SelectionPlan] = {}
-            for query_id, feature in zip(trace.query_id, trace.features):
-                key = feature.tobytes()
-                if key not in matches:
-                    matches[key] = match_query(feature, catalog, cfg, mode=level)
-                plan = matches[key]
-                writer.writerows((query_id, cid, plan.counts[cid], repr(plan.objective_value))
-                                 for cid in sorted(plan.counts))
+        write_columns(paths.plans / "query_matches.csv",
+                      ["query_id", "component_id", "count", "objective"],
+                      [[row[0] for row in rows], [row[2] for row in rows],
+                       np.array([plan.counts[cid] for _, plan, cid in rows], dtype=np.int64),
+                       [repr(plan.objective_value) for _, plan, _ in rows]], "\n")
         log.info("matched %d queries (%s)", len(trace), level)
     if run.args.command == "pipeline" and not run.args.skip_augment:
         return  # augment writes the plans, from the relaxation it decides the bad windows on
@@ -323,18 +321,16 @@ def stage_schedule(run: Run) -> None:
     seed = stage_seed(cfg["seed"], "schedule")
     if run.args.skip_ta:
         schedule = random_schedule(plans, intervals, cfg, seed)
-        trace_rows = []
+        energy = []
     else:
         result = assign_timestamps(plans, intervals, catalog, cfg, seed)
         schedule = result.schedule
-        trace_rows = list(enumerate(result.best_energy_trace))
+        energy = result.best_energy_trace
         log.info("annealed %d steps: energy %.6g -> %.6g",
                  result.steps, result.initial_energy, result.best_energy)
     write_schedule(schedule, paths.schedule / "schedule.csv")
-    with open(paths.schedule / "energy.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,best_energy\n")
-        for step, value in trace_rows:
-            fh.write(f"{step},{value!r}\n")
+    write_columns(paths.schedule / "energy.csv", ["step", "best_energy"],
+                  [np.arange(len(energy), dtype=np.int64), list(map(repr, energy))], "\n")
     run.held["schedule"] = schedule
 
 

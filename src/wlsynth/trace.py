@@ -20,15 +20,15 @@ the rows at the intervals, a chunk of rows within a fixed budget of (row,
 interval) pairs at a time, and adds each column's terms with `np.add.at`.
 Every interval adds its terms from zero in row order, so the sums equal a
 per-row loop's bit for bit.
-`write_columns` writes every table artifact: the trace, the targets, the
-plans and their summary, the schedule, the catalog, and the report's scores
-and plot data.  It formats the numbers of a block of rows in numpy and
-writes the bytes csv.writer would, CRLF line ends included.  Two files
-end their lines in a bare LF and keep writers of their own: the schedule's
-energy.csv, whose bytes pin the annealer's trajectory, and select's
-query_matches.csv, written row by row as the queries are matched.  The other
-CSV artifacts (targets, plans, schedules, catalogs) are read back column by
-column through `read_columns`.
+`write_columns` writes every CSV the package writes, its header included:
+the trace, the targets, the plans, their summary and select's query
+matches, the schedule and its energy trace, the catalog, and the report's
+scores and plot data.  It formats the numbers of a block of rows in numpy
+and writes the bytes csv.writer would, CRLF line ends included; the
+schedule's energy.csv, whose bytes pin the annealer's trajectory, and
+query_matches.csv end their lines in a bare LF instead.  The targets,
+plans, schedules and catalogs are read back column by column through
+`read_columns`; csv is used here only to read.
 """
 from __future__ import annotations
 
@@ -442,14 +442,16 @@ def _format_number(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _csv_cells(texts: list[str], alone: bool) -> list[str]:
-    """`texts` as csv.writer writes them: a text that holds a delimiter, a
-    quote or a line break is quoted, with its quotes doubled, and so is an
-    empty text that is `alone` in its row."""
+def _csv_cells(texts: list[str], alone: bool, line_end: str) -> list[str]:
+    """`texts` as csv.writer writes them, ending lines in `line_end`: a text
+    that holds a delimiter, a quote or a character of `line_end` (not a bare
+    CR under LF) is quoted, with its quotes doubled, and so is an empty text
+    that is `alone` in its row."""
+    special = ',"' + line_end
     joined = "".join(texts)
-    if not any(c in joined for c in ',"\r\n') and not (alone and "" in texts):
+    if not any(c in joined for c in special) and not (alone and "" in texts):
         return texts
-    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') or alone and not t
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in special) or alone and not t
             else t for t in texts]
 
 
@@ -469,7 +471,7 @@ _DIGIT_WORDS = _digit_words()
 _ZERO_WORD = np.array([_SKIP, _SKIP, _SKIP, ord("0")], dtype=np.uint8).view(np.uint32)[0]
 
 
-def _format_rows(columns: list, width: int) -> str:
+def _format_rows(columns: list, width: int, line_end: str) -> str:
     """The CSV lines of one block of rows; see `write_columns`."""
     rows = len(columns[0])
     ints = np.zeros((rows, width), dtype=np.int64)
@@ -479,7 +481,7 @@ def _format_rows(columns: list, width: int) -> str:
     for column in columns:
         if isinstance(column, list):
             spliced[:, j] = True
-            texts[:, j] = _csv_cells(column, width == 1)
+            texts[:, j] = _csv_cells(column, width == 1, line_end)
             j += 1
             continue
         block = column.reshape(rows, -1)
@@ -495,7 +497,7 @@ def _format_rows(columns: list, width: int) -> str:
             texts[:, cells][other] = list(map(_format_number, block[other].tolist()))
     # A cell is a word of separator, sign and a spare byte, then `groups`
     # words of four digits.  A row's first cell holds the previous row's
-    # "\r\n" as its separator, and a NUL sign marks a spliced cell.
+    # line end as its separator, and a NUL sign marks a spliced cell.
     magnitude = np.abs(ints).view(np.uint64)
     groups = -(-len(str(magnitude.max())) // 4)
     words = np.empty((rows, width, groups + 1), dtype=np.uint32)
@@ -508,9 +510,9 @@ def _format_rows(columns: list, width: int) -> str:
     words[:, :, groups][(ints == 0) & ~spliced] = _ZERO_WORD
     text = words.view(np.uint8)
     text[:, :, [0, 1, 3]] = ord(","), _SKIP, _SKIP
-    text[:, 0, :2] = ord("\r"), ord("\n")
+    text[:, 0, :len(line_end)] = list(line_end.encode())
     text[:, :, 2] = np.where(spliced, 0, np.where(ints < 0, ord("-"), _SKIP))
-    lines = text[text != _SKIP].tobytes()[2:].decode("ascii") + "\r\n"
+    lines = text[text != _SKIP].tobytes()[len(line_end):].decode("ascii") + line_end
     if not spliced.any():
         return lines
     pieces = lines.split("\0")
@@ -520,8 +522,9 @@ def _format_rows(columns: list, width: int) -> str:
     return "".join(merged)
 
 
-def write_columns(path, header: list[str], columns: list) -> None:
-    """Write `header`, then row i of the columns, as csv.writer writes them.
+def write_columns(path, header: list[str], columns: list, line_end: str = "\r\n") -> None:
+    """Write `header`, then row i of the columns, as csv.writer writes them
+    with `line_end` as its line terminator.
 
     A column is a list of strings, or a numpy array of ints or floats that
     holds one column (1-D) or several (2-D, one row per CSV row); a float
@@ -530,16 +533,16 @@ def write_columns(path, header: list[str], columns: list) -> None:
     becomes decimal digits through one table lookup per four digits into a
     byte matrix of the block, which one `tobytes` turns into text.  The
     strings, quoted where csv.writer quotes, and the other floats,
-    formatted one by one, are spliced into that text with one `str.join`.
-    It writes the trace, the targets, the plans and their summary, the
-    schedule, the catalog and the report; a float those write by `repr`
-    (every float of the plan summary and of the report) goes in as a list
-    of its `repr` strings.
+    formatted one by one, are spliced into that text with one `str.join`;
+    the header is a block of one row.  Every CSV artifact is written here,
+    and a float written by `repr` (those of the plan summary, the query
+    matches, the energy trace and the report) goes in as a list of its
+    `repr` strings.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(_format_rows([[name] for name in header], len(header), line_end))
         for b in range(0, len(columns[0]), _CSV_BLOCK):
-            fh.write(_format_rows([column[b:b + _CSV_BLOCK] for column in columns], len(header)))
+            fh.write(_format_rows([c[b:b + _CSV_BLOCK] for c in columns], len(header), line_end))
 
 
 def export_trace(trace: Trace, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import logging
 import math
@@ -68,6 +69,20 @@ def run_pipeline(demo_dir, out, extra=(), catalog=None):
         "--out", str(out),
     ] + list(extra)
     return main(args)
+
+
+def csv_writer_lf_rows(path) -> list[list[str]]:
+    """The rows csv.reader reads from the file at `path`, after checking
+    that csv.writer with a bare LF line terminator writes them back to the
+    file's bytes.  csv.writer leaves a bare CR unquoted under that
+    terminator, so a CR is read as a character of its cell."""
+    data = path.read_bytes()
+    with io.StringIO(data.decode("utf-8").replace("\r", "\ue000"), newline="") as fh:
+        rows = [[cell.replace("\ue000", "\r") for cell in row] for row in csv.reader(fh)]
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    assert buffer.getvalue().encode("utf-8") == data
+    return rows
 
 
 def output_files(out):
@@ -160,6 +175,7 @@ class TestPipeline:
         assert run_pipeline(demo_dir, out, ["--skip-ta", "--skip-augment"]) == 0
         energy = (out / "schedule/energy.csv").read_text().splitlines()
         assert energy == ["step,best_energy"]
+        assert csv_writer_lf_rows(out / "schedule/energy.csv") == [["step", "best_energy"]]
 
     def test_empty_replay_scores(self, demo_dir, tmp_path):
         """A catalog whose every component outlasts each window's budget plans
@@ -328,22 +344,36 @@ class TestPipeline:
         for rel, data in written.items():
             assert (out / rel).read_bytes() == data, rel
 
-    def test_query_matches_quote_ids(self, demo_dir, tmp_path):
-        """A query id holding the delimiter reads back as one field."""
-        lines = (demo_dir / "demo_trace.csv").read_text().splitlines()
-        query_id = lines[1].split(",")[0]
-        lines[1] = lines[1].replace(query_id, '"q,1"', 1)
-        (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("level", ["one_to_one", "one_to_many"])
+    def test_query_matches_quote_ids(self, demo_dir, tmp_path, level):
+        """Query ids holding the delimiter, a quote, a bare CR, an LF or a
+        non-ASCII character read back as one field each, every query in
+        trace order, and the file is what csv.writer writes with a bare LF
+        line terminator."""
+        with open(demo_dir / "demo_trace.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row, query_id in zip(rows[1:], ["q,1", 'q"2', "q\r3", "q\n4", "q\u00e95"]):
+            row[0] = query_id
+        with open(tmp_path / "trace.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(demo_dir / "demo_config.txt"),
                      "--trace", str(tmp_path / "trace.csv"),
                      "--catalog", str(demo_dir / "demo_catalog.csv"), "--out", str(out),
-                     "--query-level", "one_to_one", "--skip-augment"]) == 0
-        with open(out / "plans/query_matches.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["query_id", "component_id", "count", "objective"]
-        assert all(len(row) == 4 for row in rows)
-        assert "q,1" in [row[0] for row in rows]
+                     "--query-level", level, "--skip-augment"]) == 0
+        matches = csv_writer_lf_rows(out / "plans/query_matches.csv")
+        assert matches[0] == ["query_id", "component_id", "count", "objective"]
+        assert all(len(row) == 4 for row in matches)
+        assert list(dict.fromkeys(row[0] for row in matches[1:])) == [row[0] for row in rows[1:]]
+
+    def test_energy_trace_is_csv_writer_lf_bytes(self, demo_dir, tmp_path):
+        """An annealed energy.csv is what csv.writer writes with a bare LF
+        line terminator, one row per annealing step."""
+        out = tmp_path / "out"
+        assert run_pipeline(demo_dir, out, ["--skip-augment"]) == 0
+        rows = csv_writer_lf_rows(out / "schedule/energy.csv")
+        assert rows[0] == ["step", "best_energy"] and len(rows) > 2
+        assert [row[0] for row in rows[1:]] == [str(step) for step in range(len(rows) - 1)]
 
     def test_query_level_matching_artifact(self, demo_dir, tmp_path):
         out = tmp_path / "out"

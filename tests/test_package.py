@@ -50,6 +50,22 @@ def test_no_unused_module_imports():
     assert not unused
 
 
+def test_only_trace_writes_csv():
+    """Every CSV byte the package writes goes through `trace.write_columns`:
+    trace.py is the one module that imports csv and the one that names
+    csv.writer."""
+    importers, writers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        if any(isinstance(node, ast.Import) and "csv" in [alias.name for alias in node.names]
+               or isinstance(node, ast.ImportFrom) and node.module == "csv"
+               for node in ast.walk(ast.parse(source))):
+            importers.append(path.name)
+        if "csv.writer" in source:
+            writers.append(path.name)
+    assert importers == writers == ["trace.py"]
+
+
 def test_unused_import_check_flags_and_spares():
     source = ("from __future__ import annotations\nimport os\nimport re  # noqa: F401 kept\n"
               "import sys  # noqa: F401\nfrom json import dumps, loads\n"

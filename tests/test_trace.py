@@ -614,9 +614,9 @@ def test_only_trace_reads_csv():
     assert readers == ["trace.py"]
 
 
-def _csv_writer_bytes(path, header, rows):
+def _csv_writer_bytes(path, header, rows, line_end):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header] + rows)
+        csv.writer(fh, lineterminator=line_end).writerows([header] + rows)
     return path.read_bytes()
 
 
@@ -651,26 +651,34 @@ def column_blocks(draw):
             columns.append(block if kind == "floats" else block[:, 0])
             cells += [[_reference_format(v) for v in column] for column in block.T]
     assume(cells)  # a table has at least one column
-    return columns, [list(row) for row in zip(*cells)], len(cells)
+    header = draw(st.lists(_TEXT, min_size=len(cells), max_size=len(cells)))
+    return header, columns, [list(row) for row in zip(*cells)]
+
+
+_EXAMPLE = (["c0", "x\ry", "", 'h"'],
+            [["a,b", 'q"', "x\ry", "\n", ""], np.array([-2 ** 63, 2 ** 63 - 1, 0, -7, 10 ** 16]),
+             np.array([[0.5, 2.0 ** 53], [float("nan"), -0.0], [float("inf"), 1e300],
+                       [-1.5, 9999.0], [10000.0, -float("inf")]])],
+            [["a,b", "-9223372036854775808", "0.5", "9007199254740992"],
+             ['q"', "9223372036854775807", "nan", "0"], ["x\ry", "0", "inf", str(int(1e300))],
+             ["\n", "-7", "-1.5", "9999"], ["", "10000000000000000", "10000", "-inf"]])
 
 
 @settings(max_examples=150, deadline=None)
-@given(column_blocks(), st.integers(1, 7))
-@example(([["a,b", 'q"', "x\ry", "\n", ""], np.array([-2 ** 63, 2 ** 63 - 1, 0, -7, 10 ** 16]),
-           np.array([[0.5, 2.0 ** 53], [float("nan"), -0.0], [float("inf"), 1e300],
-                     [-1.5, 9999.0], [10000.0, -float("inf")]])],
-          [["a,b", "-9223372036854775808", "0.5", "9007199254740992"],
-           ['q"', "9223372036854775807", "nan", "0"], ["x\ry", "0", "inf", str(int(1e300))],
-           ["\n", "-7", "-1.5", "9999"], ["", "10000000000000000", "10000", "-inf"]], 4), 2)
-def test_write_columns_writes_csv_writer_bytes(tmp_path_factory, case, block):
-    """write_columns writes what csv.writer writes for the same cells, with
-    floats under the `_format_number` rule, whatever the block size."""
-    columns, rows, width = case
-    header = [f"c{j}" for j in range(width)]
+@given(column_blocks(), st.integers(1, 7), st.sampled_from(["\r\n", "\n"]))
+@example(_EXAMPLE, 2, "\r\n")
+@example(_EXAMPLE, 2, "\n")
+@example(([""], [[""] * 3], [[""]] * 3), 2, "\n")
+def test_write_columns_writes_csv_writer_bytes(tmp_path_factory, case, block, line_end):
+    """write_columns writes what csv.writer writes for the same header and
+    cells, with floats under the `_format_number` rule, under either line
+    end, whatever the block size; under a bare LF a bare CR goes unquoted."""
+    header, columns, rows = case
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(trace_module, "_CSV_BLOCK", block):
-        trace_module.write_columns(out / "new.csv", header, columns)
-    assert (out / "new.csv").read_bytes() == _csv_writer_bytes(out / "old.csv", header, rows)
+        trace_module.write_columns(out / "new.csv", header, columns, line_end)
+    assert (out / "new.csv").read_bytes() == _csv_writer_bytes(out / "old.csv", header, rows,
+                                                               line_end)
 
 
 def _ingest_outcome(path, schema):
