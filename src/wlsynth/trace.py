@@ -11,15 +11,15 @@ feature row and query count per window, `IntervalTargets` one metric row
 per interval of its `IntervalGrid`, and a window's position on the grid is
 its index.  Ingest parses each row once: one `np.loadtxt` call reads
 every id and numeric cell, and the table is checked column-wise; a file
-np.loadtxt may misread, or whose table fails the check, is read again row
-by row through csv.reader to name the error.  Times are int64 under the one
-integer rule of every CSV, `_parse_int`'s, within +-2**53.  Aggregation
-bins the whole trace in one call of `IntervalGrid.spread`, the one binning
-kernel, which the scheduler's energy and the fidelity report share: it cuts
-the rows at the intervals, a chunk of rows within a fixed budget of (row,
-interval) pairs at a time, and adds each column's terms with `np.add.at`.
-Every interval adds its terms from zero in row order, so the sums equal a
-per-row loop's bit for bit.
+np.loadtxt may misread, or whose table fails the check, is read again by
+`read_columns`, the one parser of every CSV cell, to name the error.  Times
+are int64 under the one integer rule of every CSV, `_parse_int`'s, within
++-2**53.  Aggregation bins the whole trace in one call of
+`IntervalGrid.spread`, the one binning kernel, which the scheduler's energy
+and the fidelity report share: it cuts the rows at the intervals, a chunk
+of rows within a fixed budget of (row, interval) pairs at a time, and adds
+each column's terms with `np.add.at`.  Every interval adds its terms from
+zero in row order, so the sums equal a per-row loop's bit for bit.
 `write_columns` writes every CSV the package writes, its header included:
 the trace, the targets, the plans, their summary and select's query
 matches, the schedule and its energy trace, the catalog, and the report's
@@ -36,7 +36,6 @@ import csv
 import logging
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -258,6 +257,28 @@ def _parse_str(raw: str | None, row: int, column: str) -> str:
     return raw
 
 
+def _parse_time(raw: str | None, row: int, column: str) -> int:
+    """A trace time: an int by `_parse_int`'s rule, at most 2**53 in magnitude."""
+    value = _parse_int(raw, row, column)
+    if not -2 ** 53 <= value <= 2 ** 53:
+        raise ValidationError(f"row {row}, column {column!r}: {raw!r} is out of range")
+    return value
+
+
+def _parse_duration(raw: str | None, row: int, column: str) -> int:
+    value = _parse_time(raw, row, column)
+    if value < 0:
+        raise ValidationError(f"row {row}: negative duration_ms {value}")
+    return value
+
+
+def _parse_feature(raw: str | None, row: int, column: str) -> float:
+    value = _parse_number(raw, row, column)
+    if value < 0:
+        raise ValidationError(f"row {row}: negative metric or operator value")
+    return value
+
+
 _PARSERS = {int: _parse_int, float: _parse_number, str: _parse_str}
 
 
@@ -275,53 +296,40 @@ def _csv_rows(path, what: str):
             raise TraceParseError(f"{what} file {path}, line {reader.line_num}: {exc}") from None
 
 
-def read_columns(path, what: str, kinds: dict[str, type], defaults: dict) -> dict[str, list]:
-    """Parse the columns `kinds` names, each int, float or str, from a CSV
-    artifact.  Every CSV a stage reads back but the trace goes through here.
+def read_columns(path, what: str, kinds: dict, defaults: dict) -> dict[str, list]:
+    """Parse the columns `kinds` names from a CSV file.  A kind is int, float
+    or str, or a function of (cell, row, column) such as `_parse_time`.  Every
+    CSV the package reads goes through here, a trace when `_read_bulk`
+    declines it.
 
     A column the header lacks is a SchemaError unless `defaults` gives the
     value it reads as in every row.  Blank lines are skipped and not
     counted, the first data row is row 2, and a repeated column name reads
-    as its last occurrence.  Columns are parsed one at a time in the order
-    of `kinds`, so an input with several faults reports the first one in
-    that order.  A missing cell (a short row) or an unparseable or
-    non-finite number is a TraceParseError; a fractional or out-of-range
-    int a ValidationError.  Each error names the row and the column.
+    as its last occurrence.  A missing cell (a short row) or an unparseable
+    or non-finite number is a TraceParseError; a fractional or out-of-range
+    int a ValidationError.  Each error names the row and the column.  An
+    input with several faults reports the first offending row's, and in
+    that row the first column's in the order of `kinds`: the columns are
+    parsed one at a time, each up to the first offending row found so far.
     """
     reader = _csv_rows(path, what)
-    header = next(reader, [])
-    for name in kinds:
-        if name not in header and name not in defaults:
-            raise SchemaError(f"{what} file {path} is missing column {name!r}")
-    position = {name: i for i, name in enumerate(header)}
+    positions = _positions(reader, path, what, kinds, defaults)
     rows = list(filter(None, reader))
-    columns = {}
-    for name, kind in kinds.items():
-        if name not in position:
+    columns, fault, stop = {}, None, len(rows)
+    for (name, kind), i in zip(kinds.items(), positions):
+        if i is None:
             columns[name] = [defaults[name]] * len(rows)
             continue
-        i, parse = position[name], _PARSERS[kind]
-        columns[name] = [parse(row[i] if i < len(row) else None, rownum, name)
-                         for rownum, row in enumerate(rows, start=2)]
+        parse, cells = _PARSERS.get(kind, kind), []
+        columns[name] = cells
+        try:
+            for rownum, row in enumerate(rows[:stop], start=2):
+                cells.append(parse(row[i] if i < len(row) else None, rownum, name))
+        except (TraceParseError, ValidationError) as exc:
+            fault, stop = exc, len(cells)
+    if fault is not None:
+        raise fault
     return columns
-
-
-def _parse_row(cells: list[str | None], rownum: int, schema: FeatureSchema) -> tuple[list, list]:
-    """The int times and float numbers of a row's query_id, arrival_ts,
-    duration_ms and schema cells (None past the row's end); raises the
-    row's first breach."""
-    times = []
-    for raw, column in zip(cells[1:3], MANDATORY_COLUMNS[1:]):
-        times.append(_parse_int(raw, rownum, column))
-        if not -2 ** 53 <= times[-1] <= 2 ** 53:
-            raise ValidationError(f"row {rownum}, column {column!r}: {raw!r} is out of range")
-    if times[1] < 0:
-        raise ValidationError(f"row {rownum}: negative duration_ms {times[1]}")
-    values = [_parse_number(v, rownum, c) for v, c in zip(cells[3:], schema.dimensions)]
-    if any(v < 0 for v in values):
-        raise ValidationError(f"row {rownum}: negative metric or operator value")
-    _parse_str(cells[0], rownum, "query_id")
-    return times, values
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -337,36 +345,20 @@ def _check_unique(ids: list[str]) -> None:
                 )
 
 
-def _positions(reader, path, columns: tuple[str, ...]) -> list[int]:
-    """query_id's and `columns`' positions in the header, at a name's last occurrence."""
-    header = next(reader, [])
-    for col in ("query_id",) + columns:
-        if col not in header:
-            raise SchemaError(f"trace file {path} is missing column {col!r}")
-    position = {name: i for i, name in enumerate(header)}
-    return [position[c] for c in ("query_id",) + columns]
-
-
-def _read_rows(path, columns: tuple[str, ...], schema: FeatureSchema) -> tuple:
-    """The ids, int64 times and float64 features of a trace file, read a row
-    at a time by csv.reader and `_parse_row`, which raise the file's first
-    breach.  Blank lines are skipped and not counted; data starts at row 2."""
-    reader = _csv_rows(path, "trace")
-    positions = _positions(reader, path, columns)
-    ids, times, values = [], array("q"), array("d")
-    for rownum, row in enumerate(filter(None, reader), start=2):
-        cells = [row[i] if i < len(row) else None for i in positions]
-        row_times, row_values = _parse_row(cells, rownum, schema)
-        times.extend(row_times)
-        values.extend(row_values)
-        ids.append(cells[0])
-    times = np.frombuffer(times, np.int64).reshape(len(ids), 2)
-    return ids, times[:, 0], times[:, 1], np.frombuffer(values).reshape(len(ids), len(columns) - 2)
+def _positions(reader, path, what: str, names, optional=()) -> list[int | None]:
+    """Each of `names`' position in the header, the first row `reader`
+    gives, at a name's last occurrence.  A name the header lacks is a
+    SchemaError, or None where `optional` holds it."""
+    position = {name: i for i, name in enumerate(next(reader, []))}
+    for name in names:
+        if name not in position and name not in optional:
+            raise SchemaError(f"{what} file {path} is missing column {name!r}")
+    return [position.get(name) for name in names]
 
 
 def _read_bulk(path, columns: tuple[str, ...]) -> tuple | None:
-    """What `_read_rows` returns for a trace file, or None where unsure: one
-    np.loadtxt call reads every row's id, int64 times and float64 features,
+    """A trace file's ids, int64 times and float64 features, or None where
+    unsure: one np.loadtxt call reads every row's id, times and features,
     splitting quoted cells as csv.reader does, which reads only the header.
     It declines a csv.Error, invalid UTF-8, a cell np.loadtxt rejects (a
     short row, `1_0`, a float-form time), any of \\x1c to \\x1f (np.loadtxt
@@ -377,7 +369,7 @@ def _read_bulk(path, columns: tuple[str, ...]) -> tuple | None:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            positions = _positions(reader, path, columns)
+            positions = _positions(reader, path, "trace", ("query_id",) + columns)
             skip = reader.line_num
             fh.seek(0)
             # csv.reader raises on a field over the limit and np.loadtxt does
@@ -428,13 +420,20 @@ def ingest_trace(path, schema: FeatureSchema, mode: str = MODE_COUNTS) -> Trace:
     The header must name query_id, arrival_ts, duration_ms and the schema's
     columns.  Times must be integers by `_parse_int`'s rule within +-2**53,
     values finite, durations, metrics and operators nonnegative, and ids
-    unique.  A file `_read_bulk` declines is read by `_read_rows`, which
-    names the first offending row.  The columns are the readers', as read.
+    unique.  A file `_read_bulk` declines is read by `read_columns`, which
+    names the first offending row, and in it the first offending column in
+    that order.  The columns are the readers', as read.
     """
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
-    ids, *table = _read_bulk(path, columns) or _read_rows(path, columns, schema)
-    _check_unique(ids)
-    return Trace(ids, *table, schema, mode)
+    table = _read_bulk(path, columns)
+    if table is None:
+        kinds = dict(zip(MANDATORY_COLUMNS, (str, _parse_time, _parse_duration)))
+        cells = list(read_columns(path, "trace", kinds | dict.fromkeys(
+            schema.dimensions, _parse_feature), {}).values())
+        features = np.array(cells[3:]).reshape(len(cells) - 3, len(cells[0]))
+        table = cells[:3] + [features.T.copy()]
+    _check_unique(table[0])
+    return Trace(*table, schema, mode)
 
 
 def _format_number(value: float) -> str:
@@ -442,12 +441,12 @@ def _format_number(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _csv_cells(texts: list[str], alone: bool, line_end: str) -> list[str]:
-    """`texts` as csv.writer writes them, ending lines in `line_end`: a text
-    that holds a delimiter, a quote or a character of `line_end` (not a bare
-    CR under LF) is quoted, with its quotes doubled, and so is an empty text
-    that is `alone` in its row."""
-    special = ',"' + line_end
+def _csv_cells(texts: list[str], alone: bool) -> list[str]:
+    """`texts` as csv.writer writes them under a CRLF line end: a text that
+    holds a delimiter, a quote, a CR or an LF is quoted, with its quotes
+    doubled, and so is an empty text that is `alone` in its row.  Under a
+    bare LF a bare CR is quoted too, so that csv.reader reads the cell back."""
+    special = ',"\r\n'
     joined = "".join(texts)
     if not any(c in joined for c in special) and not (alone and "" in texts):
         return texts
@@ -481,7 +480,7 @@ def _format_rows(columns: list, width: int, line_end: str) -> str:
     for column in columns:
         if isinstance(column, list):
             spliced[:, j] = True
-            texts[:, j] = _csv_cells(column, width == 1, line_end)
+            texts[:, j] = _csv_cells(column, width == 1)
             j += 1
             continue
         block = column.reshape(rows, -1)
@@ -524,7 +523,7 @@ def _format_rows(columns: list, width: int, line_end: str) -> str:
 
 def write_columns(path, header: list[str], columns: list, line_end: str = "\r\n") -> None:
     """Write `header`, then row i of the columns, as csv.writer writes them
-    with `line_end` as its line terminator.
+    with a CRLF line terminator, each line then ending in `line_end`.
 
     A column is a list of strings, or a numpy array of ints or floats that
     holds one column (1-D) or several (2-D, one row per CSV row); a float

@@ -1,8 +1,10 @@
+import csv
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +109,15 @@ def run_fresh(code: str) -> list[str]:
                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+def csv_writer_bytes(rows, line_end: str) -> bytes:
+    """What csv.writer writes for `rows` with a CRLF line terminator, each
+    line end then swapped for `line_end`: a text holding a bare CR is
+    quoted under either line end."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + line_end for line in lines).encode("utf-8")
 
 
 def write_bench_inputs(tmp_path, monkeypatch, name, seed=1):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_catalog, write_bench_inputs
+from conftest import csv_writer_bytes, make_catalog, write_bench_inputs
 from test_selector import random_problem
 from wlsynth import catalog as catalog_module
 from wlsynth import cli
@@ -73,15 +73,12 @@ def run_pipeline(demo_dir, out, extra=(), catalog=None):
 
 def csv_writer_lf_rows(path) -> list[list[str]]:
     """The rows csv.reader reads from the file at `path`, after checking
-    that csv.writer with a bare LF line terminator writes them back to the
-    file's bytes.  csv.writer leaves a bare CR unquoted under that
-    terminator, so a CR is read as a character of its cell."""
+    that csv.writer with a CRLF line terminator, each line end then a bare
+    LF, writes them back to the file's bytes."""
     data = path.read_bytes()
-    with io.StringIO(data.decode("utf-8").replace("\r", "\ue000"), newline="") as fh:
-        rows = [[cell.replace("\ue000", "\r") for cell in row] for row in csv.reader(fh)]
-    buffer = io.StringIO(newline="")
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    assert buffer.getvalue().encode("utf-8") == data
+    with io.StringIO(data.decode("utf-8"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert csv_writer_bytes(rows, "\n") == data
     return rows
 
 
@@ -348,8 +345,8 @@ class TestPipeline:
     def test_query_matches_quote_ids(self, demo_dir, tmp_path, level):
         """Query ids holding the delimiter, a quote, a bare CR, an LF or a
         non-ASCII character read back as one field each, every query in
-        trace order, and the file is what csv.writer writes with a bare LF
-        line terminator."""
+        trace order, and the file is what csv.writer writes, with bare LF
+        line ends."""
         with open(demo_dir / "demo_trace.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         for row, query_id in zip(rows[1:], ["q,1", 'q"2', "q\r3", "q\n4", "q\u00e95"]):
@@ -367,8 +364,8 @@ class TestPipeline:
         assert list(dict.fromkeys(row[0] for row in matches[1:])) == [row[0] for row in rows[1:]]
 
     def test_energy_trace_is_csv_writer_lf_bytes(self, demo_dir, tmp_path):
-        """An annealed energy.csv is what csv.writer writes with a bare LF
-        line terminator, one row per annealing step."""
+        """An annealed energy.csv is what csv.writer writes, with bare LF
+        line ends, one row per annealing step."""
         out = tmp_path / "out"
         assert run_pipeline(demo_dir, out, ["--skip-augment"]) == 0
         rows = csv_writer_lf_rows(out / "schedule/energy.csv")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace, rows_of, write_bench_inputs
+from conftest import csv_writer_bytes, make_trace, rows_of, write_bench_inputs
 from wlsynth import trace as trace_module
 from wlsynth.errors import (ConfigError, SchemaError, TraceParseError, ValidationError,
                             WlsynthError)
@@ -92,6 +92,8 @@ class TestIngest:
         # float() reads it as 0.0; its exponent is past Decimal's range
         (["q1,0e1000000000000000000,100,1,1,0,0,0,0"],
          TraceParseError, "row 2, column 'arrival_ts': cannot parse '0e1000000000000000000'"),
+        # within a row: a negative metric before an unparseable operator
+        (["q1,0,100,-1,x,0,0,0,0"], ValidationError, "row 2: negative metric or operator value"),
     ])
     def test_first_offending_row_is_named(self, schema, tmp_path, rows, error, message):
         path = tmp_path / "bad.csv"
@@ -140,7 +142,7 @@ class TestIngest:
     def test_non_integral_time_rejected(self, schema, tmp_path, arrival, duration, column,
                                         exact):
         """A time is decided on its cell's exact decimal value, by the bulk
-        reader and the row reader alike."""
+        reader and `read_columns` alike."""
         path = tmp_path / "frac.csv"
         header = "query_id,arrival_ts,duration_ms," + ",".join(schema.dimensions)
         rows = ["q1,1e3,100.0,1,1,0,0,0,0", f"q2,{arrival},{duration},1,1,0,0,0,0"]
@@ -568,25 +570,45 @@ _FAULTS = [
 ]
 
 
+def _fault(draw, kinds, col):
+    """A fault that applies to column `col`, or None: a short row that ends
+    before the first cell is a blank line."""
+    faults = [f for f in _FAULTS if kinds[col] in f[0] and (f[1] is not None or col > 0)]
+    return draw(st.sampled_from(faults)) if faults else None
+
+
 @st.composite
 def column_files(draw):
-    """Column kinds, rows of cells of those kinds, and one fault at one cell
-    (None when no fault applies: a short row that ends before the first
-    cell is a blank line)."""
+    """Column kinds, rows of cells of those kinds, one fault at one cell
+    (None when no fault applies), and a second fault at a cell in a later
+    row and an earlier column (None when there is none)."""
     kinds = draw(st.lists(st.sampled_from((int, float, str)), min_size=1, max_size=5))
     rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)).map(list),
                          min_size=1, max_size=6))
     row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(kinds) - 1))
-    faults = [f for f in _FAULTS if kinds[col] in f[0] and (f[1] is not None or col > 0)]
-    return kinds, rows, row, col, draw(st.sampled_from(faults)) if faults else None
+    fault, later = _fault(draw, kinds, col), None
+    if fault is not None and row + 1 < len(rows) and col > 0:
+        later_row = draw(st.integers(row + 1, len(rows) - 1))
+        later_col = draw(st.integers(0, col - 1))
+        later_fault = _fault(draw, kinds, later_col)
+        later = later_fault and (later_row, later_col, later_fault)
+    return kinds, rows, row, col, fault, later
+
+
+def _corrupt(cells, col, raw):
+    """`cells` with the one at `col` replaced by `raw`, or cut before it when `raw` is None."""
+    return cells[:col] if raw is None else cells[:col] + [raw] + cells[col + 1:]
 
 
 @settings(max_examples=150, deadline=None)
 @given(column_files())
+# an unparseable float in row 2, then a fractional int in row 3 and an earlier column
+@example(([int, float], [[1, 2.0], [3, 4.0]], 0, 1, _FAULTS[2], (1, 0, _FAULTS[0])))
 def test_read_columns_round_trip_and_typed_rejection(tmp_path_factory, case):
     """Int, float and str columns written with csv.writer read back exactly;
-    one corrupted cell raises the typed error naming its row and column."""
-    kinds, rows, row, col, fault = case
+    one corrupted cell raises the typed error naming its row and column, and
+    so it does with a second one in a later row and an earlier column."""
+    kinds, rows, row, col, fault, later = case
     names = [f"c{j}" for j in range(len(kinds))]
     path = tmp_path_factory.getbasetemp() / "columns.csv"
 
@@ -601,9 +623,16 @@ def test_read_columns_round_trip_and_typed_rejection(tmp_path_factory, case):
     if fault is None:
         return
     _, raw, error, message = fault
-    cells = rows[row][:col] if raw is None else rows[row][:col] + [raw] + rows[row][col + 1:]
-    with pytest.raises(error, match=re.escape(f"row {row + 2}, column '{names[col]}': {message}")):
-        read(rows[:row] + [cells] + rows[row + 1:])
+    rows = rows[:row] + [_corrupt(rows[row], col, raw)] + rows[row + 1:]
+    named = re.escape(f"row {row + 2}, column '{names[col]}': {message}")
+    with pytest.raises(error, match=named):
+        read(rows)
+    if later is None:
+        return
+    later_row, later_col, (_, later_raw, _, _) = later
+    rows[later_row] = _corrupt(rows[later_row], later_col, later_raw)
+    with pytest.raises(error, match=named):
+        read(rows)
 
 
 def test_only_trace_reads_csv():
@@ -612,12 +641,6 @@ def test_only_trace_reads_csv():
     readers = sorted(p.name for p in package.glob("*.py") if re.search(
         r"\bcsv\.(reader|DictReader)\b|from csv import", p.read_text(encoding="utf-8")))
     assert readers == ["trace.py"]
-
-
-def _csv_writer_bytes(path, header, rows, line_end):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator=line_end).writerows([header] + rows)
-    return path.read_bytes()
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
@@ -671,14 +694,14 @@ _EXAMPLE = (["c0", "x\ry", "", 'h"'],
 @example(([""], [[""] * 3], [[""]] * 3), 2, "\n")
 def test_write_columns_writes_csv_writer_bytes(tmp_path_factory, case, block, line_end):
     """write_columns writes what csv.writer writes for the same header and
-    cells, with floats under the `_format_number` rule, under either line
-    end, whatever the block size; under a bare LF a bare CR goes unquoted."""
+    cells, with floats under the `_format_number` rule, whatever the block
+    size: with a CRLF line terminator, each line end then swapped for the
+    one asked for, so that a bare CR is quoted under a bare LF too."""
     header, columns, rows = case
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(trace_module, "_CSV_BLOCK", block):
         trace_module.write_columns(out / "new.csv", header, columns, line_end)
-    assert (out / "new.csv").read_bytes() == _csv_writer_bytes(out / "old.csv", header, rows,
-                                                               line_end)
+    assert (out / "new.csv").read_bytes() == csv_writer_bytes([header] + rows, line_end)
 
 
 def _ingest_outcome(path, schema):
@@ -692,19 +715,24 @@ def _ingest_outcome(path, schema):
 
 
 def _assert_plain_path_agrees(path, schema):
-    """The bulk reader either declines or reads exactly what the row reader
-    reads, and ingest_trace gives the same trace or the same error with the
-    bulk reader as without it.  Returns whether the bulk reader read the file."""
+    """The bulk reader either declines or reads exactly what the
+    `read_columns` fallback reads, and ingest_trace gives the same trace or
+    the same error with the bulk reader as without it.  Returns whether the
+    bulk reader read the file."""
     columns = ("arrival_ts", "duration_ms") + schema.dimensions
     try:
         bulk = trace_module._read_bulk(path, columns)
-    except SchemaError:  # a missing column, which the row reader names alike
+    except SchemaError:  # a missing column, which the fallback names alike
         bulk = None
-    if bulk is not None:
-        ids, *tables = trace_module._read_rows(path, columns, schema)
-        assert (bulk[0], [t.shape for t in bulk[1:]]) == (ids, [t.shape for t in tables])
-        assert [t.tobytes() for t in bulk[1:]] == [t.tobytes() for t in tables]
     with mock.patch.object(trace_module, "_read_bulk", return_value=None):
+        if bulk is not None:
+            # the tables, also of a file that repeats an id
+            with mock.patch.object(trace_module, "_check_unique"):
+                plain = ingest_trace(path, schema)
+            tables = [plain.arrival_ts, plain.duration_ms, plain.features]
+            assert (bulk[0], [t.shape for t in bulk[1:]]) == (plain.query_id,
+                                                              [t.shape for t in tables])
+            assert [t.tobytes() for t in bulk[1:]] == [t.tobytes() for t in tables]
         expected = _ingest_outcome(path, schema)
     assert _ingest_outcome(path, schema) == expected
     return bulk is not None
@@ -722,7 +750,7 @@ _PLAIN_HEADER = "query_id,arrival_ts,duration_ms,m,o"
     ("x,{h},query_id\nz,q1,0,10,1,2,q9\n", True),  # a repeated name reads as its last
     ("﻿x,{h}\nz,q1,0,10,1,2\n", True),
     ("{h}\nq1, 5,+5,5 ,\xa05\n", True),
-    ("{h}\nq1,0,10,nan,2\n", False),  # the table check declines it, the row reader names it
+    ("{h}\nq1,0,10,nan,2\n", False),  # the table check declines it, read_columns names it
     ("{h}\nq1,0,10,1e400,2\n", False),
     ("{h}\nq1,0,10,1,2\nq1,0,10,1,2\n", True),
     ('{h}\n"q,1",0,10,1,2\n', True),  # np.loadtxt splits quoted cells as csv.reader does
@@ -750,7 +778,7 @@ _PLAIN_HEADER = "query_id,arrival_ts,duration_ms,m,o"
     ("{h}\nq1,0,10,1\n", False),
     ("{h}\nq1,0,10,1,2,3\n", True),  # cells past the header are not read
     ("{h}\nq1,0,10,1_0,2\n", False),
-    ("{h}\nq1,1e3,10.0,1,2\n", False),  # float-form times: the row reader reads them exactly
+    ("{h}\nq1,1e3,10.0,1,2\n", False),  # float-form times: read_columns reads them exactly
     ("{h}\nq1,-0,+0,1,2\n", True),
     # np.loadtxt's int parser reads some non-ASCII characters as digits
     ("{h}\nq1,\u01fe,10,1,2\n", False),
@@ -782,7 +810,7 @@ def test_plain_path_matches_csv_reader(tmp_path, text, plain):
 def test_times_past_2_53_are_out_of_range(tmp_path, row, outcome):
     """A time is at most 2**53 in magnitude, decided on the cell's exact
     value, however it is written; any other is out of range.  The bulk
-    reader leaves every time of that magnitude to the row reader."""
+    reader leaves every time of that magnitude to `read_columns`."""
     path = tmp_path / "t.csv"
     path.write_text(f"{_PLAIN_HEADER}\n{row}\n")
     assert not _assert_plain_path_agrees(path, _PLAIN_SCHEMA)
@@ -867,7 +895,7 @@ def trace_files(draw):
 def test_plain_path_agrees_on_generated_files(tmp_path_factory, data):
     """On files with quoted ids, CR line ends, blank, whitespace-only, short
     and long lines, repeated names and cells that float() and np.loadtxt
-    read differently, the bulk reader reads what the row reader reads or
+    read differently, the bulk reader reads what `read_columns` reads or
     declines, and ingest_trace gives the same trace or the same error."""
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_bytes(data)
@@ -893,16 +921,16 @@ def test_bulk_reader_declines_a_float_read_into_an_int_field(tmp_path):
         assert ingest_trace(path, _PLAIN_SCHEMA).arrival_ts.tolist() == [1]
 
 
-def _never_parse_row(*args):
-    raise AssertionError("the row reader read the file")
+def _never_read_columns(*args):
+    raise AssertionError("read_columns read the file")
 
 
 @pytest.mark.parametrize("workload", ["select_gap", "dense_trace"])
 def test_bulk_reader_reads_benchmark_traces(tmp_path, monkeypatch, schema, workload):
     """A benchmark trace is read in bulk, by one np.loadtxt call, and never
-    reaches the row reader."""
+    reaches `read_columns`."""
     _, inputs = write_bench_inputs(tmp_path, monkeypatch, workload)
-    with (mock.patch.object(trace_module, "_parse_row", _never_parse_row),
+    with (mock.patch.object(trace_module, "read_columns", _never_read_columns),
           mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
         trace = ingest_trace(inputs / "trace.csv", schema)
     assert loadtxt.call_count == 1
@@ -911,12 +939,12 @@ def test_bulk_reader_reads_benchmark_traces(tmp_path, monkeypatch, schema, workl
 
 def test_bulk_reader_reads_quoted_ids(tmp_path, schema):
     """Ids that csv.writer quotes, with commas, quotes and line breaks in
-    them, do not send the file to the row reader."""
+    them, do not send the file to `read_columns`."""
     ids = ['q,1', 'q"2', "q\n3", "q\r\n4", '"', ""]
     path = tmp_path / "t.csv"
     export_trace(make_trace(schema, [record(schema, qid, 10 * i, 5, [1, i])
                                      for i, qid in enumerate(ids)]), path)
-    with mock.patch.object(trace_module, "_parse_row", _never_parse_row):
+    with mock.patch.object(trace_module, "read_columns", _never_read_columns):
         trace = ingest_trace(path, schema)
     assert trace.query_id == ids
     assert trace.metrics.tolist() == [[1, i] for i in range(len(ids))]
@@ -943,7 +971,7 @@ def test_bulk_reader_parses_each_row_once(tmp_path):
             return rows[-1]
 
     with (mock.patch.object(csv, "reader", CountingReader),
-          mock.patch.object(trace_module, "_parse_row", _never_parse_row),
+          mock.patch.object(trace_module, "read_columns", _never_read_columns),
           mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
         trace = ingest_trace(path, _PLAIN_SCHEMA)
     assert loadtxt.call_count == 1
