@@ -7,7 +7,7 @@ from .catalog import (
     SimulatedExecutor,
     WorkloadComponent,
     load_catalog,
-    profile_component,
+    profile_query,
     save_catalog,
 )
 from .config import Config, load_config
@@ -98,7 +98,7 @@ __all__ = [
     "load_config",
     "mae",
     "match_query",
-    "profile_component",
+    "profile_query",
     "random_schedule",
     "replay",
     "report",

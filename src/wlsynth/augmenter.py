@@ -2,11 +2,12 @@
 
 When selection leaves some windows badly approximated, the queries in those
 windows are clustered and each cluster centroid becomes a generation target.
-An LLM provider is prompted with the target feature, nearby catalog
-components as positive examples, distant ones as negative examples and, on
-retries, scenario-specific hints.  Generated queries are profiled through
-the executor; persistent misses on the database-shaped scenarios trigger a
-database re-selection (scale factor or skewness adjustment).
+An LLM provider is prompted with the target feature, nearby catalog rows as
+positive examples, distant ones as negative examples and, on retries,
+scenario-specific hints.  Generated queries are profiled through the
+executor; persistent misses on the database-shaped scenarios trigger a
+database re-selection (scale factor or skewness adjustment).  Features are
+vectors, metrics then operators, and examples are catalog rows.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .catalog import (
     DatabaseDescriptor,
     Executor,
     WorkloadComponent,
-    profile_component,
+    profile_query,
 )
 from .config import Config
 from .errors import ProviderError, ValidationError
@@ -89,7 +90,7 @@ HINT_SCENARIOS: dict[str, HintScenario] = {s.scenario_id: s for s in (
 @dataclass
 class GenerationTarget:
     target_id: str
-    feature: PerformanceFeature
+    feature: np.ndarray
     source_windows: tuple[int, ...]
     weight: int
 
@@ -100,18 +101,18 @@ class GenerationTarget:
 
 @dataclass
 class ExampleSet:
-    """Nearest catalog components (ascending distance) and farthest (descending)."""
+    """(catalog row, distance) of the nearest components (ascending distance)
+    and of the farthest (descending)."""
 
-    positives: list[tuple[WorkloadComponent, float]]
-    negatives: list[tuple[WorkloadComponent, float]]
+    positives: list[tuple[int, float]]
+    negatives: list[tuple[int, float]]
 
 
 @dataclass
 class GenerationAttempt:
     attempt_index: int
     prompt: str
-    response: str
-    profiled: PerformanceFeature | None
+    profiled: np.ndarray | None
     deltas: dict[str, float]
     scenario_id: str | None
     verdict: str
@@ -228,7 +229,7 @@ def _kmeans(points: np.ndarray, k: int, rng: Generator,
     return centroids, assignment
 
 
-def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: int,
+def _cluster_targets(matrix: np.ndarray, windows: list[int], k: int,
                      seed: int) -> list[GenerationTarget]:
     """Cluster under-fit queries' features; one target per non-empty cluster.
 
@@ -254,13 +255,10 @@ def _cluster_targets(matrix: np.ndarray, windows: list[int], n_metrics: int, k: 
         members = np.flatnonzero(assignment == c)
         if len(members) == 0:
             continue
-        native = centroids[c] * std + mean
-        native = np.maximum(native, 0.0)
-        feature = PerformanceFeature(native[:n_metrics], native[n_metrics:])
         targets.append(
             GenerationTarget(
                 target_id=f"target-{len(targets)}",
-                feature=feature,
+                feature=np.maximum(centroids[c] * std + mean, 0.0),
                 source_windows=tuple(sorted({windows[m] for m in members})),
                 weight=len(members),
             )
@@ -275,42 +273,34 @@ def retrieve_examples(
     negatives, in `selector.rank_components` order."""
     if len(catalog) == 0:
         raise ValidationError("cannot retrieve examples from an empty catalog")
-    order, distances = rank_components(catalog.features, catalog.ids,
-                                       target.feature.as_vector())
+    order, distances = rank_components(catalog.features, catalog.ids, target.feature)
     return ExampleSet(
-        positives=[(catalog.row(j), float(distances[j])) for j in order[:n_examples]],
-        negatives=[(catalog.row(j), float(distances[j]))
+        positives=[(int(j), float(distances[j])) for j in order[:n_examples]],
+        negatives=[(int(j), float(distances[j]))
                    for j in order[n_examples:][::-1][:n_examples]],
     )
 
 
-def _format_feature(feature: PerformanceFeature, schema: FeatureSchema) -> str:
-    pairs = [
-        f"{name}={value:.6g}"
-        for name, value in zip(schema.dimensions, feature.as_vector())
-    ]
-    return ", ".join(pairs)
+def _format_feature(feature: np.ndarray, schema: FeatureSchema) -> str:
+    return ", ".join(f"{name}={value:.6g}" for name, value in zip(schema.dimensions, feature))
 
 
-def pick_database(examples: ExampleSet) -> DatabaseDescriptor:
-    """The database referenced by the most positive examples; ties by name."""
+def pick_database(examples: ExampleSet, catalog: Catalog) -> DatabaseDescriptor:
+    """The database of the most positive examples' rows; ties by name."""
     votes: dict[tuple, int] = {}
-    descriptors: dict[tuple, DatabaseDescriptor] = {}
-    for comp, _ in examples.positives:
-        key = comp.database_ref.key
+    for j, _ in examples.positives:
+        key = (catalog.benchmark[j], float(catalog.scale_factor[j]), int(catalog.skewness[j]))
         votes[key] = votes.get(key, 0) + 1
-        descriptors[key] = comp.database_ref
     if not votes:
         raise ValidationError("no positive examples to pick a database from")
-    best = sorted(votes, key=lambda key: (-votes[key], key))[0]
-    return descriptors[best]
+    return DatabaseDescriptor(*sorted(votes, key=lambda key: (-votes[key], key))[0])
 
 
 def build_prompt(
     target: GenerationTarget,
     examples: ExampleSet,
+    catalog: Catalog,
     database: DatabaseDescriptor,
-    schema: FeatureSchema,
     hints: tuple[str, ...] = (),
 ) -> str:
     """Deterministic prompt text; identical inputs yield identical bytes."""
@@ -321,16 +311,16 @@ def build_prompt(
         f"(scale_factor={database.scale_factor:.6g}, skewness={database.skewness})",
         "",
         "TARGET FEATURE:",
-        f"  {_format_feature(target.feature, schema)}",
+        f"  {_format_feature(target.feature, catalog.schema)}",
     ]
     for title, side in (("POSITIVE EXAMPLES (learn the query patterns):", examples.positives),
                         ("NEGATIVE EXAMPLES (avoid the query patterns):", examples.negatives)):
         lines += ["", title]
-        for comp, distance in side:
-            lines.append(f"  [{comp.component_id}] distance={distance:.6g}")
-            lines.append(f"    feature: {_format_feature(comp.feature, schema)}")
-            if comp.query_ref:
-                lines.append(f"    query: {comp.query_ref}")
+        for j, distance in side:
+            lines.append(f"  [{catalog.ids[j]}] distance={distance:.6g}")
+            lines.append(f"    feature: {_format_feature(catalog.features[j], catalog.schema)}")
+            if catalog.query_ref[j]:
+                lines.append(f"    query: {catalog.query_ref[j]}")
     if hints:
         lines.append("")
         lines.append("HINTS:")
@@ -351,26 +341,16 @@ def _gap_dimensions(schema: FeatureSchema, cfg: Config) -> tuple[int, int]:
     return tuple(schema.dimensions.index(cfg[key]) for key in keys)
 
 
-def classify_gap(
-    target: PerformanceFeature,
-    profiled: PerformanceFeature,
-    schema: FeatureSchema,
-    cfg: Config,
-) -> HintScenario | None:
+def classify_gap(gaps: np.ndarray, goal: np.ndarray, achieved: np.ndarray,
+                 dims: tuple[int, int], tau: float) -> HintScenario | None:
     """Map the CPU-time / scanned-bytes gap sign pattern to a hint scenario.
 
-    Returns None when the generated query is acceptable: both magnitudes and
-    their ratio within `augment.accept_threshold`.  Total over all gap sign
+    `gaps` are the relative gaps of the feature vector `achieved` against
+    `goal`, and `dims` the positions of the CPU-time and scanned-bytes
+    dimensions.  Returns None when the generated query is acceptable: both
+    magnitudes and their ratio within `tau`.  Total over all gap sign
     patterns.
     """
-    goal, achieved = target.as_vector(), profiled.as_vector()
-    return _scenario(relative_gaps(achieved, goal, _EPS), goal, achieved,
-                     _gap_dimensions(schema, cfg), cfg["augment.accept_threshold"])
-
-
-def _scenario(gaps: np.ndarray, goal: np.ndarray, achieved: np.ndarray,
-              dims: tuple[int, int], tau: float) -> HintScenario | None:
-    """`classify_gap` on the relative gaps of `achieved` against `goal`."""
     cpu, sb = dims
     d_cpu, d_sb = gaps[cpu], gaps[sb]
     target_ratio = max(goal[cpu], _EPS) / max(goal[sb], _EPS)
@@ -427,42 +407,39 @@ def generate_component(
     schema = catalog.schema
     dims = _gap_dimensions(schema, cfg)
     examples = retrieve_examples(target, catalog, cfg["augment.examples_per_side"])
-    database = pick_database(examples)
-    goal = target.feature.as_vector()
+    database = pick_database(examples, catalog)
+    goal = target.feature
     hints: list[str] = []
     attempts: list[GenerationAttempt] = []
 
     for switches in range(max_switches + 1):
         db_misses = 0
         for attempt_index in range(max_attempts):
-            prompt = build_prompt(target, examples, database, schema, tuple(hints))
+            prompt = build_prompt(target, examples, catalog, database, tuple(hints))
             try:
                 response = provider.complete(prompt)
             except ProviderError as exc:
                 raise ProviderError(str(exc), attempt_index=attempt_index) from exc
-            component = WorkloadComponent(
-                component_id or f"aug-{target.target_id}", response, database, 1.0,
-                PerformanceFeature.zeros(schema), origin=ORIGIN_AUGMENTED)
             try:
-                profile_component(component, executor, _PROFILE_REPETITIONS)
-                # the constructor's checks, now on the profiled duration
-                component = replace(component)
+                duration, achieved = profile_query(executor, response, database,
+                                                   _PROFILE_REPETITIONS)
+                # the constructors' checks are the check of a generated row
+                component = WorkloadComponent(
+                    component_id or f"aug-{target.target_id}", response, database, duration,
+                    PerformanceFeature(achieved[:schema.n_metrics], achieved[schema.n_metrics:]),
+                    origin=ORIGIN_AUGMENTED)
             except Exception as exc:
                 log.warning("profiling attempt %d failed: %s", attempt_index, exc)
                 attempts.append(
-                    GenerationAttempt(attempt_index, prompt, response, None, {},
-                                      None, VERDICT_RETRY)
-                )
+                    GenerationAttempt(attempt_index, prompt, None, {}, None, VERDICT_RETRY))
                 continue
-            achieved = component.feature.as_vector()
             gaps = relative_gaps(achieved, goal, _EPS)
             deltas = dict(zip(schema.dimensions, gaps.tolist()))
-            scenario = _scenario(gaps, goal, achieved, dims, tau)
+            scenario = classify_gap(gaps, goal, achieved, dims, tau)
             if scenario is None and np.all(np.abs(gaps[:schema.n_metrics]) <= tau):
                 attempts.append(
-                    GenerationAttempt(attempt_index, prompt, response, component.feature,
-                                      deltas, None, VERDICT_ACCEPTED)
-                )
+                    GenerationAttempt(attempt_index, prompt, achieved, deltas, None,
+                                      VERDICT_ACCEPTED))
                 return GenerationReport(target.target_id, component, attempts, switches)
 
             scenario = scenario or HINT_SCENARIOS[SCENARIO_RATIO_OFF]
@@ -470,10 +447,8 @@ def generate_component(
             # every attempt of this round missed on a database-shaped scenario
             switch = db_misses == max_attempts and switches < max_switches
             attempts.append(
-                GenerationAttempt(attempt_index, prompt, response, component.feature,
-                                  deltas, scenario.scenario_id,
-                                  VERDICT_DATABASE_SWITCH if switch else VERDICT_RETRY)
-            )
+                GenerationAttempt(attempt_index, prompt, achieved, deltas, scenario.scenario_id,
+                                  VERDICT_DATABASE_SWITCH if switch else VERDICT_RETRY))
             for hint in scenario.hint_texts:
                 if hint not in hints:
                     hints.append(hint)
@@ -527,8 +502,8 @@ def augment_catalog(
     hit = np.flatnonzero(np.isin(window, bad))
     if not hit.size:
         return catalog, []
-    targets = _cluster_targets(trace.features[hit], window[hit].tolist(),
-                               trace.schema.n_metrics, cfg["augment.k"], seed)
+    targets = _cluster_targets(trace.features[hit], window[hit].tolist(), cfg["augment.k"],
+                               seed)
     augmented = catalog
     reports = []
     serial = catalog.origin.count(ORIGIN_AUGMENTED)

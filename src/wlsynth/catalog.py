@@ -2,10 +2,10 @@
 
 Each component pairs a query with a populated benchmark database reference
 and carries the feature and duration measured by an executor.  A `Catalog`
-holds the columns of catalog.csv; a `WorkloadComponent` is one row, built on
-demand for the augmenter's prompts and for profiling a generated query.  The
-executor is an interface; a deterministic simulated executor ships with the
-package so the whole pipeline runs without a real warehouse.
+holds the columns of catalog.csv; a `WorkloadComponent` is one row, built by
+`Catalog.get` and for a generated query that `profile_query` has profiled.
+The executor is an interface; a deterministic simulated executor ships with
+the package so the whole pipeline runs without a real warehouse.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import ProfilingError, SchemaError, ValidationError
-from .features import FeatureSchema, PerformanceFeature
+from .features import FeatureSchema, PerformanceFeature, check_feature
 from .trace import read_columns, write_columns
 
 ORIGIN_BENCHMARK = "benchmark"
@@ -39,10 +39,6 @@ class DatabaseDescriptor:
             raise ValidationError("scale_factor must be positive")
         if not 0 <= self.skewness <= 4:
             raise ValidationError("skewness level must be in 0..4")
-
-    @property
-    def key(self) -> tuple[str, float, int]:
-        return (self.benchmark_name, self.scale_factor, self.skewness)
 
 
 @dataclass
@@ -178,10 +174,9 @@ def save_catalog(catalog: Catalog, path) -> None:
 
 
 class Executor(Protocol):
-    """Runs one query against one database and reports duration + feature."""
+    """Runs one query against one database and reports duration + feature vector."""
 
-    def run(self, query_ref: str, database_ref: DatabaseDescriptor
-            ) -> tuple[float, PerformanceFeature]:
+    def run(self, query_ref: str, database_ref: DatabaseDescriptor) -> tuple[float, np.ndarray]:
         ...
 
 
@@ -211,12 +206,11 @@ class SimulatedExecutor:
         self.metric_caps_per_sf = dict(metric_caps_per_sf or {})
         self._rng = default_rng(seed)
 
-    def _parse_annotation(self, query_ref: str) -> tuple[float, PerformanceFeature]:
+    def run(self, query_ref: str, database_ref: DatabaseDescriptor) -> tuple[float, np.ndarray]:
         match = _ANNOTATION_RE.search(query_ref)
         if match is None:
             raise ValidationError(
-                f"simulated executor has no profile annotation for {query_ref!r}"
-            )
+                f"simulated executor has no profile annotation for {query_ref!r}")
         values: dict[str, float] = {}
         for part in match.group("body").split(";"):
             part = part.strip()
@@ -225,54 +219,35 @@ class SimulatedExecutor:
             key, _, raw = part.partition("=")
             values[key.strip()] = float(raw)
         duration = values.pop("duration_ms", 1000.0)
-        feature = PerformanceFeature(
-            np.array([values.get(m, 0.0) for m in self.schema.metrics]),
-            np.array([values.get(o, 0.0) for o in self.schema.operators]),
-        )
-        return duration, feature
-
-    def run(self, query_ref: str, database_ref: DatabaseDescriptor
-            ) -> tuple[float, PerformanceFeature]:
-        duration, feature = self._parse_annotation(query_ref)
-        metrics = feature.metrics.copy()
+        feature = np.array([values.get(d, 0.0) for d in self.schema.dimensions])
+        # the query text is outside input: an annotated value no feature may
+        # hold fails the run, before the noise draw
+        check_feature(feature)
         for name, cap in self.metric_caps_per_sf.items():
             if name in self.schema.metrics:
-                idx = self.schema.metric_index(name)
-                metrics[idx] = min(metrics[idx], cap * database_ref.scale_factor)
+                idx = self.schema.metrics.index(name)
+                feature[idx] = min(feature[idx], cap * database_ref.scale_factor)
         if self.noise_sigma > 0:
             factor = 1.0 + self.noise_sigma * float(self._rng.standard_normal())
             factor = max(factor, 0.01)
-            metrics = metrics * factor
+            feature[:self.schema.n_metrics] *= factor
             duration = duration * factor
-        return float(duration), PerformanceFeature(metrics, feature.operators.copy())
+        return float(duration), feature
 
 
-def profile_component(
-    component: WorkloadComponent, executor: Executor, repetitions: int = 3
-) -> WorkloadComponent:
-    """Profile a component as the mean of `repetitions` executor runs.
-
-    The entry is updated in place only after every run succeeds; a failed run
-    raises ProfilingError carrying the run index and leaves it untouched.
-    """
+def profile_query(executor: Executor, query_ref: str, database: DatabaseDescriptor,
+                  repetitions: int) -> tuple[float, np.ndarray]:
+    """The mean duration and the mean feature vector of `repetitions`
+    executor runs of the query; a failed run raises ProfilingError carrying
+    the run index."""
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
-    durations = []
-    metric_rows = []
-    operator_rows = []
+    runs = []
     for run_index in range(repetitions):
         try:
-            duration, feature = executor.run(component.query_ref, component.database_ref)
+            runs.append(executor.run(query_ref, database))
         except Exception as exc:
-            raise ProfilingError(
-                f"executor failed on run {run_index} for {component.component_id!r}: {exc}",
-                run_index=run_index,
-            ) from exc
-        durations.append(duration)
-        metric_rows.append(feature.metrics)
-        operator_rows.append(feature.operators)
-    component.duration_ms = float(np.mean(durations))
-    component.feature = PerformanceFeature(
-        np.mean(metric_rows, axis=0), np.mean(operator_rows, axis=0)
-    )
-    return component
+            raise ProfilingError(f"executor failed on run {run_index}: {exc}",
+                                 run_index=run_index) from exc
+    durations, features = zip(*runs)
+    return float(np.mean(durations)), np.mean(features, axis=0)

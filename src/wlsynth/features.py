@@ -32,6 +32,14 @@ def relative_errors(achieved, target, floor: float) -> np.ndarray:
     return np.abs(relative_gaps(achieved, target, floor))
 
 
+def check_feature(values: np.ndarray) -> None:
+    """A feature's entries must all be finite, then all be nonnegative."""
+    if not np.isfinite(values).all():
+        raise ValidationError("feature entries must be finite")
+    if (values < 0).any():
+        raise ValidationError("feature entries must be nonnegative")
+
+
 def row_groups(matrix: np.ndarray) -> np.ndarray:
     """Each row's group number: rows whose entries are all equal (`==`, so
     -0.0 joins 0.0 and a row with a NaN is alone) share one, and the groups
@@ -71,9 +79,6 @@ class FeatureSchema:
     def n_operators(self) -> int:
         return len(self.operators)
 
-    def metric_index(self, name: str) -> int:
-        return self.metrics.index(name)
-
 
 @dataclass
 class PerformanceFeature:
@@ -85,18 +90,11 @@ class PerformanceFeature:
     def __post_init__(self):
         self.metrics = np.asarray(self.metrics, dtype=float)
         self.operators = np.asarray(self.operators, dtype=float)
-        if not np.all(np.isfinite(self.metrics)) or not np.all(np.isfinite(self.operators)):
-            raise ValidationError("feature entries must be finite")
-        if np.any(self.metrics < 0) or np.any(self.operators < 0):
-            raise ValidationError("feature entries must be nonnegative")
+        check_feature(self.as_vector())
 
     def as_vector(self) -> np.ndarray:
         """Metrics followed by operators, matching FeatureSchema.dimensions order."""
         return np.concatenate([self.metrics, self.operators])
-
-    @classmethod
-    def zeros(cls, schema: FeatureSchema) -> "PerformanceFeature":
-        return cls(np.zeros(schema.n_metrics), np.zeros(schema.n_operators))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PerformanceFeature):

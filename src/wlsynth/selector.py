@@ -44,6 +44,8 @@ ONE_TO_ONE = "one_to_one"
 ONE_TO_MANY = "one_to_many"
 
 _TIE_EPS = 1e-9
+# one_to_many's cap on one query's match: instances in total and of one component
+_MATCH_INSTANCES = 5
 _INT_EPS = 1e-6
 # `exceeds` decides by a bound only when it clears the threshold by this much:
 # more than HiGHS's mip_abs_gap (1e-6) plus its mip_feasibility_tolerance (1e-6)
@@ -474,21 +476,20 @@ def match_query(
     catalog: Catalog,
     cfg: Config,
     mode: str = ONE_TO_ONE,
-    z_q: int = 5,
 ) -> SelectionPlan:
     """Query-level matching: nearest single component or a small ILP combination.
 
     `target` is the query's feature vector, metrics then operators.
     one_to_one picks the nearest component by `rank_components`.
     one_to_many solves the window problem with the query's feature as the
-    target, capped at z_q total instances and no duration budget, under the
-    `denom_floor` and `solver.*` keys.  Both report the relative-error
+    target, capped at `_MATCH_INSTANCES` instances and no duration budget,
+    under the `denom_floor` and `solver.*` keys.  Both report the relative-error
     objective so the two modes are comparable.
     """
     if len(catalog) == 0:
         raise ValidationError("cannot match against an empty catalog")
-    problem = _catalog_problem(catalog, cfg, target, z_q, z_q,
-                               float(catalog.duration_ms.sum() * z_q + 1.0))
+    problem = _catalog_problem(catalog, cfg, target, _MATCH_INSTANCES, _MATCH_INSTANCES,
+                               float(catalog.duration_ms.sum() * _MATCH_INSTANCES + 1.0))
     if mode == ONE_TO_MANY:
         return solve_window(problem)
     if mode != ONE_TO_ONE:

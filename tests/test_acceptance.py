@@ -23,7 +23,7 @@ from wlsynth.augmenter import (
 from wlsynth.catalog import SimulatedExecutor
 from wlsynth.cli import echo_policy, main
 from wlsynth.config import Config
-from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
+from wlsynth.features import MODE_COUNTS, FeatureSchema
 from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report
 from wlsynth.scheduler import (
     assign_timestamps,
@@ -318,8 +318,7 @@ def test_criterion_7_augmentation_closed_loop(schema):
     clamped_executor = SimulatedExecutor(
         schema, metric_caps_per_sf={"cpu_time_ms": 60.0, "scanned_bytes": 60.0}
     )
-    target = GenerationTarget("clamped", PerformanceFeature(
-        np.array([100.0, 100.0]), np.zeros(4)), (0,), 1)
+    target = GenerationTarget("clamped", np.array([100.0, 100.0, 0, 0, 0, 0]), (0,), 1)
     clamped = generate_component(
         target, catalog, clamped_provider, clamped_executor,
         Config({"augment.max_attempts": "2", "augment.max_db_switches": "2"}),

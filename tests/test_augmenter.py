@@ -36,17 +36,18 @@ from wlsynth.augmenter import (
     switch_database,
     write_attempt_log,
     _cluster_targets,
+    _gap_dimensions,
 )
 from wlsynth.catalog import DatabaseDescriptor, SimulatedExecutor, load_catalog
 from wlsynth.config import Config, load_config
 from wlsynth.errors import ProviderError, SolverError, ValidationError
-from wlsynth.features import PerformanceFeature, row_groups
+from wlsynth.features import relative_gaps, row_groups
 from wlsynth.selector import exceeds, finish_windows, relax_windows
 from wlsynth.trace import WindowTargets, build_targets, ingest_trace
 
 
 def feature(cpu, sb, ops=(0, 0, 0, 0)):
-    return PerformanceFeature(np.array([cpu, sb], float), np.asarray(ops, float))
+    return np.array([cpu, sb, *ops], float)
 
 
 def annotated(cpu, sb, ops=(0, 0, 0, 0), duration=1000):
@@ -68,8 +69,8 @@ def log_digest(report, path):
 
 def cluster(queries, k, seed):
     """_cluster_targets on (feature, source window) pairs."""
-    matrix = np.array([f.as_vector() for f, _ in queries])
-    return _cluster_targets(matrix, [w for _, w in queries], 2, k, seed)
+    matrix = np.array([f for f, _ in queries])
+    return _cluster_targets(matrix, [w for _, w in queries], k, seed)
 
 
 class TestClustering:
@@ -80,7 +81,7 @@ class TestClustering:
                 for _ in range(20)]
         targets = cluster(low + high, k=2, seed=0)
         assert len(targets) == 2
-        cpus = sorted(t.feature.metrics[0] for t in targets)
+        cpus = sorted(t.feature[0] for t in targets)
         assert cpus[0] == pytest.approx(10, abs=0.5)
         assert cpus[1] == pytest.approx(100, abs=0.5)
         assert {t.weight for t in targets} == {20}
@@ -95,7 +96,7 @@ class TestClustering:
     def test_centroids_clamped_nonnegative(self):
         queries = [(feature(0, 0), 0), (feature(1, 1), 0)]
         targets = cluster(queries, k=1, seed=0)
-        assert np.all(targets[0].feature.as_vector() >= 0)
+        assert np.all(targets[0].feature >= 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -104,10 +105,10 @@ class TestClustering:
         a = cluster(queries, k=3, seed=4)
         b = cluster(queries, k=3, seed=4)
         for ta, tb in zip(a, b):
-            assert ta.feature == tb.feature
+            np.testing.assert_array_equal(ta.feature, tb.feature)
 
     def test_empty_queries(self):
-        assert _cluster_targets(np.empty((0, 6)), [], 2, k=3, seed=0) == []
+        assert _cluster_targets(np.empty((0, 6)), [], k=3, seed=0) == []
 
 
 # a few values, so that rows repeat, -0.0 beside 0.0, and any finite float
@@ -140,14 +141,16 @@ class TestExamples:
         ])
 
     def test_nearest_and_farthest(self, schema):
-        examples = retrieve_examples(target_for(11, 10), self.make_cat(schema), 2)
-        assert [c.component_id for c, _ in examples.positives] == ["near1", "near2"]
-        assert {c.component_id for c, _ in examples.negatives} == {"far1", "far2"}
+        catalog = self.make_cat(schema)
+        examples = retrieve_examples(target_for(11, 10), catalog, 2)
+        assert [catalog.ids[j] for j, _ in examples.positives] == ["near1", "near2"]
+        assert {catalog.ids[j] for j, _ in examples.negatives} == {"far1", "far2"}
 
     def test_sides_disjoint(self, schema):
-        examples = retrieve_examples(target_for(11, 10), self.make_cat(schema), 3)
-        pos = {c.component_id for c, _ in examples.positives}
-        neg = {c.component_id for c, _ in examples.negatives}
+        catalog = self.make_cat(schema)
+        examples = retrieve_examples(target_for(11, 10), catalog, 3)
+        pos = {catalog.ids[j] for j, _ in examples.positives}
+        neg = {catalog.ids[j] for j, _ in examples.negatives}
         assert not pos & neg
 
     def test_pick_database_majority(self, schema):
@@ -157,7 +160,7 @@ class TestExamples:
             ("c", 1000, [12, 10, 0, 0, 0, 0]),
         ], benchmark=["tpcds", "tpch", "tpch"], scale_factor=[2.0, 1.0, 1.0])
         examples = retrieve_examples(target_for(11, 10), catalog, 3)
-        assert pick_database(examples).benchmark_name == "tpch"
+        assert pick_database(examples, catalog).benchmark_name == "tpch"
 
 
 class TestPrompt:
@@ -165,9 +168,9 @@ class TestPrompt:
         catalog = TestExamples().make_cat(schema)
         target = target_for(11, 10)
         examples = retrieve_examples(target, catalog, 2)
-        db = pick_database(examples)
-        a = build_prompt(target, examples, db, schema)
-        b = build_prompt(target, examples, db, schema)
+        db = pick_database(examples, catalog)
+        a = build_prompt(target, examples, catalog, db)
+        b = build_prompt(target, examples, catalog, db)
         assert a == b
         for section in ("DATABASE:", "TARGET FEATURE:", "POSITIVE EXAMPLES",
                         "NEGATIVE EXAMPLES", "Return only the SQL query."):
@@ -178,7 +181,7 @@ class TestPrompt:
         catalog = TestExamples().make_cat(schema)
         target = target_for(11, 10)
         examples = retrieve_examples(target, catalog, 2)
-        prompt = build_prompt(target, examples, pick_database(examples), schema,
+        prompt = build_prompt(target, examples, catalog, pick_database(examples, catalog),
                               hints=("scan more data",))
         assert "HINTS:" in prompt and "scan more data" in prompt
 
@@ -198,7 +201,10 @@ class TestClassifyGap:
         (112, 90, SCENARIO_RATIO_OFF),                  # both in range, ratio off
     ])
     def test_sign_table(self, schema, cpu, sb, expected):
-        scenario = classify_gap(feature(100, 100), feature(cpu, sb), schema, Config())
+        goal, achieved = feature(100, 100), feature(cpu, sb)
+        scenario = classify_gap(relative_gaps(achieved, goal, 1e-9), goal, achieved,
+                                _gap_dimensions(schema, Config()),
+                                Config()["augment.accept_threshold"])
         if expected is None:
             assert scenario is None
         else:
@@ -342,6 +348,27 @@ class TestGenerateComponent:
             (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
         assert report.component.duration_ms == 1000.0
 
+    @pytest.mark.parametrize("first", [
+        annotated(-50, 60),                   # a negative metric
+        annotated("nan", 60),                 # a NaN metric
+        annotated(50, 60, ops=(-1, 0, 0, 0)),  # a negative operator
+        annotated("inf", 60),                 # an infinite metric
+        annotated(1e308, 60),                 # finite, but its three-run mean is not
+    ])
+    def test_unfit_feature_profile_retries(self, schema, first):
+        """An answer whose profile no feature may hold is retried, as one of
+        no finite duration is: the executor rejects an annotated value that
+        is not finite and nonnegative, and the component a mean that is not."""
+        responses = [first, annotated(50, 60)]
+        provider = MockProvider(lambda prompt, calls: responses[calls])
+        with np.errstate(over="ignore"):
+            report = generate_component(
+                target_for(50, 60), self.make_cat(schema), provider,
+                SimulatedExecutor(schema), Config(),
+            )
+        assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
+            (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
+
     @pytest.mark.parametrize("duration", [0, -5])
     def test_accepted_component_needs_positive_duration(self, schema, duration):
         # the profiled duration comes from the provider's text; a profile
@@ -359,8 +386,7 @@ class TestGenerateComponent:
 class TestAugmentCatalog:
     def make_inputs(self, schema):
         catalog = TestExamples().make_cat(schema)
-        windows = WindowTargets(0, 300000, np.array([feature(500, 500).as_vector(),
-                                                     feature(20, 20).as_vector()]),
+        windows = WindowTargets(0, 300000, np.array([feature(500, 500), feature(20, 20)]),
                                 np.array([2, 1]))
         # window 0's optimum is 1.816 (four near2), window 1's is 0.0
         relaxation = relax_windows(windows, catalog, Config())

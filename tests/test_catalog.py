@@ -13,7 +13,7 @@ from wlsynth.catalog import (
     DatabaseDescriptor,
     SimulatedExecutor,
     load_catalog,
-    profile_component,
+    profile_query,
     save_catalog,
 )
 from wlsynth.errors import ProfilingError, SchemaError, TraceParseError, ValidationError
@@ -229,22 +229,32 @@ class TestSimulatedExecutor:
         query = "SELECT 1 /* profile: duration_ms=120; cpu_time_ms=40; scanned_bytes=7.5; filter_num=2; */"
         duration, feature = ex.run(query, DatabaseDescriptor("tpch", 1.0))
         assert duration == 120
-        np.testing.assert_array_equal(feature.metrics, [40, 7.5])
-        np.testing.assert_array_equal(feature.operators, [2, 0, 0, 0])
+        np.testing.assert_array_equal(feature[:2], [40, 7.5])
+        np.testing.assert_array_equal(feature[2:], [2, 0, 0, 0])
 
     def test_metric_caps_scale_with_database(self, schema):
         ex = SimulatedExecutor(schema, metric_caps_per_sf={"scanned_bytes": 3.0})
         query = "SELECT 1 /* profile: duration_ms=10; cpu_time_ms=5; scanned_bytes=100; */"
         _, at_sf1 = ex.run(query, DatabaseDescriptor("tpch", 1.0))
         _, at_sf4 = ex.run(query, DatabaseDescriptor("tpch", 4.0))
-        assert at_sf1.metrics[1] == 3.0
-        assert at_sf4.metrics[1] == 12.0
-        assert at_sf1.metrics[0] == 5.0  # uncapped metric untouched
+        assert at_sf1[1] == 3.0
+        assert at_sf4[1] == 12.0
+        assert at_sf1[0] == 5.0  # uncapped metric untouched
 
     def test_no_annotation_fails(self, schema):
         ex = SimulatedExecutor(schema)
         with pytest.raises(ValidationError):
             ex.run("SELECT 1", DatabaseDescriptor("tpch", 1.0))
+
+    @pytest.mark.parametrize("value, message", [
+        ("-3", "feature entries must be nonnegative"),
+        ("nan", "feature entries must be finite"),
+    ])
+    def test_unfit_annotated_value_fails(self, schema, value, message):
+        ex = SimulatedExecutor(schema)
+        with pytest.raises(ValidationError, match=message):
+            ex.run(f"SELECT 1 /* profile: cpu_time_ms={value}; */",
+                   DatabaseDescriptor("tpch", 1.0))
 
     def test_noise_is_seeded(self, schema):
         query = "SELECT 1 /* profile: duration_ms=100; cpu_time_ms=50; */"
@@ -257,30 +267,27 @@ class TestSimulatedExecutor:
         assert runs_a[0][0] != 100.0
 
 
-class TestProfileComponent:
+class TestProfileQuery:
     def test_mean_over_repetitions(self, schema):
-        comp = make_component(schema, "c1", 1.0, [0, 0, 0, 0, 0, 0])
-        comp.query_ref = "q /* profile: duration_ms=100; cpu_time_ms=30; */"
+        query = "q /* profile: duration_ms=100; cpu_time_ms=30; */"
+        db = DatabaseDescriptor("tpch", 1.0)
         ex = SimulatedExecutor(schema, noise_sigma=0.2, seed=1)
-        profile_component(comp, ex, repetitions=5)
+        duration, feature = profile_query(ex, query, db, repetitions=5)
         twin = SimulatedExecutor(schema, noise_sigma=0.2, seed=1)
-        runs = [twin.run(comp.query_ref, comp.database_ref) for _ in range(5)]
+        runs = [twin.run(query, db) for _ in range(5)]
         assert len({duration for duration, _ in runs}) == 5
-        assert comp.duration_ms == np.mean([duration for duration, _ in runs])
-        np.testing.assert_array_equal(comp.feature.metrics,
-                                      np.mean([f.metrics for _, f in runs], axis=0))
+        assert duration == np.mean([duration for duration, _ in runs])
+        np.testing.assert_array_equal(feature[:2], np.mean([f[:2] for _, f in runs], axis=0))
 
     def test_noiseless_profile_is_exact(self, schema):
-        comp = make_component(schema, "c1", 1.0, [0, 0, 0, 0, 0, 0])
-        comp.query_ref = "q /* profile: duration_ms=100; cpu_time_ms=30; scanned_bytes=4; */"
-        profile_component(comp, SimulatedExecutor(schema), repetitions=3)
-        assert comp.duration_ms == 100.0
-        np.testing.assert_array_equal(comp.feature.metrics, [30, 4])
+        query = "q /* profile: duration_ms=100; cpu_time_ms=30; scanned_bytes=4; */"
+        duration, feature = profile_query(SimulatedExecutor(schema), query,
+                                          DatabaseDescriptor("tpch", 1.0), repetitions=3)
+        assert duration == 100.0
+        np.testing.assert_array_equal(feature[:2], [30, 4])
 
-    def test_failed_run_leaves_component_untouched(self, schema):
-        comp = make_component(schema, "c1", 77.0, [9, 9, 0, 0, 0, 0])
+    def test_failed_run_raises_its_index(self, schema):
         with pytest.raises(ProfilingError) as excinfo:
-            profile_component(comp, SimulatedExecutor(schema), repetitions=3)
+            profile_query(SimulatedExecutor(schema), "c1.sql", DatabaseDescriptor("tpch", 1.0),
+                          repetitions=3)
         assert excinfo.value.run_index == 0
-        assert comp.duration_ms == 77.0
-        np.testing.assert_array_equal(comp.feature.metrics, [9, 9])

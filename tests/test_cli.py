@@ -4,7 +4,6 @@ import json
 import logging
 import math
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace as trace_of_rows
 from wlsynth.errors import ValidationError
-from wlsynth.features import PerformanceFeature
 from wlsynth.metrics import EPS_DEFAULT, gmape, gmqe, mae, report, write_report
 from wlsynth.trace import build_targets
 

@@ -50,6 +50,13 @@ def test_no_unused_module_imports():
     assert not unused
 
 
+def test_no_unused_test_imports():
+    """The tests keep the package's rule: every module-level import is read."""
+    unused = {path.name: names for path in sorted(Path(__file__).parent.glob("*.py"))
+              if (names := _unused_imports(path.read_text()))}
+    assert not unused
+
+
 def test_only_trace_writes_csv():
     """Every CSV byte the package writes goes through `trace.write_columns`:
     trace.py is the one module that imports csv and the one that names

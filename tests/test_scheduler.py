@@ -15,7 +15,7 @@ from wlsynth.catalog import load_catalog
 from wlsynth.cli import main
 from wlsynth.config import Config, load_config
 from wlsynth.errors import SchemaError, TraceParseError, ValidationError
-from wlsynth.features import MODE_COUNTS, PerformanceFeature
+from wlsynth.features import MODE_COUNTS
 from wlsynth.scheduler import (
     SCHEDULE_COLUMNS,
     IntervalGrid,
