@@ -21,17 +21,10 @@ from typing import Callable, Protocol
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .catalog import (
-    ORIGIN_AUGMENTED,
-    Catalog,
-    DatabaseDescriptor,
-    Executor,
-    WorkloadComponent,
-    profile_query,
-)
+from .catalog import ORIGIN_AUGMENTED, Catalog, DatabaseDescriptor, Executor, profile_query
 from .config import Config
-from .errors import ProviderError, ValidationError
-from .features import FeatureSchema, PerformanceFeature, relative_gaps, row_groups
+from .errors import ProviderError, ValidationError, WlsynthError
+from .features import FeatureSchema, relative_gaps, row_groups
 from .selector import SelectionProblem, exceeds, map_windows, rank_components, znorm_stats
 from .trace import Trace, WindowTargets
 
@@ -130,7 +123,7 @@ class GenerationAttempt:
 @dataclass
 class GenerationReport:
     target_id: str
-    component: WorkloadComponent | None
+    component: Catalog | None
     attempts: list[GenerationAttempt]
     database_switches: int
 
@@ -370,18 +363,20 @@ def classify_gap(gaps: np.ndarray, goal: np.ndarray, achieved: np.ndarray,
     return HINT_SCENARIOS[SCENARIO_LOW_CPU_HIGH_SB if d_sb > tau else SCENARIO_LOW_CPU_LOW_SB]
 
 
-def switch_database(
-    database: DatabaseDescriptor, scenario: HintScenario, deltas_low: bool
-) -> DatabaseDescriptor:
-    """Re-select the database per the failure scenario.
+def switch_database(database: DatabaseDescriptor, scenario: HintScenario, gaps: np.ndarray,
+                    dims: tuple[int, int]) -> DatabaseDescriptor:
+    """Re-select the database per the failure scenario, read from the
+    relative `gaps` at the CPU-time and scanned-bytes positions `dims`.
 
-    Scale-factor scenarios double or halve the scale factor; ratio scenarios
-    step the skewness level (clamped to the supported 0..4 range).
+    Scale-factor scenarios double the scale factor when CPU is low, else
+    halve it; ratio scenarios step the skewness up when CPU's gap is below
+    SB's (a low CPU/SB ratio), else down, within the supported 0..4 range.
     """
+    cpu, sb = dims
     if scenario.scenario_id == SCENARIO_BOTH_LOW_OR_HIGH:
-        factor = 2.0 if deltas_low else 0.5
+        factor = 2.0 if gaps[cpu] < 0 else 0.5
         return replace(database, scale_factor=database.scale_factor * factor)
-    step = 1 if deltas_low else -1
+    step = 1 if gaps[cpu] < gaps[sb] else -1
     return replace(database, skewness=min(4, max(0, database.skewness + step)))
 
 
@@ -401,6 +396,7 @@ def generate_component(
     `augment.max_db_switches`) and reset the attempt counter.  Acceptance
     needs every metric gap within `augment.accept_threshold`; operator gaps
     are advisory.  Exhaustion returns a failure report carrying every attempt.
+    The report holds the accepted answer as a one-row catalog.
     """
     max_attempts, max_switches = cfg["augment.max_attempts"], cfg["augment.max_db_switches"]
     tau = cfg["augment.accept_threshold"]
@@ -423,12 +419,12 @@ def generate_component(
             try:
                 duration, achieved = profile_query(executor, response, database,
                                                    _PROFILE_REPETITIONS)
-                # the constructors' checks are the check of a generated row
-                component = WorkloadComponent(
-                    component_id or f"aug-{target.target_id}", response, database, duration,
-                    PerformanceFeature(achieved[:schema.n_metrics], achieved[schema.n_metrics:]),
-                    origin=ORIGIN_AUGMENTED)
-            except Exception as exc:
+                # the catalog's column checks are the check of a generated row
+                component = Catalog(
+                    [component_id or f"aug-{target.target_id}"], [database.benchmark_name],
+                    [database.scale_factor], [database.skewness], [duration], achieved[None],
+                    [response], [ORIGIN_AUGMENTED], schema)
+            except WlsynthError as exc:
                 log.warning("profiling attempt %d failed: %s", attempt_index, exc)
                 attempts.append(
                     GenerationAttempt(attempt_index, prompt, None, {}, None, VERDICT_RETRY))
@@ -453,13 +449,7 @@ def generate_component(
                 if hint not in hints:
                     hints.append(hint)
             if switch:
-                cpu, sb = dims
-                if scenario.scenario_id == SCENARIO_BOTH_LOW_OR_HIGH:
-                    deltas_low = gaps[cpu] < 0
-                else:
-                    # ratio_off: low CPU/SB ratio calls for more skew
-                    deltas_low = gaps[cpu] < gaps[sb]
-                database = switch_database(database, scenario, deltas_low)
+                database = switch_database(database, scenario, gaps, dims)
                 break
         else:
             # attempt budget exhausted without a database switch

@@ -2,10 +2,12 @@
 
 Each component pairs a query with a populated benchmark database reference
 and carries the feature and duration measured by an executor.  A `Catalog`
-holds the columns of catalog.csv; a `WorkloadComponent` is one row, built by
-`Catalog.get` and for a generated query that `profile_query` has profiled.
-The executor is an interface; a deterministic simulated executor ships with
-the package so the whole pipeline runs without a real warehouse.
+holds the columns of catalog.csv, and its constructor is the one check of a
+row: a query that `profile_query` has profiled becomes a one-row catalog,
+which `Catalog.appended` joins to another.  A `WorkloadComponent` is one row
+as `Catalog.row` presents it.  The executor is an interface; a deterministic
+simulated executor ships with the package so the whole pipeline runs without
+a real warehouse.
 """
 from __future__ import annotations
 
@@ -35,15 +37,17 @@ class DatabaseDescriptor:
     skewness: int = 0
 
     def __post_init__(self):
-        if self.scale_factor <= 0:
-            raise ValidationError("scale_factor must be positive")
+        if not 0 < self.scale_factor < np.inf:  # NaN too
+            rule = "positive" if np.isfinite(self.scale_factor) else "finite"
+            raise ValidationError(f"scale_factor must be {rule}")
         if not 0 <= self.skewness <= 4:
             raise ValidationError("skewness level must be in 0..4")
 
 
 @dataclass
 class WorkloadComponent:
-    """A benchmark query plus database with its profiled feature and duration."""
+    """One catalog row, as `Catalog.row` presents it; bench/child.py reads
+    it through `Catalog.get`."""
 
     component_id: str
     query_ref: str
@@ -51,11 +55,6 @@ class WorkloadComponent:
     duration_ms: float
     feature: PerformanceFeature
     origin: str = ORIGIN_BENCHMARK
-
-    def __post_init__(self):
-        if not 0 < self.duration_ms < np.inf:  # NaN too
-            rule = "positive" if np.isfinite(self.duration_ms) else "finite"
-            raise ValidationError(f"component {self.component_id!r}: duration_ms must be {rule}")
 
 
 class Catalog:
@@ -91,6 +90,7 @@ class Catalog:
             # a numpy str array, such as Schedule.component_id, drops trailing NULs
             (np.array([i.endswith("\0") for i in self.ids], dtype=bool),
              "component {!r}: component_id ends in a NUL character"),
+            (~np.isfinite(self.scale_factor), "component {!r}: scale_factor must be finite"),
             (self.scale_factor <= 0, "component {!r}: scale_factor must be positive"),
             ((self.skewness < 0) | (self.skewness > 4),
              "component {!r}: skewness level must be in 0..4"),
@@ -140,15 +140,13 @@ class Catalog:
         """`row` of the component's row; only bench/child.py reads components by id."""
         return self.row(int(self.index([component_id])[0]))
 
-    def appended(self, component: WorkloadComponent) -> "Catalog":
-        """A new catalog of these rows, then `component`; this one is unchanged."""
-        db = component.database_ref
-        values = (component.component_id, db.benchmark_name, db.scale_factor, db.skewness,
-                  component.duration_ms, component.feature.as_vector(), component.query_ref,
-                  component.origin)
-        return Catalog(*(column + [value] if isinstance(column, list)
-                         else np.concatenate([column, [value]])
-                         for column, value in zip(self.columns, values)), self.schema)
+    def appended(self, rows: "Catalog") -> "Catalog":
+        """A new catalog of these rows, then those of `rows`, a catalog of
+        the same schema; this one is unchanged."""
+        if rows.schema != self.schema:
+            raise SchemaError("appended rows' feature schema differs from the catalog's")
+        return Catalog(*(mine + theirs if isinstance(mine, list) else np.concatenate([mine, theirs])
+                         for mine, theirs in zip(self.columns, rows.columns)), self.schema)
 
 
 def load_catalog(path, schema: FeatureSchema) -> Catalog:

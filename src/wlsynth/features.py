@@ -82,23 +82,9 @@ class FeatureSchema:
 
 @dataclass
 class PerformanceFeature:
-    """One point in feature space: metric vector M and operator vector O."""
+    """One catalog row's metric vector M and operator vector O, as
+    `Catalog.row` presents them; bench/child.py reads the metrics through
+    `Catalog.get`."""
 
     metrics: np.ndarray
     operators: np.ndarray
-
-    def __post_init__(self):
-        self.metrics = np.asarray(self.metrics, dtype=float)
-        self.operators = np.asarray(self.operators, dtype=float)
-        check_feature(self.as_vector())
-
-    def as_vector(self) -> np.ndarray:
-        """Metrics followed by operators, matching FeatureSchema.dimensions order."""
-        return np.concatenate([self.metrics, self.operators])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerformanceFeature):
-            return NotImplemented
-        return np.array_equal(self.metrics, other.metrics) and np.array_equal(
-            self.operators, other.operators
-        )

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from wlsynth import highs
-from wlsynth.catalog import Catalog, DatabaseDescriptor, WorkloadComponent
+from wlsynth.catalog import Catalog
 from wlsynth.config import Config
-from wlsynth.features import MODE_COUNTS, FeatureSchema, PerformanceFeature
+from wlsynth.features import MODE_COUNTS, FeatureSchema
 from wlsynth.scheduler import Schedule
 from wlsynth.trace import Trace
 
@@ -38,20 +38,6 @@ def schema():
 def small_schema():
     return FeatureSchema(metrics=("cpu_time_ms", "scanned_bytes"),
                          operators=("filter_num", "aggregate_num"))
-
-
-def make_component(schema, component_id, duration_ms, values, benchmark="tpch",
-                   scale_factor=1.0, skewness=0, origin="benchmark"):
-    values = np.asarray(values, dtype=float)
-    return WorkloadComponent(
-        component_id=component_id,
-        query_ref=f"{component_id}.sql",
-        database_ref=DatabaseDescriptor(benchmark, scale_factor, skewness),
-        duration_ms=float(duration_ms),
-        feature=PerformanceFeature(values[: schema.n_metrics],
-                                   values[schema.n_metrics :]),
-        origin=origin,
-    )
 
 
 def make_catalog(schema, rows, benchmark="tpch", scale_factor=1.0):

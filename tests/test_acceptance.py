@@ -20,7 +20,7 @@ from wlsynth.augmenter import (
     generate_component,
     GenerationTarget,
 )
-from wlsynth.catalog import SimulatedExecutor
+from wlsynth.catalog import Catalog, SimulatedExecutor
 from wlsynth.cli import echo_policy, main
 from wlsynth.config import Config
 from wlsynth.features import MODE_COUNTS, FeatureSchema
@@ -339,9 +339,7 @@ def test_criterion_7_augmentation_closed_loop(schema):
         grown = base
         for j in range(int(rng.integers(1, 4))):
             extra = random_catalog(schema, 1, rng)
-            comp = extra.row(0)
-            comp.component_id = f"x{i}-{j}"
-            grown = grown.appended(comp)
+            grown = grown.appended(Catalog([f"x{i}-{j}"], *extra.columns[1:], schema))
         after = solve_all_windows(target_w, grown, cfg)[0]
         if after.objective_value > before.objective_value + 1e-9:
             regressions += 1

@@ -221,21 +221,28 @@ class TestClassifyGap:
 
 
 class TestSwitchDatabase:
-    def test_scale_doubles_when_low(self):
+    """The direction comes from the gaps: the sign of CPU's for the scale
+    factor, CPU's against SB's for the skewness."""
+
+    def switch(self, schema, db, scenario_id, cpu_gap, sb_gap):
+        return switch_database(db, HINT_SCENARIOS[scenario_id], feature(cpu_gap, sb_gap),
+                               _gap_dimensions(schema, Config()))
+
+    def test_scale_doubles_when_low(self, schema):
         db = DatabaseDescriptor("tpch", 2.0, 1)
-        out = switch_database(db, HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH], True)
+        out = self.switch(schema, db, SCENARIO_BOTH_LOW_OR_HIGH, -0.5, -0.5)
         assert out.scale_factor == 4.0 and out.skewness == 1
 
-    def test_scale_halves_when_high(self):
+    def test_scale_halves_when_high(self, schema):
         db = DatabaseDescriptor("tpch", 2.0, 1)
-        out = switch_database(db, HINT_SCENARIOS[SCENARIO_BOTH_LOW_OR_HIGH], False)
+        out = self.switch(schema, db, SCENARIO_BOTH_LOW_OR_HIGH, 0.5, 0.5)
         assert out.scale_factor == 1.0
 
-    def test_skew_steps_and_clamps(self):
+    def test_skew_steps_and_clamps(self, schema):
         db = DatabaseDescriptor("tpch", 1.0, 4)
-        out = switch_database(db, HINT_SCENARIOS[SCENARIO_RATIO_OFF], True)
+        out = self.switch(schema, db, SCENARIO_RATIO_OFF, 0.05, 0.15)
         assert out.skewness == 4  # clamped at the top
-        out = switch_database(db, HINT_SCENARIOS[SCENARIO_RATIO_OFF], False)
+        out = self.switch(schema, db, SCENARIO_RATIO_OFF, 0.15, 0.05)
         assert out.skewness == 3
 
 
@@ -250,9 +257,9 @@ class TestGenerateComponent:
             SimulatedExecutor(schema), Config(), component_id="aug-000",
         )
         assert report.accepted
-        assert report.component.component_id == "aug-000"
-        assert report.component.origin == "augmented"
-        np.testing.assert_allclose(report.component.feature.metrics, [50, 60])
+        assert report.component.ids == ["aug-000"]
+        assert report.component.origin == ["augmented"]
+        np.testing.assert_allclose(report.component.features[0, :2], [50, 60])
         assert [a.verdict for a in report.attempts] == [VERDICT_ACCEPTED]
 
     def test_retry_adds_hints(self, schema, tmp_path):
@@ -295,7 +302,7 @@ class TestGenerateComponent:
         )
         assert report.accepted
         assert report.database_switches == 1
-        assert report.component.database_ref.scale_factor == 2.0
+        assert report.component.scale_factor.tolist() == [2.0]
         verdicts = [a.verdict for a in report.attempts]
         assert verdicts == [VERDICT_RETRY, VERDICT_DATABASE_SWITCH, VERDICT_ACCEPTED]
         assert report.attempts[1].scenario_id == SCENARIO_BOTH_LOW_OR_HIGH
@@ -332,7 +339,7 @@ class TestGenerateComponent:
         )
         assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
             (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
-        assert report.component.duration_ms == 1000.0
+        assert report.component.duration_ms.tolist() == [1000.0]
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "1e400"])
     def test_non_finite_duration_profile_retries(self, schema, duration):
@@ -346,7 +353,7 @@ class TestGenerateComponent:
         )
         assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
             (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
-        assert report.component.duration_ms == 1000.0
+        assert report.component.duration_ms.tolist() == [1000.0]
 
     @pytest.mark.parametrize("first", [
         annotated(-50, 60),                   # a negative metric
@@ -368,6 +375,19 @@ class TestGenerateComponent:
             )
         assert [(a.verdict, a.profiled is None) for a in report.attempts] == [
             (VERDICT_RETRY, True), (VERDICT_ACCEPTED, False)]
+
+    def test_unexpected_error_propagates(self, schema, monkeypatch):
+        """Only the package's errors mark an answer unfit: any other is a
+        fault of the program, raised rather than logged and retried."""
+        def broken(*args):
+            raise TypeError("broken profiler")
+
+        monkeypatch.setattr(augmenter, "profile_query", broken)
+        provider = MockProvider(lambda prompt, calls: annotated(50, 60))
+        with pytest.raises(TypeError, match="broken profiler"):
+            generate_component(target_for(50, 60), self.make_cat(schema), provider,
+                               SimulatedExecutor(schema), Config())
+        assert provider.calls == 1
 
     @pytest.mark.parametrize("duration", [0, -5])
     def test_accepted_component_needs_positive_duration(self, schema, duration):

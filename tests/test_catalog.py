@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_component
+from conftest import make_catalog
 from wlsynth.catalog import (
     ORIGIN_AUGMENTED,
     ORIGIN_BENCHMARK,
@@ -30,12 +30,8 @@ class TestCatalog:
         save_catalog(catalog, path)
         back = load_catalog(path, schema)
         assert len(back) == 2
-        for a, b in zip(map(catalog.row, range(2)), map(back.row, range(2))):
-            assert a.component_id == b.component_id
-            assert a.duration_ms == b.duration_ms
-            assert a.database_ref == b.database_ref
-            assert a.feature == b.feature
-            assert a.origin == b.origin
+        for a, b in zip(catalog.columns, back.columns):
+            np.testing.assert_array_equal(a, b)
 
     def test_duplicate_id_rejected(self, schema):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -51,6 +47,9 @@ class TestCatalog:
 
     @pytest.mark.parametrize("column, value, message", [
         (2, 0.0, "scale_factor must be positive"),
+        (2, np.nan, "scale_factor must be finite"),
+        (2, np.inf, "scale_factor must be finite"),
+        (2, -np.inf, "scale_factor must be finite"),
         (3, 5, "skewness level must be in 0..4"),
         (3, -1, "skewness level must be in 0..4"),
         (4, 0.0, "duration_ms must be positive"),
@@ -96,19 +95,22 @@ class TestCatalog:
     def test_appended_leaves_the_catalog_unchanged(self, schema):
         catalog = make_catalog(schema, [("c1", 1000, [1, 2, 3, 4, 5, 6])])
         features = catalog.features
-        grown = catalog.appended(make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
-                                                scale_factor=2.0, skewness=1))
+        rows = Catalog(["c2"], ["tpcds"], [2.0], [1], [2000], [[7, 8, 9, 10, 11, 12]],
+                       ["c2.sql"], [ORIGIN_AUGMENTED], schema)
+        grown = catalog.appended(rows)
         assert len(catalog) == 1 and catalog.features is features
-        assert grown.ids == ["c1", "c2"]
-        assert grown.row(1) == make_component(schema, "c2", 2000, [7, 8, 9, 10, 11, 12],
-                                              scale_factor=2.0, skewness=1)
+        for mine, theirs, joined in zip(catalog.columns, rows.columns, grown.columns):
+            np.testing.assert_array_equal(joined, np.concatenate([mine, theirs]))
         with pytest.raises(ValidationError, match="duplicate component_id 'c1'"):
-            grown.appended(catalog.row(0))
+            grown.appended(catalog)
 
-    @pytest.mark.parametrize("duration", ["nan", "inf", "1e400", "-inf"])
-    def test_component_of_no_finite_duration_rejected(self, schema, duration):
-        with pytest.raises(ValidationError, match="^component 'c2': duration_ms must be finite$"):
-            make_component(schema, "c2", float(duration), [1, 1, 0, 0, 0, 0])
+    def test_appended_rows_of_another_schema_rejected(self, schema):
+        """A schema of the same width would join silently: its columns mean
+        other dimensions."""
+        other = FeatureSchema(schema.metrics, schema.operators[:-1] + ("scan_num",))
+        catalog = make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])])
+        with pytest.raises(SchemaError, match="schema differs"):
+            catalog.appended(make_catalog(other, [("c2", 1000, [1, 1, 0, 0, 0, 0])]))
 
     def test_unknown_id_is_loud(self, schema):
         catalog = make_catalog(schema, [("c1", 1000, [1, 1, 0, 0, 0, 0])])
@@ -159,6 +161,14 @@ class TestCatalog:
         with pytest.raises(ValidationError):
             DatabaseDescriptor("tpch", 1.0, skewness=5)
 
+    @pytest.mark.parametrize("scale_factor, rule", [
+        (0.0, "positive"), (-1.0, "positive"),
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+    ])
+    def test_descriptor_scale_factor_must_be_finite_and_positive(self, scale_factor, rule):
+        with pytest.raises(ValidationError, match=f"^scale_factor must be {rule}$"):
+            DatabaseDescriptor("tpch", scale_factor)
+
 
 _text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                 max_size=8)
@@ -191,7 +201,8 @@ def _per_row_catalog_bytes(path, catalog):
             writer.writerow([comp.component_id, comp.database_ref.benchmark_name,
                              number(comp.database_ref.scale_factor), comp.database_ref.skewness,
                              number(comp.duration_ms),
-                             *map(number, comp.feature.as_vector().tolist()),
+                             *map(number, comp.feature.metrics.tolist()
+                                  + comp.feature.operators.tolist()),
                              comp.query_ref, comp.origin])
     return path.read_bytes()
 
@@ -217,10 +228,12 @@ def test_catalog_csv_round_trip(tmp_path_factory, rows):
     save_catalog(catalog, path)
     assert path.read_bytes() == _per_row_catalog_bytes(path.with_name("reference.csv"), catalog)
     back = load_catalog(path, schema)
-    assert [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
-             c.query_ref, c.origin) for c in map(back.row, range(len(back)))] == \
-        [(c.component_id, c.database_ref, c.duration_ms, c.feature.as_vector().tolist(),
-          c.query_ref, c.origin) for c in map(catalog.row, range(len(catalog)))]
+    assert [(c.component_id, c.database_ref, c.duration_ms, c.feature.metrics.tolist(),
+             c.feature.operators.tolist(), c.query_ref, c.origin)
+            for c in map(back.row, range(len(back)))] == \
+        [(c.component_id, c.database_ref, c.duration_ms, c.feature.metrics.tolist(),
+          c.feature.operators.tolist(), c.query_ref, c.origin)
+         for c in map(catalog.row, range(len(catalog)))]
 
 
 class TestSimulatedExecutor:

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -253,16 +254,17 @@ class TestPipeline:
     def test_pipeline_builds_no_per_row_objects(self, demo_dir, tmp_path, monkeypatch,
                                                 skip_ta, query_level, skip_augment):
         """Every stage works on the trace, schedule and catalog columns: with
-        the row classes replaced by stubs that raise, pipeline still
-        succeeds.  Only augment builds component rows, for its prompts, so
-        without it the component row class is stubbed too."""
+        the row classes replaced by stubs that raise, in every module that
+        holds them, pipeline still succeeds, augment included: a generated
+        answer is a one-row catalog."""
         def forbidden(*args, **kwargs):
             raise AssertionError("per-row object built")
 
-        monkeypatch.setattr(trace_module, "QueryRecord", forbidden)
-        monkeypatch.setattr(scheduler_module, "ScheduleEntry", forbidden)
-        if skip_augment:
-            monkeypatch.setattr(catalog_module, "WorkloadComponent", forbidden)
+        for module in [m for name, m in sys.modules.items() if name.startswith("wlsynth")]:
+            for row_class in ("QueryRecord", "ScheduleEntry", "WorkloadComponent",
+                              "PerformanceFeature"):
+                if hasattr(module, row_class):
+                    monkeypatch.setattr(module, row_class, forbidden)
         (tmp_path / "trace.csv").write_text(PLANTED_TRACE)
         (tmp_path / "catalog.csv").write_text(PLANTED_CATALOG)
         out = tmp_path / "out"
@@ -278,10 +280,10 @@ class TestPipeline:
             trace_module.ingest_trace(out / "replay/trace.csv", schema).records
         with pytest.raises(AssertionError, match="per-row object"):
             scheduler_module.read_schedule(out / "schedule/schedule.csv").entries
+        with pytest.raises(AssertionError, match="per-row object"):
+            catalog_module.load_catalog(tmp_path / "catalog.csv", schema).row(0)
         if skip_augment:
             assert not (out / "augment").exists()
-            with pytest.raises(AssertionError, match="per-row object"):
-                catalog_module.load_catalog(tmp_path / "catalog.csv", schema).row(0)
         else:
             attempts = (out / "augment/attempts.jsonl").read_text().splitlines()
             assert "accepted" in [json.loads(line)["verdict"] for line in attempts]
