@@ -46,11 +46,8 @@ from .scheduler import (
     write_schedule,
 )
 from .selector import (
-    ONE_TO_MANY,
-    ONE_TO_ONE,
     SelectionPlan,
     finish_windows,
-    match_query,
     read_plans,
     relax_windows,
     solve_window,  # noqa: F401 not called here; bench/child.py traces it under this name
@@ -63,7 +60,6 @@ from .trace import (Trace, _parse_int, build_targets, export_trace, ingest_trace
 
 log = logging.getLogger(__name__)
 
-WINDOW_LEVEL = "window"
 _DATA_FILES = ("demo_trace.csv", "demo_catalog.csv", "demo_config.txt")
 # flags whose text sets the config key of their name (underscores for dashes)
 _KEY_FLAGS = {"seed": None, "window_ms": None, "interval_ms": None, "cores": None,
@@ -259,30 +255,13 @@ def _write_plans(run: Run) -> None:
 
 
 def stage_select(run: Run) -> None:
-    """The input trace is read only for --query-level matching."""
-    cfg, paths, level = run.cfg, run.paths, run.args.query_level
-    windows, _ = run.get("targets")
-    catalog = run.get("catalog")
-    trace = None if level == WINDOW_LEVEL else run.get("trace")
-    if trace is not None:
-        # a match depends only on the feature row: identical rows get identical plans
-        keys = [feature.tobytes() for feature in trace.features]
-        with _solver_output_to_stderr():
-            matches = {key: match_query(feature, catalog, cfg, mode=level)
-                       for key, feature in dict(zip(keys, trace.features)).items()}
-        rows = [(query_id, matches[key], cid) for query_id, key in zip(trace.query_id, keys)
-                for cid in sorted(matches[key].counts)]
-        paths.ensure(paths.plans)
-        write_columns(paths.plans / "query_matches.csv",
-                      ["query_id", "component_id", "count", "objective"],
-                      [[row[0] for row in rows], [row[2] for row in rows],
-                       np.array([plan.counts[cid] for _, plan, cid in rows], dtype=np.int64),
-                       [repr(plan.objective_value) for _, plan, _ in rows]], "\n")
-        log.info("matched %d queries (%s)", len(trace), level)
+    """Pick each window's component counts.  It reads no trace: it takes
+    --trace only so that a stage-by-stage run (bench/child.py's) can pass
+    select the flags it passes augment."""
     if run.args.command == "pipeline" and not run.args.skip_augment:
         return  # augment writes the plans, from the relaxation it decides the bad windows on
     _write_plans(run)
-    log.info("solved %d windows", len(windows))
+    log.info("solved %d windows", len(run.get("targets")[0]))
 
 
 def stage_augment(run: Run) -> None:
@@ -362,7 +341,7 @@ STAGES = {
     "targets": (stage_targets, "aggregate the trace into window/interval targets",
                 ("--trace",)),
     "select": (stage_select, "pick component counts per window",
-               ("--trace", "--catalog", "--query-level")),
+               ("--trace", "--catalog")),
     "augment": (stage_augment, "generate components for badly-fit windows and re-solve",
                 ("--trace", "--catalog")),
     "schedule": (stage_schedule, "assign start timestamps inside each window",
@@ -374,8 +353,6 @@ STAGES = {
 FLAGS = {
     "--trace": dict(help="input trace CSV"),
     "--catalog": dict(help="component catalog CSV"),
-    "--query-level": dict(default=WINDOW_LEVEL, choices=[WINDOW_LEVEL, ONE_TO_ONE, ONE_TO_MANY],
-                          help="window-level selection (default) or per-query matching"),
     "--skip-ta": dict(action="store_true", help="random start times instead of annealing"),
     "--skip-augment": dict(action="store_true", help="keep the selected plans: run no augment stage"),
 }

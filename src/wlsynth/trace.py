@@ -21,14 +21,14 @@ of rows within a fixed budget of (row, interval) pairs at a time, and adds
 each column's terms with `np.add.at`.  Every interval adds its terms from
 zero in row order, so the sums equal a per-row loop's bit for bit.
 `write_columns` writes every CSV the package writes, its header included:
-the trace, the targets, the plans, their summary and select's query
-matches, the schedule and its energy trace, the catalog, and the report's
-scores and plot data.  It formats the numbers of a block of rows in numpy
-and writes the bytes csv.writer would, CRLF line ends included; the
-schedule's energy.csv, whose bytes pin the annealer's trajectory, and
-query_matches.csv end their lines in a bare LF instead.  The targets,
-plans, schedules and catalogs are read back column by column through
-`read_columns`; csv is used here only to read.
+the trace, the targets, the plans and their summary, the schedule and its
+energy trace, the catalog, and the report's scores and plot data.  It
+formats the numbers of a block of rows in numpy and writes the bytes
+csv.writer would, CRLF line ends included; only the schedule's
+energy.csv, whose bytes pin the annealer's trajectory, ends its lines in
+a bare LF instead.  The targets, plans, schedules and catalogs are read
+back column by column through `read_columns`; csv is used here only to
+read.
 """
 from __future__ import annotations
 
@@ -466,6 +466,7 @@ def _digit_words() -> np.ndarray:
 
 
 _SKIP = 0xFF  # a byte that is not ASCII; write_columns drops it
+_SKIP_BYTE = bytes([_SKIP])
 _DIGIT_WORDS = _digit_words()
 _ZERO_WORD = np.array([_SKIP, _SKIP, _SKIP, ord("0")], dtype=np.uint8).view(np.uint32)[0]
 
@@ -511,7 +512,7 @@ def _format_rows(columns: list, width: int, line_end: str) -> str:
     text[:, :, [0, 1, 3]] = ord(","), _SKIP, _SKIP
     text[:, 0, :len(line_end)] = list(line_end.encode())
     text[:, :, 2] = np.where(spliced, 0, np.where(ints < 0, ord("-"), _SKIP))
-    lines = text[text != _SKIP].tobytes()[len(line_end):].decode("ascii") + line_end
+    lines = text.tobytes().translate(None, _SKIP_BYTE)[len(line_end):].decode("ascii") + line_end
     if not spliced.any():
         return lines
     pieces = lines.split("\0")
@@ -530,13 +531,13 @@ def write_columns(path, header: list[str], columns: list, line_end: str = "\r\n"
     is written by the `_format_number` rule.  A block of rows at a time,
     every int, and every float that is an integer below 2**53 in magnitude,
     becomes decimal digits through one table lookup per four digits into a
-    byte matrix of the block, which one `tobytes` turns into text.  The
-    strings, quoted where csv.writer quotes, and the other floats,
-    formatted one by one, are spliced into that text with one `str.join`;
-    the header is a block of one row.  Every CSV artifact is written here,
-    and a float written by `repr` (those of the plan summary, the query
-    matches, the energy trace and the report) goes in as a list of its
-    `repr` strings.
+    byte matrix of the block, which one `tobytes` and one `bytes.translate`
+    that drops its `_SKIP` bytes turn into text.  The strings, quoted where
+    csv.writer quotes, and the other floats, formatted one by one, are
+    spliced into that text with one `str.join`; the header is a block of
+    one row.  Every CSV artifact is written here, and a float written by
+    `repr` (those of the plan summary, the energy trace and the report)
+    goes in as a list of its `repr` strings.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_format_rows([[name] for name in header], len(header), line_end))

@@ -3,13 +3,14 @@ import io
 import json
 import logging
 import math
+import re
 import shutil
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import csv_writer_bytes, make_catalog, write_bench_inputs
+from conftest import ROOT, csv_writer_bytes, make_catalog, write_bench_inputs
 from test_selector import random_problem
 from wlsynth import catalog as catalog_module
 from wlsynth import cli
@@ -71,14 +72,14 @@ def run_pipeline(demo_dir, out, extra=(), catalog=None):
     return main(args)
 
 
-def csv_writer_lf_rows(path) -> list[list[str]]:
+def csv_writer_rows(path, line_end: str) -> list[list[str]]:
     """The rows csv.reader reads from the file at `path`, after checking
-    that csv.writer with a CRLF line terminator, each line end then a bare
-    LF, writes them back to the file's bytes."""
+    that csv.writer with a CRLF line terminator, each line end then
+    `line_end`, writes them back to the file's bytes."""
     data = path.read_bytes()
     with io.StringIO(data.decode("utf-8"), newline="") as fh:
         rows = list(csv.reader(fh))
-    assert csv_writer_bytes(rows, "\n") == data
+    assert csv_writer_bytes(rows, line_end) == data
     return rows
 
 
@@ -172,7 +173,7 @@ class TestPipeline:
         assert run_pipeline(demo_dir, out, ["--skip-ta", "--skip-augment"]) == 0
         energy = (out / "schedule/energy.csv").read_text().splitlines()
         assert energy == ["step,best_energy"]
-        assert csv_writer_lf_rows(out / "schedule/energy.csv") == [["step", "best_energy"]]
+        assert csv_writer_rows(out / "schedule/energy.csv", "\n") == [["step", "best_energy"]]
 
     def test_empty_replay_scores(self, demo_dir, tmp_path):
         """A catalog whose every component outlasts each window's budget plans
@@ -249,10 +250,9 @@ class TestPipeline:
             assert (staged / rel).read_bytes() == (full / rel).read_bytes(), rel
 
     @pytest.mark.parametrize("skip_augment", [False, True])
-    @pytest.mark.parametrize("query_level", ["window", "one_to_one"])
     @pytest.mark.parametrize("skip_ta", [False, True])
     def test_pipeline_builds_no_per_row_objects(self, demo_dir, tmp_path, monkeypatch,
-                                                skip_ta, query_level, skip_augment):
+                                                skip_ta, skip_augment):
         """Every stage works on the trace, schedule and catalog columns: with
         the row classes replaced by stubs that raise, in every module that
         holds them, pipeline still succeeds, augment included: a generated
@@ -270,10 +270,9 @@ class TestPipeline:
         out = tmp_path / "out"
         argv = ["pipeline", "--config", str(demo_dir / "demo_config.txt"),
                 "--trace", str(tmp_path / "trace.csv"), "--catalog", str(tmp_path / "catalog.csv"),
-                "--out", str(out), "--query-level", query_level]
+                "--out", str(out)]
         assert main(argv + (["--skip-ta"] if skip_ta else [])
                     + (["--skip-augment"] if skip_augment else [])) == 0
-        assert (out / "plans/query_matches.csv").exists() == (query_level == "one_to_one")
         # the stubs are live: the row views would have raised
         schema = load_config(demo_dir / "demo_config.txt").schema()
         with pytest.raises(AssertionError, match="per-row object"):
@@ -342,12 +341,11 @@ class TestPipeline:
         for rel, data in written.items():
             assert (out / rel).read_bytes() == data, rel
 
-    @pytest.mark.parametrize("level", ["one_to_one", "one_to_many"])
-    def test_query_matches_quote_ids(self, demo_dir, tmp_path, level):
+    def test_pipeline_quotes_awkward_ids(self, demo_dir, tmp_path):
         """Query ids holding the delimiter, a quote, a bare CR, an LF or a
-        non-ASCII character read back as one field each, every query in
-        trace order, and the file is what csv.writer writes, with bare LF
-        line ends."""
+        non-ASCII character go through a whole pipeline, and in the
+        ingested trace.csv read back as one field each, every query in
+        trace order, from what csv.writer writes."""
         with open(demo_dir / "demo_trace.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         for row, query_id in zip(rows[1:], ["q,1", 'q"2', "q\r3", "q\n4", "q\u00e95"]):
@@ -358,48 +356,33 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(demo_dir / "demo_config.txt"),
                      "--trace", str(tmp_path / "trace.csv"),
                      "--catalog", str(demo_dir / "demo_catalog.csv"), "--out", str(out),
-                     "--query-level", level, "--skip-augment"]) == 0
-        matches = csv_writer_lf_rows(out / "plans/query_matches.csv")
-        assert matches[0] == ["query_id", "component_id", "count", "objective"]
-        assert all(len(row) == 4 for row in matches)
-        assert list(dict.fromkeys(row[0] for row in matches[1:])) == [row[0] for row in rows[1:]]
+                     "--skip-augment"]) == 0
+        ingested = csv_writer_rows(out / "trace.csv", "\r\n")
+        assert ingested[0] == rows[0]
+        assert all(len(row) == len(rows[0]) for row in ingested)
+        assert [row[0] for row in ingested[1:]] == [row[0] for row in rows[1:]]
 
     def test_energy_trace_is_csv_writer_lf_bytes(self, demo_dir, tmp_path):
         """An annealed energy.csv is what csv.writer writes, with bare LF
         line ends, one row per annealing step."""
         out = tmp_path / "out"
         assert run_pipeline(demo_dir, out, ["--skip-augment"]) == 0
-        rows = csv_writer_lf_rows(out / "schedule/energy.csv")
+        rows = csv_writer_rows(out / "schedule/energy.csv", "\n")
         assert rows[0] == ["step", "best_energy"] and len(rows) > 2
         assert [row[0] for row in rows[1:]] == [str(step) for step in range(len(rows) - 1)]
-
-    def test_query_level_matching_artifact(self, demo_dir, tmp_path):
-        out = tmp_path / "out"
-        base = [
-            "--config", str(demo_dir / "demo_config.txt"),
-            "--out", str(out),
-        ]
-        catalog = ["--catalog", str(demo_dir / "demo_catalog.csv")]
-        trace = ["--trace", str(demo_dir / "demo_trace.csv")]
-        assert main(["ingest"] + base + trace) == 0
-        assert main(["targets"] + base) == 0
-        assert main(["select", "--query-level", "one_to_one"] + base + catalog) == 0
-        lines = (out / "plans/query_matches.csv").read_text().splitlines()
-        assert lines[0] == "query_id,component_id,count,objective"
-        assert len(lines) > 1
 
 
 class TestFlagTable:
     FLAGS = {
         "ingest": {"--trace": "t.csv"},
         "targets": {"--trace": "t.csv"},
-        "select": {"--trace": "t.csv", "--catalog": "c.csv", "--query-level": "one_to_one"},
+        "select": {"--trace": "t.csv", "--catalog": "c.csv"},
         "augment": {"--trace": "t.csv", "--catalog": "c.csv"},
         "schedule": {"--catalog": "c.csv", "--skip-ta": True},
         "replay": {"--catalog": "c.csv"},
         "evaluate": {},
-        "pipeline": {"--trace": "t.csv", "--catalog": "c.csv", "--query-level": "one_to_one",
-                     "--skip-ta": True, "--skip-augment": True},
+        "pipeline": {"--trace": "t.csv", "--catalog": "c.csv", "--skip-ta": True,
+                     "--skip-augment": True},
     }
 
     @pytest.mark.parametrize("command", FLAGS)
@@ -421,12 +404,31 @@ class TestFlagTable:
         ["replay", "--trace", "t.csv"],
         ["evaluate", "--catalog", "c.csv"],
         ["demo", "--skip-ta"],
+        ["select", "--query-level", "window"],
+        ["pipeline", "--query-level", "window"],
     ])
     def test_flag_of_another_stage_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", cli.FLAGS)
+    def test_readme_flag_table_matches_the_stages(self, flag):
+        """README's flag table has one row per stage flag, in FLAGS order,
+        and lists exactly the subcommands whose STAGES entry takes the flag,
+        or `pipeline` alone for a flag no stage takes."""
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| flag | subcommands |") + 2
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            name, subcommands = line.strip("|").split("|")
+            table[re.findall(r"`(--[a-z-]+)", name)[0]] = set(re.findall(r"`([a-z]+)`", subcommands))
+        assert list(table) == list(cli.FLAGS)
+        takes = {name for name, (_, _, flags) in cli.STAGES.items() if flag in flags}
+        assert table[flag] == (takes or {"pipeline"})
 
 
 class TestIntegerFlags:
