@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key, help_text in _KEY_FLAGS.items():
         common.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text)
     common.add_argument("--jobs", default="1", help="parallel window solves (default: 1)")
-    common.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="wlsynth",
@@ -407,10 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config, {key: getattr(args, key) for key in _KEY_FLAGS})
         args.fn(Run(cfg, args))

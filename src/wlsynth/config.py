@@ -34,7 +34,6 @@ KEYS: dict[str, tuple[type, object, object]] = {
     # relative-error floors: positive, or x / 0
     "denom_floor": (float, 1.0, POSITIVE),
     "solver.node_limit": (int, 20000, POSITIVE),
-    "solver.time_limit_s": (float, None, POSITIVE),
     "sa.no_improve": (int, 100, POSITIVE),
     "sa.max_steps": (int, 3000, POSITIVE),
     "sa.move_granularity_ms": (int, 1000, POSITIVE),

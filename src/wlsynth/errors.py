@@ -22,7 +22,9 @@ class ConfigError(WlsynthError):
 
 
 class SolverError(WlsynthError):
-    """The selection solver exhausted its budget without an incumbent."""
+    """The HiGHS binding is missing, or HiGHS rejected an option or its value.
+
+    An exhausted `solver.node_limit` is no error: it gives an approximate plan."""
 
 
 class ProfilingError(WlsynthError):

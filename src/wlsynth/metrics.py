@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import KEYS
 from .errors import ValidationError
 from .features import floored, relative_errors
 from .trace import IntervalTargets, Trace, WindowTargets, build_targets, write_columns
 
-EPS_DEFAULT = 1e-9
+EPS_DEFAULT = KEYS["metrics_eps"][1]
 
 
 def _check_lengths(targets, achieved) -> tuple[np.ndarray, np.ndarray]:

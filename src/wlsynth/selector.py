@@ -75,7 +75,6 @@ class SelectionProblem:
     duration_budget_ms: float
     denom_floor: float
     node_limit: int           # HiGHS MIP nodes
-    time_limit_s: float | None
     window_index: int = 0
     # `_duplicate_groups` of the columns above; None finds them on first use
     duplicates: list[np.ndarray] | None = None
@@ -214,11 +213,11 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
     root's counts are integral and feasible they are optimal and no MIP is
     needed.  Otherwise one HiGHS MIP solve of this window alone (branch and
     bound over LP relaxations, relative gap 0, sub-MIP primal heuristics off
-    as set in `_MIP_OPTIONS`) runs under `node_limit` MIP nodes and
-    `time_limit_s` seconds.  If either budget is exhausted the best
-    incumbent is returned with `approximate=True`; the all-zeros vector is
-    always feasible and is the (approximate) fallback when HiGHS returns no
-    integral, feasible incumbent.  Ties: identical inputs give identical
+    as set in `_MIP_OPTIONS`) runs under `node_limit` MIP nodes, the one
+    budget, so the plan depends only on the inputs.  If it is exhausted the
+    best incumbent is returned with `approximate=True`; the all-zeros vector
+    is always feasible and is the (approximate) fallback when HiGHS returns
+    no integral, feasible incumbent.  Ties: identical inputs give identical
     counts, and repetitions of components with identical feature and
     duration columns go to the latest of their ids, at most y each.
     """
@@ -243,14 +242,13 @@ def solve_window(problem: SelectionProblem, root: np.ndarray | None = None) -> S
 
 def _window_mip(problem: SelectionProblem, options: dict) -> tuple[int, np.ndarray | None]:
     """One HiGHS MIP of this window alone: relative gap 0, `_MIP_OPTIONS`,
-    the problem's node and time limits, then `options`."""
+    the problem's node limit, then `options`."""
     c, matrix, rows, cols = _milp_model([problem])
     integrality = np.zeros(c.shape[0])
     integrality[:problem.features.shape[0]] = 1
     return highs.solve(c, matrix, rows, cols, integrality, {
         "mip_rel_gap": 0,
         "mip_max_nodes": problem.node_limit,
-        "time_limit": problem.time_limit_s,
         **_MIP_OPTIONS,
         **options,
     })
@@ -264,15 +262,15 @@ def exceeds(problem: SelectionProblem, root: np.ndarray | None, threshold: float
     under the threshold answers False.  An integral root is the plan, up to
     `solve_window`'s tie rules.  A fractional root's slack sum is a lower
     bound on the optimum: above the threshold by `_CUTOFF_MARGIN`, True.
-    Otherwise one MIP runs under `solve_window`'s node and time limits, cut
+    Otherwise one MIP runs under `solve_window`'s node limit, cut
     off at the threshold plus the margin and stopped at its first solution
     under the cutoff.  An integral root or incumbent at most the threshold
     minus the margin answers False; a search that ends (optimal or
     infeasible) with nothing under the cutoff answers True.  Anything else (a
     limit hit, a point within the margin of the threshold, no point) falls
     back to `solve_window`.  So the two answers can differ only where
-    `solve_window`'s own MIP would stop at `node_limit` or `time_limit_s`
-    with an approximate plan.
+    `solve_window`'s own MIP would stop at `node_limit` with an approximate
+    plan.
     """
     v = problem.features.shape[0]
     zero_obj = problem.objective(np.zeros(v, dtype=int))
@@ -345,8 +343,7 @@ def _catalog_problem(catalog: Catalog, cfg: Config, target, y: int, z: int,
     SelectionProblem the package builds is built here."""
     return SelectionProblem(target, catalog.features, catalog.duration_ms, catalog.ids, y, z,
                             duration_budget_ms, denom_floor=cfg["denom_floor"],
-                            node_limit=cfg["solver.node_limit"],
-                            time_limit_s=cfg["solver.time_limit_s"], **fields)
+                            node_limit=cfg["solver.node_limit"], **fields)
 
 
 def relax_windows(windows: WindowTargets, catalog: Catalog, cfg: Config

@@ -72,10 +72,6 @@ class QueryRecord:
     metrics: np.ndarray
     operators: np.ndarray
 
-    @property
-    def end_ts(self) -> int:
-        return self.arrival_ts + self.duration_ms
-
 
 class Trace:
     """Query rows held as columns, plus the schema and operator mode they share.

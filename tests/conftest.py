@@ -19,8 +19,7 @@ from wlsynth.trace import Trace
 
 # the SelectionProblem fields that config keys set, at the keys' defaults
 SOLVER_KNOBS = {field: Config()[key] for field, key in (
-    ("denom_floor", "denom_floor"), ("node_limit", "solver.node_limit"),
-    ("time_limit_s", "solver.time_limit_s"))}
+    ("denom_floor", "denom_floor"), ("node_limit", "solver.node_limit"))}
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"

@@ -426,8 +426,8 @@ class TestAugmentCatalog:
         """On seeded random windows over one catalog, bad_windows of their
         relaxation is, at every threshold, the windows whose finished plan's
         objective exceeds it: thresholds at each plan's objective, within 1e-6
-        and 0.05 of it, and a few fixed ones.  Windows where the MIP hits a
-        node or time limit (an approximate plan) are left out."""
+        and 0.05 of it, and a few fixed ones.  Windows where the MIP hits the
+        node limit (an approximate plan) are left out."""
         rng = np.random.default_rng(seed)
         drawn = [random_problem(rng, n_components=5, n_dims=6) for _ in range(6)]
         catalog = make_catalog(schema, [(cid, duration, features) for cid, duration, features

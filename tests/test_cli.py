@@ -413,6 +413,15 @@ class TestFlagTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [*cli.STAGES, "pipeline", "demo"])
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_no_verbose_flag(self, command, flag, capsys):
+        """The log level is always INFO, so no subcommand takes -v."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", cli.FLAGS)
     def test_readme_flag_table_matches_the_stages(self, flag):
         """README's flag table has one row per stage flag, in FLAGS order,
@@ -804,7 +813,6 @@ class TestErrors:
 
     @pytest.mark.parametrize("key, line", [
         ("z", "z = abc"),
-        ("solver.time_limit_s", "solver.time_limit_s = x"),
         ("augment.accept_threshold", "augment.accept_threshold = x"),
         ("cores", "cores = 0"),
         ("cores", "--cores 0"),
@@ -823,7 +831,6 @@ class TestErrors:
         ("augment.max_db_switches", "augment.max_db_switches = -1"),
         ("augment.accept_threshold", "augment.accept_threshold = -1"),
         ("augment.accept_threshold", "augment.accept_threshold = nan"),
-        ("solver.time_limit_s", "solver.time_limit_s = 0"),
         ("provider.timeout_ms", "provider.timeout_ms = 0"),
         ("augment.bad_window_threshold", "augment.bad_window_threshold = nan"),
     ])
@@ -842,6 +849,22 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "ConfigError"
         assert f"config key {key!r}:" in err["message"]
+        assert not out.exists()
+
+    def test_removed_time_limit_key_fails_before_writing(self, demo_dir, tmp_path, capsys):
+        """`solver.node_limit` is the one solver budget: a time limit is an
+        unknown key, so a plan cannot depend on the machine's speed."""
+        config = tmp_path / "config.txt"
+        config.write_text((demo_dir / "demo_config.txt").read_text()
+                          + "solver.time_limit_s = 5\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config),
+                     "--trace", str(demo_dir / "demo_trace.csv"),
+                     "--catalog", str(demo_dir / "demo_catalog.csv"),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"stage": "pipeline", "error": "ConfigError",
+                       "message": "unknown config keys: ['solver.time_limit_s']"}
         assert not out.exists()
 
     def test_missing_config_file_fails_before_writing(self, demo_dir, tmp_path, capsys):

@@ -1,8 +1,10 @@
+import re
 from importlib import resources
 
 import pytest
 
-from wlsynth.config import KEYS, Config, load_config
+from conftest import ROOT
+from wlsynth.config import KEYS, NON_NEGATIVE, POSITIVE, Config, load_config
 from wlsynth.errors import ConfigError
 
 DEMO_CONFIG = resources.files("wlsynth.data") / "demo_config.txt"
@@ -61,8 +63,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}': expected a finite number, got '{bad}'"):
             Config({key: bad})
 
-    def test_empty_time_limit_is_no_limit(self):
-        assert Config({"solver.time_limit_s": ""})["solver.time_limit_s"] is None
+    def test_empty_z_is_unset(self):
+        assert Config({"z": ""})["z"] is None
 
     @pytest.mark.parametrize("key, value", [("y", 6.7), ("cores", True),
                                             ("metrics", ("a", "b"))])
@@ -99,6 +101,23 @@ class TestConfigFile:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
             load_config(path)
+
+    def test_readme_key_rules_match_keys(self):
+        """README's rule sentences name exactly the KEYS keys of each rule, in
+        KEYS order: the positive keys that are always set, the optional ones
+        that must be positive when set, and the keys that must be 0 or more."""
+        text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+        positive, when_set, non_negative = re.search(
+            r"leaves it unset\. (.*?) must be positive, and so must (.*?) when set\. "
+            r"(.*?) must be 0 or more", text).groups()
+
+        def keys(rule, optional=(False, True)):
+            return [key for key, (_, default, rule_) in KEYS.items()
+                    if rule_ == rule and (default is None) in optional]
+
+        assert re.findall(r"`([a-z_.]+)`", positive) == keys(POSITIVE, (False,))
+        assert re.findall(r"`([a-z_.]+)`", when_set) == keys(POSITIVE, (True,))
+        assert re.findall(r"`([a-z_.]+)`", non_negative) == keys(NON_NEGATIVE)
 
     def test_demo_config_lists_every_key_at_its_default(self):
         keys = [line.partition("=")[0].strip()

@@ -601,9 +601,9 @@ class TestMatchQuery:
         problems = []
         monkeypatch.setattr(selector, "solve_window",
                             lambda problem: problems.append(problem) or solve_window(problem))
-        cfg = Config({"solver.node_limit": "7", "solver.time_limit_s": "2.5"})
+        cfg = Config({"solver.node_limit": "7"})
         match_query(np.ones(6), catalog, cfg, mode=ONE_TO_MANY)
-        assert [(p.node_limit, p.time_limit_s) for p in problems] == [(7, 2.5)]
+        assert [p.node_limit for p in problems] == [7]
 
     def test_empty_catalog_rejected(self, schema):
         with pytest.raises(ValidationError):
